@@ -32,35 +32,55 @@
 //!
 //! # Implementation
 //!
-//! Every operation on the hot path is hash-free and allocation-free
-//! (amortised): events live in a **slab** of generation-tagged slots
-//! reached directly from the [`EventId`], and ordering comes from an
-//! **indexed 4-ary min-heap**.
+//! Events live in a **slab** of generation-tagged slots reached
+//! directly from the [`EventId`]; ordering comes from two tiers split
+//! by how far ahead of the clock an event lies.
 //!
-//! The layout is struct-of-arrays on both sides of the slot boundary:
+//! **Near future: a timing wheel.** The hardware this simulator models
+//! runs on a 70 ns cycle, so almost every event is scheduled a few
+//! hundred nanoseconds to a few microseconds ahead. Those go into one
+//! of 4096 buckets of 64 ns (one HUB cycle per bucket at most; the
+//! 262 µs horizon covers a 1 KB packet's 82 µs wire time three times
+//! over), indexed by `(at / 64 ns) mod 4096`. Scheduling is a `Vec`
+//! push plus two bit-sets in a two-level occupancy bitmap; finding the
+//! next non-empty bucket is two `trailing_zeros`. A bucket is sorted by
+//! `(at, key)` only when it becomes the *front* bucket (the one holding
+//! the wheel's minimum) — descending, so delivery pops from the tail
+//! and a new overall minimum appends without disturbing the order. Any
+//! other insert into the front bucket pushes and clears a `sorted`
+//! flag; the next pop re-sorts. Nothing is ever inserted into the
+//! middle of a bucket, because a launch wave can put 10⁵ events on one
+//! instant. The wheel's minimum is cached, which keeps
+//! [`peek_time`](Engine::peek_time) O(1) on `&self`.
 //!
-//! - The heap is two parallel arrays: `heap_keys` holds the dense
-//!   16-byte `(time, seq)` ordering keys and `heap_slots` the matching
-//!   slab indices. A sift's comparison loop reads `heap_keys` only — a
-//!   64-byte cache line carries four keys, exactly one 4-ary node, so
-//!   the best-child scan of a level is a single line.
-//! - The slab is split into `meta` (8-byte generation + heap-position
-//!   records, rewritten on every heap move) and `payloads` (the fat
-//!   event enums, touched only at schedule and delivery). Sifting a
-//!   deep heap no longer drags payload-sized strides through the cache.
+//! Cancelling a wheel event frees its slot at once (bumping the
+//! generation) and leaves the bucket entry behind as a **tombstone**:
+//! an entry whose recorded generation no longer matches its slot's.
+//! Tombstones are purged when their bucket is sorted or popped;
+//! cancelling the cached minimum re-settles the front immediately.
 //!
-//! Each slot's `meta` remembers its heap position, so
-//! [`cancel`](Engine::cancel) removes the entry from the middle of the
-//! heap in O(log n) — there are no tombstones to garbage-collect and
-//! the heap never holds dead entries, which keeps
-//! [`peek_time`](Engine::peek_time) O(1) unconditionally. Freed slots
-//! go on a freelist and are reused with a bumped generation, so stale
-//! handles are rejected without any lookup structure.
+//! **Far future: the indexed 4-ary heap.** Events at or beyond the
+//! horizon (1 ms datalink timeouts, retransmission timers, think
+//! times) go to a struct-of-arrays min-heap: `heap_keys` holds dense
+//! 16-byte `(time, key)` records — four to a cache line, exactly one
+//! 4-ary node — and `heap_slots` the matching slab indices, so sifts
+//! never touch payloads. Each slot's `meta` remembers its heap
+//! position, which makes cancelling a far-future timer an exact
+//! O(log n) removal with nothing left behind.
+//!
+//! **The invariant between them.** Every wheel entry's bucket number
+//! lies in `[bucket(now), bucket(now) + 4096)` and every heap entry's
+//! at or beyond `bucket(now) + 4096`. Each clock advance
+//! ([`step`](Engine::step), [`step_batch`](Engine::step_batch),
+//! [`advance_to`](Engine::advance_to), [`run_until`](Engine::run_until))
+//! moves the heap entries the window has reached into the wheel. So
+//! whenever the wheel holds a live event the global minimum is in the
+//! wheel, and the heap root is consulted only when the wheel is empty.
 //!
 //! For drivers that process many events per simulated instant (a HUB
 //! drains an entire 70 ns cycle at once), [`step_batch`](Engine::step_batch)
-//! pops every event sharing the earliest timestamp in one call,
-//! avoiding a peek/compare per event.
+//! pops every event sharing the earliest timestamp in one call: they
+//! are the tail run of one sorted bucket.
 
 use crate::time::{Dur, Time};
 use std::fmt;
@@ -87,8 +107,37 @@ impl EventId {
     }
 }
 
-/// Sentinel heap position for slots not currently queued.
+/// Sentinel queue position for slots not currently queued.
 const NOT_QUEUED: u32 = u32::MAX;
+
+/// Sentinel queue position for slots queued in the timing wheel (their
+/// bucket entry finds them; they need no back-pointer).
+const IN_WHEEL: u32 = u32::MAX - 1;
+
+/// The HUB's clock period (§4.1 of the paper). Everything else on the
+/// hardware's fast path — 350 ns transit, 700 ns set-up, 80 ns per
+/// fiber byte — is a small multiple of it.
+const HUB_CYCLE_NS: u64 = 70;
+
+/// The longest item the datalink puts on a fiber: a 1 KB packet at
+/// 80 ns per byte, plus framing.
+const MAX_WIRE_NS: u64 = 82_000;
+
+/// log2 of the bucket width: 64 ns, the largest power of two that
+/// still gives every HUB cycle a bucket of its own.
+const BUCKET_SHIFT: u32 = 6;
+
+/// log2 of the bucket count. 4096 × 64 ns = 262 µs: every delay the
+/// fabric itself produces is inside the wheel, and only protocol
+/// timers (≥ 1 ms) overflow to the heap.
+const WHEEL_BITS: u32 = 12;
+const WHEEL_SIZE: usize = 1 << WHEEL_BITS;
+const WHEEL_MASK: u64 = WHEEL_SIZE as u64 - 1;
+
+const _: () = assert!(1 << BUCKET_SHIFT <= HUB_CYCLE_NS && HUB_CYCLE_NS < 2 << BUCKET_SHIFT);
+const _: () = assert!((WHEEL_SIZE as u64) << BUCKET_SHIFT > MAX_WIRE_NS);
+// The occupancy bitmap is exactly two levels of 64-bit words.
+const _: () = assert!(WHEEL_SIZE == 64 * 64);
 
 /// Heap arity. 4 trades a slightly deeper comparison fan-out per level
 /// for half the depth of a binary heap — and with the SoA key array,
@@ -97,33 +146,52 @@ const NOT_QUEUED: u32 = u32::MAX;
 /// array is line-aligned.
 const ARITY: usize = 4;
 
+/// The absolute bucket number of instant `at`.
+#[inline]
+fn bucket_of(at: Time) -> u64 {
+    at.nanos() >> BUCKET_SHIFT
+}
+
 /// Per-slot bookkeeping, split off from the payload so heap moves
 /// rewrite 8-byte records instead of payload-sized ones.
 #[derive(Clone, Copy)]
 struct SlotMeta {
-    /// Bumped on every free; stale [`EventId`]s fail the generation check.
+    /// Bumped on every free; stale [`EventId`]s and wheel tombstones
+    /// fail the generation check.
     gen: u32,
-    /// Position in the heap arrays, or [`NOT_QUEUED`].
-    heap_pos: u32,
+    /// Position in the heap arrays, [`IN_WHEEL`], or [`NOT_QUEUED`].
+    pos: u32,
 }
 
-/// The dense ordering key for one heap entry. Comparisons in the sift
-/// loops touch only the contiguous `heap_keys` array — no pointer chase
-/// into the slab, no payload bytes pulled through the cache.
+/// The dense ordering key for one queued event. Comparisons in the
+/// sift loops touch only the contiguous `heap_keys` array — no pointer
+/// chase into the slab, no payload bytes pulled through the cache.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct HeapKey {
     /// Delivery time.
     at: Time,
-    /// FIFO tie-break.
+    /// Tie-break: FIFO sequence number or caller-supplied key.
     seq: u64,
+}
+
+/// One wheel-bucket entry. Live while `gen` equals the slot's current
+/// generation; a tombstone afterwards.
+#[derive(Clone, Copy)]
+struct WheelEntry {
+    key: HeapKey,
+    slot: u32,
+    gen: u32,
 }
 
 /// A deterministic discrete-event scheduler.
 ///
 /// See the [module documentation](self) for the driving pattern and
-/// the data-structure notes. Scheduling and delivering are O(log n)
-/// with no allocation beyond slab growth; cancelling is O(log n) with
-/// no hashing; [`peek_time`](Engine::peek_time) is O(1).
+/// the data-structure notes. Scheduling and delivering an event inside
+/// the 262 µs wheel horizon are O(1) amortised (a bucket is sorted
+/// once, when the clock reaches it); beyond it they are O(log n) in
+/// the number of far-future events. Cancelling is O(1) in the wheel
+/// and O(log n) in the heap, with no hashing;
+/// [`peek_time`](Engine::peek_time) is O(1).
 pub struct Engine<E> {
     now: Time,
     /// Slab bookkeeping, parallel to `payloads`.
@@ -132,6 +200,22 @@ pub struct Engine<E> {
     payloads: Vec<Option<E>>,
     /// Indices of free slots, reused LIFO.
     free: Vec<u32>,
+    /// Wheel buckets, indexed by `bucket_of(at) & WHEEL_MASK`.
+    buckets: Vec<Vec<WheelEntry>>,
+    /// Bit `b & 63` of word `b >> 6` is set while bucket `b` may hold
+    /// entries (live or tombstoned).
+    occupied: [u64; 64],
+    /// Bit `w` is set while `occupied[w]` is non-zero.
+    occupied_words: u64,
+    /// Live (non-tombstone) wheel entries.
+    wheel_live: usize,
+    /// The least live wheel entry; meaningful while `wheel_live > 0`.
+    wheel_min: WheelEntry,
+    /// Index of the bucket holding `wheel_min`.
+    front: usize,
+    /// The front bucket is sorted descending by `(at, key)`, so
+    /// `wheel_min` is its last entry.
+    front_sorted: bool,
     /// 4-ary min-heap ordering keys, parallel to `heap_slots`.
     heap_keys: Vec<HeapKey>,
     /// Slab slot index per heap entry, parallel to `heap_keys`.
@@ -150,7 +234,7 @@ impl<E> fmt::Debug for Engine<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Engine")
             .field("now", &self.now)
-            .field("pending", &self.heap_keys.len())
+            .field("pending", &self.pending())
             .field("delivered", &self.delivered)
             .finish()
     }
@@ -159,28 +243,26 @@ impl<E> fmt::Debug for Engine<E> {
 impl<E> Engine<E> {
     /// Creates an engine with the clock at [`Time::ZERO`] and no events.
     pub fn new() -> Engine<E> {
-        Engine {
-            now: Time::ZERO,
-            meta: Vec::new(),
-            payloads: Vec::new(),
-            free: Vec::new(),
-            heap_keys: Vec::new(),
-            heap_slots: Vec::new(),
-            next_seq: 0,
-            delivered: 0,
-        }
+        Engine::with_capacity(0)
     }
 
-    /// Creates an engine with slab and heap capacity for `n` pending
-    /// events, avoiding growth reallocations during warm-up.
+    /// Creates an engine with slab capacity for `n` pending events,
+    /// avoiding growth reallocations during warm-up.
     pub fn with_capacity(n: usize) -> Engine<E> {
         Engine {
             now: Time::ZERO,
             meta: Vec::with_capacity(n),
             payloads: Vec::with_capacity(n),
             free: Vec::with_capacity(n),
-            heap_keys: Vec::with_capacity(n),
-            heap_slots: Vec::with_capacity(n),
+            buckets: (0..WHEEL_SIZE).map(|_| Vec::new()).collect(),
+            occupied: [0; 64],
+            occupied_words: 0,
+            wheel_live: 0,
+            wheel_min: WheelEntry { key: HeapKey { at: Time::ZERO, seq: 0 }, slot: 0, gen: 0 },
+            front: 0,
+            front_sorted: true,
+            heap_keys: Vec::new(),
+            heap_slots: Vec::new(),
             next_seq: 0,
             delivered: 0,
         }
@@ -199,12 +281,12 @@ impl<E> Engine<E> {
 
     /// Number of live events still pending.
     pub fn pending(&self) -> usize {
-        self.heap_keys.len()
+        self.wheel_live + self.heap_keys.len()
     }
 
     /// `true` if no live events remain.
     pub fn is_idle(&self) -> bool {
-        self.heap_keys.is_empty()
+        self.pending() == 0
     }
 
     /// Schedules `payload` to fire `delay` after the current time.
@@ -258,25 +340,29 @@ impl<E> Engine<E> {
         let slot = match self.free.pop() {
             Some(i) => {
                 debug_assert!(
-                    self.meta[i as usize].heap_pos == NOT_QUEUED
-                        && self.payloads[i as usize].is_none()
+                    self.meta[i as usize].pos == NOT_QUEUED && self.payloads[i as usize].is_none()
                 );
                 self.payloads[i as usize] = Some(payload);
                 i
             }
             None => {
                 let i = self.meta.len();
-                assert!(i < NOT_QUEUED as usize, "event slab exhausted");
-                self.meta.push(SlotMeta { gen: 0, heap_pos: NOT_QUEUED });
+                assert!(i < IN_WHEEL as usize, "event slab exhausted");
+                self.meta.push(SlotMeta { gen: 0, pos: NOT_QUEUED });
                 self.payloads.push(Some(payload));
                 i as u32
             }
         };
-        let pos = self.heap_keys.len();
-        self.heap_keys.push(HeapKey { at, seq });
-        self.heap_slots.push(slot);
-        self.meta[slot as usize].heap_pos = pos as u32;
-        self.sift_up(pos);
+        let key = HeapKey { at, seq };
+        if bucket_of(at) - bucket_of(self.now) < WHEEL_SIZE as u64 {
+            self.wheel_push(key, slot);
+        } else {
+            let pos = self.heap_keys.len();
+            self.heap_keys.push(key);
+            self.heap_slots.push(slot);
+            self.meta[slot as usize].pos = pos as u32;
+            self.sift_up(pos);
+        }
         EventId::pack(slot, self.meta[slot as usize].gen)
     }
 
@@ -287,25 +373,38 @@ impl<E> Engine<E> {
     pub fn cancel(&mut self, id: EventId) -> bool {
         let slot = id.slot();
         let Some(&m) = self.meta.get(slot as usize) else { return false };
-        if m.gen != id.gen() || m.heap_pos == NOT_QUEUED {
+        if m.gen != id.gen() || m.pos == NOT_QUEUED {
             return false; // already fired, already cancelled, or unknown
         }
-        self.remove_at(m.heap_pos as usize);
-        self.release(slot);
+        if m.pos == IN_WHEEL {
+            // The bucket entry stays behind as a tombstone: releasing
+            // the slot bumps its generation past the entry's.
+            self.release(slot);
+            self.wheel_live -= 1;
+            if self.wheel_live > 0 && self.wheel_min.slot == slot && self.wheel_min.gen == m.gen {
+                if self.front_sorted {
+                    self.settle_front();
+                } else {
+                    self.seek_front(self.front);
+                }
+            }
+        } else {
+            self.remove_at(m.pos as usize);
+            self.release(slot);
+        }
         true
     }
 
     /// Delivers the next event: advances the clock to its timestamp and
     /// returns its payload, or `None` if the queue is empty.
     pub fn step(&mut self) -> Option<E> {
-        let &root = self.heap_keys.first()?;
-        debug_assert!(root.at >= self.now);
-        let slot = self.heap_slots[0];
-        self.remove_at(0);
-        self.now = root.at;
-        let payload = self.payloads[slot as usize].take().expect("queued slot has a payload");
-        self.release(slot);
-        self.delivered += 1;
+        let at = self.peek_time()?;
+        self.set_clock(at);
+        self.sort_front();
+        let e = self.buckets[self.front].pop().expect("front bucket holds the minimum");
+        debug_assert!(e.key == self.wheel_min.key && e.slot == self.wheel_min.slot);
+        let payload = self.deliver(e.slot);
+        self.settle_front();
         Some(payload)
     }
 
@@ -328,26 +427,33 @@ impl<E> Engine<E> {
     /// batch draining must filter stale events themselves (the world
     /// keeps its timer table for exactly this).
     pub fn step_batch(&mut self, out: &mut Vec<E>) -> Option<Time> {
-        let at = self.heap_keys.first()?.at;
-        self.now = at;
-        while let Some(&top) = self.heap_keys.first() {
-            if top.at != at {
-                break;
+        let at = self.peek_time()?;
+        self.set_clock(at);
+        self.sort_front();
+        // One instant never straddles buckets: the batch is the tail
+        // run of the (descending) front bucket.
+        while let Some(&e) = self.buckets[self.front].last() {
+            if self.meta[e.slot as usize].gen == e.gen {
+                if e.key.at != at {
+                    break;
+                }
+                out.push(self.deliver(e.slot));
             }
-            let slot = self.heap_slots[0];
-            self.remove_at(0);
-            let payload = self.payloads[slot as usize].take().expect("queued slot has a payload");
-            self.release(slot);
-            self.delivered += 1;
-            out.push(payload);
+            self.buckets[self.front].pop();
         }
+        self.settle_front();
         Some(at)
     }
 
     /// The timestamp of the next live event, if any, without delivering
-    /// it. O(1): the heap root is always live.
+    /// it. O(1): the wheel's minimum is cached and the heap root is
+    /// always live.
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap_keys.first().map(|k| k.at)
+        if self.wheel_live > 0 {
+            Some(self.wheel_min.key.at)
+        } else {
+            self.heap_keys.first().map(|k| k.at)
+        }
     }
 
     /// Advances the clock to `t` without delivering anything.
@@ -366,7 +472,7 @@ impl<E> Engine<E> {
         if let Some(next) = self.peek_time() {
             assert!(next >= t, "cannot advance past a pending event at {next}");
         }
-        self.now = t;
+        self.set_clock(t);
     }
 
     /// Removes every pending event whose payload matches `pred` and
@@ -388,6 +494,7 @@ impl<E> Engine<E> {
     where
         F: FnMut(&E) -> bool,
     {
+        let mut out = Vec::new();
         let mut matched: Vec<u32> = Vec::new();
         for &slot in &self.heap_slots {
             let payload = self.payloads[slot as usize].as_ref().expect("queued slot has a payload");
@@ -395,15 +502,39 @@ impl<E> Engine<E> {
                 matched.push(slot);
             }
         }
-        let mut out = Vec::with_capacity(matched.len());
         for slot in matched {
-            let pos = self.meta[slot as usize].heap_pos as usize;
+            let pos = self.meta[slot as usize].pos as usize;
             let key = self.heap_keys[pos];
             self.remove_at(pos);
-            let payload = self.payloads[slot as usize].take().expect("queued slot has a payload");
-            self.release(slot);
-            out.push((key.at, key.seq, payload));
+            out.push((key.at, key.seq, self.take_payload(slot)));
         }
+        // Wheel entries are removed outright (tombstones with them),
+        // then the front is found again from the clock's own bucket.
+        let before = out.len();
+        for b in 0..WHEEL_SIZE {
+            if self.buckets[b].is_empty() {
+                continue;
+            }
+            let mut bucket = std::mem::take(&mut self.buckets[b]);
+            bucket.retain(|e| {
+                if self.meta[e.slot as usize].gen != e.gen {
+                    return false;
+                }
+                let payload =
+                    self.payloads[e.slot as usize].as_ref().expect("queued slot has a payload");
+                if !pred(payload) {
+                    return true;
+                }
+                out.push((e.key.at, e.key.seq, self.take_payload(e.slot)));
+                false
+            });
+            if bucket.is_empty() {
+                self.clear_occupied(b);
+            }
+            self.buckets[b] = bucket;
+        }
+        self.wheel_live -= out.len() - before;
+        self.seek_front((bucket_of(self.now) & WHEEL_MASK) as usize);
         out.sort_by_key(|e| (e.0, e.1));
         out
     }
@@ -426,7 +557,7 @@ impl<E> Engine<E> {
             n += 1;
         }
         if self.now < deadline && self.is_idle() {
-            self.now = deadline;
+            self.set_clock(deadline);
         }
         n
     }
@@ -442,6 +573,166 @@ impl<E> Engine<E> {
     }
 
     // ---------------------------------------------------------------
+    // Slab internals
+    // ---------------------------------------------------------------
+
+    /// Takes `slot`'s payload and returns the slot to the freelist.
+    fn take_payload(&mut self, slot: u32) -> E {
+        let payload = self.payloads[slot as usize].take().expect("queued slot has a payload");
+        self.release(slot);
+        payload
+    }
+
+    /// [`take_payload`](Self::take_payload) for a wheel entry that is
+    /// being delivered.
+    fn deliver(&mut self, slot: u32) -> E {
+        self.wheel_live -= 1;
+        self.delivered += 1;
+        self.take_payload(slot)
+    }
+
+    /// Returns `slot` to the freelist with a bumped generation.
+    fn release(&mut self, slot: u32) {
+        self.payloads[slot as usize] = None;
+        let m = &mut self.meta[slot as usize];
+        m.pos = NOT_QUEUED;
+        m.gen = m.gen.wrapping_add(1);
+        self.free.push(slot);
+    }
+
+    // ---------------------------------------------------------------
+    // Clock and tier migration
+    // ---------------------------------------------------------------
+
+    /// Moves the clock to `t` and pulls into the wheel every heap entry
+    /// the wheel's window now covers. Callers guarantee no live event
+    /// lies before `t`.
+    fn set_clock(&mut self, t: Time) {
+        let entered = bucket_of(t) != bucket_of(self.now);
+        self.now = t;
+        if !entered {
+            return;
+        }
+        let horizon = bucket_of(t) + WHEEL_SIZE as u64;
+        while let Some(&root) = self.heap_keys.first() {
+            if bucket_of(root.at) >= horizon {
+                break;
+            }
+            let slot = self.heap_slots[0];
+            self.remove_at(0);
+            self.wheel_push(root, slot);
+        }
+    }
+
+    // ---------------------------------------------------------------
+    // Timing-wheel internals
+    // ---------------------------------------------------------------
+
+    /// Appends a live entry to its bucket and keeps the cached minimum
+    /// and the front bucket's `sorted` flag truthful.
+    fn wheel_push(&mut self, key: HeapKey, slot: u32) {
+        let b = (bucket_of(key.at) & WHEEL_MASK) as usize;
+        let m = &mut self.meta[slot as usize];
+        m.pos = IN_WHEEL;
+        let entry = WheelEntry { key, slot, gen: m.gen };
+        let bucket = &mut self.buckets[b];
+        bucket.push(entry);
+        self.occupied[b >> 6] |= 1 << (b & 63);
+        self.occupied_words |= 1 << (b >> 6);
+        if self.wheel_live == 0 || key < self.wheel_min.key {
+            // A new minimum. Appended to a sorted front bucket it is
+            // still the tail of a descending run; in any other bucket
+            // only tombstones can precede it.
+            if b != self.front || self.wheel_live == 0 {
+                self.front = b;
+                self.front_sorted = bucket.len() == 1;
+            }
+            self.wheel_min = entry;
+        } else if b == self.front {
+            self.front_sorted = false;
+        }
+        self.wheel_live += 1;
+    }
+
+    #[inline]
+    fn clear_occupied(&mut self, b: usize) {
+        self.occupied[b >> 6] &= !(1 << (b & 63));
+        if self.occupied[b >> 6] == 0 {
+            self.occupied_words &= !(1 << (b >> 6));
+        }
+    }
+
+    /// The first occupied bucket at or circularly after `from`.
+    fn next_occupied(&self, from: usize) -> Option<usize> {
+        let w = from >> 6;
+        let word = self.occupied[w] & (!0 << (from & 63));
+        if word != 0 {
+            return Some((w << 6) | word.trailing_zeros() as usize);
+        }
+        // Words after `w`, then wrap to the lowest occupied word (the
+        // bits of word `w` at or above `from` are known clear).
+        let above = if w == 63 { 0 } else { self.occupied_words & (!0 << (w + 1)) };
+        let words = if above != 0 { above } else { self.occupied_words };
+        if words == 0 {
+            return None;
+        }
+        let w = words.trailing_zeros() as usize;
+        Some((w << 6) | self.occupied[w].trailing_zeros() as usize)
+    }
+
+    /// Brings the front bucket into sorted order if an insert behind
+    /// the minimum disturbed it. Precondition: `wheel_live > 0`.
+    #[inline]
+    fn sort_front(&mut self) {
+        if !self.front_sorted {
+            self.seek_front(self.front);
+        }
+    }
+
+    /// Re-establishes the cached minimum after the front bucket's tail
+    /// was popped or tombstoned. Precondition: the front is sorted.
+    fn settle_front(&mut self) {
+        debug_assert!(self.front_sorted);
+        let bucket = &mut self.buckets[self.front];
+        while let Some(&e) = bucket.last() {
+            if self.meta[e.slot as usize].gen == e.gen {
+                self.wheel_min = e;
+                return;
+            }
+            bucket.pop();
+        }
+        self.clear_occupied(self.front);
+        self.seek_front(self.front);
+    }
+
+    /// Finds the first bucket at or circularly after `from` that holds
+    /// a live entry, purges its tombstones, sorts it descending, and
+    /// makes it the front. Buckets found to hold only tombstones are
+    /// emptied on the way.
+    fn seek_front(&mut self, from: usize) {
+        let mut b = from;
+        while self.wheel_live > 0 {
+            b = self.next_occupied(b).expect("live wheel entries occupy a bucket");
+            let meta = &self.meta;
+            let bucket = &mut self.buckets[b];
+            bucket.retain(|e| meta[e.slot as usize].gen == e.gen);
+            if let Some(n) = bucket.len().checked_sub(1) {
+                // Entries usually arrive in ascending order, which the
+                // sort recognises as one reversed run.
+                if n > 0 {
+                    bucket.sort_unstable_by(|x, y| y.key.cmp(&x.key));
+                }
+                self.front = b;
+                self.front_sorted = true;
+                self.wheel_min = bucket[n];
+                return;
+            }
+            self.clear_occupied(b);
+        }
+        self.front_sorted = true;
+    }
+
+    // ---------------------------------------------------------------
     // Indexed-heap internals
     // ---------------------------------------------------------------
 
@@ -449,7 +740,7 @@ impl<E> Engine<E> {
     fn place(&mut self, pos: usize, key: HeapKey, slot: u32) {
         self.heap_keys[pos] = key;
         self.heap_slots[pos] = slot;
-        self.meta[slot as usize].heap_pos = pos as u32;
+        self.meta[slot as usize].pos = pos as u32;
     }
 
     fn sift_up(&mut self, mut pos: usize) {
@@ -495,8 +786,8 @@ impl<E> Engine<E> {
     }
 
     /// Removes the heap entry at `pos`, restoring the heap invariant.
-    /// The removed slot's `heap_pos` is left dangling; the caller frees
-    /// or repurposes the slot immediately.
+    /// The removed slot's `pos` is left dangling; the caller frees or
+    /// repurposes the slot immediately.
     fn remove_at(&mut self, pos: usize) {
         let last_key = self.heap_keys.pop().expect("remove_at on empty heap");
         let last_slot = self.heap_slots.pop().expect("heap arrays in sync");
@@ -507,18 +798,9 @@ impl<E> Engine<E> {
         // The moved tail entry may order before or after its new
         // neighbourhood; one direction will be a no-op.
         self.sift_down(pos);
-        if self.meta[last_slot as usize].heap_pos == pos as u32 {
+        if self.meta[last_slot as usize].pos == pos as u32 {
             self.sift_up(pos);
         }
-    }
-
-    /// Returns `slot` to the freelist with a bumped generation.
-    fn release(&mut self, slot: u32) {
-        self.payloads[slot as usize] = None;
-        let m = &mut self.meta[slot as usize];
-        m.heap_pos = NOT_QUEUED;
-        m.gen = m.gen.wrapping_add(1);
-        self.free.push(slot);
     }
 }
 
@@ -686,15 +968,17 @@ mod tests {
 
     #[test]
     fn cancel_deep_in_heap_keeps_order() {
-        // Cancel entries at every depth of the 4-ary heap and check the
-        // survivors still come out sorted.
+        // Cancel entries at every depth of the 4-ary overflow heap (all
+        // times lie beyond the wheel horizon) and check the survivors
+        // still come out sorted.
         let mut eng: Engine<u64> = Engine::new();
         let mut ids = Vec::new();
         for i in 0..64u64 {
             // Scatter times so the heap has structure.
-            let t = (i * 37) % 101 + 1;
+            let t = 300_000 + ((i * 37) % 101 + 1) * 1_000;
             ids.push((eng.schedule(Dur::from_nanos(t), t), i));
         }
+        assert_eq!(eng.heap_keys.len(), 64);
         for (i, &(id, _)) in ids.iter().enumerate() {
             if i % 3 == 0 {
                 assert!(eng.cancel(id));
@@ -815,5 +1099,154 @@ mod tests {
         assert_eq!(eng.peek_time(), Some(Time::from_nanos(8)));
         assert!(eng.cancel(keep), "surviving handles stay valid");
         assert!(eng.extract_if(|_| true).is_empty());
+    }
+    // ---------------------------------------------------------------
+    // Timing wheel
+    // ---------------------------------------------------------------
+
+    const HORIZON_NS: u64 = (WHEEL_SIZE as u64) << BUCKET_SHIFT;
+
+    #[test]
+    fn same_instant_burst_inserts_in_constant_time_and_pops_in_key_order() {
+        // A launch wave: 10^5 events on one instant, keys scattered so
+        // the eventual sort has real work to do.
+        const N: u64 = 100_000;
+        let mut eng: Engine<u64> = Engine::new();
+        let at = Time::from_nanos(7);
+        for i in 0..N {
+            let k = i * 7919 % N; // a permutation: 7919 is coprime to N
+            eng.schedule_at_keyed(at, k, k);
+        }
+        // No insert sorted (or shifted) the bucket: a sort would have
+        // set the flag, and only the first pop may do that.
+        assert!(!eng.front_sorted);
+        assert_eq!(eng.buckets[eng.front].len(), N as usize);
+        assert_eq!(eng.peek_time(), Some(at));
+        let mut out = Vec::new();
+        assert_eq!(eng.step_batch(&mut out), Some(at));
+        assert_eq!(out, (0..N).collect::<Vec<_>>());
+        assert!(eng.is_idle());
+    }
+
+    #[test]
+    fn one_bucket_many_timestamps_under_alternating_step_and_schedule() {
+        // Every instant below lies in bucket 0 (0..64 ns); inserts land
+        // before, at and after the cached minimum between pops.
+        let mut eng: Engine<(u64, u64)> = Engine::new();
+        let mut model = std::collections::BTreeSet::new();
+        let mut seq = 0u64;
+        let mut x = 12345u64;
+        for round in 0..400 {
+            for _ in 0..(1 + round % 3) {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let at = eng.now().nanos() + (x >> 33) % (64 - eng.now().nanos());
+                eng.schedule_at(Time::from_nanos(at), (at, seq));
+                model.insert((at, seq));
+                seq += 1;
+            }
+            assert_eq!(eng.peek_time().map(Time::nanos), model.first().map(|e| e.0));
+            assert_eq!(eng.step(), model.pop_first());
+            assert_eq!(eng.pending(), model.len());
+        }
+        while let Some(ev) = eng.step() {
+            assert_eq!(Some(ev), model.pop_first());
+        }
+        assert!(model.is_empty());
+        assert!(eng.now().nanos() < 64, "the test left bucket 0");
+    }
+
+    #[test]
+    fn cancelling_the_current_minimum_moves_peek_time() {
+        let mut eng: Engine<u32> = Engine::new();
+        let a = eng.schedule(Dur::from_nanos(10), 1);
+        let b = eng.schedule(Dur::from_nanos(12), 2); // same bucket, unsorted
+        eng.schedule(Dur::from_nanos(500), 3);
+        assert_eq!(eng.peek_time(), Some(Time::from_nanos(10)));
+        assert!(eng.cancel(a));
+        assert_eq!(eng.peek_time(), Some(Time::from_nanos(12)));
+        assert!(eng.cancel(b)); // sorted now; the next bucket takes over
+        assert_eq!(eng.peek_time(), Some(Time::from_nanos(500)));
+        assert_eq!(eng.pending(), 1);
+        assert_eq!(eng.step(), Some(3));
+        assert_eq!(eng.peek_time(), None);
+    }
+
+    #[test]
+    fn tombstoned_handle_and_its_recycled_slot_reject_cancel() {
+        let mut eng: Engine<u32> = Engine::new();
+        eng.schedule(Dur::from_nanos(5), 0);
+        let a = eng.schedule(Dur::from_nanos(20), 1);
+        assert!(eng.cancel(a), "live wheel entry");
+        assert!(!eng.cancel(a), "tombstone");
+        // The freed slot is reused at once, in the tombstone's bucket.
+        let b = eng.schedule(Dur::from_nanos(21), 2);
+        assert_eq!(b.slot(), a.slot());
+        assert!(!eng.cancel(a), "stale handle must not reach the slot's new tenant");
+        assert_eq!(eng.pending(), 2);
+        assert_eq!(eng.step(), Some(0));
+        assert_eq!(eng.step(), Some(2));
+        assert!(!eng.cancel(b), "fired");
+        assert!(!eng.cancel(a));
+        assert_eq!(eng.step(), None);
+    }
+
+    #[test]
+    fn wheel_wraps_around_after_more_than_one_revolution() {
+        // Each delivery schedules a successor 100 µs on plus a near
+        // neighbour, so the clock sweeps 4 ms — fifteen revolutions —
+        // and every bucket index is reused by later absolute buckets.
+        let mut eng: Engine<u64> = Engine::new();
+        eng.schedule(Dur::from_nanos(1), 0);
+        let mut seen = Vec::new();
+        eng.run_to_completion(|eng, ev| {
+            seen.push((eng.now().nanos(), ev));
+            if ev % 2 == 0 && ev < 80 {
+                eng.schedule(Dur::from_micros(100), ev + 2);
+                eng.schedule(Dur::from_nanos(130 + ev * 997), ev + 1);
+            }
+        });
+        assert_eq!(seen.len(), 81);
+        let mut sorted = seen.clone();
+        sorted.sort_unstable();
+        assert_eq!(seen, sorted);
+        assert_eq!(seen.last(), Some(&(1 + 40 * 100_000, 80)));
+        assert!(seen[80].0 > 15 * HORIZON_NS);
+        assert!(eng.occupied_words == 0 && eng.buckets.iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn event_exactly_at_the_horizon_overflows_to_the_heap_and_keeps_its_order() {
+        let mut eng: Engine<&str> = Engine::new();
+        eng.schedule_at(Time::from_nanos(HORIZON_NS), "edge");
+        eng.schedule_at(Time::from_nanos(HORIZON_NS - 1), "inside");
+        eng.schedule_at(Time::from_nanos(64), "near");
+        assert_eq!((eng.heap_keys.len(), eng.wheel_live), (1, 2));
+        assert_eq!(eng.step(), Some("near"));
+        // The window moved one bucket: the edge event migrated, and a
+        // later same-instant insert goes straight to the wheel behind it.
+        assert_eq!((eng.heap_keys.len(), eng.wheel_live), (0, 2));
+        eng.schedule_at(Time::from_nanos(HORIZON_NS), "edge-2");
+        eng.schedule_at(Time::from_nanos(HORIZON_NS + 64), "beyond");
+        assert_eq!(eng.heap_keys.len(), 1);
+        assert_eq!(eng.step(), Some("inside"));
+        let mut out = Vec::new();
+        assert_eq!(eng.step_batch(&mut out), Some(Time::from_nanos(HORIZON_NS)));
+        assert_eq!(out, vec!["edge", "edge-2"]);
+        assert_eq!(eng.step(), Some("beyond"));
+        assert!(eng.is_idle());
+    }
+
+    #[test]
+    fn advance_to_migrates_far_timers_and_skips_tombstone_buckets() {
+        let mut eng: Engine<u32> = Engine::new();
+        let near = eng.schedule(Dur::from_nanos(200), 1);
+        eng.schedule(Dur::from_millis(1), 2);
+        assert!(eng.cancel(near)); // bucket 3 now holds only a tombstone
+        assert_eq!(eng.peek_time(), Some(Time::from_millis(1)));
+        eng.advance_to(Time::from_micros(900));
+        assert_eq!((eng.heap_keys.len(), eng.wheel_live), (0, 1));
+        assert_eq!(eng.peek_time(), Some(Time::from_millis(1)));
+        assert_eq!(eng.step(), Some(2));
+        assert!(eng.is_idle());
     }
 }

@@ -1,12 +1,17 @@
-//! Differential property test: the slab-indexed engine against a
+//! Differential property test: the wheel-plus-heap engine against a
 //! naive reference model.
 //!
 //! The reference keeps pending events in a plain `Vec` and scans for
-//! the `(at, seq)` minimum on every delivery — too slow to ship,
+//! the `(at, key)` minimum on every delivery — too slow to ship,
 //! trivially correct by inspection. Random interleavings of schedule,
-//! cancel, step, batch-drain, and clock advancement must produce
-//! identical delivery order, clocks, cancel results, and peeks on both
-//! implementations.
+//! keyed schedule, cancel, step, batch-drain, extraction and clock
+//! advancement must produce identical delivery order, clocks, cancel
+//! results, and peeks on both implementations.
+//!
+//! Delays reach well past the engine's 262 µs wheel horizon and
+//! cluster around it, and clock advances span more than a whole
+//! revolution, so events cross between the overflow heap and the wheel
+//! in every direction the engine allows.
 
 use nectar_sim::engine::{Engine, EventId};
 use nectar_sim::time::{Dur, Time};
@@ -21,27 +26,47 @@ enum Op {
     Cancel {
         pick: usize,
     },
+    /// Schedule at `now + delay` under a caller-chosen tie-break key.
+    ScheduleKeyed {
+        delay: u64,
+    },
     Step,
     StepBatch,
     Advance {
         delta: u64,
     },
+    /// Pull out every pending event whose payload is `residue` mod 3.
+    Extract {
+        residue: u64,
+    },
+}
+
+/// Delays on both sides of the wheel horizon (4096 × 64 ns), with a
+/// cluster right at the edge and another inside one bucket.
+fn delay() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..600_000, 250_000u64..280_000, 0u64..200]
 }
 
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u64..500).prop_map(|delay| Op::Schedule { delay }),
+        delay().prop_map(|delay| Op::Schedule { delay }),
+        delay().prop_map(|delay| Op::Schedule { delay }),
+        delay().prop_map(|delay| Op::ScheduleKeyed { delay }),
+        (0usize..1024).prop_map(|pick| Op::Cancel { pick }),
         (0usize..1024).prop_map(|pick| Op::Cancel { pick }),
         Just(Op::Step),
+        Just(Op::Step),
         Just(Op::StepBatch),
-        (1u64..300).prop_map(|delta| Op::Advance { delta }),
+        Just(Op::StepBatch),
+        (1u64..400_000).prop_map(|delta| Op::Advance { delta }),
+        (0u64..3).prop_map(|residue| Op::Extract { residue }),
     ]
 }
 
 /// The obviously-correct scheduler: linear scan for the minimum.
 struct Model {
     now: Time,
-    /// `(at, seq)`; the sequence number doubles as the payload.
+    /// `(at, key)`; the key doubles as the payload.
     pending: Vec<(Time, u64)>,
 }
 
@@ -90,6 +115,15 @@ impl Model {
         self.pending.retain(|&(t, _)| t != at);
         Some((at, batch))
     }
+
+    /// Filter, then sort by `(at, key)`.
+    fn extract_if(&mut self, pred: impl Fn(u64) -> bool) -> Vec<(Time, u64)> {
+        let mut out: Vec<(Time, u64)> =
+            self.pending.iter().copied().filter(|&(_, s)| pred(s)).collect();
+        out.sort_unstable();
+        self.pending.retain(|&(_, s)| !pred(s));
+        out
+    }
 }
 
 proptest! {
@@ -100,7 +134,11 @@ proptest! {
         // Every handle ever issued, so Cancel can hit live, already-
         // fired, and already-cancelled events alike.
         let mut handles: Vec<(EventId, u64)> = Vec::new();
+        // `next` mirrors the engine's FIFO sequence counter; caller
+        // keys count down from far above it, so the two never collide
+        // and same-instant keyed events pop in reverse insertion order.
         let mut next = 0u64;
+        let mut next_key = 1u64 << 40;
         let mut delivered = 0u64;
         let mut buf: Vec<u64> = Vec::new();
         for op in ops {
@@ -111,6 +149,13 @@ proptest! {
                     model.schedule(model.now + d, next);
                     handles.push((id, next));
                     next += 1;
+                }
+                Op::ScheduleKeyed { delay } => {
+                    let at = model.now + Dur::from_nanos(delay);
+                    next_key -= 1;
+                    let id = eng.schedule_at_keyed(at, next_key, next_key);
+                    model.schedule(at, next_key);
+                    handles.push((id, next_key));
                 }
                 Op::Cancel { pick } => {
                     if handles.is_empty() {
@@ -150,6 +195,17 @@ proptest! {
                         eng.advance_to(t);
                         model.now = t;
                     }
+                }
+                Op::Extract { residue } => {
+                    let got: Vec<(Time, u64)> = eng
+                        .extract_if(|&v| v % 3 == residue)
+                        .into_iter()
+                        .map(|(at, key, v)| {
+                            assert_eq!(key, v, "extract_if returns the scheduling key");
+                            (at, v)
+                        })
+                        .collect();
+                    prop_assert_eq!(got, model.extract_if(|v| v % 3 == residue));
                 }
             }
             // Cross-check every observable after every operation.
