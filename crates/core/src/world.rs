@@ -407,6 +407,9 @@ pub struct World {
     /// Scratch for [`run_until`](World::run_until)'s batched drain;
     /// kept across calls so the steady state never allocates.
     batch: Vec<Ev>,
+    /// Scratch the HUB entry points append their consequences to;
+    /// drained into engine events after every call, capacity kept.
+    hub_fx: Effects,
     /// World-level flight recorder: transport, DMA, app, and datalink
     /// events. Per-HUB and per-scheduler rings are separate; see
     /// [`telemetry_events`](World::telemetry_events) for the merge.
@@ -532,6 +535,7 @@ impl World {
             faults_injected: 0,
             chaos_freed: 0,
             batch: Vec::new(),
+            hub_fx: Effects::new(),
             telemetry: Telemetry::default(),
             observability: false,
             flight_births: HashMap::new(),
@@ -1677,19 +1681,16 @@ impl World {
                         return;
                     }
                 }
-                let mut fx = Effects::new();
-                self.hubs[hub].item_arrives(now, port, item, &mut fx);
-                self.apply_hub_effects(hub, fx);
+                self.hubs[hub].item_arrives(now, port, item, &mut self.hub_fx);
+                self.apply_hub_effects(hub);
             }
             Ev::HubReady { hub, port } => {
-                let mut fx = Effects::new();
-                self.hubs[hub].ready_signal_arrives(now, port, &mut fx);
-                self.apply_hub_effects(hub, fx);
+                self.hubs[hub].ready_signal_arrives(now, port, &mut self.hub_fx);
+                self.apply_hub_effects(hub);
             }
             Ev::HubInternal { hub, ev } => {
-                let mut fx = Effects::new();
-                self.hubs[hub].internal(now, ev, &mut fx);
-                self.apply_hub_effects(hub, fx);
+                self.hubs[hub].internal(now, ev, &mut self.hub_fx);
+                self.apply_hub_effects(hub);
             }
             Ev::CabItem { cab, item } => self.cab_item(now, cab, item, false),
             Ev::CabItemReplay { cab, item } => self.cab_item(now, cab, item, true),
@@ -2176,10 +2177,13 @@ impl World {
     // HUB effects -> events
     // ---------------------------------------------------------------
 
-    fn apply_hub_effects(&mut self, hub: usize, fx: Effects) {
+    /// Turns what the last HUB entry point appended to `hub_fx` into
+    /// engine events, leaving the buffer empty for the next call.
+    fn apply_hub_effects(&mut self, hub: usize) {
         let prop = self.cfg.propagation;
         let src = self.hub_src(hub);
-        for em in fx.emissions {
+        let mut fx = std::mem::take(&mut self.hub_fx);
+        for em in fx.emissions.drain(..) {
             match self.topo.peer(hub, em.port) {
                 Peer::Hub(h2, p2) => {
                     let key = self.next_key(src);
@@ -2203,7 +2207,7 @@ impl World {
                 Peer::None => { /* unwired port: the item vanishes */ }
             }
         }
-        for rs in fx.ready_signals {
+        for rs in fx.ready_signals.drain(..) {
             match self.topo.peer(hub, rs.port) {
                 Peer::Hub(h2, p2) => {
                     let key = self.next_key(src);
@@ -2216,10 +2220,11 @@ impl World {
                 Peer::None => {}
             }
         }
-        for int in fx.internal {
+        for int in fx.internal.drain(..) {
             let key = self.next_key(src);
             self.engine.schedule_at_keyed(int.at, key, Ev::HubInternal { hub, ev: int.ev });
         }
+        self.hub_fx = fx;
     }
 
     /// Routes a HUB-to-HUB event: locally when the destination HUB

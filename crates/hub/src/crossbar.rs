@@ -21,7 +21,7 @@
 //! assert!(xb.connect(PortId::new(3), p8).is_err()); // P8 already driven
 //! ```
 
-use crate::id::PortId;
+use crate::id::{PortId, PortSet};
 use core::fmt;
 
 /// Why a connection could not be made.
@@ -147,6 +147,13 @@ impl Crossbar {
             .filter(|(_, s)| **s == Some(input))
             .map(|(i, _)| PortId::new(i as u8))
             .collect()
+    }
+
+    /// [`outputs_for`](Crossbar::outputs_for) as a [`PortSet`]: the
+    /// same ports in the same (ascending) iteration order, without the
+    /// allocation — the form the forwarding path uses.
+    pub fn output_set(&self, input: PortId) -> PortSet {
+        self.connections().filter(|&(i, _)| i == input).map(|(_, out)| out).collect()
     }
 
     /// `true` if the output register is currently driven.

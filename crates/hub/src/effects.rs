@@ -9,7 +9,7 @@
 //! (a CAB or another HUB). Internal callbacks must be fed back via
 //! [`Hub::internal`](crate::hub::Hub::internal) at their timestamp.
 
-use crate::id::PortId;
+use crate::id::{PortId, PortSet};
 use crate::item::Item;
 use nectar_sim::time::Time;
 
@@ -86,7 +86,7 @@ pub enum InternalEv {
         /// The input queue the marker came from.
         input: PortId,
         /// The output registers it passed through.
-        outputs: Vec<PortId>,
+        outputs: PortSet,
     },
 }
 

@@ -330,7 +330,7 @@ impl Hub {
                 }
             }
             InternalEv::CloseBehind { input, outputs } => {
-                for out in outputs {
+                for out in outputs.iter() {
                     if self.xbar.input_for(out) == Some(input) {
                         self.xbar.disconnect_output(out);
                         self.trace.record_with(now, Category::Crossbar, || {
@@ -369,7 +369,7 @@ impl Hub {
 
     /// Forwards the head item of `port` over the crossbar, if connected.
     fn forward_head(&mut self, ready_at: Time, port: PortId, seq: u64, fx: &mut Effects) {
-        let outs = self.xbar.outputs_for(port);
+        let outs = self.xbar.output_set(port);
         if outs.is_empty() {
             self.ports[port.index()].head = HeadState::AwaitingConnection { seq };
             // If the connection never comes (a lost open command), the
@@ -378,9 +378,16 @@ impl Hub {
             fx.defer(ready_at + self.cfg.stuck_timeout, InternalEv::StuckCheck { port, seq });
             return;
         }
-        let front = self.ports[port.index()].queue.front().cloned().expect("head exists");
+        let front = self.ports[port.index()].queue.front().expect("head exists");
         debug_assert_eq!(front.seq, seq);
         let size = front.item.wire_bytes();
+        let charged = front.charged;
+        let is_close_all = front.item == Item::CloseAll;
+        let is_packet = matches!(front.item, Item::Packet(_));
+        let flight = match &front.item {
+            Item::Packet(p) => FlightId(p.id()),
+            _ => FlightId::NONE,
+        };
         let wire = self.cfg.wire_time(size);
         // Multicast drives every output in lockstep from one input.
         let start = outs
@@ -390,7 +397,6 @@ impl Hub {
             .unwrap_or(Time::ZERO)
             .max(ready_at);
         let emit_at = start + self.cfg.transit;
-        let is_packet = matches!(front.item, Item::Packet(_));
         if is_packet && outs.len() > 1 {
             // Every output beyond the first is an extra copy of the
             // same buffer entering the network: multicast fan-out, or
@@ -398,14 +404,15 @@ impl Hub {
             // conservation audit needs the count either way.
             self.counters.fanout_copies += outs.len() as u64 - 1;
         }
-        for &out in &outs {
+        for out in outs.iter() {
             self.ports[out.index()].out_busy_until = emit_at + wire;
             if is_packet {
                 // Hardware clears the ready bit when the start-of-packet
                 // is detected at the output register.
                 self.ports[out.index()].ready = false;
             }
-            fx.emit(emit_at, out, front.item.clone());
+            let item = self.ports[port.index()].queue.front().expect("head exists").item.clone();
+            fx.emit(emit_at, out, item);
         }
         if is_packet {
             self.counters.packets_forwarded += 1;
@@ -413,11 +420,7 @@ impl Hub {
             // Tell the upstream peer this queue's start-of-packet emerged.
             fx.ready(emit_at, port);
         }
-        let flight = match &front.item {
-            Item::Packet(p) => FlightId(p.id()),
-            _ => FlightId::NONE,
-        };
-        for &out in &outs {
+        for out in outs.iter() {
             self.telemetry.record(
                 emit_at,
                 flight,
@@ -430,14 +433,16 @@ impl Hub {
             );
         }
         self.trace.record_with(emit_at, Category::Crossbar, || {
-            format!("{} fwd {port}->{outs:?} {}", self.id, front.item)
+            let outs: Vec<PortId> = outs.iter().collect();
+            let item = &self.ports[port.index()].queue.front().expect("head exists").item;
+            format!("{} fwd {port}->{outs:?} {item}", self.id)
         });
-        if front.item == Item::CloseAll {
+        if is_close_all {
             fx.defer(emit_at + wire, InternalEv::CloseBehind { input: port, outputs: outs });
         }
         // Release the charged bytes: from here the item streams through.
         let p = &mut self.ports[port.index()];
-        p.queued_bytes -= front.charged;
+        p.queued_bytes -= charged;
         if let Some(f) = p.queue.front_mut() {
             f.charged = 0;
         }
@@ -701,26 +706,23 @@ impl Hub {
 
     /// Re-submits retry-parked commands whose target output changed state.
     fn wake_retries_for(&mut self, now: Time, output: PortId, fx: &mut Effects) {
-        let woken: Vec<PendingRetry> = {
-            let mut kept = Vec::new();
-            let mut woken = Vec::new();
-            for r in self.retries.drain(..) {
-                if r.cmd.param == output {
-                    woken.push(r);
-                } else {
-                    kept.push(r);
-                }
-            }
-            self.retries = kept;
-            woken
-        };
-        for r in woken {
-            // Each retry costs another serialized controller cycle.
-            let exec_at = now.max(self.ctrl_free);
-            self.ctrl_free = exec_at + self.cfg.cycle;
-            self.ports[r.port.index()].head = HeadState::AwaitingController { seq: r.seq };
-            fx.defer(exec_at + self.cfg.controller_latency, InternalEv::CtrlExec { port: r.port });
+        if self.retries.is_empty() {
+            return;
         }
+        let Hub { retries, ports, ctrl_free, cfg, .. } = self;
+        // `retain` visits in order, so woken commands reach the
+        // controller in the order they parked.
+        retries.retain(|r| {
+            if r.cmd.param != output {
+                return true;
+            }
+            // Each retry costs another serialized controller cycle.
+            let exec_at = now.max(*ctrl_free);
+            *ctrl_free = exec_at + cfg.cycle;
+            ports[r.port.index()].head = HeadState::AwaitingController { seq: r.seq };
+            fx.defer(exec_at + cfg.controller_latency, InternalEv::CtrlExec { port: r.port });
+            false
+        });
     }
 
     // ---------------------------------------------------------------

@@ -91,6 +91,72 @@ impl fmt::Display for PortId {
     }
 }
 
+/// A set of ports: one bit per possible wire byte, so it is `Copy`,
+/// lives inside events without a heap allocation, and iterates in
+/// ascending port order (the order a multicast's copies are emitted).
+///
+/// # Examples
+///
+/// ```
+/// use nectar_hub::id::{PortId, PortSet};
+/// let mut set = PortSet::EMPTY;
+/// set.insert(PortId::new(9));
+/// set.insert(PortId::new(3));
+/// assert_eq!(set.len(), 2);
+/// assert_eq!(set.iter().collect::<Vec<_>>(), vec![PortId::new(3), PortId::new(9)]);
+/// ```
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct PortSet([u64; 4]);
+
+impl PortSet {
+    /// The set with no ports.
+    pub const EMPTY: PortSet = PortSet([0; 4]);
+
+    /// Adds `port`.
+    pub fn insert(&mut self, port: PortId) {
+        self.0[port.index() >> 6] |= 1 << (port.index() & 63);
+    }
+
+    /// `true` if `port` is a member.
+    pub fn contains(&self, port: PortId) -> bool {
+        self.0[port.index() >> 6] & (1 << (port.index() & 63)) != 0
+    }
+
+    /// `true` if the set has no members.
+    pub fn is_empty(&self) -> bool {
+        self.0 == [0; 4]
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The members in ascending order.
+    pub fn iter(self) -> impl Iterator<Item = PortId> {
+        self.0.into_iter().enumerate().flat_map(|(w, mut bits)| {
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                Some(PortId::new((w as u32 * 64 + bit) as u8))
+            })
+        })
+    }
+}
+
+impl FromIterator<PortId> for PortSet {
+    fn from_iter<I: IntoIterator<Item = PortId>>(ports: I) -> PortSet {
+        let mut set = PortSet::EMPTY;
+        for p in ports {
+            set.insert(p);
+        }
+        set
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,6 +175,17 @@ mod tests {
         // Figure 7 labels ports P1..P8 and hubs HUB1..HUB4.
         assert_eq!(HubId::new(1).to_string(), "HUB1");
         assert_eq!(PortId::new(4).to_string(), "P4");
+    }
+
+    #[test]
+    fn port_set_holds_every_wire_byte_in_ascending_order() {
+        let all: PortSet = (0..=255u8).rev().map(PortId::new).collect();
+        assert_eq!(all.len(), 256);
+        assert_eq!(all.iter().map(PortId::raw).collect::<Vec<_>>(), (0..=255).collect::<Vec<_>>());
+        let edges: PortSet = [255, 64, 63, 0, 128].into_iter().map(PortId::new).collect();
+        assert_eq!(edges.iter().map(PortId::raw).collect::<Vec<_>>(), vec![0, 63, 64, 128, 255]);
+        assert!(edges.contains(PortId::new(64)) && !edges.contains(PortId::new(65)));
+        assert!(PortSet::EMPTY.is_empty() && PortSet::EMPTY.iter().next().is_none());
     }
 
     #[test]

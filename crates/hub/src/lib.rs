@@ -61,7 +61,7 @@ pub mod prelude {
     pub use crate::crossbar::{ConnectError, Crossbar};
     pub use crate::effects::{Effects, Emission, Internal, InternalEv, ReadySignal};
     pub use crate::hub::Hub;
-    pub use crate::id::{HubId, PortId};
+    pub use crate::id::{HubId, PortId, PortSet};
     pub use crate::item::{Item, Packet};
     pub use crate::pool::{BufPool, PoolStats};
     pub use crate::status::PortStatus;

@@ -58,6 +58,31 @@ proptest! {
         }
     }
 
+    /// The allocation-free fan-out set the forwarding path iterates is
+    /// the reference `outputs_for` list, port for port and in the same
+    /// order, on crossbars up to the full 256-port id space.
+    #[test]
+    fn port_set_iteration_equals_outputs_for(
+        pairs in prop::collection::vec((any::<u8>(), any::<u8>()), 0..600),
+        cuts in prop::collection::vec(any::<u8>(), 0..40),
+    ) {
+        let mut xb = Crossbar::new(256);
+        for (input, out) in pairs {
+            let _ = xb.connect(PortId::new(input), PortId::new(out));
+        }
+        for out in cuts {
+            xb.disconnect_output(PortId::new(out));
+        }
+        for input in 0..=255u8 {
+            let input = PortId::new(input);
+            let set = xb.output_set(input);
+            let list = xb.outputs_for(input);
+            prop_assert_eq!(set.iter().collect::<Vec<_>>(), &list[..]);
+            prop_assert_eq!(set.len(), list.len());
+            prop_assert_eq!(set.is_empty(), list.is_empty());
+        }
+    }
+
     // --------------------------------------------------------------
     // Commands: encode/decode is the identity on valid commands.
     // --------------------------------------------------------------
