@@ -324,6 +324,12 @@ struct CabState {
     fiber_ready: bool,
     /// Generation counter guarding ready-timeout staleness.
     ready_gen: u64,
+    /// The armed ready-timeout (generation `ready_gen`), cancelled when
+    /// the ready signal arrives so dead timers neither sit in the
+    /// event queue nor hold the quiescence clock up to 1 ms late. The
+    /// generation guard stays: a signal and its timeout popped in one
+    /// same-instant batch can no longer be cancelled.
+    ready_timeout: Option<EventId>,
     fiber_free: Time,
     /// Cumulative time this CAB's outgoing fiber has been busy.
     fiber_tx_busy: Dur,
@@ -503,6 +509,7 @@ impl World {
                     app_thread,
                     fiber_ready: true,
                     ready_gen: 0,
+                    ready_timeout: None,
                     fiber_free: Time::ZERO,
                     fiber_tx_busy: Dur::ZERO,
                     tx_bursts: VecDeque::new(),
@@ -1489,11 +1496,14 @@ impl World {
 
     /// Moves HUB `hub`'s cluster — the HUB, its attached CABs, their
     /// pending events, tie-break key counters, protocol timer tables,
-    /// and chaos RNG streams — from `src` to `dst`.
+    /// armed ready-timeout handles, and chaos RNG streams — from `src`
+    /// to `dst`.
     ///
     /// Only sound **at a window-barrier epoch**, where three facts
     /// hold: no event batch is in flight (the timer table is exactly
-    /// 1:1 with pending `CabTimer` engine events), every outbox has
+    /// 1:1 with pending `CabTimer` engine events, and a CAB's
+    /// `ready_timeout` handle with its one pending live
+    /// `CabReadyTimeout`), every outbox has
     /// been exchanged (no cluster traffic is parked outside an
     /// engine), and every pending event's timestamp is at or beyond
     /// the last window's end — which is strictly after both worlds'
@@ -1534,16 +1544,24 @@ impl World {
                 let stale = dst.cabs[c].timers.len();
                 dst.cabs[c].timers.clear();
                 dst.cabs[c].timers.reserve(stale);
+                // Likewise the armed ready-timeout's handle.
+                dst.cabs[c].ready_timeout = None;
                 cab16.push(c as u16);
             }
         }
         for (at, key, ev) in moved {
-            if let Ev::CabTimer { cab, source, token } = &ev {
-                let (cab, source, tok) = (*cab, *source, token.0);
-                let id = dst.engine.schedule_at_keyed(at, key, ev);
-                dst.cabs[cab].timers.insert((source, tok), id);
-            } else {
-                dst.engine.schedule_at_keyed(at, key, ev);
+            match ev {
+                Ev::CabTimer { cab, source, token } => {
+                    let id = dst.engine.schedule_at_keyed(at, key, ev);
+                    dst.cabs[cab].timers.insert((source, token.0), id);
+                }
+                Ev::CabReadyTimeout { cab, gen } if gen == dst.cabs[cab].ready_gen => {
+                    let id = dst.engine.schedule_at_keyed(at, key, ev);
+                    dst.cabs[cab].ready_timeout = Some(id);
+                }
+                _ => {
+                    dst.engine.schedule_at_keyed(at, key, ev);
+                }
             }
         }
         if let (Some(a), Some(b)) = (src.chaos.as_mut(), dst.chaos.as_mut()) {
@@ -1697,6 +1715,7 @@ impl World {
             Ev::CabReadySignal { cab } => {
                 self.cabs[cab].fiber_ready = true;
                 self.cabs[cab].ready_gen += 1; // invalidate pending timeout
+                self.disarm_ready_timeout(cab);
                 self.try_flush(cab, now);
             }
             Ev::CabReadyTimeout { cab, gen } => {
@@ -1707,6 +1726,7 @@ impl World {
                     // transport's retransmission recover.
                     cs.fiber_ready = true;
                     cs.ready_gen += 1;
+                    cs.ready_timeout = None; // this event was it
                     cs.counters.ready_timeouts += 1;
                     self.telemetry.record(
                         now,
@@ -2131,6 +2151,14 @@ impl World {
         self.try_flush(cab, ready);
     }
 
+    /// Cancels `cab`'s armed ready-timeout, if any: its generation was
+    /// just bumped, so it could only ever fire as a no-op.
+    fn disarm_ready_timeout(&mut self, cab: usize) {
+        if let Some(id) = self.cabs[cab].ready_timeout.take() {
+            self.engine.cancel(id);
+        }
+    }
+
     fn try_flush(&mut self, cab: usize, now: Time) {
         let (hub, port) = self.topo.cab_attachment(cab);
         let prop = self.cfg.propagation;
@@ -2147,10 +2175,12 @@ impl World {
                 // that its input queue drained (§4.2.3 flow control).
                 self.cabs[cab].fiber_ready = false;
                 self.cabs[cab].ready_gen += 1;
+                self.disarm_ready_timeout(cab);
                 let gen = self.cabs[cab].ready_gen;
                 let at = now.max(self.engine.now()) + self.cfg.ready_timeout;
                 let key = self.next_key(cab);
-                self.engine.schedule_at_keyed(at, key, Ev::CabReadyTimeout { cab, gen });
+                let id = self.engine.schedule_at_keyed(at, key, Ev::CabReadyTimeout { cab, gen });
+                self.cabs[cab].ready_timeout = Some(id);
             }
             let burst = self.cabs[cab].tx_bursts.pop_front().expect("front exists");
             for item in burst {

@@ -7,7 +7,7 @@
 
 use nectar_core::prelude::*;
 use nectar_sim::analysis::streaming::StreamConfig;
-use nectar_sim::time::Time;
+use nectar_sim::time::{Dur, Time};
 use nectar_sim::workload::{preset, WorkloadSpec};
 
 const DEADLINE: Time = Time::from_millis(60);
@@ -181,4 +181,39 @@ fn oversize_single_packet_flows_are_rejected() {
     // The same sizes are fine on the fragmenting byte stream.
     let ok = WorkloadSpec::parse(1, "closed(4,0ns,fixed(2048),uniform,stream)[0ns..50us]").unwrap();
     world.set_workload(&ok).expect("stream flows fragment");
+}
+
+/// A ready-timeout whose ready signal came back is cancelled, not left
+/// to fire as a no-op: the run settles when the last real event does
+/// (not `ready_timeout` later), and the queue holds no dead timers
+/// while traffic flows.
+#[test]
+fn answered_ready_timeouts_leave_the_queue_and_the_quiescence_clock() {
+    let cfg = SystemConfig::default();
+    let topo = Topology::mesh2d(2, 2, 3, 16);
+    let cabs = topo.cab_count();
+    let spec =
+        WorkloadSpec::parse(7, "closed(4,0ns,fixed(32),uniform,datagram)[0ns..300us]").unwrap();
+    let mut world = World::new(topo, cfg.clone());
+    world.set_workload(&spec).expect("spec compiles");
+    world.run_until(Time::from_micros(150));
+    // Every delivered packet armed a 1 ms timeout that cannot have
+    // expired yet; left in place they alone would outnumber the
+    // deliveries. Cancelled, only the standing flows' events remain.
+    assert!(world.deliveries.len() > 5 * cabs);
+    assert!(
+        world.pending_events() < world.deliveries.len(),
+        "{} events pending after {} deliveries",
+        world.pending_events(),
+        world.deliveries.len()
+    );
+    let (_, outcome) = world.run_to_quiescence(DEADLINE);
+    assert_eq!(outcome, nectar_core::world::QuiescenceOutcome::Quiescent);
+    let last = world.deliveries.iter().map(|d| d.at).max().expect("traffic flowed");
+    assert!(
+        world.now() < last + Dur::from_nanos(cfg.ready_timeout.nanos() / 2),
+        "clock ran on to {} after the last delivery at {last}",
+        world.now()
+    );
+    assert!((0..cabs).all(|c| world.cab_counters(c).ready_timeouts == 0));
 }
