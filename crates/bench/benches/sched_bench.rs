@@ -1,13 +1,16 @@
-//! Scheduler microbenchmarks: the slab-indexed engine against the
-//! repository's original `BinaryHeap` + tombstone-set engine.
+//! Scheduler microbenchmarks: the timing-wheel engine against the two
+//! schedulers that preceded it.
 //!
 //! `mod seed` below is a trimmed copy of the engine this repository
 //! seeded with (BinaryHeap of entries, `live`/`cancelled` HashSets,
-//! tombstone GC on cancel) so the before/after ratio stays measurable
-//! after the rewrite. The workloads mirror what the world actually
-//! does: schedule/step churn at mixed horizons, a schedule/cancel mix
+//! tombstone GC on cancel), and `mod heap4` of the heap-only engine
+//! that replaced it (struct-of-arrays indexed 4-ary heap, now the
+//! wheel's far-future overflow tier), so both before/after ratios stay
+//! measurable. The workloads mirror what the world actually does:
+//! schedule/step churn at mixed horizons, a schedule/cancel mix
 //! (transport timers are armed and nearly always cancelled by the ack
-//! before they fire), and same-instant batch drains (HUB cycles).
+//! before they fire), same-instant batch drains (HUB cycles), and a
+//! hold model at the world's own delay mix and queue depths.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use nectar_sim::engine::Engine;
@@ -104,6 +107,102 @@ mod seed {
 
         pub fn peek_time(&self) -> Option<Time> {
             self.heap.peek().map(|e| e.at)
+        }
+    }
+}
+
+/// The heap-only engine the timing wheel replaced, trimmed to
+/// schedule/step: dense `(time, seq)` keys and slot indices in parallel
+/// arrays, per-slot heap positions rewritten on every move.
+mod heap4 {
+    use nectar_sim::time::{Dur, Time};
+
+    const ARITY: usize = 4;
+
+    pub struct Engine<E> {
+        now: Time,
+        heap_pos: Vec<u32>,
+        payloads: Vec<Option<E>>,
+        free: Vec<u32>,
+        keys: Vec<(Time, u64)>,
+        slots: Vec<u32>,
+        next_seq: u64,
+    }
+
+    impl<E> Engine<E> {
+        pub fn new() -> Engine<E> {
+            Engine {
+                now: Time::ZERO,
+                heap_pos: Vec::new(),
+                payloads: Vec::new(),
+                free: Vec::new(),
+                keys: Vec::new(),
+                slots: Vec::new(),
+                next_seq: 0,
+            }
+        }
+
+        fn place(&mut self, pos: usize, key: (Time, u64), slot: u32) {
+            self.keys[pos] = key;
+            self.slots[pos] = slot;
+            self.heap_pos[slot as usize] = pos as u32;
+        }
+
+        pub fn schedule(&mut self, delay: Dur, payload: E) {
+            let key = (self.now + delay, self.next_seq);
+            self.next_seq += 1;
+            let slot = match self.free.pop() {
+                Some(i) => {
+                    self.payloads[i as usize] = Some(payload);
+                    i
+                }
+                None => {
+                    self.heap_pos.push(0);
+                    self.payloads.push(Some(payload));
+                    (self.payloads.len() - 1) as u32
+                }
+            };
+            let mut pos = self.keys.len();
+            self.keys.push(key);
+            self.slots.push(slot);
+            while pos > 0 {
+                let parent = (pos - 1) / ARITY;
+                if key >= self.keys[parent] {
+                    break;
+                }
+                let (k, s) = (self.keys[parent], self.slots[parent]);
+                self.place(pos, k, s);
+                pos = parent;
+            }
+            self.place(pos, key, slot);
+        }
+
+        pub fn step(&mut self) -> Option<E> {
+            let (at, _) = *self.keys.first()?;
+            let slot = self.slots[0];
+            let key = self.keys.pop().expect("non-empty");
+            let moving = self.slots.pop().expect("arrays in sync");
+            if !self.keys.is_empty() {
+                let mut pos = 0;
+                loop {
+                    let first = pos * ARITY + 1;
+                    if first >= self.keys.len() {
+                        break;
+                    }
+                    let last = (first + ARITY).min(self.keys.len());
+                    let best = (first..last).min_by_key(|&c| self.keys[c]).expect("non-empty");
+                    if self.keys[best] >= key {
+                        break;
+                    }
+                    let (k, s) = (self.keys[best], self.slots[best]);
+                    self.place(pos, k, s);
+                    pos = best;
+                }
+                self.place(pos, key, moving);
+            }
+            self.now = at;
+            self.free.push(slot);
+            self.payloads[slot as usize].take()
         }
     }
 }
@@ -237,6 +336,74 @@ fn bench_batch_drain(c: &mut Criterion) {
     g.finish();
 }
 
+/// What the three schedulers share, for the hold model.
+trait Sched {
+    fn make() -> Self;
+    fn put(&mut self, delay: Dur, v: u64);
+    fn pop(&mut self) -> Option<u64>;
+}
+
+macro_rules! impl_sched {
+    ($($t:ty),+) => {$(
+        impl Sched for $t {
+            fn make() -> Self {
+                <$t>::new()
+            }
+            fn put(&mut self, delay: Dur, v: u64) {
+                self.schedule(delay, v);
+            }
+            fn pop(&mut self) -> Option<u64> {
+                self.step()
+            }
+        }
+    )+};
+}
+impl_sched!(Engine<u64>, heap4::Engine<u64>, seed::Engine<u64>);
+
+/// The delay mix a running world produces: one HUB cycle to a few
+/// microseconds (transit, set-up, small-packet wire and DMA times),
+/// with one event in fifty a 1 ms datalink or transport timer.
+fn world_delay(x: &mut u64) -> Dur {
+    *x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+    let r = *x >> 33;
+    if r.is_multiple_of(50) {
+        Dur::from_millis(1)
+    } else {
+        Dur::from_nanos(70 + r % 4_931)
+    }
+}
+
+/// Hold model (pop the minimum, schedule a successor) over a standing
+/// population at the two depths the standing benchmark samples: 1 k
+/// (a busy fabric) and 100 k (`spike`'s launch wave). The population is
+/// built once; only holds are timed.
+fn bench_hold(c: &mut Criterion) {
+    const HOLDS: u64 = 10_000;
+    fn hold<S: Sched>(g: &mut criterion::BenchmarkGroup<'_>, name: &str, depth: u64) {
+        g.bench_function(format!("{name}/{depth}").as_str(), |b| {
+            let mut eng = S::make();
+            let mut x = depth;
+            for i in 0..depth {
+                eng.put(world_delay(&mut x), i);
+            }
+            b.iter(|| {
+                for _ in 0..HOLDS {
+                    let v = eng.pop().expect("standing population");
+                    eng.put(world_delay(&mut x), v);
+                }
+            })
+        });
+    }
+    let mut g = c.benchmark_group("sched_hold");
+    g.throughput(Throughput::Elements(HOLDS));
+    for depth in [1_000, 100_000] {
+        hold::<Engine<u64>>(&mut g, "wheel", depth);
+        hold::<heap4::Engine<u64>>(&mut g, "heap4", depth);
+        hold::<seed::Engine<u64>>(&mut g, "seed", depth);
+    }
+    g.finish();
+}
+
 /// End-of-run report: the acceptance ratio (slab must be >= 2x seed on
 /// scheduler-op throughput) printed from the same measurements.
 fn bench_summary(c: &mut Criterion) {
@@ -244,6 +411,10 @@ fn bench_summary(c: &mut Criterion) {
         ("sched_churn/slab", "sched_churn/seed"),
         ("sched_cancel_mix/slab", "sched_cancel_mix/seed"),
         ("sched_batch_drain/slab_step_batch", "sched_batch_drain/seed_peek_step"),
+        ("sched_hold/wheel/1000", "sched_hold/heap4/1000"),
+        ("sched_hold/wheel/1000", "sched_hold/seed/1000"),
+        ("sched_hold/wheel/100000", "sched_hold/heap4/100000"),
+        ("sched_hold/wheel/100000", "sched_hold/seed/100000"),
     ];
     let mut log_sum = 0.0f64;
     let mut counted = 0u32;
@@ -259,11 +430,18 @@ fn bench_summary(c: &mut Criterion) {
     }
     if counted > 0 {
         println!(
-            "scheduler-op throughput, geometric mean over {counted} workloads: {:.2}x vs seed",
+            "scheduler-op throughput, geometric mean over {counted} comparisons: {:.2}x",
             (log_sum / counted as f64).exp()
         );
     }
 }
 
-criterion_group!(benches, bench_churn, bench_cancel_mix, bench_batch_drain, bench_summary);
+criterion_group!(
+    benches,
+    bench_churn,
+    bench_cancel_mix,
+    bench_batch_drain,
+    bench_hold,
+    bench_summary
+);
 criterion_main!(benches);

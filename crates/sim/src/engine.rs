@@ -83,6 +83,7 @@
 //! are the tail run of one sorted bucket.
 
 use crate::time::{Dur, Time};
+use std::cmp::Reverse;
 use std::fmt;
 
 /// Handle to a scheduled event, usable to [`Engine::cancel`] it.
@@ -720,7 +721,7 @@ impl<E> Engine<E> {
                 // Entries usually arrive in ascending order, which the
                 // sort recognises as one reversed run.
                 if n > 0 {
-                    bucket.sort_unstable_by(|x, y| y.key.cmp(&x.key));
+                    bucket.sort_unstable_by_key(|e| Reverse(e.key));
                 }
                 self.front = b;
                 self.front_sorted = true;
