@@ -117,11 +117,6 @@ impl PortSet {
         self.0[port.index() >> 6] |= 1 << (port.index() & 63);
     }
 
-    /// `true` if `port` is a member.
-    pub fn contains(&self, port: PortId) -> bool {
-        self.0[port.index() >> 6] & (1 << (port.index() & 63)) != 0
-    }
-
     /// `true` if the set has no members.
     pub fn is_empty(&self) -> bool {
         self.0 == [0; 4]
@@ -184,7 +179,6 @@ mod tests {
         assert_eq!(all.iter().map(PortId::raw).collect::<Vec<_>>(), (0..=255).collect::<Vec<_>>());
         let edges: PortSet = [255, 64, 63, 0, 128].into_iter().map(PortId::new).collect();
         assert_eq!(edges.iter().map(PortId::raw).collect::<Vec<_>>(), vec![0, 63, 64, 128, 255]);
-        assert!(edges.contains(PortId::new(64)) && !edges.contains(PortId::new(65)));
         assert!(PortSet::EMPTY.is_empty() && PortSet::EMPTY.iter().next().is_none());
     }
 

@@ -135,6 +135,11 @@ const WHEEL_BITS: u32 = 12;
 const WHEEL_SIZE: usize = 1 << WHEEL_BITS;
 const WHEEL_MASK: u64 = WHEEL_SIZE as u64 - 1;
 
+/// A drained bucket keeps its allocation for the next revolution unless
+/// it grew past this many entries: that was a launch wave (10⁵ flows on
+/// one instant), not the steady state, and its megabytes go back.
+const BURST_ENTRIES: usize = 1024;
+
 const _: () = assert!(1 << BUCKET_SHIFT <= HUB_CYCLE_NS && HUB_CYCLE_NS < 2 << BUCKET_SHIFT);
 const _: () = assert!((WHEEL_SIZE as u64) << BUCKET_SHIFT > MAX_WIRE_NS);
 // The occupancy bitmap is exactly two levels of 64-bit words.
@@ -383,11 +388,8 @@ impl<E> Engine<E> {
             self.release(slot);
             self.wheel_live -= 1;
             if self.wheel_live > 0 && self.wheel_min.slot == slot && self.wheel_min.gen == m.gen {
-                if self.front_sorted {
-                    self.settle_front();
-                } else {
-                    self.seek_front(self.front);
-                }
+                self.sort_front();
+                self.settle_front();
             }
         } else {
             self.remove_at(m.pos as usize);
@@ -702,6 +704,9 @@ impl<E> Engine<E> {
             }
             bucket.pop();
         }
+        if bucket.capacity() > BURST_ENTRIES {
+            *bucket = Vec::new();
+        }
         self.clear_occupied(self.front);
         self.seek_front(self.front);
     }
@@ -730,7 +735,6 @@ impl<E> Engine<E> {
             }
             self.clear_occupied(b);
         }
-        self.front_sorted = true;
     }
 
     // ---------------------------------------------------------------
