@@ -50,7 +50,9 @@
 //! [`HubConfig::lookahead`]: nectar_hub::config::HubConfig::lookahead
 
 use crate::topology::Topology;
-use crate::world::{join_flights, AppSend, Delivery, Ev, QuiescenceOutcome, SystemConfig, World};
+use crate::world::{
+    join_flights, AppSend, Delivery, Ev, QuiescenceOutcome, StreamState, SystemConfig, World,
+};
 use nectar_sim::analysis::streaming::{StreamConfig, StreamingDoctor};
 use nectar_sim::chaos::{ChaosSchedule, ChaosStats};
 use nectar_sim::metrics::{Histogram, MetricsRegistry};
@@ -387,12 +389,9 @@ pub struct ShardedWorld {
 /// fold on the main thread at epoch boundaries, where the global
 /// minimum next-event time bounds which events are final.
 struct ShardStream {
-    doctor: StreamingDoctor,
-    /// Drained events not yet final (stamped at or after the global
-    /// minimum next event time).
-    pending: Vec<TelemetryEvent>,
-    /// Scratch batch handed to the doctor each fold.
-    batch: Vec<TelemetryEvent>,
+    /// The fold; `pending` holds events stamped at or after the global
+    /// minimum next event time.
+    state: StreamState,
     /// Epoch budget cap in windows: folds must happen often enough
     /// that no per-shard ring fills between them.
     cadence: u64,
@@ -568,9 +567,9 @@ impl ShardedWorld {
     /// main thread drains every shard's rings at epoch boundaries and
     /// folds the events below the global minimum next-event time —
     /// those are final in *every* shard, because cross-shard traffic
-    /// can only land a full lookahead later. Events reach the fold in
-    /// canonical order regardless of shard count, so the verdict is
-    /// bit-identical to a sequential streaming run.
+    /// can only land a full lookahead later. The fold reads nothing
+    /// from how a batch is ordered or where the batches were cut, so
+    /// the verdict is bit-identical to a sequential streaming run.
     pub fn attach_streaming(&mut self, cfg: StreamConfig) {
         if self.worlds.len() == 1 {
             self.worlds[0].attach_streaming(cfg);
@@ -583,9 +582,7 @@ impl ShardedWorld {
         let min_cap =
             self.worlds.iter().map(|w| w.min_telemetry_capacity()).min().unwrap_or(usize::MAX);
         self.stream = Some(Box::new(ShardStream {
-            doctor: StreamingDoctor::new(cfg),
-            pending: Vec::new(),
-            batch: Vec::new(),
+            state: StreamState::new(cfg),
             cadence: stream_cadence(min_cap),
         }));
     }
@@ -607,7 +604,7 @@ impl ShardedWorld {
         if self.worlds.len() == 1 {
             return self.worlds[0].stream_doctor();
         }
-        self.stream.as_ref().map(|st| &st.doctor)
+        self.stream.as_ref().map(|st| &st.state.doctor)
     }
 
     /// Detaches the streaming doctor after folding everything still
@@ -619,7 +616,7 @@ impl ShardedWorld {
         }
         self.stream.as_ref()?;
         self.stream_fold(true);
-        let mut st = self.stream.take()?;
+        let mut st = self.stream.take()?.state;
         let (hwm, dropped) = self.telemetry_pressure();
         st.doctor.note_ring(hwm, dropped);
         Some(st.doctor)
@@ -650,29 +647,17 @@ impl ShardedWorld {
         let window = self.runtime.windows;
         let t0 = self.profs[main].begin();
         for w in &mut self.worlds {
-            w.take_spill(&mut st.pending);
+            w.take_spill(&mut st.state.pending);
         }
         let boundary = if finish {
             None
         } else {
             self.worlds.iter().filter_map(|w| w.next_event_time()).min()
         };
-        match boundary {
-            None => st.batch.append(&mut st.pending),
-            Some(b) => {
-                let mut i = 0;
-                while i < st.pending.len() {
-                    if st.pending[i].at < b {
-                        st.batch.push(st.pending.swap_remove(i));
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-        }
+        st.state.release(boundary);
         self.profs[main].end(Phase::TelemetryDrain, window, t0);
         let t0 = self.profs[main].begin();
-        st.doctor.ingest(&mut st.batch);
+        st.state.doctor.ingest(&mut st.state.batch);
         self.profs[main].end(Phase::StreamFold, window, t0);
         self.stream = Some(st);
     }
@@ -887,7 +872,7 @@ impl ShardedWorld {
             });
             if let Some(st) = &mut self.stream {
                 for spill in &mut spills {
-                    st.pending.append(spill);
+                    st.state.pending.append(spill);
                 }
             }
             total_events += results.iter().map(|r| r.events).sum::<u64>();
@@ -1204,8 +1189,9 @@ fn two_mut<T>(v: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
 /// same-instant events from different components differently than one
 /// sequential ring does; this order is a total one over the event
 /// *content*, so two runs recorded the same events iff the sorted
-/// vectors are equal. The streaming doctor sorts every ingest batch
-/// with the same key, which is why its folds are shard-invariant.
+/// vectors are equal. (The doctors need no such sort: they order
+/// events within a flight only, by the `(time, packed kind)` part of
+/// this key.)
 pub fn canonical_telemetry_sort(events: &mut [TelemetryEvent]) {
     events.sort_unstable_by_key(|e| e.canonical_key());
 }

@@ -424,14 +424,24 @@ pub struct World {
     /// per-component telemetry rings). Off by default: the hot path
     /// pays one branch.
     observability: bool,
-    /// Flight id -> time the packet was handed to the datalink.
-    /// Entries are never removed; the latency histogram is a
-    /// birth/end join at metrics time, so the accounting is
-    /// insertion-order-independent (and therefore shardable).
+    /// Flight id -> time the packet was handed to the datalink, for
+    /// flights that can reach one CAB only and were born in this world
+    /// (see [`settles_at_delivery`](World::settles_at_delivery)). A
+    /// CAB's deliveries end in the order they are processed, so the
+    /// first delivery is the earliest: it settles the latency into
+    /// `flight_latency` and drops the birth — the table holds flights
+    /// in flight, not flights ever sent.
+    open_births: HashMap<u64, Time>,
+    /// Latencies settled at delivery.
+    flight_latency: Histogram,
+    /// Births of every other flight. These are never removed; their
+    /// latency is a birth/end join at metrics time, so the accounting
+    /// is insertion-order-independent (and therefore shardable).
     flight_births: HashMap<u64, Time>,
     /// Flight id -> earliest time any receiver's application had the
-    /// packet (min over deliveries; multicast delivers one flight to
-    /// many CABs).
+    /// packet, for the flights in `flight_births` (min over deliveries:
+    /// multicast delivers one flight to many CABs, and the receiver
+    /// processed first need not finish first).
     flight_ends: HashMap<u64, Time>,
     /// Per-source tie-break key counters: index `0..cab_count` is the
     /// CAB, `cab_count..cab_count + hub_count` the HUB. Same-instant
@@ -459,14 +469,41 @@ pub struct World {
     spill: Option<Vec<TelemetryEvent>>,
 }
 
-/// Scratch and fold state for an attached [`StreamingDoctor`].
-struct StreamState {
-    doctor: StreamingDoctor,
-    /// Drained events not yet final (stamped at or after the engine's
-    /// next event time — record sites may stamp into the future).
-    pending: Vec<TelemetryEvent>,
+/// Scratch and fold state for an attached [`StreamingDoctor`], shared
+/// with the sharded runner.
+pub(crate) struct StreamState {
+    pub(crate) doctor: StreamingDoctor,
+    /// Drained events not yet final (stamped at or after the next
+    /// event time — record sites may stamp into the future), in the
+    /// order they were drained.
+    pub(crate) pending: Vec<TelemetryEvent>,
     /// Scratch batch handed to the doctor each fold.
-    batch: Vec<TelemetryEvent>,
+    pub(crate) batch: Vec<TelemetryEvent>,
+}
+
+impl StreamState {
+    pub(crate) fn new(cfg: StreamConfig) -> StreamState {
+        StreamState { doctor: StreamingDoctor::new(cfg), pending: Vec::new(), batch: Vec::new() }
+    }
+
+    /// Moves every pending event stamped strictly before `boundary`
+    /// (all of them when `None`) into the batch, in one pass that keeps
+    /// the drain order of what it moves and of what it holds back.
+    pub(crate) fn release(&mut self, boundary: Option<Time>) {
+        match boundary {
+            None => self.batch.append(&mut self.pending),
+            Some(boundary) => {
+                let batch = &mut self.batch;
+                self.pending.retain(|ev| {
+                    let held = ev.at >= boundary;
+                    if !held {
+                        batch.push(*ev);
+                    }
+                    held
+                });
+            }
+        }
+    }
 }
 
 impl World {
@@ -545,6 +582,8 @@ impl World {
             hub_fx: Effects::new(),
             telemetry: Telemetry::default(),
             observability: false,
+            open_births: HashMap::new(),
+            flight_latency: Histogram::new(),
             flight_births: HashMap::new(),
             flight_ends: HashMap::new(),
             keys,
@@ -610,7 +649,7 @@ impl World {
 
     /// Moves every retained telemetry event (all component rings) onto
     /// `out`, leaving the rings empty. Order across rings is arbitrary;
-    /// the streaming doctor canonically sorts each batch.
+    /// the streaming doctor takes a batch in any order.
     pub(crate) fn drain_telemetry_into(&mut self, out: &mut Vec<TelemetryEvent>) {
         self.telemetry.drain_into(out);
         for hub in &mut self.hubs {
@@ -715,11 +754,7 @@ impl World {
         self.enable_observability();
         self.stream_since = 0;
         self.stream_drain_every = (self.min_telemetry_capacity() as u64 / 32).max(1);
-        self.stream = Some(Box::new(StreamState {
-            doctor: StreamingDoctor::new(cfg),
-            pending: Vec::new(),
-            batch: Vec::new(),
-        }));
+        self.stream = Some(Box::new(StreamState::new(cfg)));
     }
 
     /// The attached streaming doctor, for live checkpoint polls.
@@ -735,19 +770,7 @@ impl World {
     fn stream_fold(&mut self, finish: bool) {
         let Some(mut st) = self.stream.take() else { return };
         self.drain_telemetry_into(&mut st.pending);
-        match if finish { None } else { self.engine.peek_time() } {
-            None => st.batch.append(&mut st.pending),
-            Some(boundary) => {
-                let mut i = 0;
-                while i < st.pending.len() {
-                    if st.pending[i].at < boundary {
-                        st.batch.push(st.pending.swap_remove(i));
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-        }
+        st.release(if finish { None } else { self.engine.peek_time() });
         st.doctor.ingest(&mut st.batch);
         self.stream = Some(st);
     }
@@ -787,7 +810,7 @@ impl World {
     /// on) the flight-latency histogram.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut reg = self.metrics_without_flights();
-        let mut flights = Histogram::new();
+        let mut flights = self.flight_latency.clone();
         join_flights(&self.flight_births, &self.flight_ends, &mut flights);
         if !flights.is_empty() {
             reg.merge_histogram("latency.flight_ns", &flights);
@@ -797,9 +820,39 @@ impl World {
 
     /// The flight birth (send) and end (first delivery) time maps, for
     /// the cross-shard latency join: a flight born in one shard may
-    /// end in another, so the sharded runner joins globally.
+    /// end in another, so the sharded runner joins globally. A shard
+    /// world settles nothing at delivery, so these hold every flight.
     pub(crate) fn flight_times(&self) -> (&HashMap<u64, Time>, &HashMap<u64, Time>) {
         (&self.flight_births, &self.flight_ends)
+    }
+
+    /// `true` when a flight's first processed delivery is its earliest
+    /// and its birth is at hand: the world runs alone and the flight
+    /// can reach one CAB only. Multicast reaches several, and so can a
+    /// datagram on a cached circuit with a stale member (see
+    /// `misrouted_rx`); those wait for the min-join at metrics time.
+    fn settles_at_delivery(&self, multicast: bool) -> bool {
+        self.shard.is_none() && !multicast && self.cfg.switching == SwitchingMode::PacketSwitched
+    }
+
+    fn note_flight_birth(&mut self, id: u64, at: Time, multicast: bool) {
+        if self.settles_at_delivery(multicast) {
+            self.open_births.insert(id, at);
+        } else {
+            self.flight_births.insert(id, at);
+        }
+    }
+
+    fn note_flight_end(&mut self, id: u64, end: Time) {
+        if let Some(birth) = self.open_births.remove(&id) {
+            self.flight_latency.observe(end.saturating_since(birth).nanos());
+        } else if self.shard.is_some() || self.flight_births.contains_key(&id) {
+            // Min-join, not first-wins: the earliest delivery of a
+            // flight defines its latency, no matter which shard (or
+            // batch position) processed it first.
+            let slot = self.flight_ends.entry(id).or_insert(end);
+            *slot = (*slot).min(end);
+        }
     }
 
     /// Everything [`metrics`](World::metrics) collects except the
@@ -1939,7 +1992,7 @@ impl World {
         );
         let packet = self.next_packet(src, wire);
         if self.observability {
-            self.flight_births.insert(packet.id(), done);
+            self.note_flight_birth(packet.id(), done, true);
             self.telemetry.record(
                 done,
                 FlightId(packet.id()),
@@ -2023,14 +2076,7 @@ impl World {
                         EventKind::AppRecv { cab: cab as u16, mailbox, bytes: len as u32 },
                     );
                     if self.observability && flight.is_some() {
-                        // Min-join, not first-wins: the earliest
-                        // delivery of a flight defines its latency, no
-                        // matter which shard (or batch position)
-                        // processed it first.
-                        let slot = self.flight_ends.entry(flight.0).or_insert(end);
-                        if end < *slot {
-                            *slot = end;
-                        }
+                        self.note_flight_end(flight.0, end);
                     }
                     self.deliveries.push(Delivery { cab, mailbox, msg_id: id, len, at: end });
                     if self.workload.is_some() {
@@ -2079,7 +2125,7 @@ impl World {
         // its datalink; the recorder traces it through every HUB hop to
         // the receiving application.
         if self.observability {
-            self.flight_births.insert(packet.id(), ready);
+            self.note_flight_birth(packet.id(), ready, false);
             self.telemetry.record(
                 ready,
                 FlightId(packet.id()),

@@ -9,7 +9,7 @@
 //! slot's first transmission and the delivered copy's send) is charged
 //! to [`Segment::Retransmit`].
 
-use super::flights::{Flight, FlightTable};
+use super::flights::{Flight, FlightFacts, FlightTable};
 use crate::metrics::Histogram;
 use crate::telemetry::EventKind;
 use crate::time::{Dur, Time};
@@ -126,12 +126,19 @@ impl Breakdown {
 /// [`FlightTable::first_send_of`]; pass `None` for transports without
 /// retransmission (the flight's own send is used).
 pub fn breakdown(flight: &Flight, first_send: Option<Time>) -> Option<Breakdown> {
-    if flight.malformed() || flight.recv_count() != 1 || !flight.is_data() {
+    breakdown_with(flight, &flight.facts(), first_send)
+}
+
+/// [`breakdown`] for a caller that already holds the flight's facts.
+pub(crate) fn breakdown_with(
+    flight: &Flight,
+    facts: &FlightFacts,
+    first_send: Option<Time>,
+) -> Option<Breakdown> {
+    if facts.malformed() || facts.recvs != 1 || !facts.is_data() {
         return None;
     }
-    let start =
-        flight.events.iter().position(|e| matches!(e.kind, EventKind::TransportSend { .. }))?;
-    let send_at = flight.events[start].at;
+    let (start, send_at) = facts.send?;
     let origin = first_send.unwrap_or(send_at).min(send_at);
     let mut segs = [Dur::ZERO; Segment::ALL.len()];
     segs[Segment::Retransmit.index()] = send_at - origin;
@@ -163,8 +170,9 @@ impl CriticalPath {
     pub fn from_table(table: &FlightTable) -> CriticalPath {
         let mut cp = CriticalPath::default();
         for f in table.flights() {
-            let first = f.stream_key().and_then(|k| table.first_send_of(k));
-            match breakdown(f, first) {
+            let facts = f.facts();
+            let first = facts.slot.and_then(|k| table.first_send_of(k));
+            match breakdown_with(f, &facts, first) {
                 Some(b) => cp.add(&b),
                 None => cp.skipped += 1,
             }

@@ -1,15 +1,22 @@
 //! Flight reconstruction: grouping the flat telemetry stream back into
 //! per-packet causal histories.
 //!
-//! The flight recorder emits one flat, time-ordered stream of
-//! [`TelemetryEvent`]s. Every analysis in this family starts by folding
-//! that stream into a [`FlightTable`]: one [`Flight`] per packet id,
-//! holding the packet's events in time order, plus a side index of the
-//! *first* transmission time of every `(cab, peer, seq)` stream slot so
+//! The flight recorder emits one flat stream of [`TelemetryEvent`]s.
+//! Every analysis in this family starts by folding that stream into a
+//! [`FlightTable`]: one [`Flight`] per packet id, holding the packet's
+//! events in flight order, plus a side index of the *first*
+//! transmission time of every `(cab, peer, seq)` stream slot so
 //! retransmission overhead can be attributed to the delivered copy.
+//!
+//! Flight order — `(at, kind.canonical_key())` within one packet id —
+//! is the only ordering any analysis reads. Everything folded *across*
+//! flights (first-send minimum, cumulative-ack maximum, capture end)
+//! commutes, so neither the post-hoc table nor the streaming doctor
+//! cares how the capture as a whole was ordered.
 
 use crate::telemetry::{EventKind, TelemetryEvent};
 use crate::time::Time;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 
 /// Identifies one slot of one transport instance: the sending CAB, the
@@ -21,11 +28,97 @@ pub type StreamKey = (u16, u16, u32);
 pub struct Flight {
     /// The packet id minted by the sending CAB.
     pub id: u64,
-    /// This flight's events, sorted by timestamp.
+    /// This flight's events, in flight order: by timestamp, same-instant
+    /// ties by [`EventKind::canonical_key`].
     pub events: Vec<TelemetryEvent>,
 }
 
+/// Flight order of two events of one flight: by timestamp, same-instant
+/// ties by [`EventKind::canonical_key`] (computed only on a tie). A
+/// function of event content alone, so it does not depend on how the
+/// capture was merged from its rings (or shards).
+pub(crate) fn flight_order(a: &TelemetryEvent, b: &TelemetryEvent) -> Ordering {
+    a.at.cmp(&b.at).then_with(|| a.kind.canonical_key().cmp(&b.kind.canonical_key()))
+}
+
+/// Puts one flight's events into [flight order](flight_order).
+pub(crate) fn sort_flight_events(events: &mut [TelemetryEvent]) {
+    // Stable merge sort: a flight's events arrive as a few time-ordered
+    // runs (one per recorder ring).
+    events.sort_by(flight_order);
+}
+
+/// What one pass over a flight's ordered events establishes: the facts
+/// the critical-path breakdown and the storm, head-of-line and
+/// silent-drop detectors all need, gathered once instead of by a scan
+/// per question.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FlightFacts {
+    /// Index (into [`Flight::events`]) and timestamp of the first
+    /// `transport_send`.
+    pub send: Option<(usize, Time)>,
+    /// The `(cab, peer, seq)` slot of that send.
+    pub slot: Option<StreamKey>,
+    /// Payload bytes of that send (0 for control packets).
+    pub payload_bytes: u32,
+    /// `true` when that send was a retransmission.
+    pub retransmit: bool,
+    /// Number of `transport_send` events (more than one: malformed).
+    pub sends: u32,
+    /// Number of `app_recv` deliveries (more than one: multicast).
+    pub recvs: u32,
+}
+
+impl FlightFacts {
+    /// See [`Flight::is_data`].
+    pub fn is_data(&self) -> bool {
+        self.send.is_some() && self.payload_bytes > 0
+    }
+
+    /// See [`Flight::malformed`].
+    pub fn malformed(&self) -> bool {
+        self.sends > 1
+    }
+
+    /// See [`Flight::delivered`].
+    pub fn delivered(&self) -> bool {
+        self.recvs > 0
+    }
+
+    /// The silent-drop test on the flight itself: the slot and send
+    /// time of a well-formed data flight that no application received.
+    /// Whether it was acked, superseded by a resend, or is merely still
+    /// in flight is a capture-wide judgment left to the caller.
+    pub fn undelivered_data(&self) -> Option<(StreamKey, Time)> {
+        if !self.is_data() || self.delivered() || self.malformed() {
+            return None;
+        }
+        Some((self.slot?, self.send?.1))
+    }
+}
+
 impl Flight {
+    /// Gathers the flight's [`FlightFacts`] in one pass.
+    pub fn facts(&self) -> FlightFacts {
+        let mut facts = FlightFacts::default();
+        for (i, e) in self.events.iter().enumerate() {
+            match e.kind {
+                EventKind::TransportSend { cab, peer, seq, bytes, retransmit } => {
+                    facts.sends += 1;
+                    if facts.send.is_none() {
+                        facts.send = Some((i, e.at));
+                        facts.slot = Some((cab, peer, seq));
+                        facts.payload_bytes = bytes;
+                        facts.retransmit = retransmit;
+                    }
+                }
+                EventKind::AppRecv { .. } => facts.recvs += 1,
+                _ => {}
+            }
+        }
+        facts
+    }
+
     /// The `transport_send` event that started the flight, if recorded.
     pub fn send(&self) -> Option<&TelemetryEvent> {
         self.events.iter().find(|e| matches!(e.kind, EventKind::TransportSend { .. }))
@@ -93,7 +186,7 @@ pub struct FlightTable {
 
 impl FlightTable {
     /// Folds a telemetry stream into per-flight histories. The input
-    /// need not be sorted.
+    /// may be in any order: the table depends on event content only.
     pub fn from_events(events: &[TelemetryEvent]) -> FlightTable {
         let mut table = FlightTable::default();
         for ev in events {
@@ -121,7 +214,7 @@ impl FlightTable {
                 .push(*ev);
         }
         for f in table.flights.values_mut() {
-            f.events.sort_by_key(|e| e.at);
+            sort_flight_events(&mut f.events);
         }
         table
     }

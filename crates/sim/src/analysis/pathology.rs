@@ -9,7 +9,7 @@
 //! truncated (telemetry ring overflow), so analyses over partial data
 //! say so instead of asserting.
 
-use super::flights::{Flight, FlightTable};
+use super::flights::{Flight, FlightFacts, FlightTable};
 use crate::metrics::MetricsRegistry;
 use crate::telemetry::EventKind;
 use crate::time::{Dur, Time};
@@ -223,16 +223,16 @@ pub(crate) fn storm_finding(
 
 /// Folds one flight into the per-stream storm accumulators.
 pub(crate) fn fold_storm(
-    f: &Flight,
+    id: u64,
+    facts: &FlightFacts,
     streams: &mut BTreeMap<(u16, u16), StreamAcc>,
     cfg: &DoctorConfig,
 ) {
-    if !f.is_data() {
+    if !facts.is_data() {
         return;
     }
-    let Some((cab, peer, _)) = f.stream_key() else { return };
-    let at = f.send().map(|e| e.at).unwrap_or(Time::ZERO);
-    let resend = f.is_retransmit().then_some((at, f.id));
+    let (Some((cab, peer, _)), Some((_, at))) = (facts.slot, facts.send) else { return };
+    let resend = facts.retransmit.then_some((at, id));
     streams
         .entry((cab, peer))
         .or_insert_with(StreamAcc::new)
@@ -243,7 +243,7 @@ pub(crate) fn fold_storm(
 fn retransmit_storms(table: &FlightTable, cfg: &DoctorConfig, out: &mut Vec<Finding>) {
     let mut streams: BTreeMap<(u16, u16), StreamAcc> = BTreeMap::new();
     for f in table.flights() {
-        fold_storm(f, &mut streams, cfg);
+        fold_storm(f.id, &f.facts(), &mut streams, cfg);
     }
     for ((cab, peer), acc) in &streams {
         out.extend(storm_finding(*cab, *peer, acc, cfg));
@@ -321,13 +321,15 @@ pub(crate) fn hol_finding(
 }
 
 /// Folds one flight's HUB hops into the per-port accumulators. The
-/// flight's events must be in time order (flight tables keep them so).
+/// flight's events must be in flight order (flight tables keep them
+/// so).
 pub(crate) fn fold_head_of_line(
     f: &Flight,
+    facts: &FlightFacts,
     ports: &mut BTreeMap<(u8, u8), PortAcc>,
     cfg: &DoctorConfig,
 ) {
-    if f.malformed() {
+    if facts.malformed() {
         return;
     }
     let evs = &f.events;
@@ -365,7 +367,7 @@ pub(crate) fn fold_head_of_line(
 fn head_of_line(table: &FlightTable, cfg: &DoctorConfig, out: &mut Vec<Finding>) {
     let mut ports: BTreeMap<(u8, u8), PortAcc> = BTreeMap::new();
     for f in table.flights() {
-        fold_head_of_line(f, &mut ports, cfg);
+        fold_head_of_line(f, &f.facts(), &mut ports, cfg);
     }
     for ((hub, input), port) in &ports {
         out.extend(hol_finding(*hub, *input, port, cfg));
@@ -439,14 +441,10 @@ fn silent_drops(table: &FlightTable, cfg: &DoctorConfig, out: &mut Vec<Finding>)
     let horizon = table.capture_end();
     let mut lost: Vec<(Time, u64)> = Vec::new();
     for f in table.flights() {
-        if !f.is_data() || f.delivered() || f.malformed() {
-            continue;
-        }
-        let Some((cab, peer, seq)) = f.stream_key() else { continue };
+        let Some(((cab, peer, seq), at)) = f.facts().undelivered_data() else { continue };
         if table.acked(cab, peer, seq) {
             continue; // consumed (e.g. a mid-message fragment) or resend covered
         }
-        let Some(at) = f.send().map(|e| e.at) else { continue };
         if at + cfg.grace > horizon {
             continue; // could still be in flight at capture end
         }

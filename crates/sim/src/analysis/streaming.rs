@@ -10,16 +10,32 @@
 //!
 //! # Fold lifecycle
 //!
-//! Events arrive in **batches**: each batch is sorted into the
-//! canonical order (`TelemetryEvent::canonical_key`) and must be
-//! time-disjoint from — and later than — every previous batch. The
-//! world guarantees this by only draining events whose timestamp is
-//! below the engine's next-event time: such events are *final* (every
-//! record site stamps at-or-after the processing instant, so nothing
-//! earlier can still be produced). Concatenated, the batches are
-//! exactly the canonically sorted capture, which is why every streaming
-//! verdict is bit-identical to the post-hoc doctor run over the same
-//! events.
+//! Events arrive in **batches**. [`ingest`](StreamingDoctor::ingest)
+//! asks one thing of a batch: it is time-disjoint from — and later than
+//! — every previous batch. *Inside* a batch the events may come in any
+//! order (the world hands over a plain concatenation of its recorder
+//! rings). The world meets the requirement by only releasing events
+//! whose timestamp is below the engine's next-event time: such events
+//! are *final* (every record site stamps at-or-after the processing
+//! instant, so nothing earlier can still be produced).
+//!
+//! Equivalence with the post-hoc doctor rests on two facts, not on the
+//! batches adding up to a sorted capture:
+//!
+//! * **Order matters only within a flight.** Every analysis reads one
+//!   flight's events in flight order — `(at, kind.canonical_key())`,
+//!   see [`flights`](super::flights) — and the post-hoc
+//!   [`FlightTable`](super::flights::FlightTable) establishes exactly
+//!   that order and no other. The fold appends events to their flight
+//!   as they come and puts them in flight order once, when the flight
+//!   retires.
+//! * **Everything folded across flights commutes.** The watermark, the
+//!   cumulative ack per direction and a flight's quiet clock are
+//!   maxima; a slot's first-send time is a minimum; a flight's slot is
+//!   that of its flight-order-first send whatever order its sends were
+//!   seen in. Retirement contributions — histogram increments, sums,
+//!   bounded smallest-K evidence and top-K worst sets — commute too, so
+//!   retirement *order* can never change the report.
 //!
 //! A flight retires once it is **terminal** (delivered via `app_recv`,
 //! or an ack flight consumed by `transport_ack`) *and* has been idle
@@ -27,31 +43,37 @@
 //! lost, corrupted, or merely parked in a congested crossbar queue
 //! longer than the horizon — are held until the final report (or a
 //! memory-budget eviction), so congestion can never race a live packet
-//! into retirement. On retirement the breakdown feeds the
-//! [`CriticalPath`] histograms and the pathology folds
-//! ([`pathology::fold_storm`], [`pathology::fold_head_of_line`]), its
-//! events are freed, and only O(1) residue per stream slot remains
-//! (first-send time for retransmit attribution, data-flight count and
-//! lost-candidate list for the silent-drop detector) until the slot is
-//! acknowledged. Every retirement contribution commutes — histogram
-//! increments, sums, bounded smallest-K evidence and top-K worst sets —
-//! so retirement *order* can never change the report; only an event
-//! arriving for an already-retired flight can, and that is detected
-//! exactly (packet ids are minted monotonically per CAB) and counted in
-//! [`StreamSummary::late_events`].
+//! into retirement. Retirement is decided after the whole batch is in,
+//! from a queue holding one `(quiet-since, flight)` entry per flight
+//! per batch, kept in time order — so which flights retire, and when,
+//! is a function of the batch's content, never of its internal order.
+//! On retirement one pass over the flight gathers its [`FlightFacts`];
+//! the breakdown feeds the [`CriticalPath`] histograms and the
+//! pathology folds ([`pathology::fold_storm`],
+//! [`pathology::fold_head_of_line`]), the event buffer is recycled, and
+//! only O(1) residue per stream slot
+//! remains (first-send time for retransmit attribution, data-flight
+//! count and lost-candidate list for the silent-drop detector) until
+//! the slot is acknowledged. Only an event arriving for an
+//! already-retired flight can make the fold differ from post-hoc, and
+//! that is detected exactly (packet ids are minted monotonically per
+//! CAB) and counted in [`StreamSummary::late_events`].
 //!
 //! Periodic [`DoctorCheckpoint`]s expose the fold's running state —
 //! counts, memory estimate, provisional findings — for a live consumer
 //! to poll without stopping the run.
 
-use super::critical_path::{breakdown, CriticalPath};
-use super::flights::{Flight, StreamKey};
+use super::critical_path::{breakdown_with, CriticalPath};
+use super::flights::{flight_order, sort_flight_events, Flight, FlightFacts, StreamKey};
 use super::pathology::{self, DoctorConfig, Finding, PortAcc, StreamAcc};
 use super::DoctorReport;
 use crate::metrics::MetricsRegistry;
 use crate::telemetry::{EventKind, TelemetryEvent};
 use crate::time::{Dur, Time};
+use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::mem::size_of;
 
 /// Streaming-doctor tuning. The `doctor` thresholds are shared with
@@ -93,11 +115,69 @@ impl Default for StreamConfig {
     }
 }
 
+/// Multiplicative hasher for the fold's maps. Their keys — flight ids
+/// minted `(cab << 40) | counter`, stream slots, CAB pairs — come from
+/// the simulator's own recorder, never from outside the program, so
+/// SipHash's flooding resistance buys nothing on a path probed several
+/// times per event. The 64×64→128 multiply is folded high-into-low
+/// because the table indexes buckets with the low bits, and the CAB
+/// number sits in the high ones.
+#[derive(Clone, Copy, Debug, Default)]
+struct FoldHasher(u64);
+
+impl FoldHasher {
+    #[inline]
+    fn mix(&mut self, v: u64) {
+        let p = u128::from(self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = p as u64 ^ (p >> 64) as u64;
+    }
+}
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u16(&mut self, v: u16) {
+        self.mix(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.mix(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.mix(v);
+    }
+}
+
+type FoldMap<K, V> = HashMap<K, V, BuildHasherDefault<FoldHasher>>;
+
+/// Retired event buffers kept for reuse, at most: enough that flights
+/// opening and retiring at a steady rate never touch the allocator,
+/// small enough that a retired launch wave gives its memory back.
+const SPARE_BUFFERS: usize = 4096;
+
 /// One flight still accumulating events.
 #[derive(Clone, Debug)]
 struct OpenFlight {
-    flight: Flight,
+    /// Events in arrival order; put in flight order at retirement.
+    events: Vec<TelemetryEvent>,
+    /// Latest event time — the quiet clock.
     last_at: Time,
+    /// Slot of the flight-order-first `transport_send` seen so far.
     slot: Option<StreamKey>,
     /// `true` once a terminal event was folded: `AppRecv` (the packet
     /// reached an application) or `TransportAck` (the ack was consumed
@@ -107,13 +187,16 @@ struct OpenFlight {
     /// delivery. Non-terminal flights (in flight, dropped, corrupted)
     /// are held until the final report or a memory-budget eviction.
     terminal: bool,
+    /// `true` while the flight is on the current batch's touched list.
+    touched: bool,
 }
 
 /// What survives a stream slot after its flights retire.
 #[derive(Clone, Debug)]
 struct SlotResidue {
-    /// Earliest `transport_send` of the slot — final once written,
-    /// because batches arrive in time order.
+    /// Earliest `transport_send` of the slot seen so far — final by
+    /// the time any flight that could read it retires, because batches
+    /// arrive in time order.
     first_send: Time,
     /// Data flights of this slot retired so far (a count > 1 means a
     /// retransmission superseded the original: not a silent drop).
@@ -185,15 +268,21 @@ pub struct StreamSummary {
 #[derive(Clone, Debug)]
 pub struct StreamingDoctor {
     cfg: StreamConfig,
-    open: HashMap<u64, OpenFlight>,
-    /// Lazy retirement queue: one `(event time, flight)` entry per
-    /// folded flight event, popped once the watermark passes `time +
-    /// horizon`. Stale entries (the flight saw newer events, or already
-    /// retired) are skipped on pop.
+    open: FoldMap<u64, OpenFlight>,
+    /// Retirement queue in time order: one `(last event time, flight)`
+    /// entry per flight per batch that touched it, popped once the
+    /// watermark passes `time + horizon`. An entry is live while its
+    /// time is still the flight's quiet clock; entries a later batch
+    /// superseded (or whose flight already retired) are skipped on pop.
     retire_queue: VecDeque<(Time, u64)>,
-    residue: HashMap<StreamKey, SlotResidue>,
+    /// Scratch: the flights the batch being folded has touched.
+    touched: Vec<(Time, u64)>,
+    /// Cleared event buffers of retired flights, reused by new ones.
+    spare: Vec<Vec<TelemetryEvent>>,
+    spare_bytes: usize,
+    residue: FoldMap<StreamKey, SlotResidue>,
     /// Highest cumulative ack per `(sender, peer)` direction.
-    acked: HashMap<(u16, u16), u32>,
+    acked: FoldMap<(u16, u16), u32>,
     streams: BTreeMap<(u16, u16), StreamAcc>,
     ports: BTreeMap<(u8, u8), PortAcc>,
     /// Silent-drop candidates per slot: `(send time, flight id)` of
@@ -202,7 +291,7 @@ pub struct StreamingDoctor {
     cp: CriticalPath,
     /// Highest retired flight id per CAB (ids are minted `(cab << 40) |
     /// counter`, monotone per CAB) — the exact late-event detector.
-    max_retired: HashMap<u64, u64>,
+    max_retired: FoldMap<u64, u64>,
     watermark: Time,
     events_folded: u64,
     flights_seen: u64,
@@ -224,15 +313,18 @@ impl StreamingDoctor {
         let next_checkpoint_at = cfg.checkpoint_every;
         StreamingDoctor {
             cfg,
-            open: HashMap::new(),
+            open: FoldMap::default(),
             retire_queue: VecDeque::new(),
-            residue: HashMap::new(),
-            acked: HashMap::new(),
+            touched: Vec::new(),
+            spare: Vec::new(),
+            spare_bytes: 0,
+            residue: FoldMap::default(),
+            acked: FoldMap::default(),
             streams: BTreeMap::new(),
             ports: BTreeMap::new(),
             candidates: BTreeMap::new(),
             cp: CriticalPath::default(),
-            max_retired: HashMap::new(),
+            max_retired: FoldMap::default(),
             watermark: Time::ZERO,
             events_folded: 0,
             flights_seen: 0,
@@ -249,24 +341,23 @@ impl StreamingDoctor {
         }
     }
 
-    /// Folds one batch. The batch is canonically sorted in place and
-    /// cleared; every event must be at-or-after the current watermark
-    /// (batches are time-disjoint and arrive in time order).
+    /// Folds one batch and clears it. Every event must be at-or-after
+    /// the watermark the previous batch left (batches are time-disjoint
+    /// and arrive in time order); inside the batch any order will do.
     pub fn ingest(&mut self, batch: &mut Vec<TelemetryEvent>) {
         if batch.is_empty() {
             return;
         }
-        batch.sort_unstable_by_key(|e| e.canonical_key());
+        let floor = self.watermark;
         debug_assert!(
-            batch[0].at >= self.watermark,
-            "streaming batch reaches back before the watermark: {} < {}",
-            batch[0].at,
-            self.watermark
+            batch.iter().all(|e| e.at >= floor),
+            "streaming batch reaches back before the watermark {floor}"
         );
         for ev in batch.iter() {
             self.fold_event(ev);
         }
         batch.clear();
+        self.queue_touched();
         self.advance_retirement();
         self.enforce_budget();
         self.peak_mem = self.peak_mem.max(self.mem_estimate());
@@ -285,46 +376,83 @@ impl StreamingDoctor {
             return;
         }
         let id = ev.flight.0;
-        if let EventKind::TransportSend { cab, peer, seq, .. } = ev.kind {
-            let r = self.residue.entry((cab, peer, seq)).or_insert(SlotResidue {
-                first_send: ev.at,
-                data_count: 0,
-                open_flights: 0,
-            });
-            r.first_send = r.first_send.min(ev.at);
-        }
-        let mut assigned_slot = None;
-        let of = self.open.entry(id).or_insert_with(|| {
-            let cab = id >> 40;
-            if self.max_retired.get(&cab).is_some_and(|&m| id <= m) {
-                self.late_events += 1;
-            } else {
-                self.flights_seen += 1;
+        let of = match self.open.entry(id) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(v) => {
+                // Retirement only runs between batches, so whether an
+                // id counts as new or late is the same for every order
+                // inside the batch.
+                if self.max_retired.get(&(id >> 40)).is_some_and(|&m| id <= m) {
+                    self.late_events += 1;
+                } else {
+                    self.flights_seen += 1;
+                }
+                let events = self.spare.pop().unwrap_or_default();
+                self.spare_bytes -= events.capacity() * size_of::<TelemetryEvent>();
+                v.insert(OpenFlight {
+                    events,
+                    last_at: ev.at,
+                    slot: None,
+                    terminal: false,
+                    touched: false,
+                })
             }
-            OpenFlight {
-                flight: Flight { id, events: Vec::new() },
-                last_at: ev.at,
-                slot: None,
-                terminal: false,
+        };
+        if !of.touched {
+            of.touched = true;
+            // The quiet clock is filled in once the batch is folded.
+            self.touched.push((Time::ZERO, id));
+        }
+        of.last_at = of.last_at.max(ev.at);
+        match ev.kind {
+            EventKind::TransportSend { cab, peer, seq, .. } => {
+                let k = (cab, peer, seq);
+                let r = self.residue.entry(k).or_insert(SlotResidue {
+                    first_send: ev.at,
+                    data_count: 0,
+                    open_flights: 0,
+                });
+                r.first_send = r.first_send.min(ev.at);
+                // A second send makes the flight malformed; its slot is
+                // still the one `FlightFacts` will report at retirement.
+                let takes_slot = match of.slot {
+                    None => true,
+                    Some(held) => {
+                        held != k
+                            && of
+                                .events
+                                .iter()
+                                .filter(|e| matches!(e.kind, EventKind::TransportSend { .. }))
+                                .all(|e| flight_order(ev, e) == Ordering::Less)
+                    }
+                };
+                if takes_slot {
+                    r.open_flights += 1;
+                    if let Some(held) = of.slot.replace(k) {
+                        if let Some(r) = self.residue.get_mut(&held) {
+                            r.open_flights = r.open_flights.saturating_sub(1);
+                        }
+                    }
+                }
             }
-        });
-        if of.slot.is_none() {
-            if let EventKind::TransportSend { cab, peer, seq, .. } = ev.kind {
-                of.slot = Some((cab, peer, seq));
-                assigned_slot = Some((cab, peer, seq));
-            }
+            EventKind::AppRecv { .. } | EventKind::TransportAck { .. } => of.terminal = true,
+            _ => {}
         }
-        if matches!(ev.kind, EventKind::AppRecv { .. } | EventKind::TransportAck { .. }) {
-            of.terminal = true;
-        }
-        of.flight.events.push(*ev);
-        of.last_at = ev.at;
-        if let Some(k) = assigned_slot {
-            // The entry exists: every send event writes the residue above.
-            self.residue.get_mut(&k).expect("slot residue").open_flights += 1;
-        }
+        of.events.push(*ev);
         self.open_event_bytes += size_of::<TelemetryEvent>();
-        self.retire_queue.push_back((ev.at, id));
+    }
+
+    /// Queues every flight the batch touched for retirement, oldest
+    /// quiet clock first. Batches are time-disjoint, so the new entries
+    /// all sort after the ones already queued.
+    fn queue_touched(&mut self) {
+        for (at, id) in &mut self.touched {
+            let of = self.open.get_mut(id).expect("a touched flight is open");
+            of.touched = false;
+            *at = of.last_at;
+        }
+        self.touched.sort_unstable();
+        self.retire_queue.extend(self.touched.drain(..));
     }
 
     fn advance_retirement(&mut self) {
@@ -333,67 +461,79 @@ impl StreamingDoctor {
                 break;
             }
             self.retire_queue.pop_front();
-            if let Some(of) = self.open.get(&id) {
-                if of.terminal && of.last_at + self.cfg.horizon <= self.watermark {
-                    self.retire(id);
+            if let Entry::Occupied(e) = self.open.entry(id) {
+                if e.get().terminal && e.get().last_at == t {
+                    let of = e.remove();
+                    self.retire_flight(id, of);
                 }
             }
         }
     }
 
     /// Folds one completed flight into the online accumulators and
-    /// frees its events. Contributions commute, so retirement order is
-    /// irrelevant to the final report.
-    fn retire(&mut self, id: u64) {
-        let Some(of) = self.open.remove(&id) else { return };
-        self.open_event_bytes = self
-            .open_event_bytes
-            .saturating_sub(of.flight.events.len() * size_of::<TelemetryEvent>());
+    /// recycles its event buffer. Contributions commute, so retirement
+    /// order is irrelevant to the final report.
+    fn retire_flight(&mut self, id: u64, of: OpenFlight) {
+        self.open_event_bytes -= of.events.len() * size_of::<TelemetryEvent>();
         self.flights_retired += 1;
-        let cab = id >> 40;
-        let m = self.max_retired.entry(cab).or_insert(0);
+        let m = self.max_retired.entry(id >> 40).or_insert(0);
         *m = (*m).max(id);
-        let f = &of.flight;
-        pathology::fold_storm(f, &mut self.streams, &self.cfg.doctor);
-        pathology::fold_head_of_line(f, &mut self.ports, &self.cfg.doctor);
-        let first = f.stream_key().and_then(|k| self.residue.get(&k).map(|r| r.first_send));
-        match breakdown(f, first) {
+        let mut flight = Flight { id, events: of.events };
+        sort_flight_events(&mut flight.events);
+        let facts = flight.facts();
+        debug_assert_eq!(facts.slot, of.slot, "slot tracking disagrees with flight order");
+        pathology::fold_storm(id, &facts, &mut self.streams, &self.cfg.doctor);
+        pathology::fold_head_of_line(&flight, &facts, &mut self.ports, &self.cfg.doctor);
+        let first = facts.slot.and_then(|k| self.residue.get(&k)).map(|r| r.first_send);
+        match breakdown_with(&flight, &facts, first) {
             Some(b) => self.cp.add(&b),
             None => self.cp.skipped += 1,
         }
-        let Some(k) = f.stream_key() else { return };
-        let acked = self.acked.get(&(k.0, k.1)).is_some_and(|&h| h > k.2);
+        self.settle_slot(id, &facts);
+        let mut events = flight.events;
+        if self.spare.len() < SPARE_BUFFERS {
+            events.clear();
+            self.spare_bytes += events.capacity() * size_of::<TelemetryEvent>();
+            self.spare.push(events);
+        }
+    }
+
+    /// Leaves a retiring flight's mark on its slot's residue: the data
+    /// count, a silent-drop candidate if nobody answered it, and the
+    /// residue's own release once the slot is acked and idle.
+    fn settle_slot(&mut self, id: u64, facts: &FlightFacts) {
+        let Some(k) = facts.slot else { return };
         let Some(r) = self.residue.get_mut(&k) else { return };
-        if f.is_data() {
+        if facts.is_data() {
             r.data_count += 1;
         }
         r.open_flights = r.open_flights.saturating_sub(1);
-        let open_left = r.open_flights;
-        if f.is_data() && !f.delivered() && !f.malformed() && !acked {
-            if let Some(at) = f.send().map(|e| e.at) {
-                self.candidates.entry(k).or_default().push((at, id));
-            }
-        }
-        if acked && open_left == 0 {
+        let acked = self.acked.get(&(k.0, k.1)).is_some_and(|&h| h > k.2);
+        if acked && r.open_flights == 0 {
             // An acked slot can gain no further silent-drop candidates
             // (acks are cumulative and monotone), and no open flight
             // needs its first-send time: drop the residue.
             self.residue.remove(&k);
             self.candidates.remove(&k);
+        } else if !acked {
+            if let Some((_, at)) = facts.undelivered_data() {
+                self.candidates.entry(k).or_default().push((at, id));
+            }
         }
     }
 
     fn enforce_budget(&mut self) {
         let Some(budget) = self.cfg.memory_budget else { return };
         while self.mem_estimate() > budget {
-            match self.retire_queue.pop_front() {
-                Some((_, id)) => {
-                    if self.open.contains_key(&id) {
-                        self.retire(id);
-                        self.forced_retirements += 1;
-                    }
-                }
-                None => break,
+            if !self.spare.is_empty() {
+                self.spare = Vec::new();
+                self.spare_bytes = 0;
+                continue;
+            }
+            let Some((_, id)) = self.retire_queue.pop_front() else { break };
+            if let Some(of) = self.open.remove(&id) {
+                self.retire_flight(id, of);
+                self.forced_retirements += 1;
             }
         }
     }
@@ -461,6 +601,7 @@ impl StreamingDoctor {
     /// footprint, which is what the budget needs.
     pub fn mem_estimate(&self) -> usize {
         self.open_event_bytes
+            + self.spare_bytes
             + self.open.len() * (size_of::<OpenFlight>() + size_of::<u64>() + 16)
             + self.retire_queue.len() * size_of::<(Time, u64)>()
             + self.residue.len() * (size_of::<StreamKey>() + size_of::<SlotResidue>() + 16)
@@ -514,10 +655,10 @@ impl StreamingDoctor {
     /// over the canonically sorted capture (provided
     /// [`late_events`](StreamSummary::late_events) is zero).
     pub fn into_report(mut self, metrics: Option<&MetricsRegistry>) -> DoctorReport {
-        let mut ids: Vec<u64> = self.open.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            self.retire(id);
+        let mut open: Vec<(u64, OpenFlight)> = self.open.drain().collect();
+        open.sort_unstable_by_key(|&(id, _)| id);
+        for (id, of) in open {
+            self.retire_flight(id, of);
         }
         let mut findings = Vec::new();
         for ((cab, peer), acc) in &self.streams {

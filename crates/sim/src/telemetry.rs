@@ -204,9 +204,9 @@ impl EventKind {
     /// as the kind component of the canonical telemetry order (see
     /// `nectar-core`'s `canonical_telemetry_sort`), so same-instant
     /// events from different recorder rings compare identically no
-    /// matter which ring — or which shard — recorded them. Cheap to
-    /// compute on purpose: the streaming doctor sorts every fold batch
-    /// with this key.
+    /// matter which ring — or which shard — recorded them. Also the
+    /// tie-break of flight order: both doctors read one flight's
+    /// same-instant events in this order.
     pub fn canonical_key(&self) -> (u8, u64, u64, u64) {
         match *self {
             EventKind::AppRecv { cab, mailbox, bytes } => {
@@ -281,9 +281,8 @@ impl TelemetryEvent {
     /// The canonical total order over events: `(at, flight, kind
     /// content)`. Merging per-ring (or per-shard) event streams and
     /// sorting by this key yields the same sequence regardless of how
-    /// the run was partitioned — the property both the sharded
-    /// determinism tests and the streaming doctor's fold batches rely
-    /// on.
+    /// the run was partitioned — the property the sharded determinism
+    /// tests rely on.
     pub fn canonical_key(&self) -> (Time, u64, (u8, u64, u64, u64)) {
         (self.at, self.flight.0, self.kind.canonical_key())
     }
