@@ -127,7 +127,7 @@ pub fn e05_fig7_circuit(ctx: &ExpCtx) -> Table {
     let mut sys = NectarSystem::custom(topo, cfg);
     ctx.prepare(sys.world_mut());
     // Watch the walk on HUB2's instrumentation board (our index 1).
-    sys.world_mut().enable_hub_trace(1);
+    sys.world_mut().enable_observability();
     let report = sys.measure_cab_to_cab(cabs[2], cabs[0], 64);
     t.row(&[
         "CAB3 -> CAB1 process latency (2 HUBs)".into(),
@@ -137,10 +137,11 @@ pub fn e05_fig7_circuit(ctx: &ExpCtx) -> Table {
     let trace: Vec<String> = sys
         .world()
         .hub(1)
-        .trace()
-        .by_category(nectar_sim::trace::Category::Controller)
+        .telemetry()
+        .events()
+        .filter(|e| matches!(e.kind, EventKind::ConnectionOpen { .. }))
         .take(2)
-        .map(|r| r.to_string())
+        .map(|e| e.to_string())
         .collect();
     t.row(&[
         "HUB2 instrumentation trace".into(),

@@ -62,7 +62,7 @@ pub mod prelude {
     pub use crate::nectarine::{Nectarine, TaskId};
     pub use crate::node::{NodeConfig, NodeInterface, NodeKind};
     pub use crate::shard::{
-        canonical_delivery_sort, canonical_telemetry_sort, RebalancePolicy, ShardPlan, ShardedWorld,
+        canonical_delivery_sort, canonical_telemetry_sort, ShardPlan, ShardedWorld,
     };
     pub use crate::system::{LatencyReport, NectarSystem, ThroughputReport};
     pub use crate::topology::{Peer, Topology, TopologyBuilder, TopologyError};

@@ -9,7 +9,7 @@
 //! header processing for each packet" (§3.1).
 //!
 //! [`NodeConfig`] carries those costs (defaults calibrated to Sun-3/4
-//! era measurements cited by the paper [3,5,11]) and
+//! era measurements cited by the paper \[3,5,11\]) and
 //! [`NodeInterface`] selects one of the three CAB–node interfaces of
 //! §6.2.3. The per-message overhead composition is pure arithmetic, so
 //! experiment E12 can sweep interfaces without touching the event loop.

@@ -37,15 +37,9 @@
 //! count produces bit-identical metrics, invariant verdicts, and
 //! (canonically sorted) telemetry to a plain sequential run.
 //!
-//! The same property makes **rebalancing** sound: since *any*
-//! partition of the components replays the identical event order, the
-//! partition may change between windows without changing a single
-//! observable. [`RebalancePolicy`] moves whole HUB clusters between
-//! shards at window-barrier epochs — state, pending events (with
-//! their timestamps and keys preserved verbatim), timer tables, and
-//! chaos RNG streams — steered by deterministic simulated-time load
-//! attribution, so a skewed run repartitions itself identically on
-//! every rerun.
+//! The partition is fixed at construction ([`ShardPlan::contiguous`]);
+//! that choice is safe to revisit, because *any* partition of the
+//! components replays the identical `(time, key)` event order.
 //!
 //! [`HubConfig::lookahead`]: nectar_hub::config::HubConfig::lookahead
 
@@ -89,42 +83,6 @@ impl ShardPlan {
         ShardPlan { shard_of_hub, shards }
     }
 
-    /// Partitions `topo`'s HUBs into `shards` contiguous blocks of
-    /// near-equal **weight** (one weight per HUB cluster; a greedy
-    /// prefix scan closes each shard once its share of the total is
-    /// reached, while guaranteeing every shard at least one HUB).
-    /// Equal weights reproduce [`contiguous`](ShardPlan::contiguous)'s
-    /// near-equal-size blocks; skewed weights shrink the hot shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `weights.len() == topo.hub_count()`.
-    pub fn weighted(topo: &Topology, shards: usize, weights: &[u64]) -> ShardPlan {
-        let hubs = topo.hub_count();
-        assert_eq!(weights.len(), hubs, "one weight per HUB");
-        let shards = shards.clamp(1, hubs);
-        // +1 per HUB keeps zero-weight prefixes from collapsing every
-        // idle cluster into shard 0.
-        let total: u128 = weights.iter().map(|&w| w as u128 + 1).sum();
-        let mut shard_of_hub = vec![0usize; hubs];
-        let mut s = 0usize;
-        let mut cum: u128 = 0;
-        for h in 0..hubs {
-            shard_of_hub[h] = s;
-            cum += weights[h] as u128 + 1;
-            let hubs_left = hubs - h - 1;
-            let shards_left = shards - s - 1;
-            // Close shard `s` when it holds its proportional share —
-            // or when the remaining shards need every remaining HUB.
-            if shards_left > 0
-                && (hubs_left == shards_left || cum * shards as u128 >= (s as u128 + 1) * total)
-            {
-                s += 1;
-            }
-        }
-        ShardPlan { shard_of_hub, shards }
-    }
-
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.shards
@@ -139,38 +97,6 @@ impl ShardPlan {
     pub fn shard_of_cab(&self, topo: &Topology, cab: usize) -> usize {
         self.shard_of_hub[topo.cab_attachment(cab).0]
     }
-}
-
-/// When (and how) a running [`ShardedWorld`] repartitions itself.
-///
-/// Plan changes only ever happen at window-barrier epochs, where
-/// migration is provably order-preserving (see the module docs); every
-/// policy is a pure function of simulated-time quantities, so the
-/// window at which a rebalance fires — and the plan it installs — is
-/// identical on every rerun.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub enum RebalancePolicy {
-    /// Never repartition (the default).
-    #[default]
-    Off,
-    /// Every `every_windows` windows, recompute a weighted plan from
-    /// the per-cluster busy time observed *in that epoch* and adopt it
-    /// if it improves the heaviest shard's load by at least 10%
-    /// (hysteresis: marginal wins don't pay the migration and
-    /// thread-respawn cost).
-    Adaptive {
-        /// Epoch length in windows (clamped to at least 1).
-        every_windows: u64,
-    },
-    /// Switch to `plan` once `window` windows have run — the test and
-    /// experiment hook for forcing a mid-run plan change at a chosen
-    /// epoch. `window` must be at least 1.
-    ForceAt {
-        /// Total-window count at which the switch happens.
-        window: u64,
-        /// The plan to install.
-        plan: ShardPlan,
-    },
 }
 
 /// Per-shard routing context carried by a shard's [`World`]: where
@@ -309,7 +235,7 @@ enum EpochExit {
     /// the deadline. Every shard computes the same value.
     Done(u64),
     /// The epoch's window budget ran out — the main thread gets
-    /// single-threaded access for a rebalance decision.
+    /// single-threaded access for a streaming fold.
     Budget,
 }
 
@@ -329,7 +255,6 @@ struct EpochResult {
 #[derive(Clone, Debug, Default)]
 struct RuntimeStats {
     windows: u64,
-    rebalances: u64,
     barrier_wait_ns: Vec<u64>,
     exchanged_events: Vec<u64>,
 }
@@ -363,22 +288,12 @@ pub struct ShardedWorld {
     worlds: Vec<World>,
     /// Window width: `HubConfig::lookahead()` + fiber propagation.
     lookahead: Dur,
-    policy: RebalancePolicy,
-    /// Cumulative per-cluster weights at the last adaptive epoch, so
-    /// each epoch rebalances on the weight *deltas* (recent load, not
-    /// run-lifetime totals).
-    prev_weights: Vec<u64>,
-    /// Window count at which [`RebalancePolicy::Adaptive`] next
-    /// evaluates. Streaming shortens epochs below `every_windows`, so
-    /// the adaptive cadence is tracked here instead of being implied
-    /// by the epoch budget.
-    next_adaptive: u64,
     /// Streaming fold state for multi-shard runs (the 1-shard path
     /// delegates to `worlds[0]`'s own drain-per-step streaming).
     stream: Option<Box<ShardStream>>,
     runtime: RuntimeStats,
     /// Host-time span rings, one per shard worker plus one for the
-    /// main thread (telemetry drain / stream fold / rebalance).
+    /// main thread (telemetry drain / stream fold).
     /// Disabled by default: each scope edge in the worker loop is then
     /// a single branch, preserving the profiler-off wall time.
     profs: Vec<Profiler>,
@@ -414,15 +329,11 @@ impl ShardedWorld {
             .map(|i| World::new_shard(topo.clone(), cfg.clone(), Arc::clone(&plan), i))
             .collect();
         let n = worlds.len();
-        let prev_weights = vec![0; topo.hub_count()];
         ShardedWorld {
             topo,
             plan,
             worlds,
             lookahead,
-            policy: RebalancePolicy::Off,
-            prev_weights,
-            next_adaptive: 0,
             stream: None,
             runtime: RuntimeStats {
                 barrier_wait_ns: vec![0; n],
@@ -443,15 +354,9 @@ impl ShardedWorld {
         &self.topo
     }
 
-    /// The partition in force (rebalancing replaces it mid-run).
+    /// The partition, fixed at construction.
     pub fn plan(&self) -> &ShardPlan {
         &self.plan
-    }
-
-    /// Sets the rebalancing policy. Takes effect at the next epoch
-    /// boundary; see [`RebalancePolicy`].
-    pub fn set_rebalance(&mut self, policy: RebalancePolicy) {
-        self.policy = policy;
     }
 
     /// The window width: the lookahead every shard may run ahead of
@@ -474,7 +379,7 @@ impl ShardedWorld {
 
     /// Switches on the host-time profiler: every shard worker records
     /// phase spans (step, outbox fill, exchange drain, barrier wait)
-    /// and the main thread records drain/fold/rebalance spans. Host
+    /// and the main thread records drain/fold spans. Host
     /// time never feeds the simulated metrics, so results stay
     /// bit-identical with the profiler on or off.
     pub fn enable_profiling(&mut self) {
@@ -504,8 +409,7 @@ impl ShardedWorld {
     /// Per-HUB simulated-time load attribution summed across shards
     /// (only the owning shard contributes nonzero weight): the input
     /// the scaling doctor uses to *name* the hot cluster behind a
-    /// load-imbalance verdict, and the same quantity adaptive
-    /// rebalancing partitions on.
+    /// load-imbalance verdict.
     pub fn cluster_weights(&self) -> Vec<u64> {
         (0..self.topo.hub_count())
             .map(|h| self.worlds.iter().map(|w| w.cluster_weight(h)).sum())
@@ -705,25 +609,10 @@ impl ShardedWorld {
     }
 
     /// Window budget for the next epoch: how many windows the workers
-    /// may run before handing the main thread a rebalance opportunity
-    /// — or, with streaming attached, a drain-and-fold opportunity
-    /// (whichever cadence is shorter).
+    /// may run before handing the main thread a drain-and-fold
+    /// opportunity — the stream cadence, else unbounded.
     fn epoch_budget(&self) -> u64 {
-        let policy = match &self.policy {
-            RebalancePolicy::Off => u64::MAX,
-            RebalancePolicy::Adaptive { every_windows } => (*every_windows).max(1),
-            RebalancePolicy::ForceAt { window, .. } => {
-                if self.runtime.windows < *window {
-                    *window - self.runtime.windows
-                } else {
-                    u64::MAX
-                }
-            }
-        };
-        match &self.stream {
-            Some(st) => policy.min(st.cadence),
-            None => policy,
-        }
+        self.stream.as_ref().map_or(u64::MAX, |st| st.cadence)
     }
 
     /// The threaded YAWNS loop. On return every shard has processed
@@ -733,10 +622,9 @@ impl ShardedWorld {
     /// Structured as a sequence of epochs: worker threads run the
     /// window protocol for at most [`epoch_budget`] windows, then
     /// join, giving the main thread single-threaded access to every
-    /// shard world for a rebalance decision; fresh workers then
-    /// continue from the exact barrier state. With
-    /// [`RebalancePolicy::Off`] the budget is unbounded and exactly
-    /// one epoch runs.
+    /// shard world for a streaming fold; fresh workers then continue
+    /// from the exact barrier state. Without streaming the budget is
+    /// unbounded and exactly one epoch runs.
     ///
     /// [`epoch_budget`]: ShardedWorld::epoch_budget
     fn drive(&mut self, deadline: Time) -> (u64, QuiescenceOutcome) {
@@ -810,7 +698,7 @@ impl ShardedWorld {
                                 prof.end(Phase::Step, win, t0);
                                 if streaming {
                                     // Collect the in-window spill (see
-                                    // `World::spill_tick`) plus ring
+                                    // `World::telemetry_tick`) plus ring
                                     // residue from the worker, so ring
                                     // pressure never depends on the
                                     // epoch fold cadence. Folding still
@@ -882,94 +770,19 @@ impl ShardedWorld {
                 self.runtime.barrier_wait_ns[i] += r.wait_ns;
                 self.runtime.exchanged_events[i] += r.exchanged;
             }
-            match results[0].exit {
-                EpochExit::Done(t) => {
-                    // Fold what's final so rings stay empty between
-                    // drive() calls; at quiescence every shard peek is
-                    // None and everything folds.
-                    self.stream_fold(false);
-                    let outcome = if t == u64::MAX {
-                        QuiescenceOutcome::Quiescent
-                    } else {
-                        QuiescenceOutcome::DeadlineReached
-                    };
-                    return (total_events, outcome);
-                }
-                EpochExit::Budget => {
-                    // Drain before any migration so rings travel empty.
-                    self.stream_fold(false);
-                    let main = self.worlds.len();
-                    let window = self.runtime.windows;
-                    let t0 = self.profs[main].begin();
-                    self.rebalance();
-                    self.profs[main].end(Phase::Rebalance, window, t0);
-                }
-            }
-        }
-    }
-
-    /// The epoch-boundary rebalance step (main thread, workers
-    /// joined): decide on a plan, migrate the clusters whose shard
-    /// changed, and install the plan everywhere.
-    fn rebalance(&mut self) {
-        let hubs = self.topo.hub_count();
-        let new_plan = match self.policy.clone() {
-            RebalancePolicy::Off => return,
-            RebalancePolicy::ForceAt { window, plan } => {
-                if self.runtime.windows != window {
-                    return;
-                }
-                plan
-            }
-            RebalancePolicy::Adaptive { every_windows } => {
-                // Streaming may shorten epochs below `every_windows`;
-                // only evaluate on the policy's own cadence.
-                if self.runtime.windows < self.next_adaptive {
-                    return;
-                }
-                self.next_adaptive = self.runtime.windows + every_windows.max(1);
-                let cum: Vec<u64> = (0..hubs)
-                    .map(|h| self.worlds.iter().map(|w| w.cluster_weight(h)).sum())
-                    .collect();
-                let delta: Vec<u64> =
-                    cum.iter().zip(&self.prev_weights).map(|(c, p)| c.saturating_sub(*p)).collect();
-                self.prev_weights = cum;
-                let cand = ShardPlan::weighted(&self.topo, self.plan.shards(), &delta);
-                if cand == *self.plan {
-                    return;
-                }
-                let load = |plan: &ShardPlan| -> u128 {
-                    let mut per = vec![0u128; plan.shards()];
-                    for (h, &d) in delta.iter().enumerate() {
-                        per[plan.shard_of_hub(h)] += d as u128 + 1;
-                    }
-                    per.into_iter().max().unwrap_or(0)
+            // Fold what's final so rings stay empty between epochs and
+            // between drive() calls; at quiescence every shard peek is
+            // None and everything folds.
+            self.stream_fold(false);
+            if let EpochExit::Done(t) = results[0].exit {
+                let outcome = if t == u64::MAX {
+                    QuiescenceOutcome::Quiescent
+                } else {
+                    QuiescenceOutcome::DeadlineReached
                 };
-                // Hysteresis: migration and thread respawn aren't
-                // free; only adopt a ≥10% heaviest-shard improvement.
-                if load(&cand) * 10 > load(&self.plan) * 9 {
-                    return;
-                }
-                cand
-            }
-        };
-        if new_plan == *self.plan {
-            return;
-        }
-        let old = Arc::clone(&self.plan);
-        let plan = Arc::new(new_plan);
-        for h in 0..hubs {
-            let (from, to) = (old.shard_of_hub(h), plan.shard_of_hub(h));
-            if from != to {
-                let (src, dst) = two_mut(&mut self.worlds, from, to);
-                World::migrate_cluster(src, dst, h);
+                return (total_events, outcome);
             }
         }
-        for w in &mut self.worlds {
-            w.set_shard_plan(Arc::clone(&plan));
-        }
-        self.plan = plan;
-        self.runtime.rebalances += 1;
     }
 
     // ---------------------------------------------------------------
@@ -1027,21 +840,20 @@ impl ShardedWorld {
         reg
     }
 
-    /// Counters about the parallel runner itself: total windows,
-    /// rebalances adopted, and per-shard barrier wait time and
-    /// exchanged cross-shard event counts.
+    /// Counters about the parallel runner itself: total windows, and
+    /// per-shard barrier wait time and exchanged cross-shard event
+    /// counts.
     ///
     /// Deliberately **not** part of [`metrics`](ShardedWorld::metrics):
     /// that registry is bit-compared against sequential runs (and
     /// across shard counts) in tests and CI, while barrier wait is a
     /// property of the host scheduler, not of the simulated system.
-    /// Window, rebalance, and exchange counts *are* deterministic for
-    /// a fixed shard count, but they describe the runner, so they live
-    /// here too.
+    /// Window and exchange counts *are* deterministic for a fixed
+    /// shard count, but they describe the runner, so they live here
+    /// too.
     pub fn runtime_metrics(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         reg.counter_add("runner.windows", self.runtime.windows);
-        reg.counter_add("runner.rebalances", self.runtime.rebalances);
         reg.counter_add("runner.barrier_wait_ns", self.runtime.barrier_wait_ns.iter().sum::<u64>());
         reg.counter_add(
             "runner.exchanged_events",
@@ -1168,18 +980,6 @@ impl ShardedWorld {
             total.port_drops += s.port_drops;
         }
         Some(total)
-    }
-}
-
-/// Disjoint mutable borrows of two distinct slice elements.
-fn two_mut<T>(v: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
-    assert_ne!(a, b, "cannot migrate a cluster to its own shard");
-    if a < b {
-        let (lo, hi) = v.split_at_mut(b);
-        (&mut lo[a], &mut hi[0])
-    } else {
-        let (lo, hi) = v.split_at_mut(a);
-        (&mut hi[0], &mut lo[b])
     }
 }
 

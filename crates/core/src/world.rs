@@ -358,10 +358,9 @@ struct CabState {
 /// immediately, so they never accumulate memory.
 const WORKLOAD_MAILBOX_BASE: u16 = 0x7000;
 
-/// Per-CAB workload accounting. Lives in the world (not `CabState`)
-/// and never migrates: each counter is only ever incremented by the
-/// CAB's owning shard, so summing across shard registries — the same
-/// merge every `cab{c}.*` counter uses — yields the global value.
+/// Per-CAB workload accounting. Each counter is only ever incremented
+/// by the CAB's owning shard, so summing across shard registries — the
+/// same merge every `cab{c}.*` counter uses — yields the global value.
 #[derive(Clone, Copy, Debug, Default)]
 struct WorkloadCounters {
     /// Flows launched (open-loop arrivals + closed-loop launches).
@@ -410,7 +409,7 @@ pub struct World {
     /// HUB (the buffer came from some sender's pool), so the ledger
     /// counts these separately; see `InvariantChecker::check_pool`.
     chaos_freed: u64,
-    /// Scratch for [`run_until`](World::run_until)'s batched drain;
+    /// Scratch for [`run_window`](World::run_window)'s batched drain;
     /// kept across calls so the steady state never allocates.
     batch: Vec<Ev>,
     /// Scratch the HUB entry points append their consequences to;
@@ -451,22 +450,29 @@ pub struct World {
     keys: Vec<u64>,
     /// Sharded-execution context (`None` when this world runs alone).
     shard: Option<ShardCtx>,
-    /// Attached streaming doctor (drain-per-step incremental analysis;
-    /// see [`attach_streaming`](World::attach_streaming)).
-    stream: Option<Box<StreamState>>,
-    /// Engine events processed since the last streaming drain.
-    stream_since: u64,
-    /// Streaming drain cadence in engine events, sized so the rings
-    /// cannot reach capacity between drains.
-    stream_drain_every: u64,
-    /// Spill buffer for sharded streaming: when set, [`run_window`]
-    /// drains the rings into it on the same cadence the sequential
-    /// loops use, so a same-instant event burst can never overflow a
-    /// ring mid-window. The owning worker thread collects it at window
-    /// boundaries; the main thread folds it at epoch boundaries.
-    ///
-    /// [`run_window`]: World::run_window
-    spill: Option<Vec<TelemetryEvent>>,
+    /// Where the run loop drains the telemetry rings to, if anywhere.
+    sink: TelemetrySink,
+    /// Engine events processed since the last sink drain.
+    sink_since: u64,
+    /// Sink drain cadence in engine events.
+    sink_drain_every: u64,
+}
+
+/// What the run loop does with the telemetry rings every
+/// `sink_drain_every` events. Draining on an event cadence (rather than
+/// per batch or per window) is what keeps a same-instant event burst
+/// from overflowing a ring.
+enum TelemetrySink {
+    /// Nothing drains: the rings keep the most recent events for a
+    /// post-hoc read.
+    Rings,
+    /// An attached streaming doctor folds every drain (see
+    /// [`attach_streaming`](World::attach_streaming)).
+    Fold(Box<StreamState>),
+    /// Sharded streaming: drains buffer here; the owning worker thread
+    /// collects the buffer at window boundaries and the main thread
+    /// folds it at epoch boundaries.
+    Spill(Vec<TelemetryEvent>),
 }
 
 /// Scratch and fold state for an attached [`StreamingDoctor`], shared
@@ -479,6 +485,13 @@ pub(crate) struct StreamState {
     pub(crate) pending: Vec<TelemetryEvent>,
     /// Scratch batch handed to the doctor each fold.
     pub(crate) batch: Vec<TelemetryEvent>,
+}
+
+/// The exclusive window end that makes `deadline` inclusive: one
+/// nanosecond later. Saturating, so nothing stamped `Time::MAX` ever
+/// runs — the sharded runner reserves that instant for "no event".
+fn just_after(deadline: Time) -> Time {
+    Time::from_nanos(deadline.nanos().saturating_add(1))
 }
 
 impl StreamState {
@@ -588,10 +601,9 @@ impl World {
             flight_ends: HashMap::new(),
             keys,
             shard,
-            stream: None,
-            stream_since: 0,
-            stream_drain_every: u64::MAX,
-            spill: None,
+            sink: TelemetrySink::Rings,
+            sink_since: 0,
+            sink_drain_every: u64::MAX,
         }
     }
 
@@ -703,89 +715,89 @@ impl World {
         for cs in &mut self.cabs {
             cs.sched.telemetry_mut().set_capacity(capacity);
         }
-        if self.stream.is_some() || self.spill.is_some() {
-            self.stream_drain_every = (self.min_telemetry_capacity() as u64 / 32).max(1);
-        }
+        self.retune_drain_cadence();
+    }
+
+    /// Sizes the sink drain cadence to the smallest ring, so no ring can
+    /// reach capacity between drains.
+    fn retune_drain_cadence(&mut self) {
+        self.sink_drain_every = (self.min_telemetry_capacity() as u64 / 32).max(1);
+    }
+
+    /// Installs `sink` and restarts the drain cadence. Implies
+    /// [`enable_observability`](World::enable_observability).
+    fn set_sink(&mut self, sink: TelemetrySink) {
+        self.enable_observability();
+        self.sink = sink;
+        self.sink_since = 0;
+        self.retune_drain_cadence();
     }
 
     /// Arms the sharded-streaming spill path: ring drains on the
     /// in-window cadence, buffered locally for the shard runner to
-    /// collect (see the `spill` field). Implies
-    /// [`enable_observability`](World::enable_observability).
+    /// collect with [`take_spill`](World::take_spill).
     pub(crate) fn enable_telemetry_spill(&mut self) {
-        self.enable_observability();
-        self.spill = Some(Vec::new());
-        self.stream_since = 0;
-        self.stream_drain_every = (self.min_telemetry_capacity() as u64 / 32).max(1);
+        self.set_sink(TelemetrySink::Spill(Vec::new()));
     }
 
     /// Moves everything captured so far — the spill buffer and the
     /// rings — into `out`.
     pub(crate) fn take_spill(&mut self, out: &mut Vec<TelemetryEvent>) {
-        if let Some(sp) = &mut self.spill {
+        if let TelemetrySink::Spill(sp) = &mut self.sink {
             out.append(sp);
         }
         self.drain_telemetry_into(out);
     }
 
-    /// Counts processed events toward the spill cadence and drains the
-    /// rings into the local buffer when due. One branch when the spill
-    /// path is not armed.
-    #[inline]
-    fn spill_tick(&mut self, processed: u64) {
-        if self.spill.is_none() {
-            return;
-        }
-        self.stream_since += processed;
-        if self.stream_since >= self.stream_drain_every {
-            self.stream_since = 0;
-            let mut sp = self.spill.take().expect("spill checked above");
-            self.drain_telemetry_into(&mut sp);
-            self.spill = Some(sp);
-        }
-    }
-
-    /// Attaches a [`StreamingDoctor`]: from now on the run loops drain
+    /// Attaches a [`StreamingDoctor`]: from now on the run loop drains
     /// the telemetry rings into the incremental fold often enough that
     /// they can never fill, so analysis stays exact (and confident) at
-    /// ring capacities far below the event count. Implies
-    /// [`enable_observability`](World::enable_observability).
+    /// ring capacities far below the event count.
     pub fn attach_streaming(&mut self, cfg: StreamConfig) {
-        self.enable_observability();
-        self.stream_since = 0;
-        self.stream_drain_every = (self.min_telemetry_capacity() as u64 / 32).max(1);
-        self.stream = Some(Box::new(StreamState::new(cfg)));
+        self.set_sink(TelemetrySink::Fold(Box::new(StreamState::new(cfg))));
     }
 
     /// The attached streaming doctor, for live checkpoint polls.
     pub fn stream_doctor(&self) -> Option<&StreamingDoctor> {
-        self.stream.as_ref().map(|st| &st.doctor)
+        match &self.sink {
+            TelemetrySink::Fold(st) => Some(&st.doctor),
+            _ => None,
+        }
     }
 
-    /// Drains the rings and folds every **final** event — those
-    /// stamped strictly before the engine's next event time; nothing
-    /// that early can still be recorded, because every record site
-    /// stamps at-or-after its processing instant. With `finish` the
-    /// boundary is lifted and everything pending folds.
-    fn stream_fold(&mut self, finish: bool) {
-        let Some(mut st) = self.stream.take() else { return };
-        self.drain_telemetry_into(&mut st.pending);
-        st.release(if finish { None } else { self.engine.peek_time() });
-        st.doctor.ingest(&mut st.batch);
-        self.stream = Some(st);
+    /// Drains the rings into the sink. A streaming doctor folds every
+    /// **final** event — those stamped strictly before the engine's
+    /// next event time; nothing that early can still be recorded,
+    /// because every record site stamps at-or-after its processing
+    /// instant. With `finish` the boundary is lifted and everything
+    /// pending folds.
+    fn drain_sink(&mut self, finish: bool) {
+        match std::mem::replace(&mut self.sink, TelemetrySink::Rings) {
+            TelemetrySink::Rings => {}
+            TelemetrySink::Fold(mut st) => {
+                self.drain_telemetry_into(&mut st.pending);
+                st.release(if finish { None } else { self.engine.peek_time() });
+                st.doctor.ingest(&mut st.batch);
+                self.sink = TelemetrySink::Fold(st);
+            }
+            TelemetrySink::Spill(mut sp) => {
+                self.drain_telemetry_into(&mut sp);
+                self.sink = TelemetrySink::Spill(sp);
+            }
+        }
     }
 
-    /// Counts processed events toward the drain cadence and folds when
-    /// due. One branch when streaming is not attached.
+    /// Counts one processed event toward the drain cadence and drains
+    /// when due. One branch when no sink is attached.
     #[inline]
-    fn stream_tick(&mut self, processed: u64) {
-        if self.stream.is_none() {
+    fn telemetry_tick(&mut self) {
+        if matches!(self.sink, TelemetrySink::Rings) {
             return;
         }
-        self.stream_since += processed;
-        if self.stream_since >= self.stream_drain_every {
-            self.stream_since = 0;
-            self.stream_fold(false);
+        self.sink_since += 1;
+        if self.sink_since >= self.sink_drain_every {
+            self.sink_since = 0;
+            self.drain_sink(false);
         }
     }
 
@@ -795,9 +807,12 @@ impl World {
     /// end of run, then build the report with
     /// [`StreamingDoctor::into_report`] over [`metrics`](World::metrics).
     pub fn finish_streaming(&mut self) -> Option<StreamingDoctor> {
-        self.stream.as_ref()?;
-        self.stream_fold(true);
-        let mut st = self.stream.take()?;
+        self.stream_doctor()?;
+        self.drain_sink(true);
+        let TelemetrySink::Fold(mut st) = std::mem::replace(&mut self.sink, TelemetrySink::Rings)
+        else {
+            return None;
+        };
         let (hwm, dropped) = self.telemetry_pressure();
         st.doctor.note_ring(hwm, dropped);
         Some(st.doctor)
@@ -1252,12 +1267,6 @@ impl World {
         &self.hubs[idx]
     }
 
-    /// Enables the instrumentation-board trace on HUB `idx` (§4.1's
-    /// plug-in monitor). Read it back via [`hub`](World::hub).
-    pub fn enable_hub_trace(&mut self, idx: usize) {
-        self.hubs[idx].trace_mut().set_enabled(true);
-    }
-
     /// Replies received by each CAB, in arrival order: `(cab, reply,
     /// at)`. Populated by circuit-open acks and `query status` answers.
     pub fn replies(&self) -> &[(usize, nectar_hub::command::Reply, Time)] {
@@ -1349,37 +1358,10 @@ impl World {
 
     /// Processes events until the queue drains or the clock passes
     /// `deadline`; either way the clock ends at `deadline` (or later if
-    /// the last event ran past it). Returns the number of events
-    /// processed.
-    ///
-    /// The drain is batched: every event sharing the earliest pending
-    /// timestamp is popped in one scheduler operation (a HUB cycle's
-    /// worth of emissions, ready signals, and internal transitions all
-    /// land on the same 70 ns grid), then dispatched in FIFO order.
-    /// Timer events cancelled by an earlier event in the same batch are
-    /// filtered by the timer table in [`dispatch`](World::dispatch).
+    /// it was already past it). Returns the number of events processed.
     pub fn run_until(&mut self, deadline: Time) -> u64 {
-        let mut n = 0;
-        let mut batch = std::mem::take(&mut self.batch);
-        while let Some(at) = self.engine.peek_time() {
-            if at > deadline {
-                break;
-            }
-            self.engine.step_batch(&mut batch);
-            n += batch.len() as u64;
-            // Tick the drain cadence per event, not per batch: a batch
-            // holds every event sharing one timestamp, and a workload
-            // seeding 10^5 same-instant launches would overflow the
-            // rings before a post-batch drain ever ran.
-            for ev in batch.drain(..) {
-                self.dispatch(ev);
-                self.stream_tick(1);
-            }
-        }
-        self.batch = batch;
-        if self.engine.now() < deadline {
-            self.engine.advance_to(deadline);
-        }
+        let n = self.run_window(just_after(deadline));
+        self.engine.advance_to(deadline);
         n
     }
 
@@ -1436,54 +1418,46 @@ impl World {
     /// system actually settled. Returns the events processed and which
     /// condition stopped the run.
     pub fn run_to_quiescence(&mut self, deadline: Time) -> (u64, QuiescenceOutcome) {
-        let mut n = 0;
-        let mut batch = std::mem::take(&mut self.batch);
-        loop {
-            let Some(at) = self.engine.peek_time() else {
-                self.batch = batch;
-                return (n, QuiescenceOutcome::Quiescent);
-            };
-            if at > deadline {
-                self.batch = batch;
-                self.engine.advance_to(deadline);
-                return (n, QuiescenceOutcome::DeadlineReached);
-            }
-            self.engine.step_batch(&mut batch);
-            n += batch.len() as u64;
-            // Per-event cadence for the same reason as `run_until`:
-            // same-timestamp batches can be arbitrarily large.
-            for ev in batch.drain(..) {
-                self.dispatch(ev);
-                self.stream_tick(1);
-            }
+        let n = self.run_window(just_after(deadline));
+        if self.engine.peek_time().is_none() {
+            return (n, QuiescenceOutcome::Quiescent);
         }
+        self.engine.advance_to(deadline);
+        (n, QuiescenceOutcome::DeadlineReached)
     }
 
     // ---------------------------------------------------------------
     // Sharded execution hooks (driven by `shard::ShardedWorld`)
     // ---------------------------------------------------------------
 
-    /// Processes every queued event strictly before `end` (a YAWNS
-    /// window). Events *at* `end` stay queued: they may tie with
-    /// cross-shard events still in another shard's outbox, and ties
-    /// must be broken by key with both sides present. The clock is
-    /// left at the last processed event. Returns events processed.
+    /// The one event loop: processes every queued event strictly
+    /// before `end` and leaves the clock at the last processed event.
+    /// Returns events processed. [`run_until`](World::run_until) and
+    /// [`run_to_quiescence`](World::run_to_quiescence) are this with an
+    /// inclusive deadline; the sharded runner calls it directly as a
+    /// YAWNS window, where events *at* `end` must stay queued: they may
+    /// tie with cross-shard events still in another shard's outbox, and
+    /// ties must be broken by key with both sides present.
+    ///
+    /// The drain is batched: every event sharing the earliest pending
+    /// timestamp is popped in one scheduler operation (a HUB cycle's
+    /// worth of emissions, ready signals, and internal transitions all
+    /// land on the same 70 ns grid), then dispatched in FIFO order.
+    /// Timer events cancelled by an earlier event in the same batch are
+    /// filtered by the timer table in [`dispatch`](World::dispatch).
     pub(crate) fn run_window(&mut self, end: Time) -> u64 {
         let mut n = 0;
         let mut batch = std::mem::take(&mut self.batch);
-        while let Some(at) = self.engine.peek_time() {
-            if at >= end {
-                break;
-            }
+        while self.engine.peek_time().is_some_and(|at| at < end) {
             self.engine.step_batch(&mut batch);
             n += batch.len() as u64;
-            // Per-event cadence for the same reason as `run_until`: a
-            // workload's same-instant launch wave arrives as one batch
-            // and would overflow the rings before any between-window
-            // drain ran.
+            // Tick the drain cadence per event, not per batch: a batch
+            // holds every event sharing one timestamp, and a workload
+            // seeding 10^5 same-instant launches would overflow the
+            // rings before a post-batch drain ever ran.
             for ev in batch.drain(..) {
                 self.dispatch(ev);
-                self.spill_tick(1);
+                self.telemetry_tick();
             }
         }
         self.batch = batch;
@@ -1519,21 +1493,12 @@ impl World {
         }
     }
 
-    /// Replaces the shard plan (a rebalance adopted at a window
-    /// barrier). A no-op for unsharded worlds.
-    pub(crate) fn set_shard_plan(&mut self, plan: std::sync::Arc<ShardPlan>) {
-        if let Some(ctx) = &mut self.shard {
-            ctx.plan = plan;
-        }
-    }
-
     /// Deterministic load attribution for HUB `hub`'s cluster: the
     /// simulated busy time of the attached CABs' kernels plus one HUB
-    /// cycle per item the HUB handled. Simulated-time quantities only —
-    /// every shard (and every rerun) computes the same weights, so an
-    /// adaptive repartition is itself deterministic. Non-owned
-    /// components are pristine and contribute zero, so summing a
-    /// cluster's weight across shards yields its global weight.
+    /// cycle per item the HUB handled. Simulated-time quantities only,
+    /// so every rerun computes the same weights. Non-owned components
+    /// are pristine and contribute zero, so summing a cluster's weight
+    /// across shards yields its global weight.
     pub(crate) fn cluster_weight(&self, hub: usize) -> u64 {
         let hc = self.hubs[hub].counters();
         let cycle = self.cfg.hub.cycle.nanos();
@@ -1547,94 +1512,11 @@ impl World {
         w
     }
 
-    /// Moves HUB `hub`'s cluster — the HUB, its attached CABs, their
-    /// pending events, tie-break key counters, protocol timer tables,
-    /// armed ready-timeout handles, and chaos RNG streams — from `src`
-    /// to `dst`.
-    ///
-    /// Only sound **at a window-barrier epoch**, where three facts
-    /// hold: no event batch is in flight (the timer table is exactly
-    /// 1:1 with pending `CabTimer` engine events, and a CAB's
-    /// `ready_timeout` handle with its one pending live
-    /// `CabReadyTimeout`), every outbox has
-    /// been exchanged (no cluster traffic is parked outside an
-    /// engine), and every pending event's timestamp is at or beyond
-    /// the last window's end — which is strictly after both worlds'
-    /// clocks, so re-insertion into `dst`'s engine can never schedule
-    /// into its past. Timestamps and keys are preserved verbatim, so
-    /// the merged `(time, key)` event order — and therefore every
-    /// observable — is bit-identical to a run that never migrated.
-    pub(crate) fn migrate_cluster(src: &mut World, dst: &mut World, hub: usize) {
-        let mine: Vec<bool> =
-            (0..src.topo.cab_count()).map(|c| src.topo.cab_attachment(c).0 == hub).collect();
-        let moved = src.engine.extract_if(|ev| match ev {
-            Ev::HubItem { hub: h, .. }
-            | Ev::HubReady { hub: h, .. }
-            | Ev::HubInternal { hub: h, .. } => *h == hub,
-            Ev::CabItem { cab, .. }
-            | Ev::CabItemReplay { cab, .. }
-            | Ev::CabReadySignal { cab }
-            | Ev::CabPacketReady { cab, .. }
-            | Ev::CabTimer { cab, .. }
-            | Ev::CabReadyTimeout { cab, .. }
-            | Ev::AppSend { cab, .. }
-            | Ev::WorkloadTick { cab, .. }
-            | Ev::WorkloadLaunch { cab, .. }
-            | Ev::WorkloadReply { cab, .. } => mine[*cab],
-        });
-        std::mem::swap(&mut src.hubs[hub], &mut dst.hubs[hub]);
-        let hub_key_src = src.cabs.len() + hub;
-        std::mem::swap(&mut src.keys[hub_key_src], &mut dst.keys[hub_key_src]);
-        let mut cab16: Vec<u16> = Vec::new();
-        for (c, owned) in mine.iter().enumerate() {
-            if *owned {
-                std::mem::swap(&mut src.cabs[c], &mut dst.cabs[c]);
-                std::mem::swap(&mut src.keys[c], &mut dst.keys[c]);
-                // The live timer table travelled with the CAB but its
-                // EventIds point into `src`'s engine; rebuild it from
-                // the re-inserted events below (exactly 1:1 at an
-                // epoch boundary).
-                let stale = dst.cabs[c].timers.len();
-                dst.cabs[c].timers.clear();
-                dst.cabs[c].timers.reserve(stale);
-                // Likewise the armed ready-timeout's handle.
-                dst.cabs[c].ready_timeout = None;
-                cab16.push(c as u16);
-            }
-        }
-        for (at, key, ev) in moved {
-            match ev {
-                Ev::CabTimer { cab, source, token } => {
-                    let id = dst.engine.schedule_at_keyed(at, key, ev);
-                    dst.cabs[cab].timers.insert((source, token.0), id);
-                }
-                Ev::CabReadyTimeout { cab, gen } if gen == dst.cabs[cab].ready_gen => {
-                    let id = dst.engine.schedule_at_keyed(at, key, ev);
-                    dst.cabs[cab].ready_timeout = Some(id);
-                }
-                _ => {
-                    dst.engine.schedule_at_keyed(at, key, ev);
-                }
-            }
-        }
-        if let (Some(a), Some(b)) = (src.chaos.as_mut(), dst.chaos.as_mut()) {
-            b.absorb_component_state(a.extract_component_state(&cab16, &[hub as u8]));
-        }
-        // Workload RNG streams follow their CABs the same way chaos
-        // clause streams do; never-started streams move implicitly
-        // (seeds derive from spec seed + class + CAB).
-        if let (Some(a), Some(b)) = (src.workload.as_mut(), dst.workload.as_mut()) {
-            b.generator.absorb_component_state(a.generator.extract_component_state(&cab16));
-        }
-    }
-
     /// Advances the clock to `t` if it lags (window-barrier clock
     /// normalization; time-derived gauges like fiber utilization read
     /// the clock, so every shard must end on the same instant).
     pub(crate) fn advance_clock(&mut self, t: Time) {
-        if self.engine.now() < t {
-            self.engine.advance_to(t);
-        }
+        self.engine.advance_to(t);
     }
 
     // ---------------------------------------------------------------
@@ -2533,5 +2415,52 @@ pub(crate) fn join_flights(
         if let Some(end) = ends.get(id) {
             out.observe(end.saturating_since(*birth).nanos());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A world with three inert events (stale ready-timeouts: the fiber
+    /// is ready, so they dispatch to nothing) at `t-1`, `t`, `t+1`.
+    fn three_events(t: Time) -> World {
+        let mut w = World::new(Topology::single_hub(2, 16), SystemConfig::default());
+        for at in [t.nanos() - 1, t.nanos(), t.nanos() + 1] {
+            let key = w.next_key(0);
+            let ev = Ev::CabReadyTimeout { cab: 0, gen: 0 };
+            w.engine.schedule_at_keyed(Time::from_nanos(at), key, ev);
+        }
+        w
+    }
+
+    #[test]
+    fn drain_loop_deadline_boundaries() {
+        let t = Time::from_micros(5);
+        let (before, after) = (Time::from_nanos(t.nanos() - 1), Time::from_nanos(t.nanos() + 1));
+
+        // A window is exclusive and leaves the clock on the last event.
+        let mut w = three_events(t);
+        assert_eq!(w.run_window(t), 1);
+        assert_eq!(w.now(), before);
+
+        // `run_until` is inclusive and ends exactly at the deadline.
+        let mut w = three_events(t);
+        assert_eq!(w.run_until(t), 2);
+        assert_eq!(w.now(), t);
+        assert_eq!(w.next_event_time(), Some(after));
+
+        // `run_to_quiescence` is inclusive too; the clock reads the
+        // deadline when work remains, the last event when none does.
+        let mut w = three_events(t);
+        assert_eq!(w.run_to_quiescence(t), (2, QuiescenceOutcome::DeadlineReached));
+        assert_eq!(w.now(), t);
+        assert_eq!(w.run_to_quiescence(Time::from_millis(1)), (1, QuiescenceOutcome::Quiescent));
+        assert_eq!(w.now(), after);
+
+        // With no deadline to speak of, all three drain everything.
+        assert_eq!(three_events(t).run_window(Time::MAX), 3);
+        assert_eq!(three_events(t).run_until(Time::MAX), 3);
+        assert_eq!(three_events(t).run_to_quiescence(Time::MAX), (3, QuiescenceOutcome::Quiescent));
     }
 }

@@ -106,18 +106,6 @@ fn differential(
     schedule: Option<&ChaosSchedule>,
     shards: usize,
 ) -> (Observed, Observed) {
-    differential_policy(topo, schedule, shards, RebalancePolicy::Off)
-}
-
-/// Like [`differential`], with a rebalancing policy on the sharded
-/// side — the sequential reference never rebalances, so agreement
-/// proves mid-run migration changes nothing observable.
-fn differential_policy(
-    topo: &Topology,
-    schedule: Option<&ChaosSchedule>,
-    shards: usize,
-    policy: RebalancePolicy,
-) -> (Observed, Observed) {
     let (sends, expected) = workload(topo);
     let deadline = Time::from_millis(400);
 
@@ -159,7 +147,6 @@ fn differential_policy(
 
     // Sharded run.
     let mut par = ShardedWorld::new(topo.clone(), SystemConfig::default(), shards);
-    par.set_rebalance(policy);
     par.enable_observability();
     if let Some(s) = schedule {
         par.set_chaos(s.clone());
@@ -307,125 +294,6 @@ fn shard_plan_is_contiguous_and_clamped() {
     // More shards than HUBs clamps.
     let tiny = Topology::single_hub(2, 16);
     assert_eq!(nectar_core::shard::ShardPlan::contiguous(&tiny, 64).shards(), 1);
-}
-
-/// A forced plan change at a fixed window epoch: hub 0 gets a huge
-/// synthetic weight so the weighted plan differs from the contiguous
-/// one the run started with, guaranteeing real cluster migrations.
-fn skewed_plan(topo: &Topology, shards: usize) -> ShardPlan {
-    let mut weights = vec![0u64; topo.hub_count()];
-    weights[0] = 1_000_000;
-    let plan = ShardPlan::weighted(topo, shards, &weights);
-    assert_ne!(
-        plan,
-        ShardPlan::contiguous(topo, shards),
-        "skewed plan must differ from the initial plan or the test forces nothing"
-    );
-    plan
-}
-
-/// Runs the forced-rebalance differential for one topology, clean and
-/// under chaos: results must stay bit-identical to sequential even
-/// though whole HUB clusters (state, pending events, timers, chaos RNG
-/// streams) moved between shards mid-run.
-fn forced_rebalance_case(name: &str, topo: &Topology, shards: usize) {
-    let plan = skewed_plan(topo, shards);
-    for (label, schedule) in [("clean", None), ("chaos", Some(chaos()))] {
-        let policy = RebalancePolicy::ForceAt { window: 8, plan: plan.clone() };
-        let (seq, par) = differential_policy(topo, schedule.as_ref(), shards, policy);
-        assert_identical(&format!("{name}/{label}/forced-rebalance"), &seq, &par);
-    }
-}
-
-#[test]
-fn mesh_forced_rebalance_matches_sequential() {
-    forced_rebalance_case("mesh", &Topology::mesh2d(2, 2, 3, 16), 3);
-}
-
-#[test]
-fn fat_star_forced_rebalance_matches_sequential() {
-    forced_rebalance_case("fat_star", &Topology::fat_star(4, 4, 16), 3);
-}
-
-#[test]
-fn wide_star_forced_rebalance_matches_sequential() {
-    forced_rebalance_case("wide_star", &Topology::fat_star(8, 2, 16), 4);
-}
-
-/// The forced plan is actually adopted (exactly one rebalance, and the
-/// live plan is the forced one) — guards against a silently ignored
-/// policy making the differential tests vacuous.
-#[test]
-fn forced_rebalance_adopts_the_plan() {
-    let topo = Topology::fat_star(4, 4, 16);
-    let plan = skewed_plan(&topo, 3);
-    let (sends, _) = workload(&topo);
-    let mut par = ShardedWorld::new(topo.clone(), SystemConfig::default(), 3);
-    par.set_rebalance(RebalancePolicy::ForceAt { window: 8, plan: plan.clone() });
-    for (at, cab, send) in sends {
-        par.schedule_send(at, cab, send);
-    }
-    par.run_to_quiescence(Time::from_millis(400));
-    assert_eq!(*par.plan(), plan, "forced plan not adopted");
-    let runtime = par.runtime_metrics().to_json();
-    assert!(runtime.contains("\"runner.rebalances\": 1"), "{runtime}");
-}
-
-/// Adaptive rebalancing under chaos stays bit-identical to sequential
-/// — the load attribution is simulated-time only, so the epochs where
-/// it repartitions (if any) are the same on every rerun.
-#[test]
-fn fat_star_adaptive_rebalance_matches_sequential() {
-    let topo = Topology::fat_star(4, 4, 16);
-    let s = chaos();
-    let policy = RebalancePolicy::Adaptive { every_windows: 64 };
-    let (seq, par) = differential_policy(&topo, Some(&s), 3, policy.clone());
-    assert_identical("fat_star/chaos/adaptive", &seq, &par);
-    // Run-to-run determinism of the adaptive path: same plan, same
-    // window count, same rebalance count on a rerun.
-    let (_, par2) = differential_policy(&topo, Some(&s), 3, policy);
-    assert_eq!(par.metrics, par2.metrics, "adaptive rerun diverged");
-}
-
-/// `ShardPlan::weighted` invariants: contiguous, every shard
-/// non-empty, equal weights reproduce near-equal blocks, and skew
-/// shrinks the hot shard.
-#[test]
-fn weighted_plan_invariants() {
-    let topo = Topology::fat_star(8, 2, 16); // 9 HUBs
-    let hubs = topo.hub_count();
-    for (weights, label) in [
-        (vec![1u64; hubs], "uniform"),
-        (vec![0u64; hubs], "all-zero"),
-        (
-            {
-                let mut w = vec![1u64; hubs];
-                w[0] = 1_000_000;
-                w
-            },
-            "skewed",
-        ),
-    ] {
-        for shards in 1..=hubs {
-            let plan = ShardPlan::weighted(&topo, shards, &weights);
-            assert_eq!(plan.shards(), shards, "{label}/{shards}");
-            let mut seen = vec![0usize; shards];
-            let mut last = 0;
-            for h in 0..hubs {
-                let s = plan.shard_of_hub(h);
-                assert!(s == last || s == last + 1, "{label}/{shards}: contiguous blocks");
-                seen[s] += 1;
-                last = s;
-            }
-            assert!(seen.iter().all(|&c| c > 0), "{label}/{shards}: empty shard");
-        }
-    }
-    // Skew isolates the hot HUB: with enough shards it sits alone.
-    let mut w = vec![1u64; hubs];
-    w[0] = 1_000_000;
-    let plan = ShardPlan::weighted(&topo, 4, &w);
-    assert_eq!(plan.shard_of_hub(0), 0);
-    assert_ne!(plan.shard_of_hub(1), 0, "hot HUB should be isolated");
 }
 
 /// The host-time profiler is observation-only: simulated results are

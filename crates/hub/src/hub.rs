@@ -37,7 +37,6 @@ use crate::item::Item;
 use crate::status::PortStatus;
 use nectar_sim::telemetry::{EventKind, FlightId, Telemetry};
 use nectar_sim::time::Time;
-use nectar_sim::trace::{Category, Trace};
 use std::collections::VecDeque;
 
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -137,7 +136,6 @@ pub struct Hub {
     ctrl_free: Time,
     retries: Vec<PendingRetry>,
     counters: HubCounters,
-    trace: Trace,
     telemetry: Telemetry,
     next_seq: u64,
 }
@@ -154,7 +152,6 @@ impl Hub {
             ctrl_free: Time::ZERO,
             retries: Vec::new(),
             counters: HubCounters::new(),
-            trace: Trace::disabled(),
             telemetry: Telemetry::default(),
             next_seq: 0,
         }
@@ -173,16 +170,6 @@ impl Hub {
     /// Event counters since power-on (or `clear counters`).
     pub fn counters(&self) -> &HubCounters {
         &self.counters
-    }
-
-    /// The instrumentation-board trace (disabled by default).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Mutable access to the trace, e.g. to enable it.
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// The typed flight-recorder events (disabled by default).
@@ -269,7 +256,6 @@ impl Hub {
             let deadline = now + self.cfg.wire_time(free);
             fx.defer(deadline, InternalEv::OverflowCheck { port, seq });
         }
-        self.trace.record_with(now, Category::Port, || format!("{} {port} <- {item}", self.id));
         if let Item::Packet(pkt) = &item {
             // Span boundary: fiber serialization ends, crossbar queue
             // wait begins. Paired with this flight's crossbar_forward
@@ -299,7 +285,6 @@ impl Hub {
             return;
         }
         self.ports[port.index()].ready = true;
-        self.trace.record_with(now, Category::Port, || format!("{} {port} ready", self.id));
         self.wake_retries_for(now, port, fx);
     }
 
@@ -323,9 +308,6 @@ impl Hub {
                     p.queued_bytes -= dropped.charged;
                     p.head = HeadState::Idle;
                     self.counters.drops += 1;
-                    self.trace.record_with(now, Category::Port, || {
-                        format!("{} {port} stuck item discarded: {}", self.id, dropped.item)
-                    });
                     self.start_head(now, port, fx);
                 }
             }
@@ -333,9 +315,6 @@ impl Hub {
                 for out in outputs.iter() {
                     if self.xbar.input_for(out) == Some(input) {
                         self.xbar.disconnect_output(out);
-                        self.trace.record_with(now, Category::Crossbar, || {
-                            format!("{} close-behind {input}->{out}", self.id)
-                        });
                         self.record_close(now, input, out);
                         self.wake_retries_for(now, out, fx);
                     }
@@ -432,11 +411,6 @@ impl Hub {
                 },
             );
         }
-        self.trace.record_with(emit_at, Category::Crossbar, || {
-            let outs: Vec<PortId> = outs.iter().collect();
-            let item = &self.ports[port.index()].queue.front().expect("head exists").item;
-            format!("{} fwd {port}->{outs:?} {item}", self.id)
-        });
         if is_close_all {
             fx.defer(emit_at + wire, InternalEv::CloseBehind { input: port, outputs: outs });
         }
@@ -468,9 +442,6 @@ impl Hub {
         let removed = p.queue.remove(idx).expect("index in range");
         p.queued_bytes -= removed.charged;
         self.counters.overflows += 1;
-        self.trace.record_with(now, Category::Port, || {
-            format!("{} {port} overflow: {}", self.id, removed.item)
-        });
         if idx == 0 {
             // The blocked head was the victim; drop any retry it holds.
             self.retries.retain(|r| !(r.port == port && r.seq == seq));
@@ -493,9 +464,6 @@ impl Hub {
             _ => return,
         };
         self.counters.commands_executed += 1;
-        self.trace.record_with(now, Category::Controller, || {
-            format!("{} exec [{cmd}] from {port}", self.id)
-        });
         match cmd.op {
             Op::User(user) => self.exec_user(now, port, expected, cmd, user, fx),
             Op::Supervisor(sup) => {
@@ -520,9 +488,6 @@ impl Hub {
                 let ok = self.try_open(port, target, test);
                 if ok {
                     self.counters.opens_succeeded += 1;
-                    self.trace.record_with(now, Category::Crossbar, || {
-                        format!("{} open {port}->{target}", self.id)
-                    });
                     self.telemetry.record(
                         now,
                         FlightId::NONE,
@@ -749,9 +714,6 @@ impl Hub {
             }
             None => {
                 self.counters.replies_dropped += 1;
-                self.trace.record_with(now, Category::Port, || {
-                    format!("{} {port} reply dropped (no reverse path)", self.id)
-                });
             }
         }
     }

@@ -595,9 +595,8 @@ fn byte_and_packet_counters_accumulate() {
 #[test]
 fn trace_records_command_walk_when_enabled() {
     let mut hub = hub0();
-    hub.trace_mut().set_enabled(true);
+    hub.telemetry_mut().set_enabled(true);
     drive(&mut hub, vec![(0, 4, open(false, false, 8)), (240, 4, packet(1, 16))], vec![]);
-    let ctrl: Vec<_> = hub.trace().by_category(Category::Controller).collect();
-    assert!(!ctrl.is_empty(), "controller activity is traced");
-    assert!(ctrl[0].message.contains("open"), "{}", ctrl[0].message);
+    let open = EventKind::ConnectionOpen { hub: 0, input: 4, output: 8 };
+    assert!(hub.telemetry().events().any(|e| e.kind == open), "the controller's open is recorded");
 }

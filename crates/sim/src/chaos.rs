@@ -666,72 +666,6 @@ impl ChaosInjector {
         }
         drop
     }
-    /// Lifts the per-component RNG streams and channel states for the
-    /// given CABs and HUBs out of this injector, for transplant into
-    /// another shard's injector when the components migrate (adaptive
-    /// shard rebalancing).
-    ///
-    /// Both injectors must be compiled from the same schedule: stream
-    /// seeds derive from (schedule seed, clause position, component),
-    /// so a stream that was never started moves implicitly — the
-    /// receiving injector lazily creates the identical stream. Only
-    /// *started* streams carry consumed-draw state that must move.
-    pub fn extract_component_state(&mut self, cabs: &[u16], hubs: &[u8]) -> ChaosMigration {
-        let matches = |k: u32| {
-            cabs.iter().any(|&c| k == c as u32)
-                || hubs.iter().any(|&h| (k & 0xFFFF_FF00) == (0x0100_0000 | ((h as u32) << 8)))
-        };
-        let per_clause = self
-            .states
-            .iter_mut()
-            .map(|st| {
-                let rng_keys: Vec<u32> = st.rngs.keys().copied().filter(|&k| matches(k)).collect();
-                let rngs = rng_keys
-                    .into_iter()
-                    .map(|k| (k, st.rngs.remove(&k).expect("key just enumerated")))
-                    .collect();
-                let bad_keys: Vec<u32> = st.bad.keys().copied().filter(|&k| matches(k)).collect();
-                let bad = bad_keys
-                    .into_iter()
-                    .map(|k| (k, st.bad.remove(&k).expect("key just enumerated")))
-                    .collect();
-                (rngs, bad)
-            })
-            .collect();
-        ChaosMigration { per_clause }
-    }
-
-    /// Installs component state previously lifted with
-    /// [`extract_component_state`](ChaosInjector::extract_component_state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two injectors were compiled from schedules with
-    /// different clause counts — transplanting streams across
-    /// schedules would silently desynchronize the draw sequence.
-    pub fn absorb_component_state(&mut self, migration: ChaosMigration) {
-        assert_eq!(
-            migration.per_clause.len(),
-            self.states.len(),
-            "chaos migration between injectors compiled from different schedules"
-        );
-        for (st, (rngs, bad)) in self.states.iter_mut().zip(migration.per_clause) {
-            st.rngs.extend(rngs);
-            st.bad.extend(bad);
-        }
-    }
-}
-
-/// One clause's migrating state: the moved RNG streams and
-/// Gilbert–Elliott channel states, by component key.
-type ClauseMigration = (Vec<(u32, Rng)>, Vec<(u32, bool)>);
-
-/// Per-component injector state in transit between two shards'
-/// injectors; see [`ChaosInjector::extract_component_state`].
-#[derive(Debug)]
-pub struct ChaosMigration {
-    /// Parallel to the injector's clause list.
-    per_clause: Vec<ClauseMigration>,
 }
 
 /// `true` when a flap clause anchored at `from` has the link down at

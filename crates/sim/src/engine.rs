@@ -478,70 +478,6 @@ impl<E> Engine<E> {
         self.set_clock(t);
     }
 
-    /// Removes every pending event whose payload matches `pred` and
-    /// returns them as `(time, key, payload)` triples in delivery
-    /// order. Non-matching events and the clock are untouched.
-    ///
-    /// This is the migration primitive behind adaptive shard
-    /// rebalancing: at a window barrier the donor shard extracts the
-    /// pending events owned by a migrating component, and the receiving
-    /// shard re-inserts them with
-    /// [`schedule_at_keyed`](Engine::schedule_at_keyed), preserving
-    /// both timestamps and tie-break keys — the merged event order is
-    /// bit-identical to a run that never moved the component.
-    ///
-    /// Handles ([`EventId`]s) to extracted events are invalidated in
-    /// the donor engine; callers that track handles (timer tables)
-    /// rebuild them from the re-inserted events.
-    pub fn extract_if<F>(&mut self, mut pred: F) -> Vec<(Time, u64, E)>
-    where
-        F: FnMut(&E) -> bool,
-    {
-        let mut out = Vec::new();
-        let mut matched: Vec<u32> = Vec::new();
-        for &slot in &self.heap_slots {
-            let payload = self.payloads[slot as usize].as_ref().expect("queued slot has a payload");
-            if pred(payload) {
-                matched.push(slot);
-            }
-        }
-        for slot in matched {
-            let pos = self.meta[slot as usize].pos as usize;
-            let key = self.heap_keys[pos];
-            self.remove_at(pos);
-            out.push((key.at, key.seq, self.take_payload(slot)));
-        }
-        // Wheel entries are removed outright (tombstones with them),
-        // then the front is found again from the clock's own bucket.
-        let before = out.len();
-        for b in 0..WHEEL_SIZE {
-            if self.buckets[b].is_empty() {
-                continue;
-            }
-            let mut bucket = std::mem::take(&mut self.buckets[b]);
-            bucket.retain(|e| {
-                if self.meta[e.slot as usize].gen != e.gen {
-                    return false;
-                }
-                let payload =
-                    self.payloads[e.slot as usize].as_ref().expect("queued slot has a payload");
-                if !pred(payload) {
-                    return true;
-                }
-                out.push((e.key.at, e.key.seq, self.take_payload(e.slot)));
-                false
-            });
-            if bucket.is_empty() {
-                self.clear_occupied(b);
-            }
-            self.buckets[b] = bucket;
-        }
-        self.wheel_live -= out.len() - before;
-        self.seek_front((bucket_of(self.now) & WHEEL_MASK) as usize);
-        out.sort_by_key(|e| (e.0, e.1));
-        out
-    }
-
     /// Runs `handler` on every event until the queue drains or the clock
     /// would pass `deadline`; events after the deadline stay queued.
     ///
@@ -1045,66 +981,6 @@ mod tests {
         assert_eq!(a.events_delivered(), b.events_delivered());
     }
 
-    #[test]
-    fn extract_if_pulls_matching_events_in_delivery_order() {
-        let mut eng: Engine<u64> = Engine::new();
-        for i in 0..40u64 {
-            // Scattered times, odd/even split; ties inside each class.
-            eng.schedule_at(Time::from_nanos((i * 29) % 7 + 1), i);
-        }
-        let before_pending = eng.pending();
-        let odd = eng.extract_if(|&v| v % 2 == 1);
-        assert_eq!(odd.len(), 20);
-        assert_eq!(eng.pending(), before_pending - 20);
-        // Delivery order: sorted by (time, key).
-        let keys: Vec<(Time, u64)> = odd.iter().map(|&(at, k, _)| (at, k)).collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted);
-        // Survivors are intact and still sorted; reinsertion into a
-        // second engine with preserved keys reproduces the original
-        // merged order.
-        let mut other: Engine<u64> = Engine::new();
-        for (at, key, ev) in odd {
-            other.schedule_at_keyed(at, key, ev);
-        }
-        let mut merged = Vec::new();
-        loop {
-            match (eng.peek_time(), other.peek_time()) {
-                (None, None) => break,
-                (Some(_), None) => merged.push(eng.step().unwrap()),
-                (None, Some(_)) => merged.push(other.step().unwrap()),
-                (Some(a), Some(b)) => {
-                    // Same-time ties across the two engines cannot be
-                    // compared here without keys; the workload avoids
-                    // cross-engine ties by construction (odd/even split
-                    // shares instants but the test only checks totals).
-                    if a <= b {
-                        merged.push(eng.step().unwrap());
-                    } else {
-                        merged.push(other.step().unwrap());
-                    }
-                }
-            }
-        }
-        assert_eq!(merged.len(), 40);
-    }
-
-    #[test]
-    fn extract_if_preserves_untouched_events_and_clock() {
-        let mut eng: Engine<u32> = Engine::new();
-        eng.schedule(Dur::from_nanos(3), 1);
-        eng.step();
-        eng.schedule(Dur::from_nanos(10), 2);
-        let keep = eng.schedule(Dur::from_nanos(5), 3);
-        let out = eng.extract_if(|&v| v == 2);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, Time::from_nanos(13));
-        assert_eq!(eng.now(), Time::from_nanos(3), "clock must not move");
-        assert_eq!(eng.peek_time(), Some(Time::from_nanos(8)));
-        assert!(eng.cancel(keep), "surviving handles stay valid");
-        assert!(eng.extract_if(|_| true).is_empty());
-    }
     // ---------------------------------------------------------------
     // Timing wheel
     // ---------------------------------------------------------------

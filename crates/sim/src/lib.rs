@@ -10,8 +10,8 @@
 //! * [`engine`] — the [`Engine`](engine::Engine) event queue.
 //! * [`rng`] — seeded, reproducible randomness for workloads.
 //! * [`stats`] — counters, sample distributions, throughput meters.
-//! * [`trace`] — the software analogue of the HUB instrumentation board.
-//! * [`telemetry`] — typed flight-recorder events with causal flight ids.
+//! * [`telemetry`] — typed flight-recorder events with causal flight ids:
+//!   the software analogue of the HUB instrumentation board.
 //! * [`metrics`] — the unified counter/gauge/histogram registry.
 //! * [`export`] — Chrome trace-event (Perfetto) JSON rendering.
 //! * [`json`] — string escaping and a small parser for export checks.
@@ -55,7 +55,6 @@ pub mod spec;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
-pub mod trace;
 pub mod units;
 pub mod workload;
 
@@ -68,7 +67,6 @@ pub mod prelude {
     pub use crate::stats::{Counter, Samples, Throughput, TimeWeighted};
     pub use crate::telemetry::{EventKind, FlightId, Telemetry, TelemetryEvent};
     pub use crate::time::{Dur, Time};
-    pub use crate::trace::{Category, Trace};
     pub use crate::units::Bandwidth;
     pub use crate::workload::{WorkloadGen, WorkloadSpec};
 }

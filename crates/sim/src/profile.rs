@@ -43,11 +43,11 @@ pub fn host_now_ns() -> u64 {
 }
 
 /// Number of [`Phase`] variants (array-index bound for breakdowns).
-pub const PHASES: usize = 7;
+pub const PHASES: usize = 6;
 
 /// A phase of the sharded runner's loop, the unit of host-time
 /// attribution. The first four happen on every shard worker each
-/// window; the last three happen on the runner's main thread at epoch
+/// window; the last two happen on the runner's main thread at epoch
 /// boundaries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
@@ -65,8 +65,6 @@ pub enum Phase {
     TelemetryDrain,
     /// Folding drained telemetry into the streaming doctor.
     StreamFold,
-    /// Epoch-boundary rebalance decision and cluster migration.
-    Rebalance,
 }
 
 impl Phase {
@@ -78,7 +76,6 @@ impl Phase {
         Phase::BarrierWait,
         Phase::TelemetryDrain,
         Phase::StreamFold,
-        Phase::Rebalance,
     ];
 
     /// Dense index into `[u64; PHASES]` breakdown arrays.
@@ -90,7 +87,6 @@ impl Phase {
             Phase::BarrierWait => 3,
             Phase::TelemetryDrain => 4,
             Phase::StreamFold => 5,
-            Phase::Rebalance => 6,
         }
     }
 
@@ -103,7 +99,6 @@ impl Phase {
             Phase::BarrierWait => "barrier_wait",
             Phase::TelemetryDrain => "telemetry_drain",
             Phase::StreamFold => "stream_fold",
-            Phase::Rebalance => "rebalance",
         }
     }
 }
@@ -244,7 +239,7 @@ impl Profiler {
 
 /// The collected profile of one sharded run: one track per shard
 /// worker plus one final track for the runner's main thread
-/// (telemetry drain, streaming fold, rebalance migration).
+/// (telemetry drain, streaming fold).
 #[derive(Clone, Debug)]
 pub struct HostProfile {
     /// Worker track count (== shard count).
@@ -378,10 +373,13 @@ pub struct ProfileAnalysis {
     /// Spans lost to ring overflow (nonzero means the oldest windows
     /// are missing from the breakdown).
     pub spans_dropped: u64,
+    /// `false` when any span was dropped: wall time, breakdowns, and
+    /// verdicts then describe only the surviving tail of the run.
+    pub confident: bool,
     /// Per-shard phase breakdown and critical-path attribution.
     pub per_shard: Vec<ShardBreakdown>,
-    /// Main-thread phase totals (telemetry drain, stream fold,
-    /// rebalance), indexed by [`Phase::index`].
+    /// Main-thread phase totals (telemetry drain, stream fold),
+    /// indexed by [`Phase::index`].
     pub main_ns: [u64; PHASES],
     /// Parallel efficiency: summed step time over `shards × wall`.
     pub efficiency: f64,
@@ -404,17 +402,19 @@ impl ProfileAnalysis {
     pub fn render(&self) -> String {
         let mut out = String::new();
         let ms = |ns: u64| ns as f64 / 1e6;
+        if !self.confident {
+            out.push_str(&format!(
+                "  !! profiler ring dropped {} spans — capture truncated, \
+                 wall time and verdicts cover only the surviving windows\n",
+                self.spans_dropped
+            ));
+        }
         out.push_str(&format!(
-            "host-time profile: {} shard(s), {} windows ({} complete), wall {:.3} ms{}\n",
+            "host-time profile: {} shard(s), {} windows ({} complete), wall {:.3} ms\n",
             self.shards,
             self.windows,
             self.complete_windows,
             ms(self.wall_ns),
-            if self.spans_dropped > 0 {
-                format!(", {} spans dropped", self.spans_dropped)
-            } else {
-                String::new()
-            }
         ));
         out.push_str(
             "shard      step_ms   outbox_ms  exchange_ms  barrier_ms  bounded  critical\n",
@@ -433,13 +433,11 @@ impl ProfileAnalysis {
         }
         let drain = self.main_ns[Phase::TelemetryDrain.index()];
         let fold = self.main_ns[Phase::StreamFold.index()];
-        let reb = self.main_ns[Phase::Rebalance.index()];
-        if drain + fold + reb > 0 {
+        if drain + fold > 0 {
             out.push_str(&format!(
-                "main       drain {:.3} ms, fold {:.3} ms, rebalance {:.3} ms\n",
+                "main       drain {:.3} ms, fold {:.3} ms\n",
                 ms(drain),
-                ms(fold),
-                ms(reb)
+                ms(fold)
             ));
         }
         out.push_str(&format!(
@@ -473,12 +471,14 @@ impl ProfileAnalysis {
         let mut out = String::from("{");
         out.push_str(&format!(
             "\"shards\": {}, \"windows\": {}, \"complete_windows\": {}, \"wall_ms\": {:.3}, \
-             \"spans_dropped\": {}, \"efficiency\": {:.4}, \"karp_flatt\": {:.4}",
+             \"spans_dropped\": {}, \"confident\": {}, \"efficiency\": {:.4}, \
+             \"karp_flatt\": {:.4}",
             self.shards,
             self.windows,
             self.complete_windows,
             ms(self.wall_ns),
             self.spans_dropped,
+            self.confident,
             self.efficiency,
             self.karp_flatt
         ));
@@ -501,7 +501,7 @@ impl ProfileAnalysis {
             ));
         }
         out.push_str("], \"main\": {");
-        let mains = [Phase::TelemetryDrain, Phase::StreamFold, Phase::Rebalance];
+        let mains = [Phase::TelemetryDrain, Phase::StreamFold];
         for (i, ph) in mains.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
@@ -725,6 +725,7 @@ pub fn analyze(profile: &HostProfile, ctx: &AnalyzeCtx) -> ProfileAnalysis {
         complete_windows,
         wall_ns,
         spans_dropped: profile.dropped,
+        confident: profile.dropped == 0,
         per_shard,
         main_ns,
         efficiency,
@@ -781,6 +782,20 @@ mod tests {
         assert_eq!(p.dropped(), 2);
         let windows: Vec<u64> = p.spans().map(|s| s.window).collect();
         assert_eq!(windows, vec![2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn dropped_spans_make_the_analysis_unconfident_and_loud() {
+        let mut profile = synthetic(8, [100, 100], [0, 0]);
+        let clean = analyze(&profile, &ctx(2));
+        assert!(clean.confident);
+        assert!(!clean.render().contains("!!"));
+        assert!(clean.to_json().contains("\"confident\": true"));
+        profile.dropped = 3;
+        let truncated = analyze(&profile, &ctx(2));
+        assert!(!truncated.confident);
+        assert!(truncated.render().starts_with("  !! profiler ring dropped 3 spans"));
+        assert!(truncated.to_json().contains("\"confident\": false"));
     }
 
     #[test]

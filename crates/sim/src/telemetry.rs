@@ -1,11 +1,10 @@
-//! Typed telemetry events — the flight recorder behind the trace ring.
+//! Typed telemetry events — the flight recorder.
 //!
 //! The HUB's plug-in instrumentation board "can monitor and record
 //! events related to the crossbar and its controller" (paper §4.1).
-//! [`Trace`](crate::trace::Trace) models that board with free-form
-//! strings; this module is the structured counterpart: a fixed set of
-//! [`EventKind`]s carrying component ids and a [`FlightId`], so a
-//! message can be followed causally from the sending application
+//! This module models that board, and extends it past the HUB: a fixed
+//! set of [`EventKind`]s carrying component ids and a [`FlightId`], so
+//! a message can be followed causally from the sending application
 //! through CAB DMA, every HUB hop, and delivery on the far side.
 //!
 //! Events are `Copy` and recording while disabled costs exactly one

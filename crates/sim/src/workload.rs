@@ -633,15 +633,6 @@ pub struct WorkloadGen {
     cluster_of: Vec<u16>,
 }
 
-/// Per-`(class, CAB)` state in transit between two shards' generators
-/// when a cluster migrates (adaptive rebalancing); see
-/// [`WorkloadGen::extract_component_state`].
-#[derive(Debug)]
-pub struct WorkloadMigration {
-    /// Parallel to the generator's class list.
-    per_class: Vec<Vec<(u16, SrcState)>>,
-}
-
 impl WorkloadGen {
     fn new(spec: WorkloadSpec, cluster_of: Vec<u16>) -> Result<WorkloadGen, String> {
         let cabs = cluster_of.len();
@@ -737,38 +728,6 @@ impl WorkloadGen {
         let size = cs.spec.size;
         let st = stream(&mut cs.streams, cs.seed, cab);
         draw_size(&mut st.rng, size)
-    }
-
-    /// Lifts the per-CAB RNG streams for the given CABs out of this
-    /// generator, for transplant into another shard's generator when
-    /// the CABs' cluster migrates. Both generators must be compiled
-    /// from the same spec: stream seeds derive from (spec seed, class
-    /// position, CAB), so never-started streams move implicitly.
-    pub fn extract_component_state(&mut self, cabs: &[u16]) -> WorkloadMigration {
-        let per_class = self
-            .classes
-            .iter_mut()
-            .map(|cs| cabs.iter().filter_map(|c| cs.streams.remove(c).map(|st| (*c, st))).collect())
-            .collect();
-        WorkloadMigration { per_class }
-    }
-
-    /// Installs state previously lifted with
-    /// [`extract_component_state`](WorkloadGen::extract_component_state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two generators were compiled from specs with
-    /// different class counts.
-    pub fn absorb_component_state(&mut self, migration: WorkloadMigration) {
-        assert_eq!(
-            migration.per_class.len(),
-            self.classes.len(),
-            "workload migration between generators compiled from different specs"
-        );
-        for (cs, moved) in self.classes.iter_mut().zip(migration.per_class) {
-            cs.streams.extend(moved);
-        }
     }
 }
 
@@ -1028,24 +987,6 @@ mod tests {
             from_b.push(b.next_open(0, 2));
         }
         assert_eq!(from_a, from_b, "per-CAB streams must be query-order independent");
-    }
-
-    #[test]
-    fn migration_preserves_streams() {
-        let spec =
-            WorkloadSpec::parse(9, "closed(8,0ns,uniform(32,512),uniform,datagram)").unwrap();
-        let cluster: Vec<u16> = (0..6).map(|i| i / 3).collect();
-        let mut whole = spec.compile(cluster.clone()).unwrap();
-        let mut left = spec.compile(cluster.clone()).unwrap();
-        let mut right = spec.compile(cluster).unwrap();
-        for _ in 0..20 {
-            let w = whole.closed_flow(0, 4);
-            assert_eq!(left.closed_flow(0, 4), w);
-        }
-        right.absorb_component_state(left.extract_component_state(&[3, 4, 5]));
-        for _ in 0..20 {
-            assert_eq!(right.closed_flow(0, 4), whole.closed_flow(0, 4), "stream must travel");
-        }
     }
 
     #[test]

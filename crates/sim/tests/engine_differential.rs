@@ -4,9 +4,9 @@
 //! The reference keeps pending events in a plain `Vec` and scans for
 //! the `(at, key)` minimum on every delivery — too slow to ship,
 //! trivially correct by inspection. Random interleavings of schedule,
-//! keyed schedule, cancel, step, batch-drain, extraction and clock
-//! advancement must produce identical delivery order, clocks, cancel
-//! results, and peeks on both implementations.
+//! keyed schedule, cancel, step, batch-drain and clock advancement
+//! must produce identical delivery order, clocks, cancel results, and
+//! peeks on both implementations.
 //!
 //! Delays reach well past the engine's 262 µs wheel horizon and
 //! cluster around it, and clock advances span more than a whole
@@ -35,10 +35,6 @@ enum Op {
     Advance {
         delta: u64,
     },
-    /// Pull out every pending event whose payload is `residue` mod 3.
-    Extract {
-        residue: u64,
-    },
 }
 
 /// Delays on both sides of the wheel horizon (4096 × 64 ns), with a
@@ -59,7 +55,6 @@ fn op() -> impl Strategy<Value = Op> {
         Just(Op::StepBatch),
         Just(Op::StepBatch),
         (1u64..400_000).prop_map(|delta| Op::Advance { delta }),
-        (0u64..3).prop_map(|residue| Op::Extract { residue }),
     ]
 }
 
@@ -114,15 +109,6 @@ impl Model {
         batch.sort_unstable();
         self.pending.retain(|&(t, _)| t != at);
         Some((at, batch))
-    }
-
-    /// Filter, then sort by `(at, key)`.
-    fn extract_if(&mut self, pred: impl Fn(u64) -> bool) -> Vec<(Time, u64)> {
-        let mut out: Vec<(Time, u64)> =
-            self.pending.iter().copied().filter(|&(_, s)| pred(s)).collect();
-        out.sort_unstable();
-        self.pending.retain(|&(_, s)| !pred(s));
-        out
     }
 }
 
@@ -195,17 +181,6 @@ proptest! {
                         eng.advance_to(t);
                         model.now = t;
                     }
-                }
-                Op::Extract { residue } => {
-                    let got: Vec<(Time, u64)> = eng
-                        .extract_if(|&v| v % 3 == residue)
-                        .into_iter()
-                        .map(|(at, key, v)| {
-                            assert_eq!(key, v, "extract_if returns the scheduling key");
-                            (at, v)
-                        })
-                        .collect();
-                    prop_assert_eq!(got, model.extract_if(|v| v % 3 == residue));
                 }
             }
             // Cross-check every observable after every operation.
