@@ -8,24 +8,63 @@
 //! YAWNS window protocol: the topology is partitioned into shards
 //! (each HUB with its attached CABs, in configurable contiguous
 //! groups), each shard runs its own [`World`] with its own engine,
-//! and all shards repeatedly
+//! and all shards meet at one **rendezvous** per window. At
+//! rendezvous `k` every shard
 //!
-//! 1. publish their next event time and agree on the global minimum
-//!    `T`,
-//! 2. execute every local event in the window `[T, T + lookahead)`,
+//! 1. swaps its non-empty outboxes into its row of the exchange grid
+//!    of parity `k & 1`, noting the smallest timestamp it sent,
+//! 2. publishes `peek[k & 1] = min(own next event time, smallest
+//!    timestamp sent)` and then `epoch = k + 1` in its own
+//!    cache-line-aligned slot,
+//! 3. waits until every peer's `epoch > k`,
+//! 4. drains its column of the parity-`k & 1` grid into its engine,
+//!    and
+//! 5. leaves with `Budget` if the epoch's window budget is spent —
+//!    everything sent is ingested at that point, so the streaming
+//!    fold's finality boundary is exact — else takes `T`, the
+//!    minimum over every shard's `peek[k & 1]`, leaves with `Done(T)`
+//!    when `T` is past the deadline or nothing is pending anywhere,
+//!    and otherwise executes every local event in `[T, T + lookahead)`,
 //!    collecting cross-shard fiber traffic into per-destination
 //!    outboxes (every such event lands at `>= T + lookahead` — that
-//!    is what lookahead means), and
-//! 3. exchange outboxes at a barrier and ingest.
+//!    is what lookahead means).
+//!
+//! **Why `peek` carries the sender-side minimum.** `T` must be the
+//! earliest pending event anywhere, including events still in flight
+//! between shards. The receiver cannot know those before it drains
+//! them, but the sender does: folding the smallest sent timestamp
+//! into the sender's `peek` accounts for every in-flight event exactly
+//! once, so the minimum over all `peek`s equals the minimum next event
+//! time *after* ingestion — without a second rendezvous to re-read it.
+//! Window boundaries are therefore the same as if every shard peeked
+//! only after the exchange had completed.
+//!
+//! **Why two parities suffice.** A shard writes the parity-`k & 1`
+//! cells and `peek[k & 1]` at rendezvous `k` and next at rendezvous
+//! `k + 2`. To get there it must pass the wait of rendezvous `k + 1`,
+//! which needs every peer's `epoch > k + 1` — and a peer publishes
+//! `epoch = k + 2` only at step 2 of rendezvous `k + 1`, after it has
+//! finished steps 3–5 of rendezvous `k`: its drain of the parity-`k & 1`
+//! column and its read of every `peek[k & 1]`. So no shard is ever
+//! more than one rendezvous ahead of the slowest reader of its slot
+//! and cells, a writer of parity `p` never overlaps a reader of parity
+//! `p`, and a waiter may see a peer's epoch at `k + 2` but never
+//! beyond (hence `> k`, not `== k + 1`). One parity would not do: a
+//! shard that passed the wait of rendezvous `k` could publish
+//! rendezvous `k + 1` while a slower peer is still reading `k`'s
+//! values.
 //!
 //! The exchange is **batched**: each window moves whole
 //! per-destination vectors through a lock-uncontended N×N slot grid
 //! (one buffer swap per non-empty source→destination pair, zero
 //! allocation in steady state) instead of pushing events one at a
-//! time through shared mutexes. The barrier itself backs off in three
-//! stages — spin, yield, park — and accounts the nanoseconds every
-//! shard spends waiting, so `nectar-doctor` and `report --scaling`
-//! can attribute synchronization overhead precisely.
+//! time through shared mutexes. The rendezvous has no shared counter:
+//! a shard writes only its own slot and reads its peers' slots, so
+//! the cost of a crossing is one cache-line transfer per peer. The
+//! wait backs off in three stages — spin, yield, park — and accounts
+//! the nanoseconds every shard spends waiting, so `nectar-doctor` and
+//! `report --scaling` can attribute synchronization overhead
+//! precisely.
 //!
 //! Determinism is non-negotiable and does not come from the window
 //! protocol alone: it comes from **keyed event ordering**. Every
@@ -55,7 +94,7 @@ use nectar_sim::telemetry::TelemetryEvent;
 use nectar_sim::time::{Dur, Time};
 use nectar_sim::workload::WorkloadSpec;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -101,18 +140,20 @@ impl ShardPlan {
 
 /// Per-shard routing context carried by a shard's [`World`]: where
 /// every HUB lives, which shard this world is, and the per-destination
-/// outbox filled during a window and exchanged at the barrier.
+/// outbox filled during a window and exchanged at the next rendezvous.
 pub(crate) struct ShardCtx {
     pub(crate) plan: Arc<ShardPlan>,
     pub(crate) id: usize,
     pub(crate) outbox: Vec<Vec<(Time, u64, Ev)>>,
 }
 
-/// Spin iterations before the first yield. Windows are sub-microsecond
-/// when shards hold their own cores, so the fast path must resolve in
-/// the spin stage; 2^14 pause-loop iterations is a few microseconds —
-/// past any healthy window, so reaching yield means a genuinely
-/// stalled peer (page fault, preemption), not an ordinary imbalance.
+/// Spin iterations before the first yield. Windows are around a
+/// microsecond when shards hold their own cores, so the fast path must
+/// resolve in the spin stage; 2^14 pause-loop iterations is some
+/// hundreds of microseconds (about 35 ns each on the development
+/// host) — past any healthy window, so reaching yield means a
+/// genuinely stalled peer (page fault, preemption), not an ordinary
+/// imbalance.
 const SPIN_LIMIT: u32 = 1 << 14;
 
 /// Yields between the spin stage and parking. Each yield donates the
@@ -121,85 +162,181 @@ const SPIN_LIMIT: u32 = 1 << 14;
 /// no longer dominates.
 const YIELD_LIMIT: u32 = 64;
 
-/// A three-stage backoff barrier: spin, then yield, then park on a
-/// condvar — and it reports how long each waiter waited.
+/// Host cores available to this process (affinity-aware). A syscall
+/// and some cgroup file reads on Linux: ask once, not per `drive()`.
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
+/// One shard's publication slot, alone on its cache lines (128 bytes
+/// covers the adjacent-line prefetcher too): written only by its
+/// owner, read by every peer, so a rendezvous costs one line transfer
+/// per peer and no line is ever contended between writers.
+#[repr(align(128))]
+struct Slot {
+    /// Rendezvous this shard has published: `k + 1` once its cells and
+    /// `peek[k & 1]` for rendezvous `k` are in place. The `Release`
+    /// store pairs with the peers' `Acquire` loads in
+    /// [`Rendezvous::arrived`]; `peek` and the grid cells ride on that
+    /// pair.
+    epoch: AtomicU64,
+    /// `min(own next event time, smallest timestamp sent)` per parity,
+    /// `u64::MAX` for "nothing".
+    peek: [AtomicU64; 2],
+}
+
+/// The per-window meeting point: per-shard [`Slot`]s instead of a
+/// shared arrival counter, with a three-stage wait — spin, then yield,
+/// then park on a condvar — that reports how long each waiter waited.
 ///
-/// One barrier serves both regimes the old code split across two
-/// types. When every shard holds a core, waiters resolve in the spin
-/// stage at ~100 ns per crossing. When shards outnumber cores,
-/// spinning burns the timeslice the *arriving* thread needs, so the
-/// spin stage is skipped entirely (`spin_limit == 0`) and waiters
-/// yield briefly, then park. The returned wait time feeds the
-/// `barrier_wait_ns` runtime counters — the number `report --scaling`
-/// and `nectar-doctor` use to attribute synchronization overhead.
-struct BackoffBarrier {
-    n: usize,
+/// When every shard holds a core, waiters resolve in the spin stage.
+/// When shards outnumber cores, spinning burns the timeslice the
+/// *arriving* thread needs, so the spin stage is skipped entirely
+/// (`spin_limit == 0`) and waiters yield briefly, then park. The
+/// returned wait time feeds the `barrier_wait_ns` runtime counters —
+/// the number `report --scaling` and `nectar-doctor` use to attribute
+/// synchronization overhead.
+struct Rendezvous {
+    slots: Vec<Slot>,
     spin_limit: u32,
-    count: AtomicUsize,
-    generation: AtomicUsize,
+    /// Waiters currently in (or entering) the park stage. A publisher
+    /// touches `lock`/`cv` only when this is nonzero.
+    parked: AtomicUsize,
     lock: Mutex<()>,
     cv: Condvar,
 }
 
-impl BackoffBarrier {
-    fn new(n: usize) -> BackoffBarrier {
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        BackoffBarrier {
-            n,
+impl Rendezvous {
+    fn new(n: usize, cores: usize) -> Rendezvous {
+        let slots = (0..n)
+            .map(|_| Slot {
+                epoch: AtomicU64::new(0),
+                peek: [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)],
+            })
+            .collect();
+        Rendezvous {
+            slots,
             spin_limit: if n <= cores { SPIN_LIMIT } else { 0 },
-            count: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
+            parked: AtomicUsize::new(0),
             lock: Mutex::new(()),
             cv: Condvar::new(),
         }
     }
 
-    /// Waits for all `n` threads; returns the nanoseconds this caller
-    /// spent waiting (0 for the last arriver, which never waits).
-    fn wait(&self) -> u64 {
-        let gen = self.generation.load(Ordering::SeqCst);
-        if self.count.fetch_add(1, Ordering::SeqCst) + 1 == self.n {
-            self.count.store(0, Ordering::SeqCst);
-            // Publish the new generation under the park lock so a
-            // waiter that checked the generation and is about to park
-            // cannot miss the wakeup.
-            let guard = self.lock.lock().expect("no panics hold this lock");
-            self.generation.fetch_add(1, Ordering::SeqCst);
-            drop(guard);
+    /// Publishes shard `me`'s arrival at rendezvous `k` with its
+    /// `peek`, and wakes parked waiters if there are any.
+    fn publish(&self, me: usize, k: u64, peek: u64) {
+        let slot = &self.slots[me];
+        slot.peek[(k & 1) as usize].store(peek, Ordering::Relaxed);
+        slot.epoch.store(k + 1, Ordering::Release);
+        // Store-then-load against `park`'s register-then-check: the
+        // two SeqCst fences guarantee that either this load sees the
+        // registration, or the waiter's check sees the epoch.
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Relaxed) > 0 {
+            // Taking the lock orders this wake-up after any check a
+            // registered waiter made before it started waiting.
+            drop(self.lock.lock().expect("no panics hold this lock"));
             self.cv.notify_all();
+        }
+    }
+
+    /// Whether every peer of `me` has published rendezvous `k`. A peer
+    /// can be one rendezvous ahead, never more, hence `>`.
+    fn arrived(&self, me: usize, k: u64) -> bool {
+        self.slots
+            .iter()
+            .enumerate()
+            .all(|(j, slot)| j == me || slot.epoch.load(Ordering::Acquire) > k)
+    }
+
+    /// Waits until every peer has published rendezvous `k`; returns
+    /// the nanoseconds this caller spent waiting (0, without reading
+    /// the clock, when everyone was already there).
+    fn wait(&self, me: usize, k: u64) -> u64 {
+        if self.arrived(me, k) {
             return 0;
         }
         let start = Instant::now();
         let mut tries = 0u32;
-        while self.generation.load(Ordering::SeqCst) == gen {
-            tries = tries.wrapping_add(1);
+        loop {
+            tries += 1;
             if tries <= self.spin_limit {
                 std::hint::spin_loop();
             } else if tries <= self.spin_limit + YIELD_LIMIT {
                 std::thread::yield_now();
             } else {
-                let mut guard = self.lock.lock().expect("no panics hold this lock");
-                while self.generation.load(Ordering::SeqCst) == gen {
-                    guard = self.cv.wait(guard).expect("no panics hold this lock");
-                }
+                self.park(me, k);
+                break;
+            }
+            if self.arrived(me, k) {
                 break;
             }
         }
         start.elapsed().as_nanos() as u64
     }
+
+    /// The park stage: registers as parked, then sleeps on the condvar
+    /// until every peer has published rendezvous `k`.
+    fn park(&self, me: usize, k: u64) {
+        self.parked.fetch_add(1, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        let mut guard = self.lock.lock().expect("no panics hold this lock");
+        while !self.arrived(me, k) {
+            guard = self.cv.wait(guard).expect("no panics hold this lock");
+        }
+        drop(guard);
+        self.parked.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// The global minimum pending event time `T` for rendezvous `k`.
+    /// Call only after [`wait`](Rendezvous::wait) returned for `k`:
+    /// its `Acquire` loads make every peer's `peek[k & 1]` visible,
+    /// and no peer rewrites that parity before this shard publishes
+    /// rendezvous `k + 1`.
+    fn min_peek(&self, k: u64) -> u64 {
+        self.slots
+            .iter()
+            .map(|slot| slot.peek[(k & 1) as usize].load(Ordering::Relaxed))
+            .min()
+            .expect("at least one shard")
+    }
+}
+
+/// Wall time for `shards` threads to cross `crossings` consecutive
+/// rendezvous with nothing in between: the floor under the per-window
+/// price, for `barrier_bench` to keep in the ledger next to the real
+/// thing.
+pub fn rendezvous_ping(shards: usize, crossings: u64) -> std::time::Duration {
+    let rendezvous = &Rendezvous::new(shards, host_cores());
+    let start = Instant::now();
+    std::thread::scope(|s| {
+        for me in 0..shards {
+            s.spawn(move || {
+                for k in 0..crossings {
+                    rendezvous.publish(me, k, k);
+                    rendezvous.wait(me, k);
+                    std::hint::black_box(rendezvous.min_peek(k));
+                }
+            });
+        }
+    });
+    start.elapsed()
 }
 
 /// One cell of the batched exchange grid: the window's event batch
 /// from one source shard to one destination shard.
 ///
-/// The mutex is never contended — the window protocol's barriers
-/// separate the producer phase (source `i` touches only row `i`,
-/// between run-window and the exchange barrier) from the consumer
-/// phase (destination `d` touches only column `d`, after it) — it
-/// exists to keep the grid in safe Rust. The `filled` flag spares the
-/// consumer a lock acquisition per empty cell, which is most cells:
-/// cross-shard traffic is sparse by construction (topology-local
-/// workloads are the whole point of the partition).
+/// The mutex is never contended — the rendezvous separates the
+/// producer (source `i` touches only row `i`, before it publishes
+/// rendezvous `k`) from the consumer (destination `d` touches only
+/// column `d`, after its wait for `k` returned), and the two grids
+/// alternate by parity so the producer's next fill never meets a
+/// consumer still draining — it exists to keep the grid in safe Rust.
+/// The `filled` flag spares the consumer a lock acquisition per empty
+/// cell, which is most cells: cross-shard traffic is sparse by
+/// construction (topology-local workloads are the whole point of the
+/// partition).
 struct ExchangeCell {
     filled: AtomicBool,
     batch: Mutex<Vec<(Time, u64, Ev)>>,
@@ -297,6 +434,10 @@ pub struct ShardedWorld {
     /// Disabled by default: each scope edge in the worker loop is then
     /// a single branch, preserving the profiler-off wall time.
     profs: Vec<Profiler>,
+    /// Host cores available, read once at construction: decides
+    /// whether waiters spin, and tells the scaling doctor whether the
+    /// run was oversubscribed.
+    cores: usize,
 }
 
 /// The [`StreamingDoctor`] and its scratch buffers when streaming is
@@ -341,6 +482,7 @@ impl ShardedWorld {
                 ..RuntimeStats::default()
             },
             profs: (0..=n).map(|_| Profiler::disabled()).collect(),
+            cores: host_cores(),
         }
     }
 
@@ -399,11 +541,7 @@ impl ShardedWorld {
         if !self.profiling_enabled() {
             return None;
         }
-        Some(HostProfile {
-            shards: self.worlds.len(),
-            tracks: self.profs.iter().map(|p| p.spans().copied().collect()).collect(),
-            dropped: self.profs.iter().map(|p| p.dropped()).sum(),
-        })
+        Some(HostProfile::collect(self.worlds.len(), &self.profs))
     }
 
     /// Per-HUB simulated-time load attribution summed across shards
@@ -422,9 +560,8 @@ impl ShardedWorld {
     /// `None` when profiling is off.
     pub fn profile_analysis(&self) -> Option<ProfileAnalysis> {
         let hp = self.host_profile()?;
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
         let ctx = AnalyzeCtx {
-            cores,
+            cores: self.cores,
             cluster_weights: self.cluster_weights(),
             shard_of_hub: (0..self.topo.hub_count()).map(|h| self.plan.shard_of_hub(h)).collect(),
         };
@@ -623,7 +760,9 @@ impl ShardedWorld {
     /// window protocol for at most [`epoch_budget`] windows, then
     /// join, giving the main thread single-threaded access to every
     /// shard world for a streaming fold; fresh workers then continue
-    /// from the exact barrier state. Without streaming the budget is
+    /// at the next rendezvous index. An epoch always ends right after
+    /// an exchange (see the module doc), so no event is in flight
+    /// while the main thread folds. Without streaming the budget is
     /// unbounded and exactly one epoch runs.
     ///
     /// [`epoch_budget`]: ShardedWorld::epoch_budget
@@ -634,10 +773,12 @@ impl ShardedWorld {
         // Window-end cap: events AT the deadline still run (sequential
         // semantics), anything later stays queued.
         let cap = deadline_ns.saturating_add(1);
-        let peeks: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let grid = ExchangeGrid::new(n);
-        let barrier = BackoffBarrier::new(n);
-        let (peeks, grid, barrier) = (&peeks, &grid, &barrier);
+        let rendezvous = Rendezvous::new(n, self.cores);
+        let grids = [ExchangeGrid::new(n), ExchangeGrid::new(n)];
+        let (rendezvous, grids) = (&rendezvous, &grids);
+        // Index of the next rendezvous; runs on across epochs so the
+        // parities keep alternating.
+        let mut next_rendezvous = 0u64;
         let mut total_events = 0u64;
         let streaming = self.stream.is_some();
         loop {
@@ -667,27 +808,66 @@ impl ShardedWorld {
                                 exit: EpochExit::Budget,
                             };
                             loop {
+                                // A window's spans are its rendezvous
+                                // (fill, wait, drain) and then its step.
                                 let win = base + res.windows;
-                                let peek = world.next_event_time().map_or(u64::MAX, |t| t.nanos());
-                                peeks[i].store(peek, Ordering::SeqCst);
-                                // Barrier spans take the barrier's own
-                                // measured wait, so profile barrier
-                                // time and `runner.barrier_wait_ns`
-                                // agree exactly.
+                                let k = next_rendezvous + res.windows;
+                                let grid = &grids[(k & 1) as usize];
+                                // Producer: swap every non-empty outbox
+                                // into this shard's row of the grid. The
+                                // swapped-in buffer is the (empty, warm)
+                                // one the consumer left behind two
+                                // rendezvous ago.
                                 let t0 = prof.begin();
-                                let waited = barrier.wait();
+                                let mut sent_min = u64::MAX;
+                                for dst in 0..n {
+                                    if dst != i && world.outbox_filled(dst) {
+                                        let cell = grid.cell(i, dst);
+                                        let mut batch =
+                                            cell.batch.lock().expect("no panics hold this lock");
+                                        world.swap_outbox(dst, &mut batch);
+                                        res.exchanged += batch.len() as u64;
+                                        for (at, _, _) in batch.iter() {
+                                            sent_min = sent_min.min(at.nanos());
+                                        }
+                                        drop(batch);
+                                        cell.filled.store(true, Ordering::Release);
+                                    }
+                                }
+                                prof.end(Phase::OutboxFill, win, t0);
+                                let own = world.next_event_time().map_or(u64::MAX, |t| t.nanos());
+                                rendezvous.publish(i, k, own.min(sent_min));
+                                // The span takes the rendezvous's own
+                                // measured wait, so profile barrier time
+                                // and `runner.barrier_wait_ns` agree
+                                // exactly.
+                                let t0 = prof.begin();
+                                let waited = rendezvous.wait(i, k);
                                 prof.end_with(Phase::BarrierWait, win, t0, waited);
                                 res.wait_ns += waited;
-                                // Every worker reads the same snapshot
-                                // (no store happens until after the
-                                // *next* barrier), so every worker
+                                // Consumer: drain this shard's column,
+                                // capacities staying in the cells for
+                                // the producer's next swap.
+                                let t0 = prof.begin();
+                                for src in 0..n {
+                                    let cell = grid.cell(src, i);
+                                    if src != i && cell.filled.load(Ordering::Acquire) {
+                                        cell.filled.store(false, Ordering::Relaxed);
+                                        let mut batch =
+                                            cell.batch.lock().expect("no panics hold this lock");
+                                        world.ingest_drain(&mut batch);
+                                    }
+                                }
+                                prof.end(Phase::ExchangeDrain, win, t0);
+                                if res.windows >= budget {
+                                    return res;
+                                }
+                                // Every worker reads the same `peek`s
+                                // (none is rewritten before its reader
+                                // publishes again), so every worker
                                 // computes the same T and the loop
                                 // exits in lockstep.
-                                let t = peeks
-                                    .iter()
-                                    .map(|p| p.load(Ordering::SeqCst))
-                                    .min()
-                                    .expect("at least one shard");
+                                let t = rendezvous.min_peek(k);
                                 if t == u64::MAX || t > deadline_ns {
                                     res.exit = EpochExit::Done(t);
                                     return res;
@@ -708,49 +888,7 @@ impl ShardedWorld {
                                     world.take_spill(spill);
                                     prof.end(Phase::TelemetryDrain, win, t0);
                                 }
-                                // Producer phase: swap every non-empty
-                                // outbox into this shard's row of the
-                                // grid. The swapped-in buffer is the
-                                // (empty, warm) one the consumer left
-                                // behind last round.
-                                let t0 = prof.begin();
-                                for dst in 0..n {
-                                    if dst != i && world.outbox_filled(dst) {
-                                        let cell = grid.cell(i, dst);
-                                        let mut batch =
-                                            cell.batch.lock().expect("no panics hold this lock");
-                                        world.swap_outbox(dst, &mut batch);
-                                        res.exchanged += batch.len() as u64;
-                                        drop(batch);
-                                        cell.filled.store(true, Ordering::Release);
-                                    }
-                                }
-                                prof.end(Phase::OutboxFill, win, t0);
-                                let t0 = prof.begin();
-                                let waited = barrier.wait();
-                                prof.end_with(Phase::BarrierWait, win, t0, waited);
-                                res.wait_ns += waited;
-                                // Consumer phase: drain this shard's
-                                // column, capacities staying in the
-                                // cells for the next producer swap.
-                                let t0 = prof.begin();
-                                for src in 0..n {
-                                    if src != i
-                                        && grid.cell(src, i).filled.swap(false, Ordering::Acquire)
-                                    {
-                                        let mut batch = grid
-                                            .cell(src, i)
-                                            .batch
-                                            .lock()
-                                            .expect("no panics hold this lock");
-                                        world.ingest_drain(&mut batch);
-                                    }
-                                }
-                                prof.end(Phase::ExchangeDrain, win, t0);
                                 res.windows += 1;
-                                if res.windows >= budget {
-                                    return res;
-                                }
                             }
                         })
                     })
@@ -758,6 +896,14 @@ impl ShardedWorld {
                 results =
                     handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect();
             });
+            debug_assert!(
+                self.worlds.iter().all(|w| (0..n).all(|dst| !w.outbox_filled(dst)))
+                    && grids
+                        .iter()
+                        .flat_map(|g| &g.cells)
+                        .all(|c| !c.filled.load(Ordering::Relaxed)),
+                "an epoch ends right after an exchange: nothing is in flight between shards"
+            );
             if let Some(st) = &mut self.stream {
                 for spill in &mut spills {
                     st.state.pending.append(spill);
@@ -765,6 +911,8 @@ impl ShardedWorld {
             }
             total_events += results.iter().map(|r| r.events).sum::<u64>();
             self.runtime.windows += results[0].windows;
+            // One rendezvous before each window and one to leave on.
+            next_rendezvous += results[0].windows + 1;
             for (i, r) in results.iter().enumerate() {
                 debug_assert_eq!(r.windows, results[0].windows, "shards ran lockstep windows");
                 self.runtime.barrier_wait_ns[i] += r.wait_ns;
@@ -1008,70 +1156,80 @@ mod tests {
 
     /// The delay the forced straggler adds before each crossing.
     /// Generous so scheduler noise on a loaded CI host cannot flip the
-    /// comparisons below.
+    /// comparisons below, and long enough that a waiter goes through
+    /// every stage — spin, yield, park — before the straggler arrives.
     const STRAGGLE: Duration = Duration::from_millis(5);
-    const CROSSINGS: usize = 4;
+    const CROSSINGS: u64 = 4;
+
+    /// A prompt shard's crossing `k`: publish, then wait.
+    fn cross(rv: &Rendezvous, me: usize, k: u64) -> u64 {
+        rv.publish(me, k, u64::MAX);
+        rv.wait(me, k)
+    }
+
+    /// The straggler's crossing `k`: it publishes only after it has
+    /// seen every peer publish (so it is the last publisher by
+    /// construction, not by timing) and after a further delay the
+    /// peers must sit out.
+    fn cross_last(rv: &Rendezvous, me: usize, k: u64) -> u64 {
+        while !rv.arrived(me, k) {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(STRAGGLE);
+        cross(rv, me, k)
+    }
 
     #[test]
     fn last_arriver_waits_zero_and_waiters_measure_the_gap() {
-        let barrier = BackoffBarrier::new(2);
-        let b = &barrier;
-        std::thread::scope(|s| {
-            let prompt = s.spawn(move || b.wait());
-            let straggler = s.spawn(move || {
-                std::thread::sleep(STRAGGLE);
-                b.wait()
+        // Both regimes: shards <= cores (spin first) and oversubscribed
+        // (no spin stage).
+        for cores in [2, 1] {
+            let rv = &Rendezvous::new(2, cores);
+            let (prompt_wait, straggler_wait) = std::thread::scope(|s| {
+                let prompt = s.spawn(move || cross(rv, 0, 0));
+                let straggler = s.spawn(move || cross_last(rv, 1, 0));
+                (prompt.join().unwrap(), straggler.join().unwrap())
             });
-            let prompt_wait = prompt.join().unwrap();
-            let straggler_wait = straggler.join().unwrap();
-            assert_eq!(straggler_wait, 0, "the last arriver never waits");
+            assert_eq!(straggler_wait, 0, "the last publisher never waits");
             assert!(
                 prompt_wait >= STRAGGLE.as_nanos() as u64 / 2,
                 "the prompt thread waited out the straggler's delay, got {prompt_wait} ns"
             );
-        });
+        }
     }
 
     #[test]
     fn per_crossing_waits_are_monotone_and_attributed_to_prompt_shards() {
-        let barrier = BackoffBarrier::new(3);
-        let b = &barrier;
-        let run = |straggle: bool| {
+        // Three shards on "two cores": the oversubscribed path, with
+        // consecutive crossings reusing both parities.
+        let rv = &Rendezvous::new(3, 2);
+        let run = |me: usize, crossing: fn(&Rendezvous, usize, u64) -> u64| {
             move || {
-                let mut cumulative = Vec::with_capacity(CROSSINGS);
                 let mut total = 0u64;
-                for _ in 0..CROSSINGS {
-                    if straggle {
-                        std::thread::sleep(STRAGGLE);
-                    }
-                    total += b.wait();
-                    cumulative.push(total);
-                }
-                cumulative
+                (0..CROSSINGS)
+                    .map(|k| {
+                        total += crossing(rv, me, k);
+                        total
+                    })
+                    .collect::<Vec<u64>>()
             }
         };
         let (prompt_a, prompt_b, straggler) = std::thread::scope(|s| {
-            let a = s.spawn(run(false));
-            let bb = s.spawn(run(false));
-            let c = s.spawn(run(true));
-            (a.join().unwrap(), bb.join().unwrap(), c.join().unwrap())
+            let a = s.spawn(run(0, cross));
+            let b = s.spawn(run(1, cross));
+            let c = s.spawn(run(2, cross_last));
+            (a.join().unwrap(), b.join().unwrap(), c.join().unwrap())
         });
-        for cum in [&prompt_a, &prompt_b, &straggler] {
+        for cum in [&prompt_a, &prompt_b] {
             assert!(cum.windows(2).all(|w| w[0] <= w[1]), "cumulative wait is monotone: {cum:?}");
         }
+        assert_eq!(straggler, vec![0; CROSSINGS as usize], "the last publisher never waits");
         // Every crossing is bounded by the straggler, so both prompt
-        // shards accumulate roughly CROSSINGS × STRAGGLE of wait while
-        // the straggler itself arrives last and waits almost nothing.
-        let floor = (CROSSINGS as u64) * STRAGGLE.as_nanos() as u64 / 4;
-        let strag_total = *straggler.last().unwrap();
+        // shards accumulate roughly CROSSINGS × STRAGGLE of wait.
+        let floor = CROSSINGS * STRAGGLE.as_nanos() as u64 / 2;
         for (name, prompt) in [("a", &prompt_a), ("b", &prompt_b)] {
             let total = *prompt.last().unwrap();
             assert!(total >= floor, "prompt {name} absorbed the straggler's delay: {total} ns");
-            assert!(
-                total > strag_total,
-                "wait attributed to prompt shard {name} ({total} ns), \
-                 not the straggler ({strag_total} ns)"
-            );
         }
     }
 

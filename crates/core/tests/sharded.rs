@@ -99,14 +99,51 @@ fn workload(topo: &Topology) -> (Vec<Send>, Vec<ExpectedStream>) {
     (sends, expected)
 }
 
-/// Runs one topology/schedule case on the sequential world and on
-/// `shards` shards, returning both observations.
+/// A workload in which every message crosses the middle of the
+/// system and both halves send at once: each CAB streams a
+/// multi-packet message to its counterpart half the system away, three
+/// rounds back to back. On a two-HUB topology cut into two shards that
+/// puts data one way and acknowledgements the other through the
+/// exchange in consecutive windows, in both directions.
+fn crossing_workload(topo: &Topology) -> (Vec<Send>, Vec<ExpectedStream>) {
+    let cabs = topo.cab_count();
+    let mut sends: Vec<Send> = Vec::new();
+    let mut expected: Vec<ExpectedStream> = Vec::new();
+    for round in 0..3 {
+        for src in 0..cabs {
+            let dst = (src + cabs / 2) % cabs;
+            let mailbox = (100 + src * 4 + round) as u16;
+            let payload = vec![(7 + 31 * src + 3 * round) as u8; 2600 + 97 * src];
+            let data: Arc<[u8]> = payload.clone().into();
+            sends.push((
+                Time::from_micros(2 + 60 * round as u64),
+                src,
+                AppSend::Stream { dst, src_mailbox: 1, dst_mailbox: mailbox, data },
+            ));
+            expected.push((src, dst, mailbox, payload));
+        }
+    }
+    (sends, expected)
+}
+
+/// Runs one topology/schedule case of the mixed [`workload`] on the
+/// sequential world and on `shards` shards.
 fn differential(
     topo: &Topology,
     schedule: Option<&ChaosSchedule>,
     shards: usize,
 ) -> (Observed, Observed) {
-    let (sends, expected) = workload(topo);
+    differential_with(topo, workload(topo), schedule, shards)
+}
+
+/// Runs `(sends, expected)` on the sequential world and on `shards`
+/// shards, returning both observations.
+fn differential_with(
+    topo: &Topology,
+    (sends, expected): (Vec<Send>, Vec<ExpectedStream>),
+    schedule: Option<&ChaosSchedule>,
+    shards: usize,
+) -> (Observed, Observed) {
     let deadline = Time::from_millis(400);
 
     // Sequential reference.
@@ -272,6 +309,50 @@ fn fat_star_chaos_odd_shard_counts_match_sequential() {
     let s = chaos();
     let (seq, par) = differential(&topo, Some(&s), 3);
     assert_identical("fat_star/chaos/3", &seq, &par);
+}
+
+/// Two HUBs cut down the middle, every message crossing, both
+/// directions busy: consecutive rendezvous carry batches both ways, so
+/// a producer refilling a cell its consumer has not drained yet (the
+/// hazard the two exchange parities exist to rule out) would lose or
+/// reorder events here.
+#[test]
+fn two_hub_crossing_traffic_matches_sequential() {
+    let topo = Topology::mesh2d(1, 2, 4, 16);
+    let (seq, par) = differential_with(&topo, crossing_workload(&topo), None, 2);
+    assert_identical("two_hub/crossing/2", &seq, &par);
+    let s = chaos();
+    let (seq, par) = differential_with(&topo, crossing_workload(&topo), Some(&s), 2);
+    assert_identical("two_hub/crossing/chaos/2", &seq, &par);
+}
+
+#[test]
+fn mesh_crossing_traffic_matches_sequential_at_every_shard_count() {
+    let topo = Topology::mesh2d(2, 2, 3, 16);
+    for shards in [2, 3, 4] {
+        let (seq, par) = differential_with(&topo, crossing_workload(&topo), None, shards);
+        assert_identical(&format!("mesh/crossing/{shards}"), &seq, &par);
+    }
+}
+
+/// The protocol changed, the windows did not: window boundaries are a
+/// function of the simulated event times alone, so the window and
+/// exchange counts of a pinned scenario are constants — these were
+/// recorded with the two-barrier protocol this rendezvous replaced.
+#[test]
+fn window_and_exchange_counts_are_pinned() {
+    let topo = Topology::mesh2d(1, 2, 4, 16);
+    let mut par = ShardedWorld::new(topo.clone(), SystemConfig::default(), 2);
+    for (at, cab, send) in crossing_workload(&topo).0 {
+        par.schedule_send(at, cab, send);
+    }
+    par.run_to_quiescence(Time::from_millis(400));
+    let rt = par.runtime_metrics();
+    assert_eq!(rt.counter("runner.windows"), 1676);
+    assert_eq!(rt.counter("runner.exchanged_events"), 784);
+    // Both directions carried traffic.
+    assert!(rt.counter("runner.shard0.exchanged_events") > 0);
+    assert!(rt.counter("runner.shard1.exchanged_events") > 0);
 }
 
 #[test]

@@ -124,14 +124,20 @@ fn streamed_sequential(
     (doctor, report)
 }
 
-/// One streamed run on a sharded world at `shards` shards.
+/// One streamed run on a sharded world at `shards` shards, with the
+/// telemetry rings resized to `capacity` if given (which also sets how
+/// many windows an epoch may run between folds).
 fn streamed_sharded(
     topo: &Topology,
     schedule: Option<&ChaosSchedule>,
     shards: usize,
+    capacity: Option<usize>,
 ) -> (StreamingDoctor, DoctorReport) {
     let mut world = ShardedWorld::new(topo.clone(), SystemConfig::default(), shards);
     world.attach_streaming(StreamConfig::default());
+    if let Some(capacity) = capacity {
+        world.set_telemetry_capacity(capacity);
+    }
     if let Some(s) = schedule {
         world.set_chaos(s.clone());
     }
@@ -195,7 +201,7 @@ fn differential_case(name: &str, topo: Topology) {
         assert!(want.flights > 0, "{name}/{label}: reference capture saw no flights — vacuous");
         let (doc, got) = streamed_sequential(&topo, sched);
         assert_equivalent(&format!("{name}/{label}/seq"), &doc, &got, &want);
-        let (doc, got) = streamed_sharded(&topo, sched, 4);
+        let (doc, got) = streamed_sharded(&topo, sched, 4, None);
         assert_equivalent(&format!("{name}/{label}/4shard"), &doc, &got, &want);
     }
 }
@@ -210,6 +216,28 @@ fn star_streaming_matches_post_hoc() {
 #[test]
 fn mesh_streaming_matches_post_hoc() {
     differential_case("mesh", Topology::mesh2d(2, 2, 3, 16));
+}
+
+/// 256-event rings put the fold cadence at its floor of four windows,
+/// so epochs end on their window budget every few hundred simulated
+/// nanoseconds while cross-shard traffic is in flight. A budget exit
+/// must follow an exchange: an event still sitting in another shard's
+/// outbox when the main thread folds could be older than the finality
+/// boundary it computes. `drive` asserts in debug builds that nothing
+/// is in flight when an epoch ends; what that protects is checked
+/// here: no late event, and a report equal to the sequential streamed
+/// one.
+#[test]
+fn budgeted_epochs_fold_only_final_events() {
+    let topo = Topology::mesh2d(2, 2, 3, 16);
+    let schedule = chaos();
+    for (label, sched) in [("clean", None), ("chaos", Some(&schedule))] {
+        let (_, want) = streamed_sequential(&topo, sched);
+        for shards in [2, 4] {
+            let (doc, got) = streamed_sharded(&topo, sched, shards, Some(256));
+            assert_equivalent(&format!("mesh/{label}/{shards}shard/cap256"), &doc, &got, &want);
+        }
+    }
 }
 
 #[test]

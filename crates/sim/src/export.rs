@@ -452,21 +452,15 @@ mod tests {
 
     #[test]
     fn host_profile_composes_with_simulated_tracks() {
-        use crate::profile::{Phase, PhaseSpan};
-        let mk = |phase, window, start_ns, dur_ns| PhaseSpan { phase, window, start_ns, dur_ns };
-        let profile = crate::profile::HostProfile {
-            shards: 2,
-            tracks: vec![
-                vec![
-                    mk(Phase::Step, 0, 1000, 900),
-                    mk(Phase::BarrierWait, 0, 1900, 100),
-                    mk(Phase::Step, 1, 2000, 800),
-                ],
-                vec![mk(Phase::Step, 0, 1000, 500), mk(Phase::Step, 1, 2000, 950)],
-                vec![mk(Phase::StreamFold, 1, 3000, 400)],
-            ],
-            dropped: 0,
-        };
+        use crate::profile::{HostProfile, Phase, Profiler};
+        let mut profs = [Profiler::new(8), Profiler::new(8), Profiler::new(8)];
+        profs[0].end_with(Phase::Step, 0, 1000, 900);
+        profs[0].end_with(Phase::BarrierWait, 0, 1900, 100);
+        profs[0].end_with(Phase::Step, 1, 2000, 800);
+        profs[1].end_with(Phase::Step, 0, 1000, 500);
+        profs[1].end_with(Phase::Step, 1, 2000, 950);
+        profs[2].end_with(Phase::StreamFold, 1, 3000, 400);
+        let profile = HostProfile::collect(2, &profs);
         let doc = chrome_trace_with_host(&sample_events(), Some(&profile));
         let v = parse(&doc).expect("composed trace must stay valid JSON");
         let events = v.get("traceEvents").unwrap().as_array().unwrap();

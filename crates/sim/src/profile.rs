@@ -10,15 +10,18 @@
 //! Three layers:
 //!
 //! * [`Profiler`] — a per-thread ring of [`PhaseSpan`]s recorded
-//!   against a process-wide monotonic epoch ([`host_now_ns`]). Same
+//!   against a process-wide monotonic epoch ([`host_now_ns`]), plus
+//!   exact whole-run [`TrackTotals`] that outlive the ring. Same
 //!   zero-alloc discipline as the telemetry rings: one branch when
 //!   disabled, drop-oldest with a `dropped` counter when full.
-//! * [`HostProfile`] — the collected tracks (one per shard worker plus
-//!   one for the runner's main thread).
-//! * [`analyze`] — the **scaling doctor**: per-window straggler
-//!   attribution (which shard bounded each window, critical-path share
-//!   per shard), parallel efficiency, a Karp–Flatt serial-fraction
-//!   estimate, and ranked [`Verdict`]s with evidence windows.
+//! * [`HostProfile`] — the collected tracks and totals (one per shard
+//!   worker plus one for the runner's main thread).
+//! * [`analyze`] — the **scaling doctor**: phase breakdown, parallel
+//!   efficiency and a Karp–Flatt serial-fraction estimate from the
+//!   totals (so they describe the whole run however long it was),
+//!   per-window straggler attribution (which shard bounded each
+//!   window, critical-path share per shard) from the ring, and ranked
+//!   [`Verdict`]s with evidence windows.
 //!
 //! Host-time quantities are never part of the bit-compared simulated
 //! metrics: runs with the profiler on, off, or streaming must stay
@@ -46,7 +49,7 @@ pub fn host_now_ns() -> u64 {
 pub const PHASES: usize = 6;
 
 /// A phase of the sharded runner's loop, the unit of host-time
-/// attribution. The first four happen on every shard worker each
+/// attribution. The first four happen once on every shard worker each
 /// window; the last two happen on the runner's main thread at epoch
 /// boundaries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -59,7 +62,7 @@ pub enum Phase {
     /// Consumer half of the exchange: draining this shard's column
     /// into its engine.
     ExchangeDrain,
-    /// Time spent waiting at a window barrier (both crossings).
+    /// Time spent waiting at the window's rendezvous.
     BarrierWait,
     /// Draining every shard's telemetry rings on the main thread.
     TelemetryDrain,
@@ -117,11 +120,38 @@ pub struct PhaseSpan {
     pub dur_ns: u64,
 }
 
-/// Default ring capacity per track: 2^17 spans (~4 MiB). At five spans
-/// per shard per window that covers ~26k windows before the oldest
-/// drop; the analysis skips windows with missing spans and reports the
-/// drop count.
+/// Default ring capacity per track: 2^17 spans (~4 MiB). At four spans
+/// per shard per window that covers ~32k windows before the oldest
+/// drop. Only straggler attribution and the Perfetto export read the
+/// ring; everything summed over the run comes from [`TrackTotals`].
 pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 17;
+
+/// Exact whole-run accounting for one track: unlike the span ring it
+/// never evicts, so a run of any length keeps its true phase totals
+/// and wall time.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TrackTotals {
+    /// Nanoseconds per [`Phase`], indexed by [`Phase::index`].
+    pub sum_ns: [u64; PHASES],
+    /// Spans recorded per [`Phase`], indexed by [`Phase::index`].
+    pub count: [u64; PHASES],
+    /// Start of the earliest span ever recorded, in [`host_now_ns`]
+    /// nanoseconds (`u64::MAX` when none was).
+    pub first_start_ns: u64,
+    /// End of the latest span ever recorded (0 when none was).
+    pub last_end_ns: u64,
+}
+
+impl Default for TrackTotals {
+    fn default() -> TrackTotals {
+        TrackTotals {
+            sum_ns: [0; PHASES],
+            count: [0; PHASES],
+            first_start_ns: u64::MAX,
+            last_end_ns: 0,
+        }
+    }
+}
 
 /// A per-thread span ring. Disabled by default: [`begin`] is a single
 /// branch and records nothing, so leaving profilers threaded through a
@@ -135,6 +165,7 @@ pub struct Profiler {
     ring: VecDeque<PhaseSpan>,
     capacity: usize,
     dropped: u64,
+    totals: TrackTotals,
     enabled: bool,
 }
 
@@ -148,7 +179,7 @@ impl Profiler {
     /// An enabled profiler with the given ring capacity (clamped to at
     /// least 1).
     pub fn new(capacity: usize) -> Profiler {
-        Profiler { ring: VecDeque::new(), capacity: capacity.max(1), dropped: 0, enabled: true }
+        Profiler { capacity: capacity.max(1), enabled: true, ..Profiler::disabled() }
     }
 
     /// A disabled profiler (the zero-cost default); enable later with
@@ -159,6 +190,7 @@ impl Profiler {
             ring: VecDeque::new(),
             capacity: DEFAULT_SPAN_CAPACITY,
             dropped: 0,
+            totals: TrackTotals::default(),
             enabled: false,
         }
     }
@@ -209,6 +241,11 @@ impl Profiler {
     }
 
     fn push(&mut self, span: PhaseSpan) {
+        let i = span.phase.index();
+        self.totals.sum_ns[i] += span.dur_ns;
+        self.totals.count[i] += 1;
+        self.totals.first_start_ns = self.totals.first_start_ns.min(span.start_ns);
+        self.totals.last_end_ns = self.totals.last_end_ns.max(span.start_ns + span.dur_ns);
         if self.ring.len() >= self.capacity {
             self.ring.pop_front();
             self.dropped += 1;
@@ -224,6 +261,11 @@ impl Profiler {
     /// Spans lost to ring overflow (oldest evicted first).
     pub fn dropped(&self) -> u64 {
         self.dropped
+    }
+
+    /// Whole-run totals over every span ever recorded, evicted or not.
+    pub fn totals(&self) -> TrackTotals {
+        self.totals
     }
 
     /// Spans currently held.
@@ -245,13 +287,26 @@ pub struct HostProfile {
     /// Worker track count (== shard count).
     pub shards: usize,
     /// `shards + 1` tracks of spans, oldest first; the last is the
-    /// main thread.
+    /// main thread. A sample of the run's tail once `dropped > 0`.
     pub tracks: Vec<Vec<PhaseSpan>>,
+    /// Whole-run totals, parallel to `tracks`.
+    pub totals: Vec<TrackTotals>,
     /// Total spans lost to ring overflow across all tracks.
     pub dropped: u64,
 }
 
 impl HostProfile {
+    /// Collects `shards` worker profilers followed by the main
+    /// thread's into one profile.
+    pub fn collect(shards: usize, profilers: &[Profiler]) -> HostProfile {
+        HostProfile {
+            shards,
+            tracks: profilers.iter().map(|p| p.spans().copied().collect()).collect(),
+            totals: profilers.iter().map(|p| p.totals()).collect(),
+            dropped: profilers.iter().map(|p| p.dropped()).sum(),
+        }
+    }
+
     /// The per-shard worker tracks.
     pub fn worker_tracks(&self) -> &[Vec<PhaseSpan>] {
         &self.tracks[..self.shards.min(self.tracks.len())]
@@ -262,17 +317,11 @@ impl HostProfile {
         self.tracks.get(self.shards).map_or(&[], |t| t.as_slice())
     }
 
-    /// Wall time covered by the recorded spans: latest span end minus
-    /// earliest span start, in nanoseconds.
+    /// Wall time of the whole run: latest span end minus earliest
+    /// span start over every span ever recorded, in nanoseconds.
     pub fn wall_ns(&self) -> u64 {
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        for t in &self.tracks {
-            for s in t {
-                lo = lo.min(s.start_ns);
-                hi = hi.max(s.start_ns + s.dur_ns);
-            }
-        }
+        let lo = self.totals.iter().map(|t| t.first_start_ns).min().unwrap_or(u64::MAX);
+        let hi = self.totals.iter().map(|t| t.last_end_ns).max().unwrap_or(0);
         hi.saturating_sub(lo)
     }
 }
@@ -363,20 +412,25 @@ const EVIDENCE: usize = 5;
 pub struct ProfileAnalysis {
     /// Shard worker count.
     pub shards: usize,
-    /// Distinct windows observed in the worker tracks.
+    /// Distinct windows observed in the worker tracks' span rings.
     pub windows: u64,
     /// Windows where every shard reported a step span (straggler
     /// attribution uses only these).
     pub complete_windows: u64,
-    /// Host wall time covered by the profile, nanoseconds.
+    /// Host wall time of the whole run, nanoseconds.
     pub wall_ns: u64,
     /// Spans lost to ring overflow (nonzero means the oldest windows
-    /// are missing from the breakdown).
+    /// are missing from the straggler sample).
     pub spans_dropped: u64,
-    /// `false` when any span was dropped: wall time, breakdowns, and
-    /// verdicts then describe only the surviving tail of the run.
+    /// `false` when any span was dropped: straggler attribution
+    /// (`windows_bounded`, `critical_share`, the split of barrier wait
+    /// into straggler-explained and excess, evidence windows) is then
+    /// over a truncated sample, scaled up to the whole run. Phase
+    /// totals, wall time, `efficiency` and `karp_flatt` are exact
+    /// either way.
     pub confident: bool,
-    /// Per-shard phase breakdown and critical-path attribution.
+    /// Per-shard whole-run phase breakdown, and critical-path
+    /// attribution over the complete windows.
     pub per_shard: Vec<ShardBreakdown>,
     /// Main-thread phase totals (telemetry drain, stream fold),
     /// indexed by [`Phase::index`].
@@ -404,8 +458,9 @@ impl ProfileAnalysis {
         let ms = |ns: u64| ns as f64 / 1e6;
         if !self.confident {
             out.push_str(&format!(
-                "  !! profiler ring dropped {} spans — capture truncated, \
-                 wall time and verdicts cover only the surviving windows\n",
+                "  !! profiler ring dropped {} spans — phase totals, wall time, efficiency and \
+                 Karp-Flatt cover the whole run; straggler attribution is over a truncated \
+                 sample (the surviving windows below)\n",
                 self.spans_dropped
             ));
         }
@@ -547,15 +602,18 @@ struct WinAgg {
 }
 
 /// Runs the scaling doctor over a collected [`HostProfile`]: phase
-/// breakdowns, straggler attribution, efficiency, Karp–Flatt, and
-/// ranked verdicts. Deterministic for a given profile and context.
+/// breakdowns, efficiency and Karp–Flatt from the whole-run totals,
+/// straggler attribution from the span rings, and ranked verdicts.
+/// Deterministic for a given profile and context.
 pub fn analyze(profile: &HostProfile, ctx: &AnalyzeCtx) -> ProfileAnalysis {
     let shards = profile.shards.max(1);
     let mut per_shard = vec![ShardBreakdown::default(); shards];
+    for (b, totals) in per_shard.iter_mut().zip(&profile.totals) {
+        b.phase_ns = totals.sum_ns;
+    }
     let mut wins: BTreeMap<u64, WinAgg> = BTreeMap::new();
     for (s, track) in profile.worker_tracks().iter().enumerate() {
         for span in track {
-            per_shard[s].phase_ns[span.phase.index()] += span.dur_ns;
             let agg = wins.entry(span.window).or_default();
             match span.phase {
                 Phase::Step => {
@@ -572,10 +630,7 @@ pub fn analyze(profile: &HostProfile, ctx: &AnalyzeCtx) -> ProfileAnalysis {
             }
         }
     }
-    let mut main_ns = [0u64; PHASES];
-    for span in profile.main_track() {
-        main_ns[span.phase.index()] += span.dur_ns;
-    }
+    let main_ns = profile.totals.get(profile.shards).map_or([0; PHASES], |t| t.sum_ns);
     let wall_ns = profile.wall_ns();
     let windows = wins.len() as u64;
 
@@ -598,6 +653,15 @@ pub fn analyze(profile: &HostProfile, ctx: &AnalyzeCtx) -> ProfileAnalysis {
     }
     for (b, c) in per_shard.iter_mut().zip(&critical_ns) {
         b.critical_share = if total_critical > 0 { *c as f64 / total_critical as f64 } else { 0.0 };
+    }
+    // The rings may hold only the run's tail; the totals know how many
+    // windows were stepped in all. Scale the sampled straggler time up
+    // so it is comparable with the whole-run barrier wait below (a
+    // factor of exactly 1 when nothing was dropped).
+    let stepped =
+        profile.totals.iter().take(shards).map(|t| t.count[Phase::Step.index()]).max().unwrap_or(0);
+    if complete_windows > 0 {
+        straggler_ns = (straggler_ns as u128 * stepped as u128 / complete_windows as u128) as u64;
     }
 
     let busy_ns: u64 = per_shard.iter().map(|b| b.phase_ns[Phase::Step.index()]).sum();
@@ -738,23 +802,30 @@ pub fn analyze(profile: &HostProfile, ctx: &AnalyzeCtx) -> ProfileAnalysis {
 mod tests {
     use super::*;
 
-    fn span(phase: Phase, window: u64, start_ns: u64, dur_ns: u64) -> PhaseSpan {
-        PhaseSpan { phase, window, start_ns, dur_ns }
-    }
-
-    /// A synthetic 2-shard profile: per window each shard steps for
-    /// `step[s]` ns and waits `barrier[s]` ns.
-    fn synthetic(windows: u64, step: [u64; 2], barrier: [u64; 2]) -> HostProfile {
-        let mut tracks = vec![Vec::new(), Vec::new(), Vec::new()];
+    /// Two worker profilers and a main-thread one, each with a ring of
+    /// `capacity` spans, fed a synthetic run: per window each shard
+    /// steps for `step[s]` ns and waits `barrier[s]` ns.
+    fn synthetic_profilers(
+        capacity: usize,
+        windows: u64,
+        step: [u64; 2],
+        barrier: [u64; 2],
+    ) -> [Profiler; 3] {
+        let mut profs = [Profiler::new(capacity), Profiler::new(capacity), Profiler::new(capacity)];
         let mut t = 0u64;
         for w in 0..windows {
             for s in 0..2 {
-                tracks[s].push(span(Phase::Step, w, t, step[s]));
-                tracks[s].push(span(Phase::BarrierWait, w, t + step[s], barrier[s]));
+                profs[s].end_with(Phase::Step, w, t, step[s]);
+                profs[s].end_with(Phase::BarrierWait, w, t + step[s], barrier[s]);
             }
             t += step.iter().max().unwrap() + barrier.iter().max().unwrap();
         }
-        HostProfile { shards: 2, tracks, dropped: 0 }
+        profs
+    }
+
+    /// The synthetic run of [`synthetic_profilers`], nothing dropped.
+    fn synthetic(windows: u64, step: [u64; 2], barrier: [u64; 2]) -> HostProfile {
+        HostProfile::collect(2, &synthetic_profilers(1 << 12, windows, step, barrier))
     }
 
     fn ctx(cores: usize) -> AnalyzeCtx {
@@ -796,6 +867,33 @@ mod tests {
         assert!(!truncated.confident);
         assert!(truncated.render().starts_with("  !! profiler ring dropped 3 spans"));
         assert!(truncated.to_json().contains("\"confident\": false"));
+    }
+
+    #[test]
+    fn totals_cover_the_whole_run_when_the_ring_keeps_only_its_tail() {
+        // 64 windows through rings that hold 8 spans (4 windows) each.
+        let full = analyze(&synthetic(64, [1000, 3000], [2000, 10]), &ctx(8));
+        let profile =
+            HostProfile::collect(2, &synthetic_profilers(8, 64, [1000, 3000], [2000, 10]));
+        assert_eq!(profile.dropped, 2 * (128 - 8));
+        assert_eq!(profile.totals[0].count[Phase::Step.index()], 64);
+        assert_eq!(profile.totals[0].sum_ns[Phase::BarrierWait.index()], 64 * 2000);
+        let tail = analyze(&profile, &ctx(8));
+        assert!(!tail.confident);
+        assert_eq!((tail.windows, tail.complete_windows), (4, 4));
+        // Everything summed over the run is exactly what the untruncated
+        // profile reports.
+        assert_eq!(tail.wall_ns, full.wall_ns);
+        assert_eq!(tail.efficiency, full.efficiency);
+        assert_eq!(tail.karp_flatt, full.karp_flatt);
+        for (t, f) in tail.per_shard.iter().zip(&full.per_shard) {
+            assert_eq!(t.phase_ns, f.phase_ns);
+        }
+        // The straggler sample scales to the run, so the verdict and
+        // its score survive truncation on a steady workload.
+        assert_eq!(tail.primary().kind, full.primary().kind);
+        assert_eq!(tail.primary().score, full.primary().score);
+        assert!(tail.render().contains("straggler attribution is over a truncated sample"));
     }
 
     #[test]
@@ -856,8 +954,9 @@ mod tests {
 
     #[test]
     fn one_shard_profile_has_defined_estimates() {
-        let tracks = vec![vec![span(Phase::Step, 0, 0, 5_000_000)], Vec::new()];
-        let prof = HostProfile { shards: 1, tracks, dropped: 0 };
+        let mut profs = [Profiler::new(4), Profiler::new(4)];
+        profs[0].end_with(Phase::Step, 0, 0, 5_000_000);
+        let prof = HostProfile::collect(1, &profs);
         let a = analyze(&prof, &ctx(8));
         assert_eq!(a.karp_flatt, 0.0);
         assert!(a.efficiency > 0.99);
@@ -866,10 +965,10 @@ mod tests {
 
     #[test]
     fn incomplete_windows_are_excluded_from_straggler_math() {
-        let mut prof = synthetic(8, [1000, 1000], [10, 10]);
+        let mut profs = synthetic_profilers(1 << 12, 8, [1000, 1000], [10, 10]);
         // A window only shard 0 reports (as after a ring drop).
-        prof.tracks[0].push(span(Phase::Step, 99, 1_000_000, 30_000));
-        let a = analyze(&prof, &ctx(8));
+        profs[0].end_with(Phase::Step, 99, 1_000_000, 30_000);
+        let a = analyze(&HostProfile::collect(2, &profs), &ctx(8));
         assert_eq!(a.windows, 9);
         assert_eq!(a.complete_windows, 8);
     }
