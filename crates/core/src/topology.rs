@@ -11,7 +11,7 @@
 use core::fmt;
 use nectar_hub::id::{HubId, PortId};
 use nectar_proto::datalink::{Hop, MulticastRoute, Route};
-use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// What is attached at the far end of a HUB port's fiber pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,7 +75,7 @@ impl fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
-/// A validated Nectar-net wiring.
+/// A validated Nectar-net wiring, with every source route precomputed.
 #[derive(Clone, Debug)]
 pub struct Topology {
     ports_per_hub: usize,
@@ -83,6 +83,12 @@ pub struct Topology {
     peers: Vec<Vec<Peer>>,
     /// Per CAB: the (hub, port) it is attached to.
     cab_links: Vec<(usize, PortId)>,
+    /// `routes[src_hub * cab_count + dst_cab]`, `None` where no fiber
+    /// path exists: a route is a function of the *HUB* the sender hangs
+    /// off and of the destination CAB, so one breadth-first tree per
+    /// source HUB yields every row. Shared, because each shard world
+    /// holds its own clone of the topology and reads the same table.
+    routes: Arc<[Option<Route>]>,
 }
 
 /// Incremental builder for arbitrary topologies.
@@ -172,12 +178,80 @@ impl TopologyBuilder {
         if self.hubs > 256 {
             return Err(TopologyError::TooManyHubs);
         }
+        let routes = build_routes(self.ports_per_hub, &self.peers, &self.cab_links).into();
         Ok(Topology {
             ports_per_hub: self.ports_per_hub,
             peers: self.peers,
             cab_links: self.cab_links,
+            routes,
         })
     }
+}
+
+/// The route table of a wiring: for every HUB that has a CAB attached,
+/// one breadth-first search over the HUB graph (ports scanned in
+/// ascending order, a HUB adopted by whichever neighbour reaches it
+/// first), then one route per destination CAB read off the tree. The
+/// scan order is the tie-break between equally short paths, and it is
+/// the order a per-pair search from the same HUB would use, so the
+/// table holds exactly the routes such a search finds.
+fn build_routes(
+    ports_per_hub: usize,
+    peers: &[Vec<Peer>],
+    cab_links: &[(usize, PortId)],
+) -> Vec<Option<Route>> {
+    let hubs = peers.len();
+    let mut has_cab = vec![false; hubs];
+    for &(hub, _) in cab_links {
+        has_cab[hub] = true;
+    }
+    let mut routes = Vec::with_capacity(hubs * cab_links.len());
+    // `toward[h]`: the HUB that reached `h` first and the port it used.
+    let mut toward: Vec<Option<(usize, PortId)>> = vec![None; hubs];
+    let mut frontier = Vec::with_capacity(hubs);
+    let mut hops = Vec::new();
+    for src in 0..hubs {
+        if !has_cab[src] {
+            // No sender here: the row is never read.
+            routes.extend(cab_links.iter().map(|_| None));
+            continue;
+        }
+        toward.fill(None);
+        toward[src] = Some((src, PortId::new(0)));
+        frontier.clear();
+        frontier.push(src);
+        let mut next_out = 0;
+        while let Some(&h) = frontier.get(next_out) {
+            next_out += 1;
+            for port in 0..ports_per_hub {
+                if let Peer::Hub(next, _) = peers[h][port] {
+                    if toward[next].is_none() {
+                        toward[next] = Some((h, PortId::new(port as u8)));
+                        frontier.push(next);
+                    }
+                }
+            }
+        }
+        for &(dst_hub, cab_port) in cab_links {
+            if toward[dst_hub].is_none() {
+                routes.push(None);
+                continue;
+            }
+            // Final hop first — the destination CAB's port on the last
+            // HUB — then back up the tree to the source.
+            hops.clear();
+            hops.push(Hop { hub: HubId::new(dst_hub as u8), out: cab_port });
+            let mut cur = dst_hub;
+            while cur != src {
+                let (prev, port) = toward[cur].expect("reached HUBs have a parent");
+                hops.push(Hop { hub: HubId::new(prev as u8), out: port });
+                cur = prev;
+            }
+            hops.reverse();
+            routes.push(Some(Route::new(hops.clone())));
+        }
+    }
+    routes
 }
 
 impl Topology {
@@ -315,66 +389,19 @@ impl Topology {
         self.cab_links[cab]
     }
 
-    /// Shortest path of HUB indices from `from`'s hub to `to`'s hub
-    /// (inclusive), by BFS.
-    fn hub_path(&self, from: usize, to: usize) -> Option<Vec<usize>> {
-        let (start, _) = self.cab_links[from];
-        let (goal, _) = self.cab_links[to];
-        if start == goal {
-            return Some(vec![start]);
-        }
-        let mut prev: Vec<Option<usize>> = vec![None; self.peers.len()];
-        let mut queue = VecDeque::from([start]);
-        prev[start] = Some(start);
-        while let Some(h) = queue.pop_front() {
-            for port in 0..self.ports_per_hub {
-                if let Peer::Hub(next, _) = self.peers[h][port] {
-                    if prev[next].is_none() {
-                        prev[next] = Some(h);
-                        if next == goal {
-                            let mut path = vec![goal];
-                            let mut cur = goal;
-                            while cur != start {
-                                cur = prev[cur].expect("visited");
-                                path.push(cur);
-                            }
-                            path.reverse();
-                            return Some(path);
-                        }
-                        queue.push_back(next);
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// The port on `hub` whose fiber leads to `next_hub`.
-    fn port_toward(&self, hub: usize, next_hub: usize) -> Option<PortId> {
-        (0..self.ports_per_hub)
-            .map(|p| PortId::new(p as u8))
-            .find(|&p| matches!(self.peers[hub][p.index()], Peer::Hub(h, _) if h == next_hub))
-    }
-
     /// The source route from `from` to `to`: the output port to open at
-    /// each HUB along the shortest path.
+    /// each HUB along the shortest path. A table lookup — the routes
+    /// were all computed when the topology was built.
     ///
     /// # Errors
     ///
     /// [`TopologyError::Unreachable`] if no fiber path exists.
-    pub fn route(&self, from: usize, to: usize) -> Result<Route, TopologyError> {
+    pub fn route(&self, from: usize, to: usize) -> Result<&Route, TopologyError> {
         assert_ne!(from, to, "a CAB does not route to itself");
-        let path = self.hub_path(from, to).ok_or(TopologyError::Unreachable { from, to })?;
-        let mut hops = Vec::with_capacity(path.len());
-        for window in path.windows(2) {
-            let port = self.port_toward(window[0], window[1]).expect("BFS followed a link");
-            hops.push(Hop { hub: HubId::new(window[0] as u8), out: port });
-        }
-        // Final hop: the destination CAB's port on the last HUB.
-        let (last_hub, cab_port) = self.cab_links[to];
-        debug_assert_eq!(last_hub, *path.last().expect("path non-empty"));
-        hops.push(Hop { hub: HubId::new(last_hub as u8), out: cab_port });
-        Ok(Route::new(hops))
+        let (src_hub, _) = self.cab_links[from];
+        self.routes[src_hub * self.cab_links.len() + to]
+            .as_ref()
+            .ok_or(TopologyError::Unreachable { from, to })
     }
 
     /// Number of HUBs a message from `from` to `to` traverses.
@@ -420,6 +447,119 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// The per-pair search the route table replaced, kept as the oracle
+    /// the table is checked against.
+    impl Topology {
+        /// Shortest path of HUB indices from `from`'s hub to `to`'s hub
+        /// (inclusive), by BFS.
+        fn hub_path(&self, from: usize, to: usize) -> Option<Vec<usize>> {
+            let (start, _) = self.cab_links[from];
+            let (goal, _) = self.cab_links[to];
+            if start == goal {
+                return Some(vec![start]);
+            }
+            let mut prev: Vec<Option<usize>> = vec![None; self.peers.len()];
+            let mut queue = VecDeque::from([start]);
+            prev[start] = Some(start);
+            while let Some(h) = queue.pop_front() {
+                for port in 0..self.ports_per_hub {
+                    if let Peer::Hub(next, _) = self.peers[h][port] {
+                        if prev[next].is_none() {
+                            prev[next] = Some(h);
+                            if next == goal {
+                                let mut path = vec![goal];
+                                let mut cur = goal;
+                                while cur != start {
+                                    cur = prev[cur].expect("visited");
+                                    path.push(cur);
+                                }
+                                path.reverse();
+                                return Some(path);
+                            }
+                            queue.push_back(next);
+                        }
+                    }
+                }
+            }
+            None
+        }
+
+        /// The port on `hub` whose fiber leads to `next_hub`.
+        fn port_toward(&self, hub: usize, next_hub: usize) -> Option<PortId> {
+            (0..self.ports_per_hub)
+                .map(|p| PortId::new(p as u8))
+                .find(|&p| matches!(self.peers[hub][p.index()], Peer::Hub(h, _) if h == next_hub))
+        }
+
+        fn route_by_search(&self, from: usize, to: usize) -> Result<Route, TopologyError> {
+            let path = self.hub_path(from, to).ok_or(TopologyError::Unreachable { from, to })?;
+            let mut hops = Vec::with_capacity(path.len());
+            for window in path.windows(2) {
+                let port = self.port_toward(window[0], window[1]).expect("BFS followed a link");
+                hops.push(Hop { hub: HubId::new(window[0] as u8), out: port });
+            }
+            let (last_hub, cab_port) = self.cab_links[to];
+            hops.push(Hop { hub: HubId::new(last_hub as u8), out: cab_port });
+            Ok(Route::new(hops))
+        }
+
+        /// Checks the table against the search for every ordered pair.
+        fn assert_table_matches_search(&self) {
+            for a in 0..self.cab_count() {
+                for b in 0..self.cab_count() {
+                    if a != b {
+                        assert_eq!(
+                            self.route(a, b).cloned(),
+                            self.route_by_search(a, b),
+                            "route {a} -> {b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn route_table_equals_per_pair_search_on_the_standing_fabrics() {
+        Topology::mesh2d(4, 4, 4, 16).assert_table_matches_search();
+        Topology::fat_star(8, 8, 16).assert_table_matches_search();
+        Topology::mesh2d(1, 7, 2, 16).assert_table_matches_search(); // a chain
+        Topology::ring(6, 2, 16).assert_table_matches_search(); // two equally short ways round
+        Topology::single_hub(5, 16).assert_table_matches_search();
+    }
+
+    /// A random wiring: up to 7 HUBs of 8 ports, CABs and HUB links
+    /// placed wherever the sampled ports are still free — cycles,
+    /// parallel links and disconnected islands included.
+    fn random_wiring() -> impl Strategy<Value = Topology> {
+        let cab = (0usize..7, 0u8..8);
+        let link = (0usize..7, 0u8..8, 0usize..7, 0u8..8);
+        (2usize..8, prop::collection::vec(cab, 2..12), prop::collection::vec(link, 0..14)).prop_map(
+            |(hubs, cabs, links)| {
+                let mut b = TopologyBuilder::new(hubs, 8);
+                for (a, pa, z, pz) in links {
+                    if a % hubs != z % hubs {
+                        let _ = b.link_hubs(a % hubs, PortId::new(pa), z % hubs, PortId::new(pz));
+                    }
+                }
+                for (hub, port) in cabs {
+                    let _ = b.add_cab(hub % hubs, PortId::new(port));
+                }
+                b.build().expect("at most 7 HUBs")
+            },
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn route_table_equals_per_pair_search_on_random_wirings(topo in random_wiring()) {
+            // Unreachable pairs included: both sides return the same error.
+            topo.assert_table_matches_search();
+        }
+    }
 
     #[test]
     fn single_hub_routes_are_one_hop() {

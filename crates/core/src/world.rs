@@ -21,7 +21,6 @@ use nectar_hub::item::{Item, Packet};
 use nectar_hub::pool::{BufPool, PoolStats};
 use nectar_kernel::mailbox::Mailbox;
 use nectar_kernel::thread::{Scheduler, ThreadId};
-use nectar_proto::datalink::Route;
 use nectar_proto::header::{Header, MAX_FRAGMENT_PAYLOAD};
 use nectar_proto::transport::bytestream::{ByteStream, ByteStreamConfig};
 use nectar_proto::transport::datagram::Datagram;
@@ -338,8 +337,9 @@ struct CabState {
     datagram: Datagram,
     rpc_client: ReqRespClient,
     rpc_server: ReqRespServer,
-    /// CircuitCached mode: the currently open circuit, if any.
-    open_circuit: Option<(usize, Route)>,
+    /// CircuitCached mode: the destination of the currently open
+    /// circuit, if any.
+    open_circuit: Option<usize>,
     mailboxes: HashMap<u16, Mailbox>,
     timers: HashMap<(TimerSource, u64), EventId>,
     next_packet_id: u64,
@@ -2028,12 +2028,12 @@ impl World {
             }
             SwitchingMode::CircuitCached => {
                 let mut items = Vec::new();
-                let reopen = match &self.cabs[cab].open_circuit {
+                let reopen = match self.cabs[cab].open_circuit {
                     // A retransmission means packets are vanishing on
                     // this path; the cached circuit (or its close-all,
                     // leaving a stale member multicasting our data) is
                     // suspect, so rebuild it from scratch.
-                    Some((open_dst, _)) if *open_dst == dst && !retransmit => false,
+                    Some(open_dst) if open_dst == dst && !retransmit => false,
                     Some(_) => {
                         // Tear down the old circuit first: a CAB has one
                         // input port, a second circuit would multicast.
@@ -2049,7 +2049,7 @@ impl World {
                     // serializes the opens ahead of the packet.
                     items.extend(route.circuit_open_items());
                     self.cabs[cab].counters.circuit_opens += 1;
-                    self.cabs[cab].open_circuit = Some((dst, route));
+                    self.cabs[cab].open_circuit = Some(dst);
                 }
                 items.push(packet.into());
                 items

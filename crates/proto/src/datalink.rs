@@ -35,9 +35,18 @@ impl fmt::Display for Hop {
 /// open at each HUB along the way. Nectar routes are source-routed —
 /// the sending CAB computes the whole path and encodes it as a command
 /// packet (§4.2.1).
+///
+/// The two command prologues a route can be sent with — `test open
+/// with retry` per hop (§4.2.3) and `open with retry`, replying on the
+/// last hop (§4.2.1) — are a function of the hops alone, so they are
+/// built once here and read by the datalink every time a packet goes
+/// on the fibre.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Route {
     hops: Vec<Hop>,
+    /// The test-open prologue followed by the circuit-open prologue,
+    /// `hops.len()` commands each.
+    opens: Vec<Command>,
 }
 
 impl Route {
@@ -48,7 +57,17 @@ impl Route {
     /// Panics if `hops` is empty: a route traverses at least one HUB.
     pub fn new(hops: Vec<Hop>) -> Route {
         assert!(!hops.is_empty(), "a route traverses at least one HUB");
-        Route { hops }
+        let last = hops.len() - 1;
+        let mut opens = Vec::with_capacity(2 * hops.len());
+        // Packet switching needs no reply: the data follows the commands
+        // immediately and flow control does the pacing.
+        opens.extend(hops.iter().map(|h| Command::open(true, true, false, h.hub, h.out)));
+        opens.extend(
+            hops.iter()
+                .enumerate()
+                .map(|(i, h)| Command::open(false, true, i == last, h.hub, h.out)),
+        );
+        Route { hops, opens }
     }
 
     /// The hops in order.
@@ -66,32 +85,28 @@ impl Route {
         false
     }
 
-    /// The command packet that establishes this circuit: `open with
-    /// retry` at every hop, with `and reply` on the last so the sender
-    /// learns the route is up (§4.2.1's exact recipe).
+    /// The packet-switched prologue as commands: `test open with
+    /// retry` at every hop, so each connection waits for the downstream
+    /// input queue to be ready (§4.2.3's exact recipe).
+    pub fn test_opens(&self) -> &[Command] {
+        &self.opens[..self.hops.len()]
+    }
+
+    /// The circuit prologue as commands: `open with retry` at every
+    /// hop, with `and reply` on the last so the sender learns the route
+    /// is up (§4.2.1's exact recipe).
+    pub fn circuit_opens(&self) -> &[Command] {
+        &self.opens[self.hops.len()..]
+    }
+
+    /// [`circuit_opens`](Route::circuit_opens) as wire items.
     pub fn circuit_open_items(&self) -> Vec<Item> {
-        self.open_items(false)
+        self.circuit_opens().iter().map(|&c| c.into()).collect()
     }
 
-    /// The packet-switched prologue: `test open with retry` at every
-    /// hop, so each connection waits for the downstream input queue to
-    /// be ready (§4.2.3's exact recipe).
+    /// [`test_opens`](Route::test_opens) as wire items.
     pub fn test_open_items(&self) -> Vec<Item> {
-        self.open_items(true)
-    }
-
-    fn open_items(&self, test: bool) -> Vec<Item> {
-        let last = self.hops.len() - 1;
-        self.hops
-            .iter()
-            .enumerate()
-            .map(|(i, hop)| {
-                // Packet switching needs no reply: the data follows the
-                // commands immediately and flow control does the pacing.
-                let reply = !test && i == last;
-                Command::open(test, true, reply, hop.hub, hop.out).into()
-            })
-            .collect()
+        self.test_opens().iter().map(|&c| c.into()).collect()
     }
 
     /// A full packet-switched transmission: test-opens, the data
