@@ -79,8 +79,8 @@ impl std::error::Error for TopologyError {}
 #[derive(Clone, Debug)]
 pub struct Topology {
     ports_per_hub: usize,
-    /// `peers[hub][port]`.
-    peers: Vec<Vec<Peer>>,
+    /// `peers[hub * ports_per_hub + port]`.
+    peers: Vec<Peer>,
     /// Per CAB: the (hub, port) it is attached to.
     cab_links: Vec<(usize, PortId)>,
     /// `routes[src_hub * cab_count + dst_cab]`, `None` where no fiber
@@ -96,7 +96,8 @@ pub struct Topology {
 pub struct TopologyBuilder {
     ports_per_hub: usize,
     hubs: usize,
-    peers: Vec<Vec<Peer>>,
+    /// `peers[hub * ports_per_hub + port]`.
+    peers: Vec<Peer>,
     cab_links: Vec<(usize, PortId)>,
 }
 
@@ -111,7 +112,7 @@ impl TopologyBuilder {
         TopologyBuilder {
             ports_per_hub,
             hubs,
-            peers: vec![vec![Peer::None; ports_per_hub]; hubs],
+            peers: vec![Peer::None; hubs * ports_per_hub],
             cab_links: Vec::new(),
         }
     }
@@ -123,10 +124,11 @@ impl TopologyBuilder {
         if port.index() >= self.ports_per_hub {
             return Err(TopologyError::PortOutOfRange { hub, port });
         }
-        if self.peers[hub][port.index()] != Peer::None {
+        let slot = &mut self.peers[hub * self.ports_per_hub + port.index()];
+        if *slot != Peer::None {
             return Err(TopologyError::PortInUse { hub, port });
         }
-        self.peers[hub][port.index()] = peer;
+        *slot = peer;
         Ok(())
     }
 
@@ -163,7 +165,7 @@ impl TopologyBuilder {
         self.claim(a, pa, Peer::Hub(b, pb))?;
         // First claim succeeded; the second must too or we roll back.
         if let Err(e) = self.claim(b, pb, Peer::Hub(a, pa)) {
-            self.peers[a][pa.index()] = Peer::None;
+            self.peers[a * self.ports_per_hub + pa.index()] = Peer::None;
             return Err(e);
         }
         Ok(())
@@ -197,10 +199,10 @@ impl TopologyBuilder {
 /// table holds exactly the routes such a search finds.
 fn build_routes(
     ports_per_hub: usize,
-    peers: &[Vec<Peer>],
+    peers: &[Peer],
     cab_links: &[(usize, PortId)],
 ) -> Vec<Option<Route>> {
-    let hubs = peers.len();
+    let hubs = peers.len() / ports_per_hub;
     let mut has_cab = vec![false; hubs];
     for &(hub, _) in cab_links {
         has_cab[hub] = true;
@@ -223,8 +225,8 @@ fn build_routes(
         let mut next_out = 0;
         while let Some(&h) = frontier.get(next_out) {
             next_out += 1;
-            for port in 0..ports_per_hub {
-                if let Peer::Hub(next, _) = peers[h][port] {
+            for (port, peer) in peers[h * ports_per_hub..][..ports_per_hub].iter().enumerate() {
+                if let Peer::Hub(next, _) = *peer {
                     if toward[next].is_none() {
                         toward[next] = Some((h, PortId::new(port as u8)));
                         frontier.push(next);
@@ -362,7 +364,7 @@ impl Topology {
 
     /// Number of HUBs.
     pub fn hub_count(&self) -> usize {
-        self.peers.len()
+        self.peers.len() / self.ports_per_hub
     }
 
     /// Number of CABs.
@@ -377,7 +379,10 @@ impl Topology {
 
     /// What is wired to `hub`'s `port`.
     pub fn peer(&self, hub: usize, port: PortId) -> Peer {
-        self.peers.get(hub).and_then(|ports| ports.get(port.index())).copied().unwrap_or(Peer::None)
+        if port.index() >= self.ports_per_hub {
+            return Peer::None;
+        }
+        self.peers.get(hub * self.ports_per_hub + port.index()).copied().unwrap_or(Peer::None)
     }
 
     /// The (hub, port) a CAB is attached to.
@@ -461,12 +466,12 @@ mod tests {
             if start == goal {
                 return Some(vec![start]);
             }
-            let mut prev: Vec<Option<usize>> = vec![None; self.peers.len()];
+            let mut prev: Vec<Option<usize>> = vec![None; self.hub_count()];
             let mut queue = VecDeque::from([start]);
             prev[start] = Some(start);
             while let Some(h) = queue.pop_front() {
                 for port in 0..self.ports_per_hub {
-                    if let Peer::Hub(next, _) = self.peers[h][port] {
+                    if let Peer::Hub(next, _) = self.peer(h, PortId::new(port as u8)) {
                         if prev[next].is_none() {
                             prev[next] = Some(h);
                             if next == goal {
@@ -491,7 +496,7 @@ mod tests {
         fn port_toward(&self, hub: usize, next_hub: usize) -> Option<PortId> {
             (0..self.ports_per_hub)
                 .map(|p| PortId::new(p as u8))
-                .find(|&p| matches!(self.peers[hub][p.index()], Peer::Hub(h, _) if h == next_hub))
+                .find(|&p| matches!(self.peer(hub, p), Peer::Hub(h, _) if h == next_hub))
         }
 
         fn route_by_search(&self, from: usize, to: usize) -> Result<Route, TopologyError> {

@@ -58,6 +58,11 @@ impl std::error::Error for ConnectError {}
 pub struct Crossbar {
     /// `input_of[out] = Some(in)` when `in -> out` is connected.
     input_of: Vec<Option<PortId>>,
+    /// The inverse of `input_of`: `outputs_of[in]` holds exactly the
+    /// outputs `in` drives. Kept current by every connect and
+    /// disconnect, so the forwarding path reads an input's fan-out
+    /// instead of scanning every output for it.
+    outputs_of: Vec<PortSet>,
 }
 
 impl Crossbar {
@@ -69,7 +74,7 @@ impl Crossbar {
     /// byte).
     pub fn new(ports: usize) -> Crossbar {
         assert!(ports > 0 && ports <= 256, "crossbar size must be 1..=256");
-        Crossbar { input_of: vec![None; ports] }
+        Crossbar { input_of: vec![None; ports], outputs_of: vec![PortSet::EMPTY; ports] }
     }
 
     /// Number of ports.
@@ -105,6 +110,7 @@ impl Crossbar {
             Some(held_by) if held_by != input => Err(ConnectError::OutputBusy { held_by }),
             _ => {
                 self.input_of[output.index()] = Some(input);
+                self.outputs_of[input.index()].insert(output);
                 Ok(())
             }
         }
@@ -113,25 +119,28 @@ impl Crossbar {
     /// Breaks the connection feeding `output`. Returns the input that
     /// was driving it, if any.
     pub fn disconnect_output(&mut self, output: PortId) -> Option<PortId> {
-        self.input_of.get_mut(output.index())?.take()
+        let input = self.input_of.get_mut(output.index())?.take()?;
+        self.outputs_of[input.index()].remove(output);
+        Some(input)
     }
 
     /// Breaks every connection fed by `input`. Returns the outputs that
     /// were disconnected, in ascending order.
     pub fn disconnect_input(&mut self, input: PortId) -> Vec<PortId> {
-        let mut freed = Vec::new();
-        for (i, slot) in self.input_of.iter_mut().enumerate() {
-            if *slot == Some(input) {
-                *slot = None;
-                freed.push(PortId::new(i as u8));
-            }
+        let Some(set) = self.outputs_of.get_mut(input.index()) else {
+            return Vec::new();
+        };
+        let freed: Vec<PortId> = std::mem::take(set).iter().collect();
+        for out in &freed {
+            self.input_of[out.index()] = None;
         }
         freed
     }
 
     /// Breaks every connection.
     pub fn disconnect_all(&mut self) {
-        self.input_of.iter_mut().for_each(|s| *s = None);
+        self.input_of.fill(None);
+        self.outputs_of.fill(PortSet::EMPTY);
     }
 
     /// The input driving `output`, if connected.
@@ -150,10 +159,10 @@ impl Crossbar {
     }
 
     /// [`outputs_for`](Crossbar::outputs_for) as a [`PortSet`]: the
-    /// same ports in the same (ascending) iteration order, without the
-    /// allocation — the form the forwarding path uses.
+    /// same ports in the same (ascending) iteration order, read from
+    /// the fan-out index — the form the forwarding path uses.
     pub fn output_set(&self, input: PortId) -> PortSet {
-        self.connections().filter(|&(i, _)| i == input).map(|(_, out)| out).collect()
+        self.outputs_of.get(input.index()).copied().unwrap_or(PortSet::EMPTY)
     }
 
     /// `true` if the output register is currently driven.

@@ -117,6 +117,11 @@ impl PortSet {
         self.0[port.index() >> 6] |= 1 << (port.index() & 63);
     }
 
+    /// Removes `port` (a no-op if it is not a member).
+    pub fn remove(&mut self, port: PortId) {
+        self.0[port.index() >> 6] &= !(1 << (port.index() & 63));
+    }
+
     /// `true` if the set has no members.
     pub fn is_empty(&self) -> bool {
         self.0 == [0; 4]
