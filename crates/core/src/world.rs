@@ -333,14 +333,19 @@ struct CabState {
     /// Cumulative time this CAB's outgoing fiber has been busy.
     fiber_tx_busy: Dur,
     tx_bursts: VecDeque<Vec<Item>>,
-    streams: HashMap<usize, ByteStream>,
+    /// Byte-stream endpoints, indexed by peer CAB; grown to the highest
+    /// peer this CAB has exchanged stream traffic with.
+    streams: Vec<Option<Box<ByteStream>>>,
     datagram: Datagram,
     rpc_client: ReqRespClient,
     rpc_server: ReqRespServer,
     /// CircuitCached mode: the destination of the currently open
     /// circuit, if any.
     open_circuit: Option<usize>,
-    mailboxes: HashMap<u16, Mailbox>,
+    /// Mailboxes by address, in creation order. A CAB owns a handful
+    /// and their addresses are sparse (`0x7000+` for workloads), so a
+    /// linear search beats hashing every delivered packet.
+    mailboxes: Vec<(u16, Mailbox)>,
     timers: HashMap<(TimerSource, u64), EventId>,
     next_packet_id: u64,
     counters: CabCounters,
@@ -350,6 +355,27 @@ struct CabState {
     /// function of this CAB's own event timeline alone — a sharded
     /// run then reproduces it bit-for-bit.
     pool: BufPool,
+}
+
+impl CabState {
+    /// The byte-stream endpoint towards `peer`, created on first use.
+    fn stream_to(&mut self, local: usize, peer: usize, cfg: ByteStreamConfig) -> &mut ByteStream {
+        if peer >= self.streams.len() {
+            self.streams.resize_with(peer + 1, || None);
+        }
+        self.streams[peer].get_or_insert_with(|| {
+            Box::new(ByteStream::new(CabId::new(local as u16), CabId::new(peer as u16), cfg))
+        })
+    }
+
+    /// Every byte-stream endpoint this CAB has, in peer order.
+    fn open_streams(&self) -> impl Iterator<Item = &ByteStream> {
+        self.streams.iter().flatten().map(|s| &**s)
+    }
+
+    fn mailbox_mut(&mut self, address: u16) -> Option<&mut Mailbox> {
+        self.mailboxes.iter_mut().find(|(a, _)| *a == address).map(|(_, mb)| mb)
+    }
 }
 
 /// First mailbox id the workload generator reserves for itself. Class
@@ -412,6 +438,10 @@ pub struct World {
     /// Scratch for [`run_window`](World::run_window)'s batched drain;
     /// kept across calls so the steady state never allocates.
     batch: Vec<Ev>,
+    /// Scratch the transport entry points append their actions to;
+    /// taken by the caller, drained and put back by
+    /// [`exec_actions`](World::exec_actions), capacity kept.
+    actions: Vec<Action>,
     /// Scratch the HUB entry points append their consequences to;
     /// drained into engine events after every call, capacity kept.
     hub_fx: Effects,
@@ -563,12 +593,12 @@ impl World {
                     fiber_free: Time::ZERO,
                     fiber_tx_busy: Dur::ZERO,
                     tx_bursts: VecDeque::new(),
-                    streams: HashMap::new(),
+                    streams: Vec::new(),
                     datagram: Datagram::new(CabId::new(i as u16)),
                     rpc_client: ReqRespClient::new(CabId::new(i as u16), cfg.rpc),
                     rpc_server: ReqRespServer::new(CabId::new(i as u16), cfg.rpc),
                     open_circuit: None,
-                    mailboxes: HashMap::new(),
+                    mailboxes: Vec::new(),
                     timers: HashMap::new(),
                     next_packet_id: (i as u64) << 40,
                     counters: CabCounters::default(),
@@ -592,6 +622,7 @@ impl World {
             faults_injected: 0,
             chaos_freed: 0,
             batch: Vec::new(),
+            actions: Vec::new(),
             hub_fx: Effects::new(),
             telemetry: Telemetry::default(),
             observability: false,
@@ -907,7 +938,7 @@ impl World {
                 cs.sched.interrupt_busy().nanos(),
             );
             let (tx, rtx, tmo, acc, mism) =
-                cs.streams.values().fold((0, 0, 0, 0, 0), |(a, b, t, ac, m), s| {
+                cs.open_streams().fold((0, 0, 0, 0, 0), |(a, b, t, ac, m), s| {
                     let st = s.stats();
                     (
                         a + st.data_sent,
@@ -922,13 +953,13 @@ impl World {
             reg.counter_add(&format!("cab{c}.transport.timeouts"), tmo);
             reg.counter_add(&format!("cab{c}.transport.accepted"), acc);
             reg.counter_add(&format!("cab{c}.transport.reassembly_mismatches"), mism);
-            for mb in cs.mailboxes.values() {
+            for (_, mb) in &cs.mailboxes {
                 reg.gauge_max("mailbox.capacity_bytes", mb.capacity() as f64);
             }
-            let (peak_bytes, peak_depth) = cs
-                .mailboxes
-                .values()
-                .fold((0usize, 0usize), |(b, d), mb| (b.max(mb.peak_used()), d.max(mb.peak_len())));
+            let (peak_bytes, peak_depth) =
+                cs.mailboxes.iter().fold((0usize, 0usize), |(b, d), (_, mb)| {
+                    (b.max(mb.peak_used()), d.max(mb.peak_len()))
+                });
             reg.gauge_max(&format!("cab{c}.mailbox.peak_bytes"), peak_bytes as f64);
             reg.gauge_max(&format!("cab{c}.mailbox.peak_depth"), peak_depth as f64);
             reg.gauge_max(&format!("cab{c}.fiber.utilization"), self.fiber_utilization(c));
@@ -1321,14 +1352,13 @@ impl World {
         src: usize,
         dst: usize,
     ) -> Option<nectar_proto::transport::bytestream::ByteStreamStats> {
-        self.cabs[src].streams.get(&dst).map(|s| s.stats())
+        self.cabs[src].streams.get(dst)?.as_ref().map(|s| s.stats())
     }
 
     /// CABs that `src` has a byte-stream connection with (sorted).
     pub fn stream_peers(&self, src: usize) -> Vec<usize> {
-        let mut peers: Vec<usize> = self.cabs[src].streams.keys().copied().collect();
-        peers.sort_unstable();
-        peers
+        let streams = &self.cabs[src].streams;
+        (0..streams.len()).filter(|&peer| streams[peer].is_some()).collect()
     }
 
     /// `true` when every byte stream has drained (nothing in flight or
@@ -1336,7 +1366,7 @@ impl World {
     /// layer's part of the quiescence invariant.
     pub fn transport_quiescent(&self) -> bool {
         self.cabs.iter().all(|cs| {
-            cs.streams.values().all(|s| s.is_quiescent()) && cs.rpc_client.outstanding() == 0
+            cs.open_streams().all(|s| s.is_quiescent()) && cs.rpc_client.outstanding() == 0
         })
     }
 
@@ -1587,7 +1617,7 @@ impl World {
     /// `client`'s transaction `tx`).
     pub fn rpc_respond_now(&mut self, cab: usize, client: usize, tx: u32, data: &[u8]) -> bool {
         let now = self.now();
-        let mut actions = Vec::new();
+        let mut actions = std::mem::take(&mut self.actions);
         let ok = self.cabs[cab].rpc_server.respond(
             now,
             CabId::new(client as u16),
@@ -1605,7 +1635,7 @@ impl World {
         cab: usize,
         mailbox: u16,
     ) -> Option<nectar_kernel::mailbox::Message> {
-        self.cabs[cab].mailboxes.get_mut(&mailbox)?.take_next()
+        self.cabs[cab].mailbox_mut(mailbox)?.take_next()
     }
 
     // ---------------------------------------------------------------
@@ -1703,10 +1733,10 @@ impl World {
                     FlightId::NONE,
                     EventKind::TransportTimeout { cab: cab as u16, peer: timeout_peer },
                 );
-                let mut actions = Vec::new();
+                let mut actions = std::mem::take(&mut self.actions);
                 match source {
                     TimerSource::Stream(peer) => {
-                        if let Some(s) = self.cabs[cab].streams.get_mut(&peer) {
+                        if let Some(Some(s)) = self.cabs[cab].streams.get_mut(peer) {
                             s.on_timer(done, token, &mut actions);
                         }
                     }
@@ -1752,19 +1782,20 @@ impl World {
         data: &[u8],
     ) -> u32 {
         assert_ne!(src, dst, "a CAB does not message itself over the net");
-        let cab_id = CabId::new(src as u16);
         let stream_cfg = self.cfg.stream;
         let cs = &mut self.cabs[src];
         // The application thread is the caller (procedure-call
         // invocation, §6.2.2): it is already running.
         let app = cs.app_thread;
         cs.sched.assume_running(app);
-        let mut actions = Vec::new();
-        let msg_id = cs
-            .streams
-            .entry(dst)
-            .or_insert_with(|| ByteStream::new(cab_id, CabId::new(dst as u16), stream_cfg))
-            .send_message(now, src_mailbox, dst_mailbox, data, &mut actions);
+        let mut actions = std::mem::take(&mut self.actions);
+        let msg_id = cs.stream_to(src, dst, stream_cfg).send_message(
+            now,
+            src_mailbox,
+            dst_mailbox,
+            data,
+            &mut actions,
+        );
         self.telemetry.record(
             now,
             FlightId::NONE,
@@ -1787,7 +1818,7 @@ impl World {
         let cs = &mut self.cabs[src];
         let app = cs.app_thread;
         cs.sched.assume_running(app);
-        let mut actions = Vec::new();
+        let mut actions = std::mem::take(&mut self.actions);
         let msg_id = cs.datagram.send(
             now,
             CabId::new(dst as u16),
@@ -1818,7 +1849,7 @@ impl World {
         let cs = &mut self.cabs[src];
         let app = cs.app_thread;
         cs.sched.assume_running(app);
-        let mut actions = Vec::new();
+        let mut actions = std::mem::take(&mut self.actions);
         let tx = cs.rpc_client.call(
             now,
             CabId::new(dst as u16),
@@ -1908,7 +1939,8 @@ impl World {
     /// (acks, retransmissions, timer handlers). `flight` is the flight
     /// id of the packet whose processing produced these actions (or
     /// [`FlightId::NONE`]); deliveries inherit it for latency
-    /// accounting.
+    /// accounting. `actions` is the world's scratch list, taken by the
+    /// caller to fill; it is handed back here, emptied.
     fn exec_actions(
         &mut self,
         cab: usize,
@@ -1916,9 +1948,9 @@ impl World {
         source: Option<TimerSource>,
         app_context: bool,
         flight: FlightId,
-        actions: Vec<Action>,
+        mut actions: Vec<Action>,
     ) {
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 Action::Send { header, payload, retransmit } => {
                     let cost_send = self.cfg.cab.send_path();
@@ -1943,12 +1975,16 @@ impl World {
                     let cs = &mut self.cabs[cab];
                     let app = cs.app_thread;
                     let (_, end) = cs.sched.run(now, app, op);
-                    let slot = cs
-                        .mailboxes
-                        .entry(mailbox)
-                        .or_insert_with(|| Mailbox::new(format!("mb{mailbox}"), mailbox_cap));
+                    let slot = match cs.mailboxes.iter().position(|(a, _)| *a == mailbox) {
+                        Some(i) => i,
+                        None => {
+                            let mb = Mailbox::new(format!("mb{mailbox}"), mailbox_cap);
+                            cs.mailboxes.push((mailbox, mb));
+                            cs.mailboxes.len() - 1
+                        }
+                    };
                     let (id, len, tag) = (msg.id(), msg.len(), msg.tag());
-                    if slot.append(msg).is_err() {
+                    if cs.mailboxes[slot].1.append(msg).is_err() {
                         cs.counters.mailbox_rejects += 1;
                         continue;
                     }
@@ -1985,6 +2021,7 @@ impl World {
                 Action::Error(e) => self.errors.push((cab, e, now)),
             }
         }
+        self.actions = actions;
     }
 
     // ---------------------------------------------------------------
@@ -2369,20 +2406,20 @@ impl World {
                 EventKind::TransportAck { cab: cab as u16, peer: peer as u16, ack: header.ack },
             );
         }
-        let mut actions = Vec::new();
+        let mut actions = std::mem::take(&mut self.actions);
         let source = match header.kind {
             PacketKind::Datagram => {
                 self.cabs[cab].datagram.on_packet(now, &header, body, &mut actions);
                 None
             }
             PacketKind::Data | PacketKind::Ack => {
-                let local = CabId::new(cab as u16);
                 let stream_cfg = self.cfg.stream;
-                self.cabs[cab]
-                    .streams
-                    .entry(peer)
-                    .or_insert_with(|| ByteStream::new(local, header.src_cab, stream_cfg))
-                    .on_packet(now, &header, body, &mut actions);
+                self.cabs[cab].stream_to(cab, peer, stream_cfg).on_packet(
+                    now,
+                    &header,
+                    body,
+                    &mut actions,
+                );
                 Some(TimerSource::Stream(peer))
             }
             PacketKind::Request => {

@@ -187,7 +187,7 @@ impl Header {
         buf.extend_from_slice(&[0, 0]); // checksum placeholder
         buf.extend_from_slice(payload);
         let sum = fletcher16(buf);
-        buf[30..32].copy_from_slice(&sum.to_be_bytes());
+        buf[CHECKSUM_AT..CHECKSUM_AT + 2].copy_from_slice(&sum.to_be_bytes());
     }
 
     /// Decodes a wire buffer into header and payload, verifying length
@@ -210,11 +210,8 @@ impl Header {
         if payload_len != have {
             return Err(DecodeError::LengthMismatch { claimed: payload_len, have });
         }
-        let carried = u16at(30);
-        let mut check = bytes.to_vec();
-        check[30] = 0;
-        check[31] = 0;
-        let computed = fletcher16(&check);
+        let carried = u16at(CHECKSUM_AT);
+        let computed = checksum_with_field_zeroed(bytes);
         if carried != computed {
             return Err(DecodeError::Checksum { carried, computed });
         }
@@ -254,6 +251,29 @@ impl Header {
     }
 }
 
+/// Byte offset of the checksum field in the header.
+const CHECKSUM_AT: usize = 30;
+
+/// The Fletcher-16 sum the sender computed: over `bytes` with the two
+/// checksum bytes read as zero. Summed in place over the buffer as
+/// received, then corrected: byte `b` at index `i` of `n` adds `b` to
+/// the first sum and `b * (n - i)` to the second, both mod 255, so the
+/// carried field's contribution is subtracted instead of copying the
+/// packet to blank it.
+fn checksum_with_field_zeroed(bytes: &[u8]) -> u16 {
+    let n = bytes.len() as u64;
+    let sum = fletcher16(bytes);
+    let (mut s1, mut s2) = ((sum & 0xFF) as u64, (sum >> 8) as u64);
+    for i in CHECKSUM_AT..CHECKSUM_AT + 2 {
+        let b = bytes[i] as u64;
+        // Both sums are residues below 255; adding a multiple of 255
+        // first keeps the subtraction non-negative.
+        s1 = (s1 + 255 - b % 255) % 255;
+        s2 = (s2 + 255 - b * (n - i as u64) % 255) % 255;
+    }
+    ((s2 as u16) << 8) | s1 as u16
+}
+
 impl fmt::Display for Header {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -277,6 +297,90 @@ impl fmt::Display for Header {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reference decode: the same checks in the same order, with
+    /// the checksum taken over a copy whose checksum field is blanked.
+    fn decode_by_copy(bytes: &[u8]) -> Result<(Header, &[u8]), DecodeError> {
+        if bytes.len() < HEADER_BYTES {
+            return Err(DecodeError::Truncated { have: bytes.len() });
+        }
+        let kind =
+            PacketKind::from_code(bytes[0]).ok_or(DecodeError::BadKind { code: bytes[0] })?;
+        let u16at = |i: usize| u16::from_be_bytes([bytes[i], bytes[i + 1]]);
+        let u32at =
+            |i: usize| u32::from_be_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]]);
+        let (claimed, have) = (u16at(28) as usize, bytes.len() - HEADER_BYTES);
+        if claimed != have {
+            return Err(DecodeError::LengthMismatch { claimed, have });
+        }
+        let mut check = bytes.to_vec();
+        check[30] = 0;
+        check[31] = 0;
+        let (carried, computed) = (u16at(30), fletcher16(&check));
+        if carried != computed {
+            return Err(DecodeError::Checksum { carried, computed });
+        }
+        let header = Header {
+            kind,
+            src_cab: CabId::new(u16at(2)),
+            dst_cab: CabId::new(u16at(4)),
+            src_mailbox: u16at(6),
+            dst_mailbox: u16at(8),
+            msg_id: u32at(10),
+            frag_index: u16at(14),
+            frag_count: u16at(16),
+            seq: u32at(18),
+            ack: u32at(22),
+            window: u16at(26),
+            payload_len: claimed as u16,
+        };
+        Ok((header, &bytes[HEADER_BYTES..]))
+    }
+
+    proptest! {
+        /// In-place verification answers exactly as the copy does — same
+        /// `Ok` fields, same `Err` variant and fields — on valid
+        /// packets, on packets with any two bytes (0xFF included)
+        /// planted in the checksum field, on single-bit corruptions
+        /// anywhere, and on truncated or over-long buffers.
+        #[test]
+        fn decode_in_place_equals_decode_by_copy(
+            body in prop::collection::vec(any::<u8>(), 0..1025),
+            fields in prop::collection::vec(any::<u8>(), 28..29),
+            planted in (any::<bool>(), any::<u8>(), any::<u8>(), any::<bool>()),
+            flip in (any::<bool>(), any::<u16>(), 0u8..8),
+            cut in (0u8..4, any::<u16>()),
+        ) {
+            // A well-formed packet around random field bytes.
+            let mut wire = fields;
+            wire[0] %= 5;
+            wire.extend_from_slice(&(body.len() as u16).to_be_bytes());
+            wire.extend_from_slice(&[0, 0]);
+            wire.extend_from_slice(&body);
+            let sum = fletcher16(&wire);
+            wire[30..32].copy_from_slice(&sum.to_be_bytes());
+            prop_assert!(Header::decode(&wire).is_ok());
+            prop_assert_eq!(Header::decode(&wire), decode_by_copy(&wire));
+
+            let (plant, hi, lo, all_ones) = planted;
+            if plant {
+                wire[30] = if all_ones { 0xFF } else { hi };
+                wire[31] = lo;
+            }
+            let (do_flip, at, bit) = flip;
+            if do_flip {
+                let at = at as usize % wire.len();
+                wire[at] ^= 1 << bit;
+            }
+            match cut {
+                (0, n) => wire.truncate(n as usize % (wire.len() + 1)),
+                (1, n) => wire.extend(std::iter::repeat(0xA5).take(1 + n as usize % 24)),
+                _ => {}
+            }
+            prop_assert_eq!(Header::decode(&wire), decode_by_copy(&wire));
+        }
+    }
 
     fn sample(kind: PacketKind, payload: &[u8]) -> Header {
         Header {

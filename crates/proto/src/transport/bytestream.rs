@@ -130,6 +130,8 @@ pub struct ByteStream {
     // Receiver state.
     expected: u32,
     reasm: Reassembler,
+    /// The empty payload every acknowledgement shares.
+    ack_payload: Arc<[u8]>,
     stats: ByteStreamStats,
 }
 
@@ -152,6 +154,7 @@ impl ByteStream {
             backoff: 0,
             expected: 0,
             reasm: Reassembler::new(),
+            ack_payload: Arc::from([]),
             stats: ByteStreamStats::default(),
         }
     }
@@ -295,7 +298,7 @@ impl ByteStream {
             ..Header::new(PacketKind::Ack, self.local, self.peer)
         };
         self.stats.acks_sent += 1;
-        out.push(Action::Send { header, payload: Arc::from(Vec::new()), retransmit: false });
+        out.push(Action::Send { header, payload: self.ack_payload.clone(), retransmit: false });
     }
 
     fn on_data(&mut self, header: &Header, payload: &[u8], out: &mut Vec<Action>) {

@@ -76,7 +76,7 @@ impl Datagram {
             ..Header::new(PacketKind::Datagram, self.local, dst)
         };
         self.sent += 1;
-        out.push(Action::Send { header, payload: Arc::from(data.to_vec()), retransmit: false });
+        out.push(Action::Send { header, payload: Arc::from(data), retransmit: false });
         msg_id
     }
 
@@ -93,7 +93,7 @@ impl Datagram {
         self.received += 1;
         out.push(Action::Deliver {
             mailbox: header.dst_mailbox,
-            msg: Message::new(header.msg_id as u64, header.src_mailbox as u32, payload.to_vec()),
+            msg: Message::new(header.msg_id as u64, header.src_mailbox as u32, payload),
         });
     }
 

@@ -116,7 +116,7 @@ impl ReqRespClient {
             payload_len: request.len() as u16,
             ..Header::new(PacketKind::Request, self.local, dst)
         };
-        let payload: Arc<[u8]> = Arc::from(request.to_vec());
+        let payload: Arc<[u8]> = Arc::from(request);
         self.calls += 1;
         out.push(Action::Send { header, payload: payload.clone(), retransmit: false });
         out.push(Action::SetTimer { token: Self::token(tx, 1), delay: self.cfg.rto });
@@ -141,7 +141,7 @@ impl ReqRespClient {
         out.push(Action::CancelTimer { token: Self::token(tx, pending.attempts) });
         out.push(Action::Deliver {
             mailbox: pending.header.src_mailbox,
-            msg: Message::new(tx as u64, tx, payload.to_vec()),
+            msg: Message::new(tx as u64, tx, payload),
         });
         out.push(Action::Complete { msg_id: tx });
     }
@@ -252,7 +252,7 @@ impl ReqRespServer {
         self.pending.insert(key, *header);
         out.push(Action::Deliver {
             mailbox: header.dst_mailbox,
-            msg: Message::new(header.msg_id as u64, header.src_cab.raw() as u32, payload.to_vec()),
+            msg: Message::new(header.msg_id as u64, header.src_cab.raw() as u32, payload),
         });
     }
 
@@ -278,7 +278,7 @@ impl ReqRespServer {
             payload_len: response.len() as u16,
             ..Header::new(PacketKind::Response, self.local, CabId::new(client.raw()))
         };
-        let payload: Arc<[u8]> = Arc::from(response.to_vec());
+        let payload: Arc<[u8]> = Arc::from(response);
         self.cache.insert(key, (header, payload.clone()));
         self.cache_order.push_back(key);
         while self.cache_order.len() > self.cfg.response_cache {
