@@ -332,7 +332,7 @@ struct CabState {
     fiber_free: Time,
     /// Cumulative time this CAB's outgoing fiber has been busy.
     fiber_tx_busy: Dur,
-    tx_bursts: VecDeque<Vec<Item>>,
+    tx_bursts: VecDeque<Burst>,
     /// Byte-stream endpoints, indexed by peer CAB; grown to the highest
     /// peer this CAB has exchanged stream traffic with.
     streams: Vec<Option<Box<ByteStream>>>,
@@ -355,6 +355,45 @@ struct CabState {
     /// function of this CAB's own event timeline alone — a sharded
     /// run then reproduces it bit-for-bit.
     pool: BufPool,
+}
+
+/// One entry of a CAB's transmit queue: what goes on its fibre back to
+/// back once the entry reaches the front.
+enum Burst {
+    /// One packet-switched packet to one CAB — nearly every entry. The
+    /// `test open` prologue in front of it and the `close all` behind
+    /// it are read from the route table when the burst goes on the
+    /// fibre, so a queued flow holds its packet and nothing else.
+    Packet { dst: usize, packet: Packet },
+    /// Anything else, item by item: a multicast train, a circuit
+    /// (re-)open with its packet, a status query.
+    Items(Vec<Item>),
+}
+
+impl Burst {
+    /// Data bytes carried, which decides whether the burst may jump
+    /// the queue.
+    fn payload_bytes(&self) -> usize {
+        match self {
+            Burst::Packet { packet, .. } => packet.len(),
+            Burst::Items(items) => items
+                .iter()
+                .map(|i| match i {
+                    Item::Packet(p) => p.len(),
+                    _ => 0,
+                })
+                .sum(),
+        }
+    }
+
+    /// `true` if the burst carries data and is therefore subject to
+    /// flow control.
+    fn has_packet(&self) -> bool {
+        match self {
+            Burst::Packet { .. } => true,
+            Burst::Items(items) => items.iter().any(|i| matches!(i, Item::Packet(_))),
+        }
+    }
 }
 
 impl CabState {
@@ -517,6 +556,15 @@ pub(crate) struct StreamState {
     pub(crate) batch: Vec<TelemetryEvent>,
 }
 
+/// [`World::next_key`] over the bare counter table, for code that holds
+/// other fields of the world borrowed.
+#[inline]
+fn take_key(keys: &mut [u64], src: usize) -> u64 {
+    let ctr = keys[src];
+    keys[src] = ctr + 1;
+    ((src as u64) << 40) | ctr
+}
+
 /// The exclusive window end that makes `deadline` inclusive: one
 /// nanosecond later. Saturating, so nothing stamped `Time::MAX` ever
 /// runs — the sharded runner reserves that instant for "no event".
@@ -642,9 +690,7 @@ impl World {
     /// `src` (a `keys` index): globally unique, ascending per source.
     #[inline]
     fn next_key(&mut self, src: usize) -> u64 {
-        let ctr = self.keys[src];
-        self.keys[src] = ctr + 1;
-        ((src as u64) << 40) | ctr
+        take_key(&mut self.keys, src)
     }
 
     /// The key-source index of HUB `hub` (CABs occupy `0..cab_count`).
@@ -1321,7 +1367,7 @@ impl World {
         let app = self.cabs[cab].app_thread;
         self.cabs[cab].sched.assume_running(app);
         let (_, done) = self.cabs[cab].sched.run(now, app, cost);
-        self.enqueue_burst(cab, vec![cmd.into()], done);
+        self.enqueue_burst(cab, Burst::Items(vec![cmd.into()]), done);
     }
 
     /// Counters for CAB `idx`.
@@ -1920,7 +1966,7 @@ impl World {
         }
         let items = mc.packet_switched_items(packet, self.cfg.hub.queue_capacity);
         self.cabs[src].counters.packets_tx += 1;
-        self.enqueue_burst(src, items, done);
+        self.enqueue_burst(src, Burst::Items(items), done);
     }
 
     fn next_packet(&mut self, cab: usize, wire: Vec<u8>) -> Packet {
@@ -2057,11 +2103,15 @@ impl World {
                 },
             );
         }
-        let queue_cap = self.cfg.hub.queue_capacity;
-        let items: Vec<Item> = match self.cfg.switching {
+        let burst = match self.cfg.switching {
             SwitchingMode::PacketSwitched => {
-                let route = self.topo.route(cab, dst).expect("destination must be reachable");
-                route.packet_switched_items(packet, queue_cap)
+                let queue_cap = self.cfg.hub.queue_capacity;
+                assert!(
+                    packet.wire_bytes() <= queue_cap,
+                    "packet-switched packets must fit the {queue_cap}-byte input queue"
+                );
+                self.topo.route(cab, dst).expect("destination must be reachable");
+                Burst::Packet { dst, packet }
             }
             SwitchingMode::CircuitCached => {
                 let mut items = Vec::new();
@@ -2089,29 +2139,22 @@ impl World {
                     self.cabs[cab].open_circuit = Some(dst);
                 }
                 items.push(packet.into());
-                items
+                Burst::Items(items)
             }
         };
         self.cabs[cab].counters.packets_tx += 1;
-        self.enqueue_burst(cab, items, ready);
+        self.enqueue_burst(cab, burst, ready);
     }
 
-    fn enqueue_burst(&mut self, cab: usize, items: Vec<Item>, ready: Time) {
+    fn enqueue_burst(&mut self, cab: usize, burst: Burst, ready: Time) {
         // Small control packets (acknowledgements, RPC headers) jump
         // ahead of queued bulk data: an ack stuck behind a window of
         // 1 KB packets on the shared fiber starves the reverse stream
         // into spurious go-back-N retransmission.
-        let payload: usize = items
-            .iter()
-            .filter_map(|i| match i {
-                Item::Packet(p) => Some(p.len()),
-                _ => None,
-            })
-            .sum();
-        if payload <= 128 && !self.cabs[cab].tx_bursts.is_empty() {
-            self.cabs[cab].tx_bursts.push_front(items);
+        if burst.payload_bytes() <= 128 && !self.cabs[cab].tx_bursts.is_empty() {
+            self.cabs[cab].tx_bursts.push_front(burst);
         } else {
-            self.cabs[cab].tx_bursts.push_back(items);
+            self.cabs[cab].tx_bursts.push_back(burst);
         }
         self.try_flush(cab, ready);
     }
@@ -2124,46 +2167,61 @@ impl World {
         }
     }
 
+    /// Puts queued bursts on `cab`'s fibre, back to back, until the
+    /// queue is empty or a packet must wait for the HUB's ready signal.
     fn try_flush(&mut self, cab: usize, now: Time) {
-        let (hub, port) = self.topo.cab_attachment(cab);
-        let prop = self.cfg.propagation;
-        while let Some(front) = self.cabs[cab].tx_bursts.front() {
-            let has_packet = front.iter().any(|i| matches!(i, Item::Packet(_)));
+        let World { cfg, topo, engine, cabs, keys, telemetry, .. } = self;
+        let (hub, port) = topo.cab_attachment(cab);
+        let cs = &mut cabs[cab];
+        while let Some(front) = cs.tx_bursts.front() {
+            let has_packet = front.has_packet();
             // The CAB-side ready bit is part of the same hardware
             // flow-control system as the HUB's (§4.2.3); the ablation
             // switches both off.
-            if has_packet && self.cfg.hub.flow_control && !self.cabs[cab].fiber_ready {
+            if has_packet && cfg.hub.flow_control && !cs.fiber_ready {
                 break;
             }
             if has_packet {
                 // One packet outstanding toward the HUB until it signals
-                // that its input queue drained (§4.2.3 flow control).
-                self.cabs[cab].fiber_ready = false;
-                self.cabs[cab].ready_gen += 1;
-                self.disarm_ready_timeout(cab);
-                let gen = self.cabs[cab].ready_gen;
-                let at = now.max(self.engine.now()) + self.cfg.ready_timeout;
-                let key = self.next_key(cab);
-                let id = self.engine.schedule_at_keyed(at, key, Ev::CabReadyTimeout { cab, gen });
-                self.cabs[cab].ready_timeout = Some(id);
+                // that its input queue drained (§4.2.3 flow control). The
+                // previous timeout's generation is bumped, so it could
+                // only ever fire as a no-op: cancel it.
+                cs.fiber_ready = false;
+                cs.ready_gen += 1;
+                if let Some(id) = cs.ready_timeout.take() {
+                    engine.cancel(id);
+                }
+                let at = now.max(engine.now()) + cfg.ready_timeout;
+                let ev = Ev::CabReadyTimeout { cab, gen: cs.ready_gen };
+                cs.ready_timeout = Some(engine.schedule_at_keyed(at, take_key(keys, cab), ev));
             }
-            let burst = self.cabs[cab].tx_bursts.pop_front().expect("front exists");
-            for item in burst {
-                let head = now.max(self.cabs[cab].fiber_free);
-                let wire = self.cfg.hub.wire_time(item.wire_bytes());
+            let burst = cs.tx_bursts.pop_front().expect("front exists");
+            let mut put = |item: Item| {
+                let head = now.max(cs.fiber_free);
+                let wire = cfg.hub.wire_time(item.wire_bytes());
                 if let Item::Packet(p) = &item {
                     // Span boundary: transmit queueing ends, fiber
                     // serialization begins.
-                    self.telemetry.record(
+                    telemetry.record(
                         head,
                         FlightId(p.id()),
                         EventKind::FiberTx { cab: cab as u16, bytes: item.wire_bytes() as u32 },
                     );
                 }
-                self.cabs[cab].fiber_free = head + wire;
-                self.cabs[cab].fiber_tx_busy += wire;
-                let key = self.next_key(cab);
-                self.engine.schedule_at_keyed(head + prop, key, Ev::HubItem { hub, port, item });
+                cs.fiber_free = head + wire;
+                cs.fiber_tx_busy += wire;
+                let ev = Ev::HubItem { hub, port, item };
+                engine.schedule_at_keyed(head + cfg.propagation, take_key(keys, cab), ev);
+            };
+            match burst {
+                Burst::Packet { dst, packet } => {
+                    // §4.2.3: the route's test-opens, the data, `close all`.
+                    let route = topo.route(cab, dst).expect("checked when the packet was queued");
+                    route.test_opens().iter().for_each(|&open| put(open.into()));
+                    put(packet.into());
+                    put(Item::CloseAll);
+                }
+                Burst::Items(items) => items.into_iter().for_each(put),
             }
         }
     }
@@ -2499,5 +2557,42 @@ mod tests {
         assert_eq!(three_events(t).run_window(Time::MAX), 3);
         assert_eq!(three_events(t).run_until(Time::MAX), 3);
         assert_eq!(three_events(t).run_to_quiescence(Time::MAX), (3, QuiescenceOutcome::Quiescent));
+    }
+
+    /// What a queued packet-switched flow puts on its CAB's fibre — read
+    /// from the route table at flush time — is the train
+    /// `Route::packet_switched_items` builds eagerly: the same items in
+    /// the same order, each head one wire time behind the previous.
+    #[test]
+    fn lazy_train_equals_the_eager_item_list() {
+        // Two CABs per HUB on a chain of six: CAB 0 reaches CAB 1 in
+        // one hop, CAB 4 in three and CAB 10 in six.
+        for (dst, hops) in [(1, 1), (4, 3), (10, 6)] {
+            let mut w = World::new(Topology::mesh2d(1, 6, 2, 16), SystemConfig::default());
+            w.send_datagram_now(0, dst, 1, 2, &[0xA5; 40]);
+            let mut on_fibre = Vec::new();
+            while let Some(ev) = w.engine.step() {
+                if let Ev::HubItem { hub, port, item } = ev {
+                    assert_eq!((hub, port), w.topo.cab_attachment(0));
+                    on_fibre.push((w.engine.now(), item));
+                }
+            }
+            let Some(Item::Packet(packet)) =
+                on_fibre.iter().map(|(_, i)| i).find(|i| matches!(i, Item::Packet(_)))
+            else {
+                panic!("the train carries its packet");
+            };
+            let route = w.topo.route(0, dst).unwrap();
+            assert_eq!(route.len(), hops);
+            let eager = route.packet_switched_items(packet.clone(), w.cfg.hub.queue_capacity);
+            assert_eq!(eager.len(), hops + 2);
+            let mut head = on_fibre[0].0;
+            assert!(head > Time::ZERO, "the send path costs CPU time first");
+            for (i, expect) in eager.iter().enumerate() {
+                assert_eq!(on_fibre[i], (head, expect.clone()), "item {i} to CAB {dst}");
+                head += w.cfg.hub.wire_time(expect.wire_bytes());
+            }
+            assert_eq!(on_fibre.len(), eager.len());
+        }
     }
 }
