@@ -10,7 +10,7 @@
 
 use core::fmt;
 use nectar_hub::id::{HubId, PortId};
-use nectar_proto::datalink::{Hop, MulticastRoute, Route};
+use nectar_proto::datalink::{Hop, MulticastRoute, Route, RouteTable};
 use std::sync::Arc;
 
 /// What is attached at the far end of a HUB port's fiber pair.
@@ -207,7 +207,7 @@ fn build_routes(
     for &(hub, _) in cab_links {
         has_cab[hub] = true;
     }
-    let mut routes = Vec::with_capacity(hubs * cab_links.len());
+    let mut routes = RouteTable::with_capacity(hubs * cab_links.len());
     // `toward[h]`: the HUB that reached `h` first and the port it used.
     let mut toward: Vec<Option<(usize, PortId)>> = vec![None; hubs];
     let mut frontier = Vec::with_capacity(hubs);
@@ -215,7 +215,7 @@ fn build_routes(
     for src in 0..hubs {
         if !has_cab[src] {
             // No sender here: the row is never read.
-            routes.extend(cab_links.iter().map(|_| None));
+            cab_links.iter().for_each(|_| routes.push_none());
             continue;
         }
         toward.fill(None);
@@ -236,7 +236,7 @@ fn build_routes(
         }
         for &(dst_hub, cab_port) in cab_links {
             if toward[dst_hub].is_none() {
-                routes.push(None);
+                routes.push_none();
                 continue;
             }
             // Final hop first — the destination CAB's port on the last
@@ -250,10 +250,10 @@ fn build_routes(
                 cur = prev;
             }
             hops.reverse();
-            routes.push(Some(Route::new(hops.clone())));
+            routes.push(&hops);
         }
     }
-    routes
+    routes.finish()
 }
 
 impl Topology {

@@ -15,6 +15,7 @@ use nectar_hub::id::{HubId, PortId};
 use nectar_hub::item::{Item, Packet};
 use nectar_sim::time::{Dur, Time};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One hop of a route: the output port to open on a HUB.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -31,6 +32,35 @@ impl fmt::Display for Hop {
     }
 }
 
+/// Flat storage for the hops and command prologues of routes that were
+/// built together; each [`Route`] is a span of it.
+#[derive(Debug, Default)]
+struct RouteStore {
+    hops: Vec<Hop>,
+    /// Per route, at twice its hop offset: the test-open prologue, then
+    /// the circuit-open prologue.
+    opens: Vec<Command>,
+}
+
+impl RouteStore {
+    /// Appends a route; returns its hop offset.
+    fn push(&mut self, hops: &[Hop]) -> u32 {
+        assert!(!hops.is_empty(), "a route traverses at least one HUB");
+        let start = self.hops.len() as u32;
+        let last = hops.len() - 1;
+        self.hops.extend_from_slice(hops);
+        // Packet switching needs no reply: the data follows the commands
+        // immediately and flow control does the pacing.
+        self.opens.extend(hops.iter().map(|h| Command::open(true, true, false, h.hub, h.out)));
+        self.opens.extend(
+            hops.iter()
+                .enumerate()
+                .map(|(i, h)| Command::open(false, true, i == last, h.hub, h.out)),
+        );
+        start
+    }
+}
+
 /// A source route from one CAB to another: the ordered output ports to
 /// open at each HUB along the way. Nectar routes are source-routed —
 /// the sending CAB computes the whole path and encodes it as a command
@@ -39,14 +69,56 @@ impl fmt::Display for Hop {
 /// The two command prologues a route can be sent with — `test open
 /// with retry` per hop (§4.2.3) and `open with retry`, replying on the
 /// last hop (§4.2.1) — are a function of the hops alone, so they are
-/// built once here and read by the datalink every time a packet goes
-/// on the fibre.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// built with the route and read by the datalink every time a packet
+/// goes on the fibre. A route is a handle on shared storage: the routes
+/// of a [`RouteTable`] live in two flat arrays, and cloning one copies
+/// no hops.
+#[derive(Clone)]
 pub struct Route {
-    hops: Vec<Hop>,
-    /// The test-open prologue followed by the circuit-open prologue,
-    /// `hops.len()` commands each.
-    opens: Vec<Command>,
+    store: Arc<RouteStore>,
+    /// Offset of the first hop in `store.hops`.
+    start: u32,
+    len: u32,
+}
+
+/// Builds many routes into one shared store — a topology's whole route
+/// table costs two allocations, not two per route.
+#[derive(Debug, Default)]
+pub struct RouteTable {
+    store: RouteStore,
+    /// Per entry: hop offset and hop count, `None` for "no route".
+    spans: Vec<Option<(u32, u32)>>,
+}
+
+impl RouteTable {
+    /// An empty table with room for `entries` entries.
+    pub fn with_capacity(entries: usize) -> RouteTable {
+        RouteTable { store: RouteStore::default(), spans: Vec::with_capacity(entries) }
+    }
+
+    /// Appends the route with these hops, in CAB-to-destination order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hops` is empty: a route traverses at least one HUB.
+    pub fn push(&mut self, hops: &[Hop]) {
+        let start = self.store.push(hops);
+        self.spans.push(Some((start, hops.len() as u32)));
+    }
+
+    /// Appends an entry that holds no route.
+    pub fn push_none(&mut self) {
+        self.spans.push(None);
+    }
+
+    /// The entries in push order.
+    pub fn finish(self) -> Vec<Option<Route>> {
+        let store = Arc::new(self.store);
+        self.spans
+            .into_iter()
+            .map(|span| span.map(|(start, len)| Route { store: Arc::clone(&store), start, len }))
+            .collect()
+    }
 }
 
 impl Route {
@@ -56,28 +128,19 @@ impl Route {
     ///
     /// Panics if `hops` is empty: a route traverses at least one HUB.
     pub fn new(hops: Vec<Hop>) -> Route {
-        assert!(!hops.is_empty(), "a route traverses at least one HUB");
-        let last = hops.len() - 1;
-        let mut opens = Vec::with_capacity(2 * hops.len());
-        // Packet switching needs no reply: the data follows the commands
-        // immediately and flow control does the pacing.
-        opens.extend(hops.iter().map(|h| Command::open(true, true, false, h.hub, h.out)));
-        opens.extend(
-            hops.iter()
-                .enumerate()
-                .map(|(i, h)| Command::open(false, true, i == last, h.hub, h.out)),
-        );
-        Route { hops, opens }
+        let mut store = RouteStore::default();
+        let start = store.push(&hops);
+        Route { store: Arc::new(store), start, len: hops.len() as u32 }
     }
 
     /// The hops in order.
     pub fn hops(&self) -> &[Hop] {
-        &self.hops
+        &self.store.hops[self.start as usize..][..self.len as usize]
     }
 
     /// Number of HUBs traversed.
     pub fn len(&self) -> usize {
-        self.hops.len()
+        self.len as usize
     }
 
     /// Routes are never empty; this exists for API completeness.
@@ -89,14 +152,14 @@ impl Route {
     /// retry` at every hop, so each connection waits for the downstream
     /// input queue to be ready (§4.2.3's exact recipe).
     pub fn test_opens(&self) -> &[Command] {
-        &self.opens[..self.hops.len()]
+        &self.store.opens[2 * self.start as usize..][..self.len as usize]
     }
 
     /// The circuit prologue as commands: `open with retry` at every
     /// hop, with `and reply` on the last so the sender learns the route
     /// is up (§4.2.1's exact recipe).
     pub fn circuit_opens(&self) -> &[Command] {
-        &self.opens[self.hops.len()..]
+        &self.store.opens[(2 * self.start + self.len) as usize..][..self.len as usize]
     }
 
     /// [`circuit_opens`](Route::circuit_opens) as wire items.
@@ -130,7 +193,7 @@ impl Route {
     /// Individual `close` commands in reverse hop order — the §4.2.1
     /// alternative to `close all`.
     pub fn close_items(&self) -> Vec<Item> {
-        self.hops
+        self.hops()
             .iter()
             .rev()
             .map(|hop| Command::user(nectar_hub::command::UserOp::Close, hop.hub, hop.out).into())
@@ -143,9 +206,31 @@ impl Route {
     }
 }
 
+/// Routes are their hops: two handles on different storage are equal
+/// when they name the same path.
+impl PartialEq for Route {
+    fn eq(&self, other: &Route) -> bool {
+        self.hops() == other.hops()
+    }
+}
+
+impl Eq for Route {}
+
+impl core::hash::Hash for Route {
+    fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
+        self.hops().hash(state);
+    }
+}
+
+impl fmt::Debug for Route {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Route").field("hops", &self.hops()).finish()
+    }
+}
+
 impl fmt::Display for Route {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, hop) in self.hops.iter().enumerate() {
+        for (i, hop) in self.hops().iter().enumerate() {
             if i > 0 {
                 f.write_str(" -> ")?;
             }

@@ -46,7 +46,9 @@ pub mod transport;
 
 /// The most frequently used names, for glob import.
 pub mod prelude {
-    pub use crate::datalink::{ConnectionCache, DatalinkConfig, Hop, MulticastRoute, Route};
+    pub use crate::datalink::{
+        ConnectionCache, DatalinkConfig, Hop, MulticastRoute, Route, RouteTable,
+    };
     pub use crate::header::{
         DecodeError, Header, MailboxAddr, PacketKind, HEADER_BYTES, MAX_FRAGMENT_PAYLOAD,
     };
