@@ -143,15 +143,31 @@ impl std::error::Error for ProtectionFault {}
 /// space.
 #[derive(Clone)]
 pub struct ProtectionTable {
-    /// `perms[domain][page]`, 3 bits used per entry.
+    /// `perms[domain][page]`, 3 bits used per entry. A domain's row is
+    /// empty until its first grant; until then every page reads as the
+    /// domain's default. (A world of 64 CABs would otherwise fill 32 MB
+    /// of tables at construction that almost no run ever writes.)
     perms: Vec<Vec<u8>>,
+}
+
+/// Pages in the 24-bit CAB address space.
+const PAGES: usize = (ADDRESS_SPACE_BYTES / PAGE_BYTES) as usize;
+
+/// What a domain may do on a page nobody has granted or revoked: the
+/// kernel everything, every other domain nothing.
+fn default_bits(domain: Domain) -> u8 {
+    if domain == Domain::KERNEL {
+        Perms::RWX.bits()
+    } else {
+        Perms::NONE.bits()
+    }
 }
 
 impl fmt::Debug for ProtectionTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ProtectionTable")
             .field("domains", &self.perms.len())
-            .field("pages_per_domain", &self.perms[0].len())
+            .field("pages_per_domain", &PAGES)
             .finish()
     }
 }
@@ -169,10 +185,11 @@ impl ProtectionTable {
     /// the CAB system software is protected from user tasks and that
     /// user tasks are protected from one another" (§5.2).
     pub fn new() -> ProtectionTable {
-        let pages = (ADDRESS_SPACE_BYTES / PAGE_BYTES) as usize;
-        let mut perms = vec![vec![0u8; pages]; DOMAIN_COUNT];
-        perms[Domain::KERNEL.index()] = vec![Perms::RWX.bits(); pages];
-        ProtectionTable { perms }
+        ProtectionTable { perms: vec![Vec::new(); DOMAIN_COUNT] }
+    }
+
+    fn bits(&self, domain: Domain, page: usize) -> u8 {
+        self.perms[domain.index()].get(page).copied().unwrap_or(default_bits(domain))
     }
 
     fn page_of(addr: CabAddr) -> usize {
@@ -193,9 +210,11 @@ impl ProtectionTable {
         assert!(end <= ADDRESS_SPACE_BYTES, "range leaves the CAB address space");
         let first = Self::page_of(addr);
         let last = Self::page_of(CabAddr(end - 1));
-        for page in first..=last {
-            self.perms[domain.index()][page] = perms.bits();
+        let row = &mut self.perms[domain.index()];
+        if row.is_empty() {
+            *row = vec![default_bits(domain); PAGES];
         }
+        row[first..=last].fill(perms.bits());
     }
 
     /// Revokes all access to the range for `domain`.
@@ -205,7 +224,7 @@ impl ProtectionTable {
 
     /// The permissions `domain` holds on the page containing `addr`.
     pub fn perms_at(&self, domain: Domain, addr: CabAddr) -> Perms {
-        Perms::from_bits(self.perms[domain.index()][Self::page_of(addr)])
+        Perms::from_bits(self.bits(domain, Self::page_of(addr)))
     }
 
     /// Checks an access of `len` bytes at `addr` needing `needed`.
@@ -228,7 +247,7 @@ impl ProtectionTable {
         let first = Self::page_of(addr);
         let last = Self::page_of(CabAddr(end - 1));
         for page in first..=last {
-            let had = Perms::from_bits(self.perms[domain.index()][page]);
+            let had = Perms::from_bits(self.bits(domain, page));
             if !had.allows(needed) {
                 return Err(ProtectionFault {
                     domain,

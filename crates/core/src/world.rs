@@ -1165,6 +1165,7 @@ impl World {
         let wl = self.workload.as_ref().expect("just attached");
         let class_specs: Vec<nectar_sim::workload::ClassSpec> =
             (0..wl.generator.class_count()).map(|c| *wl.generator.class(c)).collect();
+        let owned_cabs = (0..cab_count).filter(|&cab| self.owns_cab(cab)).count();
         for (c, class) in class_specs.into_iter().enumerate() {
             match class.shape {
                 Shape::Open { .. } => {
@@ -1186,6 +1187,8 @@ impl World {
                     }
                 }
                 Shape::Closed { tokens, .. } => {
+                    // The whole token population launches at one instant.
+                    self.engine.reserve_at(class.from, tokens as usize * owned_cabs);
                     for cab in 0..cab_count {
                         if !self.owns_cab(cab) {
                             continue;

@@ -274,6 +274,26 @@ impl<E> Engine<E> {
         }
     }
 
+    /// Makes room for `n` more pending events that are all due at `at`,
+    /// so that a caller about to schedule a known same-instant burst (a
+    /// workload's launch wave) pays one allocation per structure
+    /// instead of three interleaved doubling series — whose cost swings
+    /// by 2× with what the allocator happens to extend in place or hand
+    /// back to the system. Capacities are rounded up to the power of
+    /// two that growth by doubling would have ended on, so the engine
+    /// holds exactly the memory it would have held anyway.
+    pub fn reserve_at(&mut self, at: Time, n: usize) {
+        fn grow<T>(v: &mut Vec<T>, n: usize) {
+            let want = (v.len() + n).next_power_of_two();
+            v.reserve_exact(want - v.len());
+        }
+        grow(&mut self.meta, n);
+        grow(&mut self.payloads, n);
+        if at >= self.now && bucket_of(at) - bucket_of(self.now) < WHEEL_SIZE as u64 {
+            grow(&mut self.buckets[(bucket_of(at) & WHEEL_MASK) as usize], n);
+        }
+    }
+
     /// The current simulation time: the timestamp of the most recently
     /// delivered event (or [`Time::ZERO`] before the first).
     pub fn now(&self) -> Time {
@@ -986,6 +1006,31 @@ mod tests {
     // ---------------------------------------------------------------
 
     const HORIZON_NS: u64 = (WHEEL_SIZE as u64) << BUCKET_SHIFT;
+
+    #[test]
+    fn reserve_at_sizes_slab_and_bucket_for_the_whole_burst() {
+        let at = Time::from_nanos(500);
+        let mut eng: Engine<u32> = Engine::new();
+        eng.schedule_at(at, 0);
+        eng.reserve_at(at, 3000);
+        let b = (bucket_of(at) & WHEEL_MASK) as usize;
+        let caps =
+            |e: &Engine<u32>| (e.meta.capacity(), e.payloads.capacity(), e.buckets[b].capacity());
+        let before = caps(&eng);
+        // What doubling from nothing would have reached for 3001 events.
+        assert_eq!(before, (4096, 4096, 4096));
+        for i in 1..=3000 {
+            eng.schedule_at(at, i);
+        }
+        assert_eq!(caps(&eng), before, "the burst fits without a single reallocation");
+        // An instant beyond the wheel horizon has no bucket yet: only
+        // the slab grows.
+        eng.reserve_at(Time::from_nanos(HORIZON_NS * 3), 5000);
+        assert_eq!(caps(&eng), (8192, 8192, 4096));
+        let mut popped = Vec::new();
+        eng.step_batch(&mut popped);
+        assert_eq!(popped, (0..=3000).collect::<Vec<_>>());
+    }
 
     #[test]
     fn same_instant_burst_inserts_in_constant_time_and_pops_in_key_order() {
