@@ -140,6 +140,8 @@ impl ExpCtx {
                     None => table.metrics = Some(m),
                 }
             }
+            let rt = table.runtime.get_or_insert_with(MetricsRegistry::new);
+            rt.merge(&world.runtime_metrics());
             self.absorb_pressure(table, world.telemetry_pressure());
         }
         if self.trace {

@@ -990,7 +990,8 @@ impl ShardedWorld {
 
     /// Counters about the parallel runner itself: total windows, and
     /// per-shard barrier wait time and exchanged cross-shard event
-    /// counts.
+    /// counts — plus `engine.events_by_kind.*`, the shards'
+    /// [`World::runtime_metrics`] summed.
     ///
     /// Deliberately **not** part of [`metrics`](ShardedWorld::metrics):
     /// that registry is bit-compared against sequential runs (and
@@ -1016,6 +1017,11 @@ impl ShardedWorld {
                 &format!("runner.shard{i}.exchanged_events"),
                 self.runtime.exchanged_events[i],
             );
+        }
+        // Each event is dispatched by exactly one shard, so the per-kind
+        // counts sum to the sequential run's.
+        for world in &self.worlds {
+            reg.merge(&world.runtime_metrics());
         }
         reg
     }

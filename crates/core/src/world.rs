@@ -225,6 +225,61 @@ pub enum Ev {
     },
 }
 
+/// Names of the per-kind event counters, in [`Ev::kind`] order. A HUB
+/// item arrival is split by what arrived and a HUB-internal event by
+/// its transition, because those are the units events per message
+/// decompose into.
+const EV_KINDS: [&str; 20] = [
+    "hub_item.command",
+    "hub_item.packet",
+    "hub_item.close_all",
+    "hub_item.reply",
+    "hub_ready",
+    "hub_internal.ctrl_exec",
+    "hub_internal.head_done",
+    "hub_internal.overflow_check",
+    "hub_internal.stuck_check",
+    "hub_internal.close_behind",
+    "cab_item",
+    "cab_item_replay",
+    "cab_ready_signal",
+    "cab_packet_ready",
+    "cab_timer",
+    "cab_ready_timeout",
+    "app_send",
+    "workload_tick",
+    "workload_launch",
+    "workload_reply",
+];
+
+impl Ev {
+    /// Index of this event's counter in [`EV_KINDS`].
+    fn kind(&self) -> usize {
+        match self {
+            Ev::HubItem { item: Item::Command(_), .. } => 0,
+            Ev::HubItem { item: Item::Packet(_), .. } => 1,
+            Ev::HubItem { item: Item::CloseAll, .. } => 2,
+            Ev::HubItem { item: Item::Reply(_), .. } => 3,
+            Ev::HubReady { .. } => 4,
+            Ev::HubInternal { ev: InternalEv::CtrlExec { .. }, .. } => 5,
+            Ev::HubInternal { ev: InternalEv::HeadDone { .. }, .. } => 6,
+            Ev::HubInternal { ev: InternalEv::OverflowCheck { .. }, .. } => 7,
+            Ev::HubInternal { ev: InternalEv::StuckCheck { .. }, .. } => 8,
+            Ev::HubInternal { ev: InternalEv::CloseBehind { .. }, .. } => 9,
+            Ev::CabItem { .. } => 10,
+            Ev::CabItemReplay { .. } => 11,
+            Ev::CabReadySignal { .. } => 12,
+            Ev::CabPacketReady { .. } => 13,
+            Ev::CabTimer { .. } => 14,
+            Ev::CabReadyTimeout { .. } => 15,
+            Ev::AppSend { .. } => 16,
+            Ev::WorkloadTick { .. } => 17,
+            Ev::WorkloadLaunch { .. } => 18,
+            Ev::WorkloadReply { .. } => 19,
+        }
+    }
+}
+
 /// An application-level send request.
 #[derive(Clone, Debug)]
 pub enum AppSend {
@@ -474,6 +529,9 @@ pub struct World {
     /// HUB (the buffer came from some sender's pool), so the ledger
     /// counts these separately; see `InvariantChecker::check_pool`.
     chaos_freed: u64,
+    /// Events dispatched so far, by [`Ev::kind`]. Always on: one array
+    /// increment per event.
+    events_by_kind: [u64; EV_KINDS.len()],
     /// Scratch for [`run_window`](World::run_window)'s batched drain;
     /// kept across calls so the steady state never allocates.
     batch: Vec<Ev>,
@@ -669,6 +727,7 @@ impl World {
             workload: None,
             faults_injected: 0,
             chaos_freed: 0,
+            events_by_kind: [0; EV_KINDS.len()],
             batch: Vec::new(),
             actions: Vec::new(),
             hub_fx: Effects::new(),
@@ -945,6 +1004,21 @@ impl World {
             let slot = self.flight_ends.entry(id).or_insert(end);
             *slot = (*slot).min(end);
         }
+    }
+
+    /// Counters that describe how the run was executed rather than what
+    /// was simulated: `engine.events_by_kind.*`, the events dispatched
+    /// so far split by kind (they sum to
+    /// [`events_processed`](World::events_processed)). Kept out of
+    /// [`metrics`](World::metrics) so that fusing two events into one —
+    /// same simulated behaviour, fewer events — leaves the bit-compared
+    /// registry alone.
+    pub fn runtime_metrics(&self) -> MetricsRegistry {
+        let mut reg = MetricsRegistry::new();
+        for (name, &n) in EV_KINDS.iter().zip(&self.events_by_kind) {
+            reg.counter_add(&format!("engine.events_by_kind.{name}"), n);
+        }
+        reg
     }
 
     /// Everything [`metrics`](World::metrics) collects except the
@@ -1693,6 +1767,7 @@ impl World {
 
     fn dispatch(&mut self, ev: Ev) {
         let now = self.engine.now();
+        self.events_by_kind[ev.kind()] += 1;
         match ev {
             Ev::HubItem { hub, port, item } => {
                 if let Some(chaos) = &mut self.chaos {

@@ -32,6 +32,17 @@ struct Observed {
     telemetry: Vec<TelemetryEvent>,
     violations: Vec<Violation>,
     faults: u64,
+    /// `engine.events_by_kind.*` from the runtime registry.
+    events_by_kind: Vec<(String, u64)>,
+}
+
+/// The per-kind event counts of a runtime registry.
+fn events_by_kind(runtime: &nectar_sim::metrics::MetricsRegistry) -> Vec<(String, u64)> {
+    runtime
+        .counters()
+        .filter(|(name, _)| name.starts_with("engine.events_by_kind."))
+        .map(|(name, n)| (name.to_string(), n))
+        .collect()
 }
 
 /// One scheduled application send.
@@ -170,7 +181,12 @@ fn differential_with(
     let faults = seq.faults_injected;
     let now = seq.now();
     let violations = seq_checker.check(&mut seq);
+    assert!(
+        !metrics.contains("engine.events_by_kind"),
+        "event counts by kind stay out of the bit-compared registry"
+    );
     let sequential = Observed {
+        events_by_kind: events_by_kind(&seq.runtime_metrics()),
         events,
         now,
         outcome,
@@ -204,6 +220,7 @@ fn differential_with(
     let now = par.now();
     let violations = par_checker.check(&mut par);
     let sharded = Observed {
+        events_by_kind: events_by_kind(&par.runtime_metrics()),
         events,
         now,
         outcome,
@@ -225,6 +242,11 @@ fn assert_identical(case: &str, seq: &Observed, par: &Observed) {
         "{case}: sequential telemetry ring overflowed; the comparison would be truncated"
     );
     assert_eq!(seq.events, par.events, "{case}: events processed diverged");
+    for (side, o) in [("sequential", seq), ("sharded", par)] {
+        let by_kind: u64 = o.events_by_kind.iter().map(|(_, n)| n).sum();
+        assert_eq!(by_kind, o.events, "{case}: {side} event kinds do not sum to the event count");
+    }
+    assert_eq!(seq.events_by_kind, par.events_by_kind, "{case}: events by kind diverged");
     assert_eq!(seq.now, par.now, "{case}: final clock diverged");
     assert_eq!(seq.outcome, par.outcome, "{case}: quiescence outcome diverged");
     assert_eq!(seq.faults, par.faults, "{case}: injected fault count diverged");
