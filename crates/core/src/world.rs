@@ -229,7 +229,7 @@ pub enum Ev {
 /// item arrival is split by what arrived and a HUB-internal event by
 /// its transition, because those are the units events per message
 /// decompose into.
-const EV_KINDS: [&str; 20] = [
+const EV_KINDS: [&str; 19] = [
     "hub_item.command",
     "hub_item.packet",
     "hub_item.close_all",
@@ -239,7 +239,6 @@ const EV_KINDS: [&str; 20] = [
     "hub_internal.head_done",
     "hub_internal.overflow_check",
     "hub_internal.stuck_check",
-    "hub_internal.close_behind",
     "cab_item",
     "cab_item_replay",
     "cab_ready_signal",
@@ -265,17 +264,16 @@ impl Ev {
             Ev::HubInternal { ev: InternalEv::HeadDone { .. }, .. } => 6,
             Ev::HubInternal { ev: InternalEv::OverflowCheck { .. }, .. } => 7,
             Ev::HubInternal { ev: InternalEv::StuckCheck { .. }, .. } => 8,
-            Ev::HubInternal { ev: InternalEv::CloseBehind { .. }, .. } => 9,
-            Ev::CabItem { .. } => 10,
-            Ev::CabItemReplay { .. } => 11,
-            Ev::CabReadySignal { .. } => 12,
-            Ev::CabPacketReady { .. } => 13,
-            Ev::CabTimer { .. } => 14,
-            Ev::CabReadyTimeout { .. } => 15,
-            Ev::AppSend { .. } => 16,
-            Ev::WorkloadTick { .. } => 17,
-            Ev::WorkloadLaunch { .. } => 18,
-            Ev::WorkloadReply { .. } => 19,
+            Ev::CabItem { .. } => 9,
+            Ev::CabItemReplay { .. } => 10,
+            Ev::CabReadySignal { .. } => 11,
+            Ev::CabPacketReady { .. } => 12,
+            Ev::CabTimer { .. } => 13,
+            Ev::CabReadyTimeout { .. } => 14,
+            Ev::AppSend { .. } => 15,
+            Ev::WorkloadTick { .. } => 16,
+            Ev::WorkloadLaunch { .. } => 17,
+            Ev::WorkloadReply { .. } => 18,
         }
     }
 }
@@ -1009,14 +1007,17 @@ impl World {
     /// Counters that describe how the run was executed rather than what
     /// was simulated: `engine.events_by_kind.*`, the events dispatched
     /// so far split by kind (they sum to
-    /// [`events_processed`](World::events_processed)). Kept out of
+    /// [`events_processed`](World::events_processed); a kind that never
+    /// fired is absent). Kept out of
     /// [`metrics`](World::metrics) so that fusing two events into one —
     /// same simulated behaviour, fewer events — leaves the bit-compared
     /// registry alone.
     pub fn runtime_metrics(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         for (name, &n) in EV_KINDS.iter().zip(&self.events_by_kind) {
-            reg.counter_add(&format!("engine.events_by_kind.{name}"), n);
+            if n > 0 {
+                reg.counter_add(&format!("engine.events_by_kind.{name}"), n);
+            }
         }
         reg
     }

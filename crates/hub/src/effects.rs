@@ -9,7 +9,7 @@
 //! (a CAB or another HUB). Internal callbacks must be fed back via
 //! [`Hub::internal`](crate::hub::Hub::internal) at their timestamp.
 
-use crate::id::{PortId, PortSet};
+use crate::id::PortId;
 use crate::item::Item;
 use nectar_sim::time::Time;
 
@@ -56,7 +56,12 @@ pub enum InternalEv {
         /// Port whose head command executes.
         port: PortId,
     },
-    /// The head item of `port`'s input queue has fully drained.
+    /// The head item of `port`'s input queue has fully drained. When
+    /// that item is a `close all` marker, this is also the instant the
+    /// marker has passed through the output registers: the HUB breaks
+    /// the connections it travelled over, wakes the commands parked on
+    /// them, and only then pops the head — one event where the marker's
+    /// tail decides everything.
     HeadDone {
         /// Port whose head finished.
         port: PortId,
@@ -79,14 +84,6 @@ pub enum InternalEv {
         port: PortId,
         /// Arrival sequence number of the item.
         seq: u64,
-    },
-    /// A `close all` marker finished passing through these output
-    /// registers; break the connections it travelled over.
-    CloseBehind {
-        /// The input queue the marker came from.
-        input: PortId,
-        /// The output registers it passed through.
-        outputs: PortSet,
     },
 }
 

@@ -293,11 +293,12 @@ impl Hub {
         match ev {
             InternalEv::CtrlExec { port } => self.ctrl_exec(now, port, fx),
             InternalEv::HeadDone { port, seq } => {
-                let p = &mut self.ports[port.index()];
+                let p = &self.ports[port.index()];
                 if p.head == (HeadState::Draining { seq }) {
-                    p.queue.pop_front();
-                    p.head = HeadState::Idle;
-                    self.start_head(now, port, fx);
+                    if p.queue.front().is_some_and(|q| q.item == Item::CloseAll) {
+                        self.close_behind(now, port, fx);
+                    }
+                    self.head_done_now(now, port, fx);
                 }
             }
             InternalEv::OverflowCheck { port, seq } => self.overflow_check(now, port, seq, fx),
@@ -311,15 +312,36 @@ impl Hub {
                     self.start_head(now, port, fx);
                 }
             }
-            InternalEv::CloseBehind { input, outputs } => {
-                for out in outputs.iter() {
-                    if self.xbar.input_for(out) == Some(input) {
-                        self.xbar.disconnect_output(out);
-                        self.record_close(now, input, out);
-                        self.wake_retries_for(now, out, fx);
-                    }
-                }
-            }
+        }
+    }
+
+    /// The `close all` at the head of `input`'s queue has fully passed
+    /// through the output registers: break the connections it travelled
+    /// over and give every command parked on one of them a controller
+    /// slot. Runs inside the marker's own [`InternalEv::HeadDone`],
+    /// before the head is popped. (These used to be two events, a
+    /// "close behind" and the head-done, deferred back to back for the
+    /// same instant; a caller that feeds same-instant transitions back
+    /// in the order they were deferred can never run anything between
+    /// the two, so one event does both, in that order — one engine
+    /// event fewer per marker per hop.)
+    ///
+    /// The set closed is the input's fan-out *now*, not a copy taken
+    /// when the marker was forwarded. Under the `Draining { seq }`
+    /// guard of the caller the two agree: outputs are only ever added
+    /// to an input's fan-out by that input's own commands, and those
+    /// wait in the queue behind the draining head; outputs that left
+    /// the fan-out in between (a `close`, a `disable port`) are exactly
+    /// the ones a captured copy would have had to skip. If the guard
+    /// fails — a supervisor `disable port` emptied this queue while the
+    /// marker drained, which already broke every connection it had —
+    /// nothing is closed: whatever the port connected after being
+    /// re-enabled is not a route this marker travelled.
+    fn close_behind(&mut self, now: Time, input: PortId, fx: &mut Effects) {
+        for out in self.xbar.output_set(input).iter() {
+            self.xbar.disconnect_output(out);
+            self.record_close(now, input, out);
+            self.wake_retries_for(now, out, fx);
         }
     }
 
@@ -361,7 +383,6 @@ impl Hub {
         debug_assert_eq!(front.seq, seq);
         let size = front.item.wire_bytes();
         let charged = front.charged;
-        let is_close_all = front.item == Item::CloseAll;
         let is_packet = matches!(front.item, Item::Packet(_));
         let flight = match &front.item {
             Item::Packet(p) => FlightId(p.id()),
@@ -410,9 +431,6 @@ impl Hub {
                     bytes: size as u32,
                 },
             );
-        }
-        if is_close_all {
-            fx.defer(emit_at + wire, InternalEv::CloseBehind { input: port, outputs: outs });
         }
         // Release the charged bytes: from here the item streams through.
         let p = &mut self.ports[port.index()];

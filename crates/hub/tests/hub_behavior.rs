@@ -322,6 +322,52 @@ fn close_all_tears_down_multicast_branches() {
     assert!(hub.connections().is_empty());
 }
 
+/// The tail of a `close all` decides three things at one instant, in
+/// one internal event, in this order: the connections it passed over
+/// break, a command parked on a freed output gets the next controller
+/// slot, and only then the marker leaves the queue and the head behind
+/// it starts.
+#[test]
+fn close_all_tail_is_one_event_that_closes_wakes_and_advances() {
+    let mut hub = hub0();
+    let cfg = hub.config().clone();
+    let (p4, p5, p8) = (PortId::new(4), PortId::new(5), PortId::new(8));
+    // P4 holds P8; P5's `open with retry P8` parks behind it.
+    drive(&mut hub, vec![(0, 4, open(false, false, 8)), (1_000, 5, open(true, false, 8))], vec![]);
+    assert_eq!(hub.connections(), vec![(p4, p8)]);
+    assert_eq!(hub.counters().opens_retried, 1);
+
+    // The marker arrives on P4 with a command queued right behind it.
+    let mut fx = Effects::new();
+    let t = Time::from_nanos(10_000);
+    hub.item_arrives(t, p4, Item::CloseAll, &mut fx);
+    let emit = t + cfg.transit;
+    assert_eq!(fx.emissions, vec![Emission { at: emit, port: p8, item: Item::CloseAll }]);
+    let tail = emit + cfg.wire_time(Item::CloseAll.wire_bytes());
+    assert_eq!(fx.internal.len(), 1, "one event for the marker's tail, not two");
+    assert_eq!(fx.internal[0].at, tail);
+    let tail_ev = fx.internal[0].ev.clone();
+    fx.clear();
+    hub.item_arrives(t + Dur::from_nanos(240), p4, open(false, false, 9), &mut fx);
+    assert!(fx.is_empty(), "the command waits behind the draining marker");
+    assert_eq!(hub.connections(), vec![(p4, p8)], "still connected while the marker drains");
+
+    hub.internal(tail, tail_ev, &mut fx);
+    assert!(hub.connections().is_empty(), "the connection the marker passed over is gone");
+    // Controller slots are handed out in order, one 70 ns cycle apart:
+    // first the retry the close woke, then the head that started once
+    // the marker was popped.
+    let slots: Vec<_> = fx.internal.iter().map(|i| (i.at, i.ev.clone())).collect();
+    let first = tail + cfg.controller_latency;
+    assert_eq!(
+        slots,
+        vec![
+            (first, InternalEv::CtrlExec { port: p5 }),
+            (first + cfg.cycle, InternalEv::CtrlExec { port: p4 }),
+        ]
+    );
+}
+
 // ------------------------------------------------------------------
 // Replies travel the reverse path (§4.2.1)
 // ------------------------------------------------------------------
