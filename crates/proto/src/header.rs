@@ -264,8 +264,8 @@ fn checksum_with_field_zeroed(bytes: &[u8]) -> u16 {
     let n = bytes.len() as u64;
     let sum = fletcher16(bytes);
     let (mut s1, mut s2) = ((sum & 0xFF) as u64, (sum >> 8) as u64);
-    for i in CHECKSUM_AT..CHECKSUM_AT + 2 {
-        let b = bytes[i] as u64;
+    for (i, &b) in bytes.iter().enumerate().skip(CHECKSUM_AT).take(2) {
+        let b = b as u64;
         // Both sums are residues below 255; adding a multiple of 255
         // first keeps the subtraction non-negative.
         s1 = (s1 + 255 - b % 255) % 255;
@@ -375,7 +375,7 @@ mod tests {
             }
             match cut {
                 (0, n) => wire.truncate(n as usize % (wire.len() + 1)),
-                (1, n) => wire.extend(std::iter::repeat(0xA5).take(1 + n as usize % 24)),
+                (1, n) => wire.extend(std::iter::repeat_n(0xA5, 1 + n as usize % 24)),
                 _ => {}
             }
             prop_assert_eq!(Header::decode(&wire), decode_by_copy(&wire));
