@@ -190,10 +190,10 @@ impl TopologyBuilder {
     }
 }
 
-/// The route table of a wiring: for every HUB that has a CAB attached,
-/// one breadth-first search over the HUB graph (ports scanned in
-/// ascending order, a HUB adopted by whichever neighbour reaches it
-/// first), then one route per destination CAB read off the tree. The
+/// The route table of a wiring: for every HUB, one breadth-first search
+/// over the HUB graph (ports scanned in ascending order, a HUB adopted
+/// by whichever neighbour reaches it first), then one route per
+/// destination CAB read off the tree. The
 /// scan order is the tie-break between equally short paths, and it is
 /// the order a per-pair search from the same HUB would use, so the
 /// table holds exactly the routes such a search finds.
@@ -203,21 +203,12 @@ fn build_routes(
     cab_links: &[(usize, PortId)],
 ) -> Vec<Option<Route>> {
     let hubs = peers.len() / ports_per_hub;
-    let mut has_cab = vec![false; hubs];
-    for &(hub, _) in cab_links {
-        has_cab[hub] = true;
-    }
     let mut routes = RouteTable::with_capacity(hubs * cab_links.len());
     // `toward[h]`: the HUB that reached `h` first and the port it used.
     let mut toward: Vec<Option<(usize, PortId)>> = vec![None; hubs];
     let mut frontier = Vec::with_capacity(hubs);
     let mut hops = Vec::new();
     for src in 0..hubs {
-        if !has_cab[src] {
-            // No sender here: the row is never read.
-            cab_links.iter().for_each(|_| routes.push_none());
-            continue;
-        }
         toward.fill(None);
         toward[src] = Some((src, PortId::new(0)));
         frontier.clear();

@@ -468,6 +468,26 @@ impl CabState {
     fn mailbox_mut(&mut self, address: u16) -> Option<&mut Mailbox> {
         self.mailboxes.iter_mut().find(|(a, _)| *a == address).map(|(_, mb)| mb)
     }
+
+    /// The mailbox at `address`, created with `capacity` on first use.
+    fn mailbox_or_create(&mut self, address: u16, capacity: usize) -> &mut Mailbox {
+        let slot = match self.mailboxes.iter().position(|(a, _)| *a == address) {
+            Some(slot) => slot,
+            None => {
+                self.mailboxes.push((address, Mailbox::new(format!("mb{address}"), capacity)));
+                self.mailboxes.len() - 1
+            }
+        };
+        &mut self.mailboxes[slot].1
+    }
+
+    /// Cancels the armed ready-timeout, if any: its generation was just
+    /// bumped, so it could only ever fire as a no-op.
+    fn disarm_ready_timeout(&mut self, engine: &mut Engine<Ev>) {
+        if let Some(id) = self.ready_timeout.take() {
+            engine.cancel(id);
+        }
+    }
 }
 
 /// First mailbox id the workload generator reserves for itself. Class
@@ -1803,9 +1823,10 @@ impl World {
             Ev::CabItem { cab, item } => self.cab_item(now, cab, item, false),
             Ev::CabItemReplay { cab, item } => self.cab_item(now, cab, item, true),
             Ev::CabReadySignal { cab } => {
-                self.cabs[cab].fiber_ready = true;
-                self.cabs[cab].ready_gen += 1; // invalidate pending timeout
-                self.disarm_ready_timeout(cab);
+                let cs = &mut self.cabs[cab];
+                cs.fiber_ready = true;
+                cs.ready_gen += 1; // invalidate pending timeout
+                cs.disarm_ready_timeout(&mut self.engine);
                 self.try_flush(cab, now);
             }
             Ev::CabReadyTimeout { cab, gen } => {
@@ -2100,16 +2121,8 @@ impl World {
                     let cs = &mut self.cabs[cab];
                     let app = cs.app_thread;
                     let (_, end) = cs.sched.run(now, app, op);
-                    let slot = match cs.mailboxes.iter().position(|(a, _)| *a == mailbox) {
-                        Some(i) => i,
-                        None => {
-                            let mb = Mailbox::new(format!("mb{mailbox}"), mailbox_cap);
-                            cs.mailboxes.push((mailbox, mb));
-                            cs.mailboxes.len() - 1
-                        }
-                    };
                     let (id, len, tag) = (msg.id(), msg.len(), msg.tag());
-                    if cs.mailboxes[slot].1.append(msg).is_err() {
+                    if cs.mailbox_or_create(mailbox, mailbox_cap).append(msg).is_err() {
                         cs.counters.mailbox_rejects += 1;
                         continue;
                     }
@@ -2189,6 +2202,7 @@ impl World {
                     packet.wire_bytes() <= queue_cap,
                     "packet-switched packets must fit the {queue_cap}-byte input queue"
                 );
+                // Fail here, at the send, not when the burst is flushed.
                 self.topo.route(cab, dst).expect("destination must be reachable");
                 Burst::Packet { dst, packet }
             }
@@ -2238,14 +2252,6 @@ impl World {
         self.try_flush(cab, ready);
     }
 
-    /// Cancels `cab`'s armed ready-timeout, if any: its generation was
-    /// just bumped, so it could only ever fire as a no-op.
-    fn disarm_ready_timeout(&mut self, cab: usize) {
-        if let Some(id) = self.cabs[cab].ready_timeout.take() {
-            self.engine.cancel(id);
-        }
-    }
-
     /// Puts queued bursts on `cab`'s fibre, back to back, until the
     /// queue is empty or a packet must wait for the HUB's ready signal.
     fn try_flush(&mut self, cab: usize, now: Time) {
@@ -2262,14 +2268,10 @@ impl World {
             }
             if has_packet {
                 // One packet outstanding toward the HUB until it signals
-                // that its input queue drained (§4.2.3 flow control). The
-                // previous timeout's generation is bumped, so it could
-                // only ever fire as a no-op: cancel it.
+                // that its input queue drained (§4.2.3 flow control).
                 cs.fiber_ready = false;
                 cs.ready_gen += 1;
-                if let Some(id) = cs.ready_timeout.take() {
-                    engine.cancel(id);
-                }
+                cs.disarm_ready_timeout(engine);
                 let at = now.max(engine.now()) + cfg.ready_timeout;
                 let ev = Ev::CabReadyTimeout { cab, gen: cs.ready_gen };
                 cs.ready_timeout = Some(engine.schedule_at_keyed(at, take_key(keys, cab), ev));

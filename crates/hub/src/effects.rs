@@ -7,7 +7,11 @@
 //! queue: it schedules each effect at its absolute time and routes
 //! emissions/signals to whatever is at the other end of the fiber
 //! (a CAB or another HUB). Internal callbacks must be fed back via
-//! [`Hub::internal`](crate::hub::Hub::internal) at their timestamp.
+//! [`Hub::internal`](crate::hub::Hub::internal) at their timestamp,
+//! same-instant ones in the order they were appended. An entry point
+//! defers one callback per decision point — the tail of a `close all`,
+//! where a connection closes and a queue slot frees at one instant, is
+//! a single [`InternalEv::HeadDone`].
 
 use crate::id::PortId;
 use crate::item::Item;

@@ -21,6 +21,11 @@
 //!   to that output (at most [`HubConfig::transit`] earlier than the
 //!   hardware's "start of packet at the output register"), which is
 //!   conservative and race-free.
+//! * A `close all` marker breaks the connections it travelled over at
+//!   the instant its last byte has left the output registers. That is
+//!   also the instant its queue slot frees, so both happen in the one
+//!   [`InternalEv::HeadDone`] deferred for it: close, wake the retries
+//!   parked on the freed outputs, then start the next head.
 //! * Queue occupancy is charged per item up to the free space at
 //!   arrival; an item too large for the free space must begin
 //!   forwarding before the residue would arrive ([`InternalEv::OverflowCheck`])
