@@ -3,29 +3,32 @@
 //! experiments out over worker threads, and writes a machine-readable
 //! `BENCH_sim.json` next to the report.
 //!
-//! Usage:
+//! The synopsis — every flag there is — is the [`USAGE`] constant, which
+//! is also what a malformed invocation prints. The flags mean:
 //!
-//! ```text
-//! report [--list] [--jobs N] [--shards N] [--json PATH] [--metrics]
-//!        [--doctor] [--compare BASELINE] [--trace EXP] [--trace-out PATH]
-//!        [ids... | all]
-//! ```
-//!
+//! `--list` prints the registry and exits; `--jobs N` runs the selected
+//! experiments on `N` worker threads; `--json PATH` redirects
+//! `BENCH_sim.json`.
 //! `--metrics` harvests every experiment's counters and latency
 //! histograms into the `metrics` object of `BENCH_sim.json`.
 //! `--trace EXP` records the flight recorder while experiment `EXP`
-//! runs and writes a Chrome trace-event file (load it in Perfetto or
-//! `chrome://tracing`) to `--trace-out`, default `trace_<EXP>.json`.
-//! `--doctor` runs `nectar-doctor` over every selected experiment that
-//! supports tracing: a per-segment "where did the time go" table plus
-//! pathology findings (see `docs/observability.md`).
-//! `--compare BASELINE` diffs this run's metrics against a committed
-//! baseline (`BENCH_baseline.json`) and exits non-zero on regression —
-//! the CI perf gate. Implies `--metrics`.
+//! (one of `TRACEABLE`) runs and writes a Chrome trace-event file (load
+//! it in Perfetto or `chrome://tracing`) to `--trace-out`, default
+//! `trace_<EXP>.json`.
+//! `--doctor` attaches `nectar-doctor` to every world the selected
+//! experiments build: telemetry folds as the run goes, in bounded
+//! memory, into a per-segment "where did the time go" table plus
+//! pathology findings — one block per world, and a `stream` object per
+//! experiment in the JSON (see `docs/observability.md`). Implies
+//! `--metrics`. `--telemetry-cap N` resizes every telemetry ring and
+//! `--stream-budget BYTES` caps the fold's footprint, force-retiring
+//! the oldest open flights beyond it.
 //! `--chaos-seed N [--chaos-spec 'PROG']` replays one exact fault
 //! schedule through the chaos experiments (e25 family) — the flags a
 //! failing campaign test prints. Without `--chaos-spec` the schedule
 //! is regenerated from the seed.
+//! `--workload SPEC|PRESET` swaps the traffic program of the workload
+//! experiments (e27 family) for a registered preset or an inline spec.
 //! `--shards N` runs the conservative-parallel experiments (the e26
 //! scale family) with the simulated world split across `N` shard
 //! threads (see DESIGN.md §11); other experiments ignore it.
@@ -59,9 +62,17 @@
 use nectar_bench::experiments::{ExpCtx, Experiment, TRACEABLE};
 use nectar_bench::registry;
 use nectar_bench::table::Table;
+use nectar_sim::json::json_escape;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// The synopsis: every flag [`parse_args`] accepts and nothing else (a
+/// test holds the two together).
+const USAGE: &str = "report [--list] [--jobs N] [--shards N] [--repeat N] [--scaling] \
+     [--profile] [--json PATH] [--metrics] [--doctor] [--telemetry-cap N] \
+     [--stream-budget BYTES] [--trace EXP] [--trace-out PATH] [--chaos-seed N] \
+     [--chaos-spec PROG] [--workload SPEC|PRESET] [ids... | all]";
 
 struct Outcome {
     id: &'static str,
@@ -77,171 +88,204 @@ struct Outcome {
     walls: Vec<Duration>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: report [--list] [--jobs N] [--shards N] [--repeat N] \
-         [--scaling] [--profile] [--json PATH] [--metrics] [--doctor] \
-         [--stream] [--telemetry-cap N] [--stream-budget BYTES] \
-         [--compare BASELINE] [--trace EXP] [--trace-out PATH] \
-         [--chaos-seed N] [--chaos-spec PROG] [--workload SPEC|PRESET] \
-         [ids... | all]"
-    );
-    std::process::exit(2);
+/// The command line, checked flag by flag.
+#[derive(Clone, Debug, PartialEq)]
+struct Opts {
+    list: bool,
+    jobs: usize,
+    shards: usize,
+    repeat: usize,
+    scaling: bool,
+    profile: bool,
+    json_path: String,
+    metrics: bool,
+    doctor: bool,
+    telemetry_cap: Option<usize>,
+    stream_budget: Option<usize>,
+    trace_id: Option<String>,
+    trace_out: Option<String>,
+    chaos_seed: Option<u64>,
+    chaos_spec: Option<String>,
+    workload: Option<String>,
+    /// Experiment ids, lowercased; empty or containing `all` means the
+    /// whole registry.
+    ids: Vec<String>,
 }
 
-/// Exits non-zero with a message naming the offending flag/token —
-/// a malformed invocation must never be silently reinterpreted.
-fn bad_invocation(msg: &str) -> ! {
-    eprintln!("report: {msg}");
-    std::process::exit(2);
+impl Default for Opts {
+    fn default() -> Opts {
+        Opts {
+            list: false,
+            jobs: 1,
+            shards: 1,
+            repeat: 1,
+            scaling: false,
+            profile: false,
+            json_path: String::from("BENCH_sim.json"),
+            metrics: false,
+            doctor: false,
+            telemetry_cap: None,
+            stream_budget: None,
+            trace_id: None,
+            trace_out: None,
+            chaos_seed: None,
+            chaos_spec: None,
+            workload: None,
+            ids: Vec::new(),
+        }
+    }
 }
 
-/// The value following `flag`, or a non-zero exit naming the flag.
-fn flag_value(flag: &str, args: &mut impl Iterator<Item = String>) -> String {
-    args.next().unwrap_or_else(|| bad_invocation(&format!("{flag} requires a value")))
+/// The value following `flag`, or an error naming the flag.
+fn flag_value(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<String, String> {
+    args.next().ok_or_else(|| format!("{flag} requires a value"))
 }
 
-/// Parses `flag`'s value, or exits non-zero naming the bad token.
-fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    value.parse().unwrap_or_else(|_| bad_invocation(&format!("invalid value `{value}` for {flag}")))
+/// Parses `flag`'s value, or names the bad token.
+fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("invalid value `{value}` for {flag}"))
 }
 
 /// Parses `flag`'s value and rejects zero — these are counts where
 /// zero means "run nothing", which is never what the caller wanted.
-fn parse_positive(flag: &str, value: &str) -> usize {
-    let n: usize = parse_flag(flag, value);
-    if n == 0 {
-        bad_invocation(&format!("{flag} must be at least 1, got `{value}`"));
+fn parse_positive(flag: &str, value: &str) -> Result<usize, String> {
+    match parse_flag(flag, value)? {
+        0 => Err(format!("{flag} must be at least 1, got `{value}`")),
+        n => Ok(n),
     }
-    n
+}
+
+/// Reads the command line (without the program name). An `Err` names
+/// the offending flag or token — a malformed invocation must never be
+/// silently reinterpreted.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
+    let mut o = Opts::default();
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
+        match flag {
+            "--chaos-seed" => {
+                o.chaos_seed = Some(parse_flag(flag, &flag_value(flag, &mut args)?)?);
+            }
+            "--chaos-spec" => {
+                let v = flag_value(flag, &mut args)?;
+                // Validate the grammar now (the seed does not affect
+                // parsing) so a typo fails before any experiment runs.
+                nectar_sim::chaos::ChaosSchedule::parse(0, &v)
+                    .map_err(|e| format!("--chaos-spec `{v}`: {e}"))?;
+                o.chaos_spec = Some(v);
+            }
+            "--workload" => {
+                let v = flag_value(flag, &mut args)?;
+                if nectar_sim::workload::preset(&v).is_none() {
+                    nectar_sim::workload::WorkloadSpec::parse(0, &v).map_err(|e| {
+                        format!(
+                            "--workload `{v}` is neither a registered preset nor a \
+                             parsable spec: {e}"
+                        )
+                    })?;
+                }
+                o.workload = Some(v);
+            }
+            "--list" | "list" => o.list = true,
+            "--jobs" | "-j" => {
+                o.jobs = parse_positive("--jobs", &flag_value("--jobs", &mut args)?)?
+            }
+            "--shards" => o.shards = parse_positive(flag, &flag_value(flag, &mut args)?)?,
+            "--repeat" => o.repeat = parse_positive(flag, &flag_value(flag, &mut args)?)?,
+            "--scaling" => o.scaling = true,
+            "--profile" => o.profile = true,
+            "--json" => o.json_path = flag_value(flag, &mut args)?,
+            "--metrics" => o.metrics = true,
+            "--doctor" => o.doctor = true,
+            "--telemetry-cap" => {
+                o.telemetry_cap = Some(parse_positive(flag, &flag_value(flag, &mut args)?)?);
+            }
+            "--stream-budget" => {
+                o.stream_budget = Some(parse_flag(flag, &flag_value(flag, &mut args)?)?);
+            }
+            "--trace" => o.trace_id = Some(flag_value(flag, &mut args)?.to_lowercase()),
+            "--trace-out" => o.trace_out = Some(flag_value(flag, &mut args)?),
+            other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
+            other => o.ids.push(other.to_lowercase()),
+        }
+    }
+    // The doctor's mailbox detector reads the metrics registry.
+    o.metrics |= o.doctor;
+    Ok(o)
+}
+
+/// The experiments the command line names, in registry order — or what
+/// is wrong with the selection, found before anything runs: a typo that
+/// silently shrank the selection, or a trace of an experiment that
+/// records nothing, would report success over the wrong thing.
+fn select(opts: &Opts, reg: Vec<Experiment>) -> Result<Vec<Experiment>, String> {
+    if let Some(tid) = &opts.trace_id {
+        if !TRACEABLE.contains(&tid.as_str()) {
+            return Err(format!(
+                "--trace {tid}: not an experiment that records telemetry; \
+                 traceable ids: {}",
+                TRACEABLE.join(", ")
+            ));
+        }
+    }
+    let selected: Vec<Experiment> = if opts.ids.is_empty() || opts.ids.iter().any(|a| a == "all") {
+        reg
+    } else {
+        let unknown: Vec<String> = opts
+            .ids
+            .iter()
+            .filter(|a| !reg.iter().any(|(id, _, _)| *id == a.as_str()))
+            .map(|a| format!("unknown experiment id `{a}`"))
+            .collect();
+        if !unknown.is_empty() {
+            return Err(format!("{}; try --list for the registry", unknown.join(", ")));
+        }
+        reg.into_iter().filter(|(id, _, _)| opts.ids.iter().any(|a| a == id)).collect()
+    };
+    if let Some(tid) = &opts.trace_id {
+        if !selected.iter().any(|(id, _, _)| id == tid) {
+            return Err(format!(
+                "--trace {tid} names an experiment outside the selection; try --list"
+            ));
+        }
+    }
+    Ok(selected)
 }
 
 fn main() {
-    let mut jobs: usize = 1;
-    let mut shards: usize = 1;
-    let mut repeat: usize = 1;
-    let mut scaling = false;
-    let mut profile = false;
-    let mut json_path = String::from("BENCH_sim.json");
-    let mut ids: Vec<String> = Vec::new();
-    let mut list = false;
-    let mut metrics = false;
-    let mut doctor = false;
-    let mut stream = false;
-    let mut telemetry_cap: Option<usize> = None;
-    let mut stream_budget: Option<usize> = None;
-    let mut compare_path: Option<String> = None;
-    let mut trace_id: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut chaos_seed: Option<u64> = None;
-    let mut chaos_spec: Option<String> = None;
-    let mut workload: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--chaos-seed" => {
-                let v = flag_value("--chaos-seed", &mut args);
-                chaos_seed = Some(parse_flag("--chaos-seed", &v));
-            }
-            "--chaos-spec" => {
-                let v = flag_value("--chaos-spec", &mut args);
-                // Validate the grammar now (the seed does not affect
-                // parsing) so a typo fails before any experiment runs.
-                if let Err(e) = nectar_sim::chaos::ChaosSchedule::parse(0, &v) {
-                    bad_invocation(&format!("--chaos-spec `{v}`: {e}"));
-                }
-                chaos_spec = Some(v);
-            }
-            "--workload" => {
-                let v = flag_value("--workload", &mut args);
-                if nectar_sim::workload::preset(&v).is_none() {
-                    if let Err(e) = nectar_sim::workload::WorkloadSpec::parse(0, &v) {
-                        bad_invocation(&format!(
-                            "--workload `{v}` is neither a registered preset nor a \
-                             parsable spec: {e}"
-                        ));
-                    }
-                }
-                workload = Some(v);
-            }
-            "--list" | "list" => list = true,
-            "--jobs" | "-j" => jobs = parse_positive("--jobs", &flag_value("--jobs", &mut args)),
-            "--shards" => shards = parse_positive("--shards", &flag_value("--shards", &mut args)),
-            "--repeat" => repeat = parse_positive("--repeat", &flag_value("--repeat", &mut args)),
-            "--scaling" => scaling = true,
-            "--profile" => profile = true,
-            "--json" => json_path = flag_value("--json", &mut args),
-            "--metrics" => metrics = true,
-            "--doctor" => doctor = true,
-            "--stream" => stream = true,
-            "--telemetry-cap" => {
-                let v = flag_value("--telemetry-cap", &mut args);
-                telemetry_cap = Some(parse_positive("--telemetry-cap", &v));
-            }
-            "--stream-budget" => {
-                let v = flag_value("--stream-budget", &mut args);
-                stream_budget = Some(parse_flag("--stream-budget", &v));
-            }
-            "--compare" => compare_path = Some(flag_value("--compare", &mut args)),
-            "--trace" => trace_id = Some(flag_value("--trace", &mut args).to_lowercase()),
-            "--trace-out" => trace_out = Some(flag_value("--trace-out", &mut args)),
-            other if other.starts_with('-') => {
-                eprintln!("report: unknown flag `{other}`");
-                usage()
-            }
-            other => ids.push(other.to_lowercase()),
-        }
-    }
-    // All analysis modes need the data they analyze (the streaming
-    // doctor's mailbox detector reads the metrics registry).
-    if doctor || stream || compare_path.is_some() {
-        metrics = true;
-    }
+    let opts = parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| {
+        eprintln!("report: {msg}");
+        eprintln!("usage: {USAGE}");
+        std::process::exit(2);
+    });
     let reg = registry();
-    if list {
+    if opts.list {
         for (id, desc, _) in &reg {
             println!("{id:>5}  {desc}");
         }
         return;
     }
-    let selected: Vec<_> = if ids.is_empty() || ids.iter().any(|a| a == "all") {
-        reg
-    } else {
-        // Every named id must exist: a typo that silently shrinks the
-        // selection would report success over the wrong experiments.
-        let unknown: Vec<&String> =
-            ids.iter().filter(|a| !reg.iter().any(|(id, _, _)| *id == a.as_str())).collect();
-        if !unknown.is_empty() {
-            for a in &unknown {
-                eprintln!("report: unknown experiment id `{a}`");
-            }
-            eprintln!("try --list for the registry");
-            std::process::exit(1);
-        }
-        reg.into_iter().filter(|(id, _, _)| ids.contains(&id.to_string())).collect()
-    };
+    let selected = select(&opts, reg).unwrap_or_else(|msg| {
+        eprintln!("report: {msg}");
+        std::process::exit(1);
+    });
     println!("Nectar reproduction — experiment report");
     println!("(shape reproduction: simulator seeded with the paper's constants)\n");
 
-    if let Some(tid) = &trace_id {
-        if !selected.iter().any(|(id, _, _)| id == tid) {
-            eprintln!("--trace {tid} names an experiment outside the selection; try --list");
-            std::process::exit(1);
-        }
-    }
     let base_ctx = ExpCtx {
-        metrics,
+        metrics: opts.metrics,
         trace: false,
-        chaos_seed,
-        chaos_spec,
-        workload,
-        shards,
-        stream,
-        telemetry_cap,
-        stream_budget,
-        profile,
+        chaos_seed: opts.chaos_seed,
+        chaos_spec: opts.chaos_spec,
+        workload: opts.workload,
+        shards: opts.shards,
+        stream: opts.doctor,
+        telemetry_cap: opts.telemetry_cap,
+        stream_budget: opts.stream_budget,
+        profile: opts.profile,
     };
-    let results = run_experiments(&selected, jobs, repeat, &base_ctx, doctor, trace_id.as_deref());
+    let results =
+        run_experiments(&selected, opts.jobs, opts.repeat, &base_ctx, opts.trace_id.as_deref());
     {
         // One write per run: the tables were rendered in the workers,
         // so the flush never interleaves with anything.
@@ -251,18 +295,15 @@ fn main() {
             writeln!(out, "{}", r.rendered).expect("stdout write");
         }
     }
-    if stream {
-        print_stream(&results);
-    }
-    if doctor {
+    if opts.doctor {
         print_doctor(&results);
     }
-    if profile {
+    if opts.profile {
         print_profile(&results);
     }
-    if let Some(tid) = &trace_id {
+    if let Some(tid) = &opts.trace_id {
         let r = results.iter().find(|r| r.id == tid).expect("traced experiment ran");
-        let path = trace_out.unwrap_or_else(|| format!("trace_{tid}.json"));
+        let path = opts.trace_out.unwrap_or_else(|| format!("trace_{tid}.json"));
         // With --profile, the traced experiment's host-time spans ride
         // along as extra tracks in the same trace file.
         let trace = nectar_sim::export::chrome_trace_with_host(
@@ -278,24 +319,21 @@ fn main() {
             Err(e) => eprintln!("could not write {path}: {e}"),
         }
     }
-    let points = if scaling {
+    let points = if opts.scaling {
         let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let sweep =
-            nectar_bench::experiments::scale::scaling_sweep(&[1, 2, 4, shards, cores], profile);
+        let sweep = nectar_bench::experiments::scale::scaling_sweep(
+            &[1, 2, 4, opts.shards, cores],
+            opts.profile,
+        );
         print_scaling(&sweep);
         sweep
     } else {
         Vec::new()
     };
-    let json = render_json(&results, jobs, shards, repeat, &points);
-    match std::fs::write(&json_path, &json) {
-        Ok(()) => eprintln!("wrote {json_path} ({} experiments)", results.len()),
-        Err(e) => eprintln!("could not write {json_path}: {e}"),
-    }
-    if let Some(baseline_path) = compare_path {
-        if !run_compare(&baseline_path, &json) {
-            std::process::exit(1);
-        }
+    let json = render_json(&results, opts.jobs, opts.shards, opts.repeat, &points);
+    match std::fs::write(&opts.json_path, &json) {
+        Ok(()) => eprintln!("wrote {} ({} experiments)", opts.json_path, results.len()),
+        Err(e) => eprintln!("could not write {}: {e}", opts.json_path),
     }
 }
 
@@ -339,11 +377,13 @@ fn print_profile(results: &[Outcome]) {
     println!();
 }
 
-/// Prints the streaming doctor's verdicts: one block per experiment
-/// that streamed, with the fold summary ahead of the findings.
-fn print_stream(results: &[Outcome]) {
-    println!("nectar-doctor --stream — incremental bounded-memory analysis");
-    println!("============================================================");
+/// Prints the doctor's verdicts: per experiment the fold summary, then
+/// one critical-path table and findings list per world it drove.
+/// Experiments that absorb no telemetry have nothing to analyze and are
+/// listed as such rather than silently skipped.
+fn print_doctor(results: &[Outcome]) {
+    println!("nectar-doctor — critical path and pathologies, folded per world");
+    println!("===============================================================");
     for r in results {
         let Some(s) = &r.table.stream else { continue };
         let sm = &s.summary;
@@ -352,8 +392,8 @@ fn print_stream(results: &[Outcome]) {
             r.id, sm.events_folded, sm.flights_seen, sm.flights_retired, sm.open_flights
         );
         println!(
-            "  fold: peak {} bytes, {} checkpoints, {} forced retirements, {} late events",
-            sm.peak_mem_bytes, sm.checkpoints, sm.forced_retirements, sm.late_events
+            "  fold: peak {} bytes, {} forced retirements, {} late events",
+            sm.peak_mem_bytes, sm.forced_retirements, sm.late_events
         );
         println!(
             "  rings: high-water mark {} of capacity, {} dropped{}",
@@ -367,68 +407,9 @@ fn print_stream(results: &[Outcome]) {
     let skipped: Vec<&str> =
         results.iter().filter(|r| r.table.stream.is_none()).map(|r| r.id).collect();
     if !skipped.is_empty() {
-        println!("\n(no streaming capture for: {})", skipped.join(", "));
-    }
-    println!();
-}
-
-/// Prints the doctor report for every selected experiment that captures
-/// telemetry. Experiments outside [`TRACEABLE`] have no event stream to
-/// analyze and are listed as such rather than silently skipped.
-fn print_doctor(results: &[Outcome]) {
-    println!("nectar-doctor — critical path and pathologies");
-    println!("=============================================");
-    for r in results {
-        if !TRACEABLE.contains(&r.id) {
-            continue;
-        }
-        if r.table.stream.is_some() {
-            println!("\n{} — streamed (see the --stream section above)", r.id);
-            continue;
-        }
-        println!("\n{} — {} telemetry events", r.id, r.table.trace.len());
-        let report = nectar_sim::analysis::diagnose(&r.table.trace, r.table.metrics.as_ref());
-        print!("{}", report.render());
-        print_runtime(r.table.runtime.as_ref());
-    }
-    let skipped: Vec<&str> =
-        results.iter().map(|r| r.id).filter(|id| !TRACEABLE.contains(id)).collect();
-    if !skipped.is_empty() {
         println!("\n(no telemetry capture for: {})", skipped.join(", "));
     }
     println!();
-}
-
-/// Diffs this run's metrics JSON against the committed baseline.
-/// Returns `false` (gate failed) on regression or unreadable input.
-fn run_compare(baseline_path: &str, current_json: &str) -> bool {
-    use nectar_sim::analysis::compare::{compare, CompareConfig};
-    let baseline_text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("could not read baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let baseline = match nectar_sim::json::parse(&baseline_text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("baseline {baseline_path} is not valid JSON: {e:?}");
-            return false;
-        }
-    };
-    let current = nectar_sim::json::parse(current_json).expect("render_json emits valid JSON");
-    match compare(&baseline, &current, &CompareConfig::default()) {
-        Ok(report) => {
-            println!("perf gate vs {baseline_path}");
-            print!("{}", report.render());
-            report.passed()
-        }
-        Err(e) => {
-            eprintln!("compare failed: {e}");
-            false
-        }
-    }
 }
 
 /// Runs every selected experiment, on `jobs` worker threads when asked,
@@ -442,13 +423,9 @@ fn run_experiments(
     jobs: usize,
     repeat: usize,
     base_ctx: &ExpCtx,
-    doctor: bool,
     trace_id: Option<&str>,
 ) -> Vec<Outcome> {
-    let ctx_for = |id: &str| ExpCtx {
-        trace: trace_id == Some(id) || (doctor && TRACEABLE.contains(&id)),
-        ..base_ctx.clone()
-    };
+    let ctx_for = |id: &str| ExpCtx { trace: trace_id == Some(id), ..base_ctx.clone() };
     let execute = |id: &'static str, run: fn(&ExpCtx) -> Table| {
         let mut walls = Vec::with_capacity(repeat);
         let mut table: Option<Table> = None;
@@ -510,56 +487,14 @@ fn run_experiments(
         .collect()
 }
 
-/// Escapes a string for a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// CPUs online on the host (as opposed to CPUs this process may use).
-/// Linux-only; elsewhere falls back to the usable count.
-fn cpus_online(usable: usize) -> usize {
-    std::fs::read_to_string("/sys/devices/system/cpu/online")
-        .ok()
-        .and_then(|s| {
-            // "0-3,5,7-8" → 6
-            let mut n = 0usize;
-            for part in s.trim().split(',') {
-                match part.split_once('-') {
-                    Some((a, b)) => {
-                        let (a, b) = (a.parse::<usize>().ok()?, b.parse::<usize>().ok()?);
-                        n += b.checked_sub(a)? + 1;
-                    }
-                    None => {
-                        part.parse::<usize>().ok()?;
-                        n += 1;
-                    }
-                }
-            }
-            Some(n)
-        })
-        .unwrap_or(usable)
-}
-
-/// The `host` member of `BENCH_sim.json`: the structured facts a later
-/// `--compare` needs to decide whether wall-clock numbers from this
-/// run are comparable at all. `cores` is what the process may actually
-/// use (affinity-aware); `pinned` records whether that is fewer than
-/// the machine has online. Under `--repeat N` the object also carries
-/// `walls_ms` — every repeat's wall time per experiment, in run order,
-/// so the jitter behind the reported median is inspectable.
+/// The `host` member of `BENCH_sim.json`: `cores` is what the process
+/// may actually use (affinity-aware) — the fact a reader needs before
+/// comparing sharded wall-clock numbers. Under `--repeat N` the object
+/// also carries `walls_ms` — every repeat's wall time per experiment,
+/// in run order, so the jitter behind the reported median is
+/// inspectable.
 fn host_json(repeat: usize, results: &[Outcome]) -> String {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let online = cpus_online(cores);
     let walls = if repeat > 1 {
         let per_exp: Vec<String> = results
             .iter()
@@ -573,10 +508,7 @@ fn host_json(repeat: usize, results: &[Outcome]) -> String {
     } else {
         String::new()
     };
-    format!(
-        "{{\"cores\": {cores}, \"online\": {online}, \"pinned\": {}, \"repeat\": {repeat}{walls}}}",
-        cores < online
-    )
+    format!("{{\"cores\": {cores}, \"repeat\": {repeat}{walls}}}")
 }
 
 /// Prints the speedup curve as a table on stdout. When the sweep was
@@ -694,20 +626,20 @@ fn render_json(
                 format!(
                     ", \"stream\": {{\"events_folded\": {}, \"flights_seen\": {}, \
                      \"flights_retired\": {}, \"open_flights\": {}, \"late_events\": {}, \
-                     \"forced_retirements\": {}, \"checkpoints\": {}, \"peak_mem_bytes\": {}, \
-                     \"ring_hwm\": {}, \"ring_dropped\": {}, \"flights\": {}, \"confident\": {}, \
-                     \"verdicts\": [{}]}}",
+                     \"forced_retirements\": {}, \"peak_mem_bytes\": {}, \
+                     \"ring_hwm\": {}, \"ring_dropped\": {}, \"flights\": {}, \
+                     \"attributed\": {}, \"confident\": {}, \"verdicts\": [{}]}}",
                     sm.events_folded,
                     sm.flights_seen,
                     sm.flights_retired,
                     sm.open_flights,
                     sm.late_events,
                     sm.forced_retirements,
-                    sm.checkpoints,
                     sm.peak_mem_bytes,
                     sm.ring_hwm,
                     sm.ring_dropped,
                     s.flights,
+                    s.attributed,
                     s.confident,
                     verdicts.join(", "),
                 )
@@ -768,4 +700,103 @@ fn render_json(
     }
     s.push_str("\n}\n");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> impl Iterator<Item = String> + '_ {
+        line.split_whitespace().map(String::from)
+    }
+
+    /// Everything `main` checks before the first experiment runs.
+    fn invoke(line: &str) -> Result<Opts, String> {
+        let opts = parse_args(argv(line))?;
+        select(&opts, registry())?;
+        Ok(opts)
+    }
+
+    #[test]
+    fn every_flag_round_trips_and_usage_lists_exactly_those() {
+        let d = Opts::default;
+        let some = |s: &str| Some(s.to_string());
+        let table: Vec<(&str, Opts)> = vec![
+            ("--list", Opts { list: true, ..d() }),
+            ("--jobs 3", Opts { jobs: 3, ..d() }),
+            ("--shards 4", Opts { shards: 4, ..d() }),
+            ("--repeat 2", Opts { repeat: 2, ..d() }),
+            ("--scaling", Opts { scaling: true, ..d() }),
+            ("--profile", Opts { profile: true, ..d() }),
+            ("--json out.json", Opts { json_path: "out.json".into(), ..d() }),
+            ("--metrics", Opts { metrics: true, ..d() }),
+            ("--doctor", Opts { doctor: true, metrics: true, ..d() }),
+            ("--telemetry-cap 4096", Opts { telemetry_cap: Some(4096), ..d() }),
+            ("--stream-budget 0", Opts { stream_budget: Some(0), ..d() }),
+            ("--trace E07", Opts { trace_id: some("e07"), ..d() }),
+            ("--trace-out t.json", Opts { trace_out: some("t.json"), ..d() }),
+            ("--chaos-seed 707", Opts { chaos_seed: Some(707), ..d() }),
+            ("--chaos-spec loss(0.05)", Opts { chaos_spec: some("loss(0.05)"), ..d() }),
+            ("--workload spike", Opts { workload: some("spike"), ..d() }),
+        ];
+        for (line, want) in &table {
+            assert_eq!(parse_args(argv(line)).as_ref(), Ok(want), "{line}");
+        }
+        let in_usage: Vec<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphabetic() || c == '-'))
+            .filter(|w| w.starts_with("--"))
+            .collect();
+        let in_table: Vec<&str> =
+            table.iter().map(|(line, _)| line.split(' ').next().expect("a flag")).collect();
+        assert_eq!(in_usage, in_table, "USAGE and the parser list different flags");
+        assert_eq!(in_usage.len(), 16);
+
+        let all = invoke("-j 2 --doctor --trace e07 --trace-out T E07 e12 list").expect("valid");
+        assert_eq!(
+            all,
+            Opts {
+                list: true,
+                jobs: 2,
+                doctor: true,
+                metrics: true,
+                trace_id: some("e07"),
+                trace_out: some("T"),
+                ids: vec!["e07".into(), "e12".into()],
+                ..d()
+            }
+        );
+    }
+
+    #[test]
+    fn bad_invocations_are_rejected_naming_the_flag() {
+        // (command line, what the message must name)
+        let table = [
+            ("--stream e12", "--stream"),
+            ("--compare x.json", "--compare"),
+            ("--jobs", "--jobs"),
+            ("e03 --trace", "--trace"),
+            ("--json", "--json"),
+            ("--chaos-seed", "--chaos-seed"),
+            ("--jobs 0", "--jobs"),
+            ("--repeat 0", "--repeat"),
+            ("--telemetry-cap 0", "--telemetry-cap"),
+            ("--shards abc", "--shards"),
+            ("--shards -1", "--shards"),
+            ("--stream-budget 1e9", "--stream-budget"),
+            ("--chaos-seed 0x10", "--chaos-seed"),
+            ("--chaos-spec loss(", "--chaos-spec"),
+            ("--workload no-such-preset(", "--workload"),
+            ("--trace e01 e01", "--trace e01"),
+            ("--trace nosuch", "--trace nosuch"),
+            ("--trace e07 e03", "--trace e07"),
+            ("e03 e99", "`e99`"),
+            ("-x", "`-x`"),
+        ];
+        for (line, named) in table {
+            let err = invoke(line).expect_err(line);
+            assert!(err.contains(named), "`{line}` rejected without naming {named}: {err}");
+        }
+        let err = invoke("--trace e01").expect_err("e01 records no telemetry");
+        assert!(TRACEABLE.iter().all(|id| err.contains(id)), "traceable ids not listed: {err}");
+    }
 }

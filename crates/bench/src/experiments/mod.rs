@@ -15,7 +15,9 @@ pub mod workload_exp;
 use crate::table::Table;
 use nectar_core::shard::ShardedWorld;
 use nectar_core::world::World;
+use nectar_sim::analysis::streaming::{StreamConfig, StreamingDoctor};
 use nectar_sim::metrics::MetricsRegistry;
+use nectar_sim::telemetry::TelemetryEvent;
 
 /// What the harness wants an experiment to collect beyond its table.
 /// Passed to every runner; [`ExpCtx::off`] is the plain-report default.
@@ -45,20 +47,20 @@ pub struct ExpCtx {
     /// sequential execution; counts above a topology's HUB count are
     /// clamped by the [`ShardPlan`](nectar_core::shard::ShardPlan).
     pub shards: usize,
-    /// Attach a streaming doctor to every world (`report --stream`):
+    /// Attach a streaming doctor to every world (`report --doctor`):
     /// telemetry folds incrementally instead of being kept for a
-    /// post-hoc pass, so rings never fill and analysis memory stays
-    /// bounded no matter the run length.
+    /// second pass, so rings never fill and analysis memory stays
+    /// bounded no matter the run length. An experiment that is also
+    /// [`trace`](ExpCtx::trace)d keeps its rings for the exporter and
+    /// hands them to the same fold when the world is absorbed.
     pub stream: bool,
     /// Resize every telemetry ring before traffic flows
-    /// (`report --telemetry-cap N`). Mainly for demonstrating that
-    /// streaming survives capacities the post-hoc path cannot.
+    /// (`report --telemetry-cap N`). Mainly for demonstrating that the
+    /// fold survives capacities a kept capture cannot.
     pub telemetry_cap: Option<usize>,
     /// Hard cap on the streaming fold's estimated footprint in bytes
     /// (`report --stream-budget BYTES`); see
     /// [`StreamConfig::memory_budget`].
-    ///
-    /// [`StreamConfig::memory_budget`]: nectar_sim::analysis::streaming::StreamConfig::memory_budget
     pub stream_budget: Option<usize>,
     /// Collect a host-time profile from every sharded world
     /// (`report --profile`): phase spans per shard worker, straggler
@@ -66,6 +68,21 @@ pub struct ExpCtx {
     /// scaling-doctor verdict. Purely observational — simulated
     /// metrics stay bit-identical with this on or off.
     pub profile: bool,
+}
+
+/// What [`ExpCtx::absorb`] and [`ExpCtx::absorb_sharded`] read off a
+/// finished world before the shared harvest.
+struct Harvest {
+    /// The world's registry, when metrics or the doctor want it.
+    metrics: Option<MetricsRegistry>,
+    /// Runner/runtime counters.
+    runtime: MetricsRegistry,
+    /// `telemetry_pressure()`: ring high-water mark and drops.
+    pressure: (u64, u64),
+    /// The retained capture, when the experiment is being traced.
+    rings: Vec<TelemetryEvent>,
+    /// The doctor that streamed during the run, if one was attached.
+    doctor: Option<StreamingDoctor>,
 }
 
 impl ExpCtx {
@@ -79,13 +96,17 @@ impl ExpCtx {
         self.metrics || self.trace || self.stream
     }
 
-    /// The [`StreamConfig`](nectar_sim::analysis::streaming::StreamConfig)
-    /// a `--stream` run attaches: defaults plus the CLI memory budget.
-    fn stream_config(&self) -> nectar_sim::analysis::streaming::StreamConfig {
-        nectar_sim::analysis::streaming::StreamConfig {
-            memory_budget: self.stream_budget,
-            ..Default::default()
-        }
+    /// `true` when the doctor streams during the run. A traced
+    /// experiment's rings must survive for the exporter, so there the
+    /// fold waits for [`absorb`](ExpCtx::absorb).
+    fn streams_live(&self) -> bool {
+        self.stream && !self.trace
+    }
+
+    /// The [`StreamConfig`] the doctor folds with: defaults plus the
+    /// CLI memory budget.
+    fn stream_config(&self) -> StreamConfig {
+        StreamConfig { memory_budget: self.stream_budget, ..Default::default() }
     }
 
     /// Arms a freshly built world, before any traffic flows.
@@ -93,7 +114,7 @@ impl ExpCtx {
         if let Some(cap) = self.telemetry_cap {
             world.set_telemetry_capacity(cap);
         }
-        if self.stream {
+        if self.streams_live() {
             world.attach_streaming(self.stream_config());
         } else if self.observing() {
             world.enable_observability();
@@ -105,7 +126,7 @@ impl ExpCtx {
         if let Some(cap) = self.telemetry_cap {
             world.set_telemetry_capacity(cap);
         }
-        if self.stream {
+        if self.streams_live() {
             world.attach_streaming(self.stream_config());
         } else if self.observing() {
             world.enable_observability();
@@ -122,31 +143,18 @@ impl ExpCtx {
 
     /// Harvests a world into the table: metrics merge (so experiments
     /// driving several worlds accumulate), trace events append, the
-    /// streaming doctor (when attached) is detached into its final
-    /// report, and capture pressure lands in the runtime registry.
+    /// streaming doctor is detached into its final report — one per
+    /// world, because packet ids restart with every world — and
+    /// capture pressure lands in the runtime registry.
     pub fn absorb(&self, table: &mut Table, world: &mut World) {
-        let reg = (self.metrics || self.stream).then(|| world.metrics());
-        if self.stream {
-            if let Some(doctor) = world.finish_streaming() {
-                let summary = doctor.summary();
-                let report = doctor.into_report(reg.as_ref());
-                table.absorb_stream(&summary, &report);
-            }
-        }
-        if self.metrics {
-            if let Some(m) = reg {
-                match &mut table.metrics {
-                    Some(t) => t.merge(&m),
-                    None => table.metrics = Some(m),
-                }
-            }
-            let rt = table.runtime.get_or_insert_with(MetricsRegistry::new);
-            rt.merge(&world.runtime_metrics());
-            self.absorb_pressure(table, world.telemetry_pressure());
-        }
-        if self.trace {
-            table.trace.extend(world.telemetry_events());
-        }
+        let harvest = Harvest {
+            metrics: (self.metrics || self.stream).then(|| world.metrics()),
+            runtime: world.runtime_metrics(),
+            pressure: world.telemetry_pressure(),
+            rings: if self.trace { world.telemetry_events() } else { Vec::new() },
+            doctor: world.finish_streaming(),
+        };
+        self.absorb_harvest(table, harvest);
     }
 
     /// [`absorb`](ExpCtx::absorb) for a sharded world: identical
@@ -155,28 +163,14 @@ impl ExpCtx {
     /// sequential run's (the determinism contract of DESIGN.md §11) —
     /// plus the runner's own counters into the runtime registry.
     pub fn absorb_sharded(&self, table: &mut Table, world: &mut ShardedWorld) {
-        let reg = (self.metrics || self.stream).then(|| world.metrics());
-        if self.stream {
-            if let Some(doctor) = world.finish_streaming() {
-                let summary = doctor.summary();
-                let report = doctor.into_report(reg.as_ref());
-                table.absorb_stream(&summary, &report);
-            }
-        }
-        if self.metrics {
-            if let Some(m) = reg {
-                match &mut table.metrics {
-                    Some(t) => t.merge(&m),
-                    None => table.metrics = Some(m),
-                }
-            }
-            let rt = table.runtime.get_or_insert_with(MetricsRegistry::new);
-            rt.merge(&world.runtime_metrics());
-            self.absorb_pressure(table, world.telemetry_pressure());
-        }
-        if self.trace {
-            table.trace.extend(world.telemetry_events());
-        }
+        let harvest = Harvest {
+            metrics: (self.metrics || self.stream).then(|| world.metrics()),
+            runtime: world.runtime_metrics(),
+            pressure: world.telemetry_pressure(),
+            rings: if self.trace { world.telemetry_events() } else { Vec::new() },
+            doctor: world.finish_streaming(),
+        };
+        self.absorb_harvest(table, harvest);
         if self.profile {
             // An experiment may drive several sharded worlds (e.g. a
             // determinism rerun); the profile kept is the last
@@ -188,15 +182,41 @@ impl ExpCtx {
         }
     }
 
-    /// Records the telemetry capture-pressure pair into the table's
-    /// runtime registry. The high-water mark is per-ring and therefore
-    /// shard-variant, which is exactly why it lives here and not in
-    /// the bit-compared `metrics` object.
-    fn absorb_pressure(&self, table: &mut Table, pressure: (u64, u64)) {
-        let (hwm, dropped) = pressure;
-        let rt = table.runtime.get_or_insert_with(MetricsRegistry::new);
-        rt.gauge_max("telemetry.ring_hwm", hwm as f64);
-        rt.counter_add("telemetry.dropped_events", dropped);
+    /// The part of absorbing that does not care which kind of world
+    /// the harvest came from.
+    fn absorb_harvest(&self, table: &mut Table, mut h: Harvest) {
+        table.trace.extend_from_slice(&h.rings);
+        let doctor = if self.stream && self.trace {
+            // Traced: nothing streamed, the rings hold the capture.
+            // The same fold takes it in one batch.
+            let mut doctor = StreamingDoctor::new(self.stream_config());
+            doctor.ingest(&mut h.rings);
+            doctor.note_ring(h.pressure.0, h.pressure.1);
+            Some(doctor)
+        } else {
+            h.doctor
+        };
+        if let Some(doctor) = doctor {
+            let summary = doctor.summary();
+            let report = doctor.into_report(h.metrics.as_ref());
+            table.absorb_stream(&summary, &report);
+        }
+        if self.metrics {
+            if let Some(m) = h.metrics {
+                match &mut table.metrics {
+                    Some(t) => t.merge(&m),
+                    None => table.metrics = Some(m),
+                }
+            }
+            // The ring high-water mark is per-ring and therefore
+            // shard-variant, which is exactly why it lives in the
+            // runtime registry and not in the bit-compared `metrics`.
+            let (hwm, dropped) = h.pressure;
+            let rt = table.runtime.get_or_insert_with(MetricsRegistry::new);
+            rt.merge(&h.runtime);
+            rt.gauge_max("telemetry.ring_hwm", hwm as f64);
+            rt.counter_add("telemetry.dropped_events", dropped);
+        }
     }
 }
 
@@ -278,5 +298,49 @@ mod tests {
             let table = run(&ctx);
             assert!(!table.trace.is_empty(), "{id} is listed TRACEABLE but produced no events");
         }
+    }
+
+    /// What `report --doctor` runs an experiment with.
+    fn doctor_ctx() -> ExpCtx {
+        ExpCtx { metrics: true, stream: true, ..ExpCtx::off() }
+    }
+
+    fn run(id: &str, ctx: &ExpCtx) -> Table {
+        let (_, _, run) =
+            registry().into_iter().find(|(rid, _, _)| *rid == id).expect("id is registered");
+        run(ctx)
+    }
+
+    #[test]
+    fn traceable_experiments_fold_every_world() {
+        for id in TRACEABLE {
+            let table = run(id, &doctor_ctx());
+            let s = table.stream.unwrap_or_else(|| panic!("{id} absorbed no doctor"));
+            let sm = &s.summary;
+            assert_eq!(sm.late_events, 0, "{id}");
+            assert_eq!(sm.ring_dropped, 0, "{id}");
+            assert_eq!(sm.flights_retired + sm.open_flights as u64, sm.flights_seen, "{id}");
+            assert!(s.confident, "{id}");
+            if *id == "e12" {
+                // Nine worlds, one delivered message each. A doctor
+                // over the nine captures merged — packet ids restart
+                // per world — attributes none of them.
+                assert_eq!(s.attributed, 9);
+                let hol = s.findings.iter().filter(|f| f.detector == "head_of_line").count();
+                assert_eq!(hol, 3, "{:?}", s.findings);
+            }
+        }
+    }
+
+    #[test]
+    fn traced_experiment_keeps_its_rings_and_its_doctor() {
+        let live = run("e07", &doctor_ctx());
+        let traced = run("e07", &ExpCtx { trace: true, ..doctor_ctx() });
+        assert!(live.trace.is_empty());
+        assert_eq!(traced.trace.len(), 1_730);
+        let (live, traced) = (live.stream.expect("folded"), traced.stream.expect("folded"));
+        assert_eq!(traced.rendered, live.rendered);
+        assert_eq!(traced.summary.events_folded, live.summary.events_folded);
+        assert!(traced.confident);
     }
 }

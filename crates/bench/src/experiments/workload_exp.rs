@@ -12,7 +12,7 @@
 //!
 //! The scenario verdict is structural, not a wall-clock number: zero
 //! HUB drops, zero mailbox rejects, and — when the streaming doctor
-//! rode along (`--stream`) — a confident capture with no critical
+//! rode along (`--doctor`) — a confident capture with no critical
 //! findings (retransmit storm, head-of-line blocking, mailbox
 //! saturation, silent drops). The verdict lands in the table notes and
 //! in `BENCH_sim.json`, so CI can gate on it.
@@ -214,7 +214,7 @@ pub fn e27_lattice(ctx: &ExpCtx) -> Table {
 /// E27b: the spike-stream preset on the e26b mesh — 1600 closed-loop
 /// tokens per CAB, a standing population above 10^5 concurrent flows
 /// on 64 CABs. The bounded-memory acceptance run in CI drives exactly
-/// this experiment under `--stream`.
+/// this experiment under `--doctor`.
 pub fn e27b_spike(ctx: &ExpCtx) -> Table {
     run_workload(
         "e27b",

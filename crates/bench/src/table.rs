@@ -34,7 +34,7 @@ pub struct Table {
     /// bit-compared across shard counts and repeats; these describe
     /// the harness, not the simulated system.
     pub runtime: Option<nectar_sim::metrics::MetricsRegistry>,
-    /// Streaming-doctor outcome, when the harness ran with `--stream`.
+    /// Streaming-doctor outcome, when the harness ran with `--doctor`.
     pub stream: Option<StreamResult>,
     /// Scaling-doctor analysis of the host-time profile, when the
     /// harness ran with `--profile` and the experiment drove a sharded
@@ -53,6 +53,8 @@ pub struct StreamResult {
     pub summary: nectar_sim::analysis::streaming::StreamSummary,
     /// Flights analyzed, from the final reports.
     pub flights: u64,
+    /// Flights whose latency the final reports attributed to segments.
+    pub attributed: u64,
     /// `false` if any world's capture was truncated.
     pub confident: bool,
     /// Every pathology finding from the final reports, in report
@@ -78,11 +80,11 @@ impl StreamResult {
         s.open_flights += summary.open_flights;
         s.late_events += summary.late_events;
         s.forced_retirements += summary.forced_retirements;
-        s.checkpoints += summary.checkpoints;
         s.peak_mem_bytes = s.peak_mem_bytes.max(summary.peak_mem_bytes);
         s.ring_hwm = s.ring_hwm.max(summary.ring_hwm);
         s.ring_dropped += summary.ring_dropped;
         self.flights += report.flights;
+        self.attributed += report.critical_path.attributed;
         self.confident &= report.confident;
         self.findings.extend(report.findings.iter().cloned());
         self.rendered.push_str(&report.render());
@@ -117,6 +119,7 @@ impl Table {
         let slot = self.stream.get_or_insert_with(|| StreamResult {
             summary: Default::default(),
             flights: 0,
+            attributed: 0,
             confident: true,
             findings: Vec::new(),
             rendered: String::new(),

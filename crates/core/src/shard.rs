@@ -640,14 +640,6 @@ impl ShardedWorld {
         }
     }
 
-    /// The attached streaming doctor, for live checkpoint polls.
-    pub fn stream_doctor(&self) -> Option<&StreamingDoctor> {
-        if self.worlds.len() == 1 {
-            return self.worlds[0].stream_doctor();
-        }
-        self.stream.as_ref().map(|st| &st.state.doctor)
-    }
-
     /// Detaches the streaming doctor after folding everything still
     /// pending in any shard's rings; mirrors
     /// [`World::finish_streaming`].
@@ -707,42 +699,27 @@ impl ShardedWorld {
     /// the global clock would pass `deadline`; mirrors
     /// [`World::run_to_quiescence`] including final clock position.
     pub fn run_to_quiescence(&mut self, deadline: Time) -> (u64, QuiescenceOutcome) {
-        if self.worlds.len() == 1 {
-            // No window protocol with one shard: the whole run is one
-            // step span, so 1-shard profiles still carry the wall time
-            // the speedup curve's reference point needs.
-            let t0 = self.profs[0].begin();
-            let out = self.worlds[0].run_to_quiescence(deadline);
-            self.profs[0].end(Phase::Step, 0, t0);
-            return out;
-        }
         let (n, outcome) = self.drive(deadline);
-        let settle = match outcome {
-            QuiescenceOutcome::Quiescent => {
-                self.worlds.iter().map(|w| w.now()).max().unwrap_or(Time::ZERO)
-            }
+        self.settle_clocks(match outcome {
+            QuiescenceOutcome::Quiescent => self.now(),
             QuiescenceOutcome::DeadlineReached => deadline,
-        };
-        for w in &mut self.worlds {
-            w.advance_clock(settle);
-        }
+        });
         (n, outcome)
     }
 
     /// Runs until quiet or past `deadline`, then advances every shard
     /// clock to `deadline`; mirrors [`World::run_until`].
     pub fn run_until(&mut self, deadline: Time) -> u64 {
-        if self.worlds.len() == 1 {
-            let t0 = self.profs[0].begin();
-            let out = self.worlds[0].run_until(deadline);
-            self.profs[0].end(Phase::Step, 0, t0);
-            return out;
-        }
         let (n, _) = self.drive(deadline);
-        for w in &mut self.worlds {
-            w.advance_clock(deadline);
-        }
+        self.settle_clocks(deadline);
         n
+    }
+
+    /// Ends a run with every shard clock on the same instant.
+    fn settle_clocks(&mut self, t: Time) {
+        for w in &mut self.worlds {
+            w.advance_clock(t);
+        }
     }
 
     /// Window budget for the next epoch: how many windows the workers
@@ -752,9 +729,10 @@ impl ShardedWorld {
         self.stream.as_ref().map_or(u64::MAX, |st| st.cadence)
     }
 
-    /// The threaded YAWNS loop. On return every shard has processed
-    /// exactly the events a sequential run would process up to
-    /// `deadline` (inclusive); clocks are *not* yet normalized.
+    /// The one driver: the threaded YAWNS loop, or with a single shard
+    /// one inline window. On return every shard has processed exactly
+    /// the events a sequential run would process up to `deadline`
+    /// (inclusive); clocks are *not* yet normalized.
     ///
     /// Structured as a sequence of epochs: worker threads run the
     /// window protocol for at most [`epoch_budget`] windows, then
@@ -773,6 +751,19 @@ impl ShardedWorld {
         // Window-end cap: events AT the deadline still run (sequential
         // semantics), anything later stays queued.
         let cap = deadline_ns.saturating_add(1);
+        if n == 1 {
+            // No window protocol with one shard: the whole run is one
+            // window and one step span, so 1-shard profiles still carry
+            // the wall time the speedup curve's reference point needs.
+            let t0 = self.profs[0].begin();
+            let events = self.worlds[0].run_window(Time::from_nanos(cap));
+            self.profs[0].end(Phase::Step, 0, t0);
+            let outcome = match self.worlds[0].next_event_time() {
+                None => QuiescenceOutcome::Quiescent,
+                Some(_) => QuiescenceOutcome::DeadlineReached,
+            };
+            return (events, outcome);
+        }
         let rendezvous = Rendezvous::new(n, self.cores);
         let grids = [ExchangeGrid::new(n), ExchangeGrid::new(n)];
         let (rendezvous, grids) = (&rendezvous, &grids);
@@ -1122,16 +1113,8 @@ impl ShardedWorld {
     pub fn chaos_stats(&self) -> Option<ChaosStats> {
         self.worlds[0].chaos_schedule()?;
         let mut total = ChaosStats::default();
-        for w in &self.worlds {
-            let Some(s) = w.chaos_stats() else { continue };
-            total.drops += s.drops;
-            total.burst_drops += s.burst_drops;
-            total.flap_drops += s.flap_drops;
-            total.duplicates += s.duplicates;
-            total.reorders += s.reorders;
-            total.corruptions += s.corruptions;
-            total.cmd_drops += s.cmd_drops;
-            total.port_drops += s.port_drops;
+        for s in self.worlds.iter().filter_map(|w| w.chaos_stats()) {
+            total.merge(s);
         }
         Some(total)
     }

@@ -624,9 +624,9 @@ enum TelemetrySink {
 /// with the sharded runner.
 pub(crate) struct StreamState {
     pub(crate) doctor: StreamingDoctor,
-    /// Drained events not yet final (stamped at or after the next
-    /// event time — record sites may stamp into the future), in the
-    /// order they were drained.
+    /// Drained events held back from the fold (stamped past the
+    /// release boundary — record sites may stamp into the future), in
+    /// the order they were drained.
     pub(crate) pending: Vec<TelemetryEvent>,
     /// Scratch batch handed to the doctor each fold.
     pub(crate) batch: Vec<TelemetryEvent>,
@@ -911,26 +911,23 @@ impl World {
         self.set_sink(TelemetrySink::Fold(Box::new(StreamState::new(cfg))));
     }
 
-    /// The attached streaming doctor, for live checkpoint polls.
-    pub fn stream_doctor(&self) -> Option<&StreamingDoctor> {
-        match &self.sink {
-            TelemetrySink::Fold(st) => Some(&st.doctor),
-            _ => None,
-        }
-    }
-
     /// Drains the rings into the sink. A streaming doctor folds every
-    /// **final** event — those stamped strictly before the engine's
-    /// next event time; nothing that early can still be recorded,
-    /// because every record site stamps at-or-after its processing
-    /// instant. With `finish` the boundary is lifted and everything
+    /// event stamped at or before the clock. The drain runs between two
+    /// events of one same-instant batch, and the rest of that batch
+    /// still records at the clock's instant — never earlier, because
+    /// every record site stamps at-or-after its processing instant — so
+    /// the fold's watermark stops at the clock and no later batch
+    /// reaches back before it; events stamped into the future wait in
+    /// `pending`. (The next event time is not the boundary: with the
+    /// batch popped it lies past events this instant has yet to
+    /// record.) With `finish` the boundary is lifted and everything
     /// pending folds.
     fn drain_sink(&mut self, finish: bool) {
         match std::mem::replace(&mut self.sink, TelemetrySink::Rings) {
             TelemetrySink::Rings => {}
             TelemetrySink::Fold(mut st) => {
                 self.drain_telemetry_into(&mut st.pending);
-                st.release(if finish { None } else { self.engine.peek_time() });
+                st.release((!finish).then(|| just_after(self.now())));
                 st.doctor.ingest(&mut st.batch);
                 self.sink = TelemetrySink::Fold(st);
             }
@@ -961,7 +958,9 @@ impl World {
     /// end of run, then build the report with
     /// [`StreamingDoctor::into_report`] over [`metrics`](World::metrics).
     pub fn finish_streaming(&mut self) -> Option<StreamingDoctor> {
-        self.stream_doctor()?;
+        if !matches!(self.sink, TelemetrySink::Fold(_)) {
+            return None;
+        }
         self.drain_sink(true);
         let TelemetrySink::Fold(mut st) = std::mem::replace(&mut self.sink, TelemetrySink::Rings)
         else {

@@ -1,6 +1,6 @@
 //! Differential tests for the workload generator: a spec-driven
 //! scenario must be **bit-identical** across sequential vs sharded
-//! execution at every shard count, across `--stream` on/off, and
+//! execution at every shard count, with the doctor streaming or not, and
 //! across same-seed reruns. The fingerprint is the full metrics
 //! registry rendered to JSON — every counter, gauge, and histogram
 //! bucket in the system.

@@ -1,20 +1,17 @@
-//! The datalink layer: routes, HUB command packets, connection cache.
+//! The datalink layer: routes and HUB command packets.
 //!
 //! "The datalink protocol transfers data packets between CABs using HUB
 //! commands, manages HUB connections, and recovers from framing errors
 //! and lost HUB commands" (§6.2.1). This module holds the pure parts —
-//! route descriptions and the §4.2 command-packet builders — plus the
-//! connection cache that lets repeated sends to the same destination
-//! skip route setup. The timed send/receive logic runs in the CAB model
-//! of `nectar-core`.
+//! route descriptions and the §4.2 command-packet builders. The timed
+//! send/receive logic, and the cache of open circuits that lets
+//! repeated sends to one destination skip route setup, run in the CAB
+//! model of `nectar-core`.
 
 use core::fmt;
-use nectar_cab::board::CabId;
 use nectar_hub::command::Command;
 use nectar_hub::id::{HubId, PortId};
 use nectar_hub::item::{Item, Packet};
-use nectar_sim::time::{Dur, Time};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One hop of a route: the output port to open on a HUB.
@@ -297,110 +294,6 @@ impl MulticastRoute {
     }
 }
 
-/// Statistics of a [`ConnectionCache`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found an open circuit.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Circuits evicted to make room.
-    pub evictions: u64,
-}
-
-/// An LRU cache of open circuits, keyed by destination CAB.
-///
-/// Keeping a circuit open lets the next message to the same destination
-/// skip the open/reply round trip entirely — the ablation in DESIGN.md
-/// §5 measures exactly this.
-#[derive(Clone, Debug)]
-pub struct ConnectionCache {
-    capacity: usize,
-    entries: HashMap<CabId, (Route, Time)>,
-    stats: CacheStats,
-}
-
-impl ConnectionCache {
-    /// A cache holding at most `capacity` open circuits (0 disables
-    /// caching entirely — every send re-opens its route).
-    pub fn new(capacity: usize) -> ConnectionCache {
-        ConnectionCache { capacity, entries: HashMap::new(), stats: CacheStats::default() }
-    }
-
-    /// Looks up an open circuit to `dst`, refreshing its LRU stamp.
-    pub fn lookup(&mut self, dst: CabId, now: Time) -> Option<&Route> {
-        match self.entries.get_mut(&dst) {
-            Some((_route, stamp)) => {
-                *stamp = now;
-                self.stats.hits += 1;
-                Some(&self.entries[&dst].0)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Records a circuit as open. Returns the destination whose circuit
-    /// must be *closed* (its `close all` sent) if the cache evicted one.
-    pub fn insert(&mut self, dst: CabId, route: Route, now: Time) -> Option<(CabId, Route)> {
-        if self.capacity == 0 {
-            return None;
-        }
-        let mut evicted = None;
-        if !self.entries.contains_key(&dst) && self.entries.len() >= self.capacity {
-            let oldest = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| *k)
-                .expect("cache is non-empty");
-            let (route, _) = self.entries.remove(&oldest).expect("key exists");
-            self.stats.evictions += 1;
-            evicted = Some((oldest, route));
-        }
-        self.entries.insert(dst, (route, now));
-        evicted
-    }
-
-    /// Removes a circuit (e.g. after sending its `close all`).
-    pub fn remove(&mut self, dst: CabId) -> Option<Route> {
-        self.entries.remove(&dst).map(|(r, _)| r)
-    }
-
-    /// Open circuits currently cached.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no circuits are cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Hit/miss/eviction counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-}
-
-/// Datalink-level timeouts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DatalinkConfig {
-    /// How long to wait for the open reply before re-probing the route
-    /// ("if CAB3 does not receive a reply soon enough...", §4.2.1).
-    pub open_timeout: Dur,
-    /// Open attempts before reporting the route unreachable.
-    pub max_open_attempts: u32,
-}
-
-impl Default for DatalinkConfig {
-    fn default() -> DatalinkConfig {
-        DatalinkConfig { open_timeout: Dur::from_micros(100), max_open_attempts: 5 }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,39 +377,6 @@ mod tests {
     #[should_panic]
     fn empty_route_rejected() {
         let _ = Route::new(vec![]);
-    }
-
-    #[test]
-    fn cache_hits_and_lru_eviction() {
-        let mut cache = ConnectionCache::new(2);
-        let r = |n| Route::new(vec![hop(n, 1)]);
-        assert!(cache.lookup(CabId::new(1), Time::ZERO).is_none());
-        cache.insert(CabId::new(1), r(1), Time::from_micros(1));
-        cache.insert(CabId::new(2), r(2), Time::from_micros(2));
-        // Touch CAB1 so CAB2 is the LRU victim.
-        assert!(cache.lookup(CabId::new(1), Time::from_micros(3)).is_some());
-        let evicted = cache.insert(CabId::new(3), r(3), Time::from_micros(4));
-        assert_eq!(evicted.map(|(d, _)| d), Some(CabId::new(2)));
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let mut cache = ConnectionCache::new(0);
-        cache.insert(CabId::new(1), fig7_route(), Time::ZERO);
-        assert!(cache.lookup(CabId::new(1), Time::ZERO).is_none());
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn remove_after_close() {
-        let mut cache = ConnectionCache::new(4);
-        cache.insert(CabId::new(1), fig7_route(), Time::ZERO);
-        assert!(cache.remove(CabId::new(1)).is_some());
-        assert!(cache.remove(CabId::new(1)).is_none());
     }
 
     #[test]

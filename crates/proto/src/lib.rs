@@ -46,9 +46,7 @@ pub mod transport;
 
 /// The most frequently used names, for glob import.
 pub mod prelude {
-    pub use crate::datalink::{
-        ConnectionCache, DatalinkConfig, Hop, MulticastRoute, Route, RouteTable,
-    };
+    pub use crate::datalink::{Hop, MulticastRoute, Route, RouteTable};
     pub use crate::header::{
         DecodeError, Header, MailboxAddr, PacketKind, HEADER_BYTES, MAX_FRAGMENT_PAYLOAD,
     };

@@ -3,7 +3,7 @@
 //! The paper's instrumentation board (§4.1) existed because end-to-end
 //! totals don't tell you *where* latency comes from — HUB queueing, CAB
 //! protocol processing, or fiber serialization. This module family
-//! closes the record → analyze → gate loop over the telemetry ring and
+//! closes the record → analyze loop over the telemetry ring and
 //! [`MetricsRegistry`](crate::metrics::MetricsRegistry):
 //!
 //! * [`flights`] — folds the flat event stream into per-packet
@@ -16,9 +16,7 @@
 //!   typed [`Finding`](pathology::Finding) with evidence.
 //! * [`streaming`] — the same analysis as an incremental bounded-memory
 //!   fold: flights retire into online accumulators as the run
-//!   progresses, with periodic checkpoints a live consumer can poll.
-//! * [`compare`] — the perf-regression gate: diffs two bench reports on
-//!   deterministic simulated metrics with noise-aware tolerances.
+//!   progresses.
 //!
 //! [`diagnose`] is the front door: events + metrics in, a rendered
 //! [`DoctorReport`] out. When the telemetry ring overflowed during
@@ -26,7 +24,6 @@
 //! downgraded to non-confident and the report says so — analyses over
 //! truncated data must not assert.
 
-pub mod compare;
 pub mod critical_path;
 pub mod flights;
 pub mod pathology;

@@ -11,13 +11,14 @@
 //! # Fold lifecycle
 //!
 //! Events arrive in **batches**. [`ingest`](StreamingDoctor::ingest)
-//! asks one thing of a batch: it is time-disjoint from — and later than
-//! — every previous batch. *Inside* a batch the events may come in any
-//! order (the world hands over a plain concatenation of its recorder
-//! rings). The world meets the requirement by only releasing events
-//! whose timestamp is below the engine's next-event time: such events
-//! are *final* (every record site stamps at-or-after the processing
-//! instant, so nothing earlier can still be produced).
+//! asks one thing of a batch: none of its events is earlier than the
+//! latest event of any previous batch. *Inside* a batch the events may
+//! come in any order (the world hands over a plain concatenation of its
+//! recorder rings). The world meets the requirement by holding events
+//! back until nothing earlier can still be produced: every record site
+//! stamps at-or-after the processing instant, so a sequential world
+//! releases what is stamped at or before its clock, and a sharded one
+//! what is stamped below the smallest next-event time of any shard.
 //!
 //! Equivalence with the post-hoc doctor rests on two facts, not on the
 //! batches adding up to a sorted capture:
@@ -58,14 +59,10 @@
 //! already-retired flight can make the fold differ from post-hoc, and
 //! that is detected exactly (packet ids are minted monotonically per
 //! CAB) and counted in [`StreamSummary::late_events`].
-//!
-//! Periodic [`DoctorCheckpoint`]s expose the fold's running state —
-//! counts, memory estimate, provisional findings — for a live consumer
-//! to poll without stopping the run.
 
 use super::critical_path::{breakdown_with, CriticalPath};
 use super::flights::{flight_order, sort_flight_events, Flight, FlightFacts, StreamKey};
-use super::pathology::{self, DoctorConfig, Finding, PortAcc, StreamAcc};
+use super::pathology::{self, DoctorConfig, PortAcc, StreamAcc};
 use super::DoctorReport;
 use crate::metrics::MetricsRegistry;
 use crate::telemetry::{EventKind, TelemetryEvent};
@@ -96,8 +93,6 @@ pub struct StreamConfig {
     /// reasonable quiet period. The default (1 ms) matches the
     /// silent-drop grace window.
     pub horizon: Dur,
-    /// Emit a [`DoctorCheckpoint`] every this many folded events.
-    pub checkpoint_every: u64,
     /// Hard cap on the fold's estimated footprint: when exceeded, the
     /// oldest open flights are force-retired (counted in
     /// [`StreamSummary::forced_retirements`]) until back under.
@@ -109,7 +104,6 @@ impl Default for StreamConfig {
         StreamConfig {
             doctor: DoctorConfig::default(),
             horizon: Dur::from_millis(1),
-            checkpoint_every: 1 << 16,
             memory_budget: None,
         }
     }
@@ -206,34 +200,6 @@ struct SlotResidue {
     open_flights: u32,
 }
 
-/// A poll-able snapshot of the fold's running state.
-#[derive(Clone, Debug)]
-pub struct DoctorCheckpoint {
-    /// Watermark (latest folded event time) at emission.
-    pub at: Time,
-    /// Host time at emission ([`crate::profile::host_now_ns`]): pairs
-    /// the simulated watermark with a wall-clock position, so a live
-    /// consumer (or the host-time profiler) can measure fold progress
-    /// per host second. Never part of bit-compared state.
-    pub host_ns: u64,
-    /// Events folded so far.
-    pub events_folded: u64,
-    /// Distinct flights seen so far.
-    pub flights_seen: u64,
-    /// Flights retired into the online accumulators so far.
-    pub flights_retired: u64,
-    /// Flights still open (bounding current memory).
-    pub open_flights: usize,
-    /// Events that arrived for already-retired flights.
-    pub late_events: u64,
-    /// Estimated fold footprint in bytes.
-    pub mem_bytes: usize,
-    /// Findings as of this point (no metrics-based detectors; final
-    /// silent-drop judgment needs the capture end, so these use the
-    /// current watermark as the horizon).
-    pub provisional: Vec<Finding>,
-}
-
 /// Fold statistics for the run summary, kept apart from bit-compared
 /// simulated metrics (they depend on drain cadence, not the workload).
 #[derive(Clone, Debug, Default)]
@@ -251,8 +217,6 @@ pub struct StreamSummary {
     pub late_events: u64,
     /// Retirements forced by the memory budget.
     pub forced_retirements: u64,
-    /// Checkpoints emitted.
-    pub checkpoints: u64,
     /// Peak estimated fold footprint in bytes.
     pub peak_mem_bytes: usize,
     /// Highest per-component telemetry ring occupancy observed.
@@ -300,9 +264,6 @@ pub struct StreamingDoctor {
     forced_retirements: u64,
     open_event_bytes: usize,
     peak_mem: usize,
-    checkpoints_emitted: u64,
-    next_checkpoint_at: u64,
-    last_checkpoint: Option<DoctorCheckpoint>,
     ring_hwm: u64,
     ring_dropped: u64,
 }
@@ -310,7 +271,6 @@ pub struct StreamingDoctor {
 impl StreamingDoctor {
     /// A fresh fold with the given tuning.
     pub fn new(cfg: StreamConfig) -> StreamingDoctor {
-        let next_checkpoint_at = cfg.checkpoint_every;
         StreamingDoctor {
             cfg,
             open: FoldMap::default(),
@@ -333,9 +293,6 @@ impl StreamingDoctor {
             forced_retirements: 0,
             open_event_bytes: 0,
             peak_mem: 0,
-            checkpoints_emitted: 0,
-            next_checkpoint_at,
-            last_checkpoint: None,
             ring_hwm: 0,
             ring_dropped: 0,
         }
@@ -361,7 +318,6 @@ impl StreamingDoctor {
         self.advance_retirement();
         self.enforce_budget();
         self.peak_mem = self.peak_mem.max(self.mem_estimate());
-        self.maybe_checkpoint();
     }
 
     fn fold_event(&mut self, ev: &TelemetryEvent) {
@@ -538,43 +494,6 @@ impl StreamingDoctor {
         }
     }
 
-    fn maybe_checkpoint(&mut self) {
-        if self.events_folded < self.next_checkpoint_at {
-            return;
-        }
-        self.next_checkpoint_at = self.events_folded + self.cfg.checkpoint_every;
-        let cp = DoctorCheckpoint {
-            at: self.watermark,
-            host_ns: crate::profile::host_now_ns(),
-            events_folded: self.events_folded,
-            flights_seen: self.flights_seen,
-            flights_retired: self.flights_retired,
-            open_flights: self.open.len(),
-            late_events: self.late_events,
-            mem_bytes: self.mem_estimate(),
-            provisional: self.provisional_findings(),
-        };
-        self.checkpoints_emitted += 1;
-        self.last_checkpoint = Some(cp);
-    }
-
-    /// Findings from the accumulators as they stand (storms,
-    /// head-of-line, silent drops against the current watermark). The
-    /// metrics-based detectors need the final registry and only appear
-    /// in the finished report.
-    pub fn provisional_findings(&self) -> Vec<Finding> {
-        let mut out = Vec::new();
-        for ((cab, peer), acc) in &self.streams {
-            out.extend(pathology::storm_finding(*cab, *peer, acc, &self.cfg.doctor));
-        }
-        for ((hub, input), port) in &self.ports {
-            out.extend(pathology::hol_finding(*hub, *input, port, &self.cfg.doctor));
-        }
-        out.extend(pathology::silent_drop_finding(self.lost_candidates(), &self.cfg.doctor));
-        pathology::sort_findings(&mut out);
-        out
-    }
-
     /// Surviving silent-drop candidates: unacked slots with exactly one
     /// data flight, sent more than a grace window before the watermark.
     fn lost_candidates(&self) -> Vec<(Time, u64)> {
@@ -610,11 +529,6 @@ impl StreamingDoctor {
             + self.ports.len() * 160
     }
 
-    /// Latest emitted checkpoint, if any.
-    pub fn last_checkpoint(&self) -> Option<&DoctorCheckpoint> {
-        self.last_checkpoint.as_ref()
-    }
-
     /// Latest folded event time.
     pub fn watermark(&self) -> Time {
         self.watermark
@@ -643,7 +557,6 @@ impl StreamingDoctor {
             open_flights: self.open.len(),
             late_events: self.late_events,
             forced_retirements: self.forced_retirements,
-            checkpoints: self.checkpoints_emitted,
             peak_mem_bytes: self.peak_mem.max(self.mem_estimate()),
             ring_hwm: self.ring_hwm,
             ring_dropped: self.ring_dropped,
@@ -690,7 +603,7 @@ impl StreamingDoctor {
     }
 
     /// [`into_report`](StreamingDoctor::into_report) without consuming
-    /// the fold (clones the state — fine for checkpoint-sized polls).
+    /// the fold (clones the state).
     pub fn report(&self, metrics: Option<&MetricsRegistry>) -> DoctorReport {
         self.clone().into_report(metrics)
     }
@@ -803,32 +716,5 @@ mod tests {
         // An event for retired flight 1 arrives afterwards.
         doc.ingest(&mut vec![recv(50_000_100, 1)]);
         assert_eq!(doc.summary().late_events, 1);
-    }
-
-    #[test]
-    fn checkpoints_expose_provisional_findings() {
-        let cfg = StreamConfig { checkpoint_every: 4, ..StreamConfig::default() };
-        let mut doc = StreamingDoctor::new(cfg);
-        let mut events = Vec::new();
-        for i in 0..4u64 {
-            events.push(send(100 + i, i, i as u32, false));
-            events.push(recv(10_000 + i, i));
-        }
-        for i in 0..3u64 {
-            events.push(send(20_000 + i, 100 + i, i as u32, true));
-            events.push(recv(30_000 + i, 100 + i));
-        }
-        // Retire everything with a far-future event, then checkpoint.
-        events.push(send(90_000_000, 200, 50, false));
-        events.sort_unstable_by_key(|e| e.canonical_key());
-        doc.ingest(&mut events);
-        let cp = doc.last_checkpoint().expect("checkpoint emitted");
-        assert!(cp.events_folded >= 4);
-        assert!(doc.summary().checkpoints >= 1);
-        assert!(
-            cp.provisional.iter().any(|f| f.detector == "retransmit_storm"),
-            "storm visible in checkpoint: {:?}",
-            cp.provisional
-        );
     }
 }

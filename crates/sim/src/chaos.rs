@@ -475,6 +475,18 @@ pub struct ChaosStats {
 }
 
 impl ChaosStats {
+    /// Accumulates `other` into `self` (for summing per-shard injectors).
+    pub fn merge(&mut self, other: ChaosStats) {
+        self.drops += other.drops;
+        self.burst_drops += other.burst_drops;
+        self.flap_drops += other.flap_drops;
+        self.duplicates += other.duplicates;
+        self.reorders += other.reorders;
+        self.corruptions += other.corruptions;
+        self.cmd_drops += other.cmd_drops;
+        self.port_drops += other.port_drops;
+    }
+
     /// Every packet-destroying application (drops of all kinds).
     pub fn total_drops(&self) -> u64 {
         self.drops + self.burst_drops + self.flap_drops + self.cmd_drops + self.port_drops

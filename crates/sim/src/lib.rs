@@ -9,7 +9,7 @@
 //! * [`units`] — [`Bandwidth`](units::Bandwidth) and transfer-time math.
 //! * [`engine`] — the [`Engine`](engine::Engine) event queue.
 //! * [`rng`] — seeded, reproducible randomness for workloads.
-//! * [`stats`] — counters, sample distributions, throughput meters.
+//! * [`stats`] — exact sample distributions.
 //! * [`telemetry`] — typed flight-recorder events with causal flight ids:
 //!   the software analogue of the HUB instrumentation board.
 //! * [`metrics`] — the unified counter/gauge/histogram registry.
@@ -17,8 +17,8 @@
 //! * [`json`] — string escaping and a small parser for export checks.
 //! * [`profile`] — host-time profiler + scaling doctor for the
 //!   parallel runner (phase spans, straggler attribution, verdicts).
-//! * [`analysis`] — `nectar-doctor`: critical-path attribution,
-//!   pathology detection, and the perf-regression gate.
+//! * [`analysis`] — `nectar-doctor`: critical-path attribution and
+//!   pathology detection, post hoc and as a streaming fold.
 //! * [`chaos`] — seeded, replayable fault schedules (loss, bursts,
 //!   duplication, reordering, corruption, flaps, port failure).
 //! * [`spec`] — hardened shared parsing for the textual spec grammars.
@@ -64,7 +64,7 @@ pub mod prelude {
     pub use crate::engine::{Engine, EventId};
     pub use crate::metrics::{Histogram, MetricsRegistry};
     pub use crate::rng::Rng;
-    pub use crate::stats::{Counter, Samples, Throughput, TimeWeighted};
+    pub use crate::stats::Samples;
     pub use crate::telemetry::{EventKind, FlightId, Telemetry, TelemetryEvent};
     pub use crate::time::{Dur, Time};
     pub use crate::units::Bandwidth;

@@ -1,10 +1,10 @@
-//! Measurement collection: counters, sample distributions, rates.
+//! Measurement collection: exact sample distributions.
 //!
-//! Every experiment in the harness reports through these types so that
-//! tables are produced uniformly. [`Samples`] stores raw observations
-//! (latencies, sizes) and answers mean/min/max/quantiles; [`Counter`]
-//! counts events; [`Throughput`] converts byte counts over an interval
-//! into a [`Bandwidth`].
+//! [`Samples`] stores raw observations (latencies, sizes) and answers
+//! mean/min/max/quantiles exactly; the application experiments report
+//! through it, and it is the reference the
+//! [`Histogram`](crate::metrics::Histogram) differential test holds
+//! the bucketed quantiles to.
 //!
 //! # Examples
 //!
@@ -20,49 +20,8 @@
 //! assert_eq!(lat.mean(), 29_500.0); // nanoseconds
 //! ```
 
-use crate::time::{Dur, Time};
-use crate::units::Bandwidth;
+use crate::time::Dur;
 use core::fmt;
-
-/// A named monotonically increasing event counter.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Counter {
-    name: String,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new(name: impl Into<String>) -> Counter {
-        Counter { name: name.into(), value: 0 }
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current count.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// The counter's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} = {}", self.name, self.value)
-    }
-}
 
 /// A named collection of `f64` observations with summary statistics.
 ///
@@ -210,146 +169,9 @@ impl fmt::Display for Samples {
     }
 }
 
-/// Accumulates bytes delivered over simulated time and reports the
-/// achieved rate.
-///
-/// # Examples
-///
-/// ```
-/// use nectar_sim::stats::Throughput;
-/// use nectar_sim::time::Time;
-///
-/// let mut tp = Throughput::starting_at(Time::ZERO);
-/// tp.record(1_250_000); // 1.25 MB
-/// let rate = tp.rate_at(Time::from_millis(100));
-/// assert_eq!(rate.as_mbit_per_sec_f64(), 100.0);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Throughput {
-    start: Time,
-    bytes: u64,
-}
-
-impl Throughput {
-    /// Begins measuring at `start`.
-    pub fn starting_at(start: Time) -> Throughput {
-        Throughput { start, bytes: 0 }
-    }
-
-    /// Records `bytes` delivered.
-    pub fn record(&mut self, bytes: usize) {
-        self.bytes += bytes as u64;
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Achieved rate over `[start, now]`.
-    ///
-    /// Returns a 1 bit/s floor rate if no time has elapsed or nothing
-    /// was transferred, so callers can always display a rate.
-    pub fn rate_at(&self, now: Time) -> Bandwidth {
-        let elapsed = now.saturating_since(self.start);
-        if elapsed.is_zero() || self.bytes == 0 {
-            return Bandwidth::from_bits_per_sec(1);
-        }
-        let bps = (self.bytes as u128 * 8 * 1_000_000_000 / elapsed.nanos() as u128) as u64;
-        Bandwidth::from_bits_per_sec(bps.max(1))
-    }
-}
-
-/// A gauge whose average is weighted by how long each value was held —
-/// the right statistic for queue occupancy or link utilisation.
-///
-/// # Examples
-///
-/// ```
-/// use nectar_sim::stats::TimeWeighted;
-/// use nectar_sim::time::Time;
-///
-/// let mut occupancy = TimeWeighted::starting_at(Time::ZERO, 0.0);
-/// occupancy.set(Time::from_micros(10), 4.0); // 0 for 10 us
-/// occupancy.set(Time::from_micros(30), 0.0); // 4 for 20 us
-/// // (0*10 + 4*20) / 30 = 2.67
-/// assert!((occupancy.average_at(Time::from_micros(30)) - 8.0 / 3.0).abs() < 1e-9);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TimeWeighted {
-    start: Time,
-    last_change: Time,
-    current: f64,
-    weighted_sum: f64,
-    peak: f64,
-}
-
-impl TimeWeighted {
-    /// Begins tracking at `start` with an initial value.
-    pub fn starting_at(start: Time, initial: f64) -> TimeWeighted {
-        TimeWeighted {
-            start,
-            last_change: start,
-            current: initial,
-            weighted_sum: 0.0,
-            peak: initial,
-        }
-    }
-
-    /// Records that the value changed to `value` at `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` precedes the previous change (time reversal).
-    pub fn set(&mut self, now: Time, value: f64) {
-        assert!(now >= self.last_change, "gauge updated in the past");
-        let held = now.saturating_since(self.last_change);
-        self.weighted_sum += self.current * held.as_secs_f64();
-        self.last_change = now;
-        self.current = value;
-        self.peak = self.peak.max(value);
-    }
-
-    /// Adds `delta` to the current value at `now`.
-    pub fn add(&mut self, now: Time, delta: f64) {
-        let next = self.current + delta;
-        self.set(now, next);
-    }
-
-    /// The current value.
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
-    /// The largest value ever held.
-    pub fn peak(&self) -> f64 {
-        self.peak
-    }
-
-    /// The time-weighted average over `[start, now]`; the initial value
-    /// at `start` if no time has passed.
-    pub fn average_at(&self, now: Time) -> f64 {
-        let total = now.saturating_since(self.start).as_secs_f64();
-        if total <= 0.0 {
-            return self.current;
-        }
-        let tail = now.saturating_since(self.last_change).as_secs_f64();
-        (self.weighted_sum + self.current * tail) / total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new("packets");
-        c.incr();
-        c.add(4);
-        assert_eq!(c.value(), 5);
-        assert_eq!(c.to_string(), "packets = 5");
-    }
 
     #[test]
     fn samples_summaries() {
@@ -394,47 +216,5 @@ mod tests {
         s.record_dur(Dur::from_micros(30));
         assert_eq!(s.mean(), 30_000.0);
         assert_eq!(s.mean_dur(), Dur::from_micros(30));
-    }
-
-    #[test]
-    fn throughput_rate() {
-        let mut tp = Throughput::starting_at(Time::from_millis(10));
-        tp.record(500);
-        tp.record(750);
-        assert_eq!(tp.bytes(), 1250);
-        // 1250 B over 100 us = 100 Mbit/s.
-        let r = tp.rate_at(Time::from_millis(10) + Dur::from_micros(100));
-        assert_eq!(r.as_mbit_per_sec_f64(), 100.0);
-    }
-
-    #[test]
-    fn throughput_degenerate_cases() {
-        let tp = Throughput::starting_at(Time::ZERO);
-        assert_eq!(tp.rate_at(Time::ZERO).bits_per_sec(), 1);
-    }
-
-    #[test]
-    fn time_weighted_average_and_peak() {
-        let mut g = TimeWeighted::starting_at(Time::ZERO, 1.0);
-        g.set(Time::from_micros(10), 3.0);
-        g.add(Time::from_micros(20), -2.0);
-        assert_eq!(g.current(), 1.0);
-        assert_eq!(g.peak(), 3.0);
-        // 1 for 10us, 3 for 10us, 1 for 10us = avg 5/3 at t=30us.
-        let avg = g.average_at(Time::from_micros(30));
-        assert!((avg - 5.0 / 3.0).abs() < 1e-9, "{avg}");
-    }
-
-    #[test]
-    fn time_weighted_zero_span_returns_current() {
-        let g = TimeWeighted::starting_at(Time::from_micros(5), 7.0);
-        assert_eq!(g.average_at(Time::from_micros(5)), 7.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn time_weighted_rejects_time_reversal() {
-        let mut g = TimeWeighted::starting_at(Time::from_micros(10), 0.0);
-        g.set(Time::from_micros(5), 1.0);
     }
 }
