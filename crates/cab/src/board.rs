@@ -1,16 +1,10 @@
-//! The assembled CAB board.
+//! CAB identity.
 //!
-//! [`Cab`] owns every hardware resource of one communication
-//! accelerator board — DMA controller, data-memory allocator,
-//! protection tables, timers, fiber interface — as the substrate the
-//! CAB kernel (`nectar-kernel`) and protocols (`nectar-proto`) run on.
+//! A board has no wrapper type: a simulated CAB owns its
+//! [`DmaController`](crate::dma::DmaController) and
+//! [`FiberPort`](crate::fiber::FiberPort) directly, next to the kernel
+//! and transport state that runs on them.
 
-use crate::dma::DmaController;
-use crate::fiber::FiberPort;
-use crate::memory::DataAllocator;
-use crate::protection::ProtectionTable;
-use crate::timer::TimerUnit;
-use crate::timings::CabTimings;
 use core::fmt;
 
 /// Identifies one CAB in the Nectar system.
@@ -53,80 +47,9 @@ impl fmt::Display for CabId {
     }
 }
 
-/// One CAB board's hardware resources.
-#[derive(Clone, Debug)]
-pub struct Cab {
-    id: CabId,
-    timings: CabTimings,
-    /// The four-channel DMA engine.
-    pub dma: DmaController,
-    /// Allocator over the 1 MB data RAM.
-    pub memory: DataAllocator,
-    /// Per-domain page protection.
-    pub protection: ProtectionTable,
-    /// Hardware timers.
-    pub timers: TimerUnit,
-    /// The fiber interface to the HUB.
-    pub fiber: FiberPort,
-}
-
-impl Cab {
-    /// Builds a board with prototype resources.
-    pub fn new(id: CabId, timings: CabTimings) -> Cab {
-        Cab {
-            id,
-            dma: DmaController::new(timings.clone()),
-            memory: DataAllocator::new(),
-            protection: ProtectionTable::new(),
-            timers: TimerUnit::new(),
-            fiber: FiberPort::new(1024, timings.fiber_bw),
-            timings,
-        }
-    }
-
-    /// This board's identity.
-    pub fn id(&self) -> CabId {
-        self.id
-    }
-
-    /// The timing model the board was built with.
-    pub fn timings(&self) -> &CabTimings {
-        &self.timings
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dma::Channel;
-    use nectar_sim::time::Time;
-
-    #[test]
-    fn board_assembles_prototype_resources() {
-        let cab = Cab::new(CabId::new(1), CabTimings::prototype());
-        assert_eq!(cab.id(), CabId::new(1));
-        assert_eq!(cab.fiber.capacity(), 1024);
-        assert_eq!(cab.memory.free_bytes(), 1 << 20);
-    }
-
-    #[test]
-    fn resources_are_usable_together() {
-        let mut cab = Cab::new(CabId::new(0), CabTimings::prototype());
-        let buf = cab.memory.alloc(2048).unwrap();
-        let xfer = cab
-            .dma
-            .start_checked(
-                Time::ZERO,
-                Channel::FiberOut,
-                buf,
-                2048,
-                &cab.protection,
-                crate::protection::Domain::KERNEL,
-            )
-            .unwrap();
-        assert!(xfer.complete > xfer.start);
-        cab.memory.free(buf).unwrap();
-    }
 
     #[test]
     fn cab_id_roundtrip() {

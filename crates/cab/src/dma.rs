@@ -9,8 +9,6 @@
 //! control during a transfer" (§5.2) — a channel simply stays busy
 //! until its bytes have moved at the effective rate.
 
-use crate::memory::{dma_capable, CabAddr};
-use crate::protection::{Domain, Perms, ProtectionFault, ProtectionTable};
 use crate::timings::CabTimings;
 use core::fmt;
 use nectar_sim::time::Time;
@@ -73,38 +71,6 @@ pub struct Transfer {
     pub start: Time,
     /// When the last byte lands.
     pub complete: Time,
-}
-
-/// Why a checked DMA transfer was refused.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DmaError {
-    /// The CAB-side buffer is outside data RAM ("DMA transfers are
-    /// supported for data memory only", §5.2).
-    NotDataMemory {
-        /// Offending address.
-        addr: CabAddr,
-    },
-    /// The protection check failed.
-    Fault(ProtectionFault),
-}
-
-impl fmt::Display for DmaError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DmaError::NotDataMemory { addr } => {
-                write!(f, "DMA target {addr} is not in data memory")
-            }
-            DmaError::Fault(fault) => fault.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for DmaError {}
-
-impl From<ProtectionFault> for DmaError {
-    fn from(f: ProtectionFault) -> DmaError {
-        DmaError::Fault(f)
-    }
 }
 
 /// The four-channel DMA engine with shared-memory arbitration.
@@ -175,34 +141,6 @@ impl DmaController {
         Transfer { channel, bytes, start, complete }
     }
 
-    /// Starts a transfer after checking that the CAB-side buffer lies
-    /// in data memory and that `domain` holds the needed permissions
-    /// (read for outbound channels, write for inbound).
-    ///
-    /// # Errors
-    ///
-    /// [`DmaError::NotDataMemory`] or [`DmaError::Fault`]; no channel
-    /// state changes on error.
-    pub fn start_checked(
-        &mut self,
-        now: Time,
-        channel: Channel,
-        addr: CabAddr,
-        bytes: usize,
-        prot: &ProtectionTable,
-        domain: Domain,
-    ) -> Result<Transfer, DmaError> {
-        if !dma_capable(addr, bytes as u32) {
-            return Err(DmaError::NotDataMemory { addr });
-        }
-        let needed = match channel {
-            Channel::FiberOut | Channel::VmeOut => Perms::R,
-            Channel::FiberIn | Channel::VmeIn => Perms { read: false, write: true, execute: false },
-        };
-        prot.check(domain, addr, bytes as u32, needed)?;
-        Ok(self.start(now, channel, bytes))
-    }
-
     /// Total transfers started since power-on.
     pub fn transfers_started(&self) -> u64 {
         self.transfers_started
@@ -224,7 +162,6 @@ impl DmaController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::{DATA_RAM_BASE, PROGRAM_RAM_BASE};
     use nectar_sim::time::Dur;
 
     fn dma() -> DmaController {
@@ -281,52 +218,6 @@ mod tests {
         let b = d.start(Time::ZERO, Channel::FiberOut, 100_000);
         // 100 KB at 10 MB/s = 10 ms (not 8 ms at full fiber rate).
         assert_eq!(b.complete - b.start, Dur::from_millis(10));
-    }
-
-    #[test]
-    fn checked_transfer_requires_data_memory() {
-        let mut d = dma();
-        let prot = ProtectionTable::new();
-        let err = d
-            .start_checked(
-                Time::ZERO,
-                Channel::FiberOut,
-                PROGRAM_RAM_BASE,
-                64,
-                &prot,
-                Domain::KERNEL,
-            )
-            .unwrap_err();
-        assert!(matches!(err, DmaError::NotDataMemory { .. }));
-        assert_eq!(d.transfers_started(), 0, "no state change on error");
-    }
-
-    #[test]
-    fn checked_transfer_enforces_protection() {
-        let mut d = dma();
-        let prot = ProtectionTable::new();
-        let user = Domain::new(4);
-        let err = d
-            .start_checked(Time::ZERO, Channel::FiberOut, DATA_RAM_BASE, 64, &prot, user)
-            .unwrap_err();
-        assert!(matches!(err, DmaError::Fault(_)));
-        let mut prot = prot;
-        prot.grant(user, DATA_RAM_BASE, 1024, Perms::RW);
-        assert!(d
-            .start_checked(Time::ZERO, Channel::FiberOut, DATA_RAM_BASE, 64, &prot, user)
-            .is_ok());
-    }
-
-    #[test]
-    fn inbound_needs_write_permission() {
-        let mut d = dma();
-        let mut prot = ProtectionTable::new();
-        let user = Domain::new(4);
-        prot.grant(user, DATA_RAM_BASE, 1024, Perms::R);
-        let err = d
-            .start_checked(Time::ZERO, Channel::FiberIn, DATA_RAM_BASE, 64, &prot, user)
-            .unwrap_err();
-        assert!(matches!(err, DmaError::Fault(_)));
     }
 
     #[test]

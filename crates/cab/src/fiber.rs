@@ -16,7 +16,6 @@ use nectar_sim::units::Bandwidth;
 pub struct FiberPort {
     capacity: usize,
     bandwidth: Bandwidth,
-    overruns: u64,
 }
 
 impl FiberPort {
@@ -32,7 +31,7 @@ impl FiberPort {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize, bandwidth: Bandwidth) -> FiberPort {
         assert!(capacity > 0, "fiber queue capacity must be positive");
-        FiberPort { capacity, bandwidth, overruns: 0 }
+        FiberPort { capacity, bandwidth }
     }
 
     /// Queue capacity in bytes.
@@ -55,17 +54,6 @@ impl FiberPort {
         } else {
             head_at + self.bandwidth.transfer_time(self.capacity)
         }
-    }
-
-    /// Records and counts an input-queue overrun (the datalink layer
-    /// calls this when a drain started after its deadline).
-    pub fn record_overrun(&mut self) {
-        self.overruns += 1;
-    }
-
-    /// Input-queue overruns since creation.
-    pub fn overruns(&self) -> u64 {
-        self.overruns
     }
 }
 
@@ -99,13 +87,5 @@ mod tests {
         // A 4 KB packet fills the 1 KB queue 81.92 us after its head.
         let deadline = p.drain_deadline(Time::ZERO, 4096);
         assert_eq!(deadline, Time::ZERO + Dur::from_nanos(81_920));
-    }
-
-    #[test]
-    fn overrun_accounting() {
-        let mut p = FiberPort::prototype();
-        p.record_overrun();
-        p.record_overrun();
-        assert_eq!(p.overruns(), 2);
     }
 }

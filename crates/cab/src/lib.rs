@@ -5,16 +5,28 @@
 //! from the node. This crate models its *hardware*:
 //!
 //! * [`timings`] — every per-operation cost constant ([`CabTimings`](timings::CabTimings)).
-//! * [`memory`] — PROM / program RAM / 1 MB data RAM layout and a
-//!   buffer allocator; DMA is legal only in data RAM.
-//! * [`protection`] — 1 KB-page protection, 32 domains, VME domain.
 //! * [`dma`] — the four-channel DMA controller with shared 66 MB/s
 //!   data-memory bandwidth and 10 MB/s VME pacing.
 //! * [`checksum`] — the hardware Fletcher-16 unit (zero time cost).
-//! * [`timer`] — low-overhead hardware timers.
 //! * [`fiber`] — the 1 KB fiber input/output queues and the upcall
 //!   drain deadline of §6.2.1.
-//! * [`board`] — [`Cab`](board::Cab) assembling all of the above.
+//! * [`board`] — [`CabId`](board::CabId).
+//!
+//! Only what costs simulated time is modelled. Not modelled, and why:
+//!
+//! * **Page protection** (§5.2: 1 KB pages, 32 domains). The check is
+//!   done by hardware in parallel with the access and adds no time, and
+//!   no workload here runs code that could fault, so it cannot change
+//!   a result.
+//! * **The 1 MB data-RAM allocator.** No workload exhausts the data
+//!   RAM; packet buffers come from the per-CAB `BufPool` of
+//!   `nectar-hub` and mailbox capacity is a constant of
+//!   `nectar-kernel`.
+//!
+//! Hardware timers are not a unit of their own either: a time-out is
+//! an engine event that `nectar-core` keys per CAB, and its expiry
+//! interrupt is charged
+//! [`CabTimings::timer_op`](timings::CabTimings::timer_op).
 //!
 //! The CAB's *software* (kernel threads, mailboxes, protocols) lives in
 //! `nectar-kernel` and `nectar-proto`.
@@ -25,14 +37,14 @@
 //! use nectar_cab::prelude::*;
 //! use nectar_sim::time::Time;
 //!
-//! let mut cab = Cab::new(CabId::new(0), CabTimings::prototype());
-//! let buf = cab.memory.alloc(1024)?;
-//! let xfer = cab.dma.start_checked(
-//!     Time::ZERO, Channel::FiberOut, buf, 1024, &cab.protection, Domain::KERNEL,
-//! )?;
+//! let mut dma = DmaController::new(CabTimings::prototype());
+//! let xfer = dma.start(Time::ZERO, Channel::FiberOut, 1024);
 //! // 1 KB leaves at fiber rate: 81.92 us.
 //! assert_eq!((xfer.complete - xfer.start).nanos(), 81_920);
-//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! // A packet larger than the 1 KB input queue must start draining
+//! // before the queue fills (§6.2.1).
+//! let fiber = FiberPort::prototype();
+//! assert_eq!(fiber.drain_deadline(Time::ZERO, 4096).nanos(), 81_920);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -42,19 +54,13 @@ pub mod board;
 pub mod checksum;
 pub mod dma;
 pub mod fiber;
-pub mod memory;
-pub mod protection;
-pub mod timer;
 pub mod timings;
 
 /// The most frequently used names, for glob import.
 pub mod prelude {
-    pub use crate::board::{Cab, CabId};
+    pub use crate::board::CabId;
     pub use crate::checksum::fletcher16;
-    pub use crate::dma::{Channel, DmaController, DmaError, Transfer};
+    pub use crate::dma::{Channel, DmaController, Transfer};
     pub use crate::fiber::FiberPort;
-    pub use crate::memory::{CabAddr, DataAllocator, Region};
-    pub use crate::protection::{Domain, Perms, ProtectionFault, ProtectionTable};
-    pub use crate::timer::{TimerId, TimerUnit};
     pub use crate::timings::CabTimings;
 }

@@ -1,110 +1,15 @@
-//! Property-based tests for CAB hardware invariants: the allocator
-//! never hands out overlapping blocks, protection matches a reference
-//! model, and the checksum catches every single-bit flip.
+//! Property-based tests for CAB hardware invariants: the checksum
+//! catches every single-bit flip and transfers on one DMA channel never
+//! overlap.
 
 use nectar_cab::checksum::fletcher16;
 use nectar_cab::dma::{Channel, DmaController};
-use nectar_cab::memory::{CabAddr, DataAllocator, DATA_RAM_BASE, DATA_RAM_BYTES};
-use nectar_cab::protection::{Domain, Perms, ProtectionTable, PAGE_BYTES};
 use nectar_cab::timings::CabTimings;
 use nectar_sim::time::Time;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-#[derive(Clone, Debug)]
-enum AllocOp {
-    Alloc(u32),
-    Free(usize), // index into live list, modulo its length
-}
-
-fn alloc_op() -> impl Strategy<Value = AllocOp> {
-    prop_oneof![(1u32..200_000).prop_map(AllocOp::Alloc), any::<usize>().prop_map(AllocOp::Free),]
-}
-
 proptest! {
-    #[test]
-    fn allocator_blocks_never_overlap(ops in prop::collection::vec(alloc_op(), 1..120)) {
-        let mut a = DataAllocator::new();
-        let mut live: Vec<(u32, u32)> = Vec::new(); // (addr, len)
-        for op in ops {
-            match op {
-                AllocOp::Alloc(len) => {
-                    if let Ok(addr) = a.alloc(len) {
-                        let len = len.max(1);
-                        // In range.
-                        prop_assert!(addr.0 >= DATA_RAM_BASE.0);
-                        prop_assert!(addr.0 + len <= DATA_RAM_BASE.0 + DATA_RAM_BYTES);
-                        // Disjoint from every live block.
-                        for &(b, bl) in &live {
-                            prop_assert!(
-                                addr.0 + len <= b || b + bl <= addr.0,
-                                "overlap: [{},{}) vs [{},{})",
-                                addr.0, addr.0 + len, b, b + bl
-                            );
-                        }
-                        live.push((addr.0, len));
-                    }
-                }
-                AllocOp::Free(i) => {
-                    if !live.is_empty() {
-                        let (addr, _) = live.remove(i % live.len());
-                        prop_assert!(a.free(CabAddr(addr)).is_ok());
-                    }
-                }
-            }
-            // Accounting: free bytes = total - live bytes.
-            let live_bytes: u32 = live.iter().map(|&(_, l)| l).sum();
-            prop_assert_eq!(a.free_bytes(), DATA_RAM_BYTES - live_bytes);
-            prop_assert_eq!(a.live_allocations(), live.len());
-        }
-        // Freeing everything restores one contiguous region.
-        for (addr, _) in live {
-            a.free(CabAddr(addr)).unwrap();
-        }
-        prop_assert!(a.alloc(DATA_RAM_BYTES).is_ok(), "coalescing must restore contiguity");
-    }
-
-    #[test]
-    fn protection_matches_reference_model(
-        grants in prop::collection::vec(
-            (0u8..32, 0u32..(1 << 24) / PAGE_BYTES, 1u32..40, 0u8..8),
-            1..60
-        ),
-        checks in prop::collection::vec(
-            (0u8..32, 0u32..(1 << 24) / PAGE_BYTES, 0u8..8),
-            1..60
-        ),
-    ) {
-        let mut table = ProtectionTable::new();
-        // Reference: (domain, page) -> perms bits.
-        let mut model: HashMap<(u8, u32), u8> = HashMap::new();
-        let perms_of = |bits: u8| Perms {
-            read: bits & 1 != 0,
-            write: bits & 2 != 0,
-            execute: bits & 4 != 0,
-        };
-        for (dom, page, pages, bits) in grants {
-            let pages = pages.min((1 << 24) / PAGE_BYTES - page);
-            if pages == 0 { continue; }
-            let addr = CabAddr(page * PAGE_BYTES);
-            table.grant(Domain::new(dom), addr, pages * PAGE_BYTES, perms_of(bits));
-            for p in page..page + pages {
-                model.insert((dom, p), bits);
-            }
-        }
-        for (dom, page, need_bits) in checks {
-            let needed = perms_of(need_bits);
-            let addr = CabAddr(page * PAGE_BYTES + 7);
-            let have_bits = model.get(&(dom, page)).copied().unwrap_or(
-                // Kernel domain starts with RWX everywhere.
-                if dom == 0 { 7 } else { 0 },
-            );
-            let expect_ok = perms_of(have_bits).allows(needed);
-            let got = table.check(Domain::new(dom), addr, 4, needed).is_ok();
-            prop_assert_eq!(got, expect_ok, "dom{} page{} need {:03b}", dom, page, need_bits);
-        }
-    }
-
     #[test]
     fn fletcher_catches_every_single_bit_flip(
         data in prop::collection::vec(any::<u8>(), 1..512),

@@ -10,8 +10,9 @@
 
 use crate::shard::{ShardCtx, ShardPlan};
 use crate::topology::{Peer, Topology};
-use nectar_cab::board::{Cab, CabId};
-use nectar_cab::dma::Channel;
+use nectar_cab::board::CabId;
+use nectar_cab::dma::{Channel, DmaController};
+use nectar_cab::fiber::FiberPort;
 use nectar_cab::timings::CabTimings;
 use nectar_hub::config::HubConfig;
 use nectar_hub::effects::{Effects, InternalEv};
@@ -370,7 +371,8 @@ pub struct CabCounters {
 }
 
 struct CabState {
-    hw: Cab,
+    dma: DmaController,
+    fiber: FiberPort,
     sched: Scheduler,
     app_thread: ThreadId,
     fiber_ready: bool,
@@ -708,7 +710,9 @@ impl World {
                 // any other thread pays a real switch.
                 sched.assume_running(idle);
                 CabState {
-                    hw: Cab::new(CabId::new(i as u16), cfg.cab.clone()),
+                    dma: DmaController::new(cfg.cab.clone()),
+                    // §5.2: the same circuit as a HUB I/O port, 1 KB queues.
+                    fiber: FiberPort::new(1024, cfg.cab.fiber_bw),
                     sched,
                     app_thread,
                     fiber_ready: true,
@@ -1066,7 +1070,7 @@ impl World {
             for (name, v) in fields {
                 reg.counter_add(&format!("cab{c}.{name}"), v);
             }
-            cs.hw.dma.register_into(&mut reg, &format!("cab{c}.dma."));
+            cs.dma.register_into(&mut reg, &format!("cab{c}.dma."));
             reg.counter_add(&format!("cab{c}.kernel.thread_switches"), cs.sched.switches());
             reg.counter_add(&format!("cab{c}.kernel.interrupts"), cs.sched.interrupts());
             reg.counter_add(
@@ -2454,9 +2458,8 @@ impl World {
                 // chain; the DMA must start before the 1 KB input queue
                 // fills.
                 let (_, handler_done) = cs.sched.run_interrupt(now, recv);
-                let deadline = cs.hw.fiber.drain_deadline(now, size);
+                let deadline = cs.fiber.drain_deadline(now, size);
                 if handler_done > deadline {
-                    cs.hw.fiber.record_overrun();
                     cs.counters.overruns += 1;
                     // The queue overran; the packet is lost. Free the
                     // flow-control path so the network is not wedged,
@@ -2474,7 +2477,7 @@ impl World {
                 // arrival: the packet is in CAB memory when the last
                 // byte has crossed the fiber and the handler has set up
                 // the destination (whichever is later).
-                let xfer = cs.hw.dma.start(now, Channel::FiberIn, p.len());
+                let xfer = cs.dma.start(now, Channel::FiberIn, p.len());
                 let done = xfer.complete.max(now + wire_dur).max(handler_done);
                 let flight = p.id();
                 self.telemetry.record(

@@ -12,10 +12,11 @@
 //! * [`services`] — the VME proxy for heavyweight node OS services
 //!   (file I/O and friends stay on the node, §6.1).
 //!
-//! Hardware timers ([`nectar_cab::timer`]) serve as the kernel timer
-//! facility; file I/O and other heavyweight services are delegated to
-//! the node OS (§6.1) and modelled in the node cost model of
-//! `nectar-core`.
+//! The kernel has no timer table of its own: a protocol time-out is an
+//! engine event that `nectar-core` keys per CAB, and its expiry runs as
+//! an interrupt here, charged `CabTimings::timer_op`. File I/O and
+//! other heavyweight services are delegated to the node OS (§6.1) and
+//! modelled in the node cost model of `nectar-core`.
 //!
 //! # Examples
 //!
