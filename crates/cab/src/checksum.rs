@@ -76,11 +76,6 @@ pub fn fletcher16(data: &[u8]) -> u16 {
     ((s2 as u16) << 8) | s1 as u16
 }
 
-/// Verifies `data` against an expected checksum.
-pub fn verify(data: &[u8], expected: u16) -> bool {
-    fletcher16(data) == expected
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,8 +116,7 @@ mod tests {
     fn large_blocks_do_not_overflow() {
         // One block larger than the internal reduction interval.
         let data = vec![0xFFu8; 100_000];
-        let sum = fletcher16(&data);
-        assert!(verify(&data, sum));
+        assert_eq!(fletcher16(&data), fletcher16_reference(&data));
     }
 
     /// The textbook one-byte-at-a-time Fletcher-16, kept as the oracle
@@ -154,12 +148,5 @@ mod tests {
         for len in (0..64).chain([5801, 5802, 5803, 8192, 11_604, 20_000]) {
             assert_eq!(fletcher16(&data[..len]), fletcher16_reference(&data[..len]), "len {len}");
         }
-    }
-
-    #[test]
-    fn verify_matches() {
-        let data = b"message";
-        assert!(verify(data, fletcher16(data)));
-        assert!(!verify(data, fletcher16(data) ^ 1));
     }
 }

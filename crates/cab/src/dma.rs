@@ -102,7 +102,7 @@ impl DmaController {
     }
 
     /// The medium rate of a channel.
-    pub fn channel_rate(&self, channel: Channel) -> Bandwidth {
+    fn channel_rate(&self, channel: Channel) -> Bandwidth {
         match channel {
             Channel::FiberIn | Channel::FiberOut => self.timings.fiber_bw,
             Channel::VmeIn | Channel::VmeOut => self.timings.vme_bw,
@@ -111,13 +111,8 @@ impl DmaController {
 
     /// Channels still moving data at `now` (used for memory-bandwidth
     /// arbitration).
-    pub fn active_channels(&self, now: Time) -> usize {
+    fn active_channels(&self, now: Time) -> usize {
         self.busy_until.iter().filter(|&&t| t > now).count()
-    }
-
-    /// When `channel` finishes its current transfer (or `now` if idle).
-    pub fn free_at(&self, channel: Channel) -> Time {
-        self.busy_until[channel.index()]
     }
 
     /// Starts a transfer of `bytes` on `channel`; it queues behind any

@@ -20,7 +20,7 @@ pub struct FiberPort {
 
 impl FiberPort {
     /// The prototype interface: 1 KB queues at 100 Mbit/s.
-    pub fn prototype() -> FiberPort {
+    fn prototype() -> FiberPort {
         FiberPort::new(1024, Bandwidth::from_mbit_per_sec(100))
     }
 

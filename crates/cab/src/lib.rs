@@ -37,13 +37,14 @@
 //! use nectar_cab::prelude::*;
 //! use nectar_sim::time::Time;
 //!
-//! let mut dma = DmaController::new(CabTimings::prototype());
+//! let timings = CabTimings::prototype();
+//! let mut dma = DmaController::new(timings.clone());
 //! let xfer = dma.start(Time::ZERO, Channel::FiberOut, 1024);
 //! // 1 KB leaves at fiber rate: 81.92 us.
 //! assert_eq!((xfer.complete - xfer.start).nanos(), 81_920);
 //! // A packet larger than the 1 KB input queue must start draining
 //! // before the queue fills (§6.2.1).
-//! let fiber = FiberPort::prototype();
+//! let fiber = FiberPort::new(1024, timings.fiber_bw);
 //! assert_eq!(fiber.drain_deadline(Time::ZERO, 4096).nanos(), 81_920);
 //! ```
 

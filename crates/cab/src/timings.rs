@@ -26,8 +26,6 @@ use nectar_sim::units::Bandwidth;
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CabTimings {
-    /// One SPARC cycle at 16 MHz: 62.5 ns (rounded up to 63 ns).
-    pub cpu_cycle: Dur,
     /// Coroutine thread switch — "almost all of this time is spent
     /// saving and restoring the SPARC register windows" (§6.1).
     pub thread_switch: Dur,
@@ -62,7 +60,6 @@ impl CabTimings {
     /// The prototype CAB as published, with calibrated software costs.
     pub fn prototype() -> CabTimings {
         CabTimings {
-            cpu_cycle: Dur::from_nanos(63),
             thread_switch: Dur::from_nanos(12_000),
             interrupt_entry: Dur::from_nanos(1_500),
             upcall: Dur::from_nanos(500),
@@ -75,11 +72,6 @@ impl CabTimings {
             vme_bw: Bandwidth::from_mbyte_per_sec(10),
             fiber_bw: Bandwidth::from_mbit_per_sec(100),
         }
-    }
-
-    /// Cost of `cycles` CPU cycles.
-    pub fn cycles(&self, cycles: u64) -> Dur {
-        self.cpu_cycle * cycles
     }
 
     /// The send-side software path for one packet on the CAB:
@@ -110,8 +102,8 @@ mod tests {
     #[test]
     fn published_constants() {
         let t = CabTimings::prototype();
-        assert_eq!(t.data_memory_bw.as_mbyte_per_sec_f64(), 66.0);
-        assert_eq!(t.vme_bw.as_mbyte_per_sec_f64(), 10.0);
+        assert_eq!(t.data_memory_bw, Bandwidth::from_mbyte_per_sec(66));
+        assert_eq!(t.vme_bw, Bandwidth::from_mbyte_per_sec(10));
         assert_eq!(t.fiber_bw.as_mbit_per_sec_f64(), 100.0);
         assert_eq!(t.thread_switch, Dur::from_micros(12));
     }
@@ -128,11 +120,5 @@ mod tests {
             "software path {} must leave room for wire time",
             software
         );
-    }
-
-    #[test]
-    fn cycles_scale() {
-        let t = CabTimings::prototype();
-        assert_eq!(t.cycles(2), Dur::from_nanos(126));
     }
 }

@@ -61,11 +61,6 @@ impl TaskGraph {
         self.names.is_empty()
     }
 
-    /// A task's name.
-    pub fn name(&self, task: usize) -> &str {
-        &self.names[task]
-    }
-
     /// The declared flows.
     pub fn flows(&self) -> &[(usize, usize, u64)] {
         &self.edges

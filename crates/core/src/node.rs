@@ -108,7 +108,7 @@ impl fmt::Display for NodeKind {
 impl NodeConfig {
     /// A Sun-3/4-class node of 1988–89: tens-of-microsecond syscalls,
     /// ~100 µs context switches, single-digit-MB/s copies.
-    pub fn sun_workstation() -> NodeConfig {
+    pub(crate) fn sun_workstation() -> NodeConfig {
         NodeConfig::for_kind(NodeKind::Sun4)
     }
 
@@ -158,7 +158,7 @@ impl NodeConfig {
     /// packets, before the CAB (or fiber) sees the first byte. The VME
     /// transfer of the payload itself is charged separately (it
     /// pipelines with the fiber), except where noted.
-    pub fn send_overhead(&self, iface: NodeInterface, bytes: usize, packets: usize) -> Dur {
+    pub(crate) fn send_overhead(&self, iface: NodeInterface, bytes: usize, packets: usize) -> Dur {
         match iface {
             // Build in place in mapped CAB memory; one descriptor in the
             // command mailbox. No syscalls, no copies.
@@ -181,7 +181,7 @@ impl NodeConfig {
     /// Node-side overhead to *receive* a message of `bytes` in
     /// `packets` packets, after the CAB has it (or, for
     /// [`NodeInterface::Driver`], after raw packets reach node memory).
-    pub fn recv_overhead(&self, iface: NodeInterface, bytes: usize, packets: usize) -> Dur {
+    pub(crate) fn recv_overhead(&self, iface: NodeInterface, bytes: usize, packets: usize) -> Dur {
         match iface {
             // The receiving process polls mapped CAB memory and reads
             // the message in place.
@@ -208,7 +208,7 @@ impl NodeConfig {
     }
 
     /// Time to move `bytes` across the VME bus (one direction).
-    pub fn vme_time(&self, bytes: usize) -> Dur {
+    pub(crate) fn vme_time(&self, bytes: usize) -> Dur {
         self.vme_bw.transfer_time(bytes)
     }
 }

@@ -496,17 +496,6 @@ impl ShardedWorld {
         &self.topo
     }
 
-    /// The partition, fixed at construction.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// The window width: the lookahead every shard may run ahead of
-    /// the global minimum event time.
-    pub fn lookahead(&self) -> Dur {
-        self.lookahead
-    }
-
     fn shard_of_cab(&self, cab: usize) -> usize {
         self.plan.shard_of_cab(&self.topo, cab)
     }
@@ -531,7 +520,7 @@ impl ShardedWorld {
     }
 
     /// Whether host-time spans are being recorded.
-    pub fn profiling_enabled(&self) -> bool {
+    pub(crate) fn profiling_enabled(&self) -> bool {
         self.profs[0].is_enabled()
     }
 
@@ -548,7 +537,7 @@ impl ShardedWorld {
     /// (only the owning shard contributes nonzero weight): the input
     /// the scaling doctor uses to *name* the hot cluster behind a
     /// load-imbalance verdict.
-    pub fn cluster_weights(&self) -> Vec<u64> {
+    pub(crate) fn cluster_weights(&self) -> Vec<u64> {
         (0..self.topo.hub_count())
             .map(|h| self.worlds.iter().map(|w| w.cluster_weight(h)).sum())
             .collect()
@@ -589,11 +578,6 @@ impl ShardedWorld {
             w.set_workload(spec)?;
         }
         Ok(())
-    }
-
-    /// The attached workload spec, if any (for replay lines).
-    pub fn workload_spec(&self) -> Option<&WorkloadSpec> {
-        self.worlds[0].workload_spec()
     }
 
     /// Schedules an application send on the shard owning `cab`.
@@ -945,11 +929,6 @@ impl ShardedWorld {
         self.worlds.iter().map(|w| w.faults_injected).sum()
     }
 
-    /// The active chaos schedule, if any.
-    pub fn chaos_schedule(&self) -> Option<&ChaosSchedule> {
-        self.worlds[0].chaos_schedule()
-    }
-
     /// Merged metrics: counters sum, gauges max, histograms merge —
     /// and the flight-latency join runs over the union of all shards'
     /// birth/end maps, since multicast flights can be born in one
@@ -1050,7 +1029,7 @@ impl ShardedWorld {
     // ---------------------------------------------------------------
 
     /// Takes the next message out of a mailbox (application receive).
-    pub fn mailbox_take(
+    pub(crate) fn mailbox_take(
         &mut self,
         cab: usize,
         mailbox: u16,
@@ -1060,7 +1039,7 @@ impl ShardedWorld {
     }
 
     /// Byte-stream statistics from `src` towards `dst`.
-    pub fn stream_stats(
+    pub(crate) fn stream_stats(
         &self,
         src: usize,
         dst: usize,
@@ -1069,18 +1048,13 @@ impl ShardedWorld {
     }
 
     /// RPC server counters for CAB `idx`.
-    pub fn rpc_server_stats(&self, idx: usize) -> (u64, u64, u64) {
+    pub(crate) fn rpc_server_stats(&self, idx: usize) -> (u64, u64, u64) {
         self.worlds[self.shard_of_cab(idx)].rpc_server_stats(idx)
     }
 
     /// RPC client counters for CAB `idx`.
     pub fn rpc_client_stats(&self, idx: usize) -> (u64, u64, u64, u64) {
         self.worlds[self.shard_of_cab(idx)].rpc_client_stats(idx)
-    }
-
-    /// Counters for CAB `idx`.
-    pub fn cab_counters(&self, idx: usize) -> crate::world::CabCounters {
-        self.worlds[self.shard_of_cab(idx)].cab_counters(idx)
     }
 
     /// `true` when every stream has drained and no RPC is pending.
@@ -1098,19 +1072,19 @@ impl ShardedWorld {
     }
 
     /// Buffers destroyed at HUBs by chaos, across shards.
-    pub fn chaos_freed(&self) -> u64 {
+    pub(crate) fn chaos_freed(&self) -> u64 {
         self.worlds.iter().map(|w| w.chaos_freed()).sum()
     }
 
     /// HUB fan-out copies, across shards (non-owned HUBs count zero).
-    pub fn hub_fanout_copies(&self) -> u64 {
+    pub(crate) fn hub_fanout_copies(&self) -> u64 {
         self.worlds.iter().map(|w| w.hub_fanout_copies()).sum()
     }
 
     /// Applied-fault counters summed across shards. Each component's
     /// arrivals are faulted in exactly one shard, so the sum equals
     /// the sequential injector's stats.
-    pub fn chaos_stats(&self) -> Option<ChaosStats> {
+    pub(crate) fn chaos_stats(&self) -> Option<ChaosStats> {
         self.worlds[0].chaos_schedule()?;
         let mut total = ChaosStats::default();
         for s in self.worlds.iter().filter_map(|w| w.chaos_stats()) {

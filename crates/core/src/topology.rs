@@ -363,11 +363,6 @@ impl Topology {
         self.cab_links.len()
     }
 
-    /// Ports per HUB.
-    pub fn ports_per_hub(&self) -> usize {
-        self.ports_per_hub
-    }
-
     /// What is wired to `hub`'s `port`.
     pub fn peer(&self, hub: usize, port: PortId) -> Peer {
         if port.index() >= self.ports_per_hub {

@@ -1153,7 +1153,7 @@ impl World {
     }
 
     /// The active chaos schedule, if any (for replay lines).
-    pub fn chaos_schedule(&self) -> Option<&ChaosSchedule> {
+    pub(crate) fn chaos_schedule(&self) -> Option<&ChaosSchedule> {
         self.chaos.as_ref().map(|c| c.schedule())
     }
 
@@ -1306,11 +1306,6 @@ impl World {
         Ok(())
     }
 
-    /// The attached workload spec, if any (for replay lines).
-    pub fn workload_spec(&self) -> Option<&WorkloadSpec> {
-        self.workload.as_ref().map(|wl| wl.generator.spec())
-    }
-
     /// Emits one workload flow from `cab` at `now`: a zeroed payload
     /// of the drawn size over the class's transport, addressed to the
     /// class's data mailbox (reply mailbox for RPC responses).
@@ -1426,7 +1421,7 @@ impl World {
     }
 
     /// The system configuration.
-    pub fn config(&self) -> &SystemConfig {
+    pub(crate) fn config(&self) -> &SystemConfig {
         &self.cfg
     }
 
@@ -1502,12 +1497,6 @@ impl World {
         self.cabs[src].streams.get(dst)?.as_ref().map(|s| s.stats())
     }
 
-    /// CABs that `src` has a byte-stream connection with (sorted).
-    pub fn stream_peers(&self, src: usize) -> Vec<usize> {
-        let streams = &self.cabs[src].streams;
-        (0..streams.len()).filter(|&peer| streams[peer].is_some()).collect()
-    }
-
     /// `true` when every byte stream has drained (nothing in flight or
     /// backlogged) and no RPC calls are outstanding — the transport
     /// layer's part of the quiescence invariant.
@@ -1571,7 +1560,7 @@ impl World {
 
     /// Buffers destroyed at a HUB by chaos and freed straight to the
     /// allocator (no pool reclaim; see the pool-conservation ledger).
-    pub fn chaos_freed(&self) -> u64 {
+    pub(crate) fn chaos_freed(&self) -> u64 {
         self.chaos_freed
     }
 
@@ -1581,7 +1570,7 @@ impl World {
     }
 
     /// Runs for `dur` beyond the current clock.
-    pub fn run_for(&mut self, dur: Dur) -> u64 {
+    pub(crate) fn run_for(&mut self, dur: Dur) -> u64 {
         let deadline = self.now() + dur;
         self.run_until(deadline)
     }

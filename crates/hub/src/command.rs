@@ -69,7 +69,7 @@ pub enum UserOp {
 
 impl UserOp {
     /// Every user operation, for exhaustive tests.
-    pub const ALL: [UserOp; 18] = [
+    pub(crate) const ALL: [UserOp; 18] = [
         UserOp::Open { test: false, retry: false, reply: false },
         UserOp::Open { test: false, retry: false, reply: true },
         UserOp::Open { test: false, retry: true, reply: false },
@@ -198,17 +198,6 @@ pub enum SupervisorOp {
 }
 
 impl SupervisorOp {
-    /// Every supervisor operation, for exhaustive tests.
-    pub const ALL: [SupervisorOp; 7] = [
-        SupervisorOp::Reset,
-        SupervisorOp::EnablePort,
-        SupervisorOp::DisablePort,
-        SupervisorOp::LoopbackOn,
-        SupervisorOp::LoopbackOff,
-        SupervisorOp::ReadCounters,
-        SupervisorOp::ClearCounters,
-    ];
-
     fn opcode(self) -> u8 {
         match self {
             SupervisorOp::Reset => 0x80,
@@ -300,7 +289,7 @@ pub struct Command {
 }
 
 /// Wire size of one command: `command, HUB ID, param`.
-pub const COMMAND_WIRE_BYTES: usize = 3;
+pub(crate) const COMMAND_WIRE_BYTES: usize = 3;
 
 impl Command {
     /// Builds a user command.
@@ -382,11 +371,21 @@ pub enum Reply {
 }
 
 /// Wire size of one reply symbol.
-pub const REPLY_WIRE_BYTES: usize = 3;
+pub(crate) const REPLY_WIRE_BYTES: usize = 3;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const SUPERVISOR_OPS: [SupervisorOp; 7] = [
+        SupervisorOp::Reset,
+        SupervisorOp::EnablePort,
+        SupervisorOp::DisablePort,
+        SupervisorOp::LoopbackOn,
+        SupervisorOp::LoopbackOff,
+        SupervisorOp::ReadCounters,
+        SupervisorOp::ClearCounters,
+    ];
 
     #[test]
     fn every_user_op_roundtrips() {
@@ -400,7 +399,7 @@ mod tests {
 
     #[test]
     fn every_supervisor_op_roundtrips() {
-        for op in SupervisorOp::ALL {
+        for op in SUPERVISOR_OPS {
             let cmd = Command::supervisor(op, HubId::new(3), PortId::new(15));
             assert_eq!(Command::decode(cmd.encode()), Some(cmd), "{op:?}");
         }
@@ -419,7 +418,7 @@ mod tests {
         for op in UserOp::all() {
             assert!(seen.insert(op.opcode()), "duplicate opcode for {op:?}");
         }
-        for op in SupervisorOp::ALL {
+        for op in SUPERVISOR_OPS {
             assert!(seen.insert(op.opcode()), "duplicate opcode for {op:?}");
         }
     }
@@ -435,7 +434,7 @@ mod tests {
 
     #[test]
     fn supervisor_bit_is_the_high_bit() {
-        for op in SupervisorOp::ALL {
+        for op in SUPERVISOR_OPS {
             assert!(op.opcode() & 0x80 != 0);
         }
         for op in UserOp::all() {

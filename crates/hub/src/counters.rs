@@ -38,18 +38,13 @@ pub struct HubCounters {
 
 impl HubCounters {
     /// All-zero counters.
-    pub fn new() -> HubCounters {
+    pub(crate) fn new() -> HubCounters {
         HubCounters::default()
     }
 
     /// Zeroes every counter (the `clear counters` command).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         *self = HubCounters::default();
-    }
-
-    /// Total items lost for any reason.
-    pub fn total_losses(&self) -> u64 {
-        self.overflows + self.drops + self.replies_dropped + self.opens_failed
     }
 
     /// Registers every counter into `reg` under `prefix` (e.g.
@@ -84,11 +79,10 @@ mod tests {
     #[test]
     fn starts_at_zero_and_clears() {
         let mut c = HubCounters::new();
-        assert_eq!(c.total_losses(), 0);
+        assert_eq!(c, HubCounters::default());
         c.overflows = 2;
         c.drops = 3;
         c.opens_failed = 1;
-        assert_eq!(c.total_losses(), 6);
         c.clear();
         assert_eq!(c, HubCounters::default());
     }

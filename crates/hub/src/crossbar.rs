@@ -77,11 +77,6 @@ impl Crossbar {
         Crossbar { input_of: vec![None; ports], outputs_of: vec![PortSet::EMPTY; ports] }
     }
 
-    /// Number of ports.
-    pub fn ports(&self) -> usize {
-        self.input_of.len()
-    }
-
     fn check(&self, p: PortId) -> Result<(), ConnectError> {
         if p.index() < self.input_of.len() {
             Ok(())
@@ -165,18 +160,13 @@ impl Crossbar {
         self.outputs_of.get(input.index()).copied().unwrap_or(PortSet::EMPTY)
     }
 
-    /// `true` if the output register is currently driven.
-    pub fn output_in_use(&self, output: PortId) -> bool {
-        self.input_for(output).is_some()
-    }
-
     /// Number of live connections.
     pub fn connection_count(&self) -> usize {
         self.input_of.iter().filter(|s| s.is_some()).count()
     }
 
     /// Iterates `(input, output)` pairs of live connections.
-    pub fn connections(&self) -> impl Iterator<Item = (PortId, PortId)> + '_ {
+    pub(crate) fn connections(&self) -> impl Iterator<Item = (PortId, PortId)> + '_ {
         self.input_of
             .iter()
             .enumerate()
@@ -197,8 +187,8 @@ mod tests {
         let mut xb = Crossbar::new(16);
         xb.connect(p(4), p(8)).unwrap();
         assert_eq!(xb.input_for(p(8)), Some(p(4)));
-        assert!(xb.output_in_use(p(8)));
-        assert!(!xb.output_in_use(p(4)));
+        assert!(xb.input_for(p(8)).is_some());
+        assert!(xb.input_for(p(4)).is_none());
         assert_eq!(xb.connection_count(), 1);
     }
 
@@ -228,7 +218,7 @@ mod tests {
         xb.connect(p(2), p(7)).unwrap();
         assert_eq!(xb.disconnect_output(p(7)), Some(p(2)));
         assert_eq!(xb.disconnect_output(p(7)), None);
-        assert!(!xb.output_in_use(p(7)));
+        assert!(xb.input_for(p(7)).is_none());
     }
 
     #[test]

@@ -162,11 +162,6 @@ impl Hub {
         }
     }
 
-    /// This HUB's identity.
-    pub fn id(&self) -> HubId {
-        self.id
-    }
-
     /// The configuration the HUB was built with.
     pub fn config(&self) -> &HubConfig {
         &self.cfg

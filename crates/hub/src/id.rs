@@ -12,7 +12,7 @@ use core::fmt;
 /// ```
 /// use nectar_hub::id::HubId;
 /// let h = HubId::new(2);
-/// assert_eq!(h.raw(), 2);
+/// assert_eq!(h.index(), 2);
 /// assert_eq!(h.to_string(), "HUB2");
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -25,7 +25,7 @@ impl HubId {
     }
 
     /// The wire byte.
-    pub const fn raw(self) -> u8 {
+    pub(crate) const fn raw(self) -> u8 {
         self.0
     }
 
@@ -69,7 +69,7 @@ impl PortId {
     }
 
     /// The wire byte.
-    pub const fn raw(self) -> u8 {
+    pub(crate) const fn raw(self) -> u8 {
         self.0
     }
 
@@ -99,9 +99,7 @@ impl fmt::Display for PortId {
 ///
 /// ```
 /// use nectar_hub::id::{PortId, PortSet};
-/// let mut set = PortSet::EMPTY;
-/// set.insert(PortId::new(9));
-/// set.insert(PortId::new(3));
+/// let set: PortSet = [9, 3].into_iter().map(PortId::new).collect();
 /// assert_eq!(set.len(), 2);
 /// assert_eq!(set.iter().collect::<Vec<_>>(), vec![PortId::new(3), PortId::new(9)]);
 /// ```
@@ -110,15 +108,15 @@ pub struct PortSet([u64; 4]);
 
 impl PortSet {
     /// The set with no ports.
-    pub const EMPTY: PortSet = PortSet([0; 4]);
+    pub(crate) const EMPTY: PortSet = PortSet([0; 4]);
 
     /// Adds `port`.
-    pub fn insert(&mut self, port: PortId) {
+    pub(crate) fn insert(&mut self, port: PortId) {
         self.0[port.index() >> 6] |= 1 << (port.index() & 63);
     }
 
     /// Removes `port` (a no-op if it is not a member).
-    pub fn remove(&mut self, port: PortId) {
+    pub(crate) fn remove(&mut self, port: PortId) {
         self.0[port.index() >> 6] &= !(1 << (port.index() & 63));
     }
 

@@ -48,12 +48,6 @@ impl Packet {
         Packet { id, data: Arc::new(data.into()) }
     }
 
-    /// Creates a packet around an already-shared buffer without
-    /// copying it (e.g. a pooled buffer the sender just filled).
-    pub fn from_shared(id: u64, data: Arc<Vec<u8>>) -> Packet {
-        Packet { id, data }
-    }
-
     /// The tracing id.
     pub fn id(&self) -> u64 {
         self.id
@@ -100,7 +94,7 @@ impl fmt::Display for Packet {
 }
 
 /// Wire size of the in-band `close all` marker.
-pub const CLOSE_ALL_WIRE_BYTES: usize = 3;
+pub(crate) const CLOSE_ALL_WIRE_BYTES: usize = 3;
 
 /// One unit travelling on a fiber or through a HUB.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -182,14 +176,6 @@ mod tests {
         let q = p.clone();
         assert!(Arc::ptr_eq(&p.data, &q.data), "multicast clones must share payload");
         assert!(Arc::ptr_eq(&p.share(), &q.data), "share() hands out the same buffer");
-    }
-
-    #[test]
-    fn from_shared_does_not_copy() {
-        let buf = Arc::new(vec![5u8; 32]);
-        let p = Packet::from_shared(4, Arc::clone(&buf));
-        assert!(Arc::ptr_eq(&p.share(), &buf));
-        assert_eq!(p.len(), 32);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub struct BufPool {
 
 impl BufPool {
     /// A pool retaining at most `capacity` idle buffers.
-    pub fn new(capacity: usize) -> BufPool {
+    pub(crate) fn new(capacity: usize) -> BufPool {
         BufPool {
             free: Vec::with_capacity(capacity.min(1024)),
             capacity,
@@ -74,7 +74,7 @@ impl BufPool {
     }
 
     /// Returns an owned buffer to the pool (cleared, capacity kept).
-    pub fn recycle(&mut self, mut buf: Vec<u8>) {
+    pub(crate) fn recycle(&mut self, mut buf: Vec<u8>) {
         if self.free.len() < self.capacity {
             buf.clear();
             self.free.push(buf);
@@ -91,11 +91,6 @@ impl BufPool {
             Ok(v) => self.recycle(v),
             Err(_) => self.stats.dropped += 1,
         }
-    }
-
-    /// Buffers currently idle in the pool.
-    pub fn idle(&self) -> usize {
-        self.free.len()
     }
 
     /// Counters accumulated since construction.
@@ -136,7 +131,7 @@ mod tests {
         let a = Arc::new(vec![1u8; 16]);
         let b = Arc::clone(&a);
         pool.reclaim(a);
-        assert_eq!(pool.idle(), 0, "still-shared buffer must not be pooled");
+        assert_eq!(pool.free.len(), 0, "still-shared buffer must not be pooled");
         assert_eq!(pool.stats().dropped, 1);
         drop(b);
     }
@@ -148,7 +143,7 @@ mod tests {
         let b = Arc::clone(&a);
         drop(a);
         pool.reclaim(b);
-        assert_eq!(pool.idle(), 1);
+        assert_eq!(pool.free.len(), 1);
         assert_eq!(pool.stats().reclaims, 1);
     }
 
@@ -158,7 +153,7 @@ mod tests {
         for _ in 0..4 {
             pool.recycle(Vec::with_capacity(64));
         }
-        assert_eq!(pool.idle(), 2);
+        assert_eq!(pool.free.len(), 2);
         assert_eq!(pool.stats().dropped, 2);
     }
 }

@@ -26,15 +26,10 @@ pub struct PortStatus {
 }
 
 impl PortStatus {
-    /// The power-on state: idle, unlocked, ready, enabled.
-    pub fn idle() -> PortStatus {
-        PortStatus { driven_by: None, locked_by: None, ready: true, enabled: true, loopback: false }
-    }
-
     /// Packs the boolean summary into one wire byte for a status reply:
     /// bit 0 = connected, bit 1 = locked, bit 2 = ready, bit 3 =
     /// enabled, bit 4 = loopback.
-    pub fn pack(&self) -> u8 {
+    pub(crate) fn pack(&self) -> u8 {
         (self.driven_by.is_some() as u8)
             | (self.locked_by.is_some() as u8) << 1
             | (self.ready as u8) << 2
@@ -75,18 +70,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn idle_is_ready_and_enabled() {
-        let s = PortStatus::idle();
-        assert!(s.ready && s.enabled && !s.loopback);
-        assert!(s.driven_by.is_none() && s.locked_by.is_none());
-    }
-
-    #[test]
     fn pack_unpack_flags() {
-        let mut s = PortStatus::idle();
-        s.driven_by = Some(PortId::new(4));
-        s.locked_by = Some(PortId::new(4));
-        s.loopback = true;
+        let s = PortStatus {
+            driven_by: Some(PortId::new(4)),
+            locked_by: Some(PortId::new(4)),
+            ready: true,
+            enabled: true,
+            loopback: true,
+        };
         let bits = s.pack();
         let back = PortStatus::unpack(bits);
         assert!(back.driven_by.is_some());
@@ -120,8 +111,7 @@ mod tests {
 
     #[test]
     fn display_shows_driver() {
-        let mut s = PortStatus::idle();
-        s.driven_by = Some(PortId::new(7));
+        let s = PortStatus { driven_by: Some(PortId::new(7)), ..PortStatus::default() };
         assert!(s.to_string().contains("driven_by=P7"));
     }
 }

@@ -97,9 +97,6 @@ pub struct Mailbox {
     capacity: usize,
     used: usize,
     messages: VecDeque<Message>,
-    appended: u64,
-    taken: u64,
-    rejected: u64,
     peak_used: usize,
     peak_len: usize,
 }
@@ -118,9 +115,6 @@ impl Mailbox {
             capacity,
             used: 0,
             messages: VecDeque::new(),
-            appended: 0,
-            taken: 0,
-            rejected: 0,
             peak_used: 0,
             peak_len: 0,
         }
@@ -142,7 +136,7 @@ impl Mailbox {
     }
 
     /// Free payload bytes.
-    pub fn free(&self) -> usize {
+    fn free(&self) -> usize {
         self.capacity - self.used
     }
 
@@ -161,16 +155,14 @@ impl Mailbox {
     /// # Errors
     ///
     /// [`MailboxFull`] if the payload does not fit; the message is not
-    /// stored (the transport layer's flow control should prevent this,
-    /// and counts it when it happens).
+    /// stored (the transport layer's flow control should prevent this;
+    /// the caller counts it when it happens).
     pub fn append(&mut self, msg: Message) -> Result<(), MailboxFull> {
         let needed = msg.len().max(1); // zero-length messages still take a slot
         if needed > self.free() {
-            self.rejected += 1;
             return Err(MailboxFull { needed, free: self.free() });
         }
         self.used += needed;
-        self.appended += 1;
         self.messages.push_back(msg);
         self.peak_used = self.peak_used.max(self.used);
         self.peak_len = self.peak_len.max(self.messages.len());
@@ -179,7 +171,6 @@ impl Mailbox {
 
     fn account_take(&mut self, msg: &Message) {
         self.used -= msg.len().max(1);
-        self.taken += 1;
     }
 
     /// Removes and returns the oldest message (the single-reader FIFO
@@ -190,12 +181,6 @@ impl Mailbox {
         Some(msg)
     }
 
-    /// Peeks at the oldest message without removing it (polling
-    /// receive, §6.2.3 shared-memory interface).
-    pub fn peek(&self) -> Option<&Message> {
-        self.messages.front()
-    }
-
     /// Removes and returns the oldest message with the given tag
     /// (out-of-order read; "multiple servers operate on different
     /// messages in the same mailbox", §6.1).
@@ -204,19 +189,6 @@ impl Mailbox {
         let msg = self.messages.remove(idx).expect("index in range");
         self.account_take(&msg);
         Some(msg)
-    }
-
-    /// Removes and returns the oldest message satisfying `pred`.
-    pub fn take_matching<F: FnMut(&Message) -> bool>(&mut self, pred: F) -> Option<Message> {
-        let idx = self.messages.iter().position(pred)?;
-        let msg = self.messages.remove(idx).expect("index in range");
-        self.account_take(&msg);
-        Some(msg)
-    }
-
-    /// Lifetime counters: `(appended, taken, rejected)`.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.appended, self.taken, self.rejected)
     }
 
     /// High-water mark of buffered payload bytes.
@@ -256,7 +228,6 @@ mod tests {
         mb.append(msg(1, 0, 60)).unwrap();
         let err = mb.append(msg(2, 0, 60)).unwrap_err();
         assert_eq!(err, MailboxFull { needed: 60, free: 40 });
-        assert_eq!(mb.stats().2, 1, "rejection counted");
         // Draining frees space.
         mb.take_next();
         assert!(mb.append(msg(2, 0, 60)).is_ok());
@@ -276,24 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn take_matching_predicate() {
-        let mut mb = Mailbox::new("m", 1024);
-        mb.append(msg(1, 0, 4)).unwrap();
-        mb.append(msg(2, 0, 100)).unwrap();
-        let big = mb.take_matching(|m| m.len() > 50).unwrap();
-        assert_eq!(big.id(), 2);
-        assert_eq!(mb.len(), 1);
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let mut mb = Mailbox::new("m", 64);
-        mb.append(msg(9, 0, 8)).unwrap();
-        assert_eq!(mb.peek().unwrap().id(), 9);
-        assert_eq!(mb.len(), 1);
-    }
-
-    #[test]
     fn byte_accounting_balances() {
         let mut mb = Mailbox::new("m", 1000);
         mb.append(msg(1, 0, 100)).unwrap();
@@ -303,7 +256,6 @@ mod tests {
         assert_eq!(mb.used(), 100);
         mb.take_next().unwrap();
         assert_eq!(mb.used(), 0);
-        assert_eq!(mb.stats(), (2, 2, 0));
     }
 
     #[test]

@@ -118,35 +118,23 @@ impl Default for ServiceCosts {
 pub struct ServiceProxy {
     costs: ServiceCosts,
     node_busy_until: Time,
-    requests: u64,
 }
 
 impl ServiceProxy {
     /// A proxy with an idle node.
     pub fn new(costs: ServiceCosts) -> ServiceProxy {
-        ServiceProxy { costs, node_busy_until: Time::ZERO, requests: 0 }
+        ServiceProxy { costs, node_busy_until: Time::ZERO }
     }
 
     /// Issues `service` at `now`; returns when the result is back in
     /// CAB memory. The calling CAB thread blocks until then — which is
     /// why the paper keeps this path off the fast path.
     pub fn request(&mut self, now: Time, service: NodeService) -> Time {
-        self.requests += 1;
         let at_node = now + self.costs.vme_interrupt;
         let start = at_node.max(self.node_busy_until) + self.costs.dispatch;
         let done = start + self.costs.service_time(service);
         self.node_busy_until = done;
         done + self.costs.vme_interrupt
-    }
-
-    /// Requests issued so far.
-    pub fn requests(&self) -> u64 {
-        self.requests
-    }
-
-    /// When the node is next free.
-    pub fn node_free_at(&self) -> Time {
-        self.node_busy_until
     }
 }
 
@@ -176,7 +164,6 @@ mod tests {
         let first = p.request(Time::ZERO, NodeService::FileRead { bytes: 1024 });
         let second = p.request(Time::ZERO, NodeService::FileRead { bytes: 1024 });
         assert!(second > first, "the node's service loop is sequential");
-        assert_eq!(p.requests(), 2);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! let (_, end_a) = sched.run(Time::ZERO, a, Dur::from_micros(2));
 //! // Running a different thread pays the register-window switch.
 //! let (start_b, _) = sched.run(end_a, b, Dur::from_micros(1));
-//! assert_eq!((start_b - end_a), sched.timings().thread_switch);
+//! assert_eq!((start_b - end_a), CabTimings::prototype().thread_switch);
 //! ```
 
 use core::fmt;
@@ -41,7 +41,7 @@ pub struct ThreadId(u32);
 
 impl ThreadId {
     /// The index form, for table lookups.
-    pub const fn index(self) -> usize {
+    const fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -99,11 +99,6 @@ impl Scheduler {
         &mut self.telemetry
     }
 
-    /// The timing model in force.
-    pub fn timings(&self) -> &CabTimings {
-        &self.timings
-    }
-
     /// Creates a thread.
     pub fn spawn(&mut self, name: impl Into<String>) -> ThreadId {
         let id = ThreadId(self.threads.len() as u32);
@@ -118,11 +113,6 @@ impl Scheduler {
     /// Panics if `tid` was not spawned by this scheduler.
     pub fn name(&self, tid: ThreadId) -> &str {
         &self.threads[tid.index()].name
-    }
-
-    /// The thread currently holding the CPU (None before any run).
-    pub fn current(&self) -> Option<ThreadId> {
-        self.current
     }
 
     /// When the CPU next goes idle.

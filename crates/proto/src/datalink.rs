@@ -155,7 +155,7 @@ impl Route {
     /// The circuit prologue as commands: `open with retry` at every
     /// hop, with `and reply` on the last so the sender learns the route
     /// is up (§4.2.1's exact recipe).
-    pub fn circuit_opens(&self) -> &[Command] {
+    fn circuit_opens(&self) -> &[Command] {
         &self.store.opens[(2 * self.start + self.len) as usize..][..self.len as usize]
     }
 
@@ -165,7 +165,7 @@ impl Route {
     }
 
     /// [`test_opens`](Route::test_opens) as wire items.
-    pub fn test_open_items(&self) -> Vec<Item> {
+    fn test_open_items(&self) -> Vec<Item> {
         self.test_opens().iter().map(|&c| c.into()).collect()
     }
 
@@ -185,21 +185,6 @@ impl Route {
         items.push(packet.into());
         items.push(Item::CloseAll);
         items
-    }
-
-    /// Individual `close` commands in reverse hop order — the §4.2.1
-    /// alternative to `close all`.
-    pub fn close_items(&self) -> Vec<Item> {
-        self.hops()
-            .iter()
-            .rev()
-            .map(|hop| Command::user(nectar_hub::command::UserOp::Close, hop.hub, hop.out).into())
-            .collect()
-    }
-
-    /// Replies expected when the circuit-open packet succeeds.
-    pub fn expected_replies(&self) -> usize {
-        1
     }
 }
 
@@ -297,7 +282,6 @@ impl MulticastRoute {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nectar_hub::command::{Op, UserOp};
 
     fn hop(hub: u8, port: u8) -> Hop {
         Hop { hub: HubId::new(hub), out: PortId::new(port) }
@@ -355,15 +339,6 @@ mod tests {
             ]
         );
         assert_eq!(mc.expected_replies(), 2);
-    }
-
-    #[test]
-    fn close_items_reverse_order() {
-        let items = fig7_route().close_items();
-        let cmds: Vec<Command> = items.iter().map(as_command).collect();
-        assert_eq!(cmds[0].hub, HubId::new(1), "connections closed in reverse order (§4.2.1)");
-        assert_eq!(cmds[1].hub, HubId::new(2));
-        assert!(cmds.iter().all(|c| c.op == Op::User(UserOp::Close)));
     }
 
     #[test]

@@ -90,8 +90,6 @@ pub enum IpError {
     UnknownProto(u8),
     /// Total length disagrees with the buffer.
     BadLength,
-    /// TTL expired in transit.
-    TtlExpired,
     /// No route for the destination address.
     NoRoute(Ipv4Addr),
 }
@@ -104,7 +102,6 @@ impl fmt::Display for IpError {
             IpError::Checksum => f.write_str("IP header checksum mismatch"),
             IpError::UnknownProto(p) => write!(f, "unknown IP protocol {p}"),
             IpError::BadLength => f.write_str("IP total length disagrees with buffer"),
-            IpError::TtlExpired => f.write_str("TTL expired"),
             IpError::NoRoute(a) => write!(f, "no Nectar route for {a}"),
         }
     }
@@ -113,7 +110,7 @@ impl fmt::Display for IpError {
 impl std::error::Error for IpError {}
 
 /// The Internet header checksum (RFC 1071 ones'-complement sum).
-pub fn internet_checksum(data: &[u8]) -> u16 {
+pub(crate) fn internet_checksum(data: &[u8]) -> u16 {
     let mut sum: u32 = 0;
     let mut chunks = data.chunks_exact(2);
     for c in &mut chunks {
@@ -226,32 +223,6 @@ impl AddressMap {
     pub fn resolve(&self, addr: Ipv4Addr) -> Result<CabId, IpError> {
         self.entries.get(&addr).copied().ok_or(IpError::NoRoute(addr))
     }
-
-    /// Number of bindings.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no addresses are bound.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// One hop of IP forwarding at a Nectar driver: decrement TTL and
-/// re-encode (checksum refreshed). Returns the updated datagram.
-///
-/// # Errors
-///
-/// [`IpError::TtlExpired`] when the TTL hits zero, plus any decode
-/// error.
-pub fn forward(buf: &[u8]) -> Result<Vec<u8>, IpError> {
-    let (mut header, payload) = IpHeader::decode(buf)?;
-    if header.ttl <= 1 {
-        return Err(IpError::TtlExpired);
-    }
-    header.ttl -= 1;
-    Ok(header.encode_with(payload))
 }
 
 #[cfg(test)]
@@ -325,37 +296,12 @@ mod tests {
     }
 
     #[test]
-    fn forwarding_decrements_ttl_and_refreshes_checksum() {
-        let wire = sample(b"hop").encode_with(b"hop");
-        let next = forward(&wire).unwrap();
-        let (h, body) = IpHeader::decode(&next).unwrap();
-        assert_eq!(h.ttl, 29);
-        assert_eq!(body, b"hop");
-        // TTL runs out eventually.
-        let mut buf = wire;
-        let mut hops = 0;
-        loop {
-            match forward(&buf) {
-                Ok(next) => {
-                    buf = next;
-                    hops += 1;
-                }
-                Err(IpError::TtlExpired) => break,
-                Err(e) => panic!("{e}"),
-            }
-        }
-        assert_eq!(hops, 29);
-    }
-
-    #[test]
     fn address_map_resolves() {
         let mut arp = AddressMap::new();
-        assert!(arp.is_empty());
         let a = Ipv4Addr::new(128, 2, 254, 1);
         arp.bind(a, CabId::new(3));
         assert_eq!(arp.resolve(a), Ok(CabId::new(3)));
         let b = Ipv4Addr::new(128, 2, 254, 99);
         assert_eq!(arp.resolve(b), Err(IpError::NoRoute(b)));
-        assert_eq!(arp.len(), 1);
     }
 }

@@ -131,7 +131,7 @@ mod tests {
         // At 10 MB/s VME vs 12.5 MB/s fiber, throughput approaches VME rate.
         let m = PipelineModel::prototype();
         let tp = m.throughput(1 << 20, 8192);
-        let mbs = tp.as_mbyte_per_sec_f64();
+        let mbs = tp.bits_per_sec() as f64 / 8e6;
         assert!(
             mbs > 8.0 && mbs <= 10.0,
             "throughput {mbs:.1} MB/s should approach the 10 MB/s VME"

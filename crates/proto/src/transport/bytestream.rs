@@ -20,13 +20,13 @@ use std::sync::Arc;
 /// across u32 wraparound as long as the two numbers are within half the
 /// space of each other (the window is tiny by comparison).
 #[inline]
-pub fn seq_lt(a: u32, b: u32) -> bool {
+pub(crate) fn seq_lt(a: u32, b: u32) -> bool {
     a != b && b.wrapping_sub(a) < (1 << 31)
 }
 
 /// Serial `a <= b`; see [`seq_lt`].
 #[inline]
-pub fn seq_leq(a: u32, b: u32) -> bool {
+pub(crate) fn seq_leq(a: u32, b: u32) -> bool {
     b.wrapping_sub(a) < (1 << 31)
 }
 
@@ -159,19 +159,9 @@ impl ByteStream {
         }
     }
 
-    /// The peer this connection talks to.
-    pub fn peer(&self) -> CabId {
-        self.peer
-    }
-
     /// Counters.
     pub fn stats(&self) -> ByteStreamStats {
         self.stats
-    }
-
-    /// Packets currently in flight (unacknowledged).
-    pub fn inflight(&self) -> usize {
-        self.inflight.len()
     }
 
     /// `true` when nothing is queued or unacknowledged.
@@ -416,28 +406,23 @@ impl ByteStream {
         self.backoff += 1;
         self.arm_timer(out);
     }
-
-    /// Positions the sequence space at `seq` on both the sender
-    /// (`next_seq`, `base`) and receiver (`expected`) sides, so tests
-    /// can exercise u32 wraparound without sending 2^32 packets. Only
-    /// meaningful on an idle stream; both endpoints of a connection
-    /// must be preseeded identically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream has traffic queued or in flight.
-    pub fn preseed_seq(&mut self, seq: u32) {
-        assert!(self.is_quiescent(), "preseed_seq requires an idle stream");
-        self.next_seq = seq;
-        self.base = seq;
-        self.expected = seq;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transport::{deliveries, sends};
+
+    /// Positions the sequence space of an idle stream at `seq` on both
+    /// the sender (`next_seq`, `base`) and receiver (`expected`) sides,
+    /// to exercise u32 wraparound without sending 2^32 packets. Both
+    /// endpoints of a connection must be preseeded identically.
+    fn preseed_seq(s: &mut ByteStream, seq: u32) {
+        assert!(s.is_quiescent(), "preseed_seq requires an idle stream");
+        s.next_seq = seq;
+        s.base = seq;
+        s.expected = seq;
+    }
 
     /// A deterministic lossy channel harness between two endpoints.
     /// `drop_sends` lists global send indices (0-based, across both
@@ -517,8 +502,8 @@ mod tests {
                 let Some((at, ep, token)) = self.timers.first().copied() else {
                     panic!(
                         "stuck with no timers: a={:?} b={:?}",
-                        self.a.inflight(),
-                        self.b.inflight()
+                        self.a.inflight.len(),
+                        self.b.inflight.len()
                     );
                 };
                 self.timers.remove(0);
@@ -590,9 +575,9 @@ mod tests {
         let mut tx = ByteStream::new(CabId::new(0), CabId::new(1), cfg);
         let mut out = Vec::new();
         tx.send_message(Time::ZERO, 0, 0, &vec![0u8; 5000], &mut out);
-        let sent = out.iter().filter(|a| a.is_send()).count();
+        let sent = sends(&out).len();
         assert_eq!(sent, 2, "window of 2 caps the initial burst");
-        assert_eq!(tx.inflight(), 2);
+        assert_eq!(tx.inflight.len(), 2);
     }
 
     #[test]
@@ -664,8 +649,8 @@ mod tests {
         // arithmetic fix this panicked in debug (`next_seq += 1`
         // overflow) and misclassified post-wrap packets as duplicates.
         let mut h = Harness::new(ByteStreamConfig::default(), vec![]);
-        h.a.preseed_seq(u32::MAX - 3);
-        h.b.preseed_seq(u32::MAX - 3);
+        preseed_seq(&mut h.a, u32::MAX - 3);
+        preseed_seq(&mut h.b, u32::MAX - 3);
         let msgs: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8 + 1; 2500]).collect();
         let ids: Vec<u32> = msgs.iter().map(|m| h.send(m)).collect();
         h.run_to_quiescence();
@@ -682,8 +667,8 @@ mod tests {
         // Drop the first data packet (the last pre-wrap sequence
         // number) and an ack: recovery must work across the boundary.
         let mut h = Harness::new(ByteStreamConfig::default(), vec![0, 4]);
-        h.a.preseed_seq(u32::MAX);
-        h.b.preseed_seq(u32::MAX);
+        preseed_seq(&mut h.a, u32::MAX);
+        preseed_seq(&mut h.b, u32::MAX);
         let data: Vec<u8> = (0..4000u32).map(|i| (i % 251) as u8).collect();
         let id = h.send(&data);
         h.run_to_quiescence();
@@ -713,7 +698,7 @@ mod tests {
         tx.on_packet(Time::ZERO, &closed, &[], &mut out2);
         assert!(sends(&out2).is_empty(), "window closed: the backlog must stall");
         assert_eq!(tx.stats().zero_window_stalls, 1);
-        assert_eq!(tx.inflight(), 0);
+        assert_eq!(tx.inflight.len(), 0);
         let persist = out2
             .iter()
             .find_map(|a| match a {

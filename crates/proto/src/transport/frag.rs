@@ -117,11 +117,6 @@ impl Reassembler {
             }
         }
     }
-
-    /// `true` if a message is partially assembled.
-    pub fn in_progress(&self) -> bool {
-        self.current.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +167,7 @@ mod tests {
                 assert_eq!(outcome, ReassemblyOutcome::Incomplete);
             }
         }
-        assert!(!r.in_progress());
+        assert!(r.current.is_none());
     }
 
     #[test]
@@ -187,7 +182,7 @@ mod tests {
         assert_eq!(r.push(1, 0, 3, b"a"), ReassemblyOutcome::Incomplete);
         // Wrong message id mid-stream.
         assert_eq!(r.push(2, 1, 3, b"b"), ReassemblyOutcome::Mismatch);
-        assert!(!r.in_progress());
+        assert!(r.current.is_none());
         // Starting over works.
         assert_eq!(r.push(2, 0, 2, b"a"), ReassemblyOutcome::Incomplete);
         assert!(matches!(r.push(2, 1, 2, b"b"), ReassemblyOutcome::Complete(_)));

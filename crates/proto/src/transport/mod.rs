@@ -109,18 +109,6 @@ pub enum Action {
     Error(TransportError),
 }
 
-impl Action {
-    /// `true` for [`Action::Send`].
-    pub fn is_send(&self) -> bool {
-        matches!(self, Action::Send { .. })
-    }
-
-    /// `true` for [`Action::Deliver`].
-    pub fn is_deliver(&self) -> bool {
-        matches!(self, Action::Deliver { .. })
-    }
-}
-
 /// Convenience: the send actions in an action list.
 pub fn sends(actions: &[Action]) -> Vec<(&Header, &Arc<[u8]>)> {
     actions
@@ -148,16 +136,6 @@ mod tests {
     use super::*;
     use crate::header::PacketKind;
     use nectar_cab::board::CabId;
-
-    #[test]
-    fn action_predicates() {
-        let h = Header::new(PacketKind::Datagram, CabId::new(0), CabId::new(1));
-        let send = Action::Send { header: h, payload: Arc::from(vec![1u8]), retransmit: false };
-        assert!(send.is_send());
-        assert!(!send.is_deliver());
-        let deliver = Action::Deliver { mailbox: 3, msg: Message::new(1, 0, vec![2u8]) };
-        assert!(deliver.is_deliver());
-    }
 
     #[test]
     fn extraction_helpers() {

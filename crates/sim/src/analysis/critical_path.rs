@@ -107,7 +107,7 @@ pub struct Breakdown {
 
 impl Breakdown {
     /// Time attributed to one segment.
-    pub fn segment(&self, s: Segment) -> Dur {
+    pub(crate) fn segment(&self, s: Segment) -> Dur {
         self.segs[s.index()]
     }
 
@@ -167,7 +167,7 @@ pub struct CriticalPath {
 
 impl CriticalPath {
     /// Builds the aggregate from every flight in a table.
-    pub fn from_table(table: &FlightTable) -> CriticalPath {
+    pub(crate) fn from_table(table: &FlightTable) -> CriticalPath {
         let mut cp = CriticalPath::default();
         for f in table.flights() {
             let facts = f.facts();
@@ -181,7 +181,7 @@ impl CriticalPath {
     }
 
     /// Folds one flight's breakdown into the per-segment histograms.
-    pub fn add(&mut self, b: &Breakdown) {
+    pub(crate) fn add(&mut self, b: &Breakdown) {
         if self.hists.is_empty() {
             self.hists = vec![Histogram::new(); Segment::ALL.len()];
         }
@@ -205,7 +205,7 @@ impl CriticalPath {
 
     /// Renders the per-segment table: one row per segment with mean,
     /// p50/p90/p99 and share of total mean time.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         if self.attributed == 0 {
             let _ = writeln!(

@@ -71,17 +71,20 @@ pub struct FlightFacts {
 
 impl FlightFacts {
     /// See [`Flight::is_data`].
-    pub fn is_data(&self) -> bool {
+    pub(crate) fn is_data(&self) -> bool {
         self.send.is_some() && self.payload_bytes > 0
     }
 
-    /// See [`Flight::malformed`].
-    pub fn malformed(&self) -> bool {
+    /// A flight should have exactly one `transport_send`. More than one
+    /// means event streams from unrelated worlds were merged (packet
+    /// ids collide across worlds); such flights are skipped by the
+    /// breakdown rather than producing nonsense spans.
+    pub(crate) fn malformed(&self) -> bool {
         self.sends > 1
     }
 
-    /// See [`Flight::delivered`].
-    pub fn delivered(&self) -> bool {
+    /// `true` when the flight reached at least one application.
+    pub(crate) fn delivered(&self) -> bool {
         self.recvs > 0
     }
 
@@ -89,7 +92,7 @@ impl FlightFacts {
     /// time of a well-formed data flight that no application received.
     /// Whether it was acked, superseded by a resend, or is merely still
     /// in flight is a capture-wide judgment left to the caller.
-    pub fn undelivered_data(&self) -> Option<(StreamKey, Time)> {
+    pub(crate) fn undelivered_data(&self) -> Option<(StreamKey, Time)> {
         if !self.is_data() || self.delivered() || self.malformed() {
             return None;
         }
@@ -99,7 +102,7 @@ impl FlightFacts {
 
 impl Flight {
     /// Gathers the flight's [`FlightFacts`] in one pass.
-    pub fn facts(&self) -> FlightFacts {
+    pub(crate) fn facts(&self) -> FlightFacts {
         let mut facts = FlightFacts::default();
         for (i, e) in self.events.iter().enumerate() {
             match e.kind {
@@ -129,28 +132,10 @@ impl Flight {
         self.events.iter().find(|e| matches!(e.kind, EventKind::AppRecv { .. }))
     }
 
-    /// Number of `app_recv` deliveries (more than one means multicast).
-    pub fn recv_count(&self) -> usize {
-        self.events.iter().filter(|e| matches!(e.kind, EventKind::AppRecv { .. })).count()
-    }
-
-    /// `true` when the flight reached at least one application.
-    pub fn delivered(&self) -> bool {
-        self.recv().is_some()
-    }
-
     /// `true` when the flight carried payload (control packets such as
     /// bare acknowledgments carry zero bytes and never deliver).
-    pub fn is_data(&self) -> bool {
+    pub(crate) fn is_data(&self) -> bool {
         matches!(self.send().map(|e| e.kind), Some(EventKind::TransportSend { bytes, .. }) if bytes > 0)
-    }
-
-    /// `true` when the flight was a retransmission of an earlier packet.
-    pub fn is_retransmit(&self) -> bool {
-        matches!(
-            self.send().map(|e| e.kind),
-            Some(EventKind::TransportSend { retransmit: true, .. })
-        )
     }
 
     /// The `(cab, peer, seq)` transport slot this flight occupied.
@@ -159,14 +144,6 @@ impl Flight {
             Some(EventKind::TransportSend { cab, peer, seq, .. }) => Some((cab, peer, seq)),
             _ => None,
         }
-    }
-
-    /// A flight should have exactly one `transport_send`. More than one
-    /// means event streams from unrelated worlds were merged (packet
-    /// ids collide across worlds); such flights are skipped by the
-    /// breakdown rather than producing nonsense spans.
-    pub fn malformed(&self) -> bool {
-        self.events.iter().filter(|e| matches!(e.kind, EventKind::TransportSend { .. })).count() > 1
     }
 }
 
@@ -225,18 +202,13 @@ impl FlightTable {
     }
 
     /// The flight with this packet id.
-    pub fn get(&self, id: u64) -> Option<&Flight> {
+    pub(crate) fn get(&self, id: u64) -> Option<&Flight> {
         self.flights.get(&id)
     }
 
     /// Number of distinct flights seen.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.flights.len()
-    }
-
-    /// `true` when the capture contained no flights.
-    pub fn is_empty(&self) -> bool {
-        self.flights.is_empty()
     }
 
     /// First transmission time of a stream slot (across original send
@@ -248,13 +220,13 @@ impl FlightTable {
     /// `true` when a cumulative ack from `peer` back to `cab` covers
     /// `seq` (the peer consumed the packet even if no delivery event
     /// was recorded, e.g. a mid-message fragment).
-    pub fn acked(&self, cab: u16, peer: u16, seq: u32) -> bool {
+    pub(crate) fn acked(&self, cab: u16, peer: u16, seq: u32) -> bool {
         self.acked.get(&(cab, peer)).is_some_and(|&high| high > seq)
     }
 
     /// Timestamp of the last event in the capture (the observation
     /// horizon for "never delivered" judgments).
-    pub fn capture_end(&self) -> Time {
+    pub(crate) fn capture_end(&self) -> Time {
         self.end
     }
 }
@@ -283,9 +255,9 @@ mod tests {
         assert_eq!(t.len(), 2);
         let f = t.get(5).unwrap();
         assert_eq!(f.events.first().unwrap().at, Time::from_nanos(100));
-        assert!(f.delivered());
+        assert!(f.facts().delivered());
         assert!(f.is_data());
-        assert!(!t.get(6).unwrap().delivered());
+        assert!(!t.get(6).unwrap().facts().delivered());
     }
 
     #[test]
@@ -293,7 +265,7 @@ mod tests {
         let events = vec![send(100, 5, 0, 64, false), send(900, 9, 0, 64, true)];
         let t = FlightTable::from_events(&events);
         assert_eq!(t.first_send_of((0, 1, 0)), Some(Time::from_nanos(100)));
-        assert!(t.get(9).unwrap().is_retransmit());
+        assert!(t.get(9).unwrap().facts().retransmit);
         assert_eq!(t.get(9).unwrap().stream_key(), Some((0, 1, 0)));
     }
 
@@ -314,7 +286,7 @@ mod tests {
     fn merged_worlds_are_flagged_malformed() {
         let events = vec![send(100, 5, 0, 64, false), send(200, 5, 4, 64, false)];
         let t = FlightTable::from_events(&events);
-        assert!(t.get(5).unwrap().malformed());
+        assert!(t.get(5).unwrap().facts().malformed());
     }
 
     #[test]

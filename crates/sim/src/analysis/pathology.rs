@@ -118,7 +118,7 @@ impl Default for DoctorConfig {
 
 /// Runs every detector over a capture. `metrics` feeds the mailbox
 /// detector (the others work from the flight table alone).
-pub fn detect(
+pub(crate) fn detect(
     table: &FlightTable,
     metrics: Option<&MetricsRegistry>,
     cfg: &DoctorConfig,
@@ -139,7 +139,7 @@ pub fn detect(
 /// flight, detector) — a total order over finding content, so report
 /// output is byte-identical across shard counts and repeat runs even
 /// when two findings share a subject.
-pub fn sort_findings(findings: &mut [Finding]) {
+pub(crate) fn sort_findings(findings: &mut [Finding]) {
     findings.sort_by(|a, b| {
         b.severity
             .cmp(&a.severity)

@@ -529,11 +529,6 @@ impl StreamingDoctor {
             + self.ports.len() * 160
     }
 
-    /// Latest folded event time.
-    pub fn watermark(&self) -> Time {
-        self.watermark
-    }
-
     /// Events folded so far.
     pub fn events_folded(&self) -> u64 {
         self.events_folded

@@ -26,12 +26,12 @@
 //! # Examples
 //!
 //! ```
-//! use nectar_sim::chaos::{ChaosSchedule, Clause, Fault};
-//! use nectar_sim::time::{Dur, Time};
+//! use nectar_sim::chaos::{ChaosSchedule, ChaosTarget, Clause, Fault};
+//! use nectar_sim::time::Time;
 //!
-//! let sched = ChaosSchedule::new(7)
-//!     .with(Clause::new(Fault::Loss { rate: 0.1 }))
-//!     .with(Clause::new(Fault::Duplicate { rate: 0.05 }).cab(1));
+//! let dup_at_cab1 =
+//!     Clause { target: ChaosTarget::Cab(1), ..Clause::new(Fault::Duplicate { rate: 0.05 }) };
+//! let sched = ChaosSchedule::new(7).with(Clause::new(Fault::Loss { rate: 0.1 })).with(dup_at_cab1);
 //! let spec = sched.spec();
 //! let back = ChaosSchedule::parse(7, &spec).unwrap();
 //! assert_eq!(sched, back);
@@ -193,25 +193,6 @@ impl Clause {
         Clause { fault, target: ChaosTarget::All, from: Time::ZERO, until: Time::MAX }
     }
 
-    /// Restricts the clause to the fiber feeding CAB `cab`.
-    pub fn cab(mut self, cab: u16) -> Clause {
-        self.target = ChaosTarget::Cab(cab);
-        self
-    }
-
-    /// Restricts the clause to one HUB input port.
-    pub fn hub_port(mut self, hub: u8, port: u8) -> Clause {
-        self.target = ChaosTarget::HubPort { hub, port };
-        self
-    }
-
-    /// Restricts the clause to `[from, until)`.
-    pub fn between(mut self, from: Time, until: Time) -> Clause {
-        self.from = from;
-        self.until = until;
-        self
-    }
-
     fn live_at(&self, now: Time) -> bool {
         self.from <= now && now < self.until
     }
@@ -286,12 +267,11 @@ impl ChaosSchedule {
             };
             let mut clause = Clause::new(fault);
             if cabs > 0 && rng.chance(0.3) {
-                clause = clause.cab(rng.range(0..=(cabs as u64 - 1)) as u16);
+                clause.target = ChaosTarget::Cab(rng.range(0..=(cabs as u64 - 1)) as u16);
             }
             if rng.chance(0.25) {
-                let from = Time::from_micros(rng.range(0..=2_000));
-                let until = from + Dur::from_micros(500 + rng.range(0..=5_000));
-                clause = clause.between(from, until);
+                clause.from = Time::from_micros(rng.range(0..=2_000));
+                clause.until = clause.from + Dur::from_micros(500 + rng.range(0..=5_000));
             }
             sched.clauses.push(clause);
         }
@@ -536,7 +516,7 @@ impl ChaosInjector {
     /// and the component id — adding a clause never perturbs the draws
     /// of the others, and traffic on one component never perturbs the
     /// draws made for another (the property sharded execution needs).
-    pub fn new(schedule: ChaosSchedule) -> ChaosInjector {
+    pub(crate) fn new(schedule: ChaosSchedule) -> ChaosInjector {
         let states = schedule
             .clauses
             .iter()
@@ -771,20 +751,33 @@ mod tests {
     fn spec_roundtrips_every_clause_kind() {
         let sched = ChaosSchedule::new(9)
             .with(Clause::new(Fault::Loss { rate: 0.05 }))
-            .with(Clause::new(Fault::Burst { loss: 0.5, p_bad: 0.01, p_recover: 0.25 }).cab(2))
+            .with(Clause {
+                target: ChaosTarget::Cab(2),
+                ..Clause::new(Fault::Burst { loss: 0.5, p_bad: 0.01, p_recover: 0.25 })
+            })
             .with(Clause::new(Fault::Duplicate { rate: 0.02 }))
             .with(Clause::new(Fault::Reorder { rate: 0.1, max_delay: Dur::from_micros(50) }))
-            .with(Clause::new(Fault::Corrupt { rate: 0.01 }).cab(0))
-            .with(
-                Clause::new(Fault::Flap { down: Dur::from_micros(200), up: Dur::from_micros(800) })
-                    .between(Time::from_millis(1), Time::from_millis(4)),
-            )
-            .with(Clause::new(Fault::CommandLoss { rate: 0.03 }).hub_port(0, 1))
-            .with(
-                Clause::new(Fault::PortFail)
-                    .hub_port(1, 3)
-                    .between(Time::ZERO, Time::from_micros(1500)),
-            );
+            .with(Clause {
+                target: ChaosTarget::Cab(0),
+                ..Clause::new(Fault::Corrupt { rate: 0.01 })
+            })
+            .with(Clause {
+                from: Time::from_millis(1),
+                until: Time::from_millis(4),
+                ..Clause::new(Fault::Flap {
+                    down: Dur::from_micros(200),
+                    up: Dur::from_micros(800),
+                })
+            })
+            .with(Clause {
+                target: ChaosTarget::HubPort { hub: 0, port: 1 },
+                ..Clause::new(Fault::CommandLoss { rate: 0.03 })
+            })
+            .with(Clause {
+                target: ChaosTarget::HubPort { hub: 1, port: 3 },
+                until: Time::from_micros(1500),
+                ..Clause::new(Fault::PortFail)
+            });
         let spec = sched.spec();
         let back = ChaosSchedule::parse(9, &spec).expect("parse");
         assert_eq!(back, sched, "spec `{spec}` did not round-trip");
@@ -871,11 +864,12 @@ mod tests {
 
     #[test]
     fn windows_and_targets_scope_clauses() {
-        let sched = ChaosSchedule::new(3).with(
-            Clause::new(Fault::Loss { rate: 1.0 })
-                .cab(1)
-                .between(Time::from_micros(10), Time::from_micros(20)),
-        );
+        let sched = ChaosSchedule::new(3).with(Clause {
+            target: ChaosTarget::Cab(1),
+            from: Time::from_micros(10),
+            until: Time::from_micros(20),
+            ..Clause::new(Fault::Loss { rate: 1.0 })
+        });
         let mut inj = sched.compile();
         assert!(!inj.on_cab_packet(Time::from_micros(15), 0, 64).drop, "other cab untouched");
         assert!(!inj.on_cab_packet(Time::from_micros(5), 1, 64).drop, "before the window");
@@ -886,8 +880,14 @@ mod tests {
     #[test]
     fn port_fail_and_command_loss_hit_hub_items() {
         let sched = ChaosSchedule::new(4)
-            .with(Clause::new(Fault::PortFail).hub_port(0, 2))
-            .with(Clause::new(Fault::CommandLoss { rate: 1.0 }).hub_port(1, 0));
+            .with(Clause {
+                target: ChaosTarget::HubPort { hub: 0, port: 2 },
+                ..Clause::new(Fault::PortFail)
+            })
+            .with(Clause {
+                target: ChaosTarget::HubPort { hub: 1, port: 0 },
+                ..Clause::new(Fault::CommandLoss { rate: 1.0 })
+            });
         let mut inj = sched.compile();
         assert!(inj.on_hub_item(Time::ZERO, 0, 2, false, true), "dead port eats packets");
         assert!(inj.on_hub_item(Time::ZERO, 0, 2, true, true), "dead port eats commands");
@@ -905,7 +905,10 @@ mod tests {
         // targeted portfail still does.
         let sched = ChaosSchedule::new(5)
             .with(Clause::new(Fault::Flap { down: Dur::from_millis(1), up: Dur::from_micros(1) }))
-            .with(Clause::new(Fault::PortFail).hub_port(2, 7));
+            .with(Clause {
+                target: ChaosTarget::HubPort { hub: 2, port: 7 },
+                ..Clause::new(Fault::PortFail)
+            });
         let mut inj = sched.compile();
         assert!(inj.on_hub_item(Time::ZERO, 0, 1, false, true), "flap hits edge ports");
         assert!(!inj.on_hub_item(Time::ZERO, 0, 1, false, false), "flap spares trunks");

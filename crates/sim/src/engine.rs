@@ -72,7 +72,7 @@
 //! lies in `[bucket(now), bucket(now) + 4096)` and every heap entry's
 //! at or beyond `bucket(now) + 4096`. Each clock advance
 //! ([`step`](Engine::step), [`step_batch`](Engine::step_batch),
-//! [`advance_to`](Engine::advance_to), [`run_until`](Engine::run_until))
+//! [`advance_to`](Engine::advance_to))
 //! moves the heap entries the window has reached into the wheel. So
 //! whenever the wheel holds a live event the global minimum is in the
 //! wheel, and the heap root is consulted only when the wheel is empty.
@@ -498,39 +498,6 @@ impl<E> Engine<E> {
         self.set_clock(t);
     }
 
-    /// Runs `handler` on every event until the queue drains or the clock
-    /// would pass `deadline`; events after the deadline stay queued.
-    ///
-    /// Returns the number of events delivered by this call.
-    pub fn run_until<F>(&mut self, deadline: Time, mut handler: F) -> u64
-    where
-        F: FnMut(&mut Engine<E>, E),
-    {
-        let mut n = 0;
-        while let Some(at) = self.peek_time() {
-            if at > deadline {
-                break;
-            }
-            let ev = self.step().expect("peek_time saw a live event");
-            handler(self, ev);
-            n += 1;
-        }
-        if self.now < deadline && self.is_idle() {
-            self.set_clock(deadline);
-        }
-        n
-    }
-
-    /// Runs `handler` until no events remain.
-    ///
-    /// Returns the number of events delivered by this call.
-    pub fn run_to_completion<F>(&mut self, handler: F) -> u64
-    where
-        F: FnMut(&mut Engine<E>, E),
-    {
-        self.run_until(Time::MAX, handler)
-    }
-
     // ---------------------------------------------------------------
     // Slab internals
     // ---------------------------------------------------------------
@@ -811,34 +778,13 @@ mod tests {
         let mut eng: Engine<u32> = Engine::new();
         eng.schedule(Dur::from_nanos(10), 0);
         let mut seen = Vec::new();
-        eng.run_to_completion(|eng, ev| {
+        while let Some(ev) = eng.step() {
             seen.push((eng.now().nanos(), ev));
             if ev < 3 {
                 eng.schedule(Dur::from_nanos(10), ev + 1);
             }
-        });
+        }
         assert_eq!(seen, vec![(10, 0), (20, 1), (30, 2), (40, 3)]);
-    }
-
-    #[test]
-    fn run_until_respects_deadline() {
-        let mut eng: Engine<u32> = Engine::new();
-        eng.schedule(Dur::from_nanos(10), 1);
-        eng.schedule(Dur::from_nanos(100), 2);
-        let mut seen = Vec::new();
-        let n = eng.run_until(Time::from_nanos(50), |_, ev| seen.push(ev));
-        assert_eq!(n, 1);
-        assert_eq!(seen, vec![1]);
-        assert_eq!(eng.pending(), 1);
-        // Clock does not jump to the deadline while events remain queued.
-        assert_eq!(eng.now(), Time::from_nanos(10));
-    }
-
-    #[test]
-    fn run_until_advances_idle_clock() {
-        let mut eng: Engine<u32> = Engine::new();
-        eng.run_until(Time::from_micros(5), |_, _| {});
-        assert_eq!(eng.now(), Time::from_micros(5));
     }
 
     #[test]
@@ -1124,13 +1070,13 @@ mod tests {
         let mut eng: Engine<u64> = Engine::new();
         eng.schedule(Dur::from_nanos(1), 0);
         let mut seen = Vec::new();
-        eng.run_to_completion(|eng, ev| {
+        while let Some(ev) = eng.step() {
             seen.push((eng.now().nanos(), ev));
             if ev % 2 == 0 && ev < 80 {
                 eng.schedule(Dur::from_micros(100), ev + 2);
                 eng.schedule(Dur::from_nanos(130 + ev * 997), ev + 1);
             }
-        });
+        }
         assert_eq!(seen.len(), 81);
         let mut sorted = seen.clone();
         sorted.sort_unstable();

@@ -1,6 +1,6 @@
 //! Exporters: Chrome trace-event JSON from telemetry events.
 //!
-//! [`chrome_trace`] renders a slice of
+//! [`chrome_trace_with_host`] renders a slice of
 //! [`TelemetryEvent`](crate::telemetry::TelemetryEvent)s in the Chrome
 //! trace-event format, loadable in Perfetto (<https://ui.perfetto.dev>)
 //! or `chrome://tracing`:
@@ -16,8 +16,8 @@
 //! Timestamps (`ts`) are microseconds with fractional nanoseconds, per
 //! the format; `displayTimeUnit` is `"ns"`.
 //!
-//! [`chrome_trace_with_host`] additionally renders a host-time
-//! [`HostProfile`](crate::profile::HostProfile) into the same document
+//! Given a host-time [`HostProfile`](crate::profile::HostProfile), it
+//! additionally renders that into the same document
 //! under its own process ([`HOST_PID`]): one track per shard worker
 //! plus one for the runner's main thread, phase slices named after
 //! [`Phase::label`](crate::profile::Phase::label), and per-window
@@ -145,14 +145,11 @@ fn push_event(out: &mut Vec<String>, body: String) {
 /// the output. DMA `start`/`complete` pairs (matched per CAB and
 /// channel, FIFO) merge into one duration slice; everything else
 /// becomes a short slice so Perfetto draws flow arrows through it.
-pub fn chrome_trace(events: &[TelemetryEvent]) -> String {
-    chrome_trace_with_host(events, None)
-}
-
-/// [`chrome_trace`] plus host-time profiler tracks: phase slices for
-/// every span in `host` (one thread per shard worker, one for the
+///
+/// With `host` given, host-time profiler tracks are added: phase
+/// slices for every span (one thread per shard worker, one for the
 /// runner main thread) and instant window markers, all under
-/// [`HOST_PID`]. With `host` `None` this is exactly [`chrome_trace`].
+/// [`HOST_PID`].
 pub fn chrome_trace_with_host(events: &[TelemetryEvent], host: Option<&HostProfile>) -> String {
     let mut sorted: Vec<&TelemetryEvent> = events.iter().collect();
     sorted.sort_by_key(|e| e.at);
@@ -373,6 +370,10 @@ mod tests {
         TelemetryEvent { at: Time::from_nanos(ns), flight: FlightId(flight), kind }
     }
 
+    fn chrome_trace(events: &[TelemetryEvent]) -> String {
+        chrome_trace_with_host(events, None)
+    }
+
     fn sample_events() -> Vec<TelemetryEvent> {
         vec![
             ev(0, 7, EventKind::AppSend { cab: 0, dst: 1, bytes: 100 }),
@@ -453,7 +454,11 @@ mod tests {
     #[test]
     fn host_profile_composes_with_simulated_tracks() {
         use crate::profile::{HostProfile, Phase, Profiler};
-        let mut profs = [Profiler::new(8), Profiler::new(8), Profiler::new(8)];
+        let mut profs = [(); 3].map(|()| {
+            let mut p = Profiler::disabled();
+            p.set_enabled(true);
+            p
+        });
         profs[0].end_with(Phase::Step, 0, 1000, 900);
         profs[0].end_with(Phase::BarrierWait, 0, 1900, 100);
         profs[0].end_with(Phase::Step, 1, 2000, 800);

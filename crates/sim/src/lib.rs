@@ -36,7 +36,9 @@
 //! eng.schedule(Dur::from_nanos(700), "connection established");
 //! eng.schedule(Dur::from_nanos(700 + 350), "first byte through hub");
 //! let mut events = 0;
-//! eng.run_to_completion(|_, _| events += 1);
+//! while eng.step().is_some() {
+//!     events += 1;
+//! }
 //! assert_eq!(events, 2);
 //! ```
 

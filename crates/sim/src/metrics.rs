@@ -15,12 +15,14 @@
 //! # Examples
 //!
 //! ```
-//! use nectar_sim::metrics::MetricsRegistry;
+//! use nectar_sim::metrics::{Histogram, MetricsRegistry};
 //!
+//! let mut flight_ns = Histogram::new();
+//! flight_ns.observe(30_000);
+//! flight_ns.observe(31_000);
 //! let mut reg = MetricsRegistry::new();
 //! reg.counter_add("hub0.packets_forwarded", 12);
-//! reg.observe("latency.flight_ns", 30_000);
-//! reg.observe("latency.flight_ns", 31_000);
+//! reg.merge_histogram("latency.flight_ns", &flight_ns);
 //! assert_eq!(reg.counter("hub0.packets_forwarded"), 12);
 //! let h = reg.histogram("latency.flight_ns").unwrap();
 //! assert_eq!(h.count(), 2);
@@ -193,7 +195,7 @@ impl Histogram {
 
     /// Serialises summary statistics (not raw buckets) as one JSON
     /// object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         format!(
             "{{\"count\": {}, \"min\": {}, \"max\": {}, \"mean\": {:.1}, \
              \"p50\": {:.1}, \"p90\": {:.1}, \"p99\": {:.1}}}",
@@ -239,11 +241,6 @@ impl MetricsRegistry {
         *g = g.max(v);
     }
 
-    /// Records one observation into the named histogram.
-    pub fn observe(&mut self, name: &str, v: u64) {
-        self.histograms.entry(name.to_string()).or_default().observe(v);
-    }
-
     /// Folds a whole histogram into the named slot.
     pub fn merge_histogram(&mut self, name: &str, h: &Histogram) {
         self.histograms.entry(name.to_string()).or_default().merge(h);
@@ -255,7 +252,7 @@ impl MetricsRegistry {
     }
 
     /// Current value of a gauge.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
+    pub(crate) fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.get(name).copied()
     }
 
@@ -272,11 +269,6 @@ impl MetricsRegistry {
     /// Iterates gauges in name order.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
         self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Iterates histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, h)| (k.as_str(), h))
     }
 
     /// `true` when nothing has been registered.
@@ -385,16 +377,22 @@ mod tests {
         assert_eq!(a, all);
     }
 
+    fn hist(v: u64) -> Histogram {
+        let mut h = Histogram::new();
+        h.observe(v);
+        h
+    }
+
     #[test]
     fn registry_counters_and_merge() {
         let mut a = MetricsRegistry::new();
         a.counter_add("x", 2);
         a.gauge_max("g", 3.0);
-        a.observe("h", 10);
+        a.merge_histogram("h", &hist(10));
         let mut b = MetricsRegistry::new();
         b.counter_add("x", 5);
         b.gauge_max("g", 1.0);
-        b.observe("h", 20);
+        b.merge_histogram("h", &hist(20));
         a.merge(&b);
         assert_eq!(a.counter("x"), 7);
         assert_eq!(a.gauge("g"), Some(3.0));
@@ -406,7 +404,7 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         reg.counter_add("c", 1);
         reg.gauge_max("g", 2.5);
-        reg.observe("lat", 700);
+        reg.merge_histogram("lat", &hist(700));
         let j = reg.to_json();
         for needle in ["\"counters\"", "\"gauges\"", "\"histograms\"", "\"p50\"", "\"p99\""] {
             assert!(j.contains(needle), "missing {needle} in {j}");

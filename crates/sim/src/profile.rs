@@ -41,12 +41,12 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 /// wall-clock). All profiler tracks share this epoch, so spans from
 /// different threads are directly comparable and exportable onto one
 /// trace timeline.
-pub fn host_now_ns() -> u64 {
+pub(crate) fn host_now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
 /// Number of [`Phase`] variants (array-index bound for breakdowns).
-pub const PHASES: usize = 6;
+pub(crate) const PHASES: usize = 6;
 
 /// A phase of the sharded runner's loop, the unit of host-time
 /// attribution. The first four happen once on every shard worker each
@@ -124,7 +124,7 @@ pub struct PhaseSpan {
 /// per shard per window that covers ~32k windows before the oldest
 /// drop. Only straggler attribution and the Perfetto export read the
 /// ring; everything summed over the run comes from [`TrackTotals`].
-pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 17;
+pub(crate) const DEFAULT_SPAN_CAPACITY: usize = 1 << 17;
 
 /// Exact whole-run accounting for one track: unlike the span ring it
 /// never evicts, so a run of any length keeps its true phase totals
@@ -176,12 +176,6 @@ impl Default for Profiler {
 }
 
 impl Profiler {
-    /// An enabled profiler with the given ring capacity (clamped to at
-    /// least 1).
-    pub fn new(capacity: usize) -> Profiler {
-        Profiler { capacity: capacity.max(1), enabled: true, ..Profiler::disabled() }
-    }
-
     /// A disabled profiler (the zero-cost default); enable later with
     /// [`set_enabled`](Profiler::set_enabled). No ring memory is
     /// committed until the first recorded span.
@@ -254,28 +248,18 @@ impl Profiler {
     }
 
     /// Recorded spans, oldest first.
-    pub fn spans(&self) -> impl Iterator<Item = &PhaseSpan> {
+    pub(crate) fn spans(&self) -> impl Iterator<Item = &PhaseSpan> {
         self.ring.iter()
     }
 
     /// Spans lost to ring overflow (oldest evicted first).
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Whole-run totals over every span ever recorded, evicted or not.
-    pub fn totals(&self) -> TrackTotals {
+    pub(crate) fn totals(&self) -> TrackTotals {
         self.totals
-    }
-
-    /// Spans currently held.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether no spans are held.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
     }
 }
 
@@ -319,7 +303,7 @@ impl HostProfile {
 
     /// Wall time of the whole run: latest span end minus earliest
     /// span start over every span ever recorded, in nanoseconds.
-    pub fn wall_ns(&self) -> u64 {
+    pub(crate) fn wall_ns(&self) -> u64 {
         let lo = self.totals.iter().map(|t| t.first_start_ns).min().unwrap_or(u64::MAX);
         let hi = self.totals.iter().map(|t| t.last_end_ns).max().unwrap_or(0);
         hi.saturating_sub(lo)
@@ -802,6 +786,11 @@ pub fn analyze(profile: &HostProfile, ctx: &AnalyzeCtx) -> ProfileAnalysis {
 mod tests {
     use super::*;
 
+    /// An enabled profiler with a ring of `capacity` spans.
+    fn profiler(capacity: usize) -> Profiler {
+        Profiler { capacity, enabled: true, ..Profiler::disabled() }
+    }
+
     /// Two worker profilers and a main-thread one, each with a ring of
     /// `capacity` spans, fed a synthetic run: per window each shard
     /// steps for `step[s]` ns and waits `barrier[s]` ns.
@@ -811,7 +800,7 @@ mod tests {
         step: [u64; 2],
         barrier: [u64; 2],
     ) -> [Profiler; 3] {
-        let mut profs = [Profiler::new(capacity), Profiler::new(capacity), Profiler::new(capacity)];
+        let mut profs = [profiler(capacity), profiler(capacity), profiler(capacity)];
         let mut t = 0u64;
         for w in 0..windows {
             for s in 0..2 {
@@ -839,17 +828,17 @@ mod tests {
         assert_eq!(t, 0);
         p.end(Phase::Step, 0, t);
         p.end_with(Phase::BarrierWait, 0, t, 500);
-        assert!(p.is_empty());
+        assert!(p.spans().next().is_none());
         assert_eq!(p.dropped(), 0);
     }
 
     #[test]
     fn ring_drops_oldest_and_counts() {
-        let mut p = Profiler::new(4);
+        let mut p = profiler(4);
         for w in 0..6 {
             p.end_with(Phase::Step, w, 0, 1);
         }
-        assert_eq!(p.len(), 4);
+        assert_eq!(p.spans().count(), 4);
         assert_eq!(p.dropped(), 2);
         let windows: Vec<u64> = p.spans().map(|s| s.window).collect();
         assert_eq!(windows, vec![2, 3, 4, 5]);
@@ -898,7 +887,7 @@ mod tests {
 
     #[test]
     fn enabled_profiler_measures_monotonic_spans() {
-        let mut p = Profiler::new(16);
+        let mut p = profiler(16);
         let t0 = p.begin();
         std::thread::sleep(std::time::Duration::from_millis(2));
         p.end(Phase::Step, 7, t0);
@@ -954,7 +943,7 @@ mod tests {
 
     #[test]
     fn one_shard_profile_has_defined_estimates() {
-        let mut profs = [Profiler::new(4), Profiler::new(4)];
+        let mut profs = [profiler(4), profiler(4)];
         profs[0].end_with(Phase::Step, 0, 0, 5_000_000);
         let prof = HostProfile::collect(1, &profs);
         let a = analyze(&prof, &ctx(8));

@@ -41,7 +41,7 @@ impl Rng {
     }
 
     /// The next 64 uniformly random bits.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
@@ -101,16 +101,6 @@ impl Rng {
         assert!(mean.is_finite() && mean > 0.0, "mean must be positive");
         let u = 1.0 - self.f64(); // in (0, 1]
         -mean * u.ln()
-    }
-
-    /// Chooses a uniformly random element of `slice`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slice` is empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> &'a T {
-        assert!(!slice.is_empty(), "cannot choose from an empty slice");
-        &slice[self.range(0..=(slice.len() as u64 - 1)) as usize]
     }
 
     /// Fisher–Yates shuffle in place.
@@ -190,15 +180,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..16).collect::<Vec<_>>());
         assert_ne!(v, (0..16).collect::<Vec<_>>(), "16 elements should move under this seed");
-    }
-
-    #[test]
-    fn choose_picks_members() {
-        let mut r = Rng::seed_from(9);
-        let items = ["a", "b", "c"];
-        for _ in 0..50 {
-            assert!(items.contains(r.choose(&items)));
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::time::Dur;
 
 /// Renders a duration in the largest unit that divides it exactly
 /// (`1500000ns` → `1500us`). Inverse of [`parse_dur`].
-pub fn fmt_dur(d: Dur) -> String {
+pub(crate) fn fmt_dur(d: Dur) -> String {
     let ns = d.nanos();
     if ns == 0 {
         "0ns".to_string()
@@ -31,7 +31,7 @@ pub fn fmt_dur(d: Dur) -> String {
 /// Parses a duration with a `ns`/`us`/`ms`/`s` suffix. The
 /// digits→nanoseconds conversion is checked: values that would
 /// overflow `u64` nanoseconds are a parse error, never a silent wrap.
-pub fn parse_dur(s: &str) -> Result<Dur, String> {
+pub(crate) fn parse_dur(s: &str) -> Result<Dur, String> {
     let s = s.trim();
     let (digits, mult) = if let Some(d) = s.strip_suffix("ns") {
         (d, 1u64)
@@ -52,7 +52,7 @@ pub fn parse_dur(s: &str) -> Result<Dur, String> {
 /// Parses a finite `f64`. `NaN`/`inf` (which `str::parse` happily
 /// accepts) are rejected — a schedule with a NaN rate is never what
 /// anyone meant.
-pub fn parse_f64(s: &str) -> Result<f64, String> {
+pub(crate) fn parse_f64(s: &str) -> Result<f64, String> {
     let v: f64 = s.trim().parse().map_err(|_| format!("bad number `{s}`"))?;
     if !v.is_finite() {
         return Err(format!("number `{}` must be finite", s.trim()));
@@ -63,7 +63,7 @@ pub fn parse_f64(s: &str) -> Result<f64, String> {
 /// Parses a probability: a finite `f64` in `[0, 1]`. Out-of-range
 /// rates (`loss(1.5)`, `loss(-0.1)`) are a parse error with the
 /// offending token named, not a silently saturating schedule.
-pub fn parse_prob(s: &str) -> Result<f64, String> {
+pub(crate) fn parse_prob(s: &str) -> Result<f64, String> {
     let v = parse_f64(s)?;
     if !(0.0..=1.0).contains(&v) {
         return Err(format!("probability `{}` must be within [0, 1]", s.trim()));
@@ -74,7 +74,7 @@ pub fn parse_prob(s: &str) -> Result<f64, String> {
 /// Splits `s` on top-level commas — commas nested inside parentheses
 /// stay put, so `poisson(50us),fixed(32)` splits into two fields.
 /// Returns an empty list for an all-whitespace input.
-pub fn split_top(s: &str) -> Result<Vec<&str>, String> {
+pub(crate) fn split_top(s: &str) -> Result<Vec<&str>, String> {
     let mut out = Vec::new();
     let mut depth = 0usize;
     let mut start = 0usize;
@@ -104,7 +104,7 @@ pub fn split_top(s: &str) -> Result<Vec<&str>, String> {
 /// Splits `kind(a,b,c)` into `("kind", ["a", "b", "c"])`; a bare
 /// `kind` has no arguments. The argument split is top-level only
 /// (see [`split_top`]), so arguments may themselves be calls.
-pub fn parse_call(s: &str) -> Result<(&str, Vec<&str>), String> {
+pub(crate) fn parse_call(s: &str) -> Result<(&str, Vec<&str>), String> {
     let s = s.trim();
     match s.find('(') {
         Some(i) => {

@@ -55,11 +55,6 @@ impl Samples {
         self.record(d.nanos() as f64);
     }
 
-    /// The collection's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Number of observations.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -79,25 +74,9 @@ impl Samples {
         }
     }
 
-    /// Smallest observation, or 0.0 when empty.
-    pub fn min(&self) -> f64 {
-        self.values.iter().copied().fold(f64::INFINITY, f64::min).finite_or_zero()
-    }
-
     /// Largest observation, or 0.0 when empty.
     pub fn max(&self) -> f64 {
         self.values.iter().copied().fold(f64::NEG_INFINITY, f64::max).finite_or_zero()
-    }
-
-    /// Sample standard deviation, or 0.0 with fewer than two observations.
-    pub fn stddev(&self) -> f64 {
-        if self.values.len() < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = self.values.iter().map(|v| (v - m) * (v - m)).sum::<f64>()
-            / (self.values.len() - 1) as f64;
-        var.sqrt()
     }
 
     /// The `q`-quantile (nearest-rank), `q` in `[0, 1]`; 0.0 when empty.
@@ -117,19 +96,8 @@ impl Samples {
     }
 
     /// Median (0.5-quantile).
-    pub fn median(&self) -> f64 {
+    fn median(&self) -> f64 {
         self.quantile(0.5)
-    }
-
-    /// Mean expressed as a [`Dur`] for collections recorded via
-    /// [`record_dur`](Samples::record_dur).
-    pub fn mean_dur(&self) -> Dur {
-        Dur::from_nanos(self.mean().round() as u64)
-    }
-
-    /// Iterates over raw observations.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.values.iter().copied()
     }
 }
 
@@ -178,10 +146,8 @@ mod tests {
         let mut s = Samples::new("x");
         s.extend([1.0, 2.0, 3.0, 4.0, 5.0]);
         assert_eq!(s.mean(), 3.0);
-        assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 5.0);
         assert_eq!(s.median(), 3.0);
-        assert!((s.stddev() - 1.5811).abs() < 1e-3);
     }
 
     #[test]
@@ -189,10 +155,8 @@ mod tests {
         let s = Samples::new("empty");
         assert!(s.is_empty());
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
         assert_eq!(s.median(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
     }
 
     #[test]
@@ -215,6 +179,5 @@ mod tests {
         let mut s = Samples::new("lat");
         s.record_dur(Dur::from_micros(30));
         assert_eq!(s.mean(), 30_000.0);
-        assert_eq!(s.mean_dur(), Dur::from_micros(30));
     }
 }

@@ -206,7 +206,7 @@ impl EventKind {
     /// matter which ring — or which shard — recorded them. Also the
     /// tie-break of flight order: both doctors read one flight's
     /// same-instant events in this order.
-    pub fn canonical_key(&self) -> (u8, u64, u64, u64) {
+    pub(crate) fn canonical_key(&self) -> (u8, u64, u64, u64) {
         match *self {
             EventKind::AppRecv { cab, mailbox, bytes } => {
                 (0, cab as u64, mailbox as u64, bytes as u64)
@@ -245,7 +245,7 @@ impl EventKind {
     }
 
     /// Short stable name, used by exporters and trace dumps.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             EventKind::ConnectionOpen { .. } => "connection_open",
             EventKind::ConnectionClose { .. } => "connection_close",
@@ -339,11 +339,6 @@ impl Telemetry {
         self.enabled = enabled;
     }
 
-    /// `true` if events are currently kept.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The owner id stamped on events recorded through this instance
     /// (e.g. the CAB number for a kernel scheduler's recorder).
     pub fn subject(&self) -> u16 {
@@ -385,7 +380,7 @@ impl Telemetry {
         self.dropped
     }
 
-    /// Most events ever resident at once (survives drains and clears).
+    /// Most events ever resident at once (survives drains).
     pub fn high_water_mark(&self) -> usize {
         self.hwm
     }
@@ -415,20 +410,10 @@ impl Telemetry {
         self.ring.iter()
     }
 
-    /// Removes and returns all retained events, oldest first.
-    pub fn drain(&mut self) -> Vec<TelemetryEvent> {
-        self.ring.drain(..).collect()
-    }
-
     /// Moves all retained events (oldest first) onto the end of `out`
     /// without allocating a fresh vector — the streaming drain path.
     pub fn drain_into(&mut self, out: &mut Vec<TelemetryEvent>) {
         out.extend(self.ring.drain(..));
-    }
-
-    /// Discards all retained events (the drop counter is kept).
-    pub fn clear(&mut self) {
-        self.ring.clear();
     }
 }
 
@@ -447,7 +432,6 @@ mod tests {
     #[test]
     fn disabled_by_default_and_costs_nothing() {
         let mut tel = Telemetry::default();
-        assert!(!tel.is_enabled());
         tel.record(t(1), FlightId(1), fwd(0));
         assert!(tel.is_empty());
         tel.set_enabled(true);
@@ -471,7 +455,8 @@ mod tests {
         let mut tel = Telemetry::with_capacity(8);
         tel.record(t(5), FlightId::NONE, fwd(1));
         tel.record(t(9), FlightId(3), fwd(2));
-        let out = tel.drain();
+        let mut out = Vec::new();
+        tel.drain_into(&mut out);
         assert!(tel.is_empty());
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].at, t(5));

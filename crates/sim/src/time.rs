@@ -98,8 +98,6 @@ impl Time {
 impl Dur {
     /// The empty span.
     pub const ZERO: Dur = Dur(0);
-    /// The largest representable span; useful as an "infinite" timeout.
-    pub const MAX: Dur = Dur(u64::MAX);
 
     /// Creates a span of `ns` nanoseconds.
     pub const fn from_nanos(ns: u64) -> Dur {
@@ -119,17 +117,6 @@ impl Dur {
     /// Creates a span of `s` seconds.
     pub const fn from_secs(s: u64) -> Dur {
         Dur(s * 1_000_000_000)
-    }
-
-    /// Creates a span from a float number of seconds, rounding up to the
-    /// next nanosecond so a transfer never finishes early.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative or not finite.
-    pub fn from_secs_f64(secs: f64) -> Dur {
-        assert!(secs.is_finite() && secs >= 0.0, "duration must be finite and non-negative");
-        Dur((secs * 1e9).ceil() as u64)
     }
 
     /// The span in whole nanoseconds.
@@ -155,11 +142,6 @@ impl Dur {
     /// Saturating subtraction: `self - other`, or zero.
     pub fn saturating_sub(self, other: Dur) -> Dur {
         Dur(self.0.saturating_sub(other.0))
-    }
-
-    /// Checked multiplication by a count; `None` on overflow.
-    pub fn checked_mul(self, n: u64) -> Option<Dur> {
-        self.0.checked_mul(n).map(Dur)
     }
 
     /// The larger of two spans.
@@ -308,21 +290,7 @@ mod tests {
         assert_eq!(a.saturating_since(b), Dur::ZERO);
         assert_eq!(b.saturating_since(a), Dur::from_nanos(30));
         assert!(Time::MAX.checked_add(Dur::from_nanos(1)).is_none());
-        assert!(Dur::MAX.checked_mul(2).is_none());
         assert_eq!(Dur::from_nanos(5).saturating_sub(Dur::from_nanos(9)), Dur::ZERO);
-    }
-
-    #[test]
-    fn from_secs_f64_rounds_up() {
-        // 1.5 ns rounds to 2 ns: transfers never finish early.
-        assert_eq!(Dur::from_secs_f64(1.5e-9), Dur::from_nanos(2));
-        assert_eq!(Dur::from_secs_f64(0.0), Dur::ZERO);
-    }
-
-    #[test]
-    #[should_panic]
-    fn from_secs_f64_rejects_negative() {
-        let _ = Dur::from_secs_f64(-1.0);
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl Bandwidth {
         Bandwidth::from_bits_per_sec(mbps * 1_000_000)
     }
 
-    /// Creates a bandwidth of `gbps` gigabits per second (10^9 bits).
-    pub fn from_gbit_per_sec(gbps: u64) -> Bandwidth {
-        Bandwidth::from_bits_per_sec(gbps * 1_000_000_000)
-    }
-
     /// Creates a bandwidth of `mbs` megabytes per second (10^6 bytes).
     pub fn from_mbyte_per_sec(mbs: u64) -> Bandwidth {
         Bandwidth::from_bits_per_sec(mbs * 8_000_000)
@@ -67,11 +62,6 @@ impl Bandwidth {
     /// The rate in megabits per second, as a float (for reporting).
     pub fn as_mbit_per_sec_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// The rate in megabytes per second, as a float (for reporting).
-    pub fn as_mbyte_per_sec_f64(self) -> f64 {
-        self.0 as f64 / 8e6
     }
 
     /// Time this medium is occupied transferring `bytes` bytes, rounded
@@ -90,20 +80,6 @@ impl Bandwidth {
         // ceil(bits * 1e9 / bps)
         let ns = (bits * 1_000_000_000).div_ceil(self.0 as u128);
         Dur::from_nanos(u64::try_from(ns).expect("transfer time overflows u64 nanoseconds"))
-    }
-
-    /// Bytes that can cross this medium in `d`, rounded down.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use nectar_sim::{time::Dur, units::Bandwidth};
-    /// let bw = Bandwidth::from_mbit_per_sec(100);
-    /// assert_eq!(bw.bytes_in(Dur::from_micros(10)), 125);
-    /// ```
-    pub fn bytes_in(self, d: Dur) -> usize {
-        let bits = d.nanos() as u128 * self.0 as u128 / 1_000_000_000;
-        usize::try_from(bits / 8).unwrap_or(usize::MAX)
     }
 
     /// Splits this bandwidth evenly across `n` concurrent consumers.
@@ -132,24 +108,6 @@ impl fmt::Display for Bandwidth {
     }
 }
 
-/// Formats a byte count with a binary-unit suffix for reports.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(nectar_sim::units::fmt_bytes(1024), "1.0 KiB");
-/// assert_eq!(nectar_sim::units::fmt_bytes(500), "500 B");
-/// ```
-pub fn fmt_bytes(bytes: usize) -> String {
-    if bytes >= 1 << 20 {
-        format!("{:.1} MiB", bytes as f64 / (1 << 20) as f64)
-    } else if bytes >= 1 << 10 {
-        format!("{:.1} KiB", bytes as f64 / 1024.0)
-    } else {
-        format!("{bytes} B")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,7 +131,6 @@ mod tests {
         let vme = Bandwidth::from_mbyte_per_sec(10);
         // 10 MB/s = 100 ns per byte.
         assert_eq!(vme.transfer_time(1), Dur::from_nanos(100));
-        assert_eq!(vme.as_mbyte_per_sec_f64(), 10.0);
     }
 
     #[test]
@@ -185,15 +142,6 @@ mod tests {
         let odd = Bandwidth::from_bits_per_sec(7_000_000_000);
         // 24 / 7 ns = 3.43 -> 4 ns.
         assert_eq!(odd.transfer_time(3), Dur::from_nanos(4));
-    }
-
-    #[test]
-    fn bytes_in_inverts_transfer_time() {
-        let bw = Bandwidth::from_mbit_per_sec(100);
-        for &n in &[1usize, 10, 128, 1024, 65536] {
-            let t = bw.transfer_time(n);
-            assert!(bw.bytes_in(t) >= n);
-        }
     }
 
     #[test]
@@ -212,7 +160,7 @@ mod tests {
     #[test]
     fn display() {
         assert_eq!(Bandwidth::from_mbit_per_sec(100).to_string(), "100.00 Mbit/s");
-        assert_eq!(Bandwidth::from_gbit_per_sec(2).to_string(), "2.00 Gbit/s");
+        assert_eq!(Bandwidth::from_mbit_per_sec(2_000).to_string(), "2.00 Gbit/s");
     }
 
     #[test]

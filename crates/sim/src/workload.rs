@@ -65,14 +65,14 @@ use std::fmt;
 /// Largest flow the grammar accepts, in bytes. Wire headers carry a
 /// `u16` payload length; staying under it keeps every flow a single
 /// datagram-transport message.
-pub const MAX_FLOW_BYTES: u32 = 60_000;
+pub(crate) const MAX_FLOW_BYTES: u32 = 60_000;
 
 /// Most token population a single closed class may give one source.
-pub const MAX_TOKENS: u32 = 65_536;
+pub(crate) const MAX_TOKENS: u32 = 65_536;
 
 /// Most classes one spec may hold (bounds the mailbox id range the
 /// world reserves for workload traffic).
-pub const MAX_CLASSES: usize = 256;
+pub(crate) const MAX_CLASSES: usize = 256;
 
 /// Which transport a class drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -241,16 +241,14 @@ pub struct ClassSpec {
 }
 
 impl ClassSpec {
-    /// An always-on class; scope it with [`between`](ClassSpec::between).
-    pub fn new(shape: Shape, size: SizeDist, matrix: Matrix, transport: Transport) -> ClassSpec {
+    /// An always-on class.
+    pub(crate) fn new(
+        shape: Shape,
+        size: SizeDist,
+        matrix: Matrix,
+        transport: Transport,
+    ) -> ClassSpec {
         ClassSpec { shape, size, matrix, transport, from: Time::ZERO, until: Time::MAX }
-    }
-
-    /// Restricts the class to `[from, until)`.
-    pub fn between(mut self, from: Time, until: Time) -> ClassSpec {
-        self.from = from;
-        self.until = until;
-        self
     }
 }
 
@@ -291,78 +289,13 @@ pub struct WorkloadSpec {
 
 impl WorkloadSpec {
     /// An empty program under `seed`.
-    pub fn new(seed: u64) -> WorkloadSpec {
+    pub(crate) fn new(seed: u64) -> WorkloadSpec {
         WorkloadSpec { seed, classes: Vec::new() }
-    }
-
-    /// Builder: appends a class.
-    pub fn with(mut self, class: ClassSpec) -> WorkloadSpec {
-        self.classes.push(class);
-        self
-    }
-
-    /// A random small workload — the proptest generator. Regenerates
-    /// bit-for-bit from `seed`; every spec it produces is valid.
-    pub fn random(seed: u64, cabs: u16) -> WorkloadSpec {
-        let mut rng = Rng::seed_from(seed ^ 0x57_4C_4F_41_44);
-        let mut spec = WorkloadSpec::new(seed);
-        let n = 1 + rng.range(0..=2);
-        for _ in 0..n {
-            let arrival = match rng.range(0..=2) {
-                0 => Arrival::Poisson { mean: Dur::from_micros(1 + rng.range(0..=200)) },
-                1 => Arrival::Det { every: Dur::from_micros(1 + rng.range(0..=100)) },
-                _ => Arrival::Bursty {
-                    mean: Dur::from_micros(1 + rng.range(0..=50)),
-                    on: Dur::from_micros(10 + rng.range(0..=500)),
-                    off: Dur::from_micros(10 + rng.range(0..=2_000)),
-                },
-            };
-            let shape = if rng.chance(0.5) {
-                Shape::Open { arrival }
-            } else {
-                Shape::Closed {
-                    tokens: 1 + rng.range(0..=63) as u32,
-                    think: Dur::from_nanos(rng.range(0..=2_000)),
-                }
-            };
-            let size = match rng.range(0..=2) {
-                0 => SizeDist::Fixed(1 + rng.range(0..=4_095) as u32),
-                1 => {
-                    let lo = 1 + rng.range(0..=1_023) as u32;
-                    SizeDist::Uniform { lo, hi: lo + rng.range(0..=4_096) as u32 }
-                }
-                _ => SizeDist::Pareto {
-                    mean: 16 + rng.range(0..=2_048) as u32,
-                    shape: 1.0 + (1 + rng.range(0..=40)) as f64 / 16.0,
-                },
-            };
-            let any_cab = || 0u16; // fixed hot/sink keeps random specs valid on tiny topologies
-            let matrix = match rng.range(0..=4) {
-                0 => Matrix::Uniform,
-                1 => Matrix::Hotspot { p: (rng.range(1..=100) as f64) / 100.0, target: any_cab() },
-                2 => Matrix::Incast { target: any_cab() },
-                3 => Matrix::Neighbor,
-                _ => Matrix::Ring,
-            };
-            let transport = match rng.range(0..=2) {
-                0 => Transport::Datagram,
-                1 => Transport::Stream,
-                _ => Transport::Rpc,
-            };
-            let mut class = ClassSpec::new(shape, size, matrix, transport);
-            if rng.chance(0.4) {
-                let from = Time::from_micros(rng.range(0..=500));
-                class = class.between(from, from + Dur::from_micros(100 + rng.range(0..=2_000)));
-            }
-            spec.classes.push(class);
-        }
-        let _ = cabs;
-        spec
     }
 
     /// The textual form (the `--workload` grammar): classes joined by
     /// `;`. Round-trips exactly through [`parse`](WorkloadSpec::parse).
-    pub fn spec(&self) -> String {
+    pub(crate) fn spec(&self) -> String {
         let parts: Vec<String> = self.classes.iter().map(|c| c.to_string()).collect();
         parts.join(";")
     }
@@ -676,18 +609,6 @@ impl WorkloadGen {
         &self.classes[c].spec
     }
 
-    /// Total closed-loop tokens per source CAB, across classes — the
-    /// standing concurrent-flow population each CAB contributes.
-    pub fn tokens_per_source(&self) -> u64 {
-        self.classes
-            .iter()
-            .map(|c| match c.spec.shape {
-                Shape::Closed { tokens, .. } => tokens as u64,
-                Shape::Open { .. } => 0,
-            })
-            .sum()
-    }
-
     /// The delay from a class's window start to CAB `cab`'s first
     /// open-loop arrival (one arrival draw, so sources desynchronize).
     pub fn first_delay(&mut self, class: usize, cab: u16) -> Dur {
@@ -851,56 +772,69 @@ fn draw_flow(
     Flow { dst, bytes: draw_size(rng, size) }
 }
 
-// ---------------------------------------------------------------
-// Shrinking
-// ---------------------------------------------------------------
-
-/// Greedily shrinks a violating workload: classes are removed and
-/// token populations halved while `still_fails` keeps returning
-/// `true`. Locally minimal on exit; rounds are capped so a flaky
-/// predicate cannot loop forever.
-pub fn shrink(
-    spec: &WorkloadSpec,
-    mut still_fails: impl FnMut(&WorkloadSpec) -> bool,
-) -> WorkloadSpec {
-    let mut cur = spec.clone();
-    for _round in 0..32 {
-        let mut progressed = false;
-        let mut i = 0;
-        while i < cur.classes.len() {
-            if cur.classes.len() > 1 {
-                let mut cand = cur.clone();
-                cand.classes.remove(i);
-                if still_fails(&cand) {
-                    cur = cand;
-                    progressed = true;
-                    continue;
-                }
-            }
-            if let Shape::Closed { tokens, think } = cur.classes[i].shape {
-                if tokens > 1 {
-                    let mut cand = cur.clone();
-                    cand.classes[i].shape = Shape::Closed { tokens: tokens / 2, think };
-                    if still_fails(&cand) {
-                        cur = cand;
-                        progressed = true;
-                        continue;
-                    }
-                }
-            }
-            i += 1;
-        }
-        if !progressed {
-            break;
-        }
-    }
-    cur
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// A random small workload. Regenerates bit-for-bit from `seed`;
+    /// every spec it produces is valid.
+    fn random_spec(seed: u64) -> WorkloadSpec {
+        let mut rng = Rng::seed_from(seed ^ 0x57_4C_4F_41_44);
+        let mut spec = WorkloadSpec::new(seed);
+        let n = 1 + rng.range(0..=2);
+        for _ in 0..n {
+            let arrival = match rng.range(0..=2) {
+                0 => Arrival::Poisson { mean: Dur::from_micros(1 + rng.range(0..=200)) },
+                1 => Arrival::Det { every: Dur::from_micros(1 + rng.range(0..=100)) },
+                _ => Arrival::Bursty {
+                    mean: Dur::from_micros(1 + rng.range(0..=50)),
+                    on: Dur::from_micros(10 + rng.range(0..=500)),
+                    off: Dur::from_micros(10 + rng.range(0..=2_000)),
+                },
+            };
+            let shape = if rng.chance(0.5) {
+                Shape::Open { arrival }
+            } else {
+                Shape::Closed {
+                    tokens: 1 + rng.range(0..=63) as u32,
+                    think: Dur::from_nanos(rng.range(0..=2_000)),
+                }
+            };
+            let size = match rng.range(0..=2) {
+                0 => SizeDist::Fixed(1 + rng.range(0..=4_095) as u32),
+                1 => {
+                    let lo = 1 + rng.range(0..=1_023) as u32;
+                    SizeDist::Uniform { lo, hi: lo + rng.range(0..=4_096) as u32 }
+                }
+                _ => SizeDist::Pareto {
+                    mean: 16 + rng.range(0..=2_048) as u32,
+                    shape: 1.0 + (1 + rng.range(0..=40)) as f64 / 16.0,
+                },
+            };
+            let any_cab = || 0u16; // fixed hot/sink keeps random specs valid on tiny topologies
+            let matrix = match rng.range(0..=4) {
+                0 => Matrix::Uniform,
+                1 => Matrix::Hotspot { p: (rng.range(1..=100) as f64) / 100.0, target: any_cab() },
+                2 => Matrix::Incast { target: any_cab() },
+                3 => Matrix::Neighbor,
+                _ => Matrix::Ring,
+            };
+            let transport = match rng.range(0..=2) {
+                0 => Transport::Datagram,
+                1 => Transport::Stream,
+                _ => Transport::Rpc,
+            };
+            let mut class = ClassSpec::new(shape, size, matrix, transport);
+            if rng.chance(0.4) {
+                let from = Time::from_micros(rng.range(0..=500));
+                class.from = from;
+                class.until = from + Dur::from_micros(100 + rng.range(0..=2_000));
+            }
+            spec.classes.push(class);
+        }
+        spec
+    }
 
     #[test]
     fn canonical_specs_round_trip() {
@@ -920,7 +854,7 @@ mod tests {
     proptest! {
         #[test]
         fn random_specs_round_trip(seed in any::<u64>()) {
-            let spec = WorkloadSpec::random(seed, 8);
+            let spec = random_spec(seed);
             let back = WorkloadSpec::parse(seed, &spec.spec())
                 .unwrap_or_else(|e| panic!("`{}`: {e}", spec.spec()));
             prop_assert_eq!(back, spec);
@@ -935,8 +869,15 @@ mod tests {
             assert_eq!(WorkloadSpec::parse(p.seed, &spec.spec()).unwrap(), spec);
         }
         let spike = preset("spike").unwrap();
-        let compiled = spike.compile((0..64u16).map(|i| i / 4).collect()).unwrap();
-        assert!(compiled.tokens_per_source() * 64 >= 100_000, "spike must stand 1e5 flows");
+        let tokens_per_source: u64 = spike
+            .classes
+            .iter()
+            .map(|c| match c.shape {
+                Shape::Closed { tokens, .. } => tokens as u64,
+                Shape::Open { .. } => 0,
+            })
+            .sum();
+        assert!(tokens_per_source * 64 >= 100_000, "spike must stand 1e5 flows");
     }
 
     #[test]
@@ -1017,31 +958,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn shrink_reaches_a_minimal_program() {
-        // The "violation": any workload with a closed class of > 16
-        // tokens fails.
-        let fails = |s: &WorkloadSpec| {
-            s.classes.iter().any(|c| matches!(c.shape, Shape::Closed { tokens, .. } if tokens > 16))
-        };
-        let spec = WorkloadSpec::parse(
-            5,
-            "open(poisson(10us),fixed(64),uniform,datagram);\
-             closed(640,0ns,fixed(32),uniform,datagram)",
-        )
-        .unwrap();
-        assert!(fails(&spec));
-        let min = shrink(&spec, fails);
-        assert!(fails(&min), "shrinking must preserve the violation");
-        assert_eq!(min.classes.len(), 1, "irrelevant classes removed: {}", min.spec());
-        match min.classes[0].shape {
-            Shape::Closed { tokens, .. } => {
-                assert!(tokens > 16 && tokens <= 32, "tokens weakened to the boundary: {tokens}")
-            }
-            ref s => panic!("wrong surviving class: {s:?}"),
         }
     }
 }
