@@ -66,7 +66,5 @@ pub mod prelude {
     };
     pub use crate::system::{LatencyReport, NectarSystem, ThroughputReport};
     pub use crate::topology::{Peer, Topology, TopologyBuilder, TopologyError};
-    pub use crate::world::{
-        AppSend, CabCounters, Delivery, Ev, SwitchingMode, SystemConfig, TimerSource, World,
-    };
+    pub use crate::world::{AppSend, CabCounters, Delivery, SwitchingMode, SystemConfig, World};
 }

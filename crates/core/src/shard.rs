@@ -520,7 +520,7 @@ impl ShardedWorld {
     }
 
     /// Whether host-time spans are being recorded.
-    pub(crate) fn profiling_enabled(&self) -> bool {
+    fn profiling_enabled(&self) -> bool {
         self.profs[0].is_enabled()
     }
 
@@ -537,7 +537,7 @@ impl ShardedWorld {
     /// (only the owning shard contributes nonzero weight): the input
     /// the scaling doctor uses to *name* the hot cluster behind a
     /// load-imbalance verdict.
-    pub(crate) fn cluster_weights(&self) -> Vec<u64> {
+    fn cluster_weights(&self) -> Vec<u64> {
         (0..self.topo.hub_count())
             .map(|h| self.worlds.iter().map(|w| w.cluster_weight(h)).sum())
             .collect()

@@ -108,7 +108,7 @@ pub enum QuiescenceOutcome {
 
 /// Which protocol armed a timer (to route the expiry back).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum TimerSource {
+pub(crate) enum TimerSource {
     /// The byte-stream to this peer CAB.
     Stream(usize),
     /// The request-response client.
@@ -117,7 +117,7 @@ pub enum TimerSource {
 
 /// A world event.
 #[derive(Clone, Debug)]
-pub enum Ev {
+pub(crate) enum Ev {
     /// An item's head reaches a HUB port.
     HubItem {
         /// HUB index.

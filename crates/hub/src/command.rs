@@ -68,36 +68,30 @@ pub enum UserOp {
 }
 
 impl UserOp {
-    /// Every user operation, for exhaustive tests.
-    pub(crate) const ALL: [UserOp; 18] = [
-        UserOp::Open { test: false, retry: false, reply: false },
-        UserOp::Open { test: false, retry: false, reply: true },
-        UserOp::Open { test: false, retry: true, reply: false },
-        UserOp::Open { test: false, retry: true, reply: true },
-        UserOp::Open { test: true, retry: false, reply: false },
-        UserOp::Open { test: true, retry: false, reply: true },
-        UserOp::Open { test: true, retry: true, reply: false },
-        UserOp::Open { test: true, retry: true, reply: true },
-        UserOp::Close,
-        UserOp::CloseInput,
-        UserOp::Lock { retry: false, reply: false },
-        UserOp::Lock { retry: false, reply: true },
-        UserOp::Lock { retry: true, reply: false },
-        UserOp::Lock { retry: true, reply: true },
-        UserOp::Unlock,
-        UserOp::QueryStatus,
-        UserOp::QueryReady,
-        UserOp::SetReady,
-        // Nop is encoded but excluded here to keep the array const-sized
-        // friendly; see `ALL_WITH_NOP`.
-    ];
-
-    /// [`UserOp::ALL`] plus the remaining operations.
+    /// Every user operation.
     pub fn all() -> Vec<UserOp> {
-        let mut v = UserOp::ALL.to_vec();
-        v.push(UserOp::ClearReady);
-        v.push(UserOp::Nop);
-        v
+        vec![
+            UserOp::Open { test: false, retry: false, reply: false },
+            UserOp::Open { test: false, retry: false, reply: true },
+            UserOp::Open { test: false, retry: true, reply: false },
+            UserOp::Open { test: false, retry: true, reply: true },
+            UserOp::Open { test: true, retry: false, reply: false },
+            UserOp::Open { test: true, retry: false, reply: true },
+            UserOp::Open { test: true, retry: true, reply: false },
+            UserOp::Open { test: true, retry: true, reply: true },
+            UserOp::Close,
+            UserOp::CloseInput,
+            UserOp::Lock { retry: false, reply: false },
+            UserOp::Lock { retry: false, reply: true },
+            UserOp::Lock { retry: true, reply: false },
+            UserOp::Lock { retry: true, reply: true },
+            UserOp::Unlock,
+            UserOp::QueryStatus,
+            UserOp::QueryReady,
+            UserOp::SetReady,
+            UserOp::ClearReady,
+            UserOp::Nop,
+        ]
     }
 
     fn opcode(self) -> u8 {
@@ -358,7 +352,7 @@ pub enum Reply {
         hub: HubId,
         /// Port queried.
         port: PortId,
-        /// Packed status bits (see [`crate::status::PortStatus::pack`]).
+        /// Packed status bits (see [`crate::status::PortStatus::unpack`]).
         bits: u8,
     },
     /// Answer to `read counters` (one counter per reply in this model).

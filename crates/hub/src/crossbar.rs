@@ -93,8 +93,8 @@ impl Crossbar {
     ///
     /// [`ConnectError::OutputBusy`] if another input drives `output`;
     /// [`ConnectError::SelfConnection`] if `input == output`;
-    /// [`ConnectError::PortOutOfRange`] for ids at or past
-    /// [`ports`](Crossbar::ports).
+    /// [`ConnectError::PortOutOfRange`] for ids at or past the crossbar
+    /// size.
     pub fn connect(&mut self, input: PortId, output: PortId) -> Result<(), ConnectError> {
         self.check(input)?;
         self.check(output)?;

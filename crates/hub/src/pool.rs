@@ -74,7 +74,7 @@ impl BufPool {
     }
 
     /// Returns an owned buffer to the pool (cleared, capacity kept).
-    pub(crate) fn recycle(&mut self, mut buf: Vec<u8>) {
+    fn recycle(&mut self, mut buf: Vec<u8>) {
         if self.free.len() < self.capacity {
             buf.clear();
             self.free.push(buf);

@@ -37,7 +37,8 @@ impl PortStatus {
             | (self.loopback as u8) << 4
     }
 
-    /// Unpacks a wire byte produced by [`pack`](PortStatus::pack).
+    /// Unpacks the wire byte of a status reply (bit 0 = connected, bit 1 =
+    /// locked, bit 2 = ready, bit 3 = enabled, bit 4 = loopback).
     /// Port identities of the driver/locker do not travel in the byte,
     /// so they come back as anonymous placeholders (`PortId::new(0)`).
     pub fn unpack(bits: u8) -> PortStatus {

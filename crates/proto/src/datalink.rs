@@ -159,7 +159,7 @@ impl Route {
         &self.store.opens[(2 * self.start + self.len) as usize..][..self.len as usize]
     }
 
-    /// [`circuit_opens`](Route::circuit_opens) as wire items.
+    /// The circuit prologue as wire items.
     pub fn circuit_open_items(&self) -> Vec<Item> {
         self.circuit_opens().iter().map(|&c| c.into()).collect()
     }

@@ -110,7 +110,7 @@ impl fmt::Display for IpError {
 impl std::error::Error for IpError {}
 
 /// The Internet header checksum (RFC 1071 ones'-complement sum).
-pub(crate) fn internet_checksum(data: &[u8]) -> u16 {
+fn internet_checksum(data: &[u8]) -> u16 {
     let mut sum: u32 = 0;
     let mut chunks = data.chunks_exact(2);
     for c in &mut chunks {

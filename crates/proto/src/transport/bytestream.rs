@@ -20,13 +20,13 @@ use std::sync::Arc;
 /// across u32 wraparound as long as the two numbers are within half the
 /// space of each other (the window is tiny by comparison).
 #[inline]
-pub(crate) fn seq_lt(a: u32, b: u32) -> bool {
+fn seq_lt(a: u32, b: u32) -> bool {
     a != b && b.wrapping_sub(a) < (1 << 31)
 }
 
 /// Serial `a <= b`; see [`seq_lt`].
 #[inline]
-pub(crate) fn seq_leq(a: u32, b: u32) -> bool {
+fn seq_leq(a: u32, b: u32) -> bool {
     b.wrapping_sub(a) < (1 << 31)
 }
 

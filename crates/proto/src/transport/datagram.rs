@@ -44,7 +44,7 @@ impl Datagram {
     }
 
     /// Largest datagram payload: one packet-switched packet.
-    pub(crate) const MAX_PAYLOAD: usize = MAX_FRAGMENT_PAYLOAD;
+    const MAX_PAYLOAD: usize = MAX_FRAGMENT_PAYLOAD;
 
     /// Sends `data` to `dst_mailbox` on `dst`; returns the message id.
     /// Appends a [`Action::Send`], or [`Action::Error`] if the payload

@@ -107,7 +107,7 @@ pub struct Breakdown {
 
 impl Breakdown {
     /// Time attributed to one segment.
-    pub(crate) fn segment(&self, s: Segment) -> Dur {
+    fn segment(&self, s: Segment) -> Dur {
         self.segs[s.index()]
     }
 

@@ -29,7 +29,7 @@ pub struct Flight {
     /// The packet id minted by the sending CAB.
     pub id: u64,
     /// This flight's events, in flight order: by timestamp, same-instant
-    /// ties by [`EventKind::canonical_key`].
+    /// ties by `EventKind::canonical_key`.
     pub events: Vec<TelemetryEvent>,
 }
 
@@ -53,7 +53,7 @@ pub(crate) fn sort_flight_events(events: &mut [TelemetryEvent]) {
 /// silent-drop detectors all need, gathered once instead of by a scan
 /// per question.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct FlightFacts {
+pub(crate) struct FlightFacts {
     /// Index (into [`Flight::events`]) and timestamp of the first
     /// `transport_send`.
     pub send: Option<(usize, Time)>,

@@ -48,7 +48,7 @@
 //! from a queue holding one `(quiet-since, flight)` entry per flight
 //! per batch, kept in time order — so which flights retire, and when,
 //! is a function of the batch's content, never of its internal order.
-//! On retirement one pass over the flight gathers its [`FlightFacts`];
+//! On retirement one pass over the flight gathers its `FlightFacts`;
 //! the breakdown feeds the [`CriticalPath`] histograms and the
 //! pathology folds ([`pathology::fold_storm`],
 //! [`pathology::fold_head_of_line`]), the event buffer is recycled, and

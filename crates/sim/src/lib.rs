@@ -21,7 +21,6 @@
 //!   pathology detection, post hoc and as a streaming fold.
 //! * [`chaos`] — seeded, replayable fault schedules (loss, bursts,
 //!   duplication, reordering, corruption, flaps, port failure).
-//! * [`spec`] — hardened shared parsing for the textual spec grammars.
 //! * [`workload`] — seeded, replayable traffic programs (open/closed
 //!   loops, arrival processes, size distributions, traffic matrices).
 //!
@@ -53,7 +52,7 @@ pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod rng;
-pub mod spec;
+mod spec;
 pub mod stats;
 pub mod telemetry;
 pub mod time;

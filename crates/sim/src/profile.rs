@@ -10,7 +10,7 @@
 //! Three layers:
 //!
 //! * [`Profiler`] — a per-thread ring of [`PhaseSpan`]s recorded
-//!   against a process-wide monotonic epoch ([`host_now_ns`]), plus
+//!   against a process-wide monotonic epoch (`host_now_ns`), plus
 //!   exact whole-run [`TrackTotals`] that outlive the ring. Same
 //!   zero-alloc discipline as the telemetry rings: one branch when
 //!   disabled, drop-oldest with a `dropped` counter when full.
@@ -41,12 +41,12 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 /// wall-clock). All profiler tracks share this epoch, so spans from
 /// different threads are directly comparable and exportable onto one
 /// trace timeline.
-pub(crate) fn host_now_ns() -> u64 {
+fn host_now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
 /// Number of [`Phase`] variants (array-index bound for breakdowns).
-pub(crate) const PHASES: usize = 6;
+const PHASES: usize = 6;
 
 /// A phase of the sharded runner's loop, the unit of host-time
 /// attribution. The first four happen once on every shard worker each
@@ -114,7 +114,7 @@ pub struct PhaseSpan {
     pub phase: Phase,
     /// The global window index the work belonged to.
     pub window: u64,
-    /// Start, in [`host_now_ns`] nanoseconds.
+    /// Start, in `host_now_ns` nanoseconds.
     pub start_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
@@ -124,7 +124,7 @@ pub struct PhaseSpan {
 /// per shard per window that covers ~32k windows before the oldest
 /// drop. Only straggler attribution and the Perfetto export read the
 /// ring; everything summed over the run comes from [`TrackTotals`].
-pub(crate) const DEFAULT_SPAN_CAPACITY: usize = 1 << 17;
+const DEFAULT_SPAN_CAPACITY: usize = 1 << 17;
 
 /// Exact whole-run accounting for one track: unlike the span ring it
 /// never evicts, so a run of any length keeps its true phase totals
@@ -135,7 +135,7 @@ pub struct TrackTotals {
     pub sum_ns: [u64; PHASES],
     /// Spans recorded per [`Phase`], indexed by [`Phase::index`].
     pub count: [u64; PHASES],
-    /// Start of the earliest span ever recorded, in [`host_now_ns`]
+    /// Start of the earliest span ever recorded, in `host_now_ns`
     /// nanoseconds (`u64::MAX` when none was).
     pub first_start_ns: u64,
     /// End of the latest span ever recorded (0 when none was).
@@ -248,7 +248,7 @@ impl Profiler {
     }
 
     /// Recorded spans, oldest first.
-    pub(crate) fn spans(&self) -> impl Iterator<Item = &PhaseSpan> {
+    fn spans(&self) -> impl Iterator<Item = &PhaseSpan> {
         self.ring.iter()
     }
 
@@ -258,7 +258,7 @@ impl Profiler {
     }
 
     /// Whole-run totals over every span ever recorded, evicted or not.
-    pub(crate) fn totals(&self) -> TrackTotals {
+    fn totals(&self) -> TrackTotals {
         self.totals
     }
 }
@@ -303,7 +303,7 @@ impl HostProfile {
 
     /// Wall time of the whole run: latest span end minus earliest
     /// span start over every span ever recorded, in nanoseconds.
-    pub(crate) fn wall_ns(&self) -> u64 {
+    fn wall_ns(&self) -> u64 {
         let lo = self.totals.iter().map(|t| t.first_start_ns).min().unwrap_or(u64::MAX);
         let hi = self.totals.iter().map(|t| t.last_end_ns).max().unwrap_or(0);
         hi.saturating_sub(lo)

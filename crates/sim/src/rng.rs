@@ -11,7 +11,7 @@
 //!
 //! let mut a = Rng::seed_from(42);
 //! let mut b = Rng::seed_from(42);
-//! assert_eq!(a.next_u64(), b.next_u64());
+//! assert_eq!(a.range(0..=u64::MAX), b.range(0..=u64::MAX));
 //! let dice = a.range(1..=6);
 //! assert!((1..=6).contains(&dice));
 //! ```
@@ -41,7 +41,7 @@ impl Rng {
     }
 
     /// The next 64 uniformly random bits.
-    pub(crate) fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];

@@ -74,7 +74,7 @@ pub(crate) fn parse_prob(s: &str) -> Result<f64, String> {
 /// Splits `s` on top-level commas — commas nested inside parentheses
 /// stay put, so `poisson(50us),fixed(32)` splits into two fields.
 /// Returns an empty list for an all-whitespace input.
-pub(crate) fn split_top(s: &str) -> Result<Vec<&str>, String> {
+fn split_top(s: &str) -> Result<Vec<&str>, String> {
     let mut out = Vec::new();
     let mut depth = 0usize;
     let mut start = 0usize;

@@ -13,7 +13,7 @@
 //! topology's clusters, all-reduce ring), and carries its traffic
 //! over one of the three transports.
 //!
-//! The same three properties chaos programs guarantee are contractual
+//! Two of the properties chaos programs guarantee are contractual
 //! here:
 //!
 //! * **Determinism** — every `(class, source CAB)` pair draws from its
@@ -22,11 +22,9 @@
 //!   interleaves *different* CABs differently but never reorders one
 //!   CAB's sequence, so it consumes identical streams and produces
 //!   bit-identical traffic.
-//! * **Replayability** — a spec round-trips through its textual
-//!   [`spec`](WorkloadSpec::spec) (the `--workload` grammar), and
-//!   [`WorkloadSpec::random`] regenerates bit-for-bit from a seed.
-//! * **Shrinkability** — [`shrink`] reduces a violating workload to a
-//!   locally minimal program while the violation persists.
+//! * **Replayability** — a spec round-trips through its textual form
+//!   (the `--workload` grammar), which is what `Display` prints next
+//!   to the seed.
 //!
 //! # Grammar
 //!
@@ -44,7 +42,7 @@
 //! ```
 //!
 //! Durations take `ns`/`us`/`ms`/`s` suffixes; probabilities must lie
-//! in `[0, 1]` (the hardened [`crate::spec`] helpers reject NaN,
+//! in `[0, 1]` (the hardened `crate::spec` helpers reject NaN,
 //! negatives, and overflow).
 //!
 //! # Examples
@@ -52,8 +50,9 @@
 //! ```
 //! use nectar_sim::workload::WorkloadSpec;
 //!
-//! let spec = WorkloadSpec::parse(7, "closed(8,0ns,fixed(64),ring,datagram)[0ns..1ms]").unwrap();
-//! assert_eq!(WorkloadSpec::parse(7, &spec.spec()).unwrap(), spec);
+//! let text = "closed(8,0ns,fixed(64),ring,datagram)[0ns..1ms]";
+//! let spec = WorkloadSpec::parse(7, text).unwrap();
+//! assert_eq!(spec.to_string(), format!("seed=7 {text}"));
 //! ```
 
 use crate::rng::Rng;
@@ -65,14 +64,14 @@ use std::fmt;
 /// Largest flow the grammar accepts, in bytes. Wire headers carry a
 /// `u16` payload length; staying under it keeps every flow a single
 /// datagram-transport message.
-pub(crate) const MAX_FLOW_BYTES: u32 = 60_000;
+const MAX_FLOW_BYTES: u32 = 60_000;
 
 /// Most token population a single closed class may give one source.
-pub(crate) const MAX_TOKENS: u32 = 65_536;
+const MAX_TOKENS: u32 = 65_536;
 
 /// Most classes one spec may hold (bounds the mailbox id range the
 /// world reserves for workload traffic).
-pub(crate) const MAX_CLASSES: usize = 256;
+const MAX_CLASSES: usize = 256;
 
 /// Which transport a class drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -300,7 +299,7 @@ impl WorkloadSpec {
         parts.join(";")
     }
 
-    /// Parses the [`spec`](WorkloadSpec::spec) grammar. The seed
+    /// Parses the `--workload` grammar (see the module docs). The seed
     /// travels separately (like `--chaos-seed` for fault programs).
     pub fn parse(seed: u64, spec: &str) -> Result<WorkloadSpec, String> {
         let mut out = WorkloadSpec::new(seed);
@@ -560,7 +559,6 @@ struct ClassState {
 /// CAB's next flow and arrival delay.
 #[derive(Clone, Debug)]
 pub struct WorkloadGen {
-    spec: WorkloadSpec,
     classes: Vec<ClassState>,
     /// `cluster_of[cab]` = the CAB's HUB cluster (for `neighbor`).
     cluster_of: Vec<u16>,
@@ -591,12 +589,7 @@ impl WorkloadGen {
                 streams: HashMap::new(),
             })
             .collect();
-        Ok(WorkloadGen { spec, classes, cluster_of })
-    }
-
-    /// The spec this generator was compiled from (for replay lines).
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
+        Ok(WorkloadGen { classes, cluster_of })
     }
 
     /// Number of classes.
