@@ -19,9 +19,9 @@
 //!   no workload here runs code that could fault, so it cannot change
 //!   a result.
 //! * **The 1 MB data-RAM allocator.** No workload exhausts the data
-//!   RAM; packet buffers come from the per-CAB `BufPool` of
-//!   `nectar-hub` and mailbox capacity is a constant of
-//!   `nectar-kernel`.
+//!   RAM, so an allocator would decide nothing; packet buffers come
+//!   from the per-CAB `BufPool` of `nectar-hub` and mailbox capacity is
+//!   a field of `nectar-core`'s `SystemConfig`.
 //!
 //! Hardware timers are not a unit of their own either: a time-out is
 //! an engine event that `nectar-core` keys per CAB, and its expiry

@@ -1,6 +1,7 @@
-//! An allocation budget for the datagram path: heap allocations per
-//! delivered message, counted by a wrapping global allocator. The run
-//! is deterministic, so the figure is a gate, not a benchmark.
+//! Allocation budgets, counted by a wrapping global allocator: heap
+//! allocations per CAB to construct a world, and per delivered message
+//! on the datagram path. The run is deterministic, so the figures are
+//! gates, not benchmarks.
 //!
 //! This file holds the only test of its binary on purpose: the counter
 //! is process-wide, and a second test running on another thread would
@@ -56,13 +57,32 @@ static GLOBAL: Counting = Counting;
 /// per-packet copy or item list to come back.
 const BUDGET_PER_DELIVERY: f64 = 8.0;
 
+/// Heap allocations `World::new` may make per CAB on the test's world
+/// (16 CABs on 4 HUBs; the HUBs' and the world's own tables are in the
+/// figure). Measured: 80 in all, 5.0 per CAB. The parent of the change
+/// that introduced this gate made 112: each board also built a
+/// data-RAM extent list and a protection-table row vector that no run
+/// read. Construction is what the benchmark's `setup_s` times, so this
+/// keeps per-board state from creeping back in.
+const CONSTRUCTION_BUDGET_PER_CAB: f64 = 5.0;
+
 #[test]
 fn a_delivered_datagram_stays_within_its_allocation_budget() {
     // `spike` in small: 40 standing closed-loop flows per CAB, uniform
     // destinations, 32-byte datagrams, on a 2x2 mesh of 4-CAB clusters.
     let spec = WorkloadSpec::parse(1, "closed(40,0ns,fixed(32),uniform,datagram)[0ns..6ms]")
         .expect("the program parses");
-    let mut world = World::new(Topology::mesh2d(2, 2, 4, 16), SystemConfig::default());
+    let (topo, cfg) = (Topology::mesh2d(2, 2, 4, 16), SystemConfig::default());
+    let cabs = topo.cab_count();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut world = World::new(topo, cfg);
+    let construction = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let per_cab = construction as f64 / cabs as f64;
+    println!("World::new: {construction} allocations / {cabs} CABs = {per_cab:.2}");
+    assert!(
+        per_cab <= CONSTRUCTION_BUDGET_PER_CAB,
+        "{per_cab:.2} heap allocations per CAB in World::new (budget {CONSTRUCTION_BUDGET_PER_CAB})"
+    );
     world.set_workload(&spec).expect("the program compiles on the mesh");
 
     // Warm-up: pools fill, queues and scratch vectors reach their size.

@@ -51,7 +51,7 @@ pub struct BufPool {
 
 impl BufPool {
     /// A pool retaining at most `capacity` idle buffers.
-    pub(crate) fn new(capacity: usize) -> BufPool {
+    fn new(capacity: usize) -> BufPool {
         BufPool {
             free: Vec::with_capacity(capacity.min(1024)),
             capacity,

@@ -516,7 +516,7 @@ impl ChaosInjector {
     /// and the component id — adding a clause never perturbs the draws
     /// of the others, and traffic on one component never perturbs the
     /// draws made for another (the property sharded execution needs).
-    pub(crate) fn new(schedule: ChaosSchedule) -> ChaosInjector {
+    fn new(schedule: ChaosSchedule) -> ChaosInjector {
         let states = schedule
             .clauses
             .iter()
@@ -747,20 +747,23 @@ fn weaken(fault: &Fault) -> Option<Fault> {
 mod tests {
     use super::*;
 
+    fn hub_port(hub: u8, port: u8) -> ChaosTarget {
+        ChaosTarget::HubPort { hub, port }
+    }
+
+    /// `fault` scoped to `target`, for all time.
+    fn at(target: ChaosTarget, fault: Fault) -> Clause {
+        Clause { target, ..Clause::new(fault) }
+    }
+
     #[test]
     fn spec_roundtrips_every_clause_kind() {
         let sched = ChaosSchedule::new(9)
             .with(Clause::new(Fault::Loss { rate: 0.05 }))
-            .with(Clause {
-                target: ChaosTarget::Cab(2),
-                ..Clause::new(Fault::Burst { loss: 0.5, p_bad: 0.01, p_recover: 0.25 })
-            })
+            .with(at(ChaosTarget::Cab(2), Fault::Burst { loss: 0.5, p_bad: 0.01, p_recover: 0.25 }))
             .with(Clause::new(Fault::Duplicate { rate: 0.02 }))
             .with(Clause::new(Fault::Reorder { rate: 0.1, max_delay: Dur::from_micros(50) }))
-            .with(Clause {
-                target: ChaosTarget::Cab(0),
-                ..Clause::new(Fault::Corrupt { rate: 0.01 })
-            })
+            .with(at(ChaosTarget::Cab(0), Fault::Corrupt { rate: 0.01 }))
             .with(Clause {
                 from: Time::from_millis(1),
                 until: Time::from_millis(4),
@@ -769,15 +772,8 @@ mod tests {
                     up: Dur::from_micros(800),
                 })
             })
-            .with(Clause {
-                target: ChaosTarget::HubPort { hub: 0, port: 1 },
-                ..Clause::new(Fault::CommandLoss { rate: 0.03 })
-            })
-            .with(Clause {
-                target: ChaosTarget::HubPort { hub: 1, port: 3 },
-                until: Time::from_micros(1500),
-                ..Clause::new(Fault::PortFail)
-            });
+            .with(at(hub_port(0, 1), Fault::CommandLoss { rate: 0.03 }))
+            .with(Clause { until: Time::from_micros(1500), ..at(hub_port(1, 3), Fault::PortFail) });
         let spec = sched.spec();
         let back = ChaosSchedule::parse(9, &spec).expect("parse");
         assert_eq!(back, sched, "spec `{spec}` did not round-trip");
@@ -865,10 +861,9 @@ mod tests {
     #[test]
     fn windows_and_targets_scope_clauses() {
         let sched = ChaosSchedule::new(3).with(Clause {
-            target: ChaosTarget::Cab(1),
             from: Time::from_micros(10),
             until: Time::from_micros(20),
-            ..Clause::new(Fault::Loss { rate: 1.0 })
+            ..at(ChaosTarget::Cab(1), Fault::Loss { rate: 1.0 })
         });
         let mut inj = sched.compile();
         assert!(!inj.on_cab_packet(Time::from_micros(15), 0, 64).drop, "other cab untouched");
@@ -880,14 +875,8 @@ mod tests {
     #[test]
     fn port_fail_and_command_loss_hit_hub_items() {
         let sched = ChaosSchedule::new(4)
-            .with(Clause {
-                target: ChaosTarget::HubPort { hub: 0, port: 2 },
-                ..Clause::new(Fault::PortFail)
-            })
-            .with(Clause {
-                target: ChaosTarget::HubPort { hub: 1, port: 0 },
-                ..Clause::new(Fault::CommandLoss { rate: 1.0 })
-            });
+            .with(at(hub_port(0, 2), Fault::PortFail))
+            .with(at(hub_port(1, 0), Fault::CommandLoss { rate: 1.0 }));
         let mut inj = sched.compile();
         assert!(inj.on_hub_item(Time::ZERO, 0, 2, false, true), "dead port eats packets");
         assert!(inj.on_hub_item(Time::ZERO, 0, 2, true, true), "dead port eats commands");
@@ -905,10 +894,7 @@ mod tests {
         // targeted portfail still does.
         let sched = ChaosSchedule::new(5)
             .with(Clause::new(Fault::Flap { down: Dur::from_millis(1), up: Dur::from_micros(1) }))
-            .with(Clause {
-                target: ChaosTarget::HubPort { hub: 2, port: 7 },
-                ..Clause::new(Fault::PortFail)
-            });
+            .with(at(hub_port(2, 7), Fault::PortFail));
         let mut inj = sched.compile();
         assert!(inj.on_hub_item(Time::ZERO, 0, 1, false, true), "flap hits edge ports");
         assert!(!inj.on_hub_item(Time::ZERO, 0, 1, false, false), "flap spares trunks");

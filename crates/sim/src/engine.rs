@@ -72,8 +72,8 @@
 //! lies in `[bucket(now), bucket(now) + 4096)` and every heap entry's
 //! at or beyond `bucket(now) + 4096`. Each clock advance
 //! ([`step`](Engine::step), [`step_batch`](Engine::step_batch),
-//! [`advance_to`](Engine::advance_to))
-//! moves the heap entries the window has reached into the wheel. So
+//! [`advance_to`](Engine::advance_to)) moves the heap entries the
+//! window has reached into the wheel. So
 //! whenever the wheel holds a live event the global minimum is in the
 //! wheel, and the heap root is consulted only when the wheel is empty.
 //!

@@ -17,9 +17,9 @@
 //! the format; `displayTimeUnit` is `"ns"`.
 //!
 //! Given a host-time [`HostProfile`](crate::profile::HostProfile), it
-//! additionally renders that into the same document
-//! under its own process ([`HOST_PID`]): one track per shard worker
-//! plus one for the runner's main thread, phase slices named after
+//! additionally renders that into the same document under its own
+//! process ([`HOST_PID`]): one track per shard worker plus one for the
+//! runner's main thread, phase slices named after
 //! [`Phase::label`](crate::profile::Phase::label), and per-window
 //! instant markers on a dedicated track. Simulated-time and host-time
 //! tracks share one file but not one timebase — the simulated tracks
@@ -454,11 +454,10 @@ mod tests {
     #[test]
     fn host_profile_composes_with_simulated_tracks() {
         use crate::profile::{HostProfile, Phase, Profiler};
-        let mut profs = [(); 3].map(|()| {
-            let mut p = Profiler::disabled();
+        let mut profs = [Profiler::disabled(), Profiler::disabled(), Profiler::disabled()];
+        for p in &mut profs {
             p.set_enabled(true);
-            p
-        });
+        }
         profs[0].end_with(Phase::Step, 0, 1000, 900);
         profs[0].end_with(Phase::BarrierWait, 0, 1900, 100);
         profs[0].end_with(Phase::Step, 1, 2000, 800);

@@ -195,7 +195,7 @@ impl Histogram {
 
     /// Serialises summary statistics (not raw buckets) as one JSON
     /// object.
-    pub(crate) fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         format!(
             "{{\"count\": {}, \"min\": {}, \"max\": {}, \"mean\": {:.1}, \
              \"p50\": {:.1}, \"p90\": {:.1}, \"p99\": {:.1}}}",

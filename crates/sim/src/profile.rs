@@ -253,7 +253,7 @@ impl Profiler {
     }
 
     /// Spans lost to ring overflow (oldest evicted first).
-    pub(crate) fn dropped(&self) -> u64 {
+    fn dropped(&self) -> u64 {
         self.dropped
     }
 

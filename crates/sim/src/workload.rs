@@ -241,12 +241,7 @@ pub struct ClassSpec {
 
 impl ClassSpec {
     /// An always-on class.
-    pub(crate) fn new(
-        shape: Shape,
-        size: SizeDist,
-        matrix: Matrix,
-        transport: Transport,
-    ) -> ClassSpec {
+    fn new(shape: Shape, size: SizeDist, matrix: Matrix, transport: Transport) -> ClassSpec {
         ClassSpec { shape, size, matrix, transport, from: Time::ZERO, until: Time::MAX }
     }
 }
@@ -288,13 +283,13 @@ pub struct WorkloadSpec {
 
 impl WorkloadSpec {
     /// An empty program under `seed`.
-    pub(crate) fn new(seed: u64) -> WorkloadSpec {
+    fn new(seed: u64) -> WorkloadSpec {
         WorkloadSpec { seed, classes: Vec::new() }
     }
 
     /// The textual form (the `--workload` grammar): classes joined by
     /// `;`. Round-trips exactly through [`parse`](WorkloadSpec::parse).
-    pub(crate) fn spec(&self) -> String {
+    fn spec(&self) -> String {
         let parts: Vec<String> = self.classes.iter().map(|c| c.to_string()).collect();
         parts.join(";")
     }

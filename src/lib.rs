@@ -11,9 +11,10 @@
 //! * [`sim`] — discrete-event engine, time/bandwidth units, statistics.
 //! * [`hub`] — the HUB: 16×16 crossbar, central controller, datalink
 //!   command set, ready-bit flow control.
-//! * [`cab`] — the CAB: DMA controller, memories, protection domains,
-//!   checksum and timer units.
-//! * [`kernel`] — the CAB software kernel: threads, mailboxes, timers.
+//! * [`cab`] — the CAB hardware that costs simulated time: cost
+//!   constants, DMA controller, checksum unit, fiber queues.
+//! * [`kernel`] — the CAB software kernel: threads, mailboxes, the node
+//!   service proxy.
 //! * [`proto`] — datalink and transport protocols (datagram,
 //!   byte-stream, request-response).
 //! * [`core`] — system integration: topologies, routing, node model,
