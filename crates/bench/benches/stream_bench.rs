@@ -8,8 +8,8 @@
 //! recorder rings rather than a sorted sequence:
 //!
 //! * **spike** — 20,480 same-instant 32-byte datagram flows: every
-//!   flight is open at once, the retirement queue and the per-flight
-//!   buffers carry the cost.
+//!   flight is open at once, the per-flight accumulators and the
+//!   retirement queue carry the cost.
 //! * **lattice** — neighbour datagrams plus ring byte-streams: few
 //!   flights in flight, acks and stream slots exercise the residue
 //!   tables.

@@ -445,8 +445,8 @@ pub struct ShardedWorld {
 /// fold on the main thread at epoch boundaries, where the global
 /// minimum next-event time bounds which events are final.
 struct ShardStream {
-    /// The fold; `pending` holds events stamped at or after the global
-    /// minimum next event time.
+    /// The fold; its `pending` holds events stamped at or after the
+    /// global minimum next event time.
     state: StreamState,
     /// Epoch budget cap in windows: folds must happen often enough
     /// that no per-shard ring fills between them.
@@ -664,14 +664,14 @@ impl ShardedWorld {
         let window = self.runtime.windows;
         let t0 = self.profs[main].begin();
         for w in &mut self.worlds {
-            w.take_spill(&mut st.state.pending);
+            w.take_spill(&mut st.state.batch);
         }
         let boundary = if finish {
             None
         } else {
             self.worlds.iter().filter_map(|w| w.next_event_time()).min()
         };
-        st.state.release(boundary);
+        st.state.settle(boundary);
         self.profs[main].end(Phase::TelemetryDrain, window, t0);
         let t0 = self.profs[main].begin();
         st.state.doctor.ingest(&mut st.state.batch);
@@ -881,7 +881,7 @@ impl ShardedWorld {
             );
             if let Some(st) = &mut self.stream {
                 for spill in &mut spills {
-                    st.state.pending.append(spill);
+                    st.state.batch.append(spill);
                 }
             }
             total_events += results.iter().map(|r| r.events).sum::<u64>();

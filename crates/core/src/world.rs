@@ -626,10 +626,11 @@ enum TelemetrySink {
 /// with the sharded runner.
 pub(crate) struct StreamState {
     pub(crate) doctor: StreamingDoctor,
-    /// Drained events held back from the fold (stamped past the
-    /// release boundary — record sites may stamp into the future), in
-    /// the order they were drained.
-    pub(crate) pending: Vec<TelemetryEvent>,
+    /// Drained events held back from the fold (stamped at or past the
+    /// release boundary — record sites may stamp into the future): one
+    /// run per drain that held any back, each sorted latest first, so a
+    /// release takes from the run tails and never looks at what stays.
+    pending: Vec<Vec<TelemetryEvent>>,
     /// Scratch batch handed to the doctor each fold.
     pub(crate) batch: Vec<TelemetryEvent>,
 }
@@ -655,23 +656,35 @@ impl StreamState {
         StreamState { doctor: StreamingDoctor::new(cfg), pending: Vec::new(), batch: Vec::new() }
     }
 
-    /// Moves every pending event stamped strictly before `boundary`
-    /// (all of them when `None`) into the batch, in one pass that keeps
-    /// the drain order of what it moves and of what it holds back.
-    pub(crate) fn release(&mut self, boundary: Option<Time>) {
-        match boundary {
-            None => self.batch.append(&mut self.pending),
-            Some(boundary) => {
-                let batch = &mut self.batch;
-                self.pending.retain(|ev| {
-                    let held = ev.at >= boundary;
-                    if !held {
-                        batch.push(*ev);
-                    }
-                    held
-                });
+    /// Leaves in the batch exactly the drained events stamped before
+    /// `boundary` (all of them when `None`): holds the later ones back as
+    /// a new pending run, and adds the pending events `boundary` has
+    /// made final.
+    pub(crate) fn settle(&mut self, boundary: Option<Time>) {
+        if let Some(b) = boundary {
+            let mut run = Vec::new();
+            self.batch.retain(|ev| {
+                let final_now = ev.at < b;
+                if !final_now {
+                    run.push(*ev);
+                }
+                final_now
+            });
+            if !run.is_empty() {
+                run.sort_unstable_by_key(|ev| std::cmp::Reverse(ev.at));
+                self.pending.push(run);
             }
         }
+        for run in &mut self.pending {
+            while let Some(ev) = run.last() {
+                if boundary.is_some_and(|b| ev.at >= b) {
+                    break;
+                }
+                self.batch.push(*ev);
+                run.pop();
+            }
+        }
+        self.pending.retain(|run| !run.is_empty());
     }
 }
 
@@ -921,17 +934,18 @@ impl World {
     /// still records at the clock's instant — never earlier, because
     /// every record site stamps at-or-after its processing instant — so
     /// the fold's watermark stops at the clock and no later batch
-    /// reaches back before it; events stamped into the future wait in
-    /// `pending`. (The next event time is not the boundary: with the
-    /// batch popped it lies past events this instant has yet to
-    /// record.) With `finish` the boundary is lifted and everything
+    /// reaches back before it. Each ring event is copied once, into the
+    /// batch; the few stamped into the future move on into `pending` to
+    /// wait for a later drain. (The next event time is not the boundary:
+    /// with the batch popped it lies past events this instant has yet
+    /// to record.) With `finish` the boundary is lifted and everything
     /// pending folds.
     fn drain_sink(&mut self, finish: bool) {
         match std::mem::replace(&mut self.sink, TelemetrySink::Rings) {
             TelemetrySink::Rings => {}
             TelemetrySink::Fold(mut st) => {
-                self.drain_telemetry_into(&mut st.pending);
-                st.release((!finish).then(|| just_after(self.now())));
+                self.drain_telemetry_into(&mut st.batch);
+                st.settle((!finish).then(|| just_after(self.now())));
                 st.doctor.ingest(&mut st.batch);
                 self.sink = TelemetrySink::Fold(st);
             }

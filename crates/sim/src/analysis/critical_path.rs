@@ -11,7 +11,7 @@
 
 use super::flights::{Flight, FlightFacts, FlightTable};
 use crate::metrics::Histogram;
-use crate::telemetry::EventKind;
+use crate::telemetry::{EventKind, TelemetryEvent};
 use crate::time::{Dur, Time};
 use std::fmt::Write as _;
 
@@ -138,7 +138,9 @@ pub(crate) fn breakdown_with(
     if facts.malformed() || facts.recvs != 1 || !facts.is_data() {
         return None;
     }
-    let (start, send_at) = facts.send?;
+    let (send_at, _) = facts.send()?;
+    let start =
+        flight.events.iter().position(|e| matches!(e.kind, EventKind::TransportSend { .. }))?;
     let origin = first_send.unwrap_or(send_at).min(send_at);
     let mut segs = [Dur::ZERO; Segment::ALL.len()];
     segs[Segment::Retransmit.index()] = send_at - origin;
@@ -151,6 +153,78 @@ pub(crate) fn breakdown_with(
         }
     }
     Some(Breakdown { flight: flight.id, total: prev - origin, segs })
+}
+
+/// The [`breakdown_with`] walk run one event at a time, for a fold that
+/// keeps no events: fed a flight's events in flight order, it charges
+/// each gap after the first `transport_send` up to and including the
+/// first `app_recv`, and holds nothing else.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct PathFold {
+    walk: Walk,
+    /// Time of the latest walked event.
+    prev: Time,
+    /// The segments between [`Segment::Retransmit`], charged once at
+    /// the end, and [`Segment::Other`], which is what the walk's span
+    /// leaves over: the gaps telescope.
+    segs: [Dur; Segment::ALL.len() - 2],
+}
+
+const _: () = assert!(Segment::Retransmit.index() == 0 && Segment::Other.index() == 6);
+
+/// Where a [`PathFold`] is along its flight.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Walk {
+    #[default]
+    BeforeSend,
+    Walking,
+    Done,
+}
+
+impl PathFold {
+    /// Walks the flight's next event in flight order.
+    pub(crate) fn step(&mut self, ev: &TelemetryEvent) {
+        match self.walk {
+            Walk::Done => {}
+            Walk::BeforeSend => {
+                if matches!(ev.kind, EventKind::TransportSend { .. }) {
+                    self.walk = Walk::Walking;
+                    self.prev = ev.at;
+                }
+            }
+            Walk::Walking => {
+                let seg = Segment::for_gap_ending_in(&ev.kind);
+                if seg != Segment::Other {
+                    self.segs[seg.index() - 1] += ev.at.saturating_since(self.prev);
+                }
+                self.prev = self.prev.max(ev.at);
+                if matches!(ev.kind, EventKind::AppRecv { .. }) {
+                    self.walk = Walk::Done;
+                }
+            }
+        }
+    }
+
+    /// The breakdown [`breakdown_with`] gives over the same events.
+    pub(crate) fn breakdown(
+        &self,
+        flight: u64,
+        facts: &FlightFacts,
+        first_send: Option<Time>,
+    ) -> Option<Breakdown> {
+        if facts.malformed() || facts.recvs != 1 || !facts.is_data() {
+            return None;
+        }
+        let (send_at, _) = facts.send()?;
+        if self.walk == Walk::BeforeSend {
+            return None;
+        }
+        let origin = first_send.unwrap_or(send_at).min(send_at);
+        let mut segs = [send_at - origin; Segment::ALL.len()];
+        segs[1..6].copy_from_slice(&self.segs);
+        segs[6] = (self.prev - send_at) - self.segs.iter().copied().sum();
+        Some(Breakdown { flight, total: self.prev - origin, segs })
+    }
 }
 
 /// Per-segment latency distributions over every attributable flight in
@@ -171,7 +245,7 @@ impl CriticalPath {
         let mut cp = CriticalPath::default();
         for f in table.flights() {
             let facts = f.facts();
-            let first = facts.slot.and_then(|k| table.first_send_of(k));
+            let first = facts.slot().and_then(|k| table.first_send_of(k));
             match breakdown_with(f, &facts, first) {
                 Some(b) => cp.add(&b),
                 None => cp.skipped += 1,

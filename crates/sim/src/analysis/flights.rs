@@ -48,17 +48,14 @@ pub(crate) fn sort_flight_events(events: &mut [TelemetryEvent]) {
     events.sort_by(flight_order);
 }
 
-/// What one pass over a flight's ordered events establishes: the facts
-/// the critical-path breakdown and the storm, head-of-line and
-/// silent-drop detectors all need, gathered once instead of by a scan
-/// per question.
+/// What one pass over a flight's events establishes: the facts the
+/// critical-path breakdown and the storm, head-of-line and silent-drop
+/// detectors all need, gathered once instead of by a scan per question.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct FlightFacts {
-    /// Index (into [`Flight::events`]) and timestamp of the first
-    /// `transport_send`.
-    pub send: Option<(usize, Time)>,
-    /// The `(cab, peer, seq)` slot of that send.
-    pub slot: Option<StreamKey>,
+    /// Timestamp and `(cab, peer, seq)` slot of the first
+    /// `transport_send` in flight order; see [`send`](FlightFacts::send).
+    first_send: (Time, StreamKey),
     /// Payload bytes of that send (0 for control packets).
     pub payload_bytes: u32,
     /// `true` when that send was a retransmission.
@@ -70,9 +67,19 @@ pub(crate) struct FlightFacts {
 }
 
 impl FlightFacts {
+    /// Timestamp and slot of the first send, if the flight has one.
+    pub(crate) fn send(&self) -> Option<(Time, StreamKey)> {
+        (self.sends > 0).then_some(self.first_send)
+    }
+
+    /// The slot of the first send.
+    pub(crate) fn slot(&self) -> Option<StreamKey> {
+        self.send().map(|(_, k)| k)
+    }
+
     /// See [`Flight::is_data`].
     pub(crate) fn is_data(&self) -> bool {
-        self.send.is_some() && self.payload_bytes > 0
+        self.sends > 0 && self.payload_bytes > 0
     }
 
     /// A flight should have exactly one `transport_send`. More than one
@@ -96,7 +103,42 @@ impl FlightFacts {
         if !self.is_data() || self.delivered() || self.malformed() {
             return None;
         }
-        Some((self.slot?, self.send?.1))
+        self.send().map(|(at, k)| (k, at))
+    }
+
+    /// Folds one event of the flight into the facts, in *any* order:
+    /// the counts are sums, and the send fields follow whichever
+    /// `transport_send` seen so far comes first in flight order.
+    pub(crate) fn observe(&mut self, ev: &TelemetryEvent) {
+        match ev.kind {
+            EventKind::TransportSend { cab, peer, seq, bytes, retransmit } => {
+                let first = match self.send() {
+                    Some((at, (cab, peer, seq))) => {
+                        let held = TelemetryEvent {
+                            at,
+                            flight: ev.flight,
+                            kind: EventKind::TransportSend {
+                                cab,
+                                peer,
+                                seq,
+                                bytes: self.payload_bytes,
+                                retransmit: self.retransmit,
+                            },
+                        };
+                        flight_order(ev, &held) == Ordering::Less
+                    }
+                    None => true,
+                };
+                self.sends += 1;
+                if first {
+                    self.first_send = (ev.at, (cab, peer, seq));
+                    self.payload_bytes = bytes;
+                    self.retransmit = retransmit;
+                }
+            }
+            EventKind::AppRecv { .. } => self.recvs += 1,
+            _ => {}
+        }
     }
 }
 
@@ -104,20 +146,8 @@ impl Flight {
     /// Gathers the flight's [`FlightFacts`] in one pass.
     pub(crate) fn facts(&self) -> FlightFacts {
         let mut facts = FlightFacts::default();
-        for (i, e) in self.events.iter().enumerate() {
-            match e.kind {
-                EventKind::TransportSend { cab, peer, seq, bytes, retransmit } => {
-                    facts.sends += 1;
-                    if facts.send.is_none() {
-                        facts.send = Some((i, e.at));
-                        facts.slot = Some((cab, peer, seq));
-                        facts.payload_bytes = bytes;
-                        facts.retransmit = retransmit;
-                    }
-                }
-                EventKind::AppRecv { .. } => facts.recvs += 1,
-                _ => {}
-            }
+        for e in &self.events {
+            facts.observe(e);
         }
         facts
     }

@@ -20,9 +20,10 @@
 //!
 //! [`diagnose`] is the front door: events + metrics in, a rendered
 //! [`DoctorReport`] out. When the telemetry ring overflowed during
-//! capture (`telemetry.dropped_events > 0`), every finding is
-//! downgraded to non-confident and the report says so — analyses over
-//! truncated data must not assert.
+//! capture (`telemetry.dropped_events > 0`) — or a streaming fold
+//! diverged from the capture — every finding is downgraded to
+//! non-confident and the report names the reason: analyses over
+//! partial data must not assert.
 
 pub mod critical_path;
 pub mod flights;
@@ -44,9 +45,13 @@ pub struct DoctorReport {
     /// Telemetry events lost to ring overflow during the capture
     /// (from the `telemetry.dropped_events` counter).
     pub dropped_events: u64,
-    /// `false` when `dropped_events > 0`: the capture is truncated and
-    /// every finding below is marked suspect.
+    /// `false` when any caveat applies: every finding below is then
+    /// marked suspect.
     pub confident: bool,
+    /// Why the analysis may not cover the whole capture, one line per
+    /// cause: a truncated ring, or a streaming fold that diverged from
+    /// the capture. Empty when the report is confident.
+    pub caveats: Vec<String>,
     /// Per-segment latency attribution.
     pub critical_path: CriticalPath,
     /// Detected pathologies, most severe first.
@@ -54,17 +59,38 @@ pub struct DoctorReport {
 }
 
 impl DoctorReport {
-    /// Renders the report: the "where did the time go" table followed
-    /// by the findings (or a clean bill of health).
+    /// Assembles a report. A ring overflow recorded in `metrics` is a
+    /// caveat too; any caveat marks the report and every finding
+    /// non-confident.
+    pub(crate) fn new(
+        flights: u64,
+        metrics: Option<&MetricsRegistry>,
+        mut caveats: Vec<String>,
+        critical_path: CriticalPath,
+        mut findings: Vec<Finding>,
+    ) -> DoctorReport {
+        let dropped_events = metrics.map_or(0, |m| m.counter("telemetry.dropped_events"));
+        if dropped_events > 0 {
+            caveats.insert(
+                0,
+                format!("telemetry ring dropped {dropped_events} events — capture truncated"),
+            );
+        }
+        let confident = caveats.is_empty();
+        if !confident {
+            for f in &mut findings {
+                f.confident = false;
+            }
+        }
+        DoctorReport { flights, dropped_events, confident, caveats, critical_path, findings }
+    }
+
+    /// Renders the report: the caveats, the "where did the time go"
+    /// table, then the findings (or a clean bill of health).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        if !self.confident {
-            let _ = writeln!(
-                out,
-                "  !! telemetry ring dropped {} events — capture truncated, \
-                 findings are suspect",
-                self.dropped_events
-            );
+        for caveat in &self.caveats {
+            let _ = writeln!(out, "  !! {caveat}, findings are suspect");
         }
         out.push_str(&self.critical_path.render());
         if self.findings.is_empty() {
@@ -94,15 +120,8 @@ pub fn diagnose_with(
 ) -> DoctorReport {
     let table = FlightTable::from_events(events);
     let critical_path = CriticalPath::from_table(&table);
-    let mut findings = pathology::detect(&table, metrics, cfg);
-    let dropped_events = metrics.map_or(0, |m| m.counter("telemetry.dropped_events"));
-    let confident = dropped_events == 0;
-    if !confident {
-        for f in &mut findings {
-            f.confident = false;
-        }
-    }
-    DoctorReport { flights: table.len() as u64, dropped_events, confident, critical_path, findings }
+    let findings = pathology::detect(&table, metrics, cfg);
+    DoctorReport::new(table.len() as u64, metrics, Vec::new(), critical_path, findings)
 }
 
 #[cfg(test)]

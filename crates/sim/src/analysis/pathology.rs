@@ -6,12 +6,12 @@
 //! Every detector emits a typed [`Finding`] carrying its evidence:
 //! which flights, which port, which time window. Findings are
 //! *downgraded* (`confident: false`) when the capture is known to be
-//! truncated (telemetry ring overflow), so analyses over partial data
-//! say so instead of asserting.
+//! incomplete (telemetry ring overflow, a streaming fold that diverged
+//! from it), so analyses over partial data say so instead of asserting.
 
 use super::flights::{Flight, FlightFacts, FlightTable};
 use crate::metrics::MetricsRegistry;
-use crate::telemetry::EventKind;
+use crate::telemetry::{EventKind, TelemetryEvent};
 use crate::time::{Dur, Time};
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -44,8 +44,9 @@ pub struct Finding {
     pub detector: &'static str,
     /// How bad it is.
     pub severity: Severity,
-    /// `false` when the telemetry ring overflowed during capture, so
-    /// the evidence may be incomplete.
+    /// `false` when the report carries a caveat (a ring overflow, a
+    /// streaming fold that diverged from the capture), so the evidence
+    /// may be incomplete.
     pub confident: bool,
     /// What happened, in one sentence, with the numbers.
     pub summary: String,
@@ -69,7 +70,7 @@ impl fmt::Display for Finding {
             write!(f, " flights {:?}", self.flights)?;
         }
         if !self.confident {
-            write!(f, " [suspect: ring overflowed]")?;
+            write!(f, " [suspect: see the report's caveats]")?;
         }
         Ok(())
     }
@@ -221,29 +222,27 @@ pub(crate) fn storm_finding(
     })
 }
 
-/// Folds one flight into the per-stream storm accumulators.
-pub(crate) fn fold_storm(
+/// Folds one flight into its stream direction's storm accumulator,
+/// which `acc` looks up.
+pub(crate) fn fold_storm<'a>(
     id: u64,
     facts: &FlightFacts,
-    streams: &mut BTreeMap<(u16, u16), StreamAcc>,
     cfg: &DoctorConfig,
+    acc: impl FnOnce((u16, u16)) -> &'a mut StreamAcc,
 ) {
     if !facts.is_data() {
         return;
     }
-    let (Some((cab, peer, _)), Some((_, at))) = (facts.slot, facts.send) else { return };
+    let Some((at, (cab, peer, _))) = facts.send() else { return };
     let resend = facts.retransmit.then_some((at, id));
-    streams
-        .entry((cab, peer))
-        .or_insert_with(StreamAcc::new)
-        .add_data_flight(resend, cfg.max_evidence);
+    acc((cab, peer)).add_data_flight(resend, cfg.max_evidence);
 }
 
 /// Go-back-N resend ratio per stream direction.
 fn retransmit_storms(table: &FlightTable, cfg: &DoctorConfig, out: &mut Vec<Finding>) {
     let mut streams: BTreeMap<(u16, u16), StreamAcc> = BTreeMap::new();
     for f in table.flights() {
-        fold_storm(f.id, &f.facts(), &mut streams, cfg);
+        fold_storm(f.id, &f.facts(), cfg, |k| streams.entry(k).or_insert_with(StreamAcc::new));
     }
     for ((cab, peer), acc) in &streams {
         out.extend(storm_finding(*cab, *peer, acc, cfg));
@@ -360,6 +359,56 @@ pub(crate) fn fold_head_of_line(
             f.id,
             cfg.max_evidence,
         );
+    }
+}
+
+/// One HUB hop a fold fed events in flight order is still following —
+/// [`fold_head_of_line`]'s two searches as state: an enqueue waiting
+/// for the forward that ends its queue wait, then that forward waiting
+/// for the flight's next enqueue or receive DMA, which ends its
+/// service. Every queued hop on a port moves on at that port's next
+/// forward and every forwarded hop ends at the next enqueue or DMA
+/// start, exactly as [`fold_head_of_line`] pairs them; a unicast flight
+/// never follows more than one hop at a time.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Hop {
+    /// Enqueued at `(hub, input)`, not yet forwarded.
+    Queued { hub: u8, input: u8, enqueued: Time },
+    /// Forwarded, service end not yet seen.
+    Forwarded { hub: u8, input: u8, enqueued: Time, forwarded: Time },
+}
+
+impl Hop {
+    /// The hop `ev` opens: a crossbar enqueue starts one.
+    pub(crate) fn opened_by(ev: &TelemetryEvent) -> Option<Hop> {
+        match ev.kind {
+            EventKind::CrossbarEnqueue { hub, input, .. } => {
+                Some(Hop::Queued { hub, input, enqueued: ev.at })
+            }
+            _ => None,
+        }
+    }
+
+    /// Advances the hop past `ev`, the flight's next event in flight
+    /// order: `None` once `ev` ends its service, after handing the hop
+    /// and its service time to `done`.
+    pub(crate) fn step(self, ev: &TelemetryEvent, mut done: impl FnMut(Hop, Dur)) -> Option<Hop> {
+        match (self, ev.kind) {
+            (
+                Hop::Forwarded { forwarded, .. },
+                EventKind::CrossbarEnqueue { .. } | EventKind::DmaStart { .. },
+            ) => {
+                done(self, ev.at.saturating_since(forwarded));
+                None
+            }
+            (
+                Hop::Queued { hub, input, enqueued },
+                EventKind::CrossbarForward { hub: h, input: i, .. },
+            ) if (h, i) == (hub, input) => {
+                Some(Hop::Forwarded { hub, input, enqueued, forwarded: ev.at })
+            }
+            _ => Some(self),
+        }
     }
 }
 

@@ -6,70 +6,90 @@
 //! bound. [`StreamingDoctor`] folds the same analysis incrementally: a
 //! windowed flight table retires completed flights into compact online
 //! accumulators, so memory tracks the number of flights *in flight*,
-//! not the number ever seen.
+//! not the number ever seen — and each of those holds a fixed-size
+//! accumulator, not its events.
 //!
 //! # Fold lifecycle
 //!
 //! Events arrive in **batches**. [`ingest`](StreamingDoctor::ingest)
 //! asks one thing of a batch: none of its events is earlier than the
-//! latest event of any previous batch. *Inside* a batch the events may
-//! come in any order (the world hands over a plain concatenation of its
-//! recorder rings). The world meets the requirement by holding events
-//! back until nothing earlier can still be produced: every record site
-//! stamps at-or-after the processing instant, so a sequential world
-//! releases what is stamped at or before its clock, and a sharded one
-//! what is stamped below the smallest next-event time of any shard.
+//! **watermark** — the latest event of any previous batch. *Inside* a
+//! batch the events may come in any order (the world hands over a plain
+//! concatenation of its recorder rings). The world meets the
+//! requirement by holding events back until nothing earlier can still
+//! be produced: every record site stamps at-or-after the processing
+//! instant, so a sequential world releases what is stamped at or before
+//! its clock, and a sharded one what is stamped below the smallest
+//! next-event time of any shard.
 //!
-//! Equivalence with the post-hoc doctor rests on two facts, not on the
-//! batches adding up to a sorted capture:
+//! An open flight's accumulator holds its `FlightFacts`, the running
+//! critical-path walk (`PathFold`) and the head-of-line hop it is
+//! following (`Hop`). Events update it in two ways:
 //!
-//! * **Order matters only within a flight.** Every analysis reads one
-//!   flight's events in flight order — `(at, kind.canonical_key())`,
-//!   see [`flights`](super::flights) — and the post-hoc
-//!   [`FlightTable`](super::flights::FlightTable) establishes exactly
-//!   that order and no other. The fold appends events to their flight
-//!   as they come and puts them in flight order once, when the flight
-//!   retires.
-//! * **Everything folded across flights commutes.** The watermark, the
-//!   cumulative ack per direction and a flight's quiet clock are
-//!   maxima; a slot's first-send time is a minimum; a flight's slot is
-//!   that of its flight-order-first send whatever order its sends were
-//!   seen in. Retirement contributions — histogram increments, sums,
-//!   bounded smallest-K evidence and top-K worst sets — commute too, so
-//!   retirement *order* can never change the report.
+//! * **On arrival, in any order**, everything that commutes. The
+//!   watermark, the cumulative ack per direction and a flight's quiet
+//!   clock are maxima; a slot's first-send time is a minimum; counts
+//!   are sums; a flight's send fields (and so its slot) follow its
+//!   flight-order-first send whatever order its sends were seen in.
+//! * **Once final, in flight order** — `(at, kind.canonical_key())`,
+//!   the only order any analysis reads and the one the post-hoc
+//!   [`FlightTable`](super::flights::FlightTable) establishes —
+//!   everything that walks a flight: the critical-path gaps and the hop
+//!   pairing. An event is **final** once the watermark a batch leaves
+//!   is strictly past its timestamp, because no later batch can hold
+//!   anything earlier. Events stamped at the watermark instant itself
+//!   are held back for the next batch: same-instant ties can straddle a
+//!   drain (the world cuts at `just_after(now)`, and the rest of the
+//!   instant records after the cut). A batch's events are staged in one
+//!   shared scratch and grouped by flight in one counting pass; each
+//!   flight's few final events are put in flight order on their own,
+//!   and the batch as a whole is never sorted.
+//!
+//! Everything folded *across* flights commutes too — histogram
+//! increments, sums, bounded smallest-K evidence and top-K worst sets —
+//! so neither retirement order nor the order hops reach their port can
+//! change the report.
 //!
 //! A flight retires once it is **terminal** (delivered via `app_recv`,
-//! or an ack flight consumed by `transport_ack`) *and* has been idle
-//! for the [`horizon`](StreamConfig::horizon); non-terminal flights —
-//! lost, corrupted, or merely parked in a congested crossbar queue
-//! longer than the horizon — are held until the final report (or a
-//! memory-budget eviction), so congestion can never race a live packet
-//! into retirement. Retirement is decided after the whole batch is in,
-//! from a queue holding one `(quiet-since, flight)` entry per flight
-//! per batch, kept in time order — so which flights retire, and when,
-//! is a function of the batch's content, never of its internal order.
-//! On retirement one pass over the flight gathers its `FlightFacts`;
-//! the breakdown feeds the [`CriticalPath`] histograms and the
-//! pathology folds ([`pathology::fold_storm`],
-//! [`pathology::fold_head_of_line`]), the event buffer is recycled, and
-//! only O(1) residue per stream slot
-//! remains (first-send time for retransmit attribution, data-flight
-//! count and lost-candidate list for the silent-drop detector) until
-//! the slot is acknowledged. Only an event arriving for an
-//! already-retired flight can make the fold differ from post-hoc, and
-//! that is detected exactly (packet ids are minted monotonically per
-//! CAB) and counted in [`StreamSummary::late_events`].
+//! or an ack flight consumed by `transport_ack`) *and* its quiet clock
+//! is a [`horizon`](StreamConfig::horizon) (at least 1 ns) behind the
+//! watermark — so every one of its events is final and folded.
+//! Non-terminal flights — lost, corrupted, or merely parked in a
+//! congested crossbar queue longer than the horizon — are held until
+//! the final report (or a memory-budget eviction), so congestion can
+//! never race a live packet into retirement. Retirement is decided
+//! after the whole batch is in, from a queue in time order holding an
+//! entry for every batch that touches a terminal flight (and, under a
+//! memory budget, for a flight's first batch, so that eviction can find
+//! it) — so which flights retire, and when, is a function of the
+//! batch's content, never of its internal order. Retirement is
+//! O(1): the accumulator becomes a breakdown for the [`CriticalPath`]
+//! histograms, a hop still waiting for its service end folds with none,
+//! and the facts feed the storm and silent-drop folds. Only O(1)
+//! residue per stream slot remains (first-send time, data-flight count
+//! and lost-candidate list for the silent-drop detector) until the slot
+//! is acknowledged.
+//!
+//! Three things make the fold differ from post-hoc; each is counted and
+//! named as a caveat that turns the report non-confident: an event
+//! arriving for an already-retired flight (detected exactly — packet
+//! ids are minted monotonically per CAB — and counted in
+//! [`StreamSummary::late_events`]), a memory-budget eviction
+//! ([`StreamSummary::forced_retirements`]), and a flight that gains a
+//! second `transport_send` after some of its hops reached their port
+//! (two sends mean captures of separate worlds were merged, which
+//! post-hoc excludes from head-of-line evidence; a world never records
+//! one).
 
-use super::critical_path::{breakdown_with, CriticalPath};
-use super::flights::{flight_order, sort_flight_events, Flight, FlightFacts, StreamKey};
-use super::pathology::{self, DoctorConfig, PortAcc, StreamAcc};
+use super::critical_path::{CriticalPath, PathFold};
+use super::flights::{flight_order, FlightFacts, StreamKey};
+use super::pathology::{self, DoctorConfig, Hop, PortAcc, StreamAcc};
 use super::DoctorReport;
 use crate::metrics::MetricsRegistry;
 use crate::telemetry::{EventKind, TelemetryEvent};
 use crate::time::{Dur, Time};
-use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::mem::size_of;
 
@@ -142,6 +162,11 @@ impl Hasher for FoldHasher {
     }
 
     #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.mix(u64::from(v));
+    }
+
+    #[inline]
     fn write_u16(&mut self, v: u16) {
         self.mix(u64::from(v));
     }
@@ -159,21 +184,30 @@ impl Hasher for FoldHasher {
 
 type FoldMap<K, V> = HashMap<K, V, BuildHasherDefault<FoldHasher>>;
 
-/// Retired event buffers kept for reuse, at most: enough that flights
-/// opening and retiring at a steady rate never touch the allocator,
-/// small enough that a retired launch wave gives its memory back.
-const SPARE_BUFFERS: usize = 4096;
+/// `OpenFlight::touched` of a flight the current batch has not touched.
+const UNTOUCHED: u32 = u32::MAX;
 
-/// One flight still accumulating events.
-#[derive(Clone, Debug)]
+/// The hops an open flight is following. A unicast flight follows at
+/// most one at a time; fan-out (multicast, duplicated copies) keeps the
+/// rest in the doctor's spill table.
+#[derive(Clone, Copy, Debug)]
+enum Hops {
+    Idle,
+    One(Hop),
+    Spilled,
+}
+
+/// One flight still accumulating events: fixed size, however many
+/// events the flight has.
+#[derive(Clone, Copy, Debug)]
+#[repr(align(64))]
 struct OpenFlight {
-    /// Events in arrival order; put in flight order at retirement.
-    events: Vec<TelemetryEvent>,
+    /// Send, slot, payload and counts, folded on arrival. The slot is
+    /// the one the flight holds in the residue table.
+    facts: FlightFacts,
     /// Latest event time — the quiet clock.
     last_at: Time,
-    /// Slot of the flight-order-first `transport_send` seen so far.
-    slot: Option<StreamKey>,
-    /// `true` once a terminal event was folded: `AppRecv` (the packet
+    /// `true` once a terminal event arrived: `AppRecv` (the packet
     /// reached an application) or `TransportAck` (the ack was consumed
     /// at the data sender). Only terminal flights retire on the
     /// horizon — a packet can sit in a congested crossbar queue far
@@ -181,8 +215,33 @@ struct OpenFlight {
     /// delivery. Non-terminal flights (in flight, dropped, corrupted)
     /// are held until the final report or a memory-budget eviction.
     terminal: bool,
-    /// `true` while the flight is on the current batch's touched list.
-    touched: bool,
+    /// No retirement-queue entry has been made for the flight yet.
+    /// Under a memory budget a flight gets one on its first batch, so
+    /// that eviction can find it before it completes.
+    fresh: bool,
+    /// Index into the current batch's touched list, or [`UNTOUCHED`].
+    touched: u32,
+    /// Critical-path walk over the flight's final events.
+    path: PathFold,
+    /// Head-of-line hops still being followed.
+    hops: Hops,
+    /// Some hop of this flight reached its port accumulator.
+    hops_folded: bool,
+}
+
+impl OpenFlight {
+    fn new(at: Time) -> OpenFlight {
+        OpenFlight {
+            facts: FlightFacts::default(),
+            last_at: at,
+            terminal: false,
+            fresh: true,
+            touched: UNTOUCHED,
+            path: PathFold::default(),
+            hops: Hops::Idle,
+            hops_folded: false,
+        }
+    }
 }
 
 /// What survives a stream slot after its flights retire.
@@ -194,7 +253,7 @@ struct SlotResidue {
     first_send: Time,
     /// Data flights of this slot retired so far (a count > 1 means a
     /// retransmission superseded the original: not a silent drop).
-    data_count: u64,
+    data_count: u32,
     /// Flights currently open on this slot; the residue may only be
     /// pruned once this reaches zero *and* the slot is acked.
     open_flights: u32,
@@ -232,26 +291,44 @@ pub struct StreamSummary {
 #[derive(Clone, Debug)]
 pub struct StreamingDoctor {
     cfg: StreamConfig,
-    open: FoldMap<u64, OpenFlight>,
-    /// Retirement queue in time order: one `(last event time, flight)`
-    /// entry per flight per batch that touched it, popped once the
-    /// watermark passes `time + horizon`. An entry is live while its
-    /// time is still the flight's quiet clock; entries a later batch
-    /// superseded (or whose flight already retired) are skipped on pop.
+    /// Open flights: id → the index of the flight's accumulator in
+    /// `slots`.
+    open: FoldMap<u64, u32>,
+    /// Accumulators of open flights, plus the slots retired flights
+    /// left (listed in `free`) for new ones to reuse.
+    slots: Vec<OpenFlight>,
+    free: Vec<u32>,
+    /// Retirement queue in time order: `(quiet clock, flight)` entries,
+    /// popped once the watermark passes `time + horizon`. An entry is
+    /// live while its time is still the flight's quiet clock; entries a
+    /// later batch superseded (or whose flight already retired) are
+    /// skipped on pop.
     retire_queue: VecDeque<(Time, u64)>,
-    /// Scratch: the flights the batch being folded has touched.
-    touched: Vec<(Time, u64)>,
-    /// Cleared event buffers of retired flights, reused by new ones.
-    spare: Vec<Vec<TelemetryEvent>>,
-    spare_bytes: usize,
+    /// Events the latest batch left at the watermark instant, not yet
+    /// folded in flight order.
+    held: Vec<TelemetryEvent>,
+    /// Scratch: the current batch's flight events (and the held ones),
+    /// each with its flight's slot, then its index in `touched`.
+    stage: Vec<(u32, TelemetryEvent)>,
+    /// Scratch: the flights (id, slot) the batch being folded has
+    /// touched.
+    touched: Vec<(u64, u32)>,
+    /// Scratch: per touched flight, where its events end in `grouped`.
+    ends: Vec<u32>,
+    /// Scratch: `stage` grouped by flight.
+    grouped: Vec<TelemetryEvent>,
+    /// Scratch: new retirement-queue entries of one batch.
+    queued: Vec<(Time, u64)>,
+    /// The hops of flights following more than one at a time.
+    spilled_hops: FoldMap<u64, Vec<Hop>>,
     residue: FoldMap<StreamKey, SlotResidue>,
     /// Highest cumulative ack per `(sender, peer)` direction.
     acked: FoldMap<(u16, u16), u32>,
-    streams: BTreeMap<(u16, u16), StreamAcc>,
-    ports: BTreeMap<(u8, u8), PortAcc>,
+    streams: FoldMap<(u16, u16), StreamAcc>,
+    ports: FoldMap<(u8, u8), PortAcc>,
     /// Silent-drop candidates per slot: `(send time, flight id)` of
     /// retired data flights that were never delivered or acked.
-    candidates: BTreeMap<StreamKey, Vec<(Time, u64)>>,
+    candidates: FoldMap<StreamKey, Vec<(Time, u64)>>,
     cp: CriticalPath,
     /// Highest retired flight id per CAB (ids are minted `(cab << 40) |
     /// counter`, monotone per CAB) — the exact late-event detector.
@@ -262,27 +339,35 @@ pub struct StreamingDoctor {
     flights_retired: u64,
     late_events: u64,
     forced_retirements: u64,
-    open_event_bytes: usize,
+    /// Flights that gained a second send after a hop reached its port.
+    merged_after_hops: u64,
     peak_mem: usize,
     ring_hwm: u64,
     ring_dropped: u64,
 }
 
 impl StreamingDoctor {
-    /// A fresh fold with the given tuning.
+    /// A fresh fold with the given tuning. Allocates nothing until the
+    /// first batch.
     pub fn new(cfg: StreamConfig) -> StreamingDoctor {
         StreamingDoctor {
             cfg,
             open: FoldMap::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
             retire_queue: VecDeque::new(),
+            held: Vec::new(),
+            stage: Vec::new(),
             touched: Vec::new(),
-            spare: Vec::new(),
-            spare_bytes: 0,
+            ends: Vec::new(),
+            grouped: Vec::new(),
+            queued: Vec::new(),
+            spilled_hops: FoldMap::default(),
             residue: FoldMap::default(),
             acked: FoldMap::default(),
-            streams: BTreeMap::new(),
-            ports: BTreeMap::new(),
-            candidates: BTreeMap::new(),
+            streams: FoldMap::default(),
+            ports: FoldMap::default(),
+            candidates: FoldMap::default(),
             cp: CriticalPath::default(),
             max_retired: FoldMap::default(),
             watermark: Time::ZERO,
@@ -291,7 +376,7 @@ impl StreamingDoctor {
             flights_retired: 0,
             late_events: 0,
             forced_retirements: 0,
-            open_event_bytes: 0,
+            merged_after_hops: 0,
             peak_mem: 0,
             ring_hwm: 0,
             ring_dropped: 0,
@@ -310,17 +395,29 @@ impl StreamingDoctor {
             batch.iter().all(|e| e.at >= floor),
             "streaming batch reaches back before the watermark {floor}"
         );
+        // Two passes: first every event finds its flight — independent
+        // lookups the processor overlaps — then each flight takes what
+        // its events settle in any order.
         for ev in batch.iter() {
-            self.fold_event(ev);
+            if let Some(slot) = self.find_flight(ev) {
+                self.stage.push((slot, *ev));
+            }
         }
         batch.clear();
-        self.queue_touched();
+        for i in 0..self.stage.len() {
+            let (slot, ev) = self.stage[i];
+            self.stage[i].0 = self.arrive(slot, &ev);
+        }
+        self.fold_staged(false);
         self.advance_retirement();
         self.enforce_budget();
         self.peak_mem = self.peak_mem.max(self.mem_estimate());
     }
 
-    fn fold_event(&mut self, ev: &TelemetryEvent) {
+    /// Counts an event in and settles what it says about the run as a
+    /// whole; returns the accumulator slot of its flight (opened if
+    /// new), if it has one.
+    fn find_flight(&mut self, ev: &TelemetryEvent) -> Option<u32> {
         self.watermark = self.watermark.max(ev.at);
         self.events_folded += 1;
         if let EventKind::TransportAck { cab, peer, ack } = ev.kind {
@@ -329,37 +426,41 @@ impl StreamingDoctor {
             *high = (*high).max(ack);
         }
         if !ev.flight.is_some() {
-            return;
+            return None;
         }
         let id = ev.flight.0;
-        let of = match self.open.entry(id) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(v) => {
-                // Retirement only runs between batches, so whether an
-                // id counts as new or late is the same for every order
-                // inside the batch.
-                if self.max_retired.get(&(id >> 40)).is_some_and(|&m| id <= m) {
-                    self.late_events += 1;
-                } else {
-                    self.flights_seen += 1;
-                }
-                let events = self.spare.pop().unwrap_or_default();
-                self.spare_bytes -= events.capacity() * size_of::<TelemetryEvent>();
-                v.insert(OpenFlight {
-                    events,
-                    last_at: ev.at,
-                    slot: None,
-                    terminal: false,
-                    touched: false,
-                })
+        if let Some(&slot) = self.open.get(&id) {
+            return Some(slot);
+        }
+        // Retirement only runs between batches, so whether an id counts
+        // as new or late is the same for every order inside the batch.
+        if self.max_retired.get(&(id >> 40)).is_some_and(|&m| id <= m) {
+            self.late_events += 1;
+        } else {
+            self.flights_seen += 1;
+        }
+        let fresh = OpenFlight::new(ev.at);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = fresh;
+                slot
+            }
+            None => {
+                self.slots.push(fresh);
+                (self.slots.len() - 1) as u32
             }
         };
-        if !of.touched {
-            of.touched = true;
-            // The quiet clock is filled in once the batch is folded.
-            self.touched.push((Time::ZERO, id));
-        }
+        self.open.insert(id, slot);
+        Some(slot)
+    }
+
+    /// Everything an event settles about its flight in any order; marks
+    /// the flight touched and returns its index in the touched list.
+    fn arrive(&mut self, slot: u32, ev: &TelemetryEvent) -> u32 {
+        let of = &mut self.slots[slot as usize];
         of.last_at = of.last_at.max(ev.at);
+        let held = of.facts.slot();
+        of.facts.observe(ev);
         match ev.kind {
             EventKind::TransportSend { cab, peer, seq, .. } => {
                 let k = (cab, peer, seq);
@@ -369,96 +470,175 @@ impl StreamingDoctor {
                     open_flights: 0,
                 });
                 r.first_send = r.first_send.min(ev.at);
-                // A second send makes the flight malformed; its slot is
-                // still the one `FlightFacts` will report at retirement.
-                let takes_slot = match of.slot {
-                    None => true,
-                    Some(held) => {
-                        held != k
-                            && of
-                                .events
-                                .iter()
-                                .filter(|e| matches!(e.kind, EventKind::TransportSend { .. }))
-                                .all(|e| flight_order(ev, e) == Ordering::Less)
-                    }
-                };
-                if takes_slot {
+                // The flight holds the slot of its flight-order-first
+                // send; a second send (a malformed flight) that comes
+                // first takes the hold over.
+                if of.facts.slot() != held {
                     r.open_flights += 1;
-                    if let Some(held) = of.slot.replace(k) {
-                        if let Some(r) = self.residue.get_mut(&held) {
-                            r.open_flights = r.open_flights.saturating_sub(1);
-                        }
+                    if let Some(r) = held.and_then(|h| self.residue.get_mut(&h)) {
+                        r.open_flights = r.open_flights.saturating_sub(1);
                     }
                 }
             }
             EventKind::AppRecv { .. } | EventKind::TransportAck { .. } => of.terminal = true,
             _ => {}
         }
-        of.events.push(*ev);
-        self.open_event_bytes += size_of::<TelemetryEvent>();
+        if of.touched == UNTOUCHED {
+            of.touched = self.touched.len() as u32;
+            self.touched.push((ev.flight.0, slot));
+        }
+        of.touched
     }
 
-    /// Queues every flight the batch touched for retirement, oldest
-    /// quiet clock first. Batches are time-disjoint, so the new entries
-    /// all sort after the ones already queued.
-    fn queue_touched(&mut self) {
-        for (at, id) in &mut self.touched {
-            let of = self.open.get_mut(id).expect("a touched flight is open");
-            of.touched = false;
-            *at = of.last_at;
+    /// Folds every staged event that is final — all of them with
+    /// `all` — into its flight in flight order, holds back the rest,
+    /// and queues the touched flights for retirement.
+    fn fold_staged(&mut self, all: bool) {
+        for ev in &self.held {
+            let id = ev.flight.0;
+            // A held event's flight is open: eviction folds a flight's
+            // held events before retiring it.
+            let slot = self.open[&id];
+            let of = &mut self.slots[slot as usize];
+            if of.touched == UNTOUCHED {
+                of.touched = self.touched.len() as u32;
+                self.touched.push((id, slot));
+            }
+            self.stage.push((of.touched, *ev));
         }
-        self.touched.sort_unstable();
-        self.retire_queue.extend(self.touched.drain(..));
+        self.held.clear();
+        if self.stage.is_empty() {
+            return;
+        }
+        // One counting pass lays each flight's events out contiguously.
+        self.ends.clear();
+        self.ends.resize(self.touched.len(), 0);
+        for &(t, _) in &self.stage {
+            self.ends[t as usize] += 1;
+        }
+        let mut start = 0;
+        for end in &mut self.ends {
+            let n = *end;
+            *end = start;
+            start += n;
+        }
+        self.grouped.clear();
+        self.grouped.resize(self.stage.len(), self.stage[0].1);
+        for &(t, ev) in &self.stage {
+            let at = &mut self.ends[t as usize];
+            self.grouped[*at as usize] = ev;
+            *at += 1;
+        }
+        self.stage.clear();
+        let final_before = if all { Time::MAX } else { self.watermark };
+        // Only a memory budget evicts non-terminal flights, from the
+        // front of the queue: only then do they need an entry.
+        let evictable = self.cfg.memory_budget.is_some();
+        let mut start = 0;
+        for (&(id, slot), &end) in self.touched.iter().zip(&self.ends) {
+            let events = &mut self.grouped[start..end as usize];
+            start = end as usize;
+            if !events.is_sorted_by(|a, b| flight_order(a, b).is_le()) {
+                events.sort_unstable_by(flight_order);
+            }
+            let of = &mut self.slots[slot as usize];
+            of.touched = UNTOUCHED;
+            for ev in events.iter() {
+                if all || ev.at < final_before {
+                    fold_final(
+                        id,
+                        of,
+                        ev,
+                        &mut self.spilled_hops,
+                        &mut self.ports,
+                        &self.cfg.doctor,
+                    );
+                } else {
+                    self.held.push(*ev);
+                }
+            }
+            if of.terminal || (evictable && of.fresh) {
+                self.queued.push((of.last_at, id));
+                of.fresh = false;
+            }
+        }
+        self.touched.clear();
+        // Batches are time-disjoint, so the new entries all sort after
+        // the ones already queued.
+        self.queued.sort_unstable();
+        self.retire_queue.extend(self.queued.drain(..));
     }
 
     fn advance_retirement(&mut self) {
+        // At least 1 ns: a flight quiet since the watermark instant may
+        // still have events held back.
+        let horizon = self.cfg.horizon.max(Dur::from_nanos(1));
+        // Two passes, like arrival: the due flights are found first (the
+        // touched list is free between batches), then retired.
+        let mut due = std::mem::take(&mut self.touched);
         while let Some(&(t, id)) = self.retire_queue.front() {
-            if t + self.cfg.horizon > self.watermark {
+            if t + horizon > self.watermark {
                 break;
             }
             self.retire_queue.pop_front();
             if let Entry::Occupied(e) = self.open.entry(id) {
-                if e.get().terminal && e.get().last_at == t {
-                    let of = e.remove();
-                    self.retire_flight(id, of);
+                let of = &self.slots[*e.get() as usize];
+                if of.terminal && of.last_at == t {
+                    due.push((id, e.remove()));
                 }
             }
         }
+        for &(id, slot) in &due {
+            self.retire_flight(id, slot);
+        }
+        due.clear();
+        self.touched = due;
     }
 
-    /// Folds one completed flight into the online accumulators and
-    /// recycles its event buffer. Contributions commute, so retirement
-    /// order is irrelevant to the final report.
-    fn retire_flight(&mut self, id: u64, of: OpenFlight) {
-        self.open_event_bytes -= of.events.len() * size_of::<TelemetryEvent>();
+    /// Folds one completed flight into the online accumulators in O(1).
+    /// Contributions commute, so retirement order is irrelevant to the
+    /// final report.
+    fn retire_flight(&mut self, id: u64, slot: u32) {
+        let of = self.slots[slot as usize];
+        self.free.push(slot);
         self.flights_retired += 1;
         let m = self.max_retired.entry(id >> 40).or_insert(0);
         *m = (*m).max(id);
-        let mut flight = Flight { id, events: of.events };
-        sort_flight_events(&mut flight.events);
-        let facts = flight.facts();
-        debug_assert_eq!(facts.slot, of.slot, "slot tracking disagrees with flight order");
-        pathology::fold_storm(id, &facts, &mut self.streams, &self.cfg.doctor);
-        pathology::fold_head_of_line(&flight, &facts, &mut self.ports, &self.cfg.doctor);
-        let first = facts.slot.and_then(|k| self.residue.get(&k)).map(|r| r.first_send);
-        match breakdown_with(&flight, &facts, first) {
+        let facts = of.facts;
+        // A forwarded hop no later enqueue or DMA ended has no service
+        // time; a queued one was never forwarded and is no sample.
+        let spilled = match of.hops {
+            Hops::Spilled => self.spilled_hops.remove(&id).unwrap_or_default(),
+            _ => Vec::new(),
+        };
+        if facts.malformed() {
+            self.merged_after_hops += u64::from(of.hops_folded);
+        } else {
+            let one = match of.hops {
+                Hops::One(h) => Some(h),
+                _ => None,
+            };
+            for h in one.into_iter().chain(spilled) {
+                fold_hop(h, Dur::ZERO, id, &mut self.ports, &self.cfg.doctor);
+            }
+        }
+        let streams = &mut self.streams;
+        pathology::fold_storm(id, &facts, &self.cfg.doctor, |k| {
+            streams.entry(k).or_insert_with(StreamAcc::new)
+        });
+        let first = facts.slot().and_then(|k| self.residue.get(&k)).map(|r| r.first_send);
+        match of.path.breakdown(id, &facts, first) {
             Some(b) => self.cp.add(&b),
             None => self.cp.skipped += 1,
         }
         self.settle_slot(id, &facts);
-        let mut events = flight.events;
-        if self.spare.len() < SPARE_BUFFERS {
-            events.clear();
-            self.spare_bytes += events.capacity() * size_of::<TelemetryEvent>();
-            self.spare.push(events);
-        }
     }
 
     /// Leaves a retiring flight's mark on its slot's residue: the data
     /// count, a silent-drop candidate if nobody answered it, and the
     /// residue's own release once the slot is acked and idle.
     fn settle_slot(&mut self, id: u64, facts: &FlightFacts) {
-        let Some(k) = facts.slot else { return };
+        let Some(k) = facts.slot() else { return };
         let Some(r) = self.residue.get_mut(&k) else { return };
         if facts.is_data() {
             r.data_count += 1;
@@ -481,16 +661,33 @@ impl StreamingDoctor {
     fn enforce_budget(&mut self) {
         let Some(budget) = self.cfg.memory_budget else { return };
         while self.mem_estimate() > budget {
-            if !self.spare.is_empty() {
-                self.spare = Vec::new();
-                self.spare_bytes = 0;
-                continue;
-            }
             let Some((_, id)) = self.retire_queue.pop_front() else { break };
-            if let Some(of) = self.open.remove(&id) {
-                self.retire_flight(id, of);
-                self.forced_retirements += 1;
+            let Some(slot) = self.open.remove(&id) else { continue };
+            // The flight's events at the watermark instant fold first:
+            // they are in, just not yet final.
+            let mut mine = std::mem::take(&mut self.grouped);
+            mine.clear();
+            self.held.retain(|e| {
+                let own = e.flight.0 == id;
+                if own {
+                    mine.push(*e);
+                }
+                !own
+            });
+            mine.sort_unstable_by(flight_order);
+            for ev in &mine {
+                fold_final(
+                    id,
+                    &mut self.slots[slot as usize],
+                    ev,
+                    &mut self.spilled_hops,
+                    &mut self.ports,
+                    &self.cfg.doctor,
+                );
             }
+            self.grouped = mine;
+            self.retire_flight(id, slot);
+            self.forced_retirements += 1;
         }
     }
 
@@ -517,11 +714,13 @@ impl StreamingDoctor {
 
     /// Estimated footprint of the fold state in bytes. An estimate —
     /// map overheads are approximated — but it moves with the real
-    /// footprint, which is what the budget needs.
+    /// footprint, which is what the budget needs. Per open flight it is
+    /// a constant: the fold keeps facts, not events.
     pub fn mem_estimate(&self) -> usize {
-        self.open_event_bytes
-            + self.spare_bytes
-            + self.open.len() * (size_of::<OpenFlight>() + size_of::<u64>() + 16)
+        // Per open flight: its slot, its id-to-slot map entry, table slack.
+        self.open.len() * (size_of::<OpenFlight>() + size_of::<(u64, u32)>() + 8)
+            + self.held.len() * size_of::<TelemetryEvent>()
+            + self.spilled_hops.values().map(|h| h.len() * size_of::<Hop>() + 48).sum::<usize>()
             + self.retire_queue.len() * size_of::<(Time, u64)>()
             + self.residue.len() * (size_of::<StreamKey>() + size_of::<SlotResidue>() + 16)
             + self.candidates.len() * 64
@@ -558,15 +757,18 @@ impl StreamingDoctor {
         }
     }
 
-    /// Finishes the fold: retires every open flight and builds the
-    /// final report, exactly as [`diagnose`](super::diagnose) would
-    /// over the canonically sorted capture (provided
-    /// [`late_events`](StreamSummary::late_events) is zero).
+    /// Finishes the fold: folds every held event, retires every open
+    /// flight and builds the final report, exactly as
+    /// [`diagnose`](super::diagnose) would over the canonically sorted
+    /// capture — unless the fold diverged from it (late events, budget
+    /// evictions, a flight merged from two worlds), which the report
+    /// then names as caveats, marking itself non-confident.
     pub fn into_report(mut self, metrics: Option<&MetricsRegistry>) -> DoctorReport {
-        let mut open: Vec<(u64, OpenFlight)> = self.open.drain().collect();
-        open.sort_unstable_by_key(|&(id, _)| id);
-        for (id, of) in open {
-            self.retire_flight(id, of);
+        self.fold_staged(true);
+        let mut open: Vec<(u64, u32)> = self.open.drain().collect();
+        open.sort_unstable();
+        for (id, slot) in open {
+            self.retire_flight(id, slot);
         }
         let mut findings = Vec::new();
         for ((cab, peer), acc) in &self.streams {
@@ -581,20 +783,27 @@ impl StreamingDoctor {
         }
         findings.extend(pathology::silent_drop_finding(self.lost_candidates(), &self.cfg.doctor));
         pathology::sort_findings(&mut findings);
-        let dropped_events = metrics.map_or(0, |m| m.counter("telemetry.dropped_events"));
-        let confident = dropped_events == 0;
-        if !confident {
-            for f in &mut findings {
-                f.confident = false;
-            }
+        let mut caveats = Vec::new();
+        if self.late_events > 0 {
+            caveats.push(format!(
+                "{} events arrived for flights already retired (retirement horizon too short)",
+                self.late_events
+            ));
         }
-        DoctorReport {
-            flights: self.flights_seen,
-            dropped_events,
-            confident,
-            critical_path: self.cp,
-            findings,
+        if self.forced_retirements > 0 {
+            caveats.push(format!(
+                "{} flights retired unfinished to keep the fold within its memory budget",
+                self.forced_retirements
+            ));
         }
+        if self.merged_after_hops > 0 {
+            caveats.push(format!(
+                "{} flights gained a second transport_send after their hops were folded \
+                 (captures of separate worlds merged)",
+                self.merged_after_hops
+            ));
+        }
+        DoctorReport::new(self.flights_seen, metrics, caveats, self.cp, findings)
     }
 
     /// [`into_report`](StreamingDoctor::into_report) without consuming
@@ -602,6 +811,88 @@ impl StreamingDoctor {
     pub fn report(&self, metrics: Option<&MetricsRegistry>) -> DoctorReport {
         self.clone().into_report(metrics)
     }
+}
+
+/// Folds one final event into its flight's accumulator, in flight
+/// order: one critical-path step, and for the crossbar and DMA events
+/// one step of the hops the flight is following. Finished hops go
+/// straight to their port — unless the flight already has two sends,
+/// which post-hoc excludes from head-of-line evidence.
+fn fold_final(
+    id: u64,
+    of: &mut OpenFlight,
+    ev: &TelemetryEvent,
+    spilled: &mut FoldMap<u64, Vec<Hop>>,
+    ports: &mut FoldMap<(u8, u8), PortAcc>,
+    cfg: &DoctorConfig,
+) {
+    of.path.step(ev);
+    if !matches!(
+        ev.kind,
+        EventKind::CrossbarEnqueue { .. }
+            | EventKind::CrossbarForward { .. }
+            | EventKind::DmaStart { .. }
+    ) {
+        return;
+    }
+    let fold = !of.facts.malformed();
+    let mut folded = false;
+    let mut done = |h: Hop, service: Dur| {
+        if fold {
+            fold_hop(h, service, id, ports, cfg);
+            folded = true;
+        }
+    };
+    let opened = Hop::opened_by(ev);
+    of.hops = match of.hops {
+        Hops::Idle => opened.map_or(Hops::Idle, Hops::One),
+        Hops::One(h) => match (h.step(ev, &mut done), opened) {
+            (Some(a), Some(b)) => {
+                spilled.insert(id, vec![a, b]);
+                Hops::Spilled
+            }
+            (Some(h), None) | (None, Some(h)) => Hops::One(h),
+            (None, None) => Hops::Idle,
+        },
+        Hops::Spilled => {
+            let hops = spilled.get_mut(&id).expect("a spilled flight's hops are kept");
+            hops.retain_mut(|h| match h.step(ev, &mut done) {
+                Some(next) => {
+                    *h = next;
+                    true
+                }
+                None => false,
+            });
+            hops.extend(opened);
+            match hops.as_slice() {
+                [] | [_] => {
+                    let last = hops.pop();
+                    spilled.remove(&id);
+                    last.map_or(Hops::Idle, Hops::One)
+                }
+                _ => Hops::Spilled,
+            }
+        }
+    };
+    of.hops_folded |= folded;
+}
+
+/// Folds one finished hop into its port's accumulator.
+fn fold_hop(
+    hop: Hop,
+    service: Dur,
+    flight: u64,
+    ports: &mut FoldMap<(u8, u8), PortAcc>,
+    cfg: &DoctorConfig,
+) {
+    let Hop::Forwarded { hub, input, enqueued, forwarded } = hop else { return };
+    ports.entry((hub, input)).or_default().add_sample(
+        forwarded.saturating_since(enqueued),
+        service,
+        enqueued,
+        flight,
+        cfg.max_evidence,
+    );
 }
 
 #[cfg(test)]
@@ -698,6 +989,11 @@ mod tests {
         let s = doc.summary();
         assert!(s.forced_retirements > 0, "budget never enforced: {s:?}");
         assert_eq!(s.open_flights, 0, "every open flight force-retired");
+        // Evicted flights were analysed unfinished: the report must not
+        // claim otherwise, and must say why.
+        let rep = doc.into_report(None);
+        assert!(!rep.confident);
+        assert!(rep.render().contains("memory budget"), "{}", rep.render());
     }
 
     #[test]
@@ -711,5 +1007,58 @@ mod tests {
         // An event for retired flight 1 arrives afterwards.
         doc.ingest(&mut vec![recv(50_000_100, 1)]);
         assert_eq!(doc.summary().late_events, 1);
+    }
+
+    #[test]
+    fn late_event_makes_the_report_not_confident() {
+        let mut doc = StreamingDoctor::new(StreamConfig::default());
+        doc.ingest(&mut vec![send(100, 1, 0, false), recv(9_000, 1)]);
+        doc.ingest(&mut vec![send(50_000_000, 2, 1, false)]);
+        doc.ingest(&mut vec![recv(50_000_100, 1)]);
+        let rep = doc.into_report(None);
+        assert!(!rep.confident);
+        assert!(rep.findings.iter().all(|f| !f.confident));
+        let text = rep.render();
+        assert!(text.contains("1 events arrived for flights already retired"), "{text}");
+        assert!(!text.contains("telemetry ring dropped"), "{text}");
+    }
+
+    #[test]
+    fn a_second_send_after_folded_hops_is_a_caveat() {
+        let mut doc = StreamingDoctor::new(StreamConfig::default());
+        doc.ingest(&mut vec![
+            send(100, 1, 0, false),
+            ev(200, 1, EventKind::CrossbarEnqueue { hub: 0, input: 1, bytes: 98 }),
+            ev(300, 1, EventKind::CrossbarForward { hub: 0, input: 1, output: 2, bytes: 98 }),
+            ev(400, 1, EventKind::DmaStart { cab: 1, channel: 0, bytes: 96 }),
+            ev(450, 1, EventKind::DmaComplete { cab: 1, channel: 0, bytes: 96 }),
+        ]);
+        // Merged from another world: the same id, a different slot.
+        doc.ingest(&mut vec![send(500, 1, 7, false)]);
+        let rep = doc.into_report(None);
+        assert!(!rep.confident);
+        assert!(rep.render().contains("1 flights gained a second transport_send"));
+    }
+
+    #[test]
+    fn an_open_flight_costs_the_same_however_long_it_gets() {
+        let mut doc = StreamingDoctor::new(StreamConfig::default());
+        doc.ingest(&mut vec![send(100, 1, 0, false)]);
+        let mut sizes = Vec::new();
+        for hop in 0..96u64 {
+            // One hop per batch, through one of two ports: enqueue,
+            // forward, the next hop's enqueue ends this one's service.
+            let t = 1_000 + hop * 2_000;
+            let (hub, input) = ((hop % 2) as u8, 3);
+            doc.ingest(&mut vec![
+                ev(t, 1, EventKind::CrossbarEnqueue { hub, input, bytes: 98 }),
+                ev(t + 700, 1, EventKind::CrossbarForward { hub, input, output: 5, bytes: 98 }),
+            ]);
+            sizes.push(doc.mem_estimate());
+        }
+        let s = doc.summary();
+        assert_eq!((s.open_flights, s.flights_retired), (1, 0));
+        assert_eq!(s.events_folded, 1 + 2 * 96);
+        assert!(sizes[8..].iter().all(|&m| m == sizes[8]), "footprint grew: {sizes:?}");
     }
 }

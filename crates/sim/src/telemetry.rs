@@ -413,7 +413,10 @@ impl Telemetry {
     /// Moves all retained events (oldest first) onto the end of `out`
     /// without allocating a fresh vector — the streaming drain path.
     pub fn drain_into(&mut self, out: &mut Vec<TelemetryEvent>) {
-        out.extend(self.ring.drain(..));
+        let (older, newer) = self.ring.as_slices();
+        out.extend_from_slice(older);
+        out.extend_from_slice(newer);
+        self.ring.clear();
     }
 }
 
