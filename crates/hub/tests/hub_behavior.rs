@@ -626,6 +626,81 @@ fn query_ready_reflects_manual_overrides() {
     assert_eq!(ready_bits, vec![false, true], "clear then set, observed in order");
 }
 
+// ------------------------------------------------------------------
+// Command parameters naming a port the HUB does not have
+// ------------------------------------------------------------------
+
+/// A port byte past the prototype's 16 ports.
+const NO_SUCH_PORT: u8 = 200;
+
+/// The status byte `op` on [`NO_SUCH_PORT`] answers with.
+fn status_of_missing_port(op: UserOp) -> u8 {
+    let mut hub = hub0();
+    let (emissions, _) = drive(&mut hub, vec![(0, 2, user(op, NO_SUCH_PORT))], vec![]);
+    match emissions.as_slice() {
+        [Emission { port, item: Item::Reply(Reply::Status { bits, .. }), .. }] => {
+            assert_eq!(*port, PortId::new(2), "the reply returns on the issuing port");
+            *bits
+        }
+        other => panic!("expected one status reply, got {other:?}"),
+    }
+}
+
+#[test]
+fn query_status_of_a_missing_port_reports_a_disabled_port() {
+    assert_eq!(
+        PortStatus::unpack(status_of_missing_port(UserOp::QueryStatus)),
+        PortStatus::default()
+    );
+}
+
+#[test]
+fn query_ready_of_a_missing_port_reports_a_disabled_port() {
+    assert_eq!(
+        PortStatus::unpack(status_of_missing_port(UserOp::QueryReady)),
+        PortStatus::default()
+    );
+}
+
+#[test]
+fn lock_of_a_missing_port_nacks_and_never_parks() {
+    let mut hub = hub0();
+    let lock = user(UserOp::Lock { retry: true, reply: true }, NO_SUCH_PORT);
+    // The open queued behind the lock runs: the lock did not park.
+    let (emissions, _) =
+        drive(&mut hub, vec![(0, 1, lock), (240, 1, open(false, false, 5))], vec![]);
+    let nacks = emissions.iter().filter(|e| matches!(e.item, Item::Reply(Reply::Nack { .. })));
+    assert_eq!(nacks.count(), 1);
+    assert_eq!(hub.counters().locks_acquired, 0);
+    assert_eq!(hub.connections(), vec![(PortId::new(1), PortId::new(5))]);
+}
+
+#[test]
+fn unlock_of_a_missing_port_does_nothing() {
+    let mut hub = hub0();
+    let (emissions, _) = drive(&mut hub, vec![(0, 1, user(UserOp::Unlock, NO_SUCH_PORT))], vec![]);
+    assert!(emissions.is_empty());
+    assert_eq!(hub.counters().commands_executed, 1);
+}
+
+#[test]
+fn set_ready_of_a_missing_port_does_nothing() {
+    let mut hub = hub0();
+    let (emissions, _) =
+        drive(&mut hub, vec![(0, 1, user(UserOp::SetReady, NO_SUCH_PORT))], vec![]);
+    assert!(emissions.is_empty());
+    assert_eq!(hub.counters().commands_executed, 1);
+}
+
+#[test]
+fn clear_ready_of_a_missing_port_does_nothing() {
+    let mut hub = hub0();
+    let (emissions, _) =
+        drive(&mut hub, vec![(0, 1, user(UserOp::ClearReady, NO_SUCH_PORT))], vec![]);
+    assert!(emissions.is_empty());
+    assert_eq!(hub.counters().commands_executed, 1);
+}
+
 #[test]
 fn byte_and_packet_counters_accumulate() {
     let mut hub = hub0();
