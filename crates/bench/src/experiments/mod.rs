@@ -12,7 +12,7 @@ pub mod throughput;
 pub mod transport_exp;
 pub mod workload_exp;
 
-use crate::table::Table;
+use crate::table::{Table, WorldDigests};
 use nectar_core::shard::ShardedWorld;
 use nectar_core::world::World;
 use nectar_sim::analysis::streaming::{StreamConfig, StreamingDoctor};
@@ -83,6 +83,8 @@ struct Harvest {
     rings: Vec<TelemetryEvent>,
     /// The doctor that streamed during the run, if one was attached.
     doctor: Option<StreamingDoctor>,
+    /// The world's digests, when metrics were requested.
+    digests: Option<WorldDigests>,
 }
 
 impl ExpCtx {
@@ -153,6 +155,10 @@ impl ExpCtx {
             pressure: world.telemetry_pressure(),
             rings: if self.trace { world.telemetry_events() } else { Vec::new() },
             doctor: world.finish_streaming(),
+            digests: self.metrics.then(|| WorldDigests {
+                results: world.results_digest(),
+                events: world.event_digest(),
+            }),
         };
         self.absorb_harvest(table, harvest);
     }
@@ -169,6 +175,10 @@ impl ExpCtx {
             pressure: world.telemetry_pressure(),
             rings: if self.trace { world.telemetry_events() } else { Vec::new() },
             doctor: world.finish_streaming(),
+            digests: self.metrics.then(|| WorldDigests {
+                results: world.results_digest(),
+                events: world.event_digest(),
+            }),
         };
         self.absorb_harvest(table, harvest);
         if self.profile {
@@ -186,6 +196,7 @@ impl ExpCtx {
     /// the harvest came from.
     fn absorb_harvest(&self, table: &mut Table, mut h: Harvest) {
         table.trace.extend_from_slice(&h.rings);
+        table.digests.extend(h.digests);
         let doctor = if self.stream && self.trace {
             // Traced: nothing streamed, the rings hold the capture.
             // The same fold takes it in one batch.

@@ -43,6 +43,21 @@ pub struct Table {
     /// The raw host-time spans behind `profile`, kept so `--trace`
     /// can render host tracks next to the simulated ones.
     pub host_profile: Option<nectar_sim::profile::HostProfile>,
+    /// The results and event digests of every world the experiment
+    /// absorbed, in absorption order. Populated only when the harness
+    /// requested metrics.
+    pub digests: Vec<WorldDigests>,
+}
+
+/// [`World::results_digest`](nectar_core::world::World::results_digest)
+/// and [`World::event_digest`](nectar_core::world::World::event_digest)
+/// of one absorbed world.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WorldDigests {
+    /// What the world simulated.
+    pub results: u64,
+    /// The engine events it took.
+    pub events: u64,
 }
 
 /// What the streaming doctor concluded about one experiment's worlds
@@ -107,6 +122,7 @@ impl Table {
             stream: None,
             profile: None,
             host_profile: None,
+            digests: Vec::new(),
         }
     }
 

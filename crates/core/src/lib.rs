@@ -10,6 +10,7 @@
 //!   wirings, routing, multicast trees.
 //! * [`world`] — the discrete-event world: HUB state machines, CAB
 //!   protocol engines, datalink policy, flow control, delivery records.
+//! * [`digest`] — the results and event digests of a finished run.
 //! * [`invariants`] — the transport-invariant checker: exactly-once
 //!   in-order delivery, at-most-once RPC execution, buffer-pool
 //!   conservation, counter coherence — audited at quiescence under
@@ -39,6 +40,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod digest;
 pub mod invariants;
 pub mod ipsc;
 pub mod mapping;

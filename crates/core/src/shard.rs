@@ -996,6 +996,18 @@ impl ShardedWorld {
         reg
     }
 
+    /// [`World::results_digest`] over the merged metrics and the
+    /// deliveries of every shard: equal to the sequential run's.
+    pub fn results_digest(&self) -> u64 {
+        crate::digest::results(&self.metrics(), &self.deliveries(), self.now())
+    }
+
+    /// [`World::event_digest`] over the events of every shard: equal to
+    /// the sequential run's.
+    pub fn event_digest(&self) -> u64 {
+        crate::digest::events(self.events_processed(), &self.runtime_metrics())
+    }
+
     /// Every recorded telemetry event across all shards, in the
     /// canonical order (see [`canonical_telemetry_sort`]).
     pub fn telemetry_events(&self) -> Vec<TelemetryEvent> {
