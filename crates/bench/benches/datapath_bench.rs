@@ -3,9 +3,11 @@
 //!
 //! * `route/mesh_4x4` — one `Topology::route` lookup on the 16-HUB,
 //!   64-CAB mesh.
-//! * `hub_train/3_hops` — one packet-switched train (three test-opens,
-//!   a 32-byte packet, `close all`) through three chained [`Hub`]s on
-//!   a private engine, run until every connection is closed again.
+//! * `hub_train/3_hops` — one packet-switched [`Train`] (three
+//!   test-opens, a 32-byte packet, `close all`) through three chained
+//!   [`Hub`]s on a private engine, one event per HUB for the train and
+//!   one for its `close all`, run until every connection is closed
+//!   again.
 //! * `send_deliver/{32,960}` — one datagram through a whole [`World`]
 //!   on a two-HUB mesh: send, run to quiescence, take the message.
 
@@ -39,7 +41,7 @@ const OUT: PortId = PortId::new(8);
 const CHAIN: usize = 3;
 
 enum ChainEv {
-    Arrive(usize, Item),
+    Arrive(usize, Train),
     Ready(usize),
     Internal(usize, InternalEv),
 }
@@ -56,23 +58,23 @@ fn bench_hub_train(c: &mut Criterion) {
     g.bench_function("3_hops", |b| {
         b.iter(|| {
             id += 1;
-            // The CAB puts the train on its fibre back to back.
-            let mut at = Dur::ZERO;
-            let mut put = |eng: &mut Engine<ChainEv>, item: Item| {
-                let wire = cfg.wire_time(item.wire_bytes());
-                eng.schedule(at, ChainEv::Arrive(0, item));
-                at += wire;
+            // The CAB puts the train on its fibre: every HUB's test-open,
+            // the packet and `close all`, back to back.
+            let train = |opens_behind: usize, packet: Packet, spacing: Dur| Train {
+                out: OUT,
+                opens_behind: opens_behind as u8,
+                packet,
+                spacing,
+                route: 0,
+                key: 0,
             };
-            for h in 0..CHAIN {
-                put(&mut eng, Command::open(true, true, false, HubId::new(h as u8), OUT).into());
-            }
-            put(&mut eng, Packet::new(id, vec![0u8; 32]).into());
-            put(&mut eng, Item::CloseAll);
+            let packet = Packet::new(id, vec![0u8; 32]);
+            eng.schedule(Dur::ZERO, ChainEv::Arrive(0, train(CHAIN - 1, packet, Dur::ZERO)));
             while let Some(ev) = eng.step() {
                 let now = eng.now();
                 let h = match ev {
-                    ChainEv::Arrive(h, item) => {
-                        hubs[h].item_arrives(now, IN, item, &mut fx);
+                    ChainEv::Arrive(h, t) => {
+                        hubs[h].train_arrives(now, IN, t, &mut fx).expect("taken whole");
                         h
                     }
                     ChainEv::Ready(h) => {
@@ -84,12 +86,13 @@ fn bench_hub_train(c: &mut Criterion) {
                         h
                     }
                 };
-                for em in fx.emissions.drain(..) {
+                for tr in fx.trains.drain(..) {
                     if h + 1 < CHAIN {
-                        eng.schedule_at(em.at, ChainEv::Arrive(h + 1, em.item));
-                    } else if matches!(em.item, Item::Packet(_)) {
+                        let next = train(tr.opens as usize - 1, tr.packet, cfg.transit);
+                        eng.schedule_at(tr.at, ChainEv::Arrive(h + 1, next));
+                    } else {
                         // The CAB at the end drains the packet and says so.
-                        eng.schedule_at(em.at + Dur::from_micros(1), ChainEv::Ready(h));
+                        eng.schedule_at(tr.at + Dur::from_micros(1), ChainEv::Ready(h));
                     }
                 }
                 for rs in fx.ready_signals.drain(..) {
@@ -104,7 +107,8 @@ fn bench_hub_train(c: &mut Criterion) {
         })
     });
     g.finish();
-    for hub in &hubs {
+    for hub in &mut hubs {
+        hub.settle(eng.now(), Tie::LAST);
         assert_eq!(hub.counters().packets_forwarded, id, "every train crossed every HUB");
         assert!(hub.connections().is_empty(), "close all tore the route down");
     }

@@ -120,6 +120,11 @@ impl PortSet {
         self.0[port.index() >> 6] &= !(1 << (port.index() & 63));
     }
 
+    /// `true` if `port` is a member.
+    pub(crate) fn contains(&self, port: PortId) -> bool {
+        self.0[port.index() >> 6] & (1 << (port.index() & 63)) != 0
+    }
+
     /// `true` if the set has no members.
     pub fn is_empty(&self) -> bool {
         self.0 == [0; 4]

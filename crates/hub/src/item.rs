@@ -94,7 +94,7 @@ impl fmt::Display for Packet {
 }
 
 /// Wire size of the in-band `close all` marker.
-const CLOSE_ALL_WIRE_BYTES: usize = 3;
+pub(crate) const CLOSE_ALL_WIRE_BYTES: usize = 3;
 
 /// One unit travelling on a fiber or through a HUB.
 #[derive(Clone, Debug, PartialEq, Eq)]

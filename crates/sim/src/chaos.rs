@@ -658,6 +658,22 @@ impl ChaosInjector {
         }
         drop
     }
+
+    /// `true` when some clause could destroy an item arriving at `hub`'s
+    /// input `port`, at any instant: a command loss, port failure or
+    /// flap aimed at it (`edge`: the port is a CAB's link). Where none
+    /// can, [`on_hub_item`](ChaosInjector::on_hub_item) neither drops
+    /// nor draws, so a caller may skip it for the items of a train.
+    pub fn can_destroy_at(&self, hub: u8, port: u8, edge: bool) -> bool {
+        self.states.iter().any(|st| {
+            let target = st.clause.target;
+            matches!(
+                st.clause.fault,
+                Fault::CommandLoss { .. } | Fault::PortFail | Fault::Flap { .. }
+            ) && target.matches_hub(hub, port)
+                && (edge || matches!(target, ChaosTarget::HubPort { .. }))
+        })
+    }
 }
 
 /// `true` when a flap clause anchored at `from` has the link down at
