@@ -299,7 +299,7 @@ fn bench_batch_drain(c: &mut Criterion) {
     let mut g = c.benchmark_group("sched_batch_drain");
     g.throughput(Throughput::Elements(INSTANTS * PER_INSTANT));
     g.bench_function("slab_step_batch", |b| {
-        let mut buf: Vec<u64> = Vec::new();
+        let mut buf: Vec<(u64, u64)> = Vec::new();
         b.iter(|| {
             let mut eng: Engine<u64> = Engine::new();
             for t in 0..INSTANTS {
@@ -310,7 +310,7 @@ fn bench_batch_drain(c: &mut Criterion) {
             let mut sum = 0u64;
             while let Some(at) = eng.step_batch(&mut buf) {
                 sum = sum.wrapping_add(at.nanos());
-                sum = sum.wrapping_add(buf.drain(..).sum::<u64>());
+                sum = sum.wrapping_add(buf.drain(..).map(|(_, ev)| ev).sum::<u64>());
             }
             black_box(sum)
         })
