@@ -375,8 +375,8 @@ fn world_delay(x: &mut u64) -> Dur {
 
 /// Hold model (pop the minimum, schedule a successor) over a standing
 /// population at the two depths the standing benchmark samples: 1 k
-/// (a busy fabric) and 100 k (`spike`'s launch wave). The population is
-/// built once; only holds are timed.
+/// (a busy fabric) and 100 k (over ten times `spike`'s deepest queue). The
+/// population is built once; only holds are timed.
 fn bench_hold(c: &mut Criterion) {
     const HOLDS: u64 = 10_000;
     fn hold<S: Sched>(g: &mut criterion::BenchmarkGroup<'_>, name: &str, depth: u64) {

@@ -220,14 +220,16 @@ pub(crate) enum Ev {
         /// Workload class index.
         class: usize,
     },
-    /// A closed-loop workload token launches its next flow from `cab`
-    /// (the initial population at the class window start, and every
-    /// re-arm after a delivery plus think time).
+    /// Closed-loop workload tokens launch their next flows from `cab`:
+    /// the CAB's whole population at the class window start, one token
+    /// on every re-arm after a delivery plus think time.
     WorkloadLaunch {
         /// Source CAB index.
         cab: usize,
         /// Workload class index.
         class: usize,
+        /// Flows to launch, in order.
+        count: u32,
     },
     /// The workload auto-responder on `cab` answers a pending RPC.
     WorkloadReply {
@@ -1290,8 +1292,9 @@ impl World {
     /// Attaches a workload program: compiles `spec` against this
     /// topology and seeds the initial events — open-loop classes get
     /// one arrival tick per (class, owned CAB) offset by a first
-    /// inter-arrival draw; closed-loop classes launch their whole
-    /// token population at the class window start. Replaces any
+    /// inter-arrival draw; closed-loop classes get one launch per
+    /// (class, owned CAB) at the class window start, carrying that
+    /// CAB's whole token population. Replaces any
     /// previous workload. Single-packet transports (datagram, RPC)
     /// cap flows at [`MAX_FRAGMENT_PAYLOAD`]; specs whose explicit
     /// sizes exceed it are rejected rather than silently clamped.
@@ -1326,7 +1329,6 @@ impl World {
         let wl = self.workload.as_ref().expect("just attached");
         let class_specs: Vec<nectar_sim::workload::ClassSpec> =
             (0..wl.generator.class_count()).map(|c| *wl.generator.class(c)).collect();
-        let owned_cabs = (0..cab_count).filter(|&cab| self.owns_cab(cab)).count();
         for (c, class) in class_specs.into_iter().enumerate() {
             match class.shape {
                 Shape::Open { .. } => {
@@ -1348,20 +1350,16 @@ impl World {
                     }
                 }
                 Shape::Closed { tokens, .. } => {
-                    // The whole token population launches at one instant.
-                    self.engine.reserve_at(class.from, tokens as usize * owned_cabs);
                     for cab in 0..cab_count {
                         if !self.owns_cab(cab) {
                             continue;
                         }
-                        for _ in 0..tokens {
-                            let key = self.next_key(cab);
-                            self.engine.schedule_at_keyed(
-                                class.from,
-                                key,
-                                Ev::WorkloadLaunch { cab, class: c },
-                            );
-                        }
+                        let key = self.next_key(cab);
+                        self.engine.schedule_at_keyed(
+                            class.from,
+                            key,
+                            Ev::WorkloadLaunch { cab, class: c, count: tokens },
+                        );
                     }
                 }
             }
@@ -1417,11 +1415,19 @@ impl World {
         }
     }
 
-    /// A closed-loop token fires: draw its flow and emit it.
-    fn workload_launch(&mut self, now: Time, cab: usize, class: usize) {
-        let Some(wl) = self.workload.as_mut() else { return };
-        let flow = wl.generator.closed_flow(class, cab as u16);
-        self.workload_send(now, cab, class, flow.dst as usize, flow.bytes);
+    /// `count` closed-loop tokens fire: draw each one's flow and emit
+    /// it. The drain cadence ticks per flow, as it would per event: a
+    /// CAB's population fills the recorder's rings faster than one
+    /// drain per launch empties them.
+    fn workload_launch(&mut self, now: Time, cab: usize, class: usize, count: u32) {
+        for i in 0..count {
+            if i > 0 {
+                self.telemetry_tick();
+            }
+            let Some(wl) = self.workload.as_mut() else { return };
+            let flow = wl.generator.closed_flow(class, cab as u16);
+            self.workload_send(now, cab, class, flow.dst as usize, flow.bytes);
+        }
     }
 
     /// The serving CAB answers a workload RPC: response size drawn
@@ -1478,7 +1484,7 @@ impl World {
                 let wl = self.workload.as_mut().expect("checked above");
                 wl.counters[cab].rearms += 1;
                 let key = self.next_key(cab);
-                self.engine.schedule_at_keyed(at, key, Ev::WorkloadLaunch { cab, class });
+                self.engine.schedule_at_keyed(at, key, Ev::WorkloadLaunch { cab, class, count: 1 });
             }
         }
     }
@@ -1685,10 +1691,9 @@ impl World {
             let late = self.last_batch_at == Some(at);
             self.last_batch_at = Some(at);
             n += batch.len() as u64;
-            // Tick the drain cadence per event, not per batch: a batch
-            // holds every event sharing one timestamp, and a workload
-            // seeding 10^5 same-instant launches would overflow the
-            // rings before a post-batch drain ever ran.
+            // Tick the drain cadence per event, not per batch: the
+            // cadence counts work done, and a batch holds every event
+            // sharing one timestamp however many that is.
             for (key, ev) in batch.drain(..) {
                 self.tie = Tie { late, key };
                 self.dispatch(ev);
@@ -1968,7 +1973,9 @@ impl World {
                 }
             },
             Ev::WorkloadTick { cab, class } => self.workload_tick(now, cab, class),
-            Ev::WorkloadLaunch { cab, class } => self.workload_launch(now, cab, class),
+            Ev::WorkloadLaunch { cab, class, count } => {
+                self.workload_launch(now, cab, class, count)
+            }
             Ev::WorkloadReply { cab, class, client, tx } => {
                 self.workload_reply(cab, class, client, tx)
             }
@@ -2837,8 +2844,9 @@ mod tests {
         assert_eq!(three_events(t).run_to_quiescence(Time::MAX), (3, QuiescenceOutcome::Quiescent));
     }
 
-    /// Every queued event is an `Ev` in the engine's slab: a train must
-    /// not make the 10^5-deep launch wave of `spike` wider.
+    /// Every queued event is an `Ev` in the engine's slab, and `spike`
+    /// keeps up to 7,519 of them pending: a new variant must not widen
+    /// every slot.
     #[test]
     fn events_stay_within_56_bytes() {
         assert!(std::mem::size_of::<Ev>() <= 56, "{} bytes", std::mem::size_of::<Ev>());

@@ -49,8 +49,8 @@
 //! and a new overall minimum appends without disturbing the order. Any
 //! other insert into the front bucket pushes and clears a `sorted`
 //! flag; the next pop re-sorts. Nothing is ever inserted into the
-//! middle of a bucket, because a launch wave can put 10⁵ events on one
-//! instant. The wheel's minimum is cached, which keeps
+//! middle of a bucket, so an insert costs the same however many events
+//! share its instant. The wheel's minimum is cached, which keeps
 //! [`peek_time`](Engine::peek_time) O(1) on `&self`.
 //!
 //! Cancelling a wheel event frees its slot at once (bumping the
@@ -134,11 +134,6 @@ const BUCKET_SHIFT: u32 = 6;
 const WHEEL_BITS: u32 = 12;
 const WHEEL_SIZE: usize = 1 << WHEEL_BITS;
 const WHEEL_MASK: u64 = WHEEL_SIZE as u64 - 1;
-
-/// A drained bucket keeps its allocation for the next revolution unless
-/// it grew past this many entries: that was a launch wave (10⁵ flows on
-/// one instant), not the steady state, and its megabytes go back.
-const BURST_ENTRIES: usize = 1024;
 
 const _: () = assert!(1 << BUCKET_SHIFT <= HUB_CYCLE_NS && HUB_CYCLE_NS < 2 << BUCKET_SHIFT);
 const _: () = assert!((WHEEL_SIZE as u64) << BUCKET_SHIFT > MAX_WIRE_NS);
@@ -271,26 +266,6 @@ impl<E> Engine<E> {
             heap_slots: Vec::new(),
             next_seq: 0,
             delivered: 0,
-        }
-    }
-
-    /// Makes room for `n` more pending events that are all due at `at`,
-    /// so that a caller about to schedule a known same-instant burst (a
-    /// workload's launch wave) pays one allocation per structure
-    /// instead of three interleaved doubling series — whose cost swings
-    /// by 2× with what the allocator happens to extend in place or hand
-    /// back to the system. Capacities are rounded up to the power of
-    /// two that growth by doubling would have ended on, so the engine
-    /// holds exactly the memory it would have held anyway.
-    pub fn reserve_at(&mut self, at: Time, n: usize) {
-        fn grow<T>(v: &mut Vec<T>, n: usize) {
-            let want = (v.len() + n).next_power_of_two();
-            v.reserve_exact(want - v.len());
-        }
-        grow(&mut self.meta, n);
-        grow(&mut self.payloads, n);
-        if at >= self.now && bucket_of(at) - bucket_of(self.now) < WHEEL_SIZE as u64 {
-            grow(&mut self.buckets[(bucket_of(at) & WHEEL_MASK) as usize], n);
         }
     }
 
@@ -632,9 +607,6 @@ impl<E> Engine<E> {
             }
             bucket.pop();
         }
-        if bucket.capacity() > BURST_ENTRIES {
-            *bucket = Vec::new();
-        }
         self.clear_occupied(self.front);
         self.seek_front(self.front);
     }
@@ -959,37 +931,9 @@ mod tests {
     const HORIZON_NS: u64 = (WHEEL_SIZE as u64) << BUCKET_SHIFT;
 
     #[test]
-    fn reserve_at_sizes_slab_and_bucket_for_the_whole_burst() {
-        let at = Time::from_nanos(500);
-        let mut eng: Engine<u32> = Engine::new();
-        eng.schedule_at(at, 0);
-        eng.reserve_at(at, 3000);
-        let b = (bucket_of(at) & WHEEL_MASK) as usize;
-        let caps =
-            |e: &Engine<u32>| (e.meta.capacity(), e.payloads.capacity(), e.buckets[b].capacity());
-        let before = caps(&eng);
-        // What doubling from nothing would have reached for 3001 events.
-        assert_eq!(before, (4096, 4096, 4096));
-        for i in 1..=3000 {
-            eng.schedule_at(at, i);
-        }
-        assert_eq!(caps(&eng), before, "the burst fits without a single reallocation");
-        // An instant beyond the wheel horizon has no bucket yet: only
-        // the slab grows.
-        eng.reserve_at(Time::from_nanos(HORIZON_NS * 3), 5000);
-        assert_eq!(caps(&eng), (8192, 8192, 4096));
-        let mut popped = Vec::new();
-        eng.step_batch(&mut popped);
-        assert_eq!(
-            popped.into_iter().map(|(_, e)| e).collect::<Vec<_>>(),
-            (0..=3000).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn same_instant_burst_inserts_in_constant_time_and_pops_in_key_order() {
-        // A launch wave: 10^5 events on one instant, keys scattered so
-        // the eventual sort has real work to do.
+        // 10^5 events on one instant, keys scattered so the eventual
+        // sort has real work to do.
         const N: u64 = 100_000;
         let mut eng: Engine<u64> = Engine::new();
         let at = Time::from_nanos(7);
