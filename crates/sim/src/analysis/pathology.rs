@@ -343,15 +343,14 @@ pub(crate) fn fold_head_of_line(
         };
         let fwd_idx = i + 1 + fwd;
         let wait = evs[fwd_idx].at.saturating_since(ev.at);
-        // Service proxy: forward to the packet's next datapath event
-        // (next hop arrival or receive DMA start).
-        let service = evs[fwd_idx + 1..]
-            .iter()
-            .find(|e| {
-                matches!(e.kind, EventKind::CrossbarEnqueue { .. } | EventKind::DmaStart { .. })
-            })
-            .map(|e| e.at.saturating_since(evs[fwd_idx].at))
-            .unwrap_or(Dur::ZERO);
+        // Service: forward to the next hop's arrival or, on a hop into
+        // a CAB, to the receive DMA's completion (its start is stamped
+        // at the forward itself). A hop whose end was never seen is no
+        // sample.
+        let Some(end) = evs[fwd_idx + 1..].iter().find(|e| ends_service(&e.kind)) else {
+            continue;
+        };
+        let service = end.at.saturating_since(evs[fwd_idx].at);
         ports.entry((hub, input)).or_default().add_sample(
             wait,
             service,
@@ -362,14 +361,19 @@ pub(crate) fn fold_head_of_line(
     }
 }
 
+/// `true` for the events that end a forwarded hop's service: the next
+/// hop's arrival, or the receive DMA's completion on a hop into a CAB.
+pub(crate) fn ends_service(kind: &EventKind) -> bool {
+    matches!(kind, EventKind::CrossbarEnqueue { .. } | EventKind::DmaComplete { .. })
+}
+
 /// One HUB hop a fold fed events in flight order is still following —
 /// [`fold_head_of_line`]'s two searches as state: an enqueue waiting
 /// for the forward that ends its queue wait, then that forward waiting
-/// for the flight's next enqueue or receive DMA, which ends its
-/// service. Every queued hop on a port moves on at that port's next
-/// forward and every forwarded hop ends at the next enqueue or DMA
-/// start, exactly as [`fold_head_of_line`] pairs them; a unicast flight
-/// never follows more than one hop at a time.
+/// for the event that [`ends_service`]. Every queued hop on a port
+/// moves on at that port's next forward and every forwarded hop ends at
+/// the next such event, exactly as [`fold_head_of_line`] pairs them; a
+/// unicast flight never follows more than one hop at a time.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Hop {
     /// Enqueued at `(hub, input)`, not yet forwarded.
@@ -394,10 +398,7 @@ impl Hop {
     /// and its service time to `done`.
     pub(crate) fn step(self, ev: &TelemetryEvent, mut done: impl FnMut(Hop, Dur)) -> Option<Hop> {
         match (self, ev.kind) {
-            (
-                Hop::Forwarded { forwarded, .. },
-                EventKind::CrossbarEnqueue { .. } | EventKind::DmaStart { .. },
-            ) => {
+            (Hop::Forwarded { forwarded, .. }, kind) if ends_service(&kind) => {
                 done(self, ev.at.saturating_since(forwarded));
                 None
             }
@@ -547,6 +548,7 @@ pub(crate) fn silent_drop_finding(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::streaming::{StreamConfig, StreamingDoctor};
     use crate::telemetry::{FlightId, TelemetryEvent};
 
     fn ev(ns: u64, flight: u64, kind: EventKind) -> TelemetryEvent {
@@ -605,11 +607,12 @@ mod tests {
                 i,
                 EventKind::CrossbarForward { hub: 1, input: 4, output: 2, bytes: 98 },
             ));
-            // ...then only 1 us to the receive DMA: wait dominates.
+            // ...then only 1 us until the receive DMA completes: wait
+            // dominates.
             events.push(ev(
                 base + 31_100,
                 i,
-                EventKind::DmaStart { cab: 1, channel: 0, bytes: 96 },
+                EventKind::DmaComplete { cab: 1, channel: 0, bytes: 96 },
             ));
             events.push(recv(base + 40_000, i));
         }
@@ -618,6 +621,54 @@ mod tests {
         let hol = findings.iter().find(|f| f.detector == "head_of_line").unwrap();
         assert_eq!(hol.subject, "hub1 input 4");
         assert_eq!(hol.flights.len(), 8); // capped at max_evidence
+    }
+
+    /// A hop into a CAB is served until its receive DMA completes: the
+    /// DMA start carries the forward's own timestamp. A hop whose end
+    /// never shows up is no sample at all, not a zero-length service.
+    #[test]
+    fn head_of_line_service_ends_at_the_receive_dma_completion() {
+        let mut events = Vec::new();
+        for i in 0..10u64 {
+            let base = i * 100_000;
+            let (hub, input, output) = (1, 4, 2);
+            events.push(send(base, i, i as u32, false));
+            events.push(ev(base + 100, i, EventKind::CrossbarEnqueue { hub, input, bytes: 98 }));
+            // 30 us of queue wait...
+            let fwd = base + 30_100;
+            events.push(ev(fwd, i, EventKind::CrossbarForward { hub, input, output, bytes: 98 }));
+            events.push(ev(fwd, i, EventKind::DmaStart { cab: 1, channel: 0, bytes: 96 }));
+            // ...and 10 us until the packet is in CAB memory: 3x.
+            events.push(ev(
+                fwd + 10_000,
+                i,
+                EventKind::DmaComplete { cab: 1, channel: 0, bytes: 96 },
+            ));
+            events.push(recv(base + 50_000, i));
+            // A second port whose packets are forwarded into a DMA that
+            // never completes in the capture.
+            let (id, hub, input) = (100 + i, 2, 1);
+            events.push(send(base, id, 100 + i as u32, false));
+            events.push(ev(base + 100, id, EventKind::CrossbarEnqueue { hub, input, bytes: 98 }));
+            let fwd = base + 30_100;
+            events.push(ev(fwd, id, EventKind::CrossbarForward { hub, input, output, bytes: 98 }));
+            events.push(ev(fwd, id, EventKind::DmaStart { cab: 1, channel: 1, bytes: 96 }));
+        }
+        let table = FlightTable::from_events(&events);
+        let findings = detect(&table, None, &DoctorConfig::default());
+        let hol: Vec<&Finding> = findings.iter().filter(|f| f.detector == "head_of_line").collect();
+        assert_eq!(hol.len(), 1, "{hol:?}");
+        assert_eq!(hol[0].subject, "hub1 input 4");
+        assert!(hol[0].summary.contains("is 3.0x mean service time"), "{}", hol[0].summary);
+
+        // The streaming fold pairs hops the same way.
+        events.sort_unstable_by_key(|e| e.canonical_key());
+        let mut doctor = StreamingDoctor::new(StreamConfig::default());
+        doctor.ingest(&mut events.clone());
+        assert_eq!(
+            doctor.into_report(None).render(),
+            crate::analysis::diagnose(&events, None).render()
+        );
     }
 
     #[test]

@@ -64,8 +64,8 @@
 //! it) — so which flights retire, and when, is a function of the
 //! batch's content, never of its internal order. Retirement is
 //! O(1): the accumulator becomes a breakdown for the [`CriticalPath`]
-//! histograms, a hop still waiting for its service end folds with none,
-//! and the facts feed the storm and silent-drop folds. Only O(1)
+//! histograms, a hop still waiting for its service end is dropped
+//! unsampled, and the facts feed the storm and silent-drop folds. Only O(1)
 //! residue per stream slot remains (first-send time, data-flight count
 //! and lost-candidate list for the silent-drop detector) until the slot
 //! is acknowledged.
@@ -605,22 +605,13 @@ impl StreamingDoctor {
         let m = self.max_retired.entry(id >> 40).or_insert(0);
         *m = (*m).max(id);
         let facts = of.facts;
-        // A forwarded hop no later enqueue or DMA ended has no service
-        // time; a queued one was never forwarded and is no sample.
-        let spilled = match of.hops {
-            Hops::Spilled => self.spilled_hops.remove(&id).unwrap_or_default(),
-            _ => Vec::new(),
-        };
+        // A hop still followed at retirement never saw its service end,
+        // and is no sample.
+        if matches!(of.hops, Hops::Spilled) {
+            self.spilled_hops.remove(&id);
+        }
         if facts.malformed() {
             self.merged_after_hops += u64::from(of.hops_folded);
-        } else {
-            let one = match of.hops {
-                Hops::One(h) => Some(h),
-                _ => None,
-            };
-            for h in one.into_iter().chain(spilled) {
-                fold_hop(h, Dur::ZERO, id, &mut self.ports, &self.cfg.doctor);
-            }
         }
         let streams = &mut self.streams;
         pathology::fold_storm(id, &facts, &self.cfg.doctor, |k| {
@@ -814,8 +805,8 @@ impl StreamingDoctor {
 }
 
 /// Folds one final event into its flight's accumulator, in flight
-/// order: one critical-path step, and for the crossbar and DMA events
-/// one step of the hops the flight is following. Finished hops go
+/// order: one critical-path step, and for the crossbar and DMA-completion
+/// events one step of the hops the flight is following. Finished hops go
 /// straight to their port — unless the flight already has two sends,
 /// which post-hoc excludes from head-of-line evidence.
 fn fold_final(
@@ -827,12 +818,7 @@ fn fold_final(
     cfg: &DoctorConfig,
 ) {
     of.path.step(ev);
-    if !matches!(
-        ev.kind,
-        EventKind::CrossbarEnqueue { .. }
-            | EventKind::CrossbarForward { .. }
-            | EventKind::DmaStart { .. }
-    ) {
+    if !matches!(ev.kind, EventKind::CrossbarForward { .. }) && !pathology::ends_service(&ev.kind) {
         return;
     }
     let fold = !of.facts.malformed();
@@ -1030,8 +1016,9 @@ mod tests {
             send(100, 1, 0, false),
             ev(200, 1, EventKind::CrossbarEnqueue { hub: 0, input: 1, bytes: 98 }),
             ev(300, 1, EventKind::CrossbarForward { hub: 0, input: 1, output: 2, bytes: 98 }),
-            ev(400, 1, EventKind::DmaStart { cab: 1, channel: 0, bytes: 96 }),
+            ev(300, 1, EventKind::DmaStart { cab: 1, channel: 0, bytes: 96 }),
             ev(450, 1, EventKind::DmaComplete { cab: 1, channel: 0, bytes: 96 }),
+            recv(460, 1),
         ]);
         // Merged from another world: the same id, a different slot.
         doc.ingest(&mut vec![send(500, 1, 7, false)]);
