@@ -782,6 +782,10 @@ impl ShardedWorld {
                                 exchanged: 0,
                                 exit: EpochExit::Budget,
                             };
+                            // Each span opens where the previous one
+                            // closed: the profiler reads the clock three
+                            // times a window (four when streaming).
+                            let mut t0 = prof.begin();
                             loop {
                                 // A window's spans are its rendezvous
                                 // (fill, wait, drain) and then its step.
@@ -793,7 +797,6 @@ impl ShardedWorld {
                                 // swapped-in buffer is the (empty, warm)
                                 // one the consumer left behind two
                                 // rendezvous ago.
-                                let t0 = prof.begin();
                                 let mut sent_min = u64::MAX;
                                 for dst in 0..n {
                                     if dst != i && world.outbox_filled(dst) {
@@ -809,21 +812,22 @@ impl ShardedWorld {
                                         cell.filled.store(true, Ordering::Release);
                                     }
                                 }
-                                prof.end(Phase::OutboxFill, win, t0);
                                 let own = world.next_event_time().map_or(u64::MAX, |t| t.nanos());
                                 rendezvous.publish(i, k, own.min(sent_min));
+                                // The fill span ends with the publish, so
+                                // the wait starts where it closed.
+                                let filled = prof.end(Phase::OutboxFill, win, t0);
                                 // The span takes the rendezvous's own
                                 // measured wait, so profile barrier time
                                 // and `runner.barrier_wait_ns` agree
                                 // exactly.
-                                let t0 = prof.begin();
                                 let waited = rendezvous.wait(i, k);
-                                prof.end_with(Phase::BarrierWait, win, t0, waited);
+                                prof.end_with(Phase::BarrierWait, win, filled, waited);
                                 res.wait_ns += waited;
                                 // Consumer: drain this shard's column,
                                 // capacities staying in the cells for
                                 // the producer's next swap.
-                                let t0 = prof.begin();
+                                let drained = filled + waited;
                                 for src in 0..n {
                                     let cell = grid.cell(src, i);
                                     if src != i && cell.filled.load(Ordering::Acquire) {
@@ -833,7 +837,7 @@ impl ShardedWorld {
                                         world.ingest_drain(&mut batch);
                                     }
                                 }
-                                prof.end(Phase::ExchangeDrain, win, t0);
+                                let stepping = prof.end(Phase::ExchangeDrain, win, drained);
                                 if res.windows >= budget {
                                     return res;
                                 }
@@ -848,9 +852,8 @@ impl ShardedWorld {
                                     return res;
                                 }
                                 let end = Time::from_nanos(t.saturating_add(lookahead).min(cap));
-                                let t0 = prof.begin();
                                 res.events += world.run_window(end);
-                                prof.end(Phase::Step, win, t0);
+                                t0 = prof.end(Phase::Step, win, stepping);
                                 if streaming {
                                     // Collect the in-window spill (see
                                     // `World::telemetry_tick`) plus ring
@@ -859,9 +862,8 @@ impl ShardedWorld {
                                     // epoch fold cadence. Folding still
                                     // happens only at epoch boundaries,
                                     // below the finality watermark.
-                                    let t0 = prof.begin();
                                     world.take_spill(spill);
-                                    prof.end(Phase::TelemetryDrain, win, t0);
+                                    t0 = prof.end(Phase::TelemetryDrain, win, t0);
                                 }
                                 res.windows += 1;
                             }

@@ -57,7 +57,7 @@ pub enum Phase {
     /// Engine stepping: `World::run_window` over `[T, T+lookahead)`.
     Step,
     /// Producer half of the exchange: swapping filled outboxes into
-    /// the grid.
+    /// the grid and publishing the shard's earliest pending time.
     OutboxFill,
     /// Consumer half of the exchange: draining this shard's column
     /// into its engine.
@@ -157,7 +157,8 @@ impl Default for TrackTotals {
 /// branch and records nothing, so leaving profilers threaded through a
 /// hot loop costs nothing measurable. Enabled, recording is one
 /// monotonic clock read at each scope edge plus a bounded ring push —
-/// no allocation once the ring is warm.
+/// no allocation once the ring is warm. Back-to-back scopes share an
+/// edge: [`end`](Profiler::end) returns the stamp that opens the next.
 ///
 /// [`begin`]: Profiler::begin
 #[derive(Debug)]
@@ -212,14 +213,17 @@ impl Profiler {
     }
 
     /// Closes a scope opened by [`begin`](Profiler::begin), measuring
-    /// the duration from the clock.
+    /// the duration from the clock. Returns the closing stamp (0 when
+    /// disabled), which can open the next scope without a second read.
     #[inline]
-    pub fn end(&mut self, phase: Phase, window: u64, start_ns: u64) {
+    pub fn end(&mut self, phase: Phase, window: u64, start_ns: u64) -> u64 {
         if !self.enabled {
-            return;
+            return 0;
         }
-        let dur_ns = host_now_ns().saturating_sub(start_ns);
+        let end_ns = host_now_ns();
+        let dur_ns = end_ns.saturating_sub(start_ns);
         self.push(PhaseSpan { phase, window, start_ns, dur_ns });
+        end_ns
     }
 
     /// Closes a scope with an externally measured duration — used for
