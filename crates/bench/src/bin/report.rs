@@ -37,19 +37,20 @@
 //! metrics are identical across repeats (wall-clock may jitter;
 //! simulated results may not).
 //! `--scaling` additionally measures the speedup curve — the e26
-//! topologies, clean and under chaos, at a sweep of shard counts, each
-//! point bit-compared against its 1-shard reference — and records it
-//! as the `scaling` array of `BENCH_sim.json` together with the host
-//! description (`docs/parallel.md`, "Measuring the speedup curve").
+//! topologies, clean and under chaos, at a sweep of shard counts — and
+//! records it as the `scaling` array of `BENCH_sim.json` together with
+//! the host description (`docs/parallel.md`, "Measuring the speedup
+//! curve"). If any point's results digest differs from its 1-shard
+//! point's, `report` names the point and exits 1.
 //! `--profile` turns on the host-time profiler for every sharded world
 //! (`docs/parallel.md`, "Reading the host-time profile"): per-shard
 //! phase breakdowns, parallel efficiency, the Karp–Flatt serial
 //! fraction, and the scaling doctor's ranked bottleneck verdict, per
 //! experiment and (with `--scaling`) per speedup-curve point. Purely
-//! observational: the determinism diffs prove the simulated metrics
-//! are bit-identical with it on or off. Combined with `--trace` on an
-//! e26 experiment, the Chrome trace gains host-time tracks next to the
-//! simulated ones.
+//! observational: simulated results are identical with it on or off
+//! (the test `profiled_trace_has_host_tracks_and_the_same_results`
+//! holds e26 to that). Combined with `--trace` on an e26 experiment,
+//! the Chrome trace gains host-time tracks next to the simulated ones.
 //!
 //! Every experiment builds its own world, so they are embarrassingly
 //! parallel: with `--jobs N` the registry is drained by `N` scoped
@@ -59,6 +60,7 @@
 //! thread flushes everything once, in registry order, through a single
 //! locked stdout regardless of completion order.
 
+use nectar_bench::experiments::scale::ScalingPoint;
 use nectar_bench::experiments::{ExpCtx, Experiment, TRACEABLE};
 use nectar_bench::registry;
 use nectar_bench::table::Table;
@@ -335,6 +337,29 @@ fn main() {
         Ok(()) => eprintln!("wrote {} ({} experiments)", opts.json_path, results.len()),
         Err(e) => eprintln!("could not write {}: {e}", opts.json_path),
     }
+    let diverged = diverged_points(&points);
+    if !diverged.is_empty() {
+        eprintln!("report: --scaling: {}", diverged.join("; "));
+        std::process::exit(1);
+    }
+}
+
+/// One line per `--scaling` point whose results digest differs from its
+/// 1-shard point's; empty when every point simulated the same thing.
+fn diverged_points(points: &[ScalingPoint]) -> Vec<String> {
+    points
+        .iter()
+        .filter(|p| !p.deterministic)
+        .map(|p| {
+            format!(
+                "{} {} at {} shards{}: results digest differs from the 1-shard point's",
+                p.experiment,
+                p.topology,
+                p.shards,
+                if p.chaos { " under chaos" } else { "" }
+            )
+        })
+        .collect()
 }
 
 /// Formats an experiment's runtime registry (runner counters, ring
@@ -514,7 +539,7 @@ fn host_json(repeat: usize, results: &[Outcome]) -> String {
 /// Prints the speedup curve as a table on stdout. When the sweep was
 /// profiled, every point also shows its parallel efficiency, Karp–Flatt
 /// serial fraction, and the scaling doctor's primary verdict.
-fn print_scaling(points: &[nectar_bench::experiments::scale::ScalingPoint]) {
+fn print_scaling(points: &[ScalingPoint]) {
     println!("speedup curve (per point vs its 1-shard reference)");
     let profiled = points.iter().any(|p| p.profile.is_some());
     println!(
@@ -555,7 +580,7 @@ fn print_scaling(points: &[nectar_bench::experiments::scale::ScalingPoint]) {
             reference.wall_s / p.wall_s.max(1e-9),
             p.barrier_wait_ns as f64 / 1e6,
             p.exchanged_events,
-            if p.deterministic { "yes" } else { "NO — DETERMINISM VIOLATED" },
+            if p.deterministic { "yes" } else { "NO" },
             attribution,
         );
     }
@@ -563,8 +588,8 @@ fn print_scaling(points: &[nectar_bench::experiments::scale::ScalingPoint]) {
 }
 
 /// Renders the per-experiment results as `BENCH_sim.json`: wall time,
-/// events processed, events/sec, and table notes (the e26 speedup and
-/// determinism verdicts live there) for every experiment plus totals,
+/// events processed, events/sec, and table notes for every experiment
+/// plus totals,
 /// the structured host description, and (under `--scaling`) the
 /// measured speedup curve.
 fn render_json(
@@ -572,7 +597,7 @@ fn render_json(
     jobs: usize,
     shards: usize,
     repeat: usize,
-    scaling: &[nectar_bench::experiments::scale::ScalingPoint],
+    scaling: &[ScalingPoint],
 ) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"jobs\": {jobs},\n"));
@@ -798,5 +823,45 @@ mod tests {
         }
         let err = invoke("--trace e01").expect_err("e01 records no telemetry");
         assert!(TRACEABLE.iter().all(|id| err.contains(id)), "traceable ids not listed: {err}");
+    }
+
+    #[test]
+    fn a_scaling_point_whose_results_moved_is_named() {
+        let point = |shards, chaos, deterministic| ScalingPoint {
+            experiment: "e26",
+            topology: "fat_star(8,8,16)",
+            shards,
+            chaos,
+            events: 0,
+            wall_s: 0.0,
+            windows: 0,
+            barrier_wait_ns: 0,
+            exchanged_events: 0,
+            deterministic,
+            profile: None,
+        };
+        // (sweep, what the exit message must say)
+        let table = [
+            (vec![point(1, false, true), point(2, false, true)], vec![]),
+            (
+                vec![point(1, false, true), point(2, false, true), point(2, true, false)],
+                vec![
+                    "e26 fat_star(8,8,16) at 2 shards under chaos: results digest differs \
+                      from the 1-shard point's",
+                ],
+            ),
+            (
+                vec![point(4, false, false), point(2, true, false)],
+                vec![
+                    "e26 fat_star(8,8,16) at 4 shards: results digest differs from the \
+                     1-shard point's",
+                    "e26 fat_star(8,8,16) at 2 shards under chaos: results digest differs \
+                     from the 1-shard point's",
+                ],
+            ),
+        ];
+        for (points, want) in table {
+            assert_eq!(diverged_points(&points), want);
+        }
     }
 }

@@ -6,15 +6,16 @@
 //! influence. The `e26` family builds the two topologies where that
 //! structure is big enough to matter — an 8-leaf fat-star and a 4×4
 //! mesh, 64 CABs each — floods them with mostly cluster-local stream
-//! traffic, and runs the same workload on a
-//! [`ShardedWorld`](nectar_core::shard::ShardedWorld) at
+//! traffic, and runs the same workload on a [`ShardedWorld`] at
 //! `report --shards N`.
 //!
-//! When `--shards` exceeds one, each experiment also runs the 1-shard
-//! reference in the same process, reports the speedup, and diffs the
-//! two metrics registries. A mismatch prints `DETERMINISM VIOLATED`
-//! in the table notes — CI greps for exactly that string, so a window
-//! protocol bug can never hide behind a good-looking speedup number.
+//! Each experiment builds one world. That its results do not depend on
+//! the shard count is checked elsewhere: the golden test
+//! (`crates/bench/tests/golden.rs`) pins e26 and e26b at 1 and 2 shards,
+//! and `report --scaling` compares every point of its sweep with the
+//! 1-shard point and exits 1 when one differs (the ignored test
+//! `every_scaling_point_agrees_and_is_attributed` in
+//! `crates/bench/tests/gates.rs` runs that sweep at 1 and 2 shards).
 
 use crate::experiments::ExpCtx;
 use crate::table::Table;
@@ -79,128 +80,71 @@ fn scaled_workload(topo: &Topology) -> Vec<(Time, usize, AppSend)> {
     sends
 }
 
-/// One timed run's measurements, before any table formatting.
-struct TimedRun {
-    /// Simulation events processed.
-    events: u64,
-    /// Wall-clock seconds.
-    wall_s: f64,
-    /// Metrics JSON — the determinism fingerprint.
-    fingerprint: String,
-    /// Runner counters (windows, barrier wait, exchanged events).
-    runtime: nectar_sim::metrics::MetricsRegistry,
-    /// Scaling-doctor analysis, when the ctx asked for `--profile`.
-    profile: Option<nectar_sim::profile::ProfileAnalysis>,
-}
+/// Simulated-time drain deadline of every e26 and e27 run; each drains
+/// long before it.
+const DEADLINE: Time = Time::from_millis(100);
 
-/// One timed run of the workload at `shards` shards. Only the `absorb`
-/// run feeds the table's metrics/trace so a reference run never
-/// double-counts.
-fn timed_run(
+/// Builds a `shards`-way world over `topo`, arms it for `ctx`, lets
+/// `load` put its traffic on it and runs it to quiescence: the one run
+/// of every e26 and e27 experiment and of every `--scaling` point.
+/// Returns the world with the events it processed and the wall-clock
+/// seconds all of that took.
+pub(crate) fn timed_run(
     topo: &Topology,
-    sends: &[(Time, usize, AppSend)],
     shards: usize,
-    chaos: Option<&ChaosSchedule>,
     ctx: &ExpCtx,
-    table: &mut Table,
-    absorb: bool,
-) -> TimedRun {
+    load: impl FnOnce(&mut ShardedWorld),
+) -> (ShardedWorld, u64, f64) {
     let t0 = Instant::now();
     let mut world = ShardedWorld::new(topo.clone(), SystemConfig::default(), shards);
-    // Both the measured run and the 1-shard reference get the same
-    // capture setup (including streaming): draining rings changes the
-    // `telemetry.dropped_events` counter under tight capacities, and
-    // the determinism diff must compare like with like.
     ctx.prepare_sharded(&mut world);
+    load(&mut world);
+    let (events, _) = world.run_to_quiescence(DEADLINE);
+    (world, events, t0.elapsed().as_secs_f64())
+}
+
+/// Puts the scaled workload, and the chaos schedule if any, on `world`.
+fn load_scaled(
+    world: &mut ShardedWorld,
+    sends: &[(Time, usize, AppSend)],
+    chaos: Option<&ChaosSchedule>,
+) {
     if let Some(s) = chaos {
         world.set_chaos(s.clone());
     }
     for (at, cab, send) in sends {
         world.schedule_send(*at, *cab, send.clone());
     }
-    let (events, _) = world.run_to_quiescence(Time::from_millis(100));
-    let wall_s = t0.elapsed().as_secs_f64();
-    let fingerprint = world.metrics().to_json();
-    assert!(
-        chaos.is_some() || world.transport_quiescent(),
-        "{}: scale workload failed to drain — deadline too tight",
-        table.id
-    );
-    let profile = world.profile_analysis();
-    if absorb {
-        ctx.absorb_sharded(table, &mut world);
-    } else if ctx.stream {
-        // The reference run streams too (same capture setup), but its
-        // doctor's verdict is redundant — just detach it.
-        world.finish_streaming();
-    }
-    TimedRun { events, wall_s, fingerprint, runtime: world.runtime_metrics(), profile }
 }
 
-/// Shared runner: main run at `ctx.shards`, plus (when parallel) the
-/// 1-shard reference, speedup note, and the determinism diff.
+/// Shared runner: the workload at `ctx.shards`, one world.
 fn run_scale(id: &'static str, title: &str, topo: Topology, ctx: &ExpCtx) -> Table {
     let mut table =
         Table::new(id, title.to_string(), &["config", "shards", "events", "wall", "events/sec"]);
-    let cabs = topo.cab_count();
-    let hubs = topo.hub_count();
-    let shards = ctx.shard_count().min(hubs);
+    let shards = ctx.shard_count().min(topo.hub_count());
     let sends = scaled_workload(&topo);
-    let config = format!("{hubs} HUBs / {cabs} CABs / {} sends", sends.len());
-
-    let run = timed_run(&topo, &sends, shards, None, ctx, &mut table, true);
-    let (events, wall, fingerprint, runtime) =
-        (run.events, run.wall_s, run.fingerprint, run.runtime);
+    let (mut world, events, wall) = timed_run(&topo, shards, ctx, |w| load_scaled(w, &sends, None));
+    assert!(
+        world.transport_quiescent(),
+        "{id}: scale workload failed to drain — deadline too tight"
+    );
+    let runtime = world.runtime_metrics();
+    ctx.absorb_sharded(&mut table, &mut world);
     table.record_events(events);
-    let eps = events as f64 / wall.max(1e-9);
     table.row(&[
-        config.clone(),
+        format!("{} HUBs / {} CABs / {} sends", topo.hub_count(), topo.cab_count(), sends.len()),
         shards.to_string(),
         events.to_string(),
         format!("{:.1} ms", wall * 1e3),
-        format!("{eps:.0}"),
+        format!("{:.0}", events as f64 / wall.max(1e-9)),
     ]);
-
     if shards > 1 {
-        let (windows, wait_ns, exchanged) = (
+        table.note(format!(
+            "runner: {} windows, {:.1} ms total barrier wait, {} cross-shard events exchanged",
             runtime.counter("runner.windows"),
-            runtime.counter("runner.barrier_wait_ns"),
+            runtime.counter("runner.barrier_wait_ns") as f64 / 1e6,
             runtime.counter("runner.exchanged_events"),
-        );
-        table.note(format!(
-            "runner: {windows} windows, {:.1} ms total barrier wait, \
-             {exchanged} cross-shard events exchanged",
-            wait_ns as f64 / 1e6
         ));
-        let reference = timed_run(&topo, &sends, 1, None, ctx, &mut table, false);
-        let (ref_events, ref_wall, ref_fingerprint) =
-            (reference.events, reference.wall_s, reference.fingerprint);
-        table.record_events(ref_events);
-        let ref_eps = ref_events as f64 / ref_wall.max(1e-9);
-        table.row(&[
-            config,
-            "1 (reference)".to_string(),
-            ref_events.to_string(),
-            format!("{:.1} ms", ref_wall * 1e3),
-            format!("{ref_eps:.0}"),
-        ]);
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        table.note(format!(
-            "speedup at {shards} shards: {:.2}x events/sec ({cores}-core host{})",
-            eps / ref_eps,
-            if cores < shards { "; shards oversubscribed, no speedup possible" } else { "" }
-        ));
-        if ref_events != events {
-            table.note(format!(
-                "DETERMINISM VIOLATED: {events} events at {shards} shards vs {ref_events} at 1"
-            ));
-        } else if fingerprint != ref_fingerprint {
-            table.note(format!(
-                "DETERMINISM VIOLATED: metrics registries differ between 1 and {shards} shards"
-            ));
-        } else {
-            table.note(format!("determinism: metrics bit-identical across 1 and {shards} shards"));
-        }
     }
     let lookahead = SystemConfig::default().hub.lookahead();
     table.note(format!(
@@ -248,8 +192,8 @@ pub struct ScalingPoint {
     pub barrier_wait_ns: u64,
     /// Cross-shard events moved through the batched exchange.
     pub exchanged_events: u64,
-    /// Whether this point's metrics registry is bit-identical to the
-    /// 1-shard reference for the same topology and schedule.
+    /// Whether this point's results digest equals the 1-shard point's
+    /// for the same topology and schedule.
     pub deterministic: bool,
     /// Host-time bottleneck attribution for this point — per-shard
     /// phase breakdown, parallel efficiency, Karp–Flatt estimate, and
@@ -261,12 +205,11 @@ pub struct ScalingPoint {
 /// Measures the speedup curve behind `report --scaling`: each e26
 /// topology, clean and under a fixed chaos schedule, at every shard
 /// count in `shard_counts` (deduplicated, clamped to the HUB count, 1
-/// always included as the reference). Every multi-shard point is
-/// bit-compared against the 1-shard reference — the curve is only
-/// worth plotting if it measures the *same* computation at every x.
-/// With `profile` set, every point also carries the scaling doctor's
-/// bottleneck attribution (the determinism diff proves profiling does
-/// not perturb the simulated results).
+/// always included and run first). Every point's results digest is
+/// compared with the 1-shard point's — the curve is only worth plotting
+/// if it measures the *same* computation at every x. With `profile`
+/// set, every point also carries the scaling doctor's bottleneck
+/// attribution.
 pub fn scaling_sweep(shard_counts: &[usize], profile: bool) -> Vec<ScalingPoint> {
     let chaos = ChaosSchedule::new(0xC0FFEE)
         .with(Clause::new(Fault::Loss { rate: 0.02 }))
@@ -275,7 +218,7 @@ pub fn scaling_sweep(shard_counts: &[usize], profile: bool) -> Vec<ScalingPoint>
         ("e26", "fat_star(8,8,16)", Topology::fat_star(8, 8, 16)),
         ("e26b", "mesh2d(4,4,4,16)", Topology::mesh2d(4, 4, 4, 16)),
     ];
-    let ctx = ExpCtx { shards: 1, profile, ..ExpCtx::default() };
+    let ctx = ExpCtx { profile, ..ExpCtx::off() };
     let mut points = Vec::new();
     for (id, desc, topo) in topologies {
         let hubs = topo.hub_count();
@@ -286,29 +229,28 @@ pub fn scaling_sweep(shard_counts: &[usize], profile: bool) -> Vec<ScalingPoint>
         let sends = scaled_workload(&topo);
         for use_chaos in [false, true] {
             let schedule = use_chaos.then_some(&chaos);
-            let mut reference: Option<String> = None;
+            let mut reference = None;
             for &shards in &counts {
-                let mut scratch = Table::new(id, "scaling sweep", &[]);
-                let run = timed_run(&topo, &sends, shards, schedule, &ctx, &mut scratch, false);
-                let deterministic = match &reference {
-                    None => {
-                        reference = Some(run.fingerprint);
-                        true
-                    }
-                    Some(r) => *r == run.fingerprint,
-                };
+                let (world, events, wall_s) =
+                    timed_run(&topo, shards, &ctx, |w| load_scaled(w, &sends, schedule));
+                assert!(
+                    use_chaos || world.transport_quiescent(),
+                    "{id} at {shards} shards failed to drain — deadline too tight"
+                );
+                let results = world.results_digest();
+                let runtime = world.runtime_metrics();
                 points.push(ScalingPoint {
                     experiment: id,
                     topology: desc,
                     shards,
                     chaos: use_chaos,
-                    events: run.events,
-                    wall_s: run.wall_s,
-                    windows: run.runtime.counter("runner.windows"),
-                    barrier_wait_ns: run.runtime.counter("runner.barrier_wait_ns"),
-                    exchanged_events: run.runtime.counter("runner.exchanged_events"),
-                    deterministic,
-                    profile: run.profile,
+                    events,
+                    wall_s,
+                    windows: runtime.counter("runner.windows"),
+                    barrier_wait_ns: runtime.counter("runner.barrier_wait_ns"),
+                    exchanged_events: runtime.counter("runner.exchanged_events"),
+                    deterministic: *reference.get_or_insert(results) == results,
+                    profile: world.profile_analysis(),
                 });
             }
         }

@@ -10,23 +10,26 @@
 //! registered preset and honors `report --workload SPEC|PRESET` as an
 //! override (the CLI validates the grammar before anything runs).
 //!
+//! Each experiment builds one world. The golden test
+//! (`crates/bench/tests/golden.rs`) pins e27 and e27c, and its ignored
+//! half e27b, at 1 and 2 shards.
+//!
 //! The scenario verdict is structural, not a wall-clock number: zero
 //! HUB drops, zero mailbox rejects, and — when the streaming doctor
 //! rode along (`--doctor`) — a confident capture with no critical
 //! findings (retransmit storm, head-of-line blocking, mailbox
-//! saturation, silent drops). The verdict lands in the table notes and
-//! in `BENCH_sim.json`, so CI can gate on it.
+//! saturation, silent drops). [`scenario_failures`] decides it; the
+//! verdict lands in the table notes and in `BENCH_sim.json`. The tests
+//! in `crates/bench/tests/gates.rs` hold every scenario to it at 2
+//! shards with the doctor: e27c in Tier-1, e27 and e27b ignored.
 
+use crate::experiments::scale::timed_run;
 use crate::experiments::ExpCtx;
 use crate::table::Table;
 use nectar_core::prelude::*;
-use nectar_sim::time::Time;
+use nectar_sim::analysis::pathology::Severity;
+use nectar_sim::metrics::MetricsRegistry;
 use nectar_sim::workload::{preset, Shape, WorkloadSpec};
-use std::time::Instant;
-
-/// Simulated-time drain deadline: generous against every preset's
-/// traffic window (4 ms at most) plus in-flight tail.
-const DEADLINE: Time = Time::from_millis(100);
 
 /// Seed an inline `--workload` spec is parsed with. Presets carry
 /// their own seeds; a raw spec needs one, and a fixed value keeps the
@@ -56,50 +59,20 @@ fn standing_flows(spec: &WorkloadSpec, cabs: usize) -> u64 {
         .sum()
 }
 
-/// One timed scenario run at `shards` shards. Only the `absorb` run
-/// feeds the table's metrics/trace/stream so a reference run never
-/// double-counts.
-fn timed_run(
-    topo: &Topology,
-    spec: &WorkloadSpec,
-    shards: usize,
-    ctx: &ExpCtx,
-    table: &mut Table,
-    absorb: bool,
-) -> (u64, f64, String) {
-    let t0 = Instant::now();
-    let mut world = ShardedWorld::new(topo.clone(), SystemConfig::default(), shards);
-    ctx.prepare_sharded(&mut world);
-    world.set_workload(spec).unwrap_or_else(|e| panic!("{}: workload rejected: {e}", table.id));
-    let (events, _) = world.run_to_quiescence(DEADLINE);
-    let wall_s = t0.elapsed().as_secs_f64();
-    let fingerprint = world.metrics().to_json();
-    if absorb {
-        ctx.absorb_sharded(table, &mut world);
-    } else if ctx.stream {
-        world.finish_streaming();
-    }
-    (events, wall_s, fingerprint)
+/// Sums the counters named `<prefix><N><suffix>` — one per HUB or CAB.
+fn summed(m: &MetricsRegistry, prefix: &str, suffix: &str) -> u64 {
+    m.counters().filter(|(k, _)| k.starts_with(prefix) && k.ends_with(suffix)).map(|(_, v)| v).sum()
 }
 
-/// Sums a per-CAB counter family from the table's harvested metrics.
-fn summed(table: &Table, cabs: usize, suffix: &str) -> Option<u64> {
+/// Why a scenario run fails its verdict. Structural criteria only:
+/// HUB drops and overflows and mailbox rejects from the metrics
+/// registry, plus a truncated capture or a critical finding when the
+/// streaming doctor rode along. Empty when the run passes; `None` when
+/// no metrics were harvested to judge it by.
+pub fn scenario_failures(table: &Table) -> Option<Vec<String>> {
     let m = table.metrics.as_ref()?;
-    Some((0..cabs).map(|c| m.counter(&format!("cab{c}.{suffix}"))).sum())
-}
-
-/// Appends the scenario's pass/fail note. Structural criteria only:
-/// silent-drop counters from the metrics registry, plus the streaming
-/// doctor's confidence and critical findings when one rode along.
-fn verdict_note(table: &mut Table, topo: &Topology) {
-    let Some(m) = table.metrics.as_ref() else {
-        table.note("scenario verdict: not evaluated (run with --metrics or --doctor)");
-        return;
-    };
-    let hub_drops: u64 = (0..topo.hub_count())
-        .map(|h| m.counter(&format!("hub{h}.drops")) + m.counter(&format!("hub{h}.overflows")))
-        .sum();
-    let rejects = summed(table, topo.cab_count(), "mailbox_rejects").expect("metrics present");
+    let hub_drops = summed(m, "hub", ".drops") + summed(m, "hub", ".overflows");
+    let rejects = summed(m, "cab", ".mailbox_rejects");
     let mut failures = Vec::new();
     if hub_drops > 0 {
         failures.push(format!("{hub_drops} HUB drops/overflows"));
@@ -112,23 +85,29 @@ fn verdict_note(table: &mut Table, topo: &Topology) {
             failures.push("doctor capture truncated (not confident)".to_string());
         }
         for f in &s.findings {
-            if f.severity == nectar_sim::analysis::pathology::Severity::Critical {
+            if f.severity == Severity::Critical {
                 failures.push(format!("critical finding: {} at {}", f.detector, f.subject));
             }
         }
     }
-    if failures.is_empty() {
-        table.note(format!(
-            "scenario verdict: PASS — 0 drops, 0 rejects{}",
-            if table.stream.is_some() { ", doctor confident, no critical findings" } else { "" }
-        ));
-    } else {
-        table.note(format!("scenario verdict: FAIL — {}", failures.join("; ")));
-    }
+    Some(failures)
 }
 
-/// Shared runner: the scenario at `ctx.shards`, plus (when parallel)
-/// the 1-shard reference and the determinism diff, then the verdict.
+/// Appends the scenario's pass/fail note.
+fn verdict_note(table: &mut Table) {
+    let note = match scenario_failures(table) {
+        None => "scenario verdict: not evaluated (run with --metrics or --doctor)".to_string(),
+        Some(failures) if failures.is_empty() => format!(
+            "scenario verdict: PASS — 0 drops, 0 rejects{}",
+            if table.stream.is_some() { ", doctor confident, no critical findings" } else { "" }
+        ),
+        Some(failures) => format!("scenario verdict: FAIL — {}", failures.join("; ")),
+    };
+    table.note(note);
+}
+
+/// Shared runner: the scenario at `ctx.shards`, one world, then the
+/// verdict.
 fn run_workload(
     id: &'static str,
     title: &str,
@@ -149,17 +128,19 @@ fn run_workload(
         None => format!("preset {default_preset}"),
     };
 
-    let (events, wall, fingerprint) = timed_run(&topo, &spec, shards, ctx, &mut table, true);
+    let (mut world, events, wall) = timed_run(&topo, shards, ctx, |w| {
+        w.set_workload(&spec).unwrap_or_else(|e| panic!("{id}: workload rejected: {e}"))
+    });
+    ctx.absorb_sharded(&mut table, &mut world);
     table.record_events(events);
-    let flows = summed(&table, topo.cab_count(), "workload.flows");
-    let eps = events as f64 / wall.max(1e-9);
+    let flows = table.metrics.as_ref().map(|m| summed(m, "cab", ".workload.flows"));
     table.row(&[
-        scenario.clone(),
+        scenario,
         shards.to_string(),
         flows.map_or_else(|| "-".to_string(), |f| f.to_string()),
         events.to_string(),
         format!("{:.1} ms", wall * 1e3),
-        format!("{eps:.0}"),
+        format!("{:.0}", events as f64 / wall.max(1e-9)),
     ]);
     let standing = standing_flows(&spec, topo.cab_count());
     table.note(format!(
@@ -168,33 +149,7 @@ fn run_workload(
         topo.cab_count(),
         topo.hub_count()
     ));
-
-    if shards > 1 {
-        let (ref_events, ref_wall, ref_fingerprint) =
-            timed_run(&topo, &spec, 1, ctx, &mut table, false);
-        table.record_events(ref_events);
-        let ref_eps = ref_events as f64 / ref_wall.max(1e-9);
-        table.row(&[
-            scenario,
-            "1 (reference)".to_string(),
-            "-".to_string(),
-            ref_events.to_string(),
-            format!("{:.1} ms", ref_wall * 1e3),
-            format!("{ref_eps:.0}"),
-        ]);
-        if ref_events != events {
-            table.note(format!(
-                "DETERMINISM VIOLATED: {events} events at {shards} shards vs {ref_events} at 1"
-            ));
-        } else if fingerprint != ref_fingerprint {
-            table.note(format!(
-                "DETERMINISM VIOLATED: metrics registries differ between 1 and {shards} shards"
-            ));
-        } else {
-            table.note(format!("determinism: metrics bit-identical across 1 and {shards} shards"));
-        }
-    }
-    verdict_note(&mut table, &topo);
+    verdict_note(&mut table);
     table
 }
 
@@ -213,8 +168,8 @@ pub fn e27_lattice(ctx: &ExpCtx) -> Table {
 
 /// E27b: the spike-stream preset on the e26b mesh — 1600 closed-loop
 /// tokens per CAB, a standing population above 10^5 concurrent flows
-/// on 64 CABs. The bounded-memory acceptance run in CI drives exactly
-/// this experiment under `--doctor`.
+/// on 64 CABs. The bounded-memory test `crates/bench/tests/memory.rs`
+/// drives exactly this experiment under `--doctor`.
 pub fn e27b_spike(ctx: &ExpCtx) -> Table {
     run_workload(
         "e27b",
