@@ -1,8 +1,9 @@
-//! Criterion benches for the HUB model (experiments E01/E02/E06):
-//! wall-clock cost of simulating the switching fabric.
+//! Criterion benches for the HUB model (experiments E01/E02/E06, and
+//! the controller under contention): wall-clock cost of simulating the
+//! switching fabric.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nectar_bench::hubdriver::drive_hub;
+use nectar_bench::hubdriver::{contend, drive_hub};
 use nectar_hub::prelude::*;
 use nectar_sim::time::Time;
 use std::hint::black_box;
@@ -62,6 +63,26 @@ fn bench_e06_multicast_fanout(c: &mut Criterion) {
     });
 }
 
+/// The controller under contention: 15 single-hop trains for one output
+/// arrive at once and the HUB runs to quiescence. Every ready signal and
+/// every `close all` wakes the trains still waiting, and all but one
+/// are refused again: 165 refused attempts for 15 grants.
+fn bench_contention(c: &mut Criterion) {
+    const INPUTS: u8 = 15;
+    c.bench_function("hub_contention_15_to_1", |b| {
+        b.iter(|| {
+            let mut hub = Hub::new(HubId::new(0), HubConfig::prototype());
+            black_box(contend(&mut hub, INPUTS))
+        })
+    });
+    if let Some(mean) = c.mean_of("hub_contention_15_to_1").filter(|m| !m.is_zero()) {
+        println!(
+            "hub_contention_15_to_1: {:.0} ns per grant",
+            mean.as_nanos() as f64 / INPUTS as f64
+        );
+    }
+}
+
 /// Crossbar primitive operations.
 fn bench_crossbar_ops(c: &mut Criterion) {
     c.bench_function("crossbar_connect_disconnect", |b| {
@@ -83,6 +104,7 @@ criterion_group!(
     bench_e01_setup_and_transfer,
     bench_e02_controller_batch,
     bench_e06_multicast_fanout,
+    bench_contention,
     bench_crossbar_ops
 );
 criterion_main!(benches);
