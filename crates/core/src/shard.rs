@@ -684,8 +684,15 @@ impl ShardedWorld {
     /// [`World::run_to_quiescence`] including final clock position.
     pub fn run_to_quiescence(&mut self, deadline: Time) -> (u64, QuiescenceOutcome) {
         let (n, outcome) = self.drive(deadline);
+        // A HUB's last act may be a refused controller attempt, which
+        // has no event (see `World::run_to_quiescence`).
+        let end = self.worlds.iter().map(World::last_command_at).fold(self.now(), Time::max);
+        let outcome = match outcome {
+            QuiescenceOutcome::Quiescent if end > deadline => QuiescenceOutcome::DeadlineReached,
+            outcome => outcome,
+        };
         self.settle_clocks(match outcome {
-            QuiescenceOutcome::Quiescent => self.now(),
+            QuiescenceOutcome::Quiescent => end,
             QuiescenceOutcome::DeadlineReached => deadline,
         });
         (n, outcome)
@@ -1129,6 +1136,9 @@ pub fn canonical_delivery_sort(deliveries: &mut [Delivery]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nectar_hub::command::Command;
+    use nectar_hub::id::{HubId, PortId};
+    use nectar_hub::item::Item;
     use std::time::Duration;
 
     /// The delay the forced straggler adds before each crossing.
@@ -1208,6 +1218,23 @@ mod tests {
             let total = *prompt.last().unwrap();
             assert!(total >= floor, "prompt {name} absorbed the straggler's delay: {total} ns");
         }
+    }
+
+    /// A HUB refuses a controller attempt without an event; when that
+    /// is the run's last act, every shard still ends on its instant.
+    #[test]
+    fn a_run_that_ends_on_a_refused_attempt_ends_at_its_instant() {
+        let mut world =
+            ShardedWorld::new(Topology::mesh2d(1, 2, 1, 16), SystemConfig::default(), 2);
+        let open =
+            |retry| Item::from(Command::open(false, retry, false, HubId::new(0), PortId::new(6)));
+        // P3 holds P6; P4's open with retry, fully in at 1,240 ns, is
+        // refused at 1,350 ns.
+        world.worlds[0].inject_hub_item(Time::ZERO, 0, PortId::new(3), open(false));
+        world.worlds[0].inject_hub_item(Time::from_nanos(1_000), 0, PortId::new(4), open(true));
+        assert_eq!(world.run_to_quiescence(Time::from_millis(1)).1, QuiescenceOutcome::Quiescent);
+        assert!(world.worlds.iter().all(|w| w.now() == Time::from_nanos(1_350)));
+        assert_eq!(world.metrics().counter("hub0.opens_retried"), 1);
     }
 
     #[test]

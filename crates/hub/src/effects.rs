@@ -58,7 +58,10 @@ pub struct Internal {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum InternalEv {
     /// The central controller executes the command at the head of
-    /// `port`'s input queue.
+    /// `port`'s input queue. An `open` or `lock` with retry gets one
+    /// only for an attempt that would be granted; see
+    /// [`Hub::internal`](crate::hub::Hub::internal) for the one that is
+    /// deferred for the instant being processed.
     CtrlExec {
         /// Port whose head command executes.
         port: PortId,
