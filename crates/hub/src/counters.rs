@@ -13,7 +13,7 @@ pub struct HubCounters {
     pub opens_succeeded: u64,
     /// Open commands that failed and were dropped (no retry flag).
     pub opens_failed: u64,
-    /// Open attempts that blocked and entered the retry list.
+    /// Open attempts (with retry) the controller refused and parked.
     pub opens_retried: u64,
     /// Lock commands that acquired a lock.
     pub locks_acquired: u64,
