@@ -129,7 +129,7 @@ pub fn e25_stream_chaos(ctx: &ExpCtx) -> Table {
         }
         ctx.absorb(&mut t, &mut world);
     }
-    t.note("exactly-once in-order delivery, pool conservation, counter coherence at quiescence");
+    t.note("exactly-once in-order delivery and counter coherence at quiescence");
     t
 }
 

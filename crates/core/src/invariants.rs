@@ -4,7 +4,7 @@
 //! The chaos subsystem ([`nectar_sim::chaos`]) may drop, duplicate,
 //! reorder, corrupt, and delay packets, flap links, and kill HUB
 //! ports. The transport protocols promise to hide all of it. This
-//! module states that promise as four checkable invariants:
+//! module states that promise as three checkable invariants:
 //!
 //! 1. **Exactly-once, in-order delivery** per byte stream: every
 //!    message the application sent arrives exactly once, in send
@@ -13,10 +13,7 @@
 //! 2. **At-most-once execution** per RPC transaction: a server never
 //!    executes a request twice, however many times the client
 //!    retransmitted it (§6.3 semantics).
-//! 3. **Buffer-pool conservation**: every wire buffer acquired from
-//!    the [`BufPool`](nectar_hub::pool::BufPool) is handed back
-//!    exactly once — faults destroy packets, not buffers.
-//! 4. **Counter coherence**: sender and receiver agree — packets
+//! 3. **Counter coherence**: sender and receiver agree — packets
 //!    first-sent equal packets accepted, messages completed equal
 //!    messages delivered, and nothing is still in flight.
 //!
@@ -46,10 +43,8 @@
 
 use crate::shard::ShardedWorld;
 use crate::world::World;
-use nectar_hub::pool::PoolStats;
 use nectar_kernel::mailbox::Message;
 use nectar_proto::transport::bytestream::ByteStreamStats;
-use nectar_sim::chaos::ChaosStats;
 use std::fmt;
 
 /// Everything the checker reads from a world, abstracted so the same
@@ -62,14 +57,6 @@ pub trait Auditable {
     fn mailbox_take(&mut self, cab: usize, mailbox: u16) -> Option<Message>;
     /// RPC server counters: `(executed, duplicates, replays)`.
     fn rpc_server_stats(&self, idx: usize) -> (u64, u64, u64);
-    /// Wire-buffer pool counters, summed over every CAB pool.
-    fn pool_stats(&self) -> PoolStats;
-    /// Applied-fault counters, if chaos is armed.
-    fn chaos_stats(&self) -> Option<ChaosStats>;
-    /// Buffers destroyed at HUBs by chaos (freed, never reclaimed).
-    fn chaos_freed(&self) -> u64;
-    /// Extra packet copies emitted by HUB fan-out.
-    fn hub_fanout_copies(&self) -> u64;
     /// `true` when streams have drained and no RPC is outstanding.
     fn transport_quiescent(&self) -> bool;
     /// Byte-stream statistics from `src` towards `dst`.
@@ -82,18 +69,6 @@ impl Auditable for World {
     }
     fn rpc_server_stats(&self, idx: usize) -> (u64, u64, u64) {
         World::rpc_server_stats(self, idx)
-    }
-    fn pool_stats(&self) -> PoolStats {
-        World::pool_stats(self)
-    }
-    fn chaos_stats(&self) -> Option<ChaosStats> {
-        World::chaos_stats(self)
-    }
-    fn chaos_freed(&self) -> u64 {
-        World::chaos_freed(self)
-    }
-    fn hub_fanout_copies(&self) -> u64 {
-        World::hub_fanout_copies(self)
     }
     fn transport_quiescent(&self) -> bool {
         World::transport_quiescent(self)
@@ -109,18 +84,6 @@ impl Auditable for ShardedWorld {
     }
     fn rpc_server_stats(&self, idx: usize) -> (u64, u64, u64) {
         ShardedWorld::rpc_server_stats(self, idx)
-    }
-    fn pool_stats(&self) -> PoolStats {
-        ShardedWorld::pool_stats(self)
-    }
-    fn chaos_stats(&self) -> Option<ChaosStats> {
-        ShardedWorld::chaos_stats(self)
-    }
-    fn chaos_freed(&self) -> u64 {
-        ShardedWorld::chaos_freed(self)
-    }
-    fn hub_fanout_copies(&self) -> u64 {
-        ShardedWorld::hub_fanout_copies(self)
     }
     fn transport_quiescent(&self) -> bool {
         ShardedWorld::transport_quiescent(self)
@@ -182,18 +145,6 @@ pub enum Violation {
         /// Distinct transactions clients issued to it.
         issued: u64,
     },
-    /// Buffer acquisitions and reclaim attempts do not balance.
-    PoolLeak {
-        /// `pool.hits + pool.misses + chaos.duplicates +
-        /// chaos.corruptions` (each duplicate and each
-        /// corruption-replacement buffer adds one reclaim attempt
-        /// that had no pool acquisition).
-        acquired: u64,
-        /// `pool.reclaims + pool.dropped + chaos_freed` (buffers a
-        /// hub-side chaos drop destroyed never reach any pool — they
-        /// are freed straight to the allocator and counted apart).
-        returned: u64,
-    },
     /// Sender- and receiver-side counters disagree at quiescence.
     CounterMismatch {
         /// Sending CAB.
@@ -224,9 +175,6 @@ impl fmt::Display for Violation {
             }
             Violation::MultipleExecution { server, executed, issued } => {
                 write!(f, "multiple execution: cab{server} executed {executed} of {issued} issued")
-            }
-            Violation::PoolLeak { acquired, returned } => {
-                write!(f, "pool leak: {acquired} buffers acquired, {returned} returned")
             }
             Violation::CounterMismatch { src, dst, detail } => {
                 write!(f, "counter mismatch cab{src}->cab{dst}: {detail}")
@@ -277,7 +225,6 @@ impl InvariantChecker {
         let mut violations = Vec::new();
         self.check_streams(world, &mut violations);
         self.check_rpc(world, &mut violations);
-        self.check_pool(world, &mut violations);
         self.check_counters(world, &mut violations);
         violations
     }
@@ -331,33 +278,7 @@ impl InvariantChecker {
         }
     }
 
-    /// Invariant 3: buffer-pool conservation. Chaos duplicates share
-    /// the original buffer (a second reclaim attempt with no
-    /// acquisition) and corruption replaces the buffer (the
-    /// replacement's reclaim likewise has no pool acquisition), so
-    /// both join the acquisition side of the ledger. So does HUB
-    /// fan-out: each output beyond the first — multicast, or a stale
-    /// circuit member left behind by a lost close — emits one more
-    /// shared copy of the buffer, and every copy is returned exactly
-    /// once wherever it terminates.
-    fn check_pool<A: Auditable>(&self, world: &A, violations: &mut Vec<Violation>) {
-        let pool = world.pool_stats();
-        let chaos = world.chaos_stats().unwrap_or_default();
-        let acquired = pool.hits
-            + pool.misses
-            + chaos.duplicates
-            + chaos.corruptions
-            + world.hub_fanout_copies();
-        // A hub-side chaos drop frees the buffer straight to the
-        // allocator (there is no "right" per-CAB pool at a HUB), so it
-        // counts on the returned side of the ledger separately.
-        let returned = pool.reclaims + pool.dropped + world.chaos_freed();
-        if acquired != returned {
-            violations.push(Violation::PoolLeak { acquired, returned });
-        }
-    }
-
-    /// Invariant 4: counter coherence and transport quiescence.
+    /// Invariant 3: counter coherence and transport quiescence.
     fn check_counters<A: Auditable>(&self, world: &A, violations: &mut Vec<Violation>) {
         if !world.transport_quiescent() {
             violations.push(Violation::NotQuiescent {
@@ -449,7 +370,7 @@ mod tests {
         let line = replay_line(&s);
         assert!(line.contains("--chaos-seed 42"), "{line}");
         assert!(line.contains("loss("), "{line}");
-        let v = Violation::PoolLeak { acquired: 10, returned: 9 };
-        assert_eq!(v.to_string(), "pool leak: 10 buffers acquired, 9 returned");
+        let v = Violation::MultipleExecution { server: 1, executed: 3, issued: 2 };
+        assert_eq!(v.to_string(), "multiple execution: cab1 executed 3 of 2 issued");
     }
 }

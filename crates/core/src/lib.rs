@@ -12,9 +12,8 @@
 //!   protocol engines, datalink policy, flow control, delivery records.
 //! * [`digest`] — the results and event digests of a finished run.
 //! * [`invariants`] — the transport-invariant checker: exactly-once
-//!   in-order delivery, at-most-once RPC execution, buffer-pool
-//!   conservation, counter coherence — audited at quiescence under
-//!   any chaos schedule.
+//!   in-order delivery, at-most-once RPC execution, counter coherence —
+//!   audited at quiescence under any chaos schedule.
 //! * [`node`] — the 1989 UNIX node cost model and the three CAB–node
 //!   interfaces of §6.2.3.
 //! * [`system`] — [`NectarSystem`](system::NectarSystem):

@@ -84,10 +84,11 @@
 
 use crate::topology::Topology;
 use crate::world::{
-    join_flights, AppSend, Delivery, Ev, QuiescenceOutcome, StreamState, SystemConfig, World,
+    join_flights, AppSend, Delivery, Ev, PoolStats, QuiescenceOutcome, StreamState, SystemConfig,
+    World,
 };
 use nectar_sim::analysis::streaming::{StreamConfig, StreamingDoctor};
-use nectar_sim::chaos::{ChaosSchedule, ChaosStats};
+use nectar_sim::chaos::ChaosSchedule;
 use nectar_sim::metrics::{Histogram, MetricsRegistry};
 use nectar_sim::profile::{self, AnalyzeCtx, HostProfile, Phase, ProfileAnalysis, Profiler};
 use nectar_sim::telemetry::TelemetryEvent;
@@ -1083,35 +1084,9 @@ impl ShardedWorld {
         self.worlds.iter().all(|w| w.transport_quiescent())
     }
 
-    /// Wire-buffer pool counters summed across all shards' CABs.
-    pub fn pool_stats(&self) -> nectar_hub::pool::PoolStats {
-        let mut total = nectar_hub::pool::PoolStats::default();
-        for w in &self.worlds {
-            total.merge(w.pool_stats());
-        }
-        total
-    }
-
-    /// Buffers destroyed at HUBs by chaos, across shards.
-    pub(crate) fn chaos_freed(&self) -> u64 {
-        self.worlds.iter().map(|w| w.chaos_freed()).sum()
-    }
-
-    /// HUB fan-out copies, across shards (non-owned HUBs count zero).
-    pub(crate) fn hub_fanout_copies(&self) -> u64 {
-        self.worlds.iter().map(|w| w.hub_fanout_copies()).sum()
-    }
-
-    /// Applied-fault counters summed across shards. Each component's
-    /// arrivals are faulted in exactly one shard, so the sum equals
-    /// the sequential injector's stats.
-    pub(crate) fn chaos_stats(&self) -> Option<ChaosStats> {
-        self.worlds[0].chaos_schedule()?;
-        let mut total = ChaosStats::default();
-        for s in self.worlds.iter().filter_map(|w| w.chaos_stats()) {
-            total.merge(s);
-        }
-        Some(total)
+    /// All zero, as [`World::pool_stats`].
+    pub fn pool_stats(&self) -> PoolStats {
+        PoolStats::default()
     }
 }
 

@@ -19,7 +19,6 @@ use nectar_hub::effects::{Effects, InternalEv, Wire};
 use nectar_hub::hub::Hub;
 use nectar_hub::id::{HubId, PortId};
 use nectar_hub::item::{Item, Packet};
-use nectar_hub::pool::{BufPool, PoolStats};
 use nectar_hub::train::{Tie, Train};
 use nectar_kernel::mailbox::Mailbox;
 use nectar_kernel::thread::{Scheduler, ThreadId};
@@ -183,8 +182,7 @@ pub(crate) enum Ev {
         /// CAB index.
         cab: usize,
         /// The packet's wire bytes (header + payload), shared with the
-        /// in-flight packet — no copy on receive, and the buffer is
-        /// reclaimed into the world's [`BufPool`] after processing.
+        /// in-flight packet — no copy on receive.
         payload: Arc<Vec<u8>>,
         /// The packet's flight id (for the flight recorder).
         flight: u64,
@@ -390,6 +388,18 @@ pub struct CabCounters {
     pub checksum_ops: u64,
 }
 
+/// What [`World::pool_stats`] returns: always zero. The world keeps no
+/// pool of wire buffers — a buffer is freed when the last holder of its
+/// packet drops it. The type is kept only because the standing
+/// benchmark's harness (`benchmark/src/sut.rs`) reads these two fields.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Always zero.
+    pub hits: u64,
+    /// Always zero.
+    pub misses: u64,
+}
+
 struct CabState {
     dma: DmaController,
     fiber: FiberPort,
@@ -424,12 +434,6 @@ struct CabState {
     timers: HashMap<(TimerSource, u64), EventId>,
     next_packet_id: u64,
     counters: CabCounters,
-    /// Free-list of wire buffers this CAB encodes sends into;
-    /// receive processing reclaims consumed buffers here. Per-CAB
-    /// (rather than world-global) so the hit/miss sequence is a
-    /// function of this CAB's own event timeline alone — a sharded
-    /// run then reproduces it bit-for-bit.
-    pool: BufPool,
 }
 
 /// One entry of a CAB's transmit queue: what goes on its fibre back to
@@ -564,11 +568,6 @@ pub struct World {
     workload: Option<Box<WorkloadState>>,
     /// Packets destroyed by fault injection.
     pub faults_injected: u64,
-    /// Buffers freed straight to the allocator by hub-side chaos drops.
-    /// With per-CAB pools there is no natural pool to reclaim into at a
-    /// HUB (the buffer came from some sender's pool), so the ledger
-    /// counts these separately; see `InvariantChecker::check_pool`.
-    chaos_freed: u64,
     /// Events dispatched so far, by [`Ev::kind`]. Always on: one array
     /// increment per event.
     events_by_kind: [u64; EV_KINDS.len()],
@@ -782,7 +781,6 @@ impl World {
                     timers: HashMap::new(),
                     next_packet_id: (i as u64) << 40,
                     counters: CabCounters::default(),
-                    pool: BufPool::default(),
                 }
             })
             .collect();
@@ -800,7 +798,6 @@ impl World {
             chaos: None,
             workload: None,
             faults_injected: 0,
-            chaos_freed: 0,
             events_by_kind: [0; EV_KINDS.len()],
             batch: Vec::new(),
             tie: Tie::FIRST,
@@ -1027,8 +1024,8 @@ impl World {
     /// Harvests every counter in the system into one registry: HUB
     /// crossbar counters, CAB datalink counters, DMA accounting, kernel
     /// scheduler statistics, mailbox high-water marks, fiber
-    /// utilization, buffer-pool hit rates, and (when observability is
-    /// on) the flight-latency histogram.
+    /// utilization, and (when observability is on) the flight-latency
+    /// histogram.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut reg = self.metrics_without_flights();
         let mut flights = self.flight_latency.clone();
@@ -1192,12 +1189,6 @@ impl World {
             reg.counter_add("chaos.cmd_drops", chaos.cmd_drops);
             reg.counter_add("chaos.port_drops", chaos.port_drops);
         }
-        let pool = self.pool_stats();
-        reg.counter_add("pool.hits", pool.hits);
-        reg.counter_add("pool.misses", pool.misses);
-        reg.counter_add("pool.reclaims", pool.reclaims);
-        reg.counter_add("pool.dropped", pool.dropped);
-        reg.counter_add("pool.chaos_freed", self.chaos_freed);
         // Ring overflow across every recorder: nonzero means the event
         // stream is truncated and doctor findings must not be trusted.
         // The companion high-water mark is per-ring and therefore
@@ -1216,11 +1207,6 @@ impl World {
     /// workload = byte-identical fault sequence.
     pub fn set_chaos(&mut self, schedule: ChaosSchedule) {
         self.chaos = Some(schedule.compile());
-    }
-
-    /// The active chaos schedule, if any (for replay lines).
-    pub(crate) fn chaos_schedule(&self) -> Option<&ChaosSchedule> {
-        self.chaos.as_ref().map(|c| c.schedule())
     }
 
     /// Applied-fault counters from the chaos injector.
@@ -1612,26 +1598,14 @@ impl World {
     }
 
     /// Total extra packet copies the HUBs emitted beyond one per
-    /// forward (multicast fan-out and stale circuit members); each is
-    /// a pool-less buffer share that will be returned downstream.
+    /// forward (multicast fan-out and stale circuit members).
     pub fn hub_fanout_copies(&self) -> u64 {
         self.hubs.iter().map(|h| h.counters().fanout_copies).sum()
     }
 
-    /// Wire-buffer pool counters (hit rate, reclaim success), summed
-    /// over every CAB's pool.
+    /// All zero: the world keeps no buffer pool. See [`PoolStats`].
     pub fn pool_stats(&self) -> PoolStats {
-        let mut total = PoolStats::default();
-        for cs in &self.cabs {
-            total.merge(cs.pool.stats());
-        }
-        total
-    }
-
-    /// Buffers destroyed at a HUB by chaos and freed straight to the
-    /// allocator (no pool reclaim; see the pool-conservation ledger).
-    pub(crate) fn chaos_freed(&self) -> u64 {
-        self.chaos_freed
+        PoolStats::default()
     }
 
     /// Timestamp of the next live event, if any.
@@ -2020,14 +1994,8 @@ impl World {
             if chaos.on_hub_item(now, hub as u8, port.index() as u8, is_command, edge) {
                 // The item dies at the HUB input port. Flow control is
                 // NOT released — the sender's ready-timeout (§6.2.1)
-                // recovers, exactly as with a dead physical port. The
-                // buffer came from some sender's pool; freeing it here
-                // (no reclaim) keeps pool traffic per-CAB.
+                // recovers, exactly as with a dead physical port.
                 self.faults_injected += 1;
-                if let Item::Packet(p) = item {
-                    drop(p.into_shared());
-                    self.chaos_freed += 1;
-                }
                 return;
             }
         }
@@ -2210,8 +2178,7 @@ impl World {
                 CabId::new(dsts[0] as u16),
             )
         };
-        let mut wire = self.cabs[src].pool.acquire();
-        header.encode_into(data, &mut wire);
+        let wire = header.encode_with(data);
         let t = self.cfg.cab.send_path();
         let app = self.cabs[src].app_thread;
         self.cabs[src].sched.assume_running(app);
@@ -2282,8 +2249,7 @@ impl World {
                         cs.sched.run_interrupt(now, cost_int).1
                     };
                     cs.counters.checksum_ops += 1;
-                    let mut wire = cs.pool.acquire();
-                    header.encode_into(&payload, &mut wire);
+                    let wire = header.encode_with(&payload);
                     let dst = header.dst_cab.index();
                     let payload_len = payload.len() as u32;
                     self.cab_send_packet(cab, dst, wire, done, header.seq, payload_len, retransmit);
@@ -2611,10 +2577,8 @@ impl World {
                 let prop = self.cfg.propagation;
                 if verdict.drop {
                     // The packet vanishes; flow control must still be
-                    // released or the sender wedges, and the buffer
-                    // goes back to the pool.
+                    // released or the sender wedges.
                     self.faults_injected += 1;
-                    self.cabs[cab].pool.reclaim(p.into_shared());
                     let key = self.next_key(cab);
                     self.engine.schedule_at_keyed(now + prop, key, Ev::HubReady { hub, port });
                     return;
@@ -2636,9 +2600,7 @@ impl World {
                         let mut bytes = p.data().to_vec();
                         let idx = idx.min(bytes.len() - 1);
                         bytes[idx] ^= 1 << (bit & 7);
-                        let id = p.id();
-                        self.cabs[cab].pool.reclaim(p.into_shared());
-                        Packet::new(id, bytes)
+                        Packet::new(p.id(), bytes)
                     }
                     _ => p,
                 };
@@ -2677,15 +2639,13 @@ impl World {
                 if handler_done > deadline {
                     cs.counters.overruns += 1;
                     // The queue overran; the packet is lost. Free the
-                    // flow-control path so the network is not wedged,
-                    // and return the buffer to the pool.
+                    // flow-control path so the network is not wedged.
                     let key = self.next_key(cab);
                     self.engine.schedule_at_keyed(
                         handler_done + prop,
                         key,
                         Ev::HubReady { hub, port },
                     );
-                    self.cabs[cab].pool.reclaim(p.into_shared());
                     return;
                 }
                 // The DMA drains the input queue concurrently with the
@@ -2740,7 +2700,6 @@ impl World {
         let decoded = Header::decode(&payload);
         let Ok((header, body)) = decoded else {
             self.cabs[cab].counters.corrupted_rx += 1;
-            self.cabs[cab].pool.reclaim(payload);
             return;
         };
         let peer = header.src_cab.index();
@@ -2752,7 +2711,6 @@ impl World {
             // unrelated stream; discard and count instead. Multicast
             // datagrams are exempt: their dst field is advisory.
             self.cabs[cab].counters.misrouted_rx += 1;
-            self.cabs[cab].pool.reclaim(payload);
             return;
         }
         if header.kind == PacketKind::Ack {
@@ -2788,10 +2746,6 @@ impl World {
             }
         };
         self.exec_actions(cab, now, source, false, flight, actions);
-        // The packet has been consumed; if this was the last reference
-        // (unicast steady state), the buffer goes back to the pool for
-        // the next send to encode into.
-        self.cabs[cab].pool.reclaim(payload);
     }
 }
 

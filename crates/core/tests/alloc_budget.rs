@@ -51,20 +51,21 @@ static GLOBAL: Counting = Counting;
 
 /// Heap allocations a delivered 32-byte datagram may cost once the
 /// world is warm. On this program the parent of the change that
-/// introduced the gate measured 15.21 and the change itself 3.46 (the
-/// payload and message `Arc`s, a wire buffer on a pool miss, amortised
-/// queue growth); the budget leaves room for a hop more, not for a
+/// introduced the gate measured 15.21 and the change itself 3.46. It
+/// now measures 4.11: the payload and message `Arc`s, the wire buffer
+/// (one allocation per send), amortised queue growth. The budget leaves room for a hop more, not for a
 /// per-packet copy or item list to come back.
 const BUDGET_PER_DELIVERY: f64 = 8.0;
 
 /// Heap allocations `World::new` may make per CAB on the test's world
 /// (16 CABs on 4 HUBs; the HUBs' and the world's own tables are in the
-/// figure). Measured: 80 in all, 5.0 per CAB. The parent of the change
+/// figure). Measured: 64 in all, 4.0 per CAB. The parent of the change
 /// that introduced this gate made 112: each board also built a
 /// data-RAM extent list and a protection-table row vector that no run
-/// read. Construction is what the benchmark's `setup_s` times, so this
-/// keeps per-board state from creeping back in.
-const CONSTRUCTION_BUDGET_PER_CAB: f64 = 5.0;
+/// read; a per-CAB free list of wire buffers took 16 more until it was
+/// deleted. Construction is what the benchmark's `setup_s` times, so
+/// this keeps per-board state from creeping back in.
+const CONSTRUCTION_BUDGET_PER_CAB: f64 = 4.0;
 
 #[test]
 fn a_delivered_datagram_stays_within_its_allocation_budget() {
@@ -85,7 +86,7 @@ fn a_delivered_datagram_stays_within_its_allocation_budget() {
     );
     world.set_workload(&spec).expect("the program compiles on the mesh");
 
-    // Warm-up: pools fill, queues and scratch vectors reach their size.
+    // Warm-up: queues and scratch vectors reach their size.
     world.run_until(Time::from_millis(2));
     let (allocations, deliveries) = (ALLOCATIONS.load(Ordering::Relaxed), world.deliveries.len());
     world.run_until(Time::from_millis(5));

@@ -156,11 +156,11 @@ fn full_campaign_mesh() {
 /// old circuit member, and the next forward drives *two* outputs — the
 /// intended path plus a CAB the packet was never addressed to. Before
 /// the fix the stray was fed straight into the wrong CAB's transport
-/// state and the buffer-pool audit tripped (one acquisition, two
-/// returns). Now the HUB counts the extra copy (`fanout_copies`, which
-/// joins the conservation ledger), the receiving CAB refuses the
-/// misaddressed packet (`misrouted_rx`), and a retransmission rebuilds
-/// the sender's cached circuit from scratch.
+/// state. Now the HUB counts the extra copy (`fanout_copies`), the
+/// receiving CAB refuses the misaddressed packet (`misrouted_rx`), and a
+/// retransmission rebuilds the sender's cached circuit from scratch. The
+/// two counts at the end pin the case: exactly one stale copy, refused
+/// exactly once.
 #[test]
 fn stale_circuit_member_is_counted_and_contained() {
     let topo = Topology::mesh2d(2, 2, 1, 16);

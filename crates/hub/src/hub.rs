@@ -750,8 +750,7 @@ impl Hub {
         if is_packet && outs.len() > 1 {
             // Every output beyond the first is an extra copy of the
             // same buffer entering the network: multicast fan-out, or
-            // a stale circuit member left by a lost close. The pool
-            // conservation audit needs the count either way.
+            // a stale circuit member left by a lost close.
             self.counters.fanout_copies += outs.len() as u64 - 1;
         }
         for out in outs.iter() {

@@ -18,9 +18,8 @@ use std::sync::Arc;
 ///
 /// The payload is shared, not copied, when a packet fans out through a
 /// multicast connection, and stays shared all the way to the receiving
-/// CAB: [`Packet::share`] hands out the refcounted buffer so delivery
-/// needs no copy, and a [`pool`](crate::pool::BufPool) can reclaim the
-/// `Vec` once the last reference drops.
+/// CAB: a clone is a refcount bump, and the buffer is freed when its
+/// last holder drops it.
 ///
 /// # Examples
 ///

@@ -52,7 +52,6 @@ pub mod effects;
 pub mod hub;
 pub mod id;
 pub mod item;
-pub mod pool;
 pub mod status;
 pub mod train;
 
@@ -66,7 +65,6 @@ pub mod prelude {
     pub use crate::hub::Hub;
     pub use crate::id::{HubId, PortId, PortSet};
     pub use crate::item::{Item, Packet};
-    pub use crate::pool::{BufPool, PoolStats};
     pub use crate::status::PortStatus;
     pub use crate::train::{Tie, Train, TrainEmission};
 }

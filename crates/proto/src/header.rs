@@ -161,8 +161,8 @@ impl Header {
         buf
     }
 
-    /// Encodes into a caller-supplied buffer (cleared first), so pooled
-    /// buffers can be reused across packets without reallocating.
+    /// Encodes into a caller-supplied buffer (cleared first), so one
+    /// buffer can be reused across packets without reallocating.
     ///
     /// # Panics
     ///
