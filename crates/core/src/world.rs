@@ -177,15 +177,14 @@ pub(crate) enum Ev {
         /// CAB index.
         cab: usize,
     },
-    /// A received packet has fully DMA'd into CAB memory.
+    /// A received packet has fully DMA'd into CAB memory. The event
+    /// holds the packet itself: its wire bytes (header + payload) are
+    /// the buffer the sender encoded, never copied on the way.
     CabPacketReady {
         /// CAB index.
         cab: usize,
-        /// The packet's wire bytes (header + payload), shared with the
-        /// in-flight packet — no copy on receive.
-        payload: Arc<Vec<u8>>,
-        /// The packet's flight id (for the flight recorder).
-        flight: u64,
+        /// The packet; its id is the flight id.
+        packet: Packet,
     },
     /// A protocol timer expires on a CAB.
     CabTimer {
@@ -740,18 +739,14 @@ impl World {
     }
 
     fn build(topo: Topology, cfg: SystemConfig, shard: Option<ShardCtx>) -> World {
-        let mut hubs = (0..topo.hub_count())
+        let hubs = (0..topo.hub_count())
             .map(|i| {
                 let mut hub = Hub::new(HubId::new(i as u8), cfg.hub.clone());
                 // HUB keys sit above every CAB's `(cab << 40) | counter`.
                 hub.set_key_base(((topo.cab_count() + i) as u64) << 40);
                 hub
             })
-            .collect::<Vec<_>>();
-        for c in 0..topo.cab_count() {
-            let (hub, port) = topo.cab_attachment(c);
-            hubs[hub].mark_edge(port);
-        }
+            .collect();
         let cabs = (0..topo.cab_count())
             .map(|i| {
                 let mut sched = Scheduler::new(cfg.cab.clone());
@@ -1873,14 +1868,8 @@ impl World {
                 self.hubs[hub].internal(now, ev, &mut self.hub_fx);
                 self.apply_hub_effects(hub);
             }
-            Ev::CabItem { cab, item } => {
-                self.settle_attachment(now, cab);
-                self.cab_item(now, cab, item, false);
-            }
-            Ev::CabItemReplay { cab, item } => {
-                self.settle_attachment(now, cab);
-                self.cab_item(now, cab, item, true);
-            }
+            Ev::CabItem { cab, item } => self.cab_item(now, cab, item, false),
+            Ev::CabItemReplay { cab, item } => self.cab_item(now, cab, item, true),
             Ev::CabReadySignal { cab } => {
                 let cs = &mut self.cabs[cab];
                 cs.fiber_ready = true;
@@ -1906,18 +1895,17 @@ impl World {
                     self.try_flush(cab, now);
                 }
             }
-            Ev::CabPacketReady { cab, payload, flight } => {
-                self.settle_attachment(now, cab);
+            Ev::CabPacketReady { cab, packet } => {
                 self.telemetry.record(
                     now,
-                    FlightId(flight),
+                    FlightId(packet.id()),
                     EventKind::DmaComplete {
                         cab: cab as u16,
                         channel: Channel::FiberIn.number(),
-                        bytes: payload.len() as u32,
+                        bytes: packet.len() as u32,
                     },
                 );
-                self.cab_packet_ready(now, cab, payload, FlightId(flight));
+                self.cab_packet_ready(now, cab, packet);
             }
             Ev::CabTimer { cab, source, token } => {
                 // The timer table is the source of truth: a timer
@@ -1974,15 +1962,6 @@ impl World {
                 self.workload_reply(cab, class, client, tx)
             }
         }
-    }
-
-    /// Brings CAB `cab`'s HUB up to the event being dispatched, before
-    /// the CAB returns a packet buffer to its pool: whether the HUB
-    /// still holds the packet decides whether the buffer comes back
-    /// (see [`Hub::mark_edge`]).
-    fn settle_attachment(&mut self, now: Time, cab: usize) {
-        let (hub, _) = self.topo.cab_attachment(cab);
-        self.hubs[hub].settle(now, self.tie);
     }
 
     /// An item's head reaches HUB `hub`'s `port`, through the chaos
@@ -2654,30 +2633,24 @@ impl World {
                 // the destination (whichever is later).
                 let xfer = cs.dma.start(now, Channel::FiberIn, p.len());
                 let done = xfer.complete.max(now + wire_dur).max(handler_done);
-                let flight = p.id();
                 self.telemetry.record(
                     xfer.start,
-                    FlightId(flight),
+                    FlightId(p.id()),
                     EventKind::DmaStart {
                         cab: cab as u16,
                         channel: Channel::FiberIn.number(),
                         bytes: xfer.bytes as u32,
                     },
                 );
-                // Zero-copy receive: share the in-flight buffer instead
-                // of copying it into CAB memory. (The real DMA copies;
-                // the model only charges its time.)
-                let payload = p.share();
+                // Zero-copy receive: the event keeps the in-flight
+                // packet instead of copying it into CAB memory. (The
+                // real DMA copies; the model only charges its time.)
                 // The packet emerges from the CAB input queue when the
                 // DMA starts draining it: restore the HUB's ready bit.
                 let key = self.next_key(cab);
                 self.engine.schedule_at_keyed(handler_done + prop, key, Ev::HubReady { hub, port });
                 let key = self.next_key(cab);
-                self.engine.schedule_at_keyed(
-                    done,
-                    key,
-                    Ev::CabPacketReady { cab, payload, flight },
-                );
+                self.engine.schedule_at_keyed(done, key, Ev::CabPacketReady { cab, packet: p });
             }
             Item::Reply(reply) => {
                 // Circuit-open acks and status replies: the datalink
@@ -2694,10 +2667,11 @@ impl World {
         }
     }
 
-    fn cab_packet_ready(&mut self, now: Time, cab: usize, payload: Arc<Vec<u8>>, flight: FlightId) {
+    fn cab_packet_ready(&mut self, now: Time, cab: usize, packet: Packet) {
         use nectar_proto::header::PacketKind;
+        let flight = FlightId(packet.id());
         self.cabs[cab].counters.checksum_ops += 1;
-        let decoded = Header::decode(&payload);
+        let decoded = Header::decode(packet.data());
         let Ok((header, body)) = decoded else {
             self.cabs[cab].counters.corrupted_rx += 1;
             return;

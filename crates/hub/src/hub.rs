@@ -126,26 +126,20 @@ struct TrainRest {
     key: u64,
 }
 
-/// A change a granted train fixed for a later instant, where the
-/// item-by-item HUB would make it. [`Hub::settle`] applies it once the
-/// caller is past `(at, key)`.
-#[derive(Clone, Debug)]
+/// The forward of a granted train's packet, fixed for a later instant
+/// where the item-by-item HUB would make it: the outputs' ready bits
+/// clear, the counters count the packet, the input queue's charge is
+/// released. [`Hub::settle`] applies it once the caller is past
+/// `(at, key)`.
+#[derive(Clone, Copy, Debug)]
 struct Pending {
     at: Time,
-    /// Key of the event that would have made the change.
+    /// Key of the event that would have started the forward.
     key: u64,
-    change: Change,
-}
-
-#[derive(Clone, Debug)]
-enum Change {
-    /// The packet starts across: the outputs' ready bits clear, the
-    /// counters count it, the input queue's charge is released.
-    Forward { input: PortId, outs: PortSet, charged: usize, payload: u64 },
-    /// The packet's last byte has left: the queue lets go of it. Held
-    /// only when the packet crosses to a CAB, which reclaims the buffer
-    /// only if no one else holds it (see [`Hub::mark_edge`]).
-    Release(Packet),
+    input: PortId,
+    outs: PortSet,
+    charged: usize,
+    payload: u64,
 }
 
 #[derive(Clone, Debug)]
@@ -259,12 +253,10 @@ pub struct Hub {
     next_seq: u64,
     /// This HUB's key space (see [`Hub::wire_key`]).
     key_base: u64,
-    /// Changes granted trains fixed for later instants.
+    /// Forwards granted trains fixed for later instants.
     pending: Vec<Pending>,
     /// The earliest place in `pending` (`Time::MAX` when empty).
     next_due: (Time, Tie),
-    /// Ports whose fibre leads to a CAB (see [`Hub::mark_edge`]).
-    edges: PortSet,
     /// The instant and place of the event being processed, as
     /// [`Hub::settle`] was last told.
     clock: (Time, Tie),
@@ -287,7 +279,6 @@ impl Hub {
             key_base: 0,
             pending: Vec::new(),
             next_due: (Time::MAX, Tie::LAST),
-            edges: PortSet::EMPTY,
             clock: (Time::ZERO, Tie::FIRST),
         }
     }
@@ -359,17 +350,6 @@ impl Hub {
         self.key_base = base;
     }
 
-    /// Marks `port`'s fibre as leading to a CAB. A train crossing to a
-    /// CAB keeps its packet until the packet's last byte has left, as
-    /// the item-by-item HUB's queue does: the CAB returns the buffer to
-    /// its pool only when no one else holds it, so who holds it when is
-    /// part of the simulated result. Everywhere else the HUB lets go at
-    /// the grant; nothing can tell, because whenever an earlier HUB on
-    /// the route would still hold the packet, the last one does too.
-    pub fn mark_edge(&mut self, port: PortId) {
-        self.edges.insert(port);
-    }
-
     /// The tie-break key of this HUB's events on `wire` of `port`: the
     /// key base (low 11 bits clear), then the port, then the class.
     pub fn wire_key(&self, port: PortId, wire: Wire) -> u64 {
@@ -393,10 +373,10 @@ impl Hub {
 
     /// Applies what is due before the event being processed at `now`
     /// (all of earlier instants if the caller did not say where at
-    /// `now` it is): the pending changes of granted trains and the
+    /// `now` it is): the pending forwards of granted trains and the
     /// attempts refused without an event, in one `(at, key)` order —
-    /// a change clears a ready bit an attempt reads. Among themselves
-    /// the pending changes touch disjoint state, so their own order
+    /// a forward clears a ready bit an attempt reads. Among themselves
+    /// the pending forwards touch disjoint state, so their own order
     /// does not matter.
     fn apply_due(&mut self, now: Time) {
         if now < self.next_due.0 && self.attempts.front().is_none_or(|a| now < a.at) {
@@ -421,7 +401,7 @@ impl Hub {
         }
     }
 
-    /// Applies the pending changes placed before `place`.
+    /// Applies the pending forwards placed before `place`.
     fn apply_pending_before(&mut self, place: (Time, Tie)) {
         if place <= self.next_due {
             return;
@@ -435,25 +415,16 @@ impl Hub {
                 i += 1;
                 continue;
             }
-            match self.pending.swap_remove(i).change {
-                Change::Forward { input, outs, charged, payload } => {
-                    for out in outs.iter() {
-                        self.ports[out.index()].ready = false;
-                    }
-                    self.counters.packets_forwarded += 1;
-                    self.counters.bytes_forwarded += payload;
-                    self.counters.fanout_copies += outs.len() as u64 - 1;
-                    self.ports[input.index()].queued_bytes -= charged;
-                }
-                Change::Release(packet) => drop(packet),
+            let Pending { input, outs, charged, payload, .. } = self.pending.swap_remove(i);
+            for out in outs.iter() {
+                self.ports[out.index()].ready = false;
             }
+            self.counters.packets_forwarded += 1;
+            self.counters.bytes_forwarded += payload;
+            self.counters.fanout_copies += outs.len() as u64 - 1;
+            self.ports[input.index()].queued_bytes -= charged;
         }
         self.next_due = next_due;
-    }
-
-    fn defer_change(&mut self, at: Time, key: u64, change: Change) {
-        self.next_due = self.next_due.min((at, Tie { late: false, key }));
-        self.pending.push(Pending { at, key, change });
     }
 
     /// `true` while a train is queued at `port` or crosses it: a
@@ -849,13 +820,10 @@ impl Hub {
             }
             let wire = self.cfg.wire_time(bytes);
             if j == opens {
+                let (at, key) = forward;
                 let payload = (bytes - PACKET_FRAMING_BYTES) as u64;
-                let change = Change::Forward { input: port, outs, charged, payload };
-                self.defer_change(forward.0, forward.1, change);
-                if outs.iter().any(|o| self.edges.contains(o)) {
-                    let change = Change::Release(packet.clone());
-                    self.defer_change(emit + wire, head_done_key, change);
-                }
+                self.next_due = self.next_due.min((at, Tie { late: false, key }));
+                self.pending.push(Pending { at, key, input: port, outs, charged, payload });
                 // Tell the upstream peer this queue's start-of-packet
                 // emerged.
                 fx.ready(emit, port);

@@ -57,19 +57,6 @@ impl Packet {
         &self.data
     }
 
-    /// A shared handle to the payload buffer: delivery without a copy.
-    pub fn share(&self) -> Arc<Vec<u8>> {
-        Arc::clone(&self.data)
-    }
-
-    /// Consumes the packet, yielding its buffer without bumping the
-    /// refcount — the terminal-drop path (fault injection, queue
-    /// overrun) hands this to the pool so destroyed packets still
-    /// conserve buffers.
-    pub fn into_shared(self) -> Arc<Vec<u8>> {
-        self.data
-    }
-
     /// Payload length in bytes.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -174,7 +161,6 @@ mod tests {
         let p = Packet::new(1, vec![9u8; 100]);
         let q = p.clone();
         assert!(Arc::ptr_eq(&p.data, &q.data), "multicast clones must share payload");
-        assert!(Arc::ptr_eq(&p.share(), &q.data), "share() hands out the same buffer");
     }
 
     #[test]
