@@ -2,9 +2,8 @@
 //! all cores, bit-identical results.
 //!
 //! The Nectar-net is parallel in space: HUB clusters are joined by
-//! fibers whose minimum latency — [`HubConfig::lookahead`] plus
-//! propagation — lower-bounds how soon one cluster can affect
-//! another. [`ShardedWorld`] exploits that bound with a bounded-lag /
+//! fibers whose minimum latency — [`HubConfig::lookahead`] —
+//! lower-bounds how soon one cluster can affect another. [`ShardedWorld`] exploits that bound with a bounded-lag /
 //! YAWNS window protocol: the topology is partitioned into shards
 //! (each HUB with its attached CABs, in configurable contiguous
 //! groups), each shard runs its own [`World`] with its own engine,
@@ -424,7 +423,7 @@ pub struct ShardedWorld {
     topo: Topology,
     plan: Arc<ShardPlan>,
     worlds: Vec<World>,
-    /// Window width: `HubConfig::lookahead()` + fiber propagation.
+    /// Window width: [`HubConfig::lookahead`](nectar_hub::config::HubConfig::lookahead).
     lookahead: Dur,
     /// Streaming fold state for multi-shard runs (the 1-shard path
     /// delegates to `worlds[0]`'s own drain-per-step streaming).
@@ -466,7 +465,7 @@ impl ShardedWorld {
     /// exactly like — and runs as fast as — a sequential [`World`].
     pub fn new(topo: Topology, cfg: SystemConfig, shards: usize) -> ShardedWorld {
         let plan = Arc::new(ShardPlan::contiguous(&topo, shards));
-        let lookahead = cfg.hub.lookahead() + cfg.propagation;
+        let lookahead = cfg.hub.lookahead();
         let worlds: Vec<World> = (0..plan.shards())
             .map(|i| World::new_shard(topo.clone(), cfg.clone(), Arc::clone(&plan), i))
             .collect();

@@ -54,6 +54,9 @@ pub enum SwitchingMode {
 }
 
 /// Configuration of a whole Nectar system.
+///
+/// Fibres add no propagation delay: the paper quotes its latencies
+/// "excluding the transmission delays of the optical fibers".
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
     /// HUB hardware parameters.
@@ -66,20 +69,18 @@ pub struct SystemConfig {
     pub rpc: ReqRespConfig,
     /// Node OS cost model (used by the node-level probes).
     pub node: crate::node::NodeConfig,
-    /// Fiber propagation delay per link. The paper quotes latencies
-    /// "excluding the transmission delays of the optical fibers", so
-    /// the default is zero.
-    pub propagation: Dur,
     /// Datalink switching policy.
     pub switching: SwitchingMode,
-    /// Capacity of each auto-created mailbox, bytes.
-    pub mailbox_capacity: usize,
-    /// Datalink recovery: if the HUB's ready signal does not return
-    /// within this time (e.g. the packet's test-open command was lost),
-    /// the CAB re-arms its transmit path and lets the transport
-    /// retransmit (§6.2.1 "recovers from ... lost HUB commands").
-    pub ready_timeout: Dur,
 }
+
+/// Datalink recovery: if the HUB's ready signal does not return within
+/// this time (e.g. the packet's test-open command was lost), the CAB
+/// re-arms its transmit path and lets the transport retransmit (§6.2.1
+/// "recovers from ... lost HUB commands").
+pub const READY_TIMEOUT: Dur = Dur::from_millis(1);
+
+/// Capacity of each auto-created mailbox, bytes.
+const MAILBOX_CAPACITY: usize = 256 * 1024;
 
 impl Default for SystemConfig {
     fn default() -> SystemConfig {
@@ -89,10 +90,7 @@ impl Default for SystemConfig {
             stream: ByteStreamConfig::default(),
             rpc: ReqRespConfig::default(),
             node: crate::node::NodeConfig::sun_workstation(),
-            propagation: Dur::ZERO,
             switching: SwitchingMode::PacketSwitched,
-            mailbox_capacity: 256 * 1024,
-            ready_timeout: Dur::from_millis(1),
         }
     }
 }
@@ -2234,13 +2232,12 @@ impl World {
                     self.cab_send_packet(cab, dst, wire, done, header.seq, payload_len, retransmit);
                 }
                 Action::Deliver { mailbox, msg } => {
-                    let mailbox_cap = self.cfg.mailbox_capacity;
                     let op = self.cfg.cab.mailbox_op;
                     let cs = &mut self.cabs[cab];
                     let app = cs.app_thread;
                     let (_, end) = cs.sched.run(now, app, op);
                     let (id, len, tag) = (msg.id(), msg.len(), msg.tag());
-                    if cs.mailbox_or_create(mailbox, mailbox_cap).append(msg).is_err() {
+                    if cs.mailbox_or_create(mailbox, MAILBOX_CAPACITY).append(msg).is_err() {
                         cs.counters.mailbox_rejects += 1;
                         continue;
                     }
@@ -2390,7 +2387,7 @@ impl World {
                 cs.fiber_ready = false;
                 cs.ready_gen += 1;
                 cs.disarm_ready_timeout(engine);
-                let at = now.max(engine.now()) + cfg.ready_timeout;
+                let at = now.max(engine.now()) + READY_TIMEOUT;
                 let ev = Ev::CabReadyTimeout { cab, gen: cs.ready_gen };
                 cs.ready_timeout = Some(engine.schedule_at_keyed(at, take_key(keys, cab), ev));
             }
@@ -2407,7 +2404,7 @@ impl World {
                 }
                 cs.fiber_free = head + wire;
                 cs.fiber_tx_busy += wire;
-                engine.schedule_at_keyed(head + cfg.propagation, take_key(keys, cab), ev);
+                engine.schedule_at_keyed(head, take_key(keys, cab), ev);
             };
             let wire_of = |item: &Item| cfg.hub.wire_time(item.wire_bytes());
             match burst {
@@ -2448,7 +2445,6 @@ impl World {
     /// event is keyed by the wire it travels ([`Hub::wire_key`]), not by when
     /// the HUB computed it.
     fn apply_hub_effects(&mut self, hub: usize) {
-        let prop = self.cfg.propagation;
         let mut fx = std::mem::take(&mut self.hub_fx);
         for em in fx.emissions.drain(..) {
             let wire = if matches!(em.item, Item::Reply(_)) { Wire::Reply } else { Wire::Emission };
@@ -2456,13 +2452,13 @@ impl World {
             match self.topo.peer(hub, em.port) {
                 Peer::Hub(h2, p2) => {
                     let ev = Ev::HubItem { hub: h2, port: p2, item: em.item };
-                    self.route_to_hub(h2, em.at + prop, key, ev);
+                    self.route_to_hub(h2, em.at, key, ev);
                 }
                 Peer::Cab(c) => {
                     // A CAB always shares its attachment HUB's shard,
                     // so this edge is never cross-shard.
                     let ev = Ev::CabItem { cab: c, item: em.item };
-                    self.engine.schedule_at_keyed(em.at + prop, key, ev);
+                    self.engine.schedule_at_keyed(em.at, key, ev);
                 }
                 Peer::None => { /* unwired port: the item vanishes */ }
             }
@@ -2478,13 +2474,13 @@ impl World {
                         packet: tr.packet,
                         route: tr.route,
                     };
-                    self.route_to_hub(h2, tr.at + prop, key, ev);
+                    self.route_to_hub(h2, tr.at, key, ev);
                 }
                 Peer::Cab(c) => {
                     // The last hop into a CAB stays item by item: the
                     // items leave one transit after each other's tail.
                     let World { cfg, topo, engine, .. } = self;
-                    let mut at = tr.at + prop;
+                    let mut at = tr.at;
                     train_items(topo, tr.route, tr.opens, tr.packet, |item| {
                         let next = at + cfg.hub.wire_time(item.wire_bytes()) + cfg.hub.transit;
                         engine.schedule_at_keyed(at, key, Ev::CabItem { cab: c, item });
@@ -2498,10 +2494,10 @@ impl World {
             let key = self.hubs[hub].wire_key(rs.port, Wire::Ready);
             match self.topo.peer(hub, rs.port) {
                 Peer::Hub(h2, p2) => {
-                    self.route_to_hub(h2, rs.at + prop, key, Ev::HubReady { hub: h2, port: p2 });
+                    self.route_to_hub(h2, rs.at, key, Ev::HubReady { hub: h2, port: p2 });
                 }
                 Peer::Cab(c) => {
-                    self.engine.schedule_at_keyed(rs.at + prop, key, Ev::CabReadySignal { cab: c });
+                    self.engine.schedule_at_keyed(rs.at, key, Ev::CabReadySignal { cab: c });
                 }
                 Peer::None => {}
             }
@@ -2553,13 +2549,12 @@ impl World {
             (Item::Packet(p), false, Some(chaos)) => {
                 let verdict = chaos.on_cab_packet(now, cab as u16, p.len());
                 let (hub, port) = self.topo.cab_attachment(cab);
-                let prop = self.cfg.propagation;
                 if verdict.drop {
                     // The packet vanishes; flow control must still be
                     // released or the sender wedges.
                     self.faults_injected += 1;
                     let key = self.next_key(cab);
-                    self.engine.schedule_at_keyed(now + prop, key, Ev::HubReady { hub, port });
+                    self.engine.schedule_at_keyed(now, key, Ev::HubReady { hub, port });
                     return;
                 }
                 if verdict.duplicate {
@@ -2588,7 +2583,7 @@ impl World {
                     // traffic overtakes, then deliver the original
                     // after the extra delay.
                     let key = self.next_key(cab);
-                    self.engine.schedule_at_keyed(now + prop, key, Ev::HubReady { hub, port });
+                    self.engine.schedule_at_keyed(now, key, Ev::HubReady { hub, port });
                     let key = self.next_key(cab);
                     self.engine.schedule_at_keyed(
                         now + d,
@@ -2606,7 +2601,6 @@ impl World {
                 let size = p.wire_bytes();
                 let recv = self.cfg.cab.recv_path();
                 let wire_dur = self.cfg.hub.wire_time(size);
-                let prop = self.cfg.propagation;
                 let (hub, port) = self.topo.cab_attachment(cab);
                 let cs = &mut self.cabs[cab];
                 cs.counters.packets_rx += 1;
@@ -2620,11 +2614,7 @@ impl World {
                     // The queue overran; the packet is lost. Free the
                     // flow-control path so the network is not wedged.
                     let key = self.next_key(cab);
-                    self.engine.schedule_at_keyed(
-                        handler_done + prop,
-                        key,
-                        Ev::HubReady { hub, port },
-                    );
+                    self.engine.schedule_at_keyed(handler_done, key, Ev::HubReady { hub, port });
                     return;
                 }
                 // The DMA drains the input queue concurrently with the
@@ -2648,7 +2638,7 @@ impl World {
                 // The packet emerges from the CAB input queue when the
                 // DMA starts draining it: restore the HUB's ready bit.
                 let key = self.next_key(cab);
-                self.engine.schedule_at_keyed(handler_done + prop, key, Ev::HubReady { hub, port });
+                self.engine.schedule_at_keyed(handler_done, key, Ev::HubReady { hub, port });
                 let key = self.next_key(cab);
                 self.engine.schedule_at_keyed(done, key, Ev::CabPacketReady { cab, packet: p });
             }

@@ -6,6 +6,7 @@
 //! bucket in the system.
 
 use nectar_core::prelude::*;
+use nectar_core::world::READY_TIMEOUT;
 use nectar_sim::analysis::streaming::StreamConfig;
 use nectar_sim::time::{Dur, Time};
 use nectar_sim::workload::{preset, WorkloadSpec};
@@ -173,16 +174,15 @@ fn oversize_single_packet_flows_are_rejected() {
 
 /// A ready-timeout whose ready signal came back is cancelled, not left
 /// to fire as a no-op: the run settles when the last real event does
-/// (not `ready_timeout` later), and the queue holds no dead timers
+/// (not `READY_TIMEOUT` later), and the queue holds no dead timers
 /// while traffic flows.
 #[test]
 fn answered_ready_timeouts_leave_the_queue_and_the_quiescence_clock() {
-    let cfg = SystemConfig::default();
     let topo = Topology::mesh2d(2, 2, 3, 16);
     let cabs = topo.cab_count();
     let spec =
         WorkloadSpec::parse(7, "closed(4,0ns,fixed(32),uniform,datagram)[0ns..300us]").unwrap();
-    let mut world = World::new(topo, cfg.clone());
+    let mut world = World::new(topo, SystemConfig::default());
     world.set_workload(&spec).expect("spec compiles");
     world.run_until(Time::from_micros(150));
     // Every delivered packet armed a 1 ms timeout that cannot have
@@ -199,7 +199,7 @@ fn answered_ready_timeouts_leave_the_queue_and_the_quiescence_clock() {
     assert_eq!(outcome, nectar_core::world::QuiescenceOutcome::Quiescent);
     let last = world.deliveries.iter().map(|d| d.at).max().expect("traffic flowed");
     assert!(
-        world.now() < last + Dur::from_nanos(cfg.ready_timeout.nanos() / 2),
+        world.now() < last + Dur::from_nanos(READY_TIMEOUT.nanos() / 2),
         "clock ran on to {} after the last delivery at {last}",
         world.now()
     );

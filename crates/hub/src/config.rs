@@ -113,9 +113,9 @@ impl HubConfig {
     /// freshly commanded connection at least
     /// [`connect_latency`](HubConfig::connect_latency) on top of
     /// transit — so the minimum of the three bounds them all. A
-    /// sharded simulation may execute `lookahead` (plus fiber
-    /// propagation) beyond the global minimum event time without ever
-    /// missing a cross-shard arrival (prototype: 350 ns).
+    /// sharded simulation may execute `lookahead` beyond the global
+    /// minimum event time without ever missing a cross-shard arrival
+    /// (prototype: 350 ns).
     pub fn lookahead(&self) -> Dur {
         self.transit.min(self.reply_hop_latency).min(self.connect_latency())
     }

@@ -52,8 +52,8 @@
 //!
 //! A flight retires once it is **terminal** (delivered via `app_recv`,
 //! or an ack flight consumed by `transport_ack`) *and* its quiet clock
-//! is a [`horizon`](StreamConfig::horizon) (at least 1 ns) behind the
-//! watermark — so every one of its events is final and folded.
+//! is a horizon (1 ms) behind the watermark — so every one of its
+//! events is final and folded.
 //! Non-terminal flights — lost, corrupted, or merely parked in a
 //! congested crossbar queue longer than the horizon — are held until
 //! the final report (or a memory-budget eviction), so congestion can
@@ -91,42 +91,33 @@ use crate::time::{Dur, Time};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
+
+/// A **completed** flight (one that saw a terminal event — delivery or
+/// ack consumption) retires after this much simulated time with no new
+/// events. It must exceed the longest gap after a terminal event (for
+/// unicast, nothing follows one; multicast copies still in flight keep
+/// updating the quiet clock), or retirement races the stragglers and
+/// the report counts `late_events` (equivalence with post-hoc then no
+/// longer holds). Flights without a terminal event — still in flight,
+/// silently dropped, corrupted — are held until the final report or a
+/// memory-budget eviction, never horizon-retired: congestion can park a
+/// packet in a crossbar queue for longer than any reasonable quiet
+/// period. 1 ms matches the silent-drop grace window; being at least
+/// 1 ns, it also never retires a flight quiet since the watermark
+/// instant, which may still have events held back.
+const HORIZON: Dur = Dur::from_millis(1);
 use std::mem::size_of;
 
 /// Streaming-doctor tuning. The `doctor` thresholds are shared with
 /// the post-hoc detectors so the two paths stay comparable.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct StreamConfig {
     /// Detector thresholds (same as post-hoc).
     pub doctor: DoctorConfig,
-    /// A **completed** flight (one that saw a terminal event —
-    /// delivery or ack consumption) retires after this much simulated
-    /// time with no new events. Must exceed the longest gap after a
-    /// terminal event (for unicast, nothing follows one; multicast
-    /// copies still in flight keep updating the quiet clock), or
-    /// retirement races the stragglers and the report counts
-    /// `late_events` (equivalence with post-hoc then no longer holds).
-    /// Flights without a terminal event — still in flight, silently
-    /// dropped, corrupted — are held until the final report or a
-    /// memory-budget eviction, never horizon-retired: congestion can
-    /// park a packet in a crossbar queue for longer than any
-    /// reasonable quiet period. The default (1 ms) matches the
-    /// silent-drop grace window.
-    pub horizon: Dur,
     /// Hard cap on the fold's estimated footprint: when exceeded, the
     /// oldest open flights are force-retired (counted in
     /// [`StreamSummary::forced_retirements`]) until back under.
     pub memory_budget: Option<usize>,
-}
-
-impl Default for StreamConfig {
-    fn default() -> StreamConfig {
-        StreamConfig {
-            doctor: DoctorConfig::default(),
-            horizon: Dur::from_millis(1),
-            memory_budget: None,
-        }
-    }
 }
 
 /// Multiplicative hasher for the fold's maps. Their keys — flight ids
@@ -570,14 +561,11 @@ impl StreamingDoctor {
     }
 
     fn advance_retirement(&mut self) {
-        // At least 1 ns: a flight quiet since the watermark instant may
-        // still have events held back.
-        let horizon = self.cfg.horizon.max(Dur::from_nanos(1));
         // Two passes, like arrival: the due flights are found first (the
         // touched list is free between batches), then retired.
         let mut due = std::mem::take(&mut self.touched);
         while let Some(&(t, id)) = self.retire_queue.front() {
-            if t + horizon > self.watermark {
+            if t + HORIZON > self.watermark {
                 break;
             }
             self.retire_queue.pop_front();
