@@ -3,8 +3,9 @@
 //!
 //! The Nectar-net is parallel in space: HUB clusters are joined by
 //! fibers whose minimum latency — [`HubConfig::lookahead`] —
-//! lower-bounds how soon one cluster can affect another. [`ShardedWorld`] exploits that bound with a bounded-lag /
-//! YAWNS window protocol: the topology is partitioned into shards
+//! lower-bounds how soon one cluster can affect another.
+//! [`ShardedWorld`] exploits that bound with a bounded-lag / YAWNS
+//! window protocol: the topology is partitioned into shards
 //! (each HUB with its attached CABs, in configurable contiguous
 //! groups), each shard runs its own [`World`] with its own engine,
 //! and all shards meet at one **rendezvous** per window. At
@@ -423,7 +424,7 @@ pub struct ShardedWorld {
     topo: Topology,
     plan: Arc<ShardPlan>,
     worlds: Vec<World>,
-    /// Window width: [`HubConfig::lookahead`](nectar_hub::config::HubConfig::lookahead).
+    /// Window width: `HubConfig::lookahead()`.
     lookahead: Dur,
     /// Streaming fold state for multi-shard runs (the 1-shard path
     /// delegates to `worlds[0]`'s own drain-per-step streaming).

@@ -62,9 +62,8 @@ const BUDGET_PER_DELIVERY: f64 = 8.0;
 /// figure). Measured: 64 in all, 4.0 per CAB. The parent of the change
 /// that introduced this gate made 112: each board also built a
 /// data-RAM extent list and a protection-table row vector that no run
-/// read; a per-CAB free list of wire buffers took 16 more until it was
-/// deleted. Construction is what the benchmark's `setup_s` times, so
-/// this keeps per-board state from creeping back in.
+/// read. Construction is what the benchmark's `setup_s` times, so this
+/// keeps per-board state from creeping back in.
 const CONSTRUCTION_BUDGET_PER_CAB: f64 = 4.0;
 
 #[test]

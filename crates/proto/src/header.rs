@@ -167,7 +167,7 @@ impl Header {
     /// # Panics
     ///
     /// Panics if `payload.len()` disagrees with `self.payload_len`.
-    pub fn encode_into(&self, payload: &[u8], buf: &mut Vec<u8>) {
+    fn encode_into(&self, payload: &[u8], buf: &mut Vec<u8>) {
         assert_eq!(payload.len(), self.payload_len as usize, "payload_len must match payload");
         buf.clear();
         buf.reserve(HEADER_BYTES + payload.len());
