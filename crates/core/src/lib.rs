@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod digest;
+mod fold;
 pub mod invariants;
 pub mod ipsc;
 pub mod mapping;

@@ -21,6 +21,7 @@ use nectar_sim::analysis::{diagnose, DoctorReport};
 use nectar_sim::chaos::{ChaosSchedule, Clause, Fault};
 use nectar_sim::time::Time;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Deadline generous enough for every topology here, chaos included.
 const DEADLINE: Time = Time::from_millis(400);
@@ -243,4 +244,35 @@ fn budgeted_epochs_fold_only_final_events() {
 #[test]
 fn fat_star_streaming_matches_post_hoc() {
     differential_case("fat_star", Topology::fat_star(4, 3, 16));
+}
+
+/// A streamed world dropped mid-run, without `finish_streaming`, lets
+/// its fold thread go at once — sequential and sharded alike — and the
+/// next world's report owes nothing to it. 256-event rings drain every
+/// few events, so the fold thread is running when the world goes.
+#[test]
+fn a_world_dropped_mid_run_lets_its_fold_go() {
+    let topo = Topology::mesh2d(2, 2, 3, 16);
+    let (_, want) = streamed_sequential(&topo, None);
+    let mid_run = Time::from_micros(120);
+    let mut seq = World::new(topo.clone(), SystemConfig::default());
+    seq.attach_streaming(StreamConfig::default());
+    seq.set_telemetry_capacity(256);
+    let mut par = ShardedWorld::new(topo.clone(), SystemConfig::default(), 2);
+    par.attach_streaming(StreamConfig::default());
+    par.set_telemetry_capacity(256);
+    for (at, cab, send) in workload(&topo) {
+        seq.schedule_send(at, cab, send.clone());
+        par.schedule_send(at, cab, send);
+    }
+    seq.run_until(mid_run);
+    par.run_until(mid_run);
+    assert!(seq.pending_events() > 0, "the run is not over at {mid_run}");
+    let start = Instant::now();
+    drop(seq);
+    drop(par);
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(2), "dropping the worlds took {took:?}");
+    let (doc, got) = streamed_sequential(&topo, None);
+    assert_equivalent("mesh/clean/seq after a dropped world", &doc, &got, &want);
 }

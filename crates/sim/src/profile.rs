@@ -66,7 +66,10 @@ pub enum Phase {
     BarrierWait,
     /// Draining every shard's telemetry rings on the main thread.
     TelemetryDrain,
-    /// Folding drained telemetry into the streaming doctor.
+    /// The main thread's wait on the streaming doctor's fold thread:
+    /// for room in its queue when handing over a drain, and for the
+    /// fold to end when the doctor is finished. The fold itself runs
+    /// on a thread of its own, off the profile.
     StreamFold,
 }
 
@@ -269,7 +272,7 @@ impl Profiler {
 
 /// The collected profile of one sharded run: one track per shard
 /// worker plus one final track for the runner's main thread
-/// (telemetry drain, streaming fold).
+/// (telemetry drain, wait on the streaming fold).
 #[derive(Clone, Debug)]
 pub struct HostProfile {
     /// Worker track count (== shard count).
@@ -420,8 +423,8 @@ pub struct ProfileAnalysis {
     /// Per-shard whole-run phase breakdown, and critical-path
     /// attribution over the complete windows.
     pub per_shard: Vec<ShardBreakdown>,
-    /// Main-thread phase totals (telemetry drain, stream fold),
-    /// indexed by [`Phase::index`].
+    /// Main-thread phase totals (telemetry drain, wait on the stream
+    /// fold), indexed by [`Phase::index`].
     pub main_ns: [u64; PHASES],
     /// Parallel efficiency: summed step time over `shards × wall`.
     pub efficiency: f64,
@@ -478,7 +481,7 @@ impl ProfileAnalysis {
         let fold = self.main_ns[Phase::StreamFold.index()];
         if drain + fold > 0 {
             out.push_str(&format!(
-                "main       drain {:.3} ms, fold {:.3} ms\n",
+                "main       drain {:.3} ms, fold wait {:.3} ms\n",
                 ms(drain),
                 ms(fold)
             ));
