@@ -19,10 +19,7 @@
 //! 3. waits until every peer's `epoch > k`,
 //! 4. drains its column of the parity-`k & 1` grid into its engine,
 //!    and
-//! 5. leaves with `Budget` if the epoch's window budget is spent —
-//!    everything sent is ingested at that point, so the streaming
-//!    fold's finality boundary is exact — else takes `T`, the
-//!    minimum over every shard's `peek[k & 1]`, leaves with `Done(T)`
+//! 5. takes `T`, the minimum over every shard's `peek[k & 1]`, leaves
 //!    when `T` is past the deadline or nothing is pending anywhere,
 //!    and otherwise executes every local event in `[T, T + lookahead)`,
 //!    collecting cross-shard fiber traffic into per-destination
@@ -94,7 +91,9 @@ use nectar_sim::profile::{self, AnalyzeCtx, HostProfile, Phase, ProfileAnalysis,
 use nectar_sim::telemetry::TelemetryEvent;
 use nectar_sim::time::{Dur, Time};
 use nectar_sim::workload::WorkloadSpec;
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -369,24 +368,18 @@ impl ExchangeGrid {
     }
 }
 
-/// How one shard's epoch ended.
-#[derive(Clone, Copy, Debug)]
-enum EpochExit {
-    /// The global minimum event time: `u64::MAX` (quiescent) or past
-    /// the deadline. Every shard computes the same value.
-    Done(u64),
-    /// The epoch's window budget ran out — the main thread gets
-    /// single-threaded access to drain the shards for a streaming fold.
-    Budget,
-}
-
-/// One shard worker's accounting for one epoch.
-struct EpochResult {
+/// One shard worker's accounting for one [`drive`](ShardedWorld::drive).
+struct WorkerRun {
     events: u64,
     windows: u64,
     wait_ns: u64,
     exchanged: u64,
-    exit: EpochExit,
+    /// The `T` the worker left on: `u64::MAX` (quiescent) or past the
+    /// deadline. Every worker computes the same value.
+    end: u64,
+    /// Worker 0 only: the fold thread's panic (see
+    /// [`ShardStream::hand_over`]).
+    fold_panic: Option<Box<dyn Any + Send>>,
 }
 
 /// Wall-clock/runtime counters for the parallel runner itself. Kept
@@ -433,8 +426,7 @@ pub struct ShardedWorld {
     /// delegates to `worlds[0]`'s own drain-per-step streaming).
     stream: Option<Box<ShardStream>>,
     runtime: RuntimeStats,
-    /// Host-time span rings, one per shard worker plus one for the
-    /// main thread (telemetry drain / stream fold).
+    /// Host-time span rings, one per shard worker.
     /// Disabled by default: each scope edge in the worker loop is then
     /// a single branch, preserving the profiler-off wall time.
     profs: Vec<Profiler>,
@@ -445,20 +437,34 @@ pub struct ShardedWorld {
 }
 
 /// The [`StreamingDoctor`]'s fold when streaming is attached to a
-/// multi-shard world: every shard's rings drain into one fold at epoch
-/// boundaries, where the global minimum next-event time bounds which
-/// events are final.
+/// multi-shard world: worker 0 hands it every shard's drained rings at
+/// a rendezvous, where the global minimum next-event time `T` bounds
+/// which events are final.
 struct ShardStream {
     /// The fold thread's sending end; the thread holds back events
     /// stamped at or after the boundary each drain is sent with.
     fold: StreamFold,
-    /// Epoch budget cap in windows: folds must happen often enough
-    /// that no per-shard ring fills between them.
+    /// Rendezvous between hand-overs.
     cadence: u64,
 }
 
-/// Epoch cap (in windows) for a given smallest ring capacity: drain
-/// well before even a dense window sequence could fill a ring.
+impl ShardStream {
+    /// Worker 0's hand-over at a rendezvous whose global minimum
+    /// next-event time is `t`: sends the shards' drains with `t` as the
+    /// release boundary (`u64::MAX`: none). A dead fold thread's panic
+    /// comes back as the error, for `drive` to raise once every worker
+    /// has left: unwinding worker 0 would leave its peers waiting at
+    /// the next rendezvous for good.
+    fn hand_over(&mut self, spill: &Mutex<Vec<TelemetryEvent>>, t: u64) -> std::thread::Result<()> {
+        self.fold.drain.append(&mut spill.lock().expect("no panics hold this lock"));
+        let boundary = (t != u64::MAX).then(|| Time::from_nanos(t));
+        catch_unwind(AssertUnwindSafe(|| self.fold.send(boundary)))
+    }
+}
+
+/// Hand-over cadence (in rendezvous) for a given smallest ring
+/// capacity: smaller rings, smaller and more frequent hand-overs, so
+/// a drain in flight stays within a few rings' worth of events.
 fn stream_cadence(min_capacity: usize) -> u64 {
     (min_capacity as u64 / 64).clamp(4, 256)
 }
@@ -485,7 +491,7 @@ impl ShardedWorld {
                 exchanged_events: vec![0; n],
                 ..RuntimeStats::default()
             },
-            profs: (0..=n).map(|_| Profiler::disabled()).collect(),
+            profs: (0..n).map(|_| Profiler::disabled()).collect(),
             cores: host_cores(),
         }
     }
@@ -513,11 +519,11 @@ impl ShardedWorld {
     }
 
     /// Switches on the host-time profiler: every shard worker records
-    /// phase spans (step, outbox fill, exchange drain, barrier wait)
-    /// and the main thread records drain spans and its waits on the
-    /// streaming fold. Host
-    /// time never feeds the simulated metrics, so results stay
-    /// bit-identical with the profiler on or off.
+    /// phase spans (step, outbox fill, exchange drain, barrier wait,
+    /// and with a streaming doctor its telemetry drain), and worker 0
+    /// its hand-overs to the fold thread. Host time never feeds the
+    /// simulated metrics, so results stay bit-identical with the
+    /// profiler on or off.
     pub fn enable_profiling(&mut self) {
         for p in &mut self.profs {
             p.set_enabled(true);
@@ -529,13 +535,13 @@ impl ShardedWorld {
         self.profs[0].is_enabled()
     }
 
-    /// The collected host-time profile (one track per shard worker,
-    /// one for the main thread), or `None` when profiling is off.
+    /// The collected host-time profile (one track per shard worker),
+    /// or `None` when profiling is off.
     pub fn host_profile(&self) -> Option<HostProfile> {
         if !self.profiling_enabled() {
             return None;
         }
-        Some(HostProfile::collect(self.worlds.len(), &self.profs))
+        Some(HostProfile::collect(&self.profs))
     }
 
     /// Per-HUB simulated-time load attribution summed across shards
@@ -593,14 +599,14 @@ impl ShardedWorld {
 
     /// Attaches a [`StreamingDoctor`]; mirrors
     /// [`World::attach_streaming`]. With one shard the world streams
-    /// for itself (drain cadence in engine events); with several, the
-    /// main thread drains every shard's rings at epoch boundaries and
-    /// the fold thread folds the events below the global minimum
-    /// next-event time —
-    /// those are final in *every* shard, because cross-shard traffic
-    /// can only land a full lookahead later. The fold reads nothing
-    /// from how a batch is ordered or where the batches were cut, so
-    /// the verdict is bit-identical to a sequential streaming run.
+    /// for itself (drain cadence in engine events); with several,
+    /// worker 0 hands the fold thread every shard's drains at a
+    /// rendezvous, and the fold folds the events below the global
+    /// minimum next-event time — those are final in *every* shard,
+    /// because cross-shard traffic can only land a full lookahead
+    /// later. The fold reads nothing from how a batch is ordered or
+    /// where the batches were cut, so the verdict is bit-identical to
+    /// a sequential streaming run.
     pub fn attach_streaming(&mut self, cfg: StreamConfig) {
         if self.worlds.len() == 1 {
             self.worlds[0].attach_streaming(cfg);
@@ -619,8 +625,8 @@ impl ShardedWorld {
     }
 
     /// Resizes every shard's telemetry rings (see
-    /// [`World::set_telemetry_capacity`]) and retunes the streaming
-    /// fold cadence to the new bound.
+    /// [`World::set_telemetry_capacity`]) and retunes the hand-over
+    /// cadence to the new bound.
     pub fn set_telemetry_capacity(&mut self, capacity: usize) {
         for w in &mut self.worlds {
             w.set_telemetry_capacity(capacity);
@@ -632,18 +638,20 @@ impl ShardedWorld {
 
     /// Detaches the streaming doctor after folding everything still
     /// pending in any shard's rings; mirrors
-    /// [`World::finish_streaming`].
+    /// [`World::finish_streaming`]. The wait for the fold thread is a
+    /// `StreamFold` span on worker 0's track.
     pub fn finish_streaming(&mut self) -> Option<StreamingDoctor> {
         if self.worlds.len() == 1 {
             return self.worlds[0].finish_streaming();
         }
-        self.stream.as_ref()?;
-        self.stream_fold(true);
-        let st = self.stream.take()?;
-        let main = self.worlds.len();
-        let t0 = self.profs[main].begin();
+        let mut st = self.stream.take()?;
+        let t0 = self.profs[0].begin();
+        for w in &mut self.worlds {
+            w.take_spill(&mut st.fold.drain);
+        }
+        st.fold.send(None);
         let mut doctor = st.fold.finish();
-        self.profs[main].end(Phase::StreamFold, self.runtime.windows, t0);
+        self.profs[0].end(Phase::StreamFold, self.runtime.windows, t0);
         let (hwm, dropped) = self.telemetry_pressure();
         doctor.note_ring(hwm, dropped);
         Some(doctor)
@@ -660,33 +668,6 @@ impl ShardedWorld {
             dropped += d;
         }
         (hwm, dropped)
-    }
-
-    /// Drains every shard's rings and sends the drain to the fold
-    /// thread, which folds all **final** events: those stamped strictly
-    /// before the global minimum next-event time. No shard can still
-    /// record an earlier event — record sites stamp at-or-after their
-    /// processing instant, and cross-shard arrivals land at least a
-    /// lookahead past the window floor. With `finish` everything held
-    /// back folds. The `stream_fold` span is the send: the time the
-    /// main thread waits for room in the fold's queue.
-    fn stream_fold(&mut self, finish: bool) {
-        let Some(mut st) = self.stream.take() else { return };
-        let main = self.worlds.len();
-        let window = self.runtime.windows;
-        let t0 = self.profs[main].begin();
-        for w in &mut self.worlds {
-            w.take_spill(&mut st.fold.drain);
-        }
-        let boundary = if finish {
-            None
-        } else {
-            self.worlds.iter().filter_map(|w| w.next_event_time()).min()
-        };
-        let t0 = self.profs[main].end(Phase::TelemetryDrain, window, t0);
-        st.fold.send(boundary);
-        self.profs[main].end(Phase::StreamFold, window, t0);
-        self.stream = Some(st);
     }
 
     /// Runs the window protocol until every shard's queue drains or
@@ -723,29 +704,19 @@ impl ShardedWorld {
         }
     }
 
-    /// Window budget for the next epoch: how many windows the workers
-    /// may run before handing the main thread a drain — the stream
-    /// cadence, else unbounded.
-    fn epoch_budget(&self) -> u64 {
-        self.stream.as_ref().map_or(u64::MAX, |st| st.cadence)
-    }
-
     /// The one driver: the threaded YAWNS loop, or with a single shard
     /// one inline window. On return every shard has processed exactly
     /// the events a sequential run would process up to `deadline`
-    /// (inclusive); clocks are *not* yet normalized.
+    /// (inclusive), and nothing is in flight between shards; clocks
+    /// are *not* yet normalized.
     ///
-    /// Structured as a sequence of epochs: worker threads run the
-    /// window protocol for at most [`epoch_budget`] windows, then
-    /// join, giving the main thread single-threaded access to every
-    /// shard world to drain its telemetry for the fold thread; fresh
-    /// workers then continue at the next rendezvous index while the
-    /// drain is folded. An epoch always ends right after an exchange
-    /// (see the module doc), so no event is in flight while the main
-    /// thread drains. Without streaming the budget is unbounded and
-    /// exactly one epoch runs.
-    ///
-    /// [`epoch_budget`]: ShardedWorld::epoch_budget
+    /// With a streaming doctor attached, every worker moves its
+    /// telemetry into one spill buffer after each step, before it
+    /// publishes the next rendezvous. After every `cadence`-th
+    /// rendezvous and the last one, worker 0 hands that buffer to the
+    /// fold thread with `T` as the release boundary (none at
+    /// quiescence): the buffer holds every event recorded before the
+    /// rendezvous, and every later one is stamped at or after `T`.
     fn drive(&mut self, deadline: Time) -> (u64, QuiescenceOutcome) {
         let n = self.worlds.len();
         let lookahead = self.lookahead.nanos().max(1);
@@ -767,168 +738,148 @@ impl ShardedWorld {
             return (events, outcome);
         }
         // A streaming fold's thread needs a core too.
-        let threads = n + usize::from(self.stream.is_some());
+        let streaming = self.stream.is_some();
+        let threads = n + usize::from(streaming);
         let rendezvous = Rendezvous::new(n, threads <= self.cores);
         let grids = [ExchangeGrid::new(n), ExchangeGrid::new(n)];
-        let (rendezvous, grids) = (&rendezvous, &grids);
-        // Index of the next rendezvous; runs on across epochs so the
-        // parities keep alternating.
-        let mut next_rendezvous = 0u64;
-        let mut total_events = 0u64;
-        let streaming = self.stream.is_some();
-        loop {
-            let budget = self.epoch_budget();
-            // Worker-side spill buffers: each worker drains its own
-            // shard's telemetry rings here every window, so ring
-            // pressure never depends on the epoch fold cadence.
-            let mut spills: Vec<Vec<TelemetryEvent>> = (0..n).map(|_| Vec::new()).collect();
-            // Global index of this epoch's first window, so spans from
-            // successive epochs number windows continuously.
-            let base = self.runtime.windows;
-            let mut results: Vec<EpochResult> = Vec::with_capacity(n);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .worlds
-                    .iter_mut()
-                    .zip(self.profs.iter_mut())
-                    .zip(spills.iter_mut())
-                    .enumerate()
-                    .map(|(i, ((world, prof), spill))| {
-                        s.spawn(move || {
-                            let mut res = EpochResult {
-                                events: 0,
-                                windows: 0,
-                                wait_ns: 0,
-                                exchanged: 0,
-                                exit: EpochExit::Budget,
-                            };
-                            // Each span opens where the previous one
-                            // closed: the profiler reads the clock three
-                            // times a window (four when streaming).
-                            let mut t0 = prof.begin();
-                            loop {
-                                // A window's spans are its rendezvous
-                                // (fill, wait, drain) and then its step.
-                                let win = base + res.windows;
-                                let k = next_rendezvous + res.windows;
-                                let grid = &grids[(k & 1) as usize];
-                                // Producer: swap every non-empty outbox
-                                // into this shard's row of the grid. The
-                                // swapped-in buffer is the (empty, warm)
-                                // one the consumer left behind two
-                                // rendezvous ago.
-                                let mut sent_min = u64::MAX;
-                                for dst in 0..n {
-                                    if dst != i && world.outbox_filled(dst) {
-                                        let cell = grid.cell(i, dst);
-                                        let mut batch =
-                                            cell.batch.lock().expect("no panics hold this lock");
-                                        world.swap_outbox(dst, &mut batch);
-                                        res.exchanged += batch.len() as u64;
-                                        for (at, _, _) in batch.iter() {
-                                            sent_min = sent_min.min(at.nanos());
-                                        }
-                                        drop(batch);
-                                        cell.filled.store(true, Ordering::Release);
+        // Every worker's telemetry, between hand-overs.
+        let spill = Mutex::new(Vec::new());
+        let (rendezvous, grids, spill) = (&rendezvous, &grids, &spill);
+        // Global index of this call's first window, so spans from
+        // successive calls number windows continuously.
+        let base = self.runtime.windows;
+        // Taken by the first worker spawned: worker 0 hands over drains.
+        let mut stream = self.stream.as_deref_mut();
+        let mut runs: Vec<WorkerRun> = std::thread::scope(|s| {
+            let handles: Vec<_> = self
+                .worlds
+                .iter_mut()
+                .zip(self.profs.iter_mut())
+                .enumerate()
+                .map(|(i, (world, prof))| {
+                    let mut stream = stream.take();
+                    s.spawn(move || {
+                        let mut run = WorkerRun {
+                            events: 0,
+                            windows: 0,
+                            wait_ns: 0,
+                            exchanged: 0,
+                            end: u64::MAX,
+                            fold_panic: None,
+                        };
+                        // Each span opens where the previous one
+                        // closed: the profiler reads the clock three
+                        // times a window (four when streaming).
+                        let mut t0 = prof.begin();
+                        loop {
+                            // A window's spans are its rendezvous (fill,
+                            // wait, drain) and then its step.
+                            let k = run.windows;
+                            let win = base + k;
+                            let grid = &grids[(k & 1) as usize];
+                            // Producer: swap every non-empty outbox into
+                            // this shard's row of the grid. The
+                            // swapped-in buffer is the (empty, warm) one
+                            // the consumer left behind two rendezvous
+                            // ago.
+                            let mut sent_min = u64::MAX;
+                            for dst in 0..n {
+                                if dst != i && world.outbox_filled(dst) {
+                                    let cell = grid.cell(i, dst);
+                                    let mut batch =
+                                        cell.batch.lock().expect("no panics hold this lock");
+                                    world.swap_outbox(dst, &mut batch);
+                                    run.exchanged += batch.len() as u64;
+                                    for (at, _, _) in batch.iter() {
+                                        sent_min = sent_min.min(at.nanos());
                                     }
+                                    drop(batch);
+                                    cell.filled.store(true, Ordering::Release);
                                 }
-                                let own = world.next_event_time().map_or(u64::MAX, |t| t.nanos());
-                                rendezvous.publish(i, k, own.min(sent_min));
-                                // The fill span ends with the publish, so
-                                // the wait starts where it closed.
-                                let filled = prof.end(Phase::OutboxFill, win, t0);
-                                // The span takes the rendezvous's own
-                                // measured wait, so profile barrier time
-                                // and `runner.barrier_wait_ns` agree
-                                // exactly.
-                                let waited = rendezvous.wait(i, k);
-                                prof.end_with(Phase::BarrierWait, win, filled, waited);
-                                res.wait_ns += waited;
-                                // Consumer: drain this shard's column,
-                                // capacities staying in the cells for
-                                // the producer's next swap.
-                                let drained = filled + waited;
-                                for src in 0..n {
-                                    let cell = grid.cell(src, i);
-                                    if src != i && cell.filled.load(Ordering::Acquire) {
-                                        cell.filled.store(false, Ordering::Relaxed);
-                                        let mut batch =
-                                            cell.batch.lock().expect("no panics hold this lock");
-                                        world.ingest_drain(&mut batch);
-                                    }
-                                }
-                                let stepping = prof.end(Phase::ExchangeDrain, win, drained);
-                                if res.windows >= budget {
-                                    return res;
-                                }
-                                // Every worker reads the same `peek`s
-                                // (none is rewritten before its reader
-                                // publishes again), so every worker
-                                // computes the same T and the loop
-                                // exits in lockstep.
-                                let t = rendezvous.min_peek(k);
-                                if t == u64::MAX || t > deadline_ns {
-                                    res.exit = EpochExit::Done(t);
-                                    return res;
-                                }
-                                let end = Time::from_nanos(t.saturating_add(lookahead).min(cap));
-                                res.events += world.run_window(end);
-                                t0 = prof.end(Phase::Step, win, stepping);
-                                if streaming {
-                                    // Collect the in-window spill (see
-                                    // `World::telemetry_tick`) plus ring
-                                    // residue from the worker, so ring
-                                    // pressure never depends on the
-                                    // epoch fold cadence. The fold still
-                                    // gets events only at epoch
-                                    // boundaries, below the finality
-                                    // watermark.
-                                    world.take_spill(spill);
-                                    t0 = prof.end(Phase::TelemetryDrain, win, t0);
-                                }
-                                res.windows += 1;
                             }
-                        })
+                            let own = world.next_event_time().map_or(u64::MAX, |t| t.nanos());
+                            rendezvous.publish(i, k, own.min(sent_min));
+                            // The fill span ends with the publish, so the
+                            // wait starts where it closed.
+                            let filled = prof.end(Phase::OutboxFill, win, t0);
+                            // The span takes the rendezvous's own
+                            // measured wait, so profile barrier time and
+                            // `runner.barrier_wait_ns` agree exactly.
+                            let waited = rendezvous.wait(i, k);
+                            prof.end_with(Phase::BarrierWait, win, filled, waited);
+                            run.wait_ns += waited;
+                            // Consumer: drain this shard's column,
+                            // capacities staying in the cells for the
+                            // producer's next swap.
+                            let drained = filled + waited;
+                            for src in 0..n {
+                                let cell = grid.cell(src, i);
+                                if src != i && cell.filled.load(Ordering::Acquire) {
+                                    cell.filled.store(false, Ordering::Relaxed);
+                                    let mut batch =
+                                        cell.batch.lock().expect("no panics hold this lock");
+                                    world.ingest_drain(&mut batch);
+                                }
+                            }
+                            let mut stepping = prof.end(Phase::ExchangeDrain, win, drained);
+                            // Every worker reads the same `peek`s (none
+                            // is rewritten before its reader publishes
+                            // again), so every worker computes the same
+                            // T and the loop exits in lockstep.
+                            let t = rendezvous.min_peek(k);
+                            let done = t == u64::MAX || t > deadline_ns;
+                            if let Some(st) = stream.as_deref_mut() {
+                                if done || k.is_multiple_of(st.cadence) {
+                                    if let Err(payload) = st.hand_over(spill, t) {
+                                        run.fold_panic = Some(payload);
+                                        stream = None;
+                                    }
+                                    stepping = prof.end(Phase::StreamFold, win, stepping);
+                                }
+                            }
+                            if done {
+                                run.end = t;
+                                return run;
+                            }
+                            let end = Time::from_nanos(t.saturating_add(lookahead).min(cap));
+                            run.events += world.run_window(end);
+                            t0 = prof.end(Phase::Step, win, stepping);
+                            if streaming {
+                                // The in-window spill (see
+                                // `World::telemetry_tick`) plus ring
+                                // residue, before the next publish.
+                                world.take_spill(
+                                    &mut spill.lock().expect("no panics hold this lock"),
+                                );
+                                t0 = prof.end(Phase::TelemetryDrain, win, t0);
+                            }
+                            run.windows += 1;
+                        }
                     })
-                    .collect();
-                results =
-                    handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect();
-            });
-            debug_assert!(
-                self.worlds.iter().all(|w| (0..n).all(|dst| !w.outbox_filled(dst)))
-                    && grids
-                        .iter()
-                        .flat_map(|g| &g.cells)
-                        .all(|c| !c.filled.load(Ordering::Relaxed)),
-                "an epoch ends right after an exchange: nothing is in flight between shards"
-            );
-            if let Some(st) = &mut self.stream {
-                for spill in &mut spills {
-                    st.fold.drain.append(spill);
-                }
-            }
-            total_events += results.iter().map(|r| r.events).sum::<u64>();
-            self.runtime.windows += results[0].windows;
-            // One rendezvous before each window and one to leave on.
-            next_rendezvous += results[0].windows + 1;
-            for (i, r) in results.iter().enumerate() {
-                debug_assert_eq!(r.windows, results[0].windows, "shards ran lockstep windows");
-                self.runtime.barrier_wait_ns[i] += r.wait_ns;
-                self.runtime.exchanged_events[i] += r.exchanged;
-            }
-            // Hand the fold what's final so rings stay empty between
-            // epochs and between drive() calls; at quiescence every
-            // shard peek is None and everything folds.
-            self.stream_fold(false);
-            if let EpochExit::Done(t) = results[0].exit {
-                let outcome = if t == u64::MAX {
-                    QuiescenceOutcome::Quiescent
-                } else {
-                    QuiescenceOutcome::DeadlineReached
-                };
-                return (total_events, outcome);
-            }
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
+        });
+        debug_assert!(
+            self.worlds.iter().all(|w| (0..n).all(|dst| !w.outbox_filled(dst)))
+                && grids.iter().flat_map(|g| &g.cells).all(|c| !c.filled.load(Ordering::Relaxed)),
+            "a run ends right after an exchange: nothing is in flight between shards"
+        );
+        self.runtime.windows += runs[0].windows;
+        for (i, r) in runs.iter().enumerate() {
+            debug_assert_eq!(r.windows, runs[0].windows, "shards ran lockstep windows");
+            self.runtime.barrier_wait_ns[i] += r.wait_ns;
+            self.runtime.exchanged_events[i] += r.exchanged;
         }
+        if let Some(payload) = runs[0].fold_panic.take() {
+            resume_unwind(payload);
+        }
+        let outcome = if runs[0].end == u64::MAX {
+            QuiescenceOutcome::Quiescent
+        } else {
+            QuiescenceOutcome::DeadlineReached
+        };
+        (runs.iter().map(|r| r.events).sum(), outcome)
     }
 
     // ---------------------------------------------------------------
@@ -1256,7 +1207,7 @@ mod tests {
         let profile = world.host_profile().expect("profiling enabled");
         assert_eq!(profile.dropped, 0);
         let span_wait: u64 = profile
-            .worker_tracks()
+            .tracks
             .iter()
             .flatten()
             .filter(|s| s.phase == Phase::BarrierWait)

@@ -643,8 +643,8 @@ enum TelemetrySink {
     /// thread (see [`attach_streaming`](World::attach_streaming)).
     Fold(Box<StreamFold>),
     /// Sharded streaming: drains buffer here; the owning worker thread
-    /// collects the buffer at window boundaries and the main thread
-    /// hands it to the fold thread at epoch boundaries.
+    /// collects the buffer after every window, and worker 0 hands the
+    /// shards' drains to the fold thread at a rendezvous.
     Spill(Vec<TelemetryEvent>),
 }
 

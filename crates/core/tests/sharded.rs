@@ -469,15 +469,17 @@ fn profiler_on_off_and_stream_keep_results_bit_identical() {
     assert!(!primary.detail.is_empty());
     let _ = VerdictKind::Healthy; // all kinds reachable from the API
 
-    // Streaming: the main-thread track records drain + fold spans.
+    // Streaming: one track per shard, and worker 0's carries the
+    // telemetry drains and the hand-overs to the fold.
     let hp = streamed.host_profile().expect("profiling was enabled");
+    assert_eq!(hp.tracks.len(), 4, "one track per shard worker");
     assert!(
-        hp.main_track().iter().any(|sp| sp.phase == Phase::StreamFold),
-        "stream folds were profiled on the main-thread track"
+        hp.tracks[0].iter().any(|sp| sp.phase == Phase::StreamFold),
+        "hand-overs to the fold were profiled on worker 0's track"
     );
     assert!(
-        hp.main_track().iter().any(|sp| sp.phase == Phase::TelemetryDrain),
-        "telemetry drains were profiled on the main-thread track"
+        hp.tracks[0].iter().any(|sp| sp.phase == Phase::TelemetryDrain),
+        "telemetry drains were profiled on worker 0's track"
     );
 }
 

@@ -7,8 +7,8 @@
 //! reference [`DoctorReport`]. The same workload then runs again with a
 //! [`StreamingDoctor`] attached — once on a sequential world (telemetry
 //! drained and folded every engine step) and once on a four-shard
-//! [`ShardedWorld`] (per-shard captures folded at window barriers in
-//! canonical order) — and every observable of the final report must be
+//! [`ShardedWorld`] (per-shard captures handed to the fold at window
+//! rendezvous) — and every observable of the final report must be
 //! bit-identical: the rendered findings, the critical-path segment
 //! attribution, the histogram quantiles, and the flight counts. No
 //! tolerance, no "almost": the streaming fold is only admissible
@@ -19,7 +19,7 @@ use nectar_sim::analysis::critical_path::Segment;
 use nectar_sim::analysis::streaming::{StreamConfig, StreamingDoctor};
 use nectar_sim::analysis::{diagnose, DoctorReport};
 use nectar_sim::chaos::{ChaosSchedule, Clause, Fault};
-use nectar_sim::time::Time;
+use nectar_sim::time::{Dur, Time};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -125,14 +125,22 @@ fn streamed_sequential(
     (doctor, report)
 }
 
+/// Simulated time the sliced runs of [`streamed_sharded`] cover in
+/// `run_until` slices before their final `run_to_quiescence`: past the
+/// workload's last send.
+const SLICED_UNTIL: Time = Time::from_micros(350);
+
 /// One streamed run on a sharded world at `shards` shards, with the
 /// telemetry rings resized to `capacity` if given (which also sets how
-/// many windows an epoch may run between folds).
+/// many rendezvous pass between hand-overs to the fold). With `slice`,
+/// the run goes up to [`SLICED_UNTIL`] in `run_until` slices of that
+/// length, as the benchmark's traced run does, and then to quiescence.
 fn streamed_sharded(
     topo: &Topology,
     schedule: Option<&ChaosSchedule>,
     shards: usize,
     capacity: Option<usize>,
+    slice: Option<Dur>,
 ) -> (StreamingDoctor, DoctorReport) {
     let mut world = ShardedWorld::new(topo.clone(), SystemConfig::default(), shards);
     world.attach_streaming(StreamConfig::default());
@@ -144,6 +152,13 @@ fn streamed_sharded(
     }
     for (at, cab, send) in workload(topo) {
         world.schedule_send(at, cab, send.clone());
+    }
+    if let Some(slice) = slice {
+        let mut until = Time::ZERO;
+        while until < SLICED_UNTIL {
+            until += slice;
+            world.run_until(until);
+        }
     }
     world.run_to_quiescence(DEADLINE);
     let metrics = world.metrics();
@@ -202,7 +217,7 @@ fn differential_case(name: &str, topo: Topology) {
         assert!(want.flights > 0, "{name}/{label}: reference capture saw no flights — vacuous");
         let (doc, got) = streamed_sequential(&topo, sched);
         assert_equivalent(&format!("{name}/{label}/seq"), &doc, &got, &want);
-        let (doc, got) = streamed_sharded(&topo, sched, 4, None);
+        let (doc, got) = streamed_sharded(&topo, sched, 4, None, None);
         assert_equivalent(&format!("{name}/{label}/4shard"), &doc, &got, &want);
     }
 }
@@ -219,24 +234,33 @@ fn mesh_streaming_matches_post_hoc() {
     differential_case("mesh", Topology::mesh2d(2, 2, 3, 16));
 }
 
-/// 256-event rings put the fold cadence at its floor of four windows,
-/// so epochs end on their window budget every few hundred simulated
-/// nanoseconds while cross-shard traffic is in flight. A budget exit
-/// must follow an exchange: an event still sitting in another shard's
-/// outbox when the main thread folds could be older than the finality
-/// boundary it computes. `drive` asserts in debug builds that nothing
-/// is in flight when an epoch ends; what that protects is checked
-/// here: no late event, and a report equal to the sequential streamed
-/// one.
+/// 256-event rings put the hand-over cadence at its floor of four
+/// rendezvous, so worker 0 hands the fold a drain every few hundred
+/// simulated nanoseconds while cross-shard traffic is in flight, and
+/// other workers may already be stepping the next window. The boundary
+/// it sends is that rendezvous's `T`: every event recorded before it
+/// is in the drain, and every later one is stamped at or after it.
+/// Each case also runs in 7 µs `run_until` slices, as the benchmark's
+/// traced run drives a world: each `drive` call's last rendezvous must
+/// hand over everything the call recorded, with a boundary past the
+/// slice's deadline, and slices end between cadence points. What that
+/// protects is checked here: no late event, and reports equal to the
+/// sequential streamed one and the post-hoc one.
 #[test]
-fn budgeted_epochs_fold_only_final_events() {
+fn cadence_floor_hand_overs_fold_only_final_events() {
     let topo = Topology::mesh2d(2, 2, 3, 16);
     let schedule = chaos();
     for (label, sched) in [("clean", None), ("chaos", Some(&schedule))] {
         let (_, want) = streamed_sequential(&topo, sched);
+        let reference = post_hoc(&topo, sched);
         for shards in [2, 4] {
-            let (doc, got) = streamed_sharded(&topo, sched, shards, Some(256));
-            assert_equivalent(&format!("mesh/{label}/{shards}shard/cap256"), &doc, &got, &want);
+            let case = format!("mesh/{label}/{shards}shard/cap256");
+            let (doc, one_shot) = streamed_sharded(&topo, sched, shards, Some(256), None);
+            assert_equivalent(&case, &doc, &one_shot, &want);
+            let slice = Some(Dur::from_micros(7));
+            let (doc, sliced) = streamed_sharded(&topo, sched, shards, Some(256), slice);
+            assert_equivalent(&format!("{case}/sliced"), &doc, &sliced, &one_shot);
+            assert_equivalent(&format!("{case}/sliced vs post-hoc"), &doc, &sliced, &reference);
         }
     }
 }

@@ -20,7 +20,7 @@
 //! be produced: every record site stamps at-or-after the processing
 //! instant, so a sequential world releases what is stamped at or before
 //! its clock, and a sharded one what is stamped below the smallest
-//! next-event time of any shard.
+//! next-event time of any shard at a window rendezvous.
 //!
 //! An open flight's accumulator holds its `FlightFacts`, the running
 //! critical-path walk (`PathFold`) and the head-of-line hop it is

@@ -18,8 +18,8 @@
 //!
 //! Given a host-time [`HostProfile`](crate::profile::HostProfile), it
 //! additionally renders that into the same document under its own
-//! process ([`HOST_PID`]): one track per shard worker plus one for the
-//! runner's main thread, phase slices named after
+//! process ([`HOST_PID`]): one track per shard worker, phase slices
+//! named after
 //! [`Phase::label`](crate::profile::Phase::label), and per-window
 //! instant markers on a dedicated track. Simulated-time and host-time
 //! tracks share one file but not one timebase — the simulated tracks
@@ -147,8 +147,8 @@ fn push_event(out: &mut Vec<String>, body: String) {
 /// becomes a short slice so Perfetto draws flow arrows through it.
 ///
 /// With `host` given, host-time profiler tracks are added: phase
-/// slices for every span (one thread per shard worker, one for the
-/// runner main thread) and instant window markers, all under
+/// slices for every span (one thread per shard worker) and instant
+/// window markers, all under
 /// [`HOST_PID`].
 pub fn chrome_trace_with_host(events: &[TelemetryEvent], host: Option<&HostProfile>) -> String {
     let mut sorted: Vec<&TelemetryEvent> = events.iter().collect();
@@ -289,10 +289,9 @@ pub fn chrome_trace_with_host(events: &[TelemetryEvent], host: Option<&HostProfi
 }
 
 /// Renders a [`HostProfile`] as trace-event lines under [`HOST_PID`]:
-/// one `"X"` slice per recorded phase span (tid = shard index, the
-/// main thread at tid = shard count), one `"i"` instant marker per
-/// window on a dedicated marker track, and `"M"` metadata naming every
-/// track. Timestamps are normalized so the earliest span starts at 0.
+/// one `"X"` slice per recorded phase span (tid = shard index), one
+/// `"i"` instant marker per window on a dedicated marker track, and
+/// `"M"` metadata naming every track. Timestamps are normalized so the earliest span starts at 0.
 fn host_lines(profile: &HostProfile, lines: &mut Vec<String>) {
     let mut lo = u64::MAX;
     for track in &profile.tracks {
@@ -341,11 +340,9 @@ fn host_lines(profile: &HostProfile, lines: &mut Vec<String>) {
              \"args\": {{\"name\": \"host: sharded runner\"}}"
         ),
     );
-    for tid in 0..profile.tracks.len() + 1 {
-        let name = if tid < profile.shards {
+    for tid in 0..=marker_tid {
+        let name = if tid < marker_tid {
             format!("shard {tid} worker")
-        } else if tid == profile.shards && tid < profile.tracks.len() {
-            "runner main".to_string()
         } else {
             "window markers".to_string()
         };
@@ -454,7 +451,7 @@ mod tests {
     #[test]
     fn host_profile_composes_with_simulated_tracks() {
         use crate::profile::{HostProfile, Phase, Profiler};
-        let mut profs = [Profiler::disabled(), Profiler::disabled(), Profiler::disabled()];
+        let mut profs = [Profiler::disabled(), Profiler::disabled()];
         for p in &mut profs {
             p.set_enabled(true);
         }
@@ -463,8 +460,8 @@ mod tests {
         profs[0].end_with(Phase::Step, 1, 2000, 800);
         profs[1].end_with(Phase::Step, 0, 1000, 500);
         profs[1].end_with(Phase::Step, 1, 2000, 950);
-        profs[2].end_with(Phase::StreamFold, 1, 3000, 400);
-        let profile = HostProfile::collect(2, &profs);
+        profs[0].end_with(Phase::StreamFold, 1, 3000, 400);
+        let profile = HostProfile::collect(&profs);
         let doc = chrome_trace_with_host(&sample_events(), Some(&profile));
         let v = parse(&doc).expect("composed trace must stay valid JSON");
         let events = v.get("traceEvents").unwrap().as_array().unwrap();
@@ -487,9 +484,9 @@ mod tests {
         // One window marker per distinct window.
         let markers = events.iter().filter(|e| e.get("ph").unwrap().as_str() == Some("i")).count();
         assert_eq!(markers, 2);
-        // Track names present for workers, main thread, and markers.
+        // Track names present for workers and markers, and nothing else.
         assert!(doc.contains("shard 0 worker") && doc.contains("shard 1 worker"));
-        assert!(doc.contains("runner main") && doc.contains("window markers"));
+        assert!(doc.contains("window markers") && !doc.contains("runner main"));
         // Simulated tracks are untouched by the composition.
         assert!(doc.contains("HUB 0") && doc.contains("CAB 1"));
     }

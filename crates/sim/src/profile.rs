@@ -14,8 +14,8 @@
 //!   exact whole-run [`TrackTotals`] that outlive the ring. Same
 //!   zero-alloc discipline as the telemetry rings: one branch when
 //!   disabled, drop-oldest with a `dropped` counter when full.
-//! * [`HostProfile`] — the collected tracks and totals (one per shard
-//!   worker plus one for the runner's main thread).
+//! * [`HostProfile`] — the collected tracks and totals, one per shard
+//!   worker.
 //! * [`analyze`] — the **scaling doctor**: phase breakdown, parallel
 //!   efficiency and a Karp–Flatt serial-fraction estimate from the
 //!   totals (so they describe the whole run however long it was),
@@ -50,8 +50,7 @@ const PHASES: usize = 6;
 
 /// A phase of the sharded runner's loop, the unit of host-time
 /// attribution. The first four happen once on every shard worker each
-/// window; the last two happen on the runner's main thread at epoch
-/// boundaries.
+/// window; the last two only with a streaming doctor attached.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     /// Engine stepping: `World::run_window` over `[T, T+lookahead)`.
@@ -64,12 +63,13 @@ pub enum Phase {
     ExchangeDrain,
     /// Time spent waiting at the window's rendezvous.
     BarrierWait,
-    /// Draining every shard's telemetry rings on the main thread.
+    /// Draining the shard's telemetry rings after its step, every
+    /// window.
     TelemetryDrain,
-    /// The main thread's wait on the streaming doctor's fold thread:
-    /// for room in its queue when handing over a drain, and for the
-    /// fold to end when the doctor is finished. The fold itself runs
-    /// on a thread of its own, off the profile.
+    /// Worker 0 handing the shards' drains to the streaming doctor's
+    /// fold thread — mostly a wait for room in its queue — and the
+    /// wait for the fold to end when the doctor is finished. The fold
+    /// itself runs on a thread of its own, off the profile.
     StreamFold,
 }
 
@@ -271,14 +271,11 @@ impl Profiler {
 }
 
 /// The collected profile of one sharded run: one track per shard
-/// worker plus one final track for the runner's main thread
-/// (telemetry drain, wait on the streaming fold).
+/// worker.
 #[derive(Clone, Debug)]
 pub struct HostProfile {
-    /// Worker track count (== shard count).
-    pub shards: usize,
-    /// `shards + 1` tracks of spans, oldest first; the last is the
-    /// main thread. A sample of the run's tail once `dropped > 0`.
+    /// One track of spans per shard worker, oldest first. A sample of
+    /// the run's tail once `dropped > 0`.
     pub tracks: Vec<Vec<PhaseSpan>>,
     /// Whole-run totals, parallel to `tracks`.
     pub totals: Vec<TrackTotals>,
@@ -287,25 +284,13 @@ pub struct HostProfile {
 }
 
 impl HostProfile {
-    /// Collects `shards` worker profilers followed by the main
-    /// thread's into one profile.
-    pub fn collect(shards: usize, profilers: &[Profiler]) -> HostProfile {
+    /// Collects one profiler per shard worker into one profile.
+    pub fn collect(profilers: &[Profiler]) -> HostProfile {
         HostProfile {
-            shards,
             tracks: profilers.iter().map(|p| p.spans().copied().collect()).collect(),
             totals: profilers.iter().map(|p| p.totals()).collect(),
             dropped: profilers.iter().map(|p| p.dropped()).sum(),
         }
-    }
-
-    /// The per-shard worker tracks.
-    pub fn worker_tracks(&self) -> &[Vec<PhaseSpan>] {
-        &self.tracks[..self.shards.min(self.tracks.len())]
-    }
-
-    /// The runner main-thread track (empty slice if absent).
-    pub fn main_track(&self) -> &[PhaseSpan] {
-        self.tracks.get(self.shards).map_or(&[], |t| t.as_slice())
     }
 
     /// Wall time of the whole run: latest span end minus earliest
@@ -423,9 +408,6 @@ pub struct ProfileAnalysis {
     /// Per-shard whole-run phase breakdown, and critical-path
     /// attribution over the complete windows.
     pub per_shard: Vec<ShardBreakdown>,
-    /// Main-thread phase totals (telemetry drain, wait on the stream
-    /// fold), indexed by [`Phase::index`].
-    pub main_ns: [u64; PHASES],
     /// Parallel efficiency: summed step time over `shards × wall`.
     pub efficiency: f64,
     /// Karp–Flatt experimentally determined serial fraction
@@ -477,11 +459,11 @@ impl ProfileAnalysis {
                 b.critical_share * 100.0,
             ));
         }
-        let drain = self.main_ns[Phase::TelemetryDrain.index()];
-        let fold = self.main_ns[Phase::StreamFold.index()];
+        let summed = |ph: Phase| self.per_shard.iter().map(|b| b.phase_ns[ph.index()]).sum();
+        let (drain, fold) = (summed(Phase::TelemetryDrain), summed(Phase::StreamFold));
         if drain + fold > 0 {
             out.push_str(&format!(
-                "main       drain {:.3} ms, fold wait {:.3} ms\n",
+                "streaming drain {:.3} ms, fold wait {:.3} ms\n",
                 ms(drain),
                 ms(fold)
             ));
@@ -534,7 +516,7 @@ impl ProfileAnalysis {
                 out.push_str(", ");
             }
             out.push('{');
-            for ph in Phase::ALL.iter().take(4) {
+            for ph in Phase::ALL {
                 out.push_str(&format!(
                     "\"{}_ms\": {:.3}, ",
                     ph.label(),
@@ -546,15 +528,7 @@ impl ProfileAnalysis {
                 b.windows_bounded, b.critical_share
             ));
         }
-        out.push_str("], \"main\": {");
-        let mains = [Phase::TelemetryDrain, Phase::StreamFold];
-        for (i, ph) in mains.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}_ms\": {:.3}", ph.label(), ms(self.main_ns[ph.index()])));
-        }
-        out.push('}');
+        out.push(']');
         let p = self.primary();
         let wins: Vec<String> = p.evidence_windows.iter().map(|w| w.to_string()).collect();
         out.push_str(&format!(
@@ -597,13 +571,13 @@ struct WinAgg {
 /// straggler attribution from the span rings, and ranked verdicts.
 /// Deterministic for a given profile and context.
 pub fn analyze(profile: &HostProfile, ctx: &AnalyzeCtx) -> ProfileAnalysis {
-    let shards = profile.shards.max(1);
+    let shards = profile.tracks.len().max(1);
     let mut per_shard = vec![ShardBreakdown::default(); shards];
     for (b, totals) in per_shard.iter_mut().zip(&profile.totals) {
         b.phase_ns = totals.sum_ns;
     }
     let mut wins: BTreeMap<u64, WinAgg> = BTreeMap::new();
-    for (s, track) in profile.worker_tracks().iter().enumerate() {
+    for (s, track) in profile.tracks.iter().enumerate() {
         for span in track {
             let agg = wins.entry(span.window).or_default();
             match span.phase {
@@ -621,7 +595,6 @@ pub fn analyze(profile: &HostProfile, ctx: &AnalyzeCtx) -> ProfileAnalysis {
             }
         }
     }
-    let main_ns = profile.totals.get(profile.shards).map_or([0; PHASES], |t| t.sum_ns);
     let wall_ns = profile.wall_ns();
     let windows = wins.len() as u64;
 
@@ -649,8 +622,7 @@ pub fn analyze(profile: &HostProfile, ctx: &AnalyzeCtx) -> ProfileAnalysis {
     // windows were stepped in all. Scale the sampled straggler time up
     // so it is comparable with the whole-run barrier wait below (a
     // factor of exactly 1 when nothing was dropped).
-    let stepped =
-        profile.totals.iter().take(shards).map(|t| t.count[Phase::Step.index()]).max().unwrap_or(0);
+    let stepped = profile.totals.iter().map(|t| t.count[Phase::Step.index()]).max().unwrap_or(0);
     if complete_windows > 0 {
         straggler_ns = (straggler_ns as u128 * stepped as u128 / complete_windows as u128) as u64;
     }
@@ -782,7 +754,6 @@ pub fn analyze(profile: &HostProfile, ctx: &AnalyzeCtx) -> ProfileAnalysis {
         spans_dropped: profile.dropped,
         confident: profile.dropped == 0,
         per_shard,
-        main_ns,
         efficiency,
         karp_flatt,
         verdicts,
@@ -798,16 +769,16 @@ mod tests {
         Profiler { capacity, enabled: true, ..Profiler::disabled() }
     }
 
-    /// Two worker profilers and a main-thread one, each with a ring of
-    /// `capacity` spans, fed a synthetic run: per window each shard
-    /// steps for `step[s]` ns and waits `barrier[s]` ns.
+    /// Two worker profilers, each with a ring of `capacity` spans, fed
+    /// a synthetic run: per window each shard steps for `step[s]` ns
+    /// and waits `barrier[s]` ns.
     fn synthetic_profilers(
         capacity: usize,
         windows: u64,
         step: [u64; 2],
         barrier: [u64; 2],
-    ) -> [Profiler; 3] {
-        let mut profs = [profiler(capacity), profiler(capacity), profiler(capacity)];
+    ) -> [Profiler; 2] {
+        let mut profs = [profiler(capacity), profiler(capacity)];
         let mut t = 0u64;
         for w in 0..windows {
             for s in 0..2 {
@@ -821,7 +792,7 @@ mod tests {
 
     /// The synthetic run of [`synthetic_profilers`], nothing dropped.
     fn synthetic(windows: u64, step: [u64; 2], barrier: [u64; 2]) -> HostProfile {
-        HostProfile::collect(2, &synthetic_profilers(1 << 12, windows, step, barrier))
+        HostProfile::collect(&synthetic_profilers(1 << 12, windows, step, barrier))
     }
 
     fn ctx(cores: usize) -> AnalyzeCtx {
@@ -869,8 +840,7 @@ mod tests {
     fn totals_cover_the_whole_run_when_the_ring_keeps_only_its_tail() {
         // 64 windows through rings that hold 8 spans (4 windows) each.
         let full = analyze(&synthetic(64, [1000, 3000], [2000, 10]), &ctx(8));
-        let profile =
-            HostProfile::collect(2, &synthetic_profilers(8, 64, [1000, 3000], [2000, 10]));
+        let profile = HostProfile::collect(&synthetic_profilers(8, 64, [1000, 3000], [2000, 10]));
         assert_eq!(profile.dropped, 2 * (128 - 8));
         assert_eq!(profile.totals[0].count[Phase::Step.index()], 64);
         assert_eq!(profile.totals[0].sum_ns[Phase::BarrierWait.index()], 64 * 2000);
@@ -950,9 +920,9 @@ mod tests {
 
     #[test]
     fn one_shard_profile_has_defined_estimates() {
-        let mut profs = [profiler(4), profiler(4)];
+        let mut profs = [profiler(4)];
         profs[0].end_with(Phase::Step, 0, 0, 5_000_000);
-        let prof = HostProfile::collect(1, &profs);
+        let prof = HostProfile::collect(&profs);
         let a = analyze(&prof, &ctx(8));
         assert_eq!(a.karp_flatt, 0.0);
         assert!(a.efficiency > 0.99);
@@ -964,7 +934,7 @@ mod tests {
         let mut profs = synthetic_profilers(1 << 12, 8, [1000, 1000], [10, 10]);
         // A window only shard 0 reports (as after a ring drop).
         profs[0].end_with(Phase::Step, 99, 1_000_000, 30_000);
-        let a = analyze(&HostProfile::collect(2, &profs), &ctx(8));
+        let a = analyze(&HostProfile::collect(&profs), &ctx(8));
         assert_eq!(a.windows, 9);
         assert_eq!(a.complete_windows, 8);
     }
