@@ -17,8 +17,8 @@
 
 use nectar_core::system::NectarSystem;
 use nectar_core::world::SystemConfig;
+use nectar_sim::metrics::Histogram;
 use nectar_sim::rng::Rng;
-use nectar_sim::stats::Samples;
 use nectar_sim::time::{Dur, Time};
 use std::collections::HashSet;
 
@@ -49,9 +49,9 @@ impl Default for DsmConfig {
 #[derive(Clone, Debug)]
 pub struct DsmReport {
     /// Read-fault service latency (request to page-in-memory, ns).
-    pub read_fault: Samples,
+    pub read_fault: Histogram,
     /// Write-fault service latency (includes invalidation, ns).
-    pub write_fault: Samples,
+    pub write_fault: Histogram,
     /// Invalidation messages multicast.
     pub invalidations: u64,
     /// Total simulated time.
@@ -76,8 +76,8 @@ pub fn run_dsm(cfg: &DsmConfig, sys_cfg: SystemConfig) -> DsmReport {
     let mut sys = NectarSystem::single_hub(cfg.clients + 1, sys_cfg);
     let home = 0usize;
     let mut rng = Rng::seed_from(cfg.seed);
-    let mut read_fault = Samples::new("read fault (ns)");
-    let mut write_fault = Samples::new("write fault (ns)");
+    let mut read_fault = Histogram::new();
+    let mut write_fault = Histogram::new();
     let mut invalidations = 0u64;
     // Which clients hold a cached copy of each page.
     let mut cached: Vec<HashSet<usize>> = vec![HashSet::new(); cfg.pages];
@@ -134,9 +134,9 @@ pub fn run_dsm(cfg: &DsmConfig, sys_cfg: SystemConfig) -> DsmReport {
         cached[page].insert(client);
         let latency = sys.world().now().saturating_since(t0);
         if is_write {
-            write_fault.record_dur(latency);
+            write_fault.observe(latency.nanos());
         } else {
-            read_fault.record_dur(latency);
+            read_fault.observe(latency.nanos());
         }
     }
 
@@ -168,7 +168,7 @@ mod tests {
     fn faults_complete_and_pages_arrive() {
         let cfg = DsmConfig { faults: 20, ..DsmConfig::default() };
         let report = run_dsm(&cfg, SystemConfig::default());
-        assert!(report.read_fault.len() + report.write_fault.len() > 0);
+        assert!(report.read_fault.count() + report.write_fault.count() > 0);
         assert!(report.elapsed > Dur::ZERO);
     }
 
@@ -180,13 +180,13 @@ mod tests {
         let report = run_dsm(&DsmConfig::default(), SystemConfig::default());
         if !report.read_fault.is_empty() {
             assert!(
-                report.read_fault.max() < 1_000_000.0,
+                report.read_fault.max() < 1_000_000,
                 "read fault max {} ns",
                 report.read_fault.max()
             );
         }
         if !report.write_fault.is_empty() {
-            assert!(report.write_fault.max() < 2_000_000.0);
+            assert!(report.write_fault.max() < 2_000_000);
         }
     }
 

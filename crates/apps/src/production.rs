@@ -16,8 +16,8 @@
 
 use nectar_core::system::NectarSystem;
 use nectar_core::world::{AppSend, SystemConfig};
+use nectar_sim::metrics::Histogram;
 use nectar_sim::rng::Rng;
-use nectar_sim::stats::Samples;
 use nectar_sim::time::{Dur, Time};
 use std::sync::Arc;
 
@@ -78,7 +78,7 @@ pub struct ProductionReport {
     /// Simulated time the run took.
     pub elapsed: Dur,
     /// Per-token network latency (send to delivery, nanoseconds).
-    pub token_latency: Samples,
+    pub token_latency: Histogram,
     /// Peak number of tokens outstanding at one worker.
     pub peak_worker_backlog: usize,
     /// Simulation events the run processed.
@@ -107,7 +107,7 @@ pub fn run_production(cfg: &ProductionConfig, sys_cfg: SystemConfig) -> Producti
     assert!(cfg.workers <= sys_cfg.hub.ports, "workers must fit one HUB");
     let mut sys = NectarSystem::single_hub(cfg.workers, sys_cfg);
     let mut rng = Rng::seed_from(cfg.seed);
-    let mut token_latency = Samples::new("token latency (ns)");
+    let mut token_latency = Histogram::new();
     const TOKEN_MAILBOX: u16 = 7;
     let t_start = sys.world().now();
 
@@ -189,7 +189,7 @@ pub fn run_production(cfg: &ProductionConfig, sys_cfg: SystemConfig) -> Producti
     // The per-token latency sample set uses the measured CAB-to-CAB
     // probe on the same (idle) system for the baseline figure.
     let probe = sys.measure_cab_to_cab(0, 1, cfg.token_bytes);
-    token_latency.record_dur(probe.latency);
+    token_latency.observe(probe.latency.nanos());
     let elapsed = sys.world().now().saturating_since(t_start);
     let _ = Time::ZERO;
     ProductionReport {

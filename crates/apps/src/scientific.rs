@@ -15,8 +15,8 @@
 
 use nectar_core::ipsc::Ipsc;
 use nectar_core::world::SystemConfig;
+use nectar_sim::metrics::Histogram;
 use nectar_sim::rng::Rng;
-use nectar_sim::stats::Samples;
 use nectar_sim::time::Dur;
 
 /// Jacobi workload parameters.
@@ -40,7 +40,7 @@ impl Default for JacobiConfig {
 #[derive(Clone, Debug)]
 pub struct JacobiReport {
     /// Communication time per iteration (halo exchange, nanoseconds).
-    pub comm_per_iteration: Samples,
+    pub comm_per_iteration: Histogram,
     /// Final residual (for correctness checks).
     pub residual: f64,
 }
@@ -66,7 +66,7 @@ pub fn run_jacobi(cfg: &JacobiConfig, sys_cfg: SystemConfig) -> JacobiReport {
     let mut grids: Vec<Vec<f64>> = (0..n).map(|_| vec![0.5; ppn]).collect();
     grids[0][0] = 0.0;
     grids[n - 1][ppn - 1] = 1.0;
-    let mut comm = Samples::new("halo exchange (ns)");
+    let mut comm = Histogram::new();
     let timeout = Dur::from_millis(100);
 
     for _iter in 0..cfg.iterations {
@@ -94,7 +94,7 @@ pub fn run_jacobi(cfg: &JacobiConfig, sys_cfg: SystemConfig) -> JacobiReport {
                 halos_left[node] = f64::from_be_bytes(bytes.try_into().expect("8 bytes"));
             }
         }
-        comm.record_dur(cube.system_mut().world().now().saturating_since(t0));
+        comm.observe(cube.system_mut().world().now().saturating_since(t0).nanos());
         // Local relaxation sweep.
         for node in 0..n {
             let old = grids[node].clone();
@@ -156,7 +156,7 @@ pub struct AnnealingReport {
     /// Initial (round-0) best cost, to show improvement.
     pub initial_cost: f64,
     /// Time spent in the exchange phases (nanoseconds).
-    pub exchange_time: Samples,
+    pub exchange_time: Histogram,
 }
 
 fn tour_cost(tour: &[u8], xs: &[f64], ys: &[f64]) -> f64 {
@@ -190,7 +190,7 @@ pub fn run_annealing(cfg: &AnnealingConfig, sys_cfg: SystemConfig) -> AnnealingR
         .collect();
     let initial_cost = tours.iter().map(|t| tour_cost(t, &xs, &ys)).fold(f64::INFINITY, f64::min);
     let mut temperature = 1.0f64;
-    let mut exchange_time = Samples::new("exchange (ns)");
+    let mut exchange_time = Histogram::new();
     const TOUR: u32 = 200;
 
     for _round in 0..cfg.rounds {
@@ -220,7 +220,7 @@ pub fn run_annealing(cfg: &AnnealingConfig, sys_cfg: SystemConfig) -> AnnealingR
             let bytes = cube.crecv(node, TOUR, Dur::from_millis(100)).expect("tour exchange");
             received.push(bytes);
         }
-        exchange_time.record_dur(cube.system_mut().world().now().saturating_since(t0));
+        exchange_time.observe(cube.system_mut().world().now().saturating_since(t0).nanos());
         for (node, incoming) in received.into_iter().enumerate() {
             if tour_cost(&incoming, &xs, &ys) < tour_cost(&tours[node], &xs, &ys) {
                 tours[node] = incoming;
@@ -240,9 +240,9 @@ mod tests {
     fn jacobi_halos_flow_every_iteration() {
         let cfg = JacobiConfig { nodes: 4, points_per_node: 64, iterations: 5 };
         let report = run_jacobi(&cfg, SystemConfig::default());
-        assert_eq!(report.comm_per_iteration.len(), 5);
+        assert_eq!(report.comm_per_iteration.count(), 5);
         // Halo exchange of 8-byte values: well under a millisecond.
-        assert!(report.comm_per_iteration.max() < 1_000_000.0);
+        assert!(report.comm_per_iteration.max() < 1_000_000);
     }
 
     #[test]
@@ -260,7 +260,7 @@ mod tests {
     fn annealing_improves_and_exchanges() {
         let report = run_annealing(&AnnealingConfig::default(), SystemConfig::default());
         assert!(report.best_cost <= report.initial_cost, "annealing never worsens the best");
-        assert_eq!(report.exchange_time.len(), 4);
+        assert_eq!(report.exchange_time.count(), 4);
         assert!(report.best_cost > 0.0);
     }
 

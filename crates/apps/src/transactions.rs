@@ -12,8 +12,8 @@
 
 use nectar_core::system::NectarSystem;
 use nectar_core::world::SystemConfig;
+use nectar_sim::metrics::Histogram;
 use nectar_sim::rng::Rng;
-use nectar_sim::stats::Samples;
 use nectar_sim::time::{Dur, Time};
 
 /// Transaction workload parameters.
@@ -55,7 +55,7 @@ pub struct TxnReport {
     /// Transactions that aborted (some participant voted no).
     pub aborted: usize,
     /// End-to-end latency of committed transactions (ns).
-    pub commit_latency: Samples,
+    pub commit_latency: Histogram,
     /// Total simulated time.
     pub elapsed: Dur,
 }
@@ -86,7 +86,7 @@ pub fn run_transactions(cfg: &TxnConfig, sys_cfg: SystemConfig) -> TxnReport {
     let mut sys = NectarSystem::single_hub(cfg.participants + 1, sys_cfg);
     let coordinator = 0usize;
     let mut rng = Rng::seed_from(cfg.seed);
-    let mut commit_latency = Samples::new("commit latency (ns)");
+    let mut commit_latency = Histogram::new();
     let mut committed = 0usize;
     let mut aborted = 0usize;
     let t_start = sys.world().now();
@@ -112,7 +112,7 @@ pub fn run_transactions(cfg: &TxnConfig, sys_cfg: SystemConfig) -> TxnReport {
         let latency = sys.world().now().saturating_since(t0);
         if all_yes {
             committed += 1;
-            commit_latency.record_dur(latency);
+            commit_latency.observe(latency.nanos());
         } else {
             aborted += 1;
         }
@@ -191,7 +191,7 @@ mod tests {
         let report = run_transactions(&cfg, SystemConfig::default());
         assert_eq!(report.committed + report.aborted, 20);
         assert!(report.committed > 0, "10% abort probability cannot kill everything");
-        assert_eq!(report.commit_latency.len(), report.committed);
+        assert_eq!(report.commit_latency.count(), report.committed as u64);
     }
 
     #[test]
@@ -201,7 +201,7 @@ mod tests {
         // millisecond.
         let report = run_transactions(&TxnConfig::default(), SystemConfig::default());
         assert!(
-            report.commit_latency.max() < 1_000_000.0,
+            report.commit_latency.max() < 1_000_000,
             "commit max {} ns",
             report.commit_latency.max()
         );

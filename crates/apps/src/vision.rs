@@ -16,7 +16,7 @@
 
 use nectar_core::system::NectarSystem;
 use nectar_core::world::SystemConfig;
-use nectar_sim::stats::Samples;
+use nectar_sim::metrics::Histogram;
 use nectar_sim::time::{Dur, Time};
 use nectar_sim::units::Bandwidth;
 
@@ -56,11 +56,11 @@ pub struct VisionReport {
     /// Frames processed.
     pub frames: usize,
     /// Mean time from first tile sent to last tile delivered per frame.
-    pub frame_transfer: Samples,
+    pub frame_transfer: Histogram,
     /// Achieved image throughput over the whole run.
     pub image_throughput: Bandwidth,
     /// Query round-trip latencies (nanoseconds).
-    pub query_rtt: Samples,
+    pub query_rtt: Histogram,
     /// Total simulated time.
     pub elapsed: Dur,
     /// Simulation events the run processed.
@@ -92,8 +92,8 @@ pub fn run_vision(cfg: &VisionConfig, sys_cfg: SystemConfig) -> VisionReport {
     let warp = 0usize;
     let recognizer = cabs - 1;
     let tile_bytes = cfg.image_bytes / cfg.tiles_per_frame;
-    let mut frame_transfer = Samples::new("frame transfer (ns)");
-    let mut query_rtt = Samples::new("query rtt (ns)");
+    let mut frame_transfer = Histogram::new();
+    let mut query_rtt = Histogram::new();
     let t_start = sys.world().now();
 
     for frame in 0..cfg.frames {
@@ -114,7 +114,7 @@ pub fn run_vision(cfg: &VisionConfig, sys_cfg: SystemConfig) -> VisionReport {
             sys.world_mut().run_until(next);
         }
         let last_tile = sys.world().deliveries.last().expect("tiles delivered").at;
-        frame_transfer.record_dur(last_tile.saturating_since(t0));
+        frame_transfer.observe(last_tile.saturating_since(t0).nanos());
         // Drain the tile mailboxes (the database "ingests" the tiles).
         for db in 1..=cfg.db_nodes {
             while sys.world_mut().mailbox_take(db, 2).is_some() {}
@@ -124,7 +124,7 @@ pub fn run_vision(cfg: &VisionConfig, sys_cfg: SystemConfig) -> VisionReport {
         for q in 0..cfg.queries_per_frame {
             let db = 1 + (q % cfg.db_nodes);
             let rtt = sys.measure_rpc_rtt(recognizer, db, cfg.query_bytes, cfg.query_bytes);
-            query_rtt.record_dur(rtt);
+            query_rtt.observe(rtt.nanos());
         }
     }
 
@@ -158,11 +158,11 @@ mod tests {
         let cfg = VisionConfig { frames: 2, image_bytes: 64 * 1024, ..VisionConfig::default() };
         let report = run_vision(&cfg, SystemConfig::default());
         assert_eq!(report.frames, 2);
-        assert_eq!(report.frame_transfer.len(), 2);
-        assert_eq!(report.query_rtt.len(), 16);
+        assert_eq!(report.frame_transfer.count(), 2);
+        assert_eq!(report.query_rtt.count(), 16);
         // Queries stay interactive even while frames move.
         assert!(
-            report.query_rtt.max() < 200_000.0,
+            report.query_rtt.max() < 200_000,
             "query rtt p100 {} ns exceeds 200 us",
             report.query_rtt.max()
         );

@@ -43,7 +43,7 @@ fn bench_e16b_scientific(c: &mut Criterion) {
     g.bench_function("jacobi_5_iters", |b| {
         b.iter(|| {
             let cfg = JacobiConfig { nodes: 4, points_per_node: 256, iterations: 5 };
-            black_box(run_jacobi(&cfg, SystemConfig::default()).comm_per_iteration.len())
+            black_box(run_jacobi(&cfg, SystemConfig::default()).comm_per_iteration.count())
         })
     });
     g.bench_function("annealing_2_rounds", |b| {

@@ -28,8 +28,8 @@ pub fn e19_dsm(_ctx: &ExpCtx) -> Table {
         format!(
             "mean {:.0} us, max {:.0} us ({} faults)",
             report.read_fault.mean() / 1e3,
-            report.read_fault.max() / 1e3,
-            report.read_fault.len()
+            report.read_fault.max() as f64 / 1e3,
+            report.read_fault.count()
         ),
     ]);
     t.row(&[
@@ -38,8 +38,8 @@ pub fn e19_dsm(_ctx: &ExpCtx) -> Table {
         format!(
             "mean {:.0} us, max {:.0} us ({} faults)",
             report.write_fault.mean() / 1e3,
-            report.write_fault.max() / 1e3,
-            report.write_fault.len()
+            report.write_fault.max() as f64 / 1e3,
+            report.write_fault.count()
         ),
     ]);
     t.row(&[
@@ -245,7 +245,7 @@ pub fn e23_transactions(_ctx: &ExpCtx) -> Table {
         format!(
             "{:.0} / {:.0} us",
             report.commit_latency.mean() / 1e3,
-            report.commit_latency.max() / 1e3
+            report.commit_latency.max() as f64 / 1e3
         ),
     ]);
     t.row(&[

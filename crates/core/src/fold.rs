@@ -3,10 +3,9 @@
 //! A world with a [`StreamingDoctor`] attached drains its telemetry
 //! rings on a cadence and hands each raw drain to a [`StreamFold`],
 //! together with the drain's release boundary: events stamped at or
-//! after it may still be joined by earlier ones and are held back. The
-//! fold thread owns everything past that hand-over — the held-back
-//! runs, the release and the doctor — and folds the batches in the
-//! order they were sent, so the doctor sees exactly the batches an
+//! after it may still be joined by earlier ones, and the doctor holds
+//! them back. The fold thread owns the doctor and folds the batches in
+//! the order they were sent, so the doctor sees exactly the batches an
 //! inline fold would and its report is the same byte for byte. The
 //! simulation thread only records, drains and sends.
 //!
@@ -137,58 +136,15 @@ fn start(cfg: StreamConfig) -> Stage {
     let thread = std::thread::Builder::new()
         .name("stream-fold".into())
         .spawn(move || {
-            let mut fold = Held::default();
             let mut doctor = StreamingDoctor::new(cfg);
             for Batch { mut events, boundary } in inbox {
-                fold.settle(&mut events, boundary);
-                doctor.ingest(&mut events);
+                doctor.ingest_until(&mut events, boundary);
                 let _ = outbox.try_send(events);
             }
             doctor
         })
         .expect("the host can start a thread");
     Stage::Running { batches, spares: Mutex::new(spares), thread }
-}
-
-/// Drained events held back from the fold (stamped at or past the
-/// release boundary — record sites may stamp into the future): one run
-/// per drain that held any back, each sorted latest first, so a release
-/// takes from the run tails and never looks at what stays.
-#[derive(Default)]
-struct Held {
-    runs: Vec<Vec<TelemetryEvent>>,
-}
-
-impl Held {
-    /// Leaves in `batch` exactly the drained events stamped before
-    /// `boundary` (all of them when `None`): holds the later ones back
-    /// as a new run, and adds the held events `boundary` has made final.
-    fn settle(&mut self, batch: &mut Vec<TelemetryEvent>, boundary: Option<Time>) {
-        if let Some(b) = boundary {
-            let mut run = Vec::new();
-            batch.retain(|ev| {
-                let final_now = ev.at < b;
-                if !final_now {
-                    run.push(*ev);
-                }
-                final_now
-            });
-            if !run.is_empty() {
-                run.sort_unstable_by_key(|ev| std::cmp::Reverse(ev.at));
-                self.runs.push(run);
-            }
-        }
-        for run in &mut self.runs {
-            while let Some(ev) = run.last() {
-                if boundary.is_some_and(|b| ev.at >= b) {
-                    break;
-                }
-                batch.push(*ev);
-                run.pop();
-            }
-        }
-        self.runs.retain(|run| !run.is_empty());
-    }
 }
 
 #[cfg(test)]

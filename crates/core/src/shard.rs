@@ -441,7 +441,7 @@ pub struct ShardedWorld {
 /// a rendezvous, where the global minimum next-event time `T` bounds
 /// which events are final.
 struct ShardStream {
-    /// The fold thread's sending end; the thread holds back events
+    /// The fold thread's sending end; its doctor holds back events
     /// stamped at or after the boundary each drain is sent with.
     fold: StreamFold,
     /// Rendezvous between hand-overs.

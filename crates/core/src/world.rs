@@ -907,24 +907,23 @@ impl World {
     }
 
     /// Drains the rings into the sink. A streaming doctor is sent the
-    /// drain with the boundary `just_after(now)`: it folds every event
-    /// stamped at or before the clock. The drain runs between two
-    /// events of one same-instant batch, and the rest of that batch
-    /// still records at the clock's instant — never earlier, because
-    /// every record site stamps at-or-after its processing instant — so
-    /// the fold's watermark stops at the clock and no later batch
-    /// reaches back before it. Each ring event is copied once, into the
-    /// drain; the fold thread holds the few stamped into the future
-    /// back for a later one. (The next event time is not the boundary:
-    /// with the batch popped it lies past events this instant has yet
-    /// to record.) With `finish` the boundary is lifted and everything
-    /// held back folds.
+    /// drain with the clock as its boundary: it folds every event
+    /// stamped before it. The drain runs between two events of one
+    /// same-instant batch, and the rest of that batch still records at
+    /// the clock's instant — never earlier, because every record site
+    /// stamps at-or-after its processing instant — so no later batch
+    /// reaches back before the clock. Each ring event is copied once,
+    /// into the drain; the doctor holds those stamped at the clock or
+    /// into the future back for a later one. (The next event time is
+    /// not the boundary: with the batch popped it lies past events
+    /// this instant has yet to record.) With `finish` the boundary is
+    /// lifted and everything held back folds.
     fn drain_sink(&mut self, finish: bool) {
         match std::mem::replace(&mut self.sink, TelemetrySink::Rings) {
             TelemetrySink::Rings => {}
             TelemetrySink::Fold(mut fold) => {
                 self.drain_telemetry_into(&mut fold.drain);
-                fold.send((!finish).then(|| just_after(self.now())));
+                fold.send((!finish).then(|| self.now()));
                 self.sink = TelemetrySink::Fold(fold);
             }
             TelemetrySink::Spill(mut sp) => {

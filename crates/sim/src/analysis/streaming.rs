@@ -11,39 +11,41 @@
 //!
 //! # Fold lifecycle
 //!
-//! Events arrive in **batches**. [`ingest`](StreamingDoctor::ingest)
-//! asks one thing of a batch: none of its events is earlier than the
-//! **watermark** — the latest event of any previous batch. *Inside* a
-//! batch the events may come in any order (the world hands over a plain
-//! concatenation of its recorder rings). The world meets the
-//! requirement by holding events back until nothing earlier can still
-//! be produced: every record site stamps at-or-after the processing
-//! instant, so a sequential world releases what is stamped at or before
-//! its clock, and a sharded one what is stamped below the smallest
-//! next-event time of any shard at a window rendezvous.
+//! Events arrive in **batches**, each with a release boundary: every
+//! event stamped before it has arrived, in this batch or an earlier
+//! one. [`ingest_until`](StreamingDoctor::ingest_until) asks one thing
+//! of a batch: none of its events is earlier than the **watermark** —
+//! the boundary the previous batch left. *Inside* a batch the events
+//! may come in any order (the world hands over a plain concatenation of
+//! its recorder rings). Every record site stamps at-or-after the
+//! processing instant, so a sequential world names its clock as the
+//! boundary, and a sharded one the smallest next-event time of any
+//! shard at a window rendezvous. [`ingest`](StreamingDoctor::ingest)
+//! takes the batch's latest instant.
 //!
 //! An open flight's accumulator holds its `FlightFacts`, the running
 //! critical-path walk (`PathFold`) and the head-of-line hop it is
 //! following (`Hop`). Events update it in two ways:
 //!
 //! * **On arrival, in any order**, everything that commutes. The
-//!   watermark, the cumulative ack per direction and a flight's quiet
-//!   clock are maxima; a slot's first-send time is a minimum; counts
-//!   are sums; a flight's send fields (and so its slot) follow its
-//!   flight-order-first send whatever order its sends were seen in.
+//!   latest event time, the cumulative ack per direction and a
+//!   flight's quiet clock are maxima; a slot's first-send time is a
+//!   minimum; counts are sums; a flight's send fields (and so its slot)
+//!   follow its flight-order-first send whatever order its sends were
+//!   seen in.
 //! * **Once final, in flight order** — `(at, kind.canonical_key())`,
 //!   the only order any analysis reads and the one the post-hoc
 //!   [`FlightTable`](super::flights::FlightTable) establishes —
 //!   everything that walks a flight: the critical-path gaps and the hop
 //!   pairing. An event is **final** once the watermark a batch leaves
 //!   is strictly past its timestamp, because no later batch can hold
-//!   anything earlier. Events stamped at the watermark instant itself
-//!   are held back for the next batch: same-instant ties can straddle a
-//!   drain (the world cuts at `just_after(now)`, and the rest of the
-//!   instant records after the cut). A batch's events are staged in one
-//!   shared scratch and grouped by flight in one counting pass; each
-//!   flight's few final events are put in flight order on their own,
-//!   and the batch as a whole is never sorted.
+//!   anything earlier. Events stamped at or past the watermark are held
+//!   back for a later batch: the rest of the watermark instant (the
+//!   world drains between two events of one same-instant batch) and the
+//!   few a record site stamps into the future. A batch's events are
+//!   staged in one shared scratch and grouped by flight in one counting
+//!   pass; each flight's few final events are put in flight order on
+//!   their own, and the batch as a whole is never sorted.
 //!
 //! Everything folded *across* flights commutes too — histogram
 //! increments, sums, bounded smallest-K evidence and top-K worst sets —
@@ -59,9 +61,10 @@
 //! the final report (or a memory-budget eviction), so congestion can
 //! never race a live packet into retirement. Retirement is decided
 //! after the whole batch is in, from a queue in time order holding an
-//! entry for every batch that touches a terminal flight (and, under a
-//! memory budget, for a flight's first batch, so that eviction can find
-//! it) — so which flights retire, and when, is a function of the
+//! entry for every batch that touches a terminal flight with nothing
+//! held past the watermark (and, under a memory budget, for a flight's
+//! first such batch, so that eviction can find it) — so which flights
+//! retire, and when, is a function of the
 //! batch's content, never of its internal order. Retirement is
 //! O(1): the accumulator becomes a breakdown for the [`CriticalPath`]
 //! histograms, a hop still waiting for its service end is dropped
@@ -88,8 +91,10 @@ use super::DoctorReport;
 use crate::metrics::MetricsRegistry;
 use crate::telemetry::{EventKind, TelemetryEvent};
 use crate::time::{Dur, Time};
+use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A **completed** flight (one that saw a terminal event — delivery or
@@ -103,8 +108,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// memory-budget eviction, never horizon-retired: congestion can park a
 /// packet in a crossbar queue for longer than any reasonable quiet
 /// period. 1 ms matches the silent-drop grace window; being at least
-/// 1 ns, it also never retires a flight quiet since the watermark
-/// instant, which may still have events held back.
+/// 1 ns, it also never retires a flight with events held back, which
+/// are stamped at or past the watermark.
 const HORIZON: Dur = Dur::from_millis(1);
 use std::mem::size_of;
 
@@ -282,6 +287,31 @@ impl std::ops::IndexMut<u32> for Slots {
     }
 }
 
+/// An event held back from the fold until the watermark passes it,
+/// ordered so that the earliest is on top of the heap.
+#[derive(Clone, Copy, Debug)]
+struct HeldEvent(TelemetryEvent);
+
+impl Ord for HeldEvent {
+    fn cmp(&self, other: &HeldEvent) -> Ordering {
+        other.0.at.cmp(&self.0.at)
+    }
+}
+
+impl PartialOrd for HeldEvent {
+    fn partial_cmp(&self, other: &HeldEvent) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for HeldEvent {
+    fn eq(&self, other: &HeldEvent) -> bool {
+        self.0.at == other.0.at
+    }
+}
+
+impl Eq for HeldEvent {}
+
 /// What survives a stream slot after its flights retire.
 #[derive(Clone, Debug)]
 struct SlotResidue {
@@ -337,14 +367,14 @@ pub struct StreamingDoctor {
     slots: Slots,
     free: Vec<u32>,
     /// Retirement queue in time order: `(quiet clock, flight)` entries,
-    /// popped once the watermark passes `time + horizon`. An entry is
+    /// popped once the watermark reaches `time + horizon`. An entry is
     /// live while its time is still the flight's quiet clock; entries a
     /// later batch superseded (or whose flight already retired) are
     /// skipped on pop.
     retire_queue: VecDeque<(Time, u64)>,
-    /// Events the latest batch left at the watermark instant, not yet
-    /// folded in flight order.
-    held: Vec<TelemetryEvent>,
+    /// Events stamped at or past the watermark, not yet folded in
+    /// flight order; the earliest on top.
+    held: BinaryHeap<HeldEvent>,
     /// Scratch: the current batch's flight events (and the held ones),
     /// each with its flight's slot, then its index in `touched`.
     stage: Vec<(u32, TelemetryEvent)>,
@@ -371,7 +401,11 @@ pub struct StreamingDoctor {
     /// Highest retired flight id per CAB (ids are minted `(cab << 40) |
     /// counter`, monotone per CAB) — the exact late-event detector.
     max_retired: FoldMap<u64, u64>,
+    /// The release boundary the latest batch left: every event stamped
+    /// before it is in.
     watermark: Time,
+    /// The latest event time seen.
+    latest: Time,
     events_folded: u64,
     flights_seen: u64,
     flights_retired: u64,
@@ -394,7 +428,7 @@ impl StreamingDoctor {
             slots: Slots::default(),
             free: Vec::new(),
             retire_queue: VecDeque::new(),
-            held: Vec::new(),
+            held: BinaryHeap::new(),
             stage: Vec::new(),
             touched: Vec::new(),
             ends: Vec::new(),
@@ -409,6 +443,7 @@ impl StreamingDoctor {
             cp: CriticalPath::default(),
             max_retired: FoldMap::default(),
             watermark: Time::ZERO,
+            latest: Time::ZERO,
             events_folded: 0,
             flights_seen: 0,
             flights_retired: 0,
@@ -421,11 +456,20 @@ impl StreamingDoctor {
         }
     }
 
-    /// Folds one batch and clears it. Every event must be at-or-after
-    /// the watermark the previous batch left (batches are time-disjoint
-    /// and arrive in time order); inside the batch any order will do.
+    /// [`ingest_until`](StreamingDoctor::ingest_until) with the batch's
+    /// latest instant as its boundary: the batches are time-disjoint.
     pub fn ingest(&mut self, batch: &mut Vec<TelemetryEvent>) {
-        if batch.is_empty() {
+        self.ingest_until(batch, None);
+    }
+
+    /// Folds one batch and clears it. Every event stamped before
+    /// `boundary` must be in this batch or an earlier one (`None`: the
+    /// latest instant seen so far), and every event must be at-or-after
+    /// the watermark the previous batch left; inside the batch any
+    /// order will do. The events stamped before the boundary fold, in
+    /// flight order; the rest are held for a later batch.
+    pub fn ingest_until(&mut self, batch: &mut Vec<TelemetryEvent>, boundary: Option<Time>) {
+        if batch.is_empty() && boundary.unwrap_or(self.latest) <= self.watermark {
             return;
         }
         let floor = self.watermark;
@@ -446,6 +490,7 @@ impl StreamingDoctor {
             let (slot, ev) = self.stage[i];
             self.stage[i].0 = self.arrive(slot, &ev);
         }
+        self.watermark = self.watermark.max(boundary.unwrap_or(self.latest));
         self.fold_staged(false);
         self.advance_retirement();
         self.enforce_budget();
@@ -456,7 +501,7 @@ impl StreamingDoctor {
     /// whole; returns the accumulator slot of its flight (opened if
     /// new), if it has one.
     fn find_flight(&mut self, ev: &TelemetryEvent) -> Option<u32> {
-        self.watermark = self.watermark.max(ev.at);
+        self.latest = self.latest.max(ev.at);
         self.events_folded += 1;
         if let EventKind::TransportAck { cab, peer, ack } = ev.kind {
             // `cab` received the ack, so it is the data sender.
@@ -525,11 +570,13 @@ impl StreamingDoctor {
         of.touched
     }
 
-    /// Folds every staged event that is final — all of them with
-    /// `all` — into its flight in flight order, holds back the rest,
-    /// and queues the touched flights for retirement.
+    /// Folds every staged or held event that is final — all of them
+    /// with `all` — into its flight in flight order, holds back the
+    /// rest, and queues the touched flights for retirement.
     fn fold_staged(&mut self, all: bool) {
-        for ev in &self.held {
+        let final_before = if all { Time::MAX } else { self.watermark };
+        while let Some(top) = self.held.peek_mut().filter(|h| all || h.0.at < final_before) {
+            let HeldEvent(ev) = PeekMut::pop(top);
             let id = ev.flight.0;
             // A held event's flight is open: eviction folds a flight's
             // held events before retiring it.
@@ -539,9 +586,8 @@ impl StreamingDoctor {
                 of.touched = self.touched.len() as u32;
                 self.touched.push((id, slot));
             }
-            self.stage.push((of.touched, *ev));
+            self.stage.push((of.touched, ev));
         }
-        self.held.clear();
         if self.stage.is_empty() {
             return;
         }
@@ -565,7 +611,6 @@ impl StreamingDoctor {
             *at += 1;
         }
         self.stage.clear();
-        let final_before = if all { Time::MAX } else { self.watermark };
         // Only a memory budget evicts non-terminal flights, from the
         // front of the queue: only then do they need an entry.
         let evictable = self.cfg.memory_budget.is_some();
@@ -589,17 +634,20 @@ impl StreamingDoctor {
                         &self.cfg.doctor,
                     );
                 } else {
-                    self.held.push(*ev);
+                    self.held.push(HeldEvent(*ev));
                 }
             }
-            if of.terminal || (evictable && of.fresh) {
+            // A flight quiet since past the watermark has an event held:
+            // it is queued once that event folds.
+            if (of.terminal || (evictable && of.fresh)) && of.last_at <= final_before {
                 self.queued.push((of.last_at, id));
                 of.fresh = false;
             }
         }
         self.touched.clear();
-        // Batches are time-disjoint, so the new entries all sort after
-        // the ones already queued.
+        // Every touched flight has an event at or past the previous
+        // watermark, and none is queued past this one, so the new
+        // entries all sort after the ones already queued.
         self.queued.sort_unstable();
         self.retire_queue.extend(self.queued.drain(..));
     }
@@ -686,14 +734,14 @@ impl StreamingDoctor {
         while self.mem_estimate() > budget {
             let Some((_, id)) = self.retire_queue.pop_front() else { break };
             let Some(slot) = self.open.remove(&id) else { continue };
-            // The flight's events at the watermark instant fold first:
-            // they are in, just not yet final.
+            // The flight's held events fold first: they are in, just not
+            // yet final.
             let mut mine = std::mem::take(&mut self.grouped);
             mine.clear();
-            self.held.retain(|e| {
+            self.held.retain(|&HeldEvent(e)| {
                 let own = e.flight.0 == id;
                 if own {
-                    mine.push(*e);
+                    mine.push(e);
                 }
                 !own
             });
@@ -715,7 +763,8 @@ impl StreamingDoctor {
     }
 
     /// Surviving silent-drop candidates: unacked slots with exactly one
-    /// data flight, sent more than a grace window before the watermark.
+    /// data flight, sent more than a grace window before the latest
+    /// event.
     fn lost_candidates(&self) -> Vec<(Time, u64)> {
         let mut lost = Vec::new();
         for (k, list) in &self.candidates {
@@ -726,7 +775,7 @@ impl StreamingDoctor {
                 continue;
             }
             for &(at, id) in list {
-                if at + self.cfg.doctor.grace > self.watermark {
+                if at + self.cfg.doctor.grace > self.latest {
                     continue;
                 }
                 lost.push((at, id));
@@ -981,6 +1030,29 @@ mod tests {
                 reference.critical_path.total_hist().mean()
             );
         }
+    }
+
+    #[test]
+    fn events_past_the_boundary_fold_in_flight_order_once_released() {
+        // Flight 1's delivery is drained first, stamped past the first
+        // drain's boundary; its crossbar hop, stamped earlier but at or
+        // after that boundary, comes in the second drain. Folded on
+        // arrival, the delivery would end the critical-path walk before
+        // the hop's gaps were charged.
+        let hop = [
+            ev(600, 1, EventKind::CrossbarEnqueue { hub: 0, input: 1, bytes: 98 }),
+            ev(700, 1, EventKind::CrossbarForward { hub: 0, input: 1, output: 2, bytes: 98 }),
+        ];
+        let mut doc = StreamingDoctor::new(StreamConfig::default());
+        let first = vec![send(100, 1, 0, false), recv(900, 1)];
+        doc.ingest_until(&mut first.clone(), Some(Time::from_nanos(500)));
+        doc.ingest_until(&mut hop.to_vec(), Some(Time::from_nanos(800)));
+        doc.ingest_until(&mut Vec::new(), None);
+        let mut whole = StreamingDoctor::new(StreamConfig::default());
+        whole.ingest(&mut [first, hop.to_vec()].concat());
+        let (rep, reference) = (doc.into_report(None), whole.into_report(None));
+        assert_eq!(rep.critical_path.attributed, 1);
+        assert_eq!(rep.render(), reference.render());
     }
 
     #[test]

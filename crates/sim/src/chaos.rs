@@ -45,7 +45,10 @@ use crate::time::{Dur, Time};
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::spec::{fmt_dur, parse_dur, parse_prob};
+use crate::spec::{
+    fmt_dur, fmt_window, join_clauses, parse_call, parse_clauses, parse_dur, parse_prob,
+    split_window,
+};
 
 /// Where a clause applies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -204,14 +207,7 @@ impl fmt::Display for Clause {
         if self.target != ChaosTarget::All {
             write!(f, "@{}", self.target)?;
         }
-        if self.from != Time::ZERO || self.until != Time::MAX {
-            write!(f, "[{}..", fmt_dur(Dur::from_nanos(self.from.nanos())))?;
-            if self.until != Time::MAX {
-                write!(f, "{}", fmt_dur(Dur::from_nanos(self.until.nanos())))?;
-            }
-            f.write_str("]")?;
-        }
-        Ok(())
+        fmt_window(f, self.from, self.until)
     }
 }
 
@@ -283,22 +279,13 @@ impl ChaosSchedule {
     /// `kind(args)[@target][[from..until]]`. Round-trips exactly
     /// through [`parse`](ChaosSchedule::parse).
     pub fn spec(&self) -> String {
-        let parts: Vec<String> = self.clauses.iter().map(|c| c.to_string()).collect();
-        parts.join(";")
+        join_clauses(&self.clauses)
     }
 
     /// Parses the [`spec`](ChaosSchedule::spec) grammar. The seed
     /// travels separately (`--chaos-seed`).
     pub fn parse(seed: u64, spec: &str) -> Result<ChaosSchedule, String> {
-        let mut sched = ChaosSchedule::new(seed);
-        for raw in spec.split(';') {
-            let raw = raw.trim();
-            if raw.is_empty() {
-                continue;
-            }
-            sched.clauses.push(parse_clause(raw)?);
-        }
-        Ok(sched)
+        Ok(ChaosSchedule { seed, clauses: parse_clauses(spec, parse_clause)? })
     }
 
     /// Compiles the schedule into a stateful injector.
@@ -314,32 +301,13 @@ impl fmt::Display for ChaosSchedule {
 }
 
 fn parse_clause(raw: &str) -> Result<Clause, String> {
-    // Split off the window suffix `[from..until]`.
-    let (head, window) = match raw.find('[') {
-        Some(i) => {
-            let w = raw[i..]
-                .strip_prefix('[')
-                .and_then(|w| w.strip_suffix(']'))
-                .ok_or_else(|| format!("unterminated window in `{raw}`"))?;
-            (&raw[..i], Some(w))
-        }
-        None => (raw, None),
-    };
+    let (head, from, until) = split_window(raw)?;
     // Split off the target suffix `@target`.
-    let (kind_args, target) = match head.find('@') {
-        Some(i) => (&head[..i], parse_target(&head[i + 1..])?),
+    let (call, target) = match head.split_once('@') {
+        Some((call, target)) => (call, parse_target(target)?),
         None => (head, ChaosTarget::All),
     };
-    let (kind, args) = match kind_args.find('(') {
-        Some(i) => {
-            let inner = kind_args[i..]
-                .strip_prefix('(')
-                .and_then(|a| a.strip_suffix(')'))
-                .ok_or_else(|| format!("unterminated args in `{raw}`"))?;
-            (&kind_args[..i], inner.split(',').collect::<Vec<_>>())
-        }
-        None => (kind_args, Vec::new()),
-    };
+    let (kind, args) = parse_call(call)?;
     let need = |n: usize| {
         if args.len() == n {
             Ok(())
@@ -347,7 +315,7 @@ fn parse_clause(raw: &str) -> Result<Clause, String> {
             Err(format!("`{kind}` takes {n} argument(s), got {}", args.len()))
         }
     };
-    let fault = match kind.trim() {
+    let fault = match kind {
         "loss" => {
             need(1)?;
             Fault::Loss { rate: parse_prob(args[0])? }
@@ -386,17 +354,7 @@ fn parse_clause(raw: &str) -> Result<Clause, String> {
         }
         other => return Err(format!("unknown fault kind `{other}`")),
     };
-    let mut clause = Clause { fault, target, from: Time::ZERO, until: Time::MAX };
-    if let Some(w) = window {
-        let (from, until) = w.split_once("..").ok_or_else(|| format!("bad window `[{w}]`"))?;
-        clause.from = Time::from_nanos(parse_dur(from)?.nanos());
-        clause.until = if until.trim().is_empty() {
-            Time::MAX
-        } else {
-            Time::from_nanos(parse_dur(until)?.nanos())
-        };
-    }
-    Ok(clause)
+    Ok(Clause { fault, target, from, until })
 }
 
 fn parse_target(s: &str) -> Result<ChaosTarget, String> {
@@ -750,6 +708,8 @@ fn weaken(fault: &Fault) -> Option<Fault> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::tests::mutate;
+    use proptest::prelude::*;
 
     fn hub_port(hub: u8, port: u8) -> ChaosTarget {
         ChaosTarget::HubPort { hub, port }
@@ -782,6 +742,41 @@ mod tests {
         let back = ChaosSchedule::parse(9, &spec).expect("parse");
         assert_eq!(back, sched, "spec `{spec}` did not round-trip");
         assert_eq!(back.spec(), spec, "re-rendering changed the spec");
+        // An empty argument list is no argument, as for a bare kind.
+        let spelled = spec.replace("portfail", "portfail()");
+        assert_eq!(ChaosSchedule::parse(9, &spelled).expect("portfail()"), sched);
+    }
+
+    proptest! {
+        #[test]
+        fn random_schedules_round_trip(seed in any::<u64>(), cabs in 0u16..64) {
+            let sched = ChaosSchedule::random(seed, cabs);
+            let back = ChaosSchedule::parse(seed, &sched.spec())
+                .unwrap_or_else(|e| panic!("`{}`: {e}", sched.spec()));
+            prop_assert_eq!(back, sched);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        /// A valid spec edited with tokens of the grammar's alphabet
+        /// never panics the parser, and whatever parses prints back to
+        /// an equal schedule.
+        #[test]
+        fn parse_never_panics(
+            seed in any::<u64>(),
+            bytes in prop::collection::vec(any::<u8>(), 0..40),
+        ) {
+            let text = mutate(&ChaosSchedule::random(seed, 8).spec(), &bytes, &[
+                "loss", "burst", "dup", "reorder", "corrupt", "flap", "cmdloss", "portfail",
+                "all", "cab", "hub",
+            ]);
+            if let Ok(sched) = ChaosSchedule::parse(3, &text) {
+                let back = ChaosSchedule::parse(3, &sched.spec())
+                    .unwrap_or_else(|e| panic!("`{text}` printed as `{}`: {e}", sched.spec()));
+                prop_assert_eq!(back, sched);
+            }
+        }
     }
 
     #[test]
@@ -966,6 +961,9 @@ mod tests {
             "reorder(0.1,10)",
             "loss(0.1)@hub0",
             "loss(0.1)[1ms..",
+            // Empty windows: a clause that is never live.
+            "loss(0.1)[5ms..1ms]",
+            "loss(0.1)[1ms..1ms]",
             "burst(0.5)",
             // Hardened number validation: out-of-range and non-finite
             // rates used to parse into nonsense schedules.

@@ -9,7 +9,6 @@
 //! * [`units`] — [`Bandwidth`](units::Bandwidth) and transfer-time math.
 //! * [`engine`] — the [`Engine`](engine::Engine) event queue.
 //! * [`rng`] — seeded, reproducible randomness for workloads.
-//! * [`stats`] — exact sample distributions.
 //! * [`telemetry`] — typed flight-recorder events with causal flight ids:
 //!   the software analogue of the HUB instrumentation board.
 //! * [`metrics`] — the unified counter/gauge/histogram registry.
@@ -53,7 +52,6 @@ pub mod metrics;
 pub mod profile;
 pub mod rng;
 mod spec;
-pub mod stats;
 pub mod telemetry;
 pub mod time;
 pub mod units;
@@ -65,7 +63,6 @@ pub mod prelude {
     pub use crate::engine::{Engine, EventId};
     pub use crate::metrics::{Histogram, MetricsRegistry};
     pub use crate::rng::Rng;
-    pub use crate::stats::Samples;
     pub use crate::telemetry::{EventKind, FlightId, Telemetry, TelemetryEvent};
     pub use crate::time::{Dur, Time};
     pub use crate::units::Bandwidth;

@@ -140,9 +140,9 @@ impl Histogram {
         }
     }
 
-    /// Nearest-rank quantile, `q` in `[0, 1]`, matching
-    /// [`Samples::quantile`](crate::stats::Samples::quantile) up to
-    /// bucket resolution (≤ ~1.6 % relative error). Returns the
+    /// Nearest-rank quantile, `q` in `[0, 1]`, matching the exact
+    /// nearest-rank quantile of the raw observations up to bucket
+    /// resolution (≤ ~1.6 % relative error). Returns the
     /// midpoint of the bucket holding the ranked observation, clamped
     /// to the exact `[min, max]`.
     ///

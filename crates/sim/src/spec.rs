@@ -1,15 +1,70 @@
-//! Shared parsing helpers for the textual spec grammars (chaos fault
-//! programs, workload traffic programs).
+//! The skeleton both textual spec grammars (chaos fault programs,
+//! workload traffic programs) share.
 //!
-//! Both grammars are parse/print round-trippable clause languages, and
-//! both take durations, probabilities, and nested-paren argument
-//! lists. The helpers here are *hardened*: probabilities outside
-//! `[0, 1]` or non-finite, and durations whose nanosecond value would
-//! overflow a `u64`, are rejected with a clear message instead of
-//! silently producing nonsense programs (`loss(1.5)` used to behave
+//! Both are parse/print round-trippable clause languages: clauses
+//! joined by `;` ([`parse_clauses`], [`join_clauses`]), each a
+//! `kind(args)` call ([`parse_call`]) with an optional
+//! `[from..until]` live window ([`split_window`], [`fmt_window`]),
+//! taking durations, probabilities, and nested-paren argument lists.
+//! The helpers here are *hardened*: probabilities outside `[0, 1]` or
+//! non-finite, durations whose nanosecond value would overflow a
+//! `u64`, and empty windows are rejected with a clear message instead
+//! of silently producing nonsense programs (`loss(1.5)` used to behave
 //! as always-drop; `flap(99999999999999s,..)` used to wrap).
 
-use crate::time::Dur;
+use crate::time::{Dur, Time};
+use std::fmt;
+
+/// Parses a `;`-separated clause list, each clause with `clause`;
+/// empty clauses (a trailing `;`, an empty spec) are skipped.
+pub(crate) fn parse_clauses<T>(
+    spec: &str,
+    clause: impl FnMut(&str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    spec.split(';').map(str::trim).filter(|c| !c.is_empty()).map(clause).collect()
+}
+
+/// Joins clauses with `;`: the inverse of [`parse_clauses`].
+pub(crate) fn join_clauses<T: fmt::Display>(clauses: &[T]) -> String {
+    clauses.iter().map(T::to_string).collect::<Vec<_>>().join(";")
+}
+
+/// Splits the optional `[from..until]` window suffix off a clause and
+/// parses it, returning `(head, from, until)`. No suffix means all
+/// time (`Time::ZERO` to `Time::MAX`); an empty `until` means forever.
+/// A window must be non-empty: `[5ms..1ms]` and `[1ms..1ms]` are
+/// errors, not clauses that are never live.
+pub(crate) fn split_window(raw: &str) -> Result<(&str, Time, Time), String> {
+    let Some(i) = raw.find('[') else {
+        return Ok((raw, Time::ZERO, Time::MAX));
+    };
+    let w =
+        raw[i + 1..].strip_suffix(']').ok_or_else(|| format!("unterminated window in `{raw}`"))?;
+    let (from, until) = w.split_once("..").ok_or_else(|| format!("bad window `[{w}]`"))?;
+    let from = Time::from_nanos(parse_dur(from)?.nanos());
+    let until = if until.trim().is_empty() {
+        Time::MAX
+    } else {
+        Time::from_nanos(parse_dur(until)?.nanos())
+    };
+    if until <= from {
+        return Err(format!("empty window `[{w}]`"));
+    }
+    Ok((&raw[..i], from, until))
+}
+
+/// Writes the window suffix [`split_window`] parses; nothing for all
+/// time.
+pub(crate) fn fmt_window(f: &mut fmt::Formatter<'_>, from: Time, until: Time) -> fmt::Result {
+    if from == Time::ZERO && until == Time::MAX {
+        return Ok(());
+    }
+    write!(f, "[{}..", fmt_dur(Dur::from_nanos(from.nanos())))?;
+    if until != Time::MAX {
+        write!(f, "{}", fmt_dur(Dur::from_nanos(until.nanos())))?;
+    }
+    f.write_str("]")
+}
 
 /// Renders a duration in the largest unit that divides it exactly
 /// (`1500000ns` → `1500us`). Inverse of [`parse_dur`].
@@ -119,8 +174,48 @@ pub(crate) fn parse_call(s: &str) -> Result<(&str, Vec<&str>), String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Edits the valid spec `base` with `bytes`, two bytes per edit:
+    /// the first picks an offset, the second a token of the grammar's
+    /// alphabet that replaces the character there. The alphabet is the
+    /// shared punctuation, digits and duration units, then the
+    /// grammar's own `words`. Few edits leave texts close enough to the
+    /// grammar to reach deep into a parser; many leave noise.
+    pub(crate) fn mutate(base: &str, bytes: &[u8], words: &[&str]) -> String {
+        const SHARED: [&str; 23] = [
+            "(", ")", "[", "]", "@", ";", ".", ",", "..", "0", "1", "2", "3", "4", "5", "6", "7",
+            "8", "9", "ns", "us", "ms", "s",
+        ];
+        let mut text = base.to_string();
+        for edit in bytes.chunks_exact(2) {
+            let at = edit[0] as usize % (text.len() + 1);
+            let i = edit[1] as usize % (SHARED.len() + words.len());
+            let token = SHARED.get(i).copied().unwrap_or_else(|| words[i - SHARED.len()]);
+            text.replace_range(at..(at + 1).min(text.len()), token);
+        }
+        text
+    }
+
+    #[test]
+    fn clause_lists_skip_empty_clauses() {
+        let parsed = parse_clauses(" a ;;b; ", |c| Ok::<_, String>(c.to_string())).unwrap();
+        assert_eq!(parsed, ["a", "b"]);
+        assert_eq!(join_clauses(&parsed), "a;b");
+        assert!(parse_clauses("", |c| Ok::<_, String>(c.len())).unwrap().is_empty());
+    }
+
+    #[test]
+    fn windows_parse_and_must_be_non_empty() {
+        let ms = Time::from_millis;
+        assert_eq!(split_window("f(1)").unwrap(), ("f(1)", Time::ZERO, Time::MAX));
+        assert_eq!(split_window("f(1)[1ms..2ms]").unwrap(), ("f(1)", ms(1), ms(2)));
+        assert_eq!(split_window("f(1)[1ms..]").unwrap(), ("f(1)", ms(1), Time::MAX));
+        for bad in ["f[5ms..1ms]", "f[1ms..1ms]", "f[1ms..", "f[1ms]", "f[x..2ms]"] {
+            assert!(split_window(bad).is_err(), "`{bad}` should not parse");
+        }
+    }
 
     #[test]
     fn durations_round_trip() {

@@ -56,7 +56,10 @@
 //! ```
 
 use crate::rng::Rng;
-use crate::spec::{fmt_dur, parse_call, parse_dur, parse_prob};
+use crate::spec::{
+    fmt_dur, fmt_window, join_clauses, parse_call, parse_clauses, parse_dur, parse_prob,
+    split_window,
+};
 use crate::time::{Dur, Time};
 use std::collections::HashMap;
 use std::fmt;
@@ -261,14 +264,7 @@ impl fmt::Display for ClassSpec {
                 self.transport
             )?,
         }
-        if self.from != Time::ZERO || self.until != Time::MAX {
-            write!(f, "[{}..", fmt_dur(Dur::from_nanos(self.from.nanos())))?;
-            if self.until != Time::MAX {
-                write!(f, "{}", fmt_dur(Dur::from_nanos(self.until.nanos())))?;
-            }
-            f.write_str("]")?;
-        }
-        Ok(())
+        fmt_window(f, self.from, self.until)
     }
 }
 
@@ -282,33 +278,20 @@ pub struct WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// An empty program under `seed`.
-    fn new(seed: u64) -> WorkloadSpec {
-        WorkloadSpec { seed, classes: Vec::new() }
-    }
-
     /// The textual form (the `--workload` grammar): classes joined by
     /// `;`. Round-trips exactly through [`parse`](WorkloadSpec::parse).
     fn spec(&self) -> String {
-        let parts: Vec<String> = self.classes.iter().map(|c| c.to_string()).collect();
-        parts.join(";")
+        join_clauses(&self.classes)
     }
 
     /// Parses the `--workload` grammar (see the module docs). The seed
     /// travels separately (like `--chaos-seed` for fault programs).
     pub fn parse(seed: u64, spec: &str) -> Result<WorkloadSpec, String> {
-        let mut out = WorkloadSpec::new(seed);
-        for raw in spec.split(';') {
-            let raw = raw.trim();
-            if raw.is_empty() {
-                continue;
-            }
-            out.classes.push(parse_class(raw)?);
-        }
-        if out.classes.len() > MAX_CLASSES {
+        let classes = parse_clauses(spec, parse_class)?;
+        if classes.len() > MAX_CLASSES {
             return Err(format!("at most {MAX_CLASSES} classes per workload"));
         }
-        Ok(out)
+        Ok(WorkloadSpec { seed, classes })
     }
 
     /// Compiles the spec into a stateful generator over a topology
@@ -409,18 +392,7 @@ fn parse_arrival(s: &str) -> Result<Arrival, String> {
 }
 
 fn parse_class(raw: &str) -> Result<ClassSpec, String> {
-    // Split off the window suffix `[from..until]`. The head always
-    // ends with `)`, so the first `[` (if any) starts the window.
-    let (head, window) = match raw.find('[') {
-        Some(i) => {
-            let w = raw[i..]
-                .strip_prefix('[')
-                .and_then(|w| w.strip_suffix(']'))
-                .ok_or_else(|| format!("unterminated window in `{raw}`"))?;
-            (&raw[..i], Some(w))
-        }
-        None => (raw, None),
-    };
+    let (head, from, until) = split_window(raw)?;
     let (kind, args) = parse_call(head)?;
     let (shape, rest) = match kind {
         "open" => {
@@ -442,7 +414,7 @@ fn parse_class(raw: &str) -> Result<ClassSpec, String> {
         }
         other => return Err(format!("unknown class kind `{other}`")),
     };
-    let mut class = ClassSpec::new(
+    let class = ClassSpec::new(
         shape,
         parse_size(rest[0])?,
         parse_matrix(rest[1])?,
@@ -453,19 +425,7 @@ fn parse_class(raw: &str) -> Result<ClassSpec, String> {
             other => return Err(format!("unknown transport `{other}`")),
         },
     );
-    if let Some(w) = window {
-        let (from, until) = w.split_once("..").ok_or_else(|| format!("bad window `[{w}]`"))?;
-        class.from = Time::from_nanos(parse_dur(from)?.nanos());
-        class.until = if until.trim().is_empty() {
-            Time::MAX
-        } else {
-            Time::from_nanos(parse_dur(until)?.nanos())
-        };
-        if class.until <= class.from {
-            return Err(format!("empty window `[{w}]`"));
-        }
-    }
-    Ok(class)
+    Ok(ClassSpec { from, until, ..class })
 }
 
 // ---------------------------------------------------------------
@@ -763,13 +723,14 @@ fn draw_flow(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::tests::mutate;
     use proptest::prelude::*;
 
     /// A random small workload. Regenerates bit-for-bit from `seed`;
     /// every spec it produces is valid.
     fn random_spec(seed: u64) -> WorkloadSpec {
         let mut rng = Rng::seed_from(seed ^ 0x57_4C_4F_41_44);
-        let mut spec = WorkloadSpec::new(seed);
+        let mut spec = WorkloadSpec { seed, classes: Vec::new() };
         let n = 1 + rng.range(0..=2);
         for _ in 0..n {
             let arrival = match rng.range(0..=2) {
@@ -846,6 +807,28 @@ mod tests {
             let back = WorkloadSpec::parse(seed, &spec.spec())
                 .unwrap_or_else(|e| panic!("`{}`: {e}", spec.spec()));
             prop_assert_eq!(back, spec);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        /// A valid spec edited with tokens of the grammar's alphabet
+        /// never panics the parser, and whatever parses prints back to
+        /// an equal spec.
+        #[test]
+        fn parse_never_panics(
+            seed in any::<u64>(),
+            bytes in prop::collection::vec(any::<u8>(), 0..40),
+        ) {
+            let text = mutate(&random_spec(seed).spec(), &bytes, &[
+                "open", "closed", "poisson", "det", "bursty", "fixed", "uniform", "pareto",
+                "hotspot", "incast", "neighbor", "ring", "cab", "datagram", "stream", "rpc",
+            ]);
+            if let Ok(spec) = WorkloadSpec::parse(3, &text) {
+                let back = WorkloadSpec::parse(3, &spec.spec())
+                    .unwrap_or_else(|e| panic!("`{text}` printed as `{}`: {e}", spec.spec()));
+                prop_assert_eq!(back, spec);
+            }
         }
     }
 

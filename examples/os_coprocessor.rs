@@ -14,12 +14,12 @@ fn main() {
     println!("distributed shared memory ({} clients, 4 KiB pages):", dsm_cfg.clients);
     println!(
         "  read faults : {} served, mean {:.0} us",
-        dsm.read_fault.len(),
+        dsm.read_fault.count(),
         dsm.read_fault.mean() / 1e3
     );
     println!(
         "  write faults: {} served, mean {:.0} us ({} multicast invalidations)",
-        dsm.write_fault.len(),
+        dsm.write_fault.count(),
         dsm.write_fault.mean() / 1e3,
         dsm.invalidations
     );
@@ -32,7 +32,7 @@ fn main() {
     println!(
         "  commit latency mean {:.0} us (max {:.0} us), {:.0} committed txn/s",
         txn.commit_latency.mean() / 1e3,
-        txn.commit_latency.max() / 1e3,
+        txn.commit_latency.max() as f64 / 1e3,
         txn.commit_rate()
     );
     println!(

@@ -37,7 +37,7 @@ fn main() {
     println!(
         "the point of the backplane: bulk tiles saturate the Warp fiber while queries stay \
          interactive ({} samples, max {:.1} us)",
-        report.query_rtt.len(),
-        report.query_rtt.max() / 1e3
+        report.query_rtt.count(),
+        report.query_rtt.max() as f64 / 1e3
     );
 }
