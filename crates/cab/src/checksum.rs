@@ -8,9 +8,30 @@
 //!
 //! The algorithm is Fletcher-16, a classic choice for 1980s protocol
 //! hardware: position-sensitive (catches reordered bytes, which a plain
-//! sum misses) and computable in one pass.
+//! sum misses) and computable in one pass. The unit reads a message
+//! where it sits in data memory; here a packet's header and its shared
+//! payload are separate buffers, and [`fletcher16_parts`] sums them in
+//! place, every byte, to the value of their concatenation.
 
-/// Computes the Fletcher-16 checksum of `data`.
+/// Computes the Fletcher-16 checksum of `data`: [`fletcher16_parts`]
+/// of the one part.
+///
+/// # Examples
+///
+/// ```
+/// use nectar_cab::checksum::fletcher16;
+/// assert_eq!(fletcher16(b"abcde"), 0xC8F0);
+/// assert_ne!(fletcher16(b"abcde"), fletcher16(b"abdce")); // order matters
+/// ```
+pub fn fletcher16(data: &[u8]) -> u16 {
+    fletcher16_parts(&[data])
+}
+
+/// Computes the Fletcher-16 checksum of `parts` read back to back —
+/// the same value as over their concatenation. A packet is summed as
+/// it sits in CAB memory, header and payload in their own buffers, so
+/// no byte is gathered into a wire buffer first. The sums are carried
+/// across part boundaries; nothing is skipped.
 ///
 /// The inner loop is word-at-a-time (SWAR): each 8-byte little-endian
 /// word is folded into the two running sums with three multiplies
@@ -27,19 +48,18 @@
 /// bytes into four 16-bit lanes, multiply by an all-ones constant for
 /// the plain sum and by the taper `[7,5,3,1]` (plus the even bytes
 /// once more) for the weighted sum, and read the answer off the top
-/// lane. The `% 255` reductions are deferred to once per 4 MiB block —
-/// the `u64` accumulators cannot overflow within one (s2 stays below
-/// 2^52) — and Fletcher's sums are mod-255 homomorphic, so deferral
-/// does not change the result.
+/// lane. The `% 255` reductions are deferred to once per 4 MiB block
+/// of each part — the `u64` accumulators cannot overflow within one
+/// (s2 stays below 2^52) — and Fletcher's sums are mod-255
+/// homomorphic, so deferral does not change the result.
 ///
 /// # Examples
 ///
 /// ```
-/// use nectar_cab::checksum::fletcher16;
-/// assert_eq!(fletcher16(b"abcde"), 0xC8F0);
-/// assert_ne!(fletcher16(b"abcde"), fletcher16(b"abdce")); // order matters
+/// use nectar_cab::checksum::{fletcher16, fletcher16_parts};
+/// assert_eq!(fletcher16_parts(&[b"ab", b"", b"cde"]), fletcher16(b"abcde"));
 /// ```
-pub fn fletcher16(data: &[u8]) -> u16 {
+pub fn fletcher16_parts(parts: &[&[u8]]) -> u16 {
     /// Selects the even byte of each 16-bit lane.
     const M8: u64 = 0x00FF_00FF_00FF_00FF;
     /// Lane-wise sum: the top lane of `x * ONES` is `x`'s lane total.
@@ -52,7 +72,7 @@ pub fn fletcher16(data: &[u8]) -> u16 {
     const BLOCK: usize = 1 << 22;
     let mut s1: u64 = 0;
     let mut s2: u64 = 0;
-    for block in data.chunks(BLOCK) {
+    for block in parts.iter().flat_map(|part| part.chunks(BLOCK)) {
         let mut words = block.chunks_exact(8);
         for w in words.by_ref() {
             let w = u64::from_le_bytes(w.try_into().expect("chunks_exact yields 8 bytes"));
@@ -133,6 +153,16 @@ mod tests {
             s2 %= 255;
         }
         ((s2 as u16) << 8) | s1 as u16
+    }
+
+    #[test]
+    fn parts_sum_as_their_concatenation() {
+        let data: Vec<u8> = (0..3000u32).map(|i| (i * 37 % 251) as u8).collect();
+        for cut in [0usize, 1, 7, 8, 9, 32, 1500, 2999, 3000] {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(fletcher16_parts(&[a, b]), fletcher16(&data), "cut at {cut}");
+        }
+        assert_eq!(fletcher16_parts(&[]), 0);
     }
 
     #[test]

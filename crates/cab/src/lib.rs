@@ -7,7 +7,8 @@
 //! * [`timings`] — every per-operation cost constant ([`CabTimings`](timings::CabTimings)).
 //! * [`dma`] — the four-channel DMA controller with shared 66 MB/s
 //!   data-memory bandwidth and 10 MB/s VME pacing.
-//! * [`checksum`] — the hardware Fletcher-16 unit (zero time cost).
+//! * [`checksum`] — the hardware Fletcher-16 unit (zero time cost),
+//!   summing a packet's header and payload where each sits.
 //! * [`fiber`] — the 1 KB fiber input/output queues and the upcall
 //!   drain deadline of §6.2.1.
 //! * [`board`] — [`CabId`](board::CabId).
@@ -19,9 +20,10 @@
 //!   no workload here runs code that could fault, so it cannot change
 //!   a result.
 //! * **The 1 MB data-RAM allocator.** No workload exhausts the data
-//!   RAM, so an allocator would decide nothing; a packet's wire buffer
-//!   is a plain allocation freed when its last holder drops it, and
-//!   every mailbox has one fixed capacity.
+//!   RAM, so an allocator would decide nothing. A message has one copy,
+//!   as in the CAB's data memory (§5.1): a packet holds its header and
+//!   a shared slice of the payload, freed when the last holder drops
+//!   it, and every mailbox has one fixed capacity.
 //!
 //! Hardware timers are not a unit of their own either: a time-out is
 //! an engine event that `nectar-core` keys per CAB, and its expiry
@@ -60,7 +62,7 @@ pub mod timings;
 /// The most frequently used names, for glob import.
 pub mod prelude {
     pub use crate::board::CabId;
-    pub use crate::checksum::fletcher16;
+    pub use crate::checksum::{fletcher16, fletcher16_parts};
     pub use crate::dma::{Channel, DmaController, Transfer};
     pub use crate::fiber::FiberPort;
     pub use crate::timings::CabTimings;

@@ -23,12 +23,13 @@ use nectar_hub::item::{Item, Packet};
 use nectar_hub::train::{Tie, Train};
 use nectar_kernel::mailbox::Mailbox;
 use nectar_kernel::thread::{Scheduler, ThreadId};
-use nectar_proto::header::{Header, MAX_FRAGMENT_PAYLOAD};
+use nectar_proto::header::{Header, HEADER_BYTES, MAX_FRAGMENT_PAYLOAD};
 use nectar_proto::transport::bytestream::{ByteStream, ByteStreamConfig};
 use nectar_proto::transport::datagram::Datagram;
 use nectar_proto::transport::reqresp::{ReqRespClient, ReqRespConfig, ReqRespServer};
 use nectar_proto::transport::{Action, TimerToken, TransportError};
 use nectar_sim::analysis::streaming::{StreamConfig, StreamingDoctor};
+use nectar_sim::bytes::Bytes;
 use nectar_sim::chaos::{ChaosInjector, ChaosSchedule, ChaosStats, Clause, Fault};
 use nectar_sim::engine::{Engine, EventId};
 use nectar_sim::metrics::{Histogram, MetricsRegistry};
@@ -240,6 +241,11 @@ pub(crate) enum Ev {
     },
 }
 
+// Every queued event is an `Ev` in the engine's slab, and `spike` keeps
+// up to 7,519 of them pending; a packet rides in one as an id and a
+// pointer, never inline.
+const _: () = assert!(size_of::<Ev>() <= 56);
+
 /// Names of the per-kind event counters, in [`Ev::kind`] order. A HUB
 /// item arrival is split by what arrived and a HUB-internal event by
 /// its transition, because those are the units events per message
@@ -387,9 +393,10 @@ pub struct CabCounters {
 }
 
 /// What [`World::pool_stats`] returns: always zero. The world keeps no
-/// pool of wire buffers — a buffer is freed when the last holder of its
-/// packet drops it. The type is kept only because the standing
-/// benchmark's harness (`benchmark/src/sut.rs`) reads these two fields.
+/// pool of wire buffers — a packet is its header plus a shared payload,
+/// freed when the last holder drops it. The type is kept only because
+/// the standing benchmark's harness (`benchmark/src/sut.rs`) reads
+/// these two fields.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Always zero.
@@ -539,9 +546,11 @@ struct WorkloadCounters {
 struct WorkloadState {
     generator: WorkloadGen,
     counters: Vec<WorkloadCounters>,
-    /// Reusable payload buffer: flows carry zeroed payloads, so one
-    /// grow-only scratch removes the per-flow allocation.
-    scratch: Vec<u8>,
+    /// Zeros as many as the largest flow the program can draw (at most
+    /// `MAX_FLOW_BYTES`), made once: every flow's payload, and every
+    /// reply's, is a slice of it, so no flow allocates or copies a
+    /// payload and the bytes in flight all live in one buffer.
+    zeros: Bytes,
 }
 
 /// The assembled, runnable Nectar system.
@@ -1256,10 +1265,17 @@ impl World {
                 ));
             }
         }
+        // Sized to the program rather than to `MAX_FLOW_BYTES`: a
+        // buffer no larger than the flows keeps set-up from faulting
+        // in pages no flow reads.
+        let largest = (0..generator.class_count())
+            .map(|c| generator.class(c).size.largest())
+            .max()
+            .unwrap_or(0);
         self.workload = Some(Box::new(WorkloadState {
             generator,
             counters: vec![WorkloadCounters::default(); cab_count],
-            scratch: Vec::new(),
+            zeros: Bytes::zeroed(largest as usize),
         }));
         let wl = self.workload.as_ref().expect("just attached");
         let class_specs: Vec<nectar_sim::workload::ClassSpec> =
@@ -1303,8 +1319,9 @@ impl World {
     }
 
     /// Emits one workload flow from `cab` at `now`: a zeroed payload
-    /// of the drawn size over the class's transport, addressed to the
-    /// class's data mailbox (reply mailbox for RPC responses).
+    /// of the drawn size — a slice of the shared zero buffer — over the
+    /// class's transport, addressed to the class's data mailbox (reply
+    /// mailbox for RPC responses).
     fn workload_send(&mut self, now: Time, cab: usize, class: usize, dst: usize, bytes: u32) {
         let wl = self.workload.as_mut().expect("workload event without a workload");
         let transport = wl.generator.class(class).transport;
@@ -1319,21 +1336,18 @@ impl World {
                 (bytes as usize).min(MAX_FRAGMENT_PAYLOAD)
             }
         };
-        let mut data = std::mem::take(&mut wl.scratch);
-        data.clear();
-        data.resize(len, 0);
+        let data = wl.zeros.slice(0..len);
         match transport {
             FlowTransport::Datagram => {
-                self.do_datagram_send(now, cab, dst, data_mb, data_mb, &data);
+                self.do_datagram_send(now, cab, dst, data_mb, data_mb, data);
             }
             FlowTransport::Stream => {
-                self.do_stream_send(now, cab, dst, data_mb, data_mb, &data);
+                self.do_stream_send(now, cab, dst, data_mb, data_mb, data);
             }
             FlowTransport::Rpc => {
-                self.do_rpc_send(now, cab, dst, reply_mb, data_mb, &data);
+                self.do_rpc_send(now, cab, dst, reply_mb, data_mb, data);
             }
         }
-        self.workload.as_mut().expect("still attached").scratch = data;
     }
 
     /// An open-loop arrival: emit the flow, schedule the next tick.
@@ -1374,11 +1388,8 @@ impl World {
         let bytes =
             (wl.generator.reply_bytes(class, cab as u16) as usize).min(MAX_FRAGMENT_PAYLOAD);
         wl.counters[cab].replies += 1;
-        let mut data = std::mem::take(&mut wl.scratch);
-        data.clear();
-        data.resize(bytes, 0);
-        self.rpc_respond_now(cab, client, tx, &data);
-        self.workload.as_mut().expect("still attached").scratch = data;
+        let data = wl.zeros.slice(0..bytes);
+        self.rpc_respond(cab, client, tx, data);
     }
 
     /// Delivery hook: a message landing in a workload mailbox is
@@ -1727,7 +1738,7 @@ impl World {
         data: &[u8],
     ) -> u32 {
         let now = self.now();
-        self.do_stream_send(now, src, dst, src_mailbox, dst_mailbox, data)
+        self.do_stream_send(now, src, dst, src_mailbox, dst_mailbox, data.into())
     }
 
     /// Sends an unreliable datagram right now; returns its message id.
@@ -1740,7 +1751,7 @@ impl World {
         data: &[u8],
     ) -> u32 {
         let now = self.now();
-        self.do_datagram_send(now, src, dst, src_mailbox, dst_mailbox, data)
+        self.do_datagram_send(now, src, dst, src_mailbox, dst_mailbox, data.into())
     }
 
     /// Issues a request-response call right now; returns the
@@ -1754,7 +1765,7 @@ impl World {
         data: &[u8],
     ) -> u32 {
         let now = self.now();
-        self.do_rpc_send(now, src, dst, reply_mailbox, service_mailbox, data)
+        self.do_rpc_send(now, src, dst, reply_mailbox, service_mailbox, data.into())
     }
 
     /// Sends a hardware multicast datagram right now.
@@ -1767,12 +1778,16 @@ impl World {
         data: &[u8],
     ) {
         let now = self.now();
-        self.do_multicast_send(now, src, dsts, src_mailbox, dst_mailbox, data);
+        self.do_multicast_send(now, src, dsts, src_mailbox, dst_mailbox, data.into());
     }
 
     /// Answers a pending RPC (the application on `cab` responding to
     /// `client`'s transaction `tx`).
     pub fn rpc_respond_now(&mut self, cab: usize, client: usize, tx: u32, data: &[u8]) -> bool {
+        self.rpc_respond(cab, client, tx, data.into())
+    }
+
+    fn rpc_respond(&mut self, cab: usize, client: usize, tx: u32, data: Bytes) -> bool {
         let now = self.now();
         let mut actions = std::mem::take(&mut self.actions);
         let ok = self.cabs[cab].rpc_server.respond(
@@ -1895,16 +1910,16 @@ impl World {
             }
             Ev::AppSend { cab, send } => match send {
                 AppSend::Stream { dst, src_mailbox, dst_mailbox, data } => {
-                    self.do_stream_send(now, cab, dst, src_mailbox, dst_mailbox, &data);
+                    self.do_stream_send(now, cab, dst, src_mailbox, dst_mailbox, data.into());
                 }
                 AppSend::Datagram { dst, src_mailbox, dst_mailbox, data } => {
-                    self.do_datagram_send(now, cab, dst, src_mailbox, dst_mailbox, &data);
+                    self.do_datagram_send(now, cab, dst, src_mailbox, dst_mailbox, data.into());
                 }
                 AppSend::Rpc { dst, reply_mailbox, service_mailbox, data } => {
-                    self.do_rpc_send(now, cab, dst, reply_mailbox, service_mailbox, &data);
+                    self.do_rpc_send(now, cab, dst, reply_mailbox, service_mailbox, data.into());
                 }
                 AppSend::Multicast { dsts, src_mailbox, dst_mailbox, data } => {
-                    self.do_multicast_send(now, cab, &dsts, src_mailbox, dst_mailbox, &data);
+                    self.do_multicast_send(now, cab, &dsts, src_mailbox, dst_mailbox, data.into());
                 }
             },
             Ev::WorkloadTick { cab, class } => self.workload_tick(now, cab, class),
@@ -1998,7 +2013,7 @@ impl World {
         dst: usize,
         src_mailbox: u16,
         dst_mailbox: u16,
-        data: &[u8],
+        data: Bytes,
     ) -> u32 {
         assert_ne!(src, dst, "a CAB does not message itself over the net");
         let stream_cfg = self.cfg.stream;
@@ -2007,6 +2022,7 @@ impl World {
         // invocation, §6.2.2): it is already running.
         let app = cs.app_thread;
         cs.sched.assume_running(app);
+        let bytes = data.len() as u32;
         let mut actions = std::mem::take(&mut self.actions);
         let msg_id = cs.stream_to(src, dst, stream_cfg).send_message(
             now,
@@ -2018,7 +2034,7 @@ impl World {
         self.telemetry.record(
             now,
             FlightId::NONE,
-            EventKind::AppSend { cab: src as u16, dst: dst as u16, bytes: data.len() as u32 },
+            EventKind::AppSend { cab: src as u16, dst: dst as u16, bytes },
         );
         self.exec_actions(src, now, Some(TimerSource::Stream(dst)), true, FlightId::NONE, actions);
         msg_id
@@ -2031,12 +2047,13 @@ impl World {
         dst: usize,
         src_mailbox: u16,
         dst_mailbox: u16,
-        data: &[u8],
+        data: Bytes,
     ) -> u32 {
         assert_ne!(src, dst, "a CAB does not message itself over the net");
         let cs = &mut self.cabs[src];
         let app = cs.app_thread;
         cs.sched.assume_running(app);
+        let bytes = data.len() as u32;
         let mut actions = std::mem::take(&mut self.actions);
         let msg_id = cs.datagram.send(
             now,
@@ -2049,7 +2066,7 @@ impl World {
         self.telemetry.record(
             now,
             FlightId::NONE,
-            EventKind::AppSend { cab: src as u16, dst: dst as u16, bytes: data.len() as u32 },
+            EventKind::AppSend { cab: src as u16, dst: dst as u16, bytes },
         );
         self.exec_actions(src, now, None, true, FlightId::NONE, actions);
         msg_id
@@ -2062,12 +2079,13 @@ impl World {
         dst: usize,
         reply_mailbox: u16,
         service_mailbox: u16,
-        data: &[u8],
+        data: Bytes,
     ) -> u32 {
         assert_ne!(src, dst, "a CAB does not call itself over the net");
         let cs = &mut self.cabs[src];
         let app = cs.app_thread;
         cs.sched.assume_running(app);
+        let bytes = data.len() as u32;
         let mut actions = std::mem::take(&mut self.actions);
         let tx = cs.rpc_client.call(
             now,
@@ -2080,7 +2098,7 @@ impl World {
         self.telemetry.record(
             now,
             FlightId::NONE,
-            EventKind::AppSend { cab: src as u16, dst: dst as u16, bytes: data.len() as u32 },
+            EventKind::AppSend { cab: src as u16, dst: dst as u16, bytes },
         );
         self.exec_actions(src, now, Some(TimerSource::Rpc), true, FlightId::NONE, actions);
         tx
@@ -2093,7 +2111,7 @@ impl World {
         dsts: &[usize],
         src_mailbox: u16,
         dst_mailbox: u16,
-        data: &[u8],
+        data: Bytes,
     ) {
         let mc =
             self.topo.multicast_route(src, dsts).expect("multicast destinations must be reachable");
@@ -2110,18 +2128,19 @@ impl World {
                 CabId::new(dsts[0] as u16),
             )
         };
-        let wire = header.encode_with(data);
+        let head = header.encode(&data);
         let t = self.cfg.cab.send_path();
         let app = self.cabs[src].app_thread;
         self.cabs[src].sched.assume_running(app);
         self.cabs[src].counters.checksum_ops += 1;
         let (_, done) = self.cabs[src].sched.run(now, app, t);
+        let bytes = data.len() as u32;
         self.telemetry.record(
             now,
             FlightId::NONE,
-            EventKind::AppSend { cab: src as u16, dst: dsts[0] as u16, bytes: data.len() as u32 },
+            EventKind::AppSend { cab: src as u16, dst: dsts[0] as u16, bytes },
         );
-        let packet = self.next_packet(src, wire);
+        let packet = self.next_packet(src, head, data);
         if self.observability {
             self.note_flight_birth(packet.id(), done, true);
             self.telemetry.record(
@@ -2131,7 +2150,7 @@ impl World {
                     cab: src as u16,
                     peer: dsts[0] as u16,
                     seq: header.msg_id,
-                    bytes: data.len() as u32,
+                    bytes,
                     retransmit: false,
                 },
             );
@@ -2141,10 +2160,12 @@ impl World {
         self.enqueue_burst(src, Burst::Items(items), done);
     }
 
-    fn next_packet(&mut self, cab: usize, wire: Vec<u8>) -> Packet {
+    /// The packet `cab` puts on the fiber next: its encoded header and
+    /// the payload it shares with the transport.
+    fn next_packet(&mut self, cab: usize, head: [u8; HEADER_BYTES], payload: Bytes) -> Packet {
         let id = self.cabs[cab].next_packet_id;
         self.cabs[cab].next_packet_id += 1;
-        Packet::new(id, wire)
+        Packet::framed(id, head, payload)
     }
 
     // ---------------------------------------------------------------
@@ -2181,10 +2202,10 @@ impl World {
                         cs.sched.run_interrupt(now, cost_int).1
                     };
                     cs.counters.checksum_ops += 1;
-                    let wire = header.encode_with(&payload);
-                    let dst = header.dst_cab.index();
-                    let payload_len = payload.len() as u32;
-                    self.cab_send_packet(cab, dst, wire, done, header.seq, payload_len, retransmit);
+                    let head = header.encode(&payload);
+                    let (dst, seq, bytes) = (header.dst_cab.index(), header.seq, payload.len());
+                    let packet = self.next_packet(cab, head, payload);
+                    self.cab_send_packet(cab, dst, packet, done, seq, bytes as u32, retransmit);
                 }
                 Action::Deliver { mailbox, msg } => {
                     let op = self.cfg.cab.mailbox_op;
@@ -2241,13 +2262,12 @@ impl World {
         &mut self,
         cab: usize,
         dst: usize,
-        wire: Vec<u8>,
+        packet: Packet,
         ready: Time,
         seq: u32,
         payload_bytes: u32,
         retransmit: bool,
     ) {
-        let packet = self.next_packet(cab, wire);
         // The flight id is born here, where the CAB hands the packet to
         // its datalink; the recorder traces it through every HUB hop to
         // the receiving application.
@@ -2513,7 +2533,7 @@ impl World {
                     return;
                 }
                 if verdict.duplicate {
-                    // The copy shares the original buffer (scheduled
+                    // The copy shares the original packet (scheduled
                     // before corruption replaces it) and re-enters via
                     // the replay path so it cannot be faulted again.
                     let key = self.next_key(cab);
@@ -2526,10 +2546,7 @@ impl World {
                 let p = match verdict.corrupt {
                     Some((idx, bit)) if !p.is_empty() => {
                         self.faults_injected += 1;
-                        let mut bytes = p.data().to_vec();
-                        let idx = idx.min(bytes.len() - 1);
-                        bytes[idx] ^= 1 << (bit & 7);
-                        Packet::new(p.id(), bytes)
+                        corrupt(&p, idx.min(p.len() - 1), bit & 7)
                     }
                     _ => p,
                 };
@@ -2616,8 +2633,9 @@ impl World {
         use nectar_proto::header::PacketKind;
         let flight = FlightId(packet.id());
         self.cabs[cab].counters.checksum_ops += 1;
-        let decoded = Header::decode(packet.data());
-        let Ok((header, body)) = decoded else {
+        let head = packet.head().try_into().expect("a CAB sends header-framed packets");
+        let body = packet.payload();
+        let Ok(header) = Header::decode_parts(head, body) else {
             self.cabs[cab].counters.corrupted_rx += 1;
             return;
         };
@@ -2665,6 +2683,27 @@ impl World {
             }
         };
         self.exec_actions(cab, now, source, false, flight, actions);
+    }
+}
+
+/// `packet` with bit `bit` of byte `idx` flipped. The damaged part —
+/// header or payload — is copied and the flip made in the copy: a
+/// payload is shared with the sender's retransmission state and with
+/// other flows, and is never written.
+fn corrupt(packet: &Packet, idx: usize, bit: u8) -> Packet {
+    let mut header: [u8; HEADER_BYTES] =
+        packet.head().try_into().expect("a CAB sends header-framed packets");
+    let payload = packet.payload();
+    match idx.checked_sub(HEADER_BYTES) {
+        None => {
+            header[idx] ^= 1 << bit;
+            Packet::framed(packet.id(), header, payload.clone())
+        }
+        Some(at) => {
+            let mut damaged = payload.to_vec();
+            damaged[at] ^= 1 << bit;
+            Packet::framed(packet.id(), header, damaged.into())
+        }
     }
 }
 
@@ -2828,6 +2867,43 @@ mod tests {
         assert_eq!(w.run_to_quiescence(deadline).1, QuiescenceOutcome::DeadlineReached);
         assert_eq!(w.now(), deadline);
         assert_eq!(w.hubs[0].counters().opens_retried, 0);
+    }
+
+    /// A datagram moves by reference from the application to the
+    /// receiving mailbox: the message taken out is the buffer the
+    /// sender handed in (§6.2.1's pass-by-reference, end to end).
+    #[test]
+    fn a_datagram_reaches_the_mailbox_without_a_copy() {
+        let mut w = World::new(Topology::single_hub(2, 16), SystemConfig::default());
+        let data: Arc<[u8]> = vec![9u8; 960].into();
+        let send = AppSend::Datagram { dst: 1, src_mailbox: 1, dst_mailbox: 7, data: data.clone() };
+        w.schedule_send(Time::ZERO, 0, send);
+        w.run_to_quiescence(Time::from_millis(1));
+        let msg = w.mailbox_take(1, 7).expect("the datagram is delivered");
+        assert_eq!(msg.data().as_ptr(), data.as_ptr(), "the payload was copied on its way");
+    }
+
+    /// Chaos corruption damages a copy. Under `corrupt(...)` a
+    /// datagram workload on the mesh loses exactly the packets the
+    /// injector corrupted — every flip, in a header or in a payload, is
+    /// caught at receive — delivers every other flow, and leaves the
+    /// zero buffer all its payloads are slices of all zero.
+    #[test]
+    fn corruption_never_writes_the_shared_zero_buffer() {
+        let mut w = World::new(Topology::mesh2d(2, 2, 4, 16), SystemConfig::default());
+        w.set_chaos(ChaosSchedule::parse(7, "corrupt(0.2)").expect("parses"));
+        let spec = "open(poisson(20us),uniform(32,990),uniform,datagram)[0ns..2ms]";
+        w.set_workload(&WorkloadSpec::parse(1, spec).expect("parses")).expect("compiles");
+        w.run_to_quiescence(Time::from_millis(50));
+
+        let corruptions = w.chaos_stats().expect("chaos attached").corruptions;
+        let corrupted_rx: u64 = (0..w.cabs.len()).map(|c| w.cab_counters(c).corrupted_rx).sum();
+        let wl = w.workload.as_ref().expect("workload attached");
+        let flows: u64 = wl.counters.iter().map(|c| c.flows).sum();
+        assert!(corruptions > 100, "the run corrupts enough packets to hit both parts");
+        assert_eq!(corrupted_rx, corruptions, "every corruption is caught by the checksum");
+        assert_eq!(w.deliveries.len() as u64, flows - corruptions, "every other flow delivers");
+        assert!(wl.zeros.iter().all(|&b| b == 0), "the shared zero buffer was written");
     }
 
     /// Every queued event is an `Ev` in the engine's slab, and `spike`

@@ -11,15 +11,18 @@
 
 use crate::command::{Command, Reply, COMMAND_WIRE_BYTES, REPLY_WIRE_BYTES};
 use core::fmt;
+use nectar_sim::bytes::Bytes;
 use std::sync::Arc;
 
-/// A framed data packet: `start of packet`, payload bytes, `end of
-/// packet`.
+/// A framed data packet: `start of packet`, header and payload bytes,
+/// `end of packet`.
 ///
-/// The payload is shared, not copied, when a packet fans out through a
-/// multicast connection, and stays shared all the way to the receiving
-/// CAB: a clone is a refcount bump, and the buffer is freed when its
-/// last holder drops it.
+/// A packet is an id plus one shared frame holding up to
+/// [`HEAD_BYTES`] header bytes and a [`Bytes`] slice of the payload,
+/// so putting one on the fiber costs one allocation and copies no
+/// payload byte. A clone — a multicast fan-out, a chaos duplicate — is
+/// a refcount bump, and the payload stays shared all the way into the
+/// receiving CAB's mailbox. The HUB reads only lengths.
 ///
 /// # Examples
 ///
@@ -32,42 +35,77 @@ use std::sync::Arc;
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Packet {
     id: u64,
-    data: Arc<Vec<u8>>,
+    frame: Arc<Frame>,
 }
+
+// A packet rides inside every wire item and engine event; it stays an
+// id and one pointer.
+const _: () = assert!(size_of::<Packet>() == 16);
+
+/// What a packet carries: its header bytes inline, its payload shared.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct Frame {
+    /// Header bytes; `head[head_len..]` is zero.
+    head: [u8; HEAD_BYTES],
+    head_len: u8,
+    payload: Bytes,
+}
+
+/// Header bytes a packet carries ahead of its payload: the transport
+/// header.
+pub const HEAD_BYTES: usize = 32;
 
 /// Framing overhead of a packet on the wire: `start of packet` and
 /// `end of packet` symbols.
 pub const PACKET_FRAMING_BYTES: usize = 2;
 
 impl Packet {
-    /// Creates a packet carrying `data`. The `id` tags the packet for
-    /// tracing and end-to-end accounting; it does not travel on the
-    /// wire.
+    /// Creates a packet whose bytes are all `data`, with no separate
+    /// header. The `id` tags the packet for tracing and end-to-end
+    /// accounting; it does not travel on the wire.
     pub fn new(id: u64, data: impl Into<Vec<u8>>) -> Packet {
-        Packet { id, data: Arc::new(data.into()) }
+        let frame = Frame { head: [0; HEAD_BYTES], head_len: 0, payload: data.into().into() };
+        Packet { id, frame: Arc::new(frame) }
+    }
+
+    /// Creates a packet of a header followed by a shared payload.
+    pub fn framed(id: u64, head: [u8; HEAD_BYTES], payload: Bytes) -> Packet {
+        let frame = Frame { head, head_len: HEAD_BYTES as u8, payload };
+        Packet { id, frame: Arc::new(frame) }
     }
 
     /// The tracing id.
+    #[inline]
     pub fn id(&self) -> u64 {
         self.id
     }
 
-    /// Payload bytes.
-    pub fn data(&self) -> &[u8] {
-        &self.data
+    /// The header bytes (empty for a packet made by [`Packet::new`]).
+    #[inline]
+    pub fn head(&self) -> &[u8] {
+        &self.frame.head[..self.frame.head_len as usize]
     }
 
-    /// Payload length in bytes.
+    /// The payload, behind the header.
+    #[inline]
+    pub fn payload(&self) -> &Bytes {
+        &self.frame.payload
+    }
+
+    /// Packet length in bytes: header plus payload.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.frame.head_len as usize + self.frame.payload.len()
     }
 
-    /// `true` for an empty payload (legal: a bare SOP/EOP pair).
+    /// `true` for an empty packet (legal: a bare SOP/EOP pair).
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
     /// Bytes this packet occupies on the wire, including framing.
+    #[inline]
     pub fn wire_bytes(&self) -> usize {
         self.len() + PACKET_FRAMING_BYTES
     }
@@ -160,7 +198,17 @@ mod tests {
     fn packet_payload_is_shared_on_clone() {
         let p = Packet::new(1, vec![9u8; 100]);
         let q = p.clone();
-        assert!(Arc::ptr_eq(&p.data, &q.data), "multicast clones must share payload");
+        assert!(Arc::ptr_eq(&p.frame, &q.frame), "multicast clones must share payload");
+    }
+
+    #[test]
+    fn framed_packet_holds_its_header_and_shares_its_payload() {
+        let payload = Bytes::from(vec![5u8; 100]);
+        let p = Packet::framed(4, [1; HEAD_BYTES], payload.slice(10..60));
+        assert_eq!(p.len(), HEAD_BYTES + 50);
+        assert_eq!(p.head(), &[1; HEAD_BYTES]);
+        assert_eq!(p.payload().as_ptr(), payload[10..].as_ptr());
+        assert!(Packet::new(4, vec![5]).head().is_empty());
     }
 
     #[test]

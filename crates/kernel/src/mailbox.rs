@@ -23,21 +23,23 @@
 //! ```
 
 use core::fmt;
+use nectar_sim::bytes::Bytes;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-/// One message held in a mailbox.
+/// One message held in a mailbox. Its payload is a [`Bytes`] slice:
+/// a datagram or RPC message is the very payload its packet carried,
+/// so landing in a mailbox copies nothing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Message {
     id: u64,
     tag: u32,
-    data: Arc<[u8]>,
+    data: Bytes,
 }
 
 impl Message {
     /// Creates a message. `id` is unique per sender; `tag` is a
     /// protocol-defined matching key (e.g. an RPC transaction id).
-    pub fn new(id: u64, tag: u32, data: impl Into<Arc<[u8]>>) -> Message {
+    pub fn new(id: u64, tag: u32, data: impl Into<Bytes>) -> Message {
         Message { id, tag, data: data.into() }
     }
 

@@ -5,13 +5,22 @@
 //! a Fletcher-16 checksum computed by the CAB's hardware unit over the
 //! header and payload. The encoding is byte-exact so corruption
 //! injection in tests exercises the same code a real receiver runs.
+//!
+//! There is one codec: [`Header::encode`] makes the 32 header bytes
+//! for a payload that stays in its own buffer, and
+//! [`Header::decode_parts`] checks a header against its payload. The
+//! contiguous forms, [`Header::encode_with`] and [`Header::decode`],
+//! are thin wrappers over them.
 
 use core::fmt;
 use nectar_cab::board::CabId;
-use nectar_cab::checksum::fletcher16;
+use nectar_cab::checksum::fletcher16_parts;
 
 /// Size of the fixed transport header on the wire.
 pub const HEADER_BYTES: usize = 32;
+
+// A packet carries the transport header inline, ahead of its payload.
+const _: () = assert!(HEADER_BYTES == nectar_hub::item::HEAD_BYTES);
 
 /// Largest payload a single packet may carry: the HUB input queue is
 /// 1 KB and bounds packet-switched packets, so the default transports
@@ -149,8 +158,38 @@ impl fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 impl Header {
-    /// Encodes the header and payload into one wire buffer, computing
-    /// the hardware checksum over everything.
+    /// Encodes the header for `payload`: its [`HEADER_BYTES`] bytes,
+    /// carrying the hardware checksum over the header and every payload
+    /// byte. The payload stays where it is; a packet holds the two
+    /// side by side.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `payload.len()` disagrees with `self.payload_len`.
+    pub fn encode(&self, payload: &[u8]) -> [u8; HEADER_BYTES] {
+        assert_eq!(payload.len(), self.payload_len as usize, "payload_len must match payload");
+        let mut head = [0u8; HEADER_BYTES];
+        head[0] = self.kind.code();
+        // head[1] is reserved flags; head[30..32] the checksum, zero
+        // while it is computed.
+        head[2..4].copy_from_slice(&self.src_cab.raw().to_be_bytes());
+        head[4..6].copy_from_slice(&self.dst_cab.raw().to_be_bytes());
+        head[6..8].copy_from_slice(&self.src_mailbox.to_be_bytes());
+        head[8..10].copy_from_slice(&self.dst_mailbox.to_be_bytes());
+        head[10..14].copy_from_slice(&self.msg_id.to_be_bytes());
+        head[14..16].copy_from_slice(&self.frag_index.to_be_bytes());
+        head[16..18].copy_from_slice(&self.frag_count.to_be_bytes());
+        head[18..22].copy_from_slice(&self.seq.to_be_bytes());
+        head[22..26].copy_from_slice(&self.ack.to_be_bytes());
+        head[26..28].copy_from_slice(&self.window.to_be_bytes());
+        head[28..30].copy_from_slice(&self.payload_len.to_be_bytes());
+        let sum = fletcher16_parts(&[&head, payload]);
+        head[CHECKSUM_AT..].copy_from_slice(&sum.to_be_bytes());
+        head
+    }
+
+    /// Encodes the header and payload into one contiguous buffer:
+    /// [`encode`](Header::encode)'s header followed by the payload.
     ///
     /// # Panics
     ///
@@ -161,61 +200,38 @@ impl Header {
         buf
     }
 
-    /// Encodes into a caller-supplied buffer (cleared first), so one
-    /// buffer can be reused across packets without reallocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `payload.len()` disagrees with `self.payload_len`.
+    /// [`encode_with`](Header::encode_with) into a caller-supplied
+    /// buffer (cleared first).
     fn encode_into(&self, payload: &[u8], buf: &mut Vec<u8>) {
-        assert_eq!(payload.len(), self.payload_len as usize, "payload_len must match payload");
         buf.clear();
-        buf.reserve(HEADER_BYTES + payload.len());
-        buf.push(self.kind.code());
-        buf.push(0); // reserved flags
-        buf.extend_from_slice(&self.src_cab.raw().to_be_bytes());
-        buf.extend_from_slice(&self.dst_cab.raw().to_be_bytes());
-        buf.extend_from_slice(&self.src_mailbox.to_be_bytes());
-        buf.extend_from_slice(&self.dst_mailbox.to_be_bytes());
-        buf.extend_from_slice(&self.msg_id.to_be_bytes());
-        buf.extend_from_slice(&self.frag_index.to_be_bytes());
-        buf.extend_from_slice(&self.frag_count.to_be_bytes());
-        buf.extend_from_slice(&self.seq.to_be_bytes());
-        buf.extend_from_slice(&self.ack.to_be_bytes());
-        buf.extend_from_slice(&self.window.to_be_bytes());
-        buf.extend_from_slice(&self.payload_len.to_be_bytes());
-        buf.extend_from_slice(&[0, 0]); // checksum placeholder
+        buf.extend_from_slice(&self.encode(payload));
         buf.extend_from_slice(payload);
-        let sum = fletcher16(buf);
-        buf[CHECKSUM_AT..CHECKSUM_AT + 2].copy_from_slice(&sum.to_be_bytes());
     }
 
-    /// Decodes a wire buffer into header and payload, verifying length
-    /// and checksum — the checks a receiving CAB performs in hardware.
+    /// Decodes a header whose payload is carried separately, verifying
+    /// the length and the checksum over the header and every payload
+    /// byte — the checks a receiving CAB performs in hardware.
     ///
     /// # Errors
     ///
-    /// See [`DecodeError`].
-    pub fn decode(bytes: &[u8]) -> Result<(Header, &[u8]), DecodeError> {
-        if bytes.len() < HEADER_BYTES {
-            return Err(DecodeError::Truncated { have: bytes.len() });
-        }
-        let kind =
-            PacketKind::from_code(bytes[0]).ok_or(DecodeError::BadKind { code: bytes[0] })?;
-        let u16at = |i: usize| u16::from_be_bytes([bytes[i], bytes[i + 1]]);
-        let u32at =
-            |i: usize| u32::from_be_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]]);
+    /// See [`DecodeError`]; never [`DecodeError::Truncated`].
+    pub fn decode_parts(head: &[u8; HEADER_BYTES], payload: &[u8]) -> Result<Header, DecodeError> {
+        let kind = PacketKind::from_code(head[0]).ok_or(DecodeError::BadKind { code: head[0] })?;
+        let u16at = |i: usize| u16::from_be_bytes([head[i], head[i + 1]]);
+        let u32at = |i: usize| u32::from_be_bytes([head[i], head[i + 1], head[i + 2], head[i + 3]]);
         let payload_len = u16at(28) as usize;
-        let have = bytes.len() - HEADER_BYTES;
-        if payload_len != have {
-            return Err(DecodeError::LengthMismatch { claimed: payload_len, have });
+        if payload_len != payload.len() {
+            return Err(DecodeError::LengthMismatch { claimed: payload_len, have: payload.len() });
         }
+        // The sender summed the header with its checksum field zero.
         let carried = u16at(CHECKSUM_AT);
-        let computed = checksum_with_field_zeroed(bytes);
+        let mut blank = *head;
+        blank[CHECKSUM_AT..].fill(0);
+        let computed = fletcher16_parts(&[&blank, payload]);
         if carried != computed {
             return Err(DecodeError::Checksum { carried, computed });
         }
-        let header = Header {
+        Ok(Header {
             kind,
             src_cab: CabId::new(u16at(2)),
             dst_cab: CabId::new(u16at(4)),
@@ -228,8 +244,21 @@ impl Header {
             ack: u32at(22),
             window: u16at(26),
             payload_len: payload_len as u16,
+        })
+    }
+
+    /// Decodes a contiguous buffer into header and payload:
+    /// [`decode_parts`](Header::decode_parts) on its first
+    /// [`HEADER_BYTES`] and the rest.
+    ///
+    /// # Errors
+    ///
+    /// See [`DecodeError`].
+    pub fn decode(bytes: &[u8]) -> Result<(Header, &[u8]), DecodeError> {
+        let Some((head, payload)) = bytes.split_first_chunk::<HEADER_BYTES>() else {
+            return Err(DecodeError::Truncated { have: bytes.len() });
         };
-        Ok((header, &bytes[HEADER_BYTES..]))
+        Ok((Header::decode_parts(head, payload)?, payload))
     }
 
     /// A minimal header template; callers fill in the rest.
@@ -254,26 +283,6 @@ impl Header {
 /// Byte offset of the checksum field in the header.
 const CHECKSUM_AT: usize = 30;
 
-/// The Fletcher-16 sum the sender computed: over `bytes` with the two
-/// checksum bytes read as zero. Summed in place over the buffer as
-/// received, then corrected: byte `b` at index `i` of `n` adds `b` to
-/// the first sum and `b * (n - i)` to the second, both mod 255, so the
-/// carried field's contribution is subtracted instead of copying the
-/// packet to blank it.
-fn checksum_with_field_zeroed(bytes: &[u8]) -> u16 {
-    let n = bytes.len() as u64;
-    let sum = fletcher16(bytes);
-    let (mut s1, mut s2) = ((sum & 0xFF) as u64, (sum >> 8) as u64);
-    for (i, &b) in bytes.iter().enumerate().skip(CHECKSUM_AT).take(2) {
-        let b = b as u64;
-        // Both sums are residues below 255; adding a multiple of 255
-        // first keeps the subtraction non-negative.
-        s1 = (s1 + 255 - b % 255) % 255;
-        s2 = (s2 + 255 - b * (n - i as u64) % 255) % 255;
-    }
-    ((s2 as u16) << 8) | s1 as u16
-}
-
 impl fmt::Display for Header {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -297,6 +306,7 @@ impl fmt::Display for Header {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nectar_cab::checksum::fletcher16;
     use proptest::prelude::*;
 
     /// The reference decode: the same checks in the same order, with

@@ -12,9 +12,9 @@ use crate::transport::frag::{fragment, Reassembler, ReassemblyOutcome};
 use crate::transport::{Action, TimerToken};
 use nectar_cab::board::CabId;
 use nectar_kernel::mailbox::Message;
+use nectar_sim::bytes::Bytes;
 use nectar_sim::time::{Dur, Time};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// RFC 1982-style serial comparison: `a < b` in sequence space. Holds
 /// across u32 wraparound as long as the two numbers are within half the
@@ -60,7 +60,7 @@ impl Default for ByteStreamConfig {
 #[derive(Clone, Debug)]
 struct Outgoing {
     header: Header,
-    payload: Arc<[u8]>,
+    payload: Bytes,
 }
 
 /// Sender/receiver counters.
@@ -131,7 +131,7 @@ pub struct ByteStream {
     expected: u32,
     reasm: Reassembler,
     /// The empty payload every acknowledgement shares.
-    ack_payload: Arc<[u8]>,
+    ack_payload: Bytes,
     stats: ByteStreamStats,
 }
 
@@ -154,7 +154,7 @@ impl ByteStream {
             backoff: 0,
             expected: 0,
             reasm: Reassembler::new(),
-            ack_payload: Arc::from([]),
+            ack_payload: Bytes::new(),
             stats: ByteStreamStats::default(),
         }
     }
@@ -173,17 +173,20 @@ impl ByteStream {
     /// peer, fragmenting as needed, and transmits as far as the window
     /// allows. Returns the message id; an [`Action::Complete`] with it
     /// follows once every fragment is acknowledged.
+    ///
+    /// The fragments are slices of `data`: a [`Bytes`] is sent without
+    /// a copy, a `&[u8]` is copied once.
     pub fn send_message(
         &mut self,
         now: Time,
         src_mailbox: u16,
         dst_mailbox: u16,
-        data: &[u8],
+        data: impl Into<Bytes>,
         out: &mut Vec<Action>,
     ) -> u32 {
         let msg_id = self.next_msg_id;
         self.next_msg_id += 1;
-        let frags = fragment(data, self.cfg.max_payload);
+        let frags = fragment(&data.into(), self.cfg.max_payload);
         let count = frags.len() as u16;
         for (i, payload) in frags.into_iter().enumerate() {
             let header = Header {
@@ -273,7 +276,13 @@ impl ByteStream {
     }
 
     /// Handles an arriving byte-stream packet (data or ack).
-    pub fn on_packet(&mut self, now: Time, header: &Header, payload: &[u8], out: &mut Vec<Action>) {
+    pub fn on_packet(
+        &mut self,
+        now: Time,
+        header: &Header,
+        payload: &Bytes,
+        out: &mut Vec<Action>,
+    ) {
         match header.kind {
             PacketKind::Data => self.on_data(header, payload, out),
             PacketKind::Ack => self.on_ack(now, header, out),
@@ -291,7 +300,7 @@ impl ByteStream {
         out.push(Action::Send { header, payload: self.ack_payload.clone(), retransmit: false });
     }
 
-    fn on_data(&mut self, header: &Header, payload: &[u8], out: &mut Vec<Action>) {
+    fn on_data(&mut self, header: &Header, payload: &Bytes, out: &mut Vec<Action>) {
         if header.seq == self.expected {
             self.expected = self.expected.wrapping_add(1);
             self.stats.accepted += 1;
@@ -574,7 +583,7 @@ mod tests {
         let cfg = ByteStreamConfig { window: 2, ..ByteStreamConfig::default() };
         let mut tx = ByteStream::new(CabId::new(0), CabId::new(1), cfg);
         let mut out = Vec::new();
-        tx.send_message(Time::ZERO, 0, 0, &vec![0u8; 5000], &mut out);
+        tx.send_message(Time::ZERO, 0, 0, vec![0u8; 5000], &mut out);
         let sent = sends(&out).len();
         assert_eq!(sent, 2, "window of 2 caps the initial burst");
         assert_eq!(tx.inflight.len(), 2);
@@ -623,7 +632,7 @@ mod tests {
             ..Header::new(PacketKind::Ack, CabId::new(1), CabId::new(0))
         };
         let mut out2 = Vec::new();
-        tx.on_packet(Time::ZERO, &ack, &[], &mut out2);
+        tx.on_packet(Time::ZERO, &ack, &Bytes::new(), &mut out2);
         // ...so the old token must do nothing.
         let mut out3 = Vec::new();
         tx.on_timer(Time::from_millis(1), token, &mut out3);
@@ -684,7 +693,7 @@ mod tests {
         let cfg = ByteStreamConfig { window: 4, ..ByteStreamConfig::default() };
         let mut tx = ByteStream::new(CabId::new(0), CabId::new(1), cfg);
         let mut out = Vec::new();
-        tx.send_message(Time::ZERO, 1, 2, &vec![7u8; 5000], &mut out);
+        tx.send_message(Time::ZERO, 1, 2, vec![7u8; 5000], &mut out);
         assert_eq!(sends(&out).len(), 4);
         // The receiver acks everything in flight and slams the window
         // shut. Before the fix the zero advertisement was ignored and
@@ -695,7 +704,7 @@ mod tests {
             ..Header::new(PacketKind::Ack, CabId::new(1), CabId::new(0))
         };
         let mut out2 = Vec::new();
-        tx.on_packet(Time::ZERO, &closed, &[], &mut out2);
+        tx.on_packet(Time::ZERO, &closed, &Bytes::new(), &mut out2);
         assert!(sends(&out2).is_empty(), "window closed: the backlog must stall");
         assert_eq!(tx.stats().zero_window_stalls, 1);
         assert_eq!(tx.inflight.len(), 0);
@@ -719,7 +728,7 @@ mod tests {
             ..Header::new(PacketKind::Ack, CabId::new(1), CabId::new(0))
         };
         let mut out4 = Vec::new();
-        tx.on_packet(Time::from_millis(5), &still_closed, &[], &mut out4);
+        tx.on_packet(Time::from_millis(5), &still_closed, &Bytes::new(), &mut out4);
         assert!(sends(&out4).is_empty());
         assert!(
             out4.iter().any(|a| matches!(a, Action::SetTimer { .. })),
@@ -733,7 +742,7 @@ mod tests {
             ..Header::new(PacketKind::Ack, CabId::new(1), CabId::new(0))
         };
         let mut out5 = Vec::new();
-        tx.on_packet(Time::from_millis(6), &reopen, &[], &mut out5);
+        tx.on_packet(Time::from_millis(6), &reopen, &Bytes::new(), &mut out5);
         assert_eq!(sends(&out5).len(), 1, "reopen releases the backlog");
         // Final ack completes the message.
         let fin = Header {
@@ -742,7 +751,7 @@ mod tests {
             ..Header::new(PacketKind::Ack, CabId::new(1), CabId::new(0))
         };
         let mut out6 = Vec::new();
-        tx.on_packet(Time::from_millis(7), &fin, &[], &mut out6);
+        tx.on_packet(Time::from_millis(7), &fin, &Bytes::new(), &mut out6);
         assert!(out6.iter().any(|a| matches!(a, Action::Complete { .. })));
         assert!(tx.is_quiescent());
     }
@@ -763,14 +772,14 @@ mod tests {
             payload_len: 2,
             ..Header::new(PacketKind::Data, CabId::new(0), CabId::new(1))
         };
-        rx.on_packet(Time::ZERO, &h0, b"aa", &mut out);
+        rx.on_packet(Time::ZERO, &h0, &Bytes::from(b"aa"), &mut out);
         // The next in-order packet claims a different message id
         // mid-reassembly — corruption that survived the checksum.
         // Before the fix this was debug_assert!(false): a guaranteed
         // abort of debug builds on a reachable path.
         let h1 = Header { msg_id: 9, frag_index: 1, seq: 1, ..h0 };
         let mut out2 = Vec::new();
-        rx.on_packet(Time::ZERO, &h1, b"bb", &mut out2);
+        rx.on_packet(Time::ZERO, &h1, &Bytes::from(b"bb"), &mut out2);
         assert_eq!(rx.stats().reassembly_mismatches, 1);
         assert_eq!(rx.stats().delivered, 0, "the mangled message is not delivered");
         assert!(
@@ -798,7 +807,7 @@ mod tests {
         let mut timers: Vec<(Time, usize, TimerToken)> = Vec::new();
         let mut pending: Vec<(usize, Action)> = Vec::new();
         let mut out = Vec::new();
-        a.send_message(now, 1, 2, &[7u8; 300], &mut out);
+        a.send_message(now, 1, 2, [7u8; 300], &mut out);
         pending.extend(out.into_iter().map(|x| (0usize, x)));
         let mut delivered = 0usize;
         let mut guard = 0;

@@ -10,8 +10,8 @@ use crate::header::{Header, PacketKind, MAX_FRAGMENT_PAYLOAD};
 use crate::transport::{Action, TransportError};
 use nectar_cab::board::CabId;
 use nectar_kernel::mailbox::Message;
+use nectar_sim::bytes::Bytes;
 use nectar_sim::time::Time;
-use std::sync::Arc;
 
 /// The stateless datagram endpoint of one CAB.
 ///
@@ -48,16 +48,19 @@ impl Datagram {
 
     /// Sends `data` to `dst_mailbox` on `dst`; returns the message id.
     /// Appends a [`Action::Send`], or [`Action::Error`] if the payload
-    /// cannot fit one packet (datagrams do not fragment).
+    /// cannot fit one packet (datagrams do not fragment). The packet's
+    /// payload is `data` itself: a [`Bytes`] is sent without a copy, a
+    /// `&[u8]` is copied once.
     pub fn send(
         &mut self,
         _now: Time,
         dst: CabId,
         src_mailbox: u16,
         dst_mailbox: u16,
-        data: &[u8],
+        data: impl Into<Bytes>,
         out: &mut Vec<Action>,
     ) -> u32 {
+        let data = data.into();
         let msg_id = self.next_msg_id;
         self.next_msg_id += 1;
         if data.len() > Self::MAX_PAYLOAD {
@@ -76,24 +79,25 @@ impl Datagram {
             ..Header::new(PacketKind::Datagram, self.local, dst)
         };
         self.sent += 1;
-        out.push(Action::Send { header, payload: Arc::from(data), retransmit: false });
+        out.push(Action::Send { header, payload: data, retransmit: false });
         msg_id
     }
 
     /// Handles an arriving datagram packet: deliver to the destination
-    /// mailbox, no acknowledgement.
+    /// mailbox, no acknowledgement. The message is the packet's
+    /// payload, shared.
     pub fn on_packet(
         &mut self,
         _now: Time,
         header: &Header,
-        payload: &[u8],
+        payload: &Bytes,
         out: &mut Vec<Action>,
     ) {
         debug_assert_eq!(header.kind, PacketKind::Datagram);
         self.received += 1;
         out.push(Action::Deliver {
             mailbox: header.dst_mailbox,
-            msg: Message::new(header.msg_id as u64, header.src_mailbox as u32, payload),
+            msg: Message::new(header.msg_id as u64, header.src_mailbox as u32, payload.clone()),
         });
     }
 
@@ -147,7 +151,7 @@ mod tests {
     fn oversize_is_an_error_not_a_panic() {
         let mut dg = Datagram::new(CabId::new(0));
         let mut out = Vec::new();
-        dg.send(Time::ZERO, CabId::new(1), 0, 0, &vec![0u8; 5000], &mut out);
+        dg.send(Time::ZERO, CabId::new(1), 0, 0, vec![0u8; 5000], &mut out);
         assert!(matches!(out[0], Action::Error(TransportError::TooLarge { .. })));
         assert_eq!(dg.stats(), (0, 0, 1));
     }

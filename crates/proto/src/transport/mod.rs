@@ -16,6 +16,13 @@
 //! handing packets to the datalink, delivering messages to mailboxes,
 //! and arming timers. The CAB model in `nectar-core` charges the CPU
 //! costs and owns the event queue.
+//!
+//! Payloads travel by reference as [`Bytes`]: a send entry point takes
+//! anything that converts into shared bytes (a `&[u8]` is copied once,
+//! a `Bytes` is not copied at all), every packet's payload is a slice
+//! of the message, and an arriving packet's payload becomes the
+//! delivered message without a copy wherever one packet carries the
+//! whole message.
 
 pub mod bytestream;
 pub mod datagram;
@@ -25,8 +32,8 @@ pub mod reqresp;
 use crate::header::Header;
 use core::fmt;
 use nectar_kernel::mailbox::Message;
+use nectar_sim::bytes::Bytes;
 use nectar_sim::time::Dur;
-use std::sync::Arc;
 
 /// Opaque handle tying a [`Action::SetTimer`] to a later
 /// `on_timer` call. Protocols mint fresh tokens to invalidate stale
@@ -71,8 +78,9 @@ pub enum Action {
     Send {
         /// The packet's header (carries addressing).
         header: Header,
-        /// The packet's payload.
-        payload: Arc<[u8]>,
+        /// The packet's payload: a slice of the message, shared with
+        /// the retransmission state and, on the wire, with the packet.
+        payload: Bytes,
         /// `true` when this packet repeats an earlier transmission
         /// (go-back-N resend, request-response retry) — kept out of the
         /// header because the wire does not distinguish them, but the
@@ -110,7 +118,7 @@ pub enum Action {
 }
 
 /// Convenience: the send actions in an action list.
-pub fn sends(actions: &[Action]) -> Vec<(&Header, &Arc<[u8]>)> {
+pub fn sends(actions: &[Action]) -> Vec<(&Header, &Bytes)> {
     actions
         .iter()
         .filter_map(|a| match a {
@@ -141,7 +149,7 @@ mod tests {
     fn extraction_helpers() {
         let h = Header::new(PacketKind::Datagram, CabId::new(0), CabId::new(1));
         let actions = vec![
-            Action::Send { header: h, payload: Arc::from(vec![1u8]), retransmit: false },
+            Action::Send { header: h, payload: Bytes::from(vec![1u8]), retransmit: false },
             Action::Deliver { mailbox: 9, msg: Message::new(1, 0, vec![]) },
             Action::SetTimer { token: TimerToken(1), delay: Dur::from_micros(1) },
         ];

@@ -10,9 +10,9 @@ use crate::header::{Header, PacketKind, MAX_FRAGMENT_PAYLOAD};
 use crate::transport::{Action, TimerToken, TransportError};
 use nectar_cab::board::CabId;
 use nectar_kernel::mailbox::Message;
+use nectar_sim::bytes::Bytes;
 use nectar_sim::time::{Dur, Time};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 /// Request-response tuning knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,7 +34,7 @@ impl Default for ReqRespConfig {
 #[derive(Clone, Debug)]
 struct PendingCall {
     header: Header,
-    payload: Arc<[u8]>,
+    payload: Bytes,
     attempts: u32,
 }
 
@@ -90,16 +90,18 @@ impl ReqRespClient {
     ///
     /// Appends [`Action::Error`] instead of sending if the request
     /// exceeds one packet (RPC arguments ride in a single packet; bulk
-    /// data belongs on the byte-stream protocol).
+    /// data belongs on the byte-stream protocol). A [`Bytes`] request
+    /// is sent without a copy, a `&[u8]` is copied once.
     pub fn call(
         &mut self,
         _now: Time,
         dst: CabId,
         reply_mailbox: u16,
         service_mailbox: u16,
-        request: &[u8],
+        request: impl Into<Bytes>,
         out: &mut Vec<Action>,
     ) -> u32 {
+        let request = request.into();
         let tx = self.next_tx;
         self.next_tx += 1;
         if request.len() > MAX_FRAGMENT_PAYLOAD {
@@ -116,20 +118,20 @@ impl ReqRespClient {
             payload_len: request.len() as u16,
             ..Header::new(PacketKind::Request, self.local, dst)
         };
-        let payload: Arc<[u8]> = Arc::from(request);
         self.calls += 1;
-        out.push(Action::Send { header, payload: payload.clone(), retransmit: false });
+        out.push(Action::Send { header, payload: request.clone(), retransmit: false });
         out.push(Action::SetTimer { token: Self::token(tx, 1), delay: self.cfg.rto });
-        self.outstanding.insert(tx, PendingCall { header, payload, attempts: 1 });
+        self.outstanding.insert(tx, PendingCall { header, payload: request, attempts: 1 });
         tx
     }
 
-    /// Handles an arriving response packet.
+    /// Handles an arriving response packet; the delivered response is
+    /// the packet's payload, shared.
     pub fn on_packet(
         &mut self,
         _now: Time,
         header: &Header,
-        payload: &[u8],
+        payload: &Bytes,
         out: &mut Vec<Action>,
     ) {
         debug_assert_eq!(header.kind, PacketKind::Response);
@@ -141,7 +143,7 @@ impl ReqRespClient {
         out.push(Action::CancelTimer { token: Self::token(tx, pending.attempts) });
         out.push(Action::Deliver {
             mailbox: pending.header.src_mailbox,
-            msg: Message::new(tx as u64, tx, payload),
+            msg: Message::new(tx as u64, tx, payload.clone()),
         });
         out.push(Action::Complete { msg_id: tx });
     }
@@ -197,7 +199,7 @@ pub struct ReqRespServer {
     /// Requests delivered to the application, awaiting `respond`.
     pending: HashMap<TxKey, Header>,
     /// Completed transactions and their cached responses.
-    cache: HashMap<TxKey, (Header, Arc<[u8]>)>,
+    cache: HashMap<TxKey, (Header, Bytes)>,
     cache_order: VecDeque<TxKey>,
     requests: u64,
     duplicate_requests: u64,
@@ -223,12 +225,13 @@ impl ReqRespServer {
     /// delivered to the service mailbox (message id = transaction, tag
     /// = client CAB id so the application can address its `respond`);
     /// retransmitted ones replay the cached response or are dropped if
-    /// the call is still executing.
+    /// the call is still executing. The delivered request is the
+    /// packet's payload, shared.
     pub fn on_packet(
         &mut self,
         _now: Time,
         header: &Header,
-        payload: &[u8],
+        payload: &Bytes,
         out: &mut Vec<Action>,
     ) {
         debug_assert_eq!(header.kind, PacketKind::Request);
@@ -252,33 +255,34 @@ impl ReqRespServer {
         self.pending.insert(key, *header);
         out.push(Action::Deliver {
             mailbox: header.dst_mailbox,
-            msg: Message::new(header.msg_id as u64, header.src_cab.raw() as u32, payload),
+            msg: Message::new(header.msg_id as u64, header.src_cab.raw() as u32, payload.clone()),
         });
     }
 
     /// Sends the application's response for transaction `tx` from
     /// client `client`. Returns `false` (and sends nothing) if no such
-    /// request is pending.
+    /// request is pending. A [`Bytes`] response is sent and cached
+    /// without a copy, a `&[u8]` is copied once.
     pub fn respond(
         &mut self,
         _now: Time,
         client: CabId,
         tx: u32,
-        response: &[u8],
+        response: impl Into<Bytes>,
         out: &mut Vec<Action>,
     ) -> bool {
         let key = (client.raw(), tx);
         let Some(req) = self.pending.remove(&key) else {
             return false;
         };
+        let payload: Bytes = response.into();
         let header = Header {
             src_mailbox: req.dst_mailbox,
             dst_mailbox: req.src_mailbox,
             msg_id: tx,
-            payload_len: response.len() as u16,
+            payload_len: payload.len() as u16,
             ..Header::new(PacketKind::Response, self.local, CabId::new(client.raw()))
         };
-        let payload: Arc<[u8]> = Arc::from(response);
         self.cache.insert(key, (header, payload.clone()));
         self.cache_order.push_back(key);
         while self.cache_order.len() > self.cfg.response_cache {
@@ -311,7 +315,7 @@ mod tests {
     /// output actions.
     fn ship(
         actions: &[Action],
-        mut handler: impl FnMut(&Header, &[u8], &mut Vec<Action>),
+        mut handler: impl FnMut(&Header, &Bytes, &mut Vec<Action>),
     ) -> Vec<Action> {
         let mut out = Vec::new();
         for (h, p) in sends(actions) {
@@ -466,12 +470,12 @@ mod tests {
         let mut client = ReqRespClient::new(CabId::new(0), cfg);
         for i in 0..3u32 {
             let mut out = Vec::new();
-            let tx = client.call(Time::ZERO, CabId::new(1), 5, 80, &[i as u8], &mut out);
+            let tx = client.call(Time::ZERO, CabId::new(1), 5, 80, [i as u8], &mut out);
             let s = sends(&out);
             let mut o = Vec::new();
             server.on_packet(Time::ZERO, s[0].0, s[0].1, &mut o);
             let mut r = Vec::new();
-            server.respond(Time::ZERO, CabId::new(0), tx, &[i as u8], &mut r);
+            server.respond(Time::ZERO, CabId::new(0), tx, [i as u8], &mut r);
         }
         assert_eq!(server.cache.len(), 2, "oldest cached response evicted");
     }
@@ -480,7 +484,7 @@ mod tests {
     fn oversize_request_is_an_error() {
         let (mut client, _) = pair();
         let mut out = Vec::new();
-        client.call(Time::ZERO, CabId::new(1), 5, 80, &vec![0u8; 4096], &mut out);
+        client.call(Time::ZERO, CabId::new(1), 5, 80, vec![0u8; 4096], &mut out);
         assert!(matches!(out[0], Action::Error(TransportError::TooLarge { .. })));
     }
 

@@ -3,11 +3,12 @@
 //! exactly-once in-order under arbitrary loss patterns.
 
 use nectar_cab::board::CabId;
-use nectar_proto::header::{Header, PacketKind};
+use nectar_proto::header::{Header, PacketKind, HEADER_BYTES};
 use nectar_proto::inet::{IpHeader, IpProto};
 use nectar_proto::transport::bytestream::{ByteStream, ByteStreamConfig};
 use nectar_proto::transport::frag::{fragment, fragment_count, Reassembler, ReassemblyOutcome};
 use nectar_proto::transport::{Action, TimerToken};
+use nectar_sim::bytes::Bytes;
 use nectar_sim::time::{Dur, Time};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -58,6 +59,49 @@ proptest! {
         prop_assert_eq!(body, &payload[..]);
     }
 
+    /// The two-part codec is the contiguous codec: the header bytes
+    /// `encode` makes are `encode_with`'s first 32, `decode_parts` reads
+    /// back what `decode` reads, and a single bit flipped anywhere — in
+    /// the header or in the payload — is rejected by both.
+    #[test]
+    fn two_part_codec_equals_contiguous_codec(
+        kind in arb_kind(),
+        fields in (any::<u16>(), any::<u16>(), any::<u32>(), any::<u32>(), any::<u32>()),
+        payload in prop::collection::vec(any::<u8>(), 0..990),
+        flip in (any::<u16>(), 0u8..8),
+    ) {
+        let (src, dst, msg_id, seq, ack) = fields;
+        let h = Header {
+            msg_id,
+            seq,
+            ack,
+            window: src ^ dst,
+            frag_index: src % 7,
+            frag_count: 7,
+            src_mailbox: dst,
+            dst_mailbox: src,
+            payload_len: payload.len() as u16,
+            ..Header::new(kind, CabId::new(src), CabId::new(dst))
+        };
+        let head = h.encode(&payload);
+        let wire = h.encode_with(&payload);
+        prop_assert_eq!(&wire[..HEADER_BYTES], &head[..]);
+        prop_assert_eq!(&wire[HEADER_BYTES..], &payload[..]);
+        prop_assert_eq!(Header::decode_parts(&head, &payload), Ok(h));
+        prop_assert_eq!(Header::decode(&wire), Ok((h, &payload[..])));
+
+        let (at, bit) = (flip.0 as usize % wire.len(), flip.1);
+        let (mut bad_head, mut bad_payload, mut bad_wire) = (head, payload.clone(), wire.clone());
+        bad_wire[at] ^= 1 << bit;
+        match at.checked_sub(HEADER_BYTES) {
+            None => bad_head[at] ^= 1 << bit,
+            Some(i) => bad_payload[i] ^= 1 << bit,
+        }
+        let split = Header::decode_parts(&bad_head, &bad_payload);
+        prop_assert!(split.is_err(), "flip at byte {} bit {} accepted", at, bit);
+        prop_assert_eq!(split, Header::decode(&bad_wire).map(|(h, _)| h));
+    }
+
     #[test]
     fn header_decode_is_total(bytes in prop::collection::vec(any::<u8>(), 0..1200)) {
         let _ = Header::decode(&bytes); // must never panic
@@ -68,7 +112,7 @@ proptest! {
         data in prop::collection::vec(any::<u8>(), 0..20_000),
         max in 1usize..2000,
     ) {
-        let frags = fragment(&data, max);
+        let frags = fragment(&Bytes::from(&data), max);
         prop_assert_eq!(frags.len(), fragment_count(data.len(), max));
         let glued: Vec<u8> = frags.iter().flat_map(|f| f.iter().copied()).collect();
         prop_assert_eq!(glued, data.clone());
@@ -87,14 +131,14 @@ proptest! {
         max in 16usize..990,
         msg_id in any::<u32>(),
     ) {
-        let frags = fragment(&data, max);
+        let frags = fragment(&Bytes::from(&data), max);
         let mut r = Reassembler::new();
         let n = frags.len() as u16;
         for (i, f) in frags.iter().enumerate() {
             match r.push(msg_id, i as u16, n, f) {
                 ReassemblyOutcome::Complete(buf) => {
                     prop_assert_eq!(i as u16, n - 1);
-                    prop_assert_eq!(buf, data.clone());
+                    prop_assert_eq!(&buf[..], &data[..]);
                 }
                 ReassemblyOutcome::Incomplete => prop_assert!((i as u16) < n - 1),
                 ReassemblyOutcome::Mismatch => prop_assert!(false, "mismatch on clean stream"),

@@ -6,6 +6,8 @@
 //! crate is the engine everything else runs on.
 //!
 //! * [`time`] — [`Time`](time::Time) / [`Dur`](time::Dur) newtypes.
+//! * [`bytes`] — [`Bytes`](bytes::Bytes), the shared payload buffer every
+//!   layer slices instead of copying.
 //! * [`units`] — [`Bandwidth`](units::Bandwidth) and transfer-time math.
 //! * [`engine`] — the [`Engine`](engine::Engine) event queue.
 //! * [`rng`] — seeded, reproducible randomness for workloads.
@@ -44,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+pub mod bytes;
 pub mod chaos;
 pub mod engine;
 pub mod export;
@@ -59,6 +62,7 @@ pub mod workload;
 
 /// The most frequently used names, for glob import.
 pub mod prelude {
+    pub use crate::bytes::Bytes;
     pub use crate::chaos::{ChaosInjector, ChaosSchedule, ChaosStats, ChaosTarget, Clause, Fault};
     pub use crate::engine::{Engine, EventId};
     pub use crate::metrics::{Histogram, MetricsRegistry};

@@ -76,10 +76,16 @@ impl Bandwidth {
     /// assert_eq!(bw.transfer_time(125).nanos(), 10_000); // 1000 bits
     /// ```
     pub fn transfer_time(self, bytes: usize) -> Dur {
-        let bits = bytes as u128 * 8;
-        // ceil(bits * 1e9 / bps)
-        let ns = (bits * 1_000_000_000).div_ceil(self.0 as u128);
-        Dur::from_nanos(u64::try_from(ns).expect("transfer time overflows u64 nanoseconds"))
+        // ceil(bytes * 8e9 / bps). The product fits u64 below 2.3 GB,
+        // so every packet and DMA transfer divides in one machine word;
+        // only larger counts take the 128-bit path.
+        match (bytes as u64).checked_mul(8_000_000_000) {
+            Some(bit_ns) => Dur::from_nanos(bit_ns.div_ceil(self.0)),
+            None => {
+                let ns = (bytes as u128 * 8_000_000_000).div_ceil(self.0 as u128);
+                Dur::from_nanos(u64::try_from(ns).expect("transfer time overflows u64 nanoseconds"))
+            }
+        }
     }
 
     /// Splits this bandwidth evenly across `n` concurrent consumers.
@@ -111,6 +117,7 @@ impl fmt::Display for Bandwidth {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fiber_rate_matches_paper() {
@@ -142,6 +149,34 @@ mod tests {
         let odd = Bandwidth::from_bits_per_sec(7_000_000_000);
         // 24 / 7 ns = 3.43 -> 4 ns.
         assert_eq!(odd.transfer_time(3), Dur::from_nanos(4));
+    }
+
+    proptest! {
+        /// The one-word path answers exactly as the 128-bit formula,
+        /// over random counts and rates and around the count where
+        /// `bytes * 8e9` stops fitting u64.
+        #[test]
+        fn transfer_time_equals_the_128_bit_formula(
+            small in 0u64..100_000,
+            large in any::<u64>(),
+            edge in 0u64..2_000,
+            slow in 1u64..10_000_000_000,
+            fast in 1u64..u64::MAX,
+            pick in (0u8..3, any::<bool>()),
+        ) {
+            let limit = u64::MAX / 8_000_000_000;
+            let bytes = match pick.0 {
+                0 => small,
+                1 => large % (limit * 4),
+                _ => limit + 1_000 - edge,
+            } as usize;
+            let bps = if pick.1 { slow } else { fast };
+            let bw = Bandwidth::from_bits_per_sec(bps);
+            let wide = (bytes as u128 * 8_000_000_000).div_ceil(bps as u128);
+            if let Ok(ns) = u64::try_from(wide) {
+                prop_assert_eq!(bw.transfer_time(bytes), Dur::from_nanos(ns));
+            }
+        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ use std::fmt;
 /// Largest flow the grammar accepts, in bytes. Wire headers carry a
 /// `u16` payload length; staying under it keeps every flow a single
 /// datagram-transport message.
-const MAX_FLOW_BYTES: u32 = 60_000;
+pub const MAX_FLOW_BYTES: u32 = 60_000;
 
 /// Most token population a single closed class may give one source.
 const MAX_TOKENS: u32 = 65_536;
@@ -155,6 +155,17 @@ pub enum SizeDist {
         /// Tail index; must exceed 1 for the mean to exist.
         shape: f64,
     },
+}
+
+impl SizeDist {
+    /// The largest flow this distribution can draw.
+    pub fn largest(self) -> u32 {
+        match self {
+            SizeDist::Fixed(b) => b,
+            SizeDist::Uniform { hi, .. } => hi,
+            SizeDist::Pareto { .. } => MAX_FLOW_BYTES,
+        }
+    }
 }
 
 impl fmt::Display for SizeDist {
