@@ -6,7 +6,8 @@
 //! The synopsis — every flag there is — is the [`USAGE`] constant, which
 //! is also what a malformed invocation prints. The flags mean:
 //!
-//! `--list` prints the registry and exits; `--jobs N` runs the selected
+//! `-h`/`--help` prints the synopsis to stdout and exits 0; `--list`
+//! prints the registry and exits; `--jobs N` runs the selected
 //! experiments on `N` worker threads; `--json PATH` redirects
 //! `BENCH_sim.json`.
 //! `--metrics` harvests every experiment's counters and latency
@@ -71,7 +72,8 @@ use std::time::{Duration, Instant};
 
 /// The synopsis: every flag [`parse_args`] accepts and nothing else (a
 /// test holds the two together).
-const USAGE: &str = "report [--list] [--jobs N] [--shards N] [--repeat N] [--scaling] \
+const USAGE: &str =
+    "report [-h | --help] [--list] [--jobs N] [--shards N] [--repeat N] [--scaling] \
      [--profile] [--json PATH] [--metrics] [--doctor] [--telemetry-cap N] \
      [--stream-budget BYTES] [--trace EXP] [--trace-out PATH] [--chaos-seed N] \
      [--chaos-spec PROG] [--workload SPEC|PRESET] [ids... | all]";
@@ -93,6 +95,7 @@ struct Outcome {
 /// The command line, checked flag by flag.
 #[derive(Clone, Debug, PartialEq)]
 struct Opts {
+    help: bool,
     list: bool,
     jobs: usize,
     shards: usize,
@@ -117,6 +120,7 @@ struct Opts {
 impl Default for Opts {
     fn default() -> Opts {
         Opts {
+            help: false,
             list: false,
             jobs: 1,
             shards: 1,
@@ -188,10 +192,9 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
                 }
                 o.workload = Some(v);
             }
+            "--help" | "-h" => o.help = true,
             "--list" | "list" => o.list = true,
-            "--jobs" | "-j" => {
-                o.jobs = parse_positive("--jobs", &flag_value("--jobs", &mut args)?)?
-            }
+            "--jobs" | "-j" => o.jobs = parse_positive(flag, &flag_value(flag, &mut args)?)?,
             "--shards" => o.shards = parse_positive(flag, &flag_value(flag, &mut args)?)?,
             "--repeat" => o.repeat = parse_positive(flag, &flag_value(flag, &mut args)?)?,
             "--scaling" => o.scaling = true,
@@ -260,6 +263,10 @@ fn main() {
         eprintln!("usage: {USAGE}");
         std::process::exit(2);
     });
+    if opts.help {
+        println!("usage: {USAGE}");
+        return;
+    }
     let reg = registry();
     if opts.list {
         for (id, desc, _) in &reg {
@@ -735,6 +742,14 @@ mod tests {
         line.split_whitespace().map(String::from)
     }
 
+    /// The flags [`USAGE`] names, in its order.
+    fn usage_flags() -> Vec<&'static str> {
+        USAGE
+            .split(|c: char| !(c.is_ascii_alphabetic() || c == '-'))
+            .filter(|w| w.starts_with('-'))
+            .collect()
+    }
+
     /// Everything `main` checks before the first experiment runs.
     fn invoke(line: &str) -> Result<Opts, String> {
         let opts = parse_args(argv(line))?;
@@ -747,6 +762,8 @@ mod tests {
         let d = Opts::default;
         let some = |s: &str| Some(s.to_string());
         let table: Vec<(&str, Opts)> = vec![
+            ("-h", Opts { help: true, ..d() }),
+            ("--help", Opts { help: true, ..d() }),
             ("--list", Opts { list: true, ..d() }),
             ("--jobs 3", Opts { jobs: 3, ..d() }),
             ("--shards 4", Opts { shards: 4, ..d() }),
@@ -767,14 +784,11 @@ mod tests {
         for (line, want) in &table {
             assert_eq!(parse_args(argv(line)).as_ref(), Ok(want), "{line}");
         }
-        let in_usage: Vec<&str> = USAGE
-            .split(|c: char| !(c.is_ascii_alphabetic() || c == '-'))
-            .filter(|w| w.starts_with("--"))
-            .collect();
+        let in_usage = usage_flags();
         let in_table: Vec<&str> =
             table.iter().map(|(line, _)| line.split(' ').next().expect("a flag")).collect();
         assert_eq!(in_usage, in_table, "USAGE and the parser list different flags");
-        assert_eq!(in_usage.len(), 16);
+        assert_eq!(in_usage.len(), 18);
 
         let all = invoke("-j 2 --doctor --trace e07 --trace-out T E07 e12 list").expect("valid");
         assert_eq!(
@@ -823,6 +837,61 @@ mod tests {
         }
         let err = invoke("--trace e01").expect_err("e01 records no telemetry");
         assert!(TRACEABLE.iter().all(|id| err.contains(id)), "traceable ids not listed: {err}");
+    }
+
+    /// Random argument vectors — every flag (a value-taking one may be
+    /// the last token), hostile numbers, chaos and workload specs edited
+    /// with grammar tokens, experiment ids — never panic `parse_args` or
+    /// `select`, and every `Err` of `parse_args` names a token of the
+    /// vector, as its doc promises.
+    #[test]
+    fn parse_args_never_panics_and_names_a_token() {
+        use nectar_sim::chaos::ChaosSchedule;
+        use nectar_sim::rng::Rng;
+        use nectar_sim::workload::PRESETS;
+        const VALUES: [&str; 6] = ["0", "-1", "18446744073709551616", "abc", "", "3"];
+        const GRAMMAR: [&str; 24] = [
+            "(", ")", "[", "]", ";", ",", "..", "0", "9", "ns", "us", "ms", "loss", "dup", "flap",
+            "cab", "hub", "closed", "open", "fixed", "uniform", "hotspot", "ring", "rpc",
+        ];
+        const IDS: [&str; 6] = ["e07", "E26", "e27b", "all", "e99", "list"];
+        let mut flags = usage_flags();
+        flags.push("-j");
+        fn pick(rng: &mut Rng, n: usize) -> usize {
+            rng.range(0..=n as u64 - 1) as usize
+        }
+        let mut rng = Rng::seed_from(43);
+        for case in 0..2_000 {
+            let mut argv = Vec::new();
+            for _ in 0..pick(&mut rng, 7) {
+                let token = match pick(&mut rng, 4) {
+                    0 | 1 => flags[pick(&mut rng, flags.len())].to_string(),
+                    2 => VALUES[pick(&mut rng, VALUES.len())].to_string(),
+                    _ if rng.chance(0.5) => IDS[pick(&mut rng, IDS.len())].to_string(),
+                    _ => {
+                        let mut spec = if rng.chance(0.5) {
+                            ChaosSchedule::random(case, 8).spec()
+                        } else {
+                            PRESETS[pick(&mut rng, PRESETS.len())].spec.to_string()
+                        };
+                        for _ in 0..pick(&mut rng, 4) {
+                            let at = pick(&mut rng, spec.len() + 1);
+                            let token = GRAMMAR[pick(&mut rng, GRAMMAR.len())];
+                            spec.replace_range(at..(at + 1).min(spec.len()), token);
+                        }
+                        spec
+                    }
+                };
+                argv.push(token);
+            }
+            match parse_args(argv.iter().cloned()) {
+                Ok(opts) => drop(select(&opts, registry())),
+                Err(e) => assert!(
+                    argv.iter().any(|t| !t.is_empty() && e.contains(t.as_str())),
+                    "{argv:?}: `{e}` names no token of the command line"
+                ),
+            }
+        }
     }
 
     #[test]

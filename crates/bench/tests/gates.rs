@@ -77,6 +77,22 @@ fn the_lattice_and_spike_scenarios_pass() {
     scenario_passes("e27b");
 }
 
+/// `report --help` and `report -h` print the synopsis to stdout and
+/// exit 0; an unknown flag still exits 2.
+#[test]
+fn report_help_prints_usage_and_succeeds() {
+    let report = |flag: &str| {
+        Command::new(env!("CARGO_BIN_EXE_report")).arg(flag).output().expect("report runs")
+    };
+    for flag in ["--help", "-h"] {
+        let out = report(flag);
+        assert_eq!(out.status.code(), Some(0), "{flag}: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage:"), "{flag} printed `{stdout}`");
+    }
+    assert_eq!(report("--halp").status.code(), Some(2));
+}
+
 /// `report --metrics --json PATH e03 e14` writes a `BENCH_sim.json` with
 /// every experiment's timing and metrics object.
 #[test]

@@ -306,27 +306,6 @@ impl Rendezvous {
     }
 }
 
-/// Wall time for `shards` threads to cross `crossings` consecutive
-/// rendezvous with nothing in between: the floor under the per-window
-/// price, for `barrier_bench` to keep in the ledger next to the real
-/// thing.
-pub fn rendezvous_ping(shards: usize, crossings: u64) -> std::time::Duration {
-    let rendezvous = &Rendezvous::new(shards, shards <= host_cores());
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for me in 0..shards {
-            s.spawn(move || {
-                for k in 0..crossings {
-                    rendezvous.publish(me, k, k);
-                    rendezvous.wait(me, k);
-                    std::hint::black_box(rendezvous.min_peek(k));
-                }
-            });
-        }
-    });
-    start.elapsed()
-}
-
 /// One cell of the batched exchange grid: the window's event batch
 /// from one source shard to one destination shard.
 ///

@@ -109,9 +109,14 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so without a bound a document of a million `[` overflows the
+/// stack instead of failing; the writers here nest a handful deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (rejecting trailing garbage).
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -124,6 +129,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -161,8 +168,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -306,6 +320,8 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::tests::mutate;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars() {
@@ -342,6 +358,43 @@ mod tests {
     #[test]
     fn unicode_escape() {
         assert_eq!(parse("\"\\u0041\"").unwrap().as_str(), Some("A"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH);
+        assert!(e.message.contains("nesting"), "{e}");
+        assert!(parse(&"{\"a\":".repeat(1_000_000)).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        /// A valid document edited with JSON tokens, and about half the
+        /// time cut short, never panics the parser, and an error points
+        /// inside the input.
+        #[test]
+        fn parse_never_panics(
+            base in 0usize..3,
+            cut in any::<u16>(),
+            bytes in prop::collection::vec(any::<u8>(), 0..40),
+        ) {
+            const BASES: [&str; 3] = [
+                r#"{"id": "e03", "wall_ms": 1.5, "ok": [true, false, null], "m": {"k": -2e3}}"#,
+                r#""a\u0041\n\"b""#,
+                r#"[1, "x", {}, []]"#,
+            ];
+            let mut text = mutate(BASES[base], &bytes, &[
+                "{", "}", ":", "\"", "\\", "\\u", "\\u00e9", "\\ud800", "null", "true",
+                "false", "-", "e", "E+", " ", "\n",
+            ]);
+            text.truncate(cut as usize % (2 * text.len() + 1));
+            if let Err(e) = parse(&text) {
+                prop_assert!(e.at <= text.len(), "`{text}`: {e}");
+            }
+        }
     }
 
     #[test]
