@@ -3,7 +3,7 @@
 //!
 //! Each row arms a [`ChaosSchedule`], drives a mixed workload to
 //! quiescence, and audits with the
-//! [`InvariantChecker`](nectar_core::invariants::InvariantChecker).
+//! [`InvariantChecker`].
 //! The default rows use fixed seeds (deterministic, CI-friendly);
 //! `report --chaos-seed N [--chaos-spec 'PROG']` replaces them with
 //! one replay row — the flags a failing campaign test prints.

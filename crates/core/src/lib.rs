@@ -16,7 +16,7 @@
 //!   audited at quiescence under any chaos schedule.
 //! * [`node`] — the 1989 UNIX node cost model and the three CAB–node
 //!   interfaces of §6.2.3.
-//! * [`system`] — [`NectarSystem`](system::NectarSystem):
+//! * [`system`] — [`NectarSystem`]:
 //!   constructors plus the latency/throughput probes used by every
 //!   experiment.
 //! * [`nectarine`] — the task/message programming API of §6.3.
@@ -39,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cab;
 pub mod digest;
 mod fold;
 pub mod invariants;

@@ -1,20 +1,16 @@
-//! The world: every HUB, CAB, fiber, and protocol endpoint wired to
-//! one discrete-event engine.
+//! The world: every HUB and CAB wired to one discrete-event engine.
 //!
 //! [`World`] is the executable form of a [`Topology`]: it owns the HUB
-//! state machines, a [`CabState`] per CAB (hardware resources, kernel
-//! scheduler, transport endpoints, datalink state), and the event
-//! queue. Workloads inject sends; the world routes items through HUBs
-//! with the paper's timing model, charges CAB CPU costs, and records
-//! every delivery, completion, and error for the experiment harness.
+//! state machines, one board model per CAB and the event queue, runs
+//! the event loop and the workload generator, and records every
+//! delivery, completion and error for the experiment harness.
 
+use crate::cab::{self, Cab, Ctx, TimerSource};
 use crate::fold::StreamFold;
 use crate::shard::{ShardCtx, ShardPlan};
 use crate::topology::{Peer, Topology};
-use nectar_cab::board::CabId;
-use nectar_cab::dma::{Channel, DmaController};
-use nectar_cab::fiber::FiberPort;
 use nectar_cab::timings::CabTimings;
+use nectar_hub::command::Reply;
 use nectar_hub::config::HubConfig;
 use nectar_hub::effects::{Effects, InternalEv, Wire};
 use nectar_hub::hub::Hub;
@@ -22,24 +18,25 @@ use nectar_hub::id::{HubId, PortId};
 use nectar_hub::item::{Item, Packet};
 use nectar_hub::train::{Tie, Train};
 use nectar_kernel::mailbox::Mailbox;
-use nectar_kernel::thread::{Scheduler, ThreadId};
-use nectar_proto::header::{Header, HEADER_BYTES, MAX_FRAGMENT_PAYLOAD};
-use nectar_proto::transport::bytestream::{ByteStream, ByteStreamConfig};
-use nectar_proto::transport::datagram::Datagram;
-use nectar_proto::transport::reqresp::{ReqRespClient, ReqRespConfig, ReqRespServer};
-use nectar_proto::transport::{Action, TimerToken, TransportError};
+use nectar_kernel::thread::Scheduler;
+use nectar_proto::header::MAX_FRAGMENT_PAYLOAD;
+use nectar_proto::transport::bytestream::{ByteStreamConfig, ByteStreamStats};
+use nectar_proto::transport::reqresp::ReqRespConfig;
+use nectar_proto::transport::{TimerToken, TransportError};
 use nectar_sim::analysis::streaming::{StreamConfig, StreamingDoctor};
 use nectar_sim::bytes::Bytes;
 use nectar_sim::chaos::{ChaosInjector, ChaosSchedule, ChaosStats, Clause, Fault};
-use nectar_sim::engine::{Engine, EventId};
+use nectar_sim::engine::Engine;
 use nectar_sim::metrics::{Histogram, MetricsRegistry};
-use nectar_sim::telemetry::{EventKind, FlightId, Telemetry, TelemetryEvent};
+use nectar_sim::telemetry::{Telemetry, TelemetryEvent};
 use nectar_sim::time::{Dur, Time};
 use nectar_sim::workload::{
     Shape, SizeDist, Transport as FlowTransport, WorkloadGen, WorkloadSpec,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
+
+pub use crate::cab::{CabCounters, READY_TIMEOUT};
 
 /// How the datalink moves data packets (DESIGN.md §5 ablation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,15 +72,6 @@ pub struct SystemConfig {
     pub switching: SwitchingMode,
 }
 
-/// Datalink recovery: if the HUB's ready signal does not return within
-/// this time (e.g. the packet's test-open command was lost), the CAB
-/// re-arms its transmit path and lets the transport retransmit (§6.2.1
-/// "recovers from ... lost HUB commands").
-pub const READY_TIMEOUT: Dur = Dur::from_millis(1);
-
-/// Capacity of each auto-created mailbox, bytes.
-const MAILBOX_CAPACITY: usize = 256 * 1024;
-
 impl Default for SystemConfig {
     fn default() -> SystemConfig {
         SystemConfig {
@@ -104,15 +92,6 @@ pub enum QuiescenceOutcome {
     Quiescent,
     /// Events were still pending past the deadline.
     DeadlineReached,
-}
-
-/// Which protocol armed a timer (to route the expiry back).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum TimerSource {
-    /// The byte-stream to this peer CAB.
-    Stream(usize),
-    /// The request-response client.
-    Rpc,
 }
 
 /// A world event.
@@ -366,32 +345,6 @@ pub struct Delivery {
     pub at: Time,
 }
 
-/// Per-CAB event counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CabCounters {
-    /// Data packets handed to the fiber.
-    pub packets_tx: u64,
-    /// Data packets received (pre-decode).
-    pub packets_rx: u64,
-    /// Received packets dropped for checksum/format errors.
-    pub corrupted_rx: u64,
-    /// Received packets addressed to a different CAB (a stale
-    /// crossbar circuit duplicated them here) and discarded.
-    pub misrouted_rx: u64,
-    /// Input-queue overruns (upcall missed its §6.2.1 deadline).
-    pub overruns: u64,
-    /// Stray items (commands/close-alls reaching the CAB).
-    pub strays: u64,
-    /// Circuit opens issued (CircuitCached mode).
-    pub circuit_opens: u64,
-    /// Mailbox appends refused for lack of space.
-    pub mailbox_rejects: u64,
-    /// Datalink ready-timeouts (lost-command recoveries).
-    pub ready_timeouts: u64,
-    /// Fletcher-16 checksum passes (one per packet encode or decode).
-    pub checksum_ops: u64,
-}
-
 /// What [`World::pool_stats`] returns: always zero. The world keeps no
 /// pool of wire buffers — a packet is its header plus a shared payload,
 /// freed when the last holder drops it. The type is kept only because
@@ -403,122 +356,6 @@ pub struct PoolStats {
     pub hits: u64,
     /// Always zero.
     pub misses: u64,
-}
-
-struct CabState {
-    dma: DmaController,
-    fiber: FiberPort,
-    sched: Scheduler,
-    app_thread: ThreadId,
-    fiber_ready: bool,
-    /// Generation counter guarding ready-timeout staleness.
-    ready_gen: u64,
-    /// The armed ready-timeout (generation `ready_gen`), cancelled when
-    /// the ready signal arrives so dead timers neither sit in the
-    /// event queue nor hold the quiescence clock up to 1 ms late. The
-    /// generation guard stays: a signal and its timeout popped in one
-    /// same-instant batch can no longer be cancelled.
-    ready_timeout: Option<EventId>,
-    fiber_free: Time,
-    /// Cumulative time this CAB's outgoing fiber has been busy.
-    fiber_tx_busy: Dur,
-    tx_bursts: VecDeque<Burst>,
-    /// Byte-stream endpoints, indexed by peer CAB; grown to the highest
-    /// peer this CAB has exchanged stream traffic with.
-    streams: Vec<Option<Box<ByteStream>>>,
-    datagram: Datagram,
-    rpc_client: ReqRespClient,
-    rpc_server: ReqRespServer,
-    /// CircuitCached mode: the destination of the currently open
-    /// circuit, if any.
-    open_circuit: Option<usize>,
-    /// Mailboxes by address, in creation order. A CAB owns a handful
-    /// and their addresses are sparse (`0x7000+` for workloads), so a
-    /// linear search beats hashing every delivered packet.
-    mailboxes: Vec<(u16, Mailbox)>,
-    timers: HashMap<(TimerSource, u64), EventId>,
-    next_packet_id: u64,
-    counters: CabCounters,
-}
-
-/// One entry of a CAB's transmit queue: what goes on its fibre back to
-/// back once the entry reaches the front.
-enum Burst {
-    /// One packet-switched packet to one CAB — nearly every entry. The
-    /// `test open` prologue in front of it and the `close all` behind
-    /// it are read from the route table when the burst goes on the
-    /// fibre, so a queued flow holds its packet and nothing else.
-    Packet { dst: usize, packet: Packet },
-    /// Anything else, item by item: a multicast train, a circuit
-    /// (re-)open with its packet, a status query.
-    Items(Vec<Item>),
-}
-
-impl Burst {
-    /// Data bytes carried, which decides whether the burst may jump
-    /// the queue.
-    fn payload_bytes(&self) -> usize {
-        match self {
-            Burst::Packet { packet, .. } => packet.len(),
-            Burst::Items(items) => items
-                .iter()
-                .map(|i| match i {
-                    Item::Packet(p) => p.len(),
-                    _ => 0,
-                })
-                .sum(),
-        }
-    }
-
-    /// `true` if the burst carries data and is therefore subject to
-    /// flow control.
-    fn has_packet(&self) -> bool {
-        match self {
-            Burst::Packet { .. } => true,
-            Burst::Items(items) => items.iter().any(|i| matches!(i, Item::Packet(_))),
-        }
-    }
-}
-
-impl CabState {
-    /// The byte-stream endpoint towards `peer`, created on first use.
-    fn stream_to(&mut self, local: usize, peer: usize, cfg: ByteStreamConfig) -> &mut ByteStream {
-        if peer >= self.streams.len() {
-            self.streams.resize_with(peer + 1, || None);
-        }
-        self.streams[peer].get_or_insert_with(|| {
-            Box::new(ByteStream::new(CabId::new(local as u16), CabId::new(peer as u16), cfg))
-        })
-    }
-
-    /// Every byte-stream endpoint this CAB has, in peer order.
-    fn open_streams(&self) -> impl Iterator<Item = &ByteStream> {
-        self.streams.iter().flatten().map(|s| &**s)
-    }
-
-    fn mailbox_mut(&mut self, address: u16) -> Option<&mut Mailbox> {
-        self.mailboxes.iter_mut().find(|(a, _)| *a == address).map(|(_, mb)| mb)
-    }
-
-    /// The mailbox at `address`, created with `capacity` on first use.
-    fn mailbox_or_create(&mut self, address: u16, capacity: usize) -> &mut Mailbox {
-        let slot = match self.mailboxes.iter().position(|(a, _)| *a == address) {
-            Some(slot) => slot,
-            None => {
-                self.mailboxes.push((address, Mailbox::new(format!("mb{address}"), capacity)));
-                self.mailboxes.len() - 1
-            }
-        };
-        &mut self.mailboxes[slot].1
-    }
-
-    /// Cancels the armed ready-timeout, if any: its generation was just
-    /// bumped, so it could only ever fire as a no-op.
-    fn disarm_ready_timeout(&mut self, engine: &mut Engine<Ev>) {
-        if let Some(id) = self.ready_timeout.take() {
-            engine.cancel(id);
-        }
-    }
 }
 
 /// First mailbox id the workload generator reserves for itself. Class
@@ -543,7 +380,7 @@ struct WorkloadCounters {
 }
 
 /// An attached traffic generator: the compiled spec plus accounting.
-struct WorkloadState {
+pub(crate) struct WorkloadState {
     generator: WorkloadGen,
     counters: Vec<WorkloadCounters>,
     /// Zeros as many as the largest flow the program can draw (at most
@@ -553,13 +390,52 @@ struct WorkloadState {
     zeros: Bytes,
 }
 
+impl WorkloadState {
+    /// Delivery hook: a message landing in a workload mailbox is
+    /// consumed immediately (workload mailboxes never accumulate), RPC
+    /// requests schedule the auto-responder, and closed-loop tokens
+    /// re-arm after think time. `id`/`tag` come from the delivered
+    /// message: the RPC server delivers requests with id = transaction
+    /// and tag = calling CAB. Returns the event for that CAB to schedule.
+    pub(crate) fn on_deliver(
+        &mut self,
+        delivery: &Delivery,
+        tag: u32,
+        mailbox: &mut Mailbox,
+    ) -> Option<(Time, Ev)> {
+        let Delivery { cab, mailbox: address, msg_id: id, at: end, .. } = *delivery;
+        let idx = address.checked_sub(WORKLOAD_MAILBOX_BASE)? as usize;
+        let (class, is_reply_mb) = (idx >> 1, idx & 1 == 1);
+        if class >= self.generator.class_count() {
+            return None; // not a workload mailbox after all
+        }
+        let spec = *self.generator.class(class);
+        mailbox.take_next();
+        if matches!(spec.transport, FlowTransport::Rpc) && !is_reply_mb {
+            // A request at the service mailbox: answer it. The reply
+            // leaves when the responder event runs, charging the
+            // server's application thread at that instant.
+            return Some((
+                end,
+                Ev::WorkloadReply { cab, class, client: tag as usize, tx: id as u32 },
+            ));
+        }
+        // A datagram/stream delivery — or an RPC reply back at the
+        // caller: the token now lives here and re-arms after thinking.
+        let Shape::Closed { think, .. } = spec.shape else { return None };
+        let at = end.checked_add(think).filter(|&at| at < spec.until)?;
+        self.counters[cab].rearms += 1;
+        Some((at, Ev::WorkloadLaunch { cab, class, count: 1 }))
+    }
+}
+
 /// The assembled, runnable Nectar system.
 pub struct World {
     cfg: SystemConfig,
     topo: Topology,
     engine: Engine<Ev>,
     hubs: Vec<Hub>,
-    cabs: Vec<CabState>,
+    cabs: Vec<Cab>,
     /// Every message delivery, in order.
     pub deliveries: Vec<Delivery>,
     /// Sender-side completions: `(cab, msg_id, at)`.
@@ -567,7 +443,7 @@ pub struct World {
     /// Transport errors: `(cab, error, at)`.
     pub errors: Vec<(usize, TransportError, Time)>,
     /// Replies received by CABs (circuit acks, status answers).
-    replies: Vec<(usize, nectar_hub::command::Reply, Time)>,
+    replies: Vec<(usize, Reply, Time)>,
     /// The compiled chaos schedule, consulted on every CAB packet
     /// arrival and every HUB item arrival. `None` = a clean network.
     chaos: Option<ChaosInjector>,
@@ -589,10 +465,6 @@ pub struct World {
     /// The instant of the last batch drained: a batch at the same
     /// instant holds events scheduled while that instant ran.
     last_batch_at: Option<Time>,
-    /// Scratch the transport entry points append their actions to;
-    /// taken by the caller, drained and put back by
-    /// [`exec_actions`](World::exec_actions), capacity kept.
-    actions: Vec<Action>,
     /// Scratch the HUB entry points append their consequences to;
     /// drained into engine events after every call, capacity kept.
     hub_fx: Effects,
@@ -600,36 +472,8 @@ pub struct World {
     /// events. Per-HUB and per-scheduler rings are separate; see
     /// [`telemetry_events`](World::telemetry_events) for the merge.
     telemetry: Telemetry,
-    /// Master switch for flight tracking (latency accounting and the
-    /// per-component telemetry rings). Off by default: the hot path
-    /// pays one branch.
-    observability: bool,
-    /// Flight id -> time the packet was handed to the datalink, for
-    /// flights that can reach one CAB only and were born in this world
-    /// (see [`settles_at_delivery`](World::settles_at_delivery)). A
-    /// CAB's deliveries end in the order they are processed, so the
-    /// first delivery is the earliest: it settles the latency into
-    /// `flight_latency` and drops the birth — the table holds flights
-    /// in flight, not flights ever sent.
-    open_births: HashMap<u64, Time>,
-    /// Latencies settled at delivery.
-    flight_latency: Histogram,
-    /// Births of every other flight. These are never removed; their
-    /// latency is a birth/end join at metrics time, so the accounting
-    /// is insertion-order-independent (and therefore shardable).
-    flight_births: HashMap<u64, Time>,
-    /// Flight id -> earliest time any receiver's application had the
-    /// packet, for the flights in `flight_births` (min over deliveries:
-    /// multicast delivers one flight to many CABs, and the receiver
-    /// processed first need not finish first).
-    flight_ends: HashMap<u64, Time>,
-    /// Per-CAB tie-break key counters. A CAB's events take
-    /// `(cab << 40) | counter`; a HUB's take [`Hub::wire_key`], above
-    /// every CAB's. Same-instant events pop
-    /// in key order — an order intrinsic to the components, not to
-    /// scheduling history, so any partitioning of the event loop
-    /// replays it exactly. See [`Engine::schedule_at_keyed`].
-    keys: Vec<u64>,
+    /// Send-to-delivery flight latency accounting.
+    flights: Flights,
     /// Sharded-execution context (`None` when this world runs alone).
     shard: Option<ShardCtx>,
     /// Where the run loop drains the telemetry rings to, if anywhere.
@@ -657,13 +501,90 @@ enum TelemetrySink {
     Spill(Vec<TelemetryEvent>),
 }
 
-/// [`World::next_key`] over the bare counter table, for code that holds
-/// other fields of the world borrowed.
-#[inline]
-fn take_key(keys: &mut [u64], cab: usize) -> u64 {
-    let ctr = keys[cab];
-    keys[cab] = ctr + 1;
-    ((cab as u64) << 40) | ctr
+/// Send-to-delivery flight latency accounting, on with observability.
+pub(crate) struct Flights {
+    /// Master switch for flight tracking (latency accounting and the
+    /// per-component telemetry rings). Off by default: the hot path
+    /// pays one branch.
+    on: bool,
+    /// `true` when a unicast flight, alone and packet-switched, reaches
+    /// one CAB only and settles at its first delivery. Multicast and a
+    /// stale cached circuit (see `misrouted_rx`) reach several; those
+    /// wait for the min-join at metrics time.
+    settles_unicast: bool,
+    /// `true` in a shard of a partitioned world: a flight born in
+    /// another shard may end in this one.
+    sharded: bool,
+    /// Flight id -> time the packet was handed to the datalink, for
+    /// flights that settle at delivery. A CAB's deliveries end in the
+    /// order they are processed, so the first delivery is the
+    /// earliest: it settles the latency into `latency` and drops the
+    /// birth — the table holds flights in flight, not flights ever
+    /// sent.
+    open: HashMap<u64, Time>,
+    /// Latencies settled at delivery.
+    latency: Histogram,
+    /// Births of every other flight. These are never removed; their
+    /// latency is a birth/end join at metrics time, so the accounting
+    /// is insertion-order-independent (and therefore shardable).
+    births: HashMap<u64, Time>,
+    /// Flight id -> earliest time any receiver's application had the
+    /// packet, for the flights in `births` (min over deliveries:
+    /// multicast delivers one flight to many CABs, and the receiver
+    /// processed first need not finish first).
+    ends: HashMap<u64, Time>,
+}
+
+impl Flights {
+    pub(crate) fn new(sharded: bool, switching: SwitchingMode) -> Flights {
+        Flights {
+            on: false,
+            settles_unicast: !sharded && switching == SwitchingMode::PacketSwitched,
+            sharded,
+            open: HashMap::new(),
+            latency: Histogram::new(),
+            births: HashMap::new(),
+            ends: HashMap::new(),
+        }
+    }
+
+    /// A packet was handed to the datalink at `at`: flight `id` is born.
+    pub(crate) fn born(&mut self, id: u64, at: Time, multicast: bool) {
+        if !self.on {
+            return;
+        }
+        if self.settles_unicast && !multicast {
+            self.open.insert(id, at);
+        } else {
+            self.births.insert(id, at);
+        }
+    }
+
+    /// A receiver's application had flight `id`'s packet at `end`.
+    pub(crate) fn ended(&mut self, id: u64, end: Time) {
+        if !self.on {
+            return;
+        }
+        if let Some(birth) = self.open.remove(&id) {
+            self.latency.observe(end.saturating_since(birth).nanos());
+        } else if self.sharded || self.births.contains_key(&id) {
+            // Min-join, not first-wins: the earliest delivery of a
+            // flight defines its latency, no matter which shard (or
+            // batch position) processed it first.
+            let slot = self.ends.entry(id).or_insert(end);
+            *slot = (*slot).min(end);
+        }
+    }
+}
+
+/// Every recorder ring of world `$w`: its own, each HUB's, each CAB
+/// kernel's. The other arguments pick a shared or an exclusive borrow.
+macro_rules! rings {
+    ($w:expr, $iter:ident, $ring:ident, $($borrow:tt)+) => {
+        std::iter::once($($borrow)+ $w.telemetry)
+            .chain($w.hubs.$iter().map(|hub| hub.$ring()))
+            .chain($w.cabs.$iter().map(|cab| cab.$ring()))
+    };
 }
 
 /// The exclusive window end that makes `deadline` inclusive: one
@@ -705,39 +626,8 @@ impl World {
                 hub
             })
             .collect();
-        let cabs = (0..topo.cab_count())
-            .map(|i| {
-                let mut sched = Scheduler::new(cfg.cab.clone());
-                let app_thread = sched.spawn("application");
-                let idle = sched.spawn("idle");
-                // The CAB boots into its idle loop; the first dispatch of
-                // any other thread pays a real switch.
-                sched.assume_running(idle);
-                CabState {
-                    dma: DmaController::new(cfg.cab.clone()),
-                    // §5.2: the same circuit as a HUB I/O port, 1 KB queues.
-                    fiber: FiberPort::new(1024, cfg.cab.fiber_bw),
-                    sched,
-                    app_thread,
-                    fiber_ready: true,
-                    ready_gen: 0,
-                    ready_timeout: None,
-                    fiber_free: Time::ZERO,
-                    fiber_tx_busy: Dur::ZERO,
-                    tx_bursts: VecDeque::new(),
-                    streams: Vec::new(),
-                    datagram: Datagram::new(CabId::new(i as u16)),
-                    rpc_client: ReqRespClient::new(CabId::new(i as u16), cfg.rpc),
-                    rpc_server: ReqRespServer::new(CabId::new(i as u16), cfg.rpc),
-                    open_circuit: None,
-                    mailboxes: Vec::new(),
-                    timers: HashMap::new(),
-                    next_packet_id: (i as u64) << 40,
-                    counters: CabCounters::default(),
-                }
-            })
-            .collect();
-        let keys = vec![0u64; topo.cab_count()];
+        let cabs = (0..topo.cab_count()).map(|i| Cab::new(i, &cfg)).collect();
+        let flights = Flights::new(shard.is_some(), cfg.switching);
         World {
             cfg,
             topo,
@@ -755,15 +645,9 @@ impl World {
             batch: Vec::new(),
             tie: Tie::FIRST,
             last_batch_at: None,
-            actions: Vec::new(),
             hub_fx: Effects::new(),
             telemetry: Telemetry::default(),
-            observability: false,
-            open_births: HashMap::new(),
-            flight_latency: Histogram::new(),
-            flight_births: HashMap::new(),
-            flight_ends: HashMap::new(),
-            keys,
+            flights,
             shard,
             sink: TelemetrySink::Rings,
             sink_since: 0,
@@ -771,46 +655,29 @@ impl World {
         }
     }
 
-    /// The next tie-break key for an event caused by CAB `cab`:
-    /// globally unique, ascending per CAB.
-    #[inline]
-    fn next_key(&mut self, cab: usize) -> u64 {
-        take_key(&mut self.keys, cab)
-    }
-
     /// Switches on the flight recorder: typed telemetry in every HUB,
     /// every CAB kernel scheduler, and the world itself, plus
     /// send-to-delivery flight latency accounting. The default-off
     /// state costs the hot path one predictable branch per event.
     pub fn enable_observability(&mut self) {
-        self.observability = true;
-        self.telemetry.set_enabled(true);
-        for hub in &mut self.hubs {
-            hub.telemetry_mut().set_enabled(true);
-        }
-        for (i, cs) in self.cabs.iter_mut().enumerate() {
-            cs.sched.telemetry_mut().set_enabled(true);
-            cs.sched.telemetry_mut().set_subject(i as u16);
+        self.flights.on = true;
+        for ring in rings!(self, iter_mut, telemetry_mut, &mut) {
+            ring.set_enabled(true);
         }
     }
 
     /// `true` once [`enable_observability`](World::enable_observability)
     /// has been called.
     pub fn observability_enabled(&self) -> bool {
-        self.observability
+        self.flights.on
     }
 
     /// Every recorded telemetry event — the world's transport/DMA/app
     /// events merged with each HUB's crossbar events and each kernel
     /// scheduler's thread switches — sorted by timestamp.
     pub fn telemetry_events(&self) -> Vec<TelemetryEvent> {
-        let mut all: Vec<TelemetryEvent> = self.telemetry.events().copied().collect();
-        for hub in &self.hubs {
-            all.extend(hub.telemetry().events().copied());
-        }
-        for cs in &self.cabs {
-            all.extend(cs.sched.telemetry().events().copied());
-        }
+        let mut all: Vec<TelemetryEvent> =
+            rings!(self, iter, telemetry, &).flat_map(|ring| ring.events().copied()).collect();
         all.sort_by_key(|e| e.at);
         all
     }
@@ -819,26 +686,18 @@ impl World {
     /// `out`, leaving the rings empty. Order across rings is arbitrary;
     /// the streaming doctor takes a batch in any order.
     pub(crate) fn drain_telemetry_into(&mut self, out: &mut Vec<TelemetryEvent>) {
-        self.telemetry.drain_into(out);
-        for hub in &mut self.hubs {
-            hub.telemetry_mut().drain_into(out);
-        }
-        for cs in &mut self.cabs {
-            cs.sched.telemetry_mut().drain_into(out);
+        for ring in rings!(self, iter_mut, telemetry_mut, &mut) {
+            ring.drain_into(out);
         }
     }
 
     /// Smallest ring capacity across every component recorder — the
     /// bound the streaming drain cadence is derived from.
     pub(crate) fn min_telemetry_capacity(&self) -> usize {
-        let mut cap = self.telemetry.capacity();
-        for hub in &self.hubs {
-            cap = cap.min(hub.telemetry().capacity());
-        }
-        for cs in &self.cabs {
-            cap = cap.min(cs.sched.telemetry().capacity());
-        }
-        cap
+        rings!(self, iter, telemetry, &)
+            .map(Telemetry::capacity)
+            .min()
+            .expect("the world has a ring of its own")
     }
 
     /// Highest occupancy any component ring ever reached, and total
@@ -847,29 +706,17 @@ impl World {
     /// component) and on the streaming drain cadence, so it belongs in
     /// runtime reporting, not in the bit-compared metrics registry.
     pub fn telemetry_pressure(&self) -> (u64, u64) {
-        let mut hwm = self.telemetry.high_water_mark() as u64;
-        let mut dropped = self.telemetry.dropped();
-        for hub in &self.hubs {
-            hwm = hwm.max(hub.telemetry().high_water_mark() as u64);
-            dropped += hub.telemetry().dropped();
-        }
-        for cs in &self.cabs {
-            hwm = hwm.max(cs.sched.telemetry().high_water_mark() as u64);
-            dropped += cs.sched.telemetry().dropped();
-        }
-        (hwm, dropped)
+        rings!(self, iter, telemetry, &).fold((0, 0), |(hwm, dropped), ring| {
+            (hwm.max(ring.high_water_mark() as u64), dropped + ring.dropped())
+        })
     }
 
     /// Resizes every component telemetry ring (world, HUBs, kernel
     /// schedulers). Smaller rings stress capture pressure; streaming
     /// keeps analysis exact anyway because it drains before they fill.
     pub fn set_telemetry_capacity(&mut self, capacity: usize) {
-        self.telemetry.set_capacity(capacity);
-        for hub in &mut self.hubs {
-            hub.telemetry_mut().set_capacity(capacity);
-        }
-        for cs in &mut self.cabs {
-            cs.sched.telemetry_mut().set_capacity(capacity);
+        for ring in rings!(self, iter_mut, telemetry_mut, &mut) {
+            ring.set_capacity(capacity);
         }
         self.retune_drain_cadence();
     }
@@ -985,8 +832,8 @@ impl World {
     /// histogram.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut reg = self.metrics_without_flights();
-        let mut flights = self.flight_latency.clone();
-        join_flights(&self.flight_births, &self.flight_ends, &mut flights);
+        let mut flights = self.flights.latency.clone();
+        join_flights(&self.flights.births, &self.flights.ends, &mut flights);
         if !flights.is_empty() {
             reg.merge_histogram("latency.flight_ns", &flights);
         }
@@ -998,36 +845,7 @@ impl World {
     /// end in another, so the sharded runner joins globally. A shard
     /// world settles nothing at delivery, so these hold every flight.
     pub(crate) fn flight_times(&self) -> (&HashMap<u64, Time>, &HashMap<u64, Time>) {
-        (&self.flight_births, &self.flight_ends)
-    }
-
-    /// `true` when a flight's first processed delivery is its earliest
-    /// and its birth is at hand: the world runs alone and the flight
-    /// can reach one CAB only. Multicast reaches several, and so can a
-    /// datagram on a cached circuit with a stale member (see
-    /// `misrouted_rx`); those wait for the min-join at metrics time.
-    fn settles_at_delivery(&self, multicast: bool) -> bool {
-        self.shard.is_none() && !multicast && self.cfg.switching == SwitchingMode::PacketSwitched
-    }
-
-    fn note_flight_birth(&mut self, id: u64, at: Time, multicast: bool) {
-        if self.settles_at_delivery(multicast) {
-            self.open_births.insert(id, at);
-        } else {
-            self.flight_births.insert(id, at);
-        }
-    }
-
-    fn note_flight_end(&mut self, id: u64, end: Time) {
-        if let Some(birth) = self.open_births.remove(&id) {
-            self.flight_latency.observe(end.saturating_since(birth).nanos());
-        } else if self.shard.is_some() || self.flight_births.contains_key(&id) {
-            // Min-join, not first-wins: the earliest delivery of a
-            // flight defines its latency, no matter which shard (or
-            // batch position) processed it first.
-            let slot = self.flight_ends.entry(id).or_insert(end);
-            *slot = (*slot).min(end);
-        }
+        (&self.flights.births, &self.flights.ends)
     }
 
     /// Counters that describe how the run was executed rather than what
@@ -1073,60 +891,8 @@ impl World {
         for (h, hub) in self.hubs.iter().enumerate() {
             hub.counters().register_into(&mut reg, &format!("hub{h}."));
         }
-        for (c, cs) in self.cabs.iter().enumerate() {
-            let k = cs.counters;
-            let fields: [(&str, u64); 10] = [
-                ("packets_tx", k.packets_tx),
-                ("packets_rx", k.packets_rx),
-                ("corrupted_rx", k.corrupted_rx),
-                ("misrouted_rx", k.misrouted_rx),
-                ("overruns", k.overruns),
-                ("strays", k.strays),
-                ("circuit_opens", k.circuit_opens),
-                ("mailbox_rejects", k.mailbox_rejects),
-                ("ready_timeouts", k.ready_timeouts),
-                ("checksum_ops", k.checksum_ops),
-            ];
-            for (name, v) in fields {
-                reg.counter_add(&format!("cab{c}.{name}"), v);
-            }
-            cs.dma.register_into(&mut reg, &format!("cab{c}.dma."));
-            reg.counter_add(&format!("cab{c}.kernel.thread_switches"), cs.sched.switches());
-            reg.counter_add(&format!("cab{c}.kernel.interrupts"), cs.sched.interrupts());
-            reg.counter_add(
-                &format!("cab{c}.kernel.thread_busy_ns"),
-                cs.sched.thread_busy().nanos(),
-            );
-            reg.counter_add(
-                &format!("cab{c}.kernel.interrupt_busy_ns"),
-                cs.sched.interrupt_busy().nanos(),
-            );
-            let (tx, rtx, tmo, acc, mism) =
-                cs.open_streams().fold((0, 0, 0, 0, 0), |(a, b, t, ac, m), s| {
-                    let st = s.stats();
-                    (
-                        a + st.data_sent,
-                        b + st.retransmissions,
-                        t + st.timeouts,
-                        ac + st.accepted,
-                        m + st.reassembly_mismatches,
-                    )
-                });
-            reg.counter_add(&format!("cab{c}.transport.data_sent"), tx);
-            reg.counter_add(&format!("cab{c}.transport.retransmissions"), rtx);
-            reg.counter_add(&format!("cab{c}.transport.timeouts"), tmo);
-            reg.counter_add(&format!("cab{c}.transport.accepted"), acc);
-            reg.counter_add(&format!("cab{c}.transport.reassembly_mismatches"), mism);
-            for (_, mb) in &cs.mailboxes {
-                reg.gauge_max("mailbox.capacity_bytes", mb.capacity() as f64);
-            }
-            let (peak_bytes, peak_depth) =
-                cs.mailboxes.iter().fold((0usize, 0usize), |(b, d), (_, mb)| {
-                    (b.max(mb.peak_used()), d.max(mb.peak_len()))
-                });
-            reg.gauge_max(&format!("cab{c}.mailbox.peak_bytes"), peak_bytes as f64);
-            reg.gauge_max(&format!("cab{c}.mailbox.peak_depth"), peak_depth as f64);
-            reg.gauge_max(&format!("cab{c}.fiber.utilization"), self.fiber_utilization(c));
+        for cab in &self.cabs {
+            cab.register_into(&mut reg, self.now());
         }
         if let Some(wl) = &self.workload {
             for (c, k) in wl.counters.iter().enumerate() {
@@ -1281,38 +1047,27 @@ impl World {
         let class_specs: Vec<nectar_sim::workload::ClassSpec> =
             (0..wl.generator.class_count()).map(|c| *wl.generator.class(c)).collect();
         for (c, class) in class_specs.into_iter().enumerate() {
-            match class.shape {
-                Shape::Open { .. } => {
-                    for cab in 0..cab_count {
-                        if !self.owns_cab(cab) {
-                            continue;
-                        }
+            for cab in 0..cab_count {
+                if !self.owns_cab(cab) {
+                    continue;
+                }
+                let (at, ev) = match class.shape {
+                    Shape::Open { .. } => {
                         let wl = self.workload.as_mut().expect("attached");
                         let delay = wl.generator.first_delay(c, cab as u16);
-                        let Some(at) = class.from.checked_add(delay) else { continue };
-                        if at < class.until {
-                            let key = self.next_key(cab);
-                            self.engine.schedule_at_keyed(
-                                at,
-                                key,
-                                Ev::WorkloadTick { cab, class: c },
-                            );
+                        match class.from.checked_add(delay) {
+                            Some(at) if at < class.until => {
+                                (at, Ev::WorkloadTick { cab, class: c })
+                            }
+                            _ => continue,
                         }
                     }
-                }
-                Shape::Closed { tokens, .. } => {
-                    for cab in 0..cab_count {
-                        if !self.owns_cab(cab) {
-                            continue;
-                        }
-                        let key = self.next_key(cab);
-                        self.engine.schedule_at_keyed(
-                            class.from,
-                            key,
-                            Ev::WorkloadLaunch { cab, class: c, count: tokens },
-                        );
+                    Shape::Closed { tokens, .. } => {
+                        (class.from, Ev::WorkloadLaunch { cab, class: c, count: tokens })
                     }
-                }
+                };
+                let key = self.cabs[cab].take_key();
+                self.engine.schedule_at_keyed(at, key, ev);
             }
         }
         Ok(())
@@ -1328,26 +1083,16 @@ impl World {
         wl.counters[cab].flows += 1;
         wl.counters[cab].bytes += bytes as u64;
         let data_mb = WORKLOAD_MAILBOX_BASE + (class as u16) * 2;
-        let reply_mb = data_mb + 1;
-        let len = match transport {
-            FlowTransport::Stream => bytes as usize,
-            // Single-packet transports: heavy-tail draws clamp here.
-            FlowTransport::Datagram | FlowTransport::Rpc => {
-                (bytes as usize).min(MAX_FRAGMENT_PAYLOAD)
-            }
+        // Single-packet transports clamp heavy-tail draws; an RPC's
+        // reply comes back to the mailbox after its class's.
+        let single = (bytes as usize).min(MAX_FRAGMENT_PAYLOAD);
+        let (src_mb, len) = match transport {
+            FlowTransport::Stream => (data_mb, bytes as usize),
+            FlowTransport::Datagram => (data_mb, single),
+            FlowTransport::Rpc => (data_mb + 1, single),
         };
         let data = wl.zeros.slice(0..len);
-        match transport {
-            FlowTransport::Datagram => {
-                self.do_datagram_send(now, cab, dst, data_mb, data_mb, data);
-            }
-            FlowTransport::Stream => {
-                self.do_stream_send(now, cab, dst, data_mb, data_mb, data);
-            }
-            FlowTransport::Rpc => {
-                self.do_rpc_send(now, cab, dst, reply_mb, data_mb, data);
-            }
-        }
+        self.with_cab(cab, |c, x| c.send(x, now, transport, dst, src_mb, data_mb, data));
     }
 
     /// An open-loop arrival: emit the flow, schedule the next tick.
@@ -1358,7 +1103,7 @@ impl World {
         self.workload_send(now, cab, class, flow.dst as usize, flow.bytes);
         if let Some(at) = now.checked_add(next) {
             if at < until {
-                let key = self.next_key(cab);
+                let key = self.cabs[cab].take_key();
                 self.engine.schedule_at_keyed(at, key, Ev::WorkloadTick { cab, class });
             }
         }
@@ -1389,50 +1134,8 @@ impl World {
             (wl.generator.reply_bytes(class, cab as u16) as usize).min(MAX_FRAGMENT_PAYLOAD);
         wl.counters[cab].replies += 1;
         let data = wl.zeros.slice(0..bytes);
-        self.rpc_respond(cab, client, tx, data);
-    }
-
-    /// Delivery hook: a message landing in a workload mailbox is
-    /// consumed immediately (workload mailboxes never accumulate), RPC
-    /// requests schedule the auto-responder, and closed-loop tokens
-    /// re-arm after think time. `id`/`tag` come from the delivered
-    /// message: the RPC server delivers requests with id = transaction
-    /// and tag = calling CAB.
-    fn workload_on_deliver(&mut self, cab: usize, mailbox: u16, end: Time, id: u64, tag: u32) {
-        if mailbox < WORKLOAD_MAILBOX_BASE || self.workload.is_none() {
-            return;
-        }
-        let idx = (mailbox - WORKLOAD_MAILBOX_BASE) as usize;
-        let (class, is_reply_mb) = (idx >> 1, idx & 1 == 1);
-        let wl = self.workload.as_mut().expect("checked above");
-        if class >= wl.generator.class_count() {
-            return; // not a workload mailbox after all
-        }
-        let spec = *wl.generator.class(class);
-        self.mailbox_take(cab, mailbox);
-        if matches!(spec.transport, FlowTransport::Rpc) && !is_reply_mb {
-            // A request at the service mailbox: answer it. The reply
-            // leaves when the responder event runs, charging the
-            // server's application thread at that instant.
-            let key = self.next_key(cab);
-            self.engine.schedule_at_keyed(
-                end,
-                key,
-                Ev::WorkloadReply { cab, class, client: tag as usize, tx: id as u32 },
-            );
-            return;
-        }
-        // A datagram/stream delivery — or an RPC reply back at the
-        // caller: the token now lives here and re-arms after thinking.
-        if let Shape::Closed { think, .. } = spec.shape {
-            let Some(at) = end.checked_add(think) else { return };
-            if at < spec.until {
-                let wl = self.workload.as_mut().expect("checked above");
-                wl.counters[cab].rearms += 1;
-                let key = self.next_key(cab);
-                self.engine.schedule_at_keyed(at, key, Ev::WorkloadLaunch { cab, class, count: 1 });
-            }
-        }
+        let now = self.now();
+        self.with_cab(cab, |c, x| c.rpc_respond(x, now, client, tx, data));
     }
 
     /// The system configuration.
@@ -1457,7 +1160,7 @@ impl World {
 
     /// Replies received by each CAB, in arrival order: `(cab, reply,
     /// at)`. Populated by circuit-open acks and `query status` answers.
-    pub fn replies(&self) -> &[(usize, nectar_hub::command::Reply, Time)] {
+    pub fn replies(&self) -> &[(usize, Reply, Time)] {
         &self.replies
     }
 
@@ -1472,65 +1175,48 @@ impl World {
     /// work.
     pub fn query_hub_status(&mut self, cab: usize, hub: HubId, port: PortId) {
         let now = self.now();
-        let cmd =
-            nectar_hub::command::Command::user(nectar_hub::command::UserOp::QueryStatus, hub, port);
-        let cost = self.cfg.cab.datalink_packet;
-        let app = self.cabs[cab].app_thread;
-        self.cabs[cab].sched.assume_running(app);
-        let (_, done) = self.cabs[cab].sched.run(now, app, cost);
-        self.enqueue_burst(cab, Burst::Items(vec![cmd.into()]), done);
+        self.with_cab(cab, |c, x| c.query_hub_status(x, now, hub, port));
     }
 
     /// Counters for CAB `idx`.
     pub fn cab_counters(&self, idx: usize) -> CabCounters {
-        self.cabs[idx].counters
+        self.cabs[idx].counters()
     }
 
     /// The kernel scheduler of CAB `idx` (switch/interrupt statistics).
     pub fn cab_scheduler(&self, idx: usize) -> &Scheduler {
-        &self.cabs[idx].sched
+        self.cabs[idx].scheduler()
     }
 
     /// Fraction of elapsed time CAB `idx`'s outgoing fiber carried
     /// bits (raw wire occupancy, headers and commands included).
     pub fn fiber_utilization(&self, idx: usize) -> f64 {
-        let elapsed = self.now().saturating_since(Time::ZERO);
-        if elapsed.is_zero() {
-            0.0
-        } else {
-            self.cabs[idx].fiber_tx_busy.as_secs_f64() / elapsed.as_secs_f64()
-        }
+        self.cabs[idx].fiber_utilization(self.now())
     }
 
     /// Byte-stream statistics from `src` towards `dst`, if any traffic
     /// has flowed.
-    pub fn stream_stats(
-        &self,
-        src: usize,
-        dst: usize,
-    ) -> Option<nectar_proto::transport::bytestream::ByteStreamStats> {
-        self.cabs[src].streams.get(dst)?.as_ref().map(|s| s.stats())
+    pub fn stream_stats(&self, src: usize, dst: usize) -> Option<ByteStreamStats> {
+        self.cabs[src].stream_stats(dst)
     }
 
     /// `true` when every byte stream has drained (nothing in flight or
     /// backlogged) and no RPC calls are outstanding — the transport
     /// layer's part of the quiescence invariant.
     pub fn transport_quiescent(&self) -> bool {
-        self.cabs.iter().all(|cs| {
-            cs.open_streams().all(|s| s.is_quiescent()) && cs.rpc_client.outstanding() == 0
-        })
+        self.cabs.iter().all(Cab::transport_quiescent)
     }
 
     /// RPC client counters for CAB `idx`: `(calls, responses,
     /// timeouts, retransmissions)`.
     pub fn rpc_client_stats(&self, idx: usize) -> (u64, u64, u64, u64) {
-        self.cabs[idx].rpc_client.stats()
+        self.cabs[idx].rpc_client_stats()
     }
 
     /// RPC server counters for CAB `idx`: `(requests executed,
     /// duplicate requests suppressed, cached replays)`.
     pub fn rpc_server_stats(&self, idx: usize) -> (u64, u64, u64) {
-        self.cabs[idx].rpc_server.stats()
+        self.cabs[idx].rpc_server_stats()
     }
 
     // ---------------------------------------------------------------
@@ -1609,7 +1295,7 @@ impl World {
     /// counter: in call order, below every HUB key.
     #[cfg(test)]
     pub(crate) fn inject_hub_item(&mut self, at: Time, hub: usize, port: PortId, item: Item) {
-        let key = self.next_key(0);
+        let key = self.cabs[0].take_key();
         self.engine.schedule_at_keyed(at, key, Ev::HubItem { hub, port, item });
     }
 
@@ -1633,7 +1319,7 @@ impl World {
     /// HUB may add a controller attempt of the instant to the batch
     /// (see [`apply_hub_effects`](World::apply_hub_effects)).
     /// Timer events cancelled by an earlier event in the same batch are
-    /// filtered by the timer table in [`dispatch`](World::dispatch).
+    /// filtered by each CAB's timer table when they fire.
     pub(crate) fn run_window(&mut self, end: Time) -> u64 {
         let mut n = 0;
         while self.engine.peek_time().is_some_and(|at| at < end) {
@@ -1697,9 +1383,10 @@ impl World {
         let cycle = self.cfg.hub.cycle.nanos();
         let mut w = (hc.packets_forwarded + hc.commands_executed + hc.replies_forwarded)
             .saturating_mul(cycle);
-        for (c, cs) in self.cabs.iter().enumerate() {
+        for (c, cab) in self.cabs.iter().enumerate() {
             if self.topo.cab_attachment(c).0 == hub {
-                w += cs.sched.thread_busy().nanos() + cs.sched.interrupt_busy().nanos();
+                let sched = cab.scheduler();
+                w += sched.thread_busy().nanos() + sched.interrupt_busy().nanos();
             }
         }
         w
@@ -1723,7 +1410,7 @@ impl World {
 
     /// Schedules an application send at absolute time `at`.
     pub fn schedule_send(&mut self, at: Time, cab: usize, send: AppSend) {
-        let key = self.next_key(cab);
+        let key = self.cabs[cab].take_key();
         self.engine.schedule_at_keyed(at, key, Ev::AppSend { cab, send });
     }
 
@@ -1737,8 +1424,10 @@ impl World {
         dst_mailbox: u16,
         data: &[u8],
     ) -> u32 {
-        let now = self.now();
-        self.do_stream_send(now, src, dst, src_mailbox, dst_mailbox, data.into())
+        let (now, data) = (self.now(), data.into());
+        self.with_cab(src, |c, x| {
+            c.send(x, now, FlowTransport::Stream, dst, src_mailbox, dst_mailbox, data)
+        })
     }
 
     /// Sends an unreliable datagram right now; returns its message id.
@@ -1750,8 +1439,10 @@ impl World {
         dst_mailbox: u16,
         data: &[u8],
     ) -> u32 {
-        let now = self.now();
-        self.do_datagram_send(now, src, dst, src_mailbox, dst_mailbox, data.into())
+        let (now, data) = (self.now(), data.into());
+        self.with_cab(src, |c, x| {
+            c.send(x, now, FlowTransport::Datagram, dst, src_mailbox, dst_mailbox, data)
+        })
     }
 
     /// Issues a request-response call right now; returns the
@@ -1764,8 +1455,10 @@ impl World {
         service_mailbox: u16,
         data: &[u8],
     ) -> u32 {
-        let now = self.now();
-        self.do_rpc_send(now, src, dst, reply_mailbox, service_mailbox, data.into())
+        let (now, data) = (self.now(), data.into());
+        self.with_cab(src, |c, x| {
+            c.send(x, now, FlowTransport::Rpc, dst, reply_mailbox, service_mailbox, data)
+        })
     }
 
     /// Sends a hardware multicast datagram right now.
@@ -1777,28 +1470,15 @@ impl World {
         dst_mailbox: u16,
         data: &[u8],
     ) {
-        let now = self.now();
-        self.do_multicast_send(now, src, dsts, src_mailbox, dst_mailbox, data.into());
+        let (now, data) = (self.now(), data.into());
+        self.with_cab(src, |c, x| c.multicast(x, now, dsts, src_mailbox, dst_mailbox, data));
     }
 
     /// Answers a pending RPC (the application on `cab` responding to
     /// `client`'s transaction `tx`).
     pub fn rpc_respond_now(&mut self, cab: usize, client: usize, tx: u32, data: &[u8]) -> bool {
-        self.rpc_respond(cab, client, tx, data.into())
-    }
-
-    fn rpc_respond(&mut self, cab: usize, client: usize, tx: u32, data: Bytes) -> bool {
-        let now = self.now();
-        let mut actions = std::mem::take(&mut self.actions);
-        let ok = self.cabs[cab].rpc_server.respond(
-            now,
-            CabId::new(client as u16),
-            tx,
-            data,
-            &mut actions,
-        );
-        self.exec_actions(cab, now, None, true, FlightId::NONE, actions);
-        ok
+        let (now, data) = (self.now(), data.into());
+        self.with_cab(cab, |c, x| c.rpc_respond(x, now, client, tx, data))
     }
 
     /// Takes the next message out of a mailbox (application receive).
@@ -1807,7 +1487,24 @@ impl World {
         cab: usize,
         mailbox: u16,
     ) -> Option<nectar_kernel::mailbox::Message> {
-        self.cabs[cab].mailbox_mut(mailbox)?.take_next()
+        self.cabs[cab].mailbox_take(mailbox)
+    }
+
+    /// Runs `f` on CAB `cab` with the rest of the world lent as [`Ctx`].
+    fn with_cab<R>(&mut self, cab: usize, f: impl FnOnce(&mut Cab, &mut Ctx) -> R) -> R {
+        let mut x = Ctx {
+            cfg: &self.cfg,
+            topo: &self.topo,
+            engine: &mut self.engine,
+            telemetry: &mut self.telemetry,
+            deliveries: &mut self.deliveries,
+            completions: &mut self.completions,
+            errors: &mut self.errors,
+            replies: &mut self.replies,
+            flights: &mut self.flights,
+            workload: self.workload.as_deref_mut(),
+        };
+        f(&mut self.cabs[cab], &mut x)
     }
 
     // ---------------------------------------------------------------
@@ -1838,90 +1535,33 @@ impl World {
             }
             Ev::CabItem { cab, item } => self.cab_item(now, cab, item, false),
             Ev::CabItemReplay { cab, item } => self.cab_item(now, cab, item, true),
-            Ev::CabReadySignal { cab } => {
-                let cs = &mut self.cabs[cab];
-                cs.fiber_ready = true;
-                cs.ready_gen += 1; // invalidate pending timeout
-                cs.disarm_ready_timeout(&mut self.engine);
-                self.try_flush(cab, now);
-            }
+            Ev::CabReadySignal { cab } => self.with_cab(cab, |c, x| c.ready_signal(x, now)),
             Ev::CabReadyTimeout { cab, gen } => {
-                let cs = &mut self.cabs[cab];
-                if cs.ready_gen == gen && !cs.fiber_ready {
-                    // The ready signal never came back: a command (or
-                    // the packet itself) was lost. Re-arm and let the
-                    // transport's retransmission recover.
-                    cs.fiber_ready = true;
-                    cs.ready_gen += 1;
-                    cs.ready_timeout = None; // this event was it
-                    cs.counters.ready_timeouts += 1;
-                    self.telemetry.record(
-                        now,
-                        FlightId::NONE,
-                        EventKind::DatalinkRetry { cab: cab as u16 },
-                    );
-                    self.try_flush(cab, now);
-                }
+                self.with_cab(cab, |c, x| c.ready_timeout(x, now, gen))
             }
             Ev::CabPacketReady { cab, packet } => {
-                self.telemetry.record(
-                    now,
-                    FlightId(packet.id()),
-                    EventKind::DmaComplete {
-                        cab: cab as u16,
-                        channel: Channel::FiberIn.number(),
-                        bytes: packet.len() as u32,
-                    },
-                );
-                self.cab_packet_ready(now, cab, packet);
+                self.with_cab(cab, |c, x| c.packet_ready(x, now, packet))
             }
             Ev::CabTimer { cab, source, token } => {
-                // The timer table is the source of truth: a timer
-                // cancelled by an earlier event in the same batch has
-                // already left the table (its engine event was popped
-                // with the batch and could no longer be cancelled), so
-                // its expiry must be ignored here.
-                if self.cabs[cab].timers.remove(&(source, token.0)).is_none() {
-                    return;
-                }
-                let t = self.cfg.cab.timer_op;
-                let (_, done) = self.cabs[cab].sched.run_interrupt(now, t);
-                let timeout_peer = match source {
-                    TimerSource::Stream(peer) => peer as u16,
-                    TimerSource::Rpc => u16::MAX,
-                };
-                self.telemetry.record(
-                    now,
-                    FlightId::NONE,
-                    EventKind::TransportTimeout { cab: cab as u16, peer: timeout_peer },
-                );
-                let mut actions = std::mem::take(&mut self.actions);
-                match source {
-                    TimerSource::Stream(peer) => {
-                        if let Some(Some(s)) = self.cabs[cab].streams.get_mut(peer) {
-                            s.on_timer(done, token, &mut actions);
-                        }
-                    }
-                    TimerSource::Rpc => {
-                        self.cabs[cab].rpc_client.on_timer(done, token, &mut actions)
-                    }
-                }
-                self.exec_actions(cab, done, Some(source), false, FlightId::NONE, actions);
+                self.with_cab(cab, |c, x| c.timer_expires(x, now, source, token))
             }
-            Ev::AppSend { cab, send } => match send {
-                AppSend::Stream { dst, src_mailbox, dst_mailbox, data } => {
-                    self.do_stream_send(now, cab, dst, src_mailbox, dst_mailbox, data.into());
-                }
-                AppSend::Datagram { dst, src_mailbox, dst_mailbox, data } => {
-                    self.do_datagram_send(now, cab, dst, src_mailbox, dst_mailbox, data.into());
-                }
-                AppSend::Rpc { dst, reply_mailbox, service_mailbox, data } => {
-                    self.do_rpc_send(now, cab, dst, reply_mailbox, service_mailbox, data.into());
-                }
-                AppSend::Multicast { dsts, src_mailbox, dst_mailbox, data } => {
-                    self.do_multicast_send(now, cab, &dsts, src_mailbox, dst_mailbox, data.into());
-                }
-            },
+            Ev::AppSend { cab, send } => self.with_cab(cab, |c, x| {
+                let (transport, dst, src_mailbox, dst_mailbox, data) = match send {
+                    AppSend::Stream { dst, src_mailbox, dst_mailbox, data } => {
+                        (FlowTransport::Stream, dst, src_mailbox, dst_mailbox, data)
+                    }
+                    AppSend::Datagram { dst, src_mailbox, dst_mailbox, data } => {
+                        (FlowTransport::Datagram, dst, src_mailbox, dst_mailbox, data)
+                    }
+                    AppSend::Rpc { dst, reply_mailbox, service_mailbox, data } => {
+                        (FlowTransport::Rpc, dst, reply_mailbox, service_mailbox, data)
+                    }
+                    AppSend::Multicast { dsts, src_mailbox, dst_mailbox, data } => {
+                        return c.multicast(x, now, &dsts, src_mailbox, dst_mailbox, data.into());
+                    }
+                };
+                c.send(x, now, transport, dst, src_mailbox, dst_mailbox, data.into());
+            }),
             Ev::WorkloadTick { cab, class } => self.workload_tick(now, cab, class),
             Ev::WorkloadLaunch { cab, class, count } => {
                 self.workload_launch(now, cab, class, count)
@@ -1930,6 +1570,52 @@ impl World {
                 self.workload_reply(cab, class, client, tx)
             }
         }
+    }
+
+    /// A wire item reaches a CAB's fiber input, through the chaos
+    /// injector. `replay` marks items the injector itself produced; they
+    /// bypass it so faults cannot cascade on their own products.
+    fn cab_item(&mut self, now: Time, cab: usize, item: Item, replay: bool) {
+        let item = match (item, replay, &mut self.chaos) {
+            (Item::Packet(p), false, Some(chaos)) => {
+                let verdict = chaos.on_cab_packet(now, cab as u16, p.len());
+                let (hub, port) = self.topo.cab_attachment(cab);
+                let (board, engine) = (&mut self.cabs[cab], &mut self.engine);
+                if verdict.drop {
+                    // The packet vanishes; flow control must still be
+                    // released or the sender wedges.
+                    self.faults_injected += 1;
+                    engine.schedule_at_keyed(now, board.take_key(), Ev::HubReady { hub, port });
+                    return;
+                }
+                if verdict.duplicate {
+                    // The copy shares the original packet (scheduled
+                    // before corruption replaces it) and re-enters via
+                    // the replay path so it cannot be faulted again.
+                    let ev = Ev::CabItemReplay { cab, item: Item::Packet(p.clone()) };
+                    engine.schedule_at_keyed(now, board.take_key(), ev);
+                }
+                let p = match verdict.corrupt {
+                    Some((idx, bit)) if !p.is_empty() => {
+                        self.faults_injected += 1;
+                        cab::corrupt(&p, idx.min(p.len() - 1), bit & 7)
+                    }
+                    _ => p,
+                };
+                if let Some(d) = verdict.delay {
+                    // Reordering: release the HUB port now so later
+                    // traffic overtakes, then deliver the original
+                    // after the extra delay.
+                    engine.schedule_at_keyed(now, board.take_key(), Ev::HubReady { hub, port });
+                    let ev = Ev::CabItemReplay { cab, item: Item::Packet(p) };
+                    engine.schedule_at_keyed(now + d, board.take_key(), ev);
+                    return;
+                }
+                Item::Packet(p)
+            }
+            (item, _, _) => item,
+        };
+        self.with_cab(cab, |c, x| c.item_arrives(x, now, item));
     }
 
     /// An item's head reaches HUB `hub`'s `port`, through the chaos
@@ -1999,415 +1685,6 @@ impl World {
                 self.engine.schedule_at_keyed(at, key, Ev::HubItem { hub, port, item });
             }
             at = next;
-        }
-    }
-
-    // ---------------------------------------------------------------
-    // Sends
-    // ---------------------------------------------------------------
-
-    fn do_stream_send(
-        &mut self,
-        now: Time,
-        src: usize,
-        dst: usize,
-        src_mailbox: u16,
-        dst_mailbox: u16,
-        data: Bytes,
-    ) -> u32 {
-        assert_ne!(src, dst, "a CAB does not message itself over the net");
-        let stream_cfg = self.cfg.stream;
-        let cs = &mut self.cabs[src];
-        // The application thread is the caller (procedure-call
-        // invocation, §6.2.2): it is already running.
-        let app = cs.app_thread;
-        cs.sched.assume_running(app);
-        let bytes = data.len() as u32;
-        let mut actions = std::mem::take(&mut self.actions);
-        let msg_id = cs.stream_to(src, dst, stream_cfg).send_message(
-            now,
-            src_mailbox,
-            dst_mailbox,
-            data,
-            &mut actions,
-        );
-        self.telemetry.record(
-            now,
-            FlightId::NONE,
-            EventKind::AppSend { cab: src as u16, dst: dst as u16, bytes },
-        );
-        self.exec_actions(src, now, Some(TimerSource::Stream(dst)), true, FlightId::NONE, actions);
-        msg_id
-    }
-
-    fn do_datagram_send(
-        &mut self,
-        now: Time,
-        src: usize,
-        dst: usize,
-        src_mailbox: u16,
-        dst_mailbox: u16,
-        data: Bytes,
-    ) -> u32 {
-        assert_ne!(src, dst, "a CAB does not message itself over the net");
-        let cs = &mut self.cabs[src];
-        let app = cs.app_thread;
-        cs.sched.assume_running(app);
-        let bytes = data.len() as u32;
-        let mut actions = std::mem::take(&mut self.actions);
-        let msg_id = cs.datagram.send(
-            now,
-            CabId::new(dst as u16),
-            src_mailbox,
-            dst_mailbox,
-            data,
-            &mut actions,
-        );
-        self.telemetry.record(
-            now,
-            FlightId::NONE,
-            EventKind::AppSend { cab: src as u16, dst: dst as u16, bytes },
-        );
-        self.exec_actions(src, now, None, true, FlightId::NONE, actions);
-        msg_id
-    }
-
-    fn do_rpc_send(
-        &mut self,
-        now: Time,
-        src: usize,
-        dst: usize,
-        reply_mailbox: u16,
-        service_mailbox: u16,
-        data: Bytes,
-    ) -> u32 {
-        assert_ne!(src, dst, "a CAB does not call itself over the net");
-        let cs = &mut self.cabs[src];
-        let app = cs.app_thread;
-        cs.sched.assume_running(app);
-        let bytes = data.len() as u32;
-        let mut actions = std::mem::take(&mut self.actions);
-        let tx = cs.rpc_client.call(
-            now,
-            CabId::new(dst as u16),
-            reply_mailbox,
-            service_mailbox,
-            data,
-            &mut actions,
-        );
-        self.telemetry.record(
-            now,
-            FlightId::NONE,
-            EventKind::AppSend { cab: src as u16, dst: dst as u16, bytes },
-        );
-        self.exec_actions(src, now, Some(TimerSource::Rpc), true, FlightId::NONE, actions);
-        tx
-    }
-
-    fn do_multicast_send(
-        &mut self,
-        now: Time,
-        src: usize,
-        dsts: &[usize],
-        src_mailbox: u16,
-        dst_mailbox: u16,
-        data: Bytes,
-    ) {
-        let mc =
-            self.topo.multicast_route(src, dsts).expect("multicast destinations must be reachable");
-        // One datagram header; receivers deliver by mailbox address.
-        let header = Header {
-            src_mailbox,
-            dst_mailbox,
-            msg_id: self.cabs[src].datagram.stats().0 as u32,
-            payload_len: data.len() as u16,
-            ..Header::new(
-                nectar_proto::header::PacketKind::Datagram,
-                CabId::new(src as u16),
-                // dst_cab is advisory for multicast; receivers don't check.
-                CabId::new(dsts[0] as u16),
-            )
-        };
-        let head = header.encode(&data);
-        let t = self.cfg.cab.send_path();
-        let app = self.cabs[src].app_thread;
-        self.cabs[src].sched.assume_running(app);
-        self.cabs[src].counters.checksum_ops += 1;
-        let (_, done) = self.cabs[src].sched.run(now, app, t);
-        let bytes = data.len() as u32;
-        self.telemetry.record(
-            now,
-            FlightId::NONE,
-            EventKind::AppSend { cab: src as u16, dst: dsts[0] as u16, bytes },
-        );
-        let packet = self.next_packet(src, head, data);
-        if self.observability {
-            self.note_flight_birth(packet.id(), done, true);
-            self.telemetry.record(
-                done,
-                FlightId(packet.id()),
-                EventKind::TransportSend {
-                    cab: src as u16,
-                    peer: dsts[0] as u16,
-                    seq: header.msg_id,
-                    bytes,
-                    retransmit: false,
-                },
-            );
-        }
-        let items = mc.packet_switched_items(packet, self.cfg.hub.queue_capacity);
-        self.cabs[src].counters.packets_tx += 1;
-        self.enqueue_burst(src, Burst::Items(items), done);
-    }
-
-    /// The packet `cab` puts on the fiber next: its encoded header and
-    /// the payload it shares with the transport.
-    fn next_packet(&mut self, cab: usize, head: [u8; HEADER_BYTES], payload: Bytes) -> Packet {
-        let id = self.cabs[cab].next_packet_id;
-        self.cabs[cab].next_packet_id += 1;
-        Packet::framed(id, head, payload)
-    }
-
-    // ---------------------------------------------------------------
-    // Action execution
-    // ---------------------------------------------------------------
-
-    /// Executes transport actions for `cab`. `app_context` selects the
-    /// CPU charging: `true` for procedure-call sends from the
-    /// application thread, `false` for interrupt-context activity
-    /// (acks, retransmissions, timer handlers). `flight` is the flight
-    /// id of the packet whose processing produced these actions (or
-    /// [`FlightId::NONE`]); deliveries inherit it for latency
-    /// accounting. `actions` is the world's scratch list, taken by the
-    /// caller to fill; it is handed back here, emptied.
-    fn exec_actions(
-        &mut self,
-        cab: usize,
-        now: Time,
-        source: Option<TimerSource>,
-        app_context: bool,
-        flight: FlightId,
-        mut actions: Vec<Action>,
-    ) {
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { header, payload, retransmit } => {
-                    let cost_send = self.cfg.cab.send_path();
-                    let cost_int = self.cfg.cab.datalink_packet + self.cfg.cab.dma_setup;
-                    let cs = &mut self.cabs[cab];
-                    let done = if app_context {
-                        let app = cs.app_thread;
-                        cs.sched.run(now, app, cost_send).1
-                    } else {
-                        cs.sched.run_interrupt(now, cost_int).1
-                    };
-                    cs.counters.checksum_ops += 1;
-                    let head = header.encode(&payload);
-                    let (dst, seq, bytes) = (header.dst_cab.index(), header.seq, payload.len());
-                    let packet = self.next_packet(cab, head, payload);
-                    self.cab_send_packet(cab, dst, packet, done, seq, bytes as u32, retransmit);
-                }
-                Action::Deliver { mailbox, msg } => {
-                    let op = self.cfg.cab.mailbox_op;
-                    let cs = &mut self.cabs[cab];
-                    let app = cs.app_thread;
-                    let (_, end) = cs.sched.run(now, app, op);
-                    let (id, len, tag) = (msg.id(), msg.len(), msg.tag());
-                    if cs.mailbox_or_create(mailbox, MAILBOX_CAPACITY).append(msg).is_err() {
-                        cs.counters.mailbox_rejects += 1;
-                        continue;
-                    }
-                    self.telemetry.record(
-                        end,
-                        flight,
-                        EventKind::AppRecv { cab: cab as u16, mailbox, bytes: len as u32 },
-                    );
-                    if self.observability && flight.is_some() {
-                        self.note_flight_end(flight.0, end);
-                    }
-                    self.deliveries.push(Delivery { cab, mailbox, msg_id: id, len, at: end });
-                    if self.workload.is_some() {
-                        self.workload_on_deliver(cab, mailbox, end, id, tag);
-                    }
-                }
-                Action::SetTimer { token, delay } => {
-                    let src = source.expect("timer from a timerless protocol");
-                    let key = self.next_key(cab);
-                    let id = self.engine.schedule_at_keyed(
-                        now.max(self.engine.now()) + delay,
-                        key,
-                        Ev::CabTimer { cab, source: src, token },
-                    );
-                    self.cabs[cab].timers.insert((src, token.0), id);
-                }
-                Action::CancelTimer { token } => {
-                    let src = source.expect("timer from a timerless protocol");
-                    if let Some(id) = self.cabs[cab].timers.remove(&(src, token.0)) {
-                        self.engine.cancel(id);
-                    }
-                }
-                Action::Complete { msg_id } => self.completions.push((cab, msg_id, now)),
-                Action::Error(e) => self.errors.push((cab, e, now)),
-            }
-        }
-        self.actions = actions;
-    }
-
-    // ---------------------------------------------------------------
-    // Datalink: CAB -> fiber
-    // ---------------------------------------------------------------
-
-    #[allow(clippy::too_many_arguments)]
-    fn cab_send_packet(
-        &mut self,
-        cab: usize,
-        dst: usize,
-        packet: Packet,
-        ready: Time,
-        seq: u32,
-        payload_bytes: u32,
-        retransmit: bool,
-    ) {
-        // The flight id is born here, where the CAB hands the packet to
-        // its datalink; the recorder traces it through every HUB hop to
-        // the receiving application.
-        if self.observability {
-            self.note_flight_birth(packet.id(), ready, false);
-            self.telemetry.record(
-                ready,
-                FlightId(packet.id()),
-                EventKind::TransportSend {
-                    cab: cab as u16,
-                    peer: dst as u16,
-                    seq,
-                    bytes: payload_bytes,
-                    retransmit,
-                },
-            );
-        }
-        let burst = match self.cfg.switching {
-            SwitchingMode::PacketSwitched => {
-                let queue_cap = self.cfg.hub.queue_capacity;
-                assert!(
-                    packet.wire_bytes() <= queue_cap,
-                    "packet-switched packets must fit the {queue_cap}-byte input queue"
-                );
-                // Fail here, at the send, not when the burst is flushed.
-                self.topo.route(cab, dst).expect("destination must be reachable");
-                Burst::Packet { dst, packet }
-            }
-            SwitchingMode::CircuitCached => {
-                let mut items = Vec::new();
-                let reopen = match self.cabs[cab].open_circuit {
-                    // A retransmission means packets are vanishing on
-                    // this path; the cached circuit (or its close-all,
-                    // leaving a stale member multicasting our data) is
-                    // suspect, so rebuild it from scratch.
-                    Some(open_dst) if open_dst == dst && !retransmit => false,
-                    Some(_) => {
-                        // Tear down the old circuit first: a CAB has one
-                        // input port, a second circuit would multicast.
-                        items.push(Item::CloseAll);
-                        true
-                    }
-                    None => true,
-                };
-                if reopen {
-                    let route = self.topo.route(cab, dst).expect("destination must be reachable");
-                    // Data follows the opens in FIFO order through the
-                    // same queues, so no reply wait is needed: the HUB
-                    // serializes the opens ahead of the packet.
-                    items.extend(route.circuit_open_items());
-                    self.cabs[cab].counters.circuit_opens += 1;
-                    self.cabs[cab].open_circuit = Some(dst);
-                }
-                items.push(packet.into());
-                Burst::Items(items)
-            }
-        };
-        self.cabs[cab].counters.packets_tx += 1;
-        self.enqueue_burst(cab, burst, ready);
-    }
-
-    fn enqueue_burst(&mut self, cab: usize, burst: Burst, ready: Time) {
-        // Small control packets (acknowledgements, RPC headers) jump
-        // ahead of queued bulk data: an ack stuck behind a window of
-        // 1 KB packets on the shared fiber starves the reverse stream
-        // into spurious go-back-N retransmission.
-        if burst.payload_bytes() <= 128 && !self.cabs[cab].tx_bursts.is_empty() {
-            self.cabs[cab].tx_bursts.push_front(burst);
-        } else {
-            self.cabs[cab].tx_bursts.push_back(burst);
-        }
-        self.try_flush(cab, ready);
-    }
-
-    /// Puts queued bursts on `cab`'s fibre, back to back, until the
-    /// queue is empty or a packet must wait for the HUB's ready signal.
-    fn try_flush(&mut self, cab: usize, now: Time) {
-        let World { cfg, topo, engine, cabs, keys, telemetry, .. } = self;
-        let (hub, port) = topo.cab_attachment(cab);
-        let cs = &mut cabs[cab];
-        while let Some(front) = cs.tx_bursts.front() {
-            let has_packet = front.has_packet();
-            // The CAB-side ready bit is part of the same hardware
-            // flow-control system as the HUB's (§4.2.3); the ablation
-            // switches both off.
-            if has_packet && cfg.hub.flow_control && !cs.fiber_ready {
-                break;
-            }
-            if has_packet {
-                // One packet outstanding toward the HUB until it signals
-                // that its input queue drained (§4.2.3 flow control).
-                cs.fiber_ready = false;
-                cs.ready_gen += 1;
-                cs.disarm_ready_timeout(engine);
-                let at = now.max(engine.now()) + READY_TIMEOUT;
-                let ev = Ev::CabReadyTimeout { cab, gen: cs.ready_gen };
-                cs.ready_timeout = Some(engine.schedule_at_keyed(at, take_key(keys, cab), ev));
-            }
-            let burst = cs.tx_bursts.pop_front().expect("front exists");
-            // One event's worth of fibre, `wire` long; `packet` is the
-            // packet it carries (its offset, flight, wire bytes), if any.
-            let mut send = |wire: Dur, packet: Option<(Dur, FlightId, u32)>, ev: Ev| {
-                let head = now.max(cs.fiber_free);
-                if let Some((offset, flight, bytes)) = packet {
-                    // Span boundary: transmit queueing ends, fiber
-                    // serialization begins.
-                    let kind = EventKind::FiberTx { cab: cab as u16, bytes };
-                    telemetry.record(head + offset, flight, kind);
-                }
-                cs.fiber_free = head + wire;
-                cs.fiber_tx_busy += wire;
-                engine.schedule_at_keyed(head, take_key(keys, cab), ev);
-            };
-            let wire_of = |item: &Item| cfg.hub.wire_time(item.wire_bytes());
-            match burst {
-                Burst::Packet { dst, packet } => {
-                    // §4.2.3: the route's test-opens, the data, `close
-                    // all` — back to back, one train on the fibre.
-                    let route = topo.route(cab, dst).expect("checked when the packet was queued");
-                    let opens: Dur = route.test_opens().iter().map(|&c| wire_of(&c.into())).sum();
-                    let packet_wire = cfg.hub.wire_time(packet.wire_bytes());
-                    let wire = opens + packet_wire + wire_of(&Item::CloseAll);
-                    let tx = (opens, FlightId(packet.id()), packet.wire_bytes() as u32);
-                    let opens =
-                        u8::try_from(route.len()).expect("a route crosses at most 255 HUBs");
-                    let route = ((cab as u64) << 32) | dst as u64;
-                    send(wire, Some(tx), Ev::HubTrain { hub, port, opens, packet, route });
-                }
-                Burst::Items(items) => {
-                    for item in items {
-                        let tx = match &item {
-                            Item::Packet(p) => {
-                                Some((Dur::ZERO, FlightId(p.id()), p.wire_bytes() as u32))
-                            }
-                            _ => None,
-                        };
-                        send(wire_of(&item), tx, Ev::HubItem { hub, port, item });
-                    }
-                }
-            }
         }
     }
 
@@ -2510,201 +1787,6 @@ impl World {
             }
         }
     }
-
-    // ---------------------------------------------------------------
-    // CAB receive path
-    // ---------------------------------------------------------------
-
-    /// A wire item reaches a CAB's fiber input. `replay` marks items
-    /// the chaos injector itself produced (duplicates, delayed
-    /// originals); they bypass the injector so faults cannot cascade
-    /// on their own products.
-    fn cab_item(&mut self, now: Time, cab: usize, item: Item, replay: bool) {
-        let item = match (item, replay, &mut self.chaos) {
-            (Item::Packet(p), false, Some(chaos)) => {
-                let verdict = chaos.on_cab_packet(now, cab as u16, p.len());
-                let (hub, port) = self.topo.cab_attachment(cab);
-                if verdict.drop {
-                    // The packet vanishes; flow control must still be
-                    // released or the sender wedges.
-                    self.faults_injected += 1;
-                    let key = self.next_key(cab);
-                    self.engine.schedule_at_keyed(now, key, Ev::HubReady { hub, port });
-                    return;
-                }
-                if verdict.duplicate {
-                    // The copy shares the original packet (scheduled
-                    // before corruption replaces it) and re-enters via
-                    // the replay path so it cannot be faulted again.
-                    let key = self.next_key(cab);
-                    self.engine.schedule_at_keyed(
-                        now,
-                        key,
-                        Ev::CabItemReplay { cab, item: Item::Packet(p.clone()) },
-                    );
-                }
-                let p = match verdict.corrupt {
-                    Some((idx, bit)) if !p.is_empty() => {
-                        self.faults_injected += 1;
-                        corrupt(&p, idx.min(p.len() - 1), bit & 7)
-                    }
-                    _ => p,
-                };
-                if let Some(d) = verdict.delay {
-                    // Reordering: release the HUB port now so later
-                    // traffic overtakes, then deliver the original
-                    // after the extra delay.
-                    let key = self.next_key(cab);
-                    self.engine.schedule_at_keyed(now, key, Ev::HubReady { hub, port });
-                    let key = self.next_key(cab);
-                    self.engine.schedule_at_keyed(
-                        now + d,
-                        key,
-                        Ev::CabItemReplay { cab, item: Item::Packet(p) },
-                    );
-                    return;
-                }
-                Item::Packet(p)
-            }
-            (item, _, _) => item,
-        };
-        match item {
-            Item::Packet(p) => {
-                let size = p.wire_bytes();
-                let recv = self.cfg.cab.recv_path();
-                let wire_dur = self.cfg.hub.wire_time(size);
-                let (hub, port) = self.topo.cab_attachment(cab);
-                let cs = &mut self.cabs[cab];
-                cs.counters.packets_rx += 1;
-                // §6.2.1: the start-of-packet interrupt runs the upcall
-                // chain; the DMA must start before the 1 KB input queue
-                // fills.
-                let (_, handler_done) = cs.sched.run_interrupt(now, recv);
-                let deadline = cs.fiber.drain_deadline(now, size);
-                if handler_done > deadline {
-                    cs.counters.overruns += 1;
-                    // The queue overran; the packet is lost. Free the
-                    // flow-control path so the network is not wedged.
-                    let key = self.next_key(cab);
-                    self.engine.schedule_at_keyed(handler_done, key, Ev::HubReady { hub, port });
-                    return;
-                }
-                // The DMA drains the input queue concurrently with the
-                // arrival: the packet is in CAB memory when the last
-                // byte has crossed the fiber and the handler has set up
-                // the destination (whichever is later).
-                let xfer = cs.dma.start(now, Channel::FiberIn, p.len());
-                let done = xfer.complete.max(now + wire_dur).max(handler_done);
-                self.telemetry.record(
-                    xfer.start,
-                    FlightId(p.id()),
-                    EventKind::DmaStart {
-                        cab: cab as u16,
-                        channel: Channel::FiberIn.number(),
-                        bytes: xfer.bytes as u32,
-                    },
-                );
-                // Zero-copy receive: the event keeps the in-flight
-                // packet instead of copying it into CAB memory. (The
-                // real DMA copies; the model only charges its time.)
-                // The packet emerges from the CAB input queue when the
-                // DMA starts draining it: restore the HUB's ready bit.
-                let key = self.next_key(cab);
-                self.engine.schedule_at_keyed(handler_done, key, Ev::HubReady { hub, port });
-                let key = self.next_key(cab);
-                self.engine.schedule_at_keyed(done, key, Ev::CabPacketReady { cab, packet: p });
-            }
-            Item::Reply(reply) => {
-                // Circuit-open acks and status replies: the datalink
-                // notes them; our send path does not block on them.
-                let t = self.cfg.cab.datalink_packet;
-                self.cabs[cab].sched.run_interrupt(now, t);
-                self.replies.push((cab, reply, now));
-            }
-            Item::Command(_) | Item::CloseAll => {
-                // `close all` trailing a packet-switched transfer, or a
-                // multicast command that leaked to a leaf: discard.
-                self.cabs[cab].counters.strays += 1;
-            }
-        }
-    }
-
-    fn cab_packet_ready(&mut self, now: Time, cab: usize, packet: Packet) {
-        use nectar_proto::header::PacketKind;
-        let flight = FlightId(packet.id());
-        self.cabs[cab].counters.checksum_ops += 1;
-        let head = packet.head().try_into().expect("a CAB sends header-framed packets");
-        let body = packet.payload();
-        let Ok(header) = Header::decode_parts(head, body) else {
-            self.cabs[cab].counters.corrupted_rx += 1;
-            return;
-        };
-        let peer = header.src_cab.index();
-        if header.kind != PacketKind::Datagram && header.dst_cab.index() != cab {
-            // A crossbar circuit with a stale member (its close was
-            // lost in transit) duplicates packets to a CAB they were
-            // never addressed to. Feeding them into transport state
-            // would execute another CAB's RPCs or inject bytes into an
-            // unrelated stream; discard and count instead. Multicast
-            // datagrams are exempt: their dst field is advisory.
-            self.cabs[cab].counters.misrouted_rx += 1;
-            return;
-        }
-        if header.kind == PacketKind::Ack {
-            self.telemetry.record(
-                now,
-                flight,
-                EventKind::TransportAck { cab: cab as u16, peer: peer as u16, ack: header.ack },
-            );
-        }
-        let mut actions = std::mem::take(&mut self.actions);
-        let source = match header.kind {
-            PacketKind::Datagram => {
-                self.cabs[cab].datagram.on_packet(now, &header, body, &mut actions);
-                None
-            }
-            PacketKind::Data | PacketKind::Ack => {
-                let stream_cfg = self.cfg.stream;
-                self.cabs[cab].stream_to(cab, peer, stream_cfg).on_packet(
-                    now,
-                    &header,
-                    body,
-                    &mut actions,
-                );
-                Some(TimerSource::Stream(peer))
-            }
-            PacketKind::Request => {
-                self.cabs[cab].rpc_server.on_packet(now, &header, body, &mut actions);
-                None
-            }
-            PacketKind::Response => {
-                self.cabs[cab].rpc_client.on_packet(now, &header, body, &mut actions);
-                Some(TimerSource::Rpc)
-            }
-        };
-        self.exec_actions(cab, now, source, false, flight, actions);
-    }
-}
-
-/// `packet` with bit `bit` of byte `idx` flipped. The damaged part —
-/// header or payload — is copied and the flip made in the copy: a
-/// payload is shared with the sender's retransmission state and with
-/// other flows, and is never written.
-fn corrupt(packet: &Packet, idx: usize, bit: u8) -> Packet {
-    let mut header: [u8; HEADER_BYTES] =
-        packet.head().try_into().expect("a CAB sends header-framed packets");
-    let payload = packet.payload();
-    match idx.checked_sub(HEADER_BYTES) {
-        None => {
-            header[idx] ^= 1 << bit;
-            Packet::framed(packet.id(), header, payload.clone())
-        }
-        Some(at) => {
-            let mut damaged = payload.to_vec();
-            damaged[at] ^= 1 << bit;
-            Packet::framed(packet.id(), header, damaged.into())
-        }
-    }
 }
 
 /// The route a train follows: `route` is `(source CAB << 32) |
@@ -2745,13 +1827,14 @@ pub(crate) fn join_flights(
 mod tests {
     use super::*;
     use nectar_hub::command::{Command, UserOp};
+    use nectar_sim::telemetry::EventKind;
 
     /// A world with three inert events (stale ready-timeouts: the fiber
     /// is ready, so they dispatch to nothing) at `t-1`, `t`, `t+1`.
     fn three_events(t: Time) -> World {
         let mut w = World::new(Topology::single_hub(2, 16), SystemConfig::default());
         for at in [t.nanos() - 1, t.nanos(), t.nanos() + 1] {
-            let key = w.next_key(0);
+            let key = w.cabs[0].take_key();
             let ev = Ev::CabReadyTimeout { cab: 0, gen: 0 };
             w.engine.schedule_at_keyed(Time::from_nanos(at), key, ev);
         }
@@ -2798,7 +1881,7 @@ mod tests {
             w.inject_hub_item(Time::from_nanos(*ns), 0, PortId::new(*port), item.clone());
         }
         for &(ns, port) in readies {
-            let (key, port) = (w.next_key(0), PortId::new(port));
+            let (key, port) = (w.cabs[0].take_key(), PortId::new(port));
             w.engine.schedule_at_keyed(Time::from_nanos(ns), key, Ev::HubReady { hub: 0, port });
         }
         w
@@ -2942,7 +2025,7 @@ mod tests {
             train_items(&w.topo, *route, *opens, packet.clone(), |item| items.push(item));
             assert_eq!(items, eager, "the train to CAB {dst}");
             let wire: Dur = eager.iter().map(|i| w.cfg.hub.wire_time(i.wire_bytes())).sum();
-            assert_eq!(w.cabs[0].fiber_free, *head + wire);
+            assert_eq!(w.cabs[0].fiber_free(), *head + wire);
         }
     }
 }

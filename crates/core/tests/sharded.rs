@@ -13,11 +13,13 @@
 
 use nectar_core::invariants::{InvariantChecker, Violation};
 use nectar_core::prelude::*;
+use nectar_core::world::QuiescenceOutcome;
 use nectar_sim::analysis::streaming::StreamConfig;
 use nectar_sim::chaos::{ChaosSchedule, Clause, Fault};
 use nectar_sim::profile::{Phase, VerdictKind};
 use nectar_sim::telemetry::TelemetryEvent;
 use nectar_sim::time::{Dur, Time};
+use nectar_sim::workload::WorkloadSpec;
 use std::sync::Arc;
 
 /// Everything observable about one finished run.
@@ -25,7 +27,7 @@ use std::sync::Arc;
 struct Observed {
     events: u64,
     now: Time,
-    outcome: nectar_core::world::QuiescenceOutcome,
+    outcome: QuiescenceOutcome,
     metrics: String,
     deliveries: Vec<Delivery>,
     completions: Vec<(usize, u32, Time)>,
@@ -503,4 +505,30 @@ fn sharded_world_is_auditable() {
     assert!(v.is_empty(), "{v:?}");
     assert!(par.transport_quiescent());
     let _ = Dur::ZERO; // keep the import used on all cfg paths
+}
+
+/// Topologies with fewer than two CABs — none at all, one, and HUBs
+/// with no CAB — build, refuse a workload, run to quiescence at t = 0
+/// and report, on a sequential world and on a sharded one asked for 2
+/// shards (it clamps to the HUB count), with equal answers.
+#[test]
+fn degenerate_topologies_run_empty_on_both_runners() {
+    let spec = WorkloadSpec::parse(1, "closed(1,0ns,fixed(32),uniform,datagram)[0ns..1ms]")
+        .expect("the program parses");
+    let deadline = Time::from_millis(1);
+    for topo in
+        [Topology::single_hub(0, 16), Topology::single_hub(1, 16), Topology::mesh2d(1, 2, 0, 16)]
+    {
+        let name = format!("{} HUBs, {} CABs", topo.hub_count(), topo.cab_count());
+        let mut seq = World::new(topo.clone(), SystemConfig::default());
+        let mut par = ShardedWorld::new(topo, SystemConfig::default(), 2);
+        let refusal = Err("workloads need at least 2 CABs".to_string());
+        assert_eq!(seq.set_workload(&spec), refusal, "{name}");
+        assert_eq!(par.set_workload(&spec), refusal, "{name}");
+        assert_eq!(seq.run_to_quiescence(deadline), (0, QuiescenceOutcome::Quiescent), "{name}");
+        assert_eq!(par.run_to_quiescence(deadline), (0, QuiescenceOutcome::Quiescent), "{name}");
+        assert_eq!((seq.now(), par.now()), (Time::ZERO, Time::ZERO), "{name}");
+        assert_eq!(seq.metrics().to_json(), par.metrics().to_json(), "{name}");
+        assert_eq!(seq.results_digest(), par.results_digest(), "{name}");
+    }
 }

@@ -4,7 +4,7 @@
 //! totals don't tell you *where* latency comes from — HUB queueing, CAB
 //! protocol processing, or fiber serialization. This module family
 //! closes the record → analyze loop over the telemetry ring and
-//! [`MetricsRegistry`](crate::metrics::MetricsRegistry):
+//! [`MetricsRegistry`]:
 //!
 //! * [`flights`] — folds the flat event stream into per-packet
 //!   [`Flight`](flights::Flight) histories.
@@ -13,7 +13,7 @@
 //!   time, then aggregates p50/p90/p99 per segment.
 //! * [`pathology`] — detectors for retransmit storms, head-of-line
 //!   blocking, mailbox saturation, and silent drops, each emitting a
-//!   typed [`Finding`](pathology::Finding) with evidence.
+//!   typed [`Finding`] with evidence.
 //! * [`streaming`] — the same analysis as an incremental bounded-memory
 //!   fold: flights retire into online accumulators as the run
 //!   progresses.

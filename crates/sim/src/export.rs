@@ -1,7 +1,7 @@
 //! Exporters: Chrome trace-event JSON from telemetry events.
 //!
 //! [`chrome_trace_with_host`] renders a slice of
-//! [`TelemetryEvent`](crate::telemetry::TelemetryEvent)s in the Chrome
+//! [`TelemetryEvent`]s in the Chrome
 //! trace-event format, loadable in Perfetto (<https://ui.perfetto.dev>)
 //! or `chrome://tracing`:
 //!
@@ -16,7 +16,7 @@
 //! Timestamps (`ts`) are microseconds with fractional nanoseconds, per
 //! the format; `displayTimeUnit` is `"ns"`.
 //!
-//! Given a host-time [`HostProfile`](crate::profile::HostProfile), it
+//! Given a host-time [`HostProfile`], it
 //! additionally renders that into the same document under its own
 //! process ([`HOST_PID`]): one track per shard worker, phase slices
 //! named after
