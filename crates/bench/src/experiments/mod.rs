@@ -303,6 +303,9 @@ mod tests {
     use nectar_sim::export::{chrome_trace_with_host, HOST_PID};
     use nectar_sim::json::{parse, Json};
     use nectar_sim::profile::Phase;
+    use nectar_sim::telemetry::EventKind;
+    use nectar_sim::time::{Dur, Time};
+    use std::collections::HashMap;
 
     #[test]
     fn registry_ids_are_unique() {
@@ -400,11 +403,29 @@ mod tests {
         ExpCtx { metrics: true, stream: true, ..ExpCtx::off() }
     }
 
+    /// The flights a fold that retires as it goes has retired once the
+    /// capture ends: the terminal ones (delivered, or an ack consumed)
+    /// whose last event lies at least the doctor's 1 ms retirement
+    /// horizon before the capture's last event.
+    fn retired_by_the_end(capture: &[TelemetryEvent]) -> u64 {
+        let end = capture.iter().map(|e| e.at).max().unwrap_or(Time::ZERO);
+        let mut flights: HashMap<u64, (Time, bool)> = HashMap::new();
+        for e in capture.iter().filter(|e| e.flight.is_some()) {
+            let (last, terminal) = flights.entry(e.flight.0).or_insert((e.at, false));
+            *last = (*last).max(e.at);
+            *terminal |=
+                matches!(e.kind, EventKind::AppRecv { .. } | EventKind::TransportAck { .. });
+        }
+        let horizon = Dur::from_millis(1);
+        flights.values().filter(|&&(last, terminal)| terminal && last + horizon <= end).count()
+            as u64
+    }
+
     /// Every traceable experiment streamed: no drop, no late fold, no
     /// budget eviction, every flight accounted for, a confident verdict.
     /// The scale family runs under 4096-slot rings — far too small to
-    /// keep its capture — and must additionally retire every flight it
-    /// saw.
+    /// keep its capture — and must retire its flights as the run goes:
+    /// by the end exactly those a horizon older than its last event.
     #[test]
     fn traceable_experiments_fold_every_world() {
         for id in TRACEABLE {
@@ -418,7 +439,10 @@ mod tests {
             assert_eq!(sm.forced_retirements, 0, "{id}: budget eviction fired");
             assert_eq!(sm.flights_retired + sm.open_flights as u64, sm.flights_seen, "{id}");
             if tight {
-                assert_eq!(sm.flights_retired, sm.flights_seen, "{id}: flights left open");
+                let capture = run(id, &ExpCtx { trace: true, ..ExpCtx::off() }).trace;
+                assert_eq!(capture.len() as u64, sm.events_folded, "{id}: a partial capture");
+                let retired = retired_by_the_end(&capture);
+                assert_eq!(sm.flights_retired, retired, "{id}: flights left for the report");
             }
             assert!(s.confident, "{id}: verdict not confident");
             if *id == "e12" {
@@ -441,7 +465,7 @@ mod tests {
         let live = run("e07", &doctor_ctx());
         let traced = run("e07", &ExpCtx { trace: true, ..doctor_ctx() });
         assert!(live.trace.is_empty());
-        assert_eq!(traced.trace.len(), 1_730);
+        assert_eq!(traced.trace.len(), 1_728);
         let (live, traced) = (live.stream.expect("folded"), traced.stream.expect("folded"));
         assert_eq!(traced.rendered, live.rendered);
         assert_eq!(traced.summary.events_folded, live.summary.events_folded);

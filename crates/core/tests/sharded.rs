@@ -373,7 +373,7 @@ fn window_and_exchange_counts_are_pinned() {
     }
     par.run_to_quiescence(Time::from_millis(400));
     let rt = par.runtime_metrics();
-    assert_eq!(rt.counter("runner.windows"), 1174);
+    assert_eq!(rt.counter("runner.windows"), 1111);
     assert_eq!(rt.counter("runner.exchanged_events"), 392);
     // Both directions carried traffic.
     assert!(rt.counter("runner.shard0.exchanged_events") > 0);

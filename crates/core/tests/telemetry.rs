@@ -3,9 +3,11 @@
 //! every HUB crossbar to the receiving application.
 
 use nectar_core::system::NectarSystem;
-use nectar_core::world::SystemConfig;
+use nectar_core::topology::Topology;
+use nectar_core::world::{SystemConfig, World};
 use nectar_sim::telemetry::{EventKind, FlightId, TelemetryEvent};
 use nectar_sim::time::{Dur, Time};
+use nectar_sim::workload::WorkloadSpec;
 
 fn events_for(events: &[TelemetryEvent], flight: FlightId) -> Vec<&TelemetryEvent> {
     events.iter().filter(|e| e.flight == flight).collect()
@@ -134,4 +136,41 @@ fn metrics_registry_subsumes_counters() {
     let h = reg.histogram("latency.flight_ns").expect("flight latency recorded");
     assert!(h.count() > 0);
     assert!(h.quantile(0.5) > 0.0);
+}
+
+/// A recorded stream `TransportTimeout` is a live timer expiring: one
+/// that resent the window or sent a persist probe. A re-armed
+/// retransmission timer cancels the one it supersedes, so no stale
+/// expiry is charged as an interrupt and recorded before the transport
+/// finds its token out of date.
+#[test]
+fn every_recorded_stream_timeout_is_a_live_expiry() {
+    let topo = Topology::mesh2d(4, 4, 4, 16);
+    let cabs = topo.cab_count();
+    // The standing benchmark's `lattice` program, 20 ms of it.
+    let spec = WorkloadSpec::parse(
+        1,
+        "closed(96,0ns,fixed(960),neighbor,datagram)[0ns..20ms];\
+         closed(16,500ns,fixed(8192),ring,stream)[0ns..20ms]",
+    )
+    .expect("the program parses");
+    let mut world = World::new(topo, SystemConfig::default());
+    world.enable_observability();
+    world.set_telemetry_capacity(1 << 21);
+    world.set_workload(&spec).expect("the program compiles on the mesh");
+    world.run_to_quiescence(Time::from_millis(200));
+    assert_eq!(world.telemetry_pressure().1, 0, "the capture is whole");
+
+    let recorded = world
+        .telemetry_events()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::TransportTimeout { peer, .. } if peer != u16::MAX))
+        .count() as u64;
+    let expiries: u64 = (0..cabs)
+        .flat_map(|src| (0..cabs).map(move |dst| (src, dst)))
+        .filter_map(|(src, dst)| world.stream_stats(src, dst))
+        .map(|s| s.timeouts + s.window_probes)
+        .sum();
+    assert!(expiries > 0, "the program loses enough to time out");
+    assert_eq!(recorded, expiries);
 }

@@ -246,7 +246,11 @@ impl ByteStream {
         }
     }
 
+    /// Arms the retransmission timer under a fresh token. A live timer
+    /// is cancelled first: its token is stale from here on, and left
+    /// armed it would still fire, to be charged and then ignored.
     fn arm_timer(&mut self, out: &mut Vec<Action>) {
+        self.stop_timer(out);
         self.timer_gen += 1;
         self.timer_active = true;
         // Exponential backoff: consecutive timeouts without progress
