@@ -152,7 +152,7 @@ pub fn run_production(cfg: &ProductionConfig, sys_cfg: SystemConfig) -> Producti
             if d.mailbox != TOKEN_MAILBOX {
                 continue;
             }
-            let worker = d.cab;
+            let worker = usize::from(d.cab);
             // Consume the token from the mailbox.
             let _ = sys.world_mut().mailbox_take(worker, TOKEN_MAILBOX);
             outstanding[worker] = outstanding[worker].saturating_sub(1);

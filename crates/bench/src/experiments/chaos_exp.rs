@@ -61,12 +61,17 @@ fn campaign(
                 }
                 world.run_until(next);
                 if !responded
-                    && world.deliveries[before..].iter().any(|d| d.cab == server && d.mailbox == 80)
+                    && world.deliveries[before..]
+                        .iter()
+                        .any(|d| usize::from(d.cab) == server && d.mailbox == 80)
                 {
                     world.rpc_respond_now(server, client, tx, &[0x5A; 24]);
                     responded = true;
                 }
-                if world.deliveries[before..].iter().any(|d| d.cab == client && d.mailbox == 5) {
+                if world.deliveries[before..]
+                    .iter()
+                    .any(|d| usize::from(d.cab) == client && d.mailbox == 5)
+                {
                     break;
                 }
             }

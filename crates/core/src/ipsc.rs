@@ -105,7 +105,7 @@ impl Ipsc {
         // A peek would do, but take-and-put-back keeps Mailbox simple;
         // instead run zero time and inspect via the world's records.
         let mb = Self::mailbox_for(msg_type);
-        self.system.world().deliveries.iter().any(|d| d.cab == node && d.mailbox == mb)
+        self.system.world().deliveries.iter().any(|d| usize::from(d.cab) == node && d.mailbox == mb)
     }
 
     /// Global synchronization: node 0 collects a token from every other

@@ -111,7 +111,10 @@ impl NectarSystem {
         // Scan for *our* delivery: unrelated traffic (a residual
         // workload) may land interleaved with the probe.
         let mine = |d: &crate::world::Delivery| {
-            d.cab == dst && d.mailbox == 2 && d.msg_id == msg_id as u64 && d.len == bytes
+            usize::from(d.cab) == dst
+                && d.mailbox == 2
+                && d.msg_id == u64::from(msg_id)
+                && d.len as usize == bytes
         };
         loop {
             if let Some(d) = self.world.deliveries[before..].iter().find(|d| mine(d)) {
@@ -153,7 +156,7 @@ impl NectarSystem {
             "response never delivered"
         );
         let resp = &self.world.deliveries[before + 1];
-        assert_eq!(resp.cab, src);
+        assert_eq!(usize::from(resp.cab), src);
         resp.at.saturating_since(t0)
     }
 

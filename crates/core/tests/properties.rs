@@ -77,7 +77,7 @@ proptest! {
         }
         world.run_until(Time::from_millis(200));
         prop_assert_eq!(world.deliveries.len(), expected);
-        let got_bytes: usize = world.deliveries.iter().map(|d| d.len).sum();
+        let got_bytes: usize = world.deliveries.iter().map(|d| d.len as usize).sum();
         prop_assert_eq!(got_bytes, expected_bytes);
         for cab in 0..6 {
             let c = world.cab_counters(cab);

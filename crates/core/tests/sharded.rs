@@ -13,7 +13,7 @@
 
 use nectar_core::invariants::{InvariantChecker, Violation};
 use nectar_core::prelude::*;
-use nectar_core::world::QuiescenceOutcome;
+use nectar_core::world::{Completion, QuiescenceOutcome};
 use nectar_sim::analysis::streaming::StreamConfig;
 use nectar_sim::chaos::{ChaosSchedule, Clause, Fault};
 use nectar_sim::profile::{Phase, VerdictKind};
@@ -30,7 +30,7 @@ struct Observed {
     outcome: QuiescenceOutcome,
     metrics: String,
     deliveries: Vec<Delivery>,
-    completions: Vec<(usize, u32, Time)>,
+    completions: Vec<Completion>,
     telemetry: Vec<TelemetryEvent>,
     violations: Vec<Violation>,
     faults: u64,

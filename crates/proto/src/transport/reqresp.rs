@@ -11,8 +11,9 @@ use crate::transport::{Action, TimerToken, TransportError};
 use nectar_cab::board::CabId;
 use nectar_kernel::mailbox::Message;
 use nectar_sim::bytes::Bytes;
+use nectar_sim::hash::FoldMap;
 use nectar_sim::time::{Dur, Time};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Request-response tuning knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,7 +59,7 @@ pub struct ReqRespClient {
     cfg: ReqRespConfig,
     local: CabId,
     next_tx: u32,
-    outstanding: HashMap<u32, PendingCall>,
+    outstanding: FoldMap<u32, PendingCall>,
     calls: u64,
     responses: u64,
     timeouts: u64,
@@ -72,7 +73,7 @@ impl ReqRespClient {
             cfg,
             local,
             next_tx: 0,
-            outstanding: HashMap::new(),
+            outstanding: FoldMap::default(),
             calls: 0,
             responses: 0,
             timeouts: 0,
@@ -197,9 +198,9 @@ pub struct ReqRespServer {
     cfg: ReqRespConfig,
     local: CabId,
     /// Requests delivered to the application, awaiting `respond`.
-    pending: HashMap<TxKey, Header>,
+    pending: FoldMap<TxKey, Header>,
     /// Completed transactions and their cached responses.
-    cache: HashMap<TxKey, (Header, Bytes)>,
+    cache: FoldMap<TxKey, (Header, Bytes)>,
     cache_order: VecDeque<TxKey>,
     requests: u64,
     duplicate_requests: u64,
@@ -212,8 +213,8 @@ impl ReqRespServer {
         ReqRespServer {
             cfg,
             local,
-            pending: HashMap::new(),
-            cache: HashMap::new(),
+            pending: FoldMap::default(),
+            cache: FoldMap::default(),
             cache_order: VecDeque::new(),
             requests: 0,
             duplicate_requests: 0,

@@ -88,14 +88,14 @@ use super::critical_path::{CriticalPath, PathFold};
 use super::flights::{flight_order, FlightFacts, StreamKey};
 use super::pathology::{self, DoctorConfig, Hop, PortAcc, StreamAcc};
 use super::DoctorReport;
+use crate::hash::FoldMap;
 use crate::metrics::MetricsRegistry;
 use crate::telemetry::{EventKind, TelemetryEvent};
 use crate::time::{Dur, Time};
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A **completed** flight (one that saw a terminal event — delivery or
 /// ack consumption) retires after this much simulated time with no new
@@ -124,61 +124,6 @@ pub struct StreamConfig {
     /// [`StreamSummary::forced_retirements`]) until back under.
     pub memory_budget: Option<usize>,
 }
-
-/// Multiplicative hasher for the fold's maps. Their keys — flight ids
-/// minted `(cab << 40) | counter`, stream slots, CAB pairs — come from
-/// the simulator's own recorder, never from outside the program, so
-/// SipHash's flooding resistance buys nothing on a path probed several
-/// times per event. The 64×64→128 multiply is folded high-into-low
-/// because the table indexes buckets with the low bits, and the CAB
-/// number sits in the high ones.
-#[derive(Clone, Copy, Debug, Default)]
-struct FoldHasher(u64);
-
-impl FoldHasher {
-    #[inline]
-    fn mix(&mut self, v: u64) {
-        let p = u128::from(self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = p as u64 ^ (p >> 64) as u64;
-    }
-}
-
-impl Hasher for FoldHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.mix(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.mix(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u16(&mut self, v: u16) {
-        self.mix(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.mix(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.mix(v);
-    }
-}
-
-type FoldMap<K, V> = HashMap<K, V, BuildHasherDefault<FoldHasher>>;
 
 /// `OpenFlight::touched` of a flight the current batch has not touched.
 const UNTOUCHED: u32 = u32::MAX;

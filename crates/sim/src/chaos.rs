@@ -40,9 +40,9 @@
 //! assert!(!v.drop || v.corrupt.is_none());
 //! ```
 
+use crate::hash::FoldMap;
 use crate::rng::Rng;
 use crate::time::{Dur, Time};
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::spec::{
@@ -429,15 +429,15 @@ struct ClauseState {
     /// alone, so a sharded run — which interleaves *different
     /// components* differently but never reorders one component's
     /// arrivals — consumes identical streams.
-    rngs: HashMap<u32, Rng>,
+    rngs: FoldMap<u32, Rng>,
     /// Gilbert–Elliott channel state per link key: `true` = bad.
-    bad: HashMap<u32, bool>,
+    bad: FoldMap<u32, bool>,
 }
 
 /// The RNG stream for component `comp` under a clause rooted at `seed`,
 /// created on first use. A free function (not a method) so callers can
 /// hold it alongside a borrow of the clause's other per-link state.
-fn stream(rngs: &mut HashMap<u32, Rng>, seed: u64, comp: u32) -> &mut Rng {
+fn stream(rngs: &mut FoldMap<u32, Rng>, seed: u64, comp: u32) -> &mut Rng {
     rngs.entry(comp).or_insert_with(|| {
         Rng::seed_from(seed.wrapping_add((comp as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03)))
     })
@@ -472,8 +472,8 @@ impl ChaosInjector {
                 seed: schedule
                     .seed
                     .wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                rngs: HashMap::new(),
-                bad: HashMap::new(),
+                rngs: FoldMap::default(),
+                bad: FoldMap::default(),
             })
             .collect();
         ChaosInjector { schedule, states, stats: ChaosStats::default() }

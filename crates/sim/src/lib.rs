@@ -15,6 +15,8 @@
 //!   the software analogue of the HUB instrumentation board.
 //! * [`metrics`] — the unified counter/gauge/histogram registry.
 //! * [`export`] — Chrome trace-event (Perfetto) JSON rendering.
+//! * [`hash`] — [`FoldMap`](hash::FoldMap), the deterministic hash map
+//!   for the simulator's own keys (flight ids, transactions, CABs).
 //! * [`json`] — string escaping and a small parser for export checks.
 //! * [`profile`] — host-time profiler + scaling doctor for the
 //!   parallel runner (phase spans, straggler attribution, verdicts).
@@ -50,6 +52,7 @@ pub mod bytes;
 pub mod chaos;
 pub mod engine;
 pub mod export;
+pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod profile;

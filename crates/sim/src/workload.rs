@@ -55,13 +55,13 @@
 //! assert_eq!(spec.to_string(), format!("seed=7 {text}"));
 //! ```
 
+use crate::hash::FoldMap;
 use crate::rng::Rng;
 use crate::spec::{
     fmt_dur, fmt_window, join_clauses, parse_call, parse_clauses, parse_dur, parse_prob,
     split_window,
 };
 use crate::time::{Dur, Time};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Largest flow the grammar accepts, in bytes. Wire headers carry a
@@ -518,7 +518,7 @@ struct ClassState {
     spec: ClassSpec,
     /// Seed root for this class's per-CAB streams.
     seed: u64,
-    streams: HashMap<u16, SrcState>,
+    streams: FoldMap<u16, SrcState>,
 }
 
 /// A compiled, stateful [`WorkloadSpec`]: the world asks it for each
@@ -552,7 +552,7 @@ impl WorkloadGen {
             .map(|(i, c)| ClassState {
                 spec: *c,
                 seed: spec.seed.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                streams: HashMap::new(),
+                streams: FoldMap::default(),
             })
             .collect();
         Ok(WorkloadGen { classes, cluster_of })
@@ -614,7 +614,7 @@ impl WorkloadGen {
 /// The RNG stream for CAB `cab` under a class rooted at `seed`,
 /// created on first use (the same lazy-stream discipline as chaos
 /// clause streams).
-fn stream(streams: &mut HashMap<u16, SrcState>, seed: u64, cab: u16) -> &mut SrcState {
+fn stream(streams: &mut FoldMap<u16, SrcState>, seed: u64, cab: u16) -> &mut SrcState {
     streams.entry(cab).or_insert_with(|| SrcState {
         rng: Rng::seed_from(
             seed.wrapping_add((cab as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03)),

@@ -111,7 +111,7 @@ fn switching_modes_agree_on_delivered_bytes_under_load() {
         }
         sys.world_mut().run_until(Time::from_millis(100));
         assert_eq!(sys.world().deliveries.len(), 20, "{mode:?}");
-        let bytes: usize = sys.world().deliveries.iter().map(|d| d.len).sum();
+        let bytes: usize = sys.world().deliveries.iter().map(|d| d.len as usize).sum();
         assert_eq!(bytes, 20 * 800, "{mode:?}");
     }
 }
