@@ -189,6 +189,9 @@ impl fmt::Display for Violation {
 #[derive(Default)]
 pub struct InvariantChecker {
     streams: Vec<StreamExpectation>,
+    /// `src -> dst` byte-stream pairs held to counter coherence only
+    /// (their content is not recorded).
+    stream_pairs: Vec<(usize, usize)>,
     /// Distinct RPC transactions issued, per server CAB index.
     rpc_issued: Vec<(usize, u64)>,
 }
@@ -206,6 +209,15 @@ impl InvariantChecker {
     /// cross-sender interleaving within one mailbox is unordered.
     pub fn expect_stream(&mut self, src: usize, dst: usize, mailbox: u16, payload: &[u8]) {
         self.streams.push(StreamExpectation { src, dst, mailbox, payload: payload.to_vec() });
+    }
+
+    /// Records that `src` sent byte-stream traffic to `dst` whose content
+    /// the caller does not keep (a workload's flows): the pair is held
+    /// to counter coherence (invariant 3) only.
+    pub fn expect_stream_pair(&mut self, src: usize, dst: usize) {
+        if !self.stream_pairs.contains(&(src, dst)) {
+            self.stream_pairs.push((src, dst));
+        }
     }
 
     /// Records that a client issued one RPC transaction to `server`.
@@ -286,7 +298,7 @@ impl InvariantChecker {
                     .to_owned(),
             });
         }
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        let mut pairs = self.stream_pairs.clone();
         for e in &self.streams {
             if !pairs.contains(&(e.src, e.dst)) {
                 pairs.push((e.src, e.dst));

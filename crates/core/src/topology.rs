@@ -552,6 +552,29 @@ mod tests {
         }
     }
 
+    /// A CAB index fits the 16-bit id that headers, telemetry and the
+    /// delivery log carry. The largest fabric that builds — 256 HUBs
+    /// (ids are one byte), every one of 256 ports (so are port ids)
+    /// holding a CAB — numbers its last CAB 65,535; one HUB more does
+    /// not build. Only the builder runs: that fabric's route table
+    /// would hold 256 × 65,536 entries.
+    #[test]
+    fn the_largest_buildable_fabric_numbers_its_cabs_in_16_bits() {
+        let mut b = TopologyBuilder::new(256, 256);
+        let mut last = 0;
+        for hub in 0..256 {
+            for port in 0..=u8::MAX {
+                last = b.add_cab(hub, PortId::new(port)).expect("every port is free once");
+            }
+        }
+        assert_eq!(last, usize::from(u16::MAX));
+        assert_eq!(
+            b.add_cab(255, PortId::new(u8::MAX)),
+            Err(TopologyError::PortInUse { hub: 255, port: PortId::new(u8::MAX) })
+        );
+        assert_eq!(TopologyBuilder::new(257, 1).build().unwrap_err(), TopologyError::TooManyHubs);
+    }
+
     #[test]
     fn single_hub_routes_are_one_hop() {
         let t = Topology::single_hub(4, 16);

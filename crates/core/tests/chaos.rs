@@ -10,7 +10,8 @@
 use nectar_core::invariants::{replay_line, InvariantChecker, Violation};
 use nectar_core::prelude::*;
 use nectar_sim::chaos::{self, ChaosSchedule, Clause, Fault};
-use nectar_sim::time::Dur;
+use nectar_sim::time::{Dur, Time};
+use nectar_sim::workload::preset;
 use proptest::prelude::*;
 
 /// What one campaign run produced: the audit verdicts plus a digest
@@ -212,6 +213,56 @@ fn stale_circuit_member_is_counted_and_contained() {
     let metrics = world.metrics();
     let misrouted: u64 = (0..4).map(|c| metrics.counter(&format!("cab{c}.misrouted_rx"))).sum();
     assert_eq!(misrouted, 1, "the stray copy must be refused at the CAB, not consumed");
+}
+
+/// Every scenario preset under each single fault — loss, duplication,
+/// corruption, reordering — on a 2×2 mesh of 4-CAB clusters, audited at
+/// quiescence: every transport quiescent, every byte-stream pair the
+/// workload opened coherent (first sends equal acceptances, completions
+/// equal deliveries), and no RPC executed more often than it was
+/// called. Ignored in Tier-1: `spike` alone offers 25,600 standing
+/// flows; run with `cargo test --release -- --ignored`.
+#[test]
+#[ignore = "seconds even in release; run with --release -- --ignored"]
+fn every_preset_holds_the_invariants_under_each_fault() {
+    let topo = Topology::mesh2d(2, 2, 4, 16);
+    let cabs = topo.cab_count();
+    let faults = ["loss(0.05)", "dup(0.1)", "corrupt(0.05)", "reorder(0.1,20us)"];
+    let mut failures = Vec::new();
+    for p in nectar_sim::workload::PRESETS {
+        for fault in faults {
+            let schedule = ChaosSchedule::parse(p.seed ^ 0xC4A0_5EED, fault).expect("parses");
+            let mut world = World::new(topo.clone(), SystemConfig::default());
+            world.set_workload(&preset(p.name).expect("registered")).expect("compiles");
+            world.set_chaos(schedule.clone());
+            let (_, outcome) = world.run_to_quiescence(Time::from_millis(400));
+            let s = world.chaos_stats().unwrap_or_default();
+            let applied = s.total_drops() + s.duplicates + s.reorders + s.corruptions;
+            assert!(applied > 0, "{} under {fault}: no fault applied", p.name);
+
+            let mut checker = InvariantChecker::new();
+            for (src, dst) in (0..cabs).flat_map(|a| (0..cabs).map(move |b| (a, b))) {
+                if src != dst && world.stream_stats(src, dst).is_some_and(|st| st.data_sent > 0) {
+                    checker.expect_stream_pair(src, dst);
+                }
+            }
+            let mut violations: Vec<String> =
+                checker.check(&mut world).iter().map(ToString::to_string).collect();
+            let calls: u64 = (0..cabs).map(|c| world.rpc_client_stats(c).0).sum();
+            let executed: u64 = (0..cabs).map(|c| world.rpc_server_stats(c).0).sum();
+            if executed > calls {
+                violations.push(format!("{executed} RPCs executed for {calls} calls"));
+            }
+            if outcome != nectar_core::world::QuiescenceOutcome::Quiescent {
+                violations.push(format!("{outcome:?} at 400 ms"));
+            }
+            if !violations.is_empty() {
+                let replay = replay_line(&schedule);
+                failures.push(format!("{} under {fault} ({replay}): {violations:?}", p.name));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "invariants violated:\n{}", failures.join("\n"));
 }
 
 /// Loss + burst + dup + reorder + corrupt + flap, all live at once.
