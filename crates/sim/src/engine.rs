@@ -428,7 +428,7 @@ impl<E> Engine<E> {
     /// [`cancel`](Engine::cancel) on one of them returns `false` once
     /// this call returns. Callers that interleave cancellation with
     /// batch draining must filter stale events themselves (the world
-    /// keeps its timer table for exactly this).
+    /// keeps its timer slots for exactly this).
     pub fn step_batch(&mut self, out: &mut Vec<(u64, E)>) -> Option<Time> {
         let at = self.peek_time()?;
         self.set_clock(at);
