@@ -47,7 +47,11 @@ pub fn simulated_metrics(reg: &MetricsRegistry) -> impl Iterator<Item = (&str, [
 
 /// The results digest: the simulated metrics of `reg`, the delivery
 /// list (which the caller has put in canonical order) and the clock.
-pub(crate) fn results(reg: &MetricsRegistry, deliveries: &[Delivery], clock: Time) -> u64 {
+pub(crate) fn results<'a>(
+    reg: &MetricsRegistry,
+    deliveries: impl IntoIterator<Item = &'a Delivery>,
+    clock: Time,
+) -> u64 {
     let mut h = fnv1a(FNV_OFFSET, b"nectar-results");
     for (name, value) in simulated_metrics(reg) {
         h = fold_metric(h, name, value);
