@@ -16,10 +16,10 @@
 
 use nectar_core::system::NectarSystem;
 use nectar_core::world::{AppSend, SystemConfig};
+use nectar_sim::bytes::Bytes;
 use nectar_sim::metrics::Histogram;
 use nectar_sim::rng::Rng;
 use nectar_sim::time::{Dur, Time};
-use std::sync::Arc;
 
 /// How successor tokens pick their worker (§7: the production system
 /// is "an example of an application that requires run-time load
@@ -167,7 +167,7 @@ pub fn run_production(cfg: &ProductionConfig, sys_cfg: SystemConfig) -> Producti
                     };
                     outstanding[dst] += 1;
                     peak_backlog = peak_backlog.max(outstanding[dst]);
-                    let payload: Arc<[u8]> = Arc::from(vec![matched as u8; cfg.token_bytes]);
+                    let payload = Bytes::from(vec![matched as u8; cfg.token_bytes]);
                     let at = emit_at.max(sys.world().now());
                     sys.world_mut().schedule_send(
                         at,

@@ -21,9 +21,9 @@ use crate::experiments::ExpCtx;
 use crate::table::Table;
 use nectar_core::prelude::*;
 use nectar_core::world::AppSend;
+use nectar_sim::bytes::Bytes;
 use nectar_sim::chaos::{ChaosSchedule, Clause, Fault};
 use nectar_sim::time::Time;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Traffic rounds per run. Sized so a run is long enough to measure
@@ -52,7 +52,7 @@ fn scaled_workload(topo: &Topology) -> Vec<(Time, usize, AppSend)> {
                 if members.len() > 1 {
                     let dst = members[(mi + 1 + round as usize) % members.len()];
                     if dst != src {
-                        let data: Arc<[u8]> =
+                        let data: Bytes =
                             vec![(src as u64 * 13 + round) as u8; 640 + 96 * (round as usize % 3)]
                                 .into();
                         sends.push((
@@ -66,7 +66,7 @@ fn scaled_workload(topo: &Topology) -> Vec<(Time, usize, AppSend)> {
                     let far = &clusters[(ci + clusters.len() / 2) % clusters.len()];
                     let dst = far[mi % far.len()];
                     if dst != src {
-                        let data: Arc<[u8]> = vec![(src as u64 + 7 * round) as u8; 512].into();
+                        let data: Bytes = vec![(src as u64 + 7 * round) as u8; 512].into();
                         sends.push((
                             at,
                             src,

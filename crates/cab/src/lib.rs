@@ -62,7 +62,7 @@ pub mod timings;
 /// The most frequently used names, for glob import.
 pub mod prelude {
     pub use crate::board::CabId;
-    pub use crate::checksum::{fletcher16, fletcher16_parts};
+    pub use crate::checksum::{fletcher16, fletcher16_packet, fletcher16_parts};
     pub use crate::dma::{Channel, DmaController, Transfer};
     pub use crate::fiber::FiberPort;
     pub use crate::timings::CabTimings;

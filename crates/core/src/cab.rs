@@ -1010,7 +1010,8 @@ fn stream_to(
 /// `packet` with bit `bit` of byte `idx` flipped. The damaged part —
 /// header or payload — is copied and the flip made in the copy: a
 /// payload is shared with the sender's retransmission state and with
-/// other flows, and is never written.
+/// other flows, and is never written. A damaged payload is a buffer of
+/// its own, so its checksum sidecar is summed from the damaged bytes.
 pub(crate) fn corrupt(packet: &Packet, idx: usize, bit: u8) -> Packet {
     let mut header: [u8; HEADER_BYTES] =
         packet.head().try_into().expect("a CAB sends header-framed packets");

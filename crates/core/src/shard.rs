@@ -382,13 +382,13 @@ struct RuntimeStats {
 /// ```
 /// use nectar_core::prelude::*;
 /// use nectar_sim::time::Time;
-/// use std::sync::Arc;
+/// use nectar_sim::bytes::Bytes;
 ///
 /// let topo = Topology::fat_star(4, 2, 16);
 /// let mut seq = World::new(topo.clone(), SystemConfig::default());
 /// let mut par = ShardedWorld::new(topo, SystemConfig::default(), 4);
 /// for _ in 0..2 {
-///     let payload: Arc<[u8]> = vec![7u8; 600].into();
+///     let payload = Bytes::from(vec![7u8; 600]);
 ///     let send = AppSend::Stream { dst: 1, src_mailbox: 1, dst_mailbox: 9, data: payload };
 ///     seq.schedule_send(Time::from_micros(5), 0, send.clone());
 ///     par.schedule_send(Time::from_micros(5), 0, send);
@@ -1063,6 +1063,7 @@ mod tests {
     use nectar_hub::command::Command;
     use nectar_hub::id::{HubId, PortId};
     use nectar_hub::item::Item;
+    use nectar_sim::bytes::Bytes;
     use std::time::Duration;
 
     /// The delay the forced straggler adds before each crossing.
@@ -1167,7 +1168,7 @@ mod tests {
         let mut world = ShardedWorld::new(topo, SystemConfig::default(), 4);
         world.enable_profiling();
         for cab in 0..4 {
-            let payload: std::sync::Arc<[u8]> = vec![7u8; 600].into();
+            let payload = Bytes::from(vec![7u8; 600]);
             let send = AppSend::Stream {
                 dst: (cab + 4) % 8,
                 src_mailbox: 1,

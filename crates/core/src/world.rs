@@ -34,7 +34,6 @@ use nectar_sim::time::{Dur, Time};
 use nectar_sim::workload::{
     Shape, SizeDist, Transport as FlowTransport, WorkloadGen, WorkloadSpec,
 };
-use std::sync::Arc;
 
 pub use crate::cab::{CabCounters, READY_TIMEOUT};
 
@@ -292,7 +291,7 @@ pub enum AppSend {
         /// Destination mailbox.
         dst_mailbox: u16,
         /// Payload.
-        data: Arc<[u8]>,
+        data: Bytes,
     },
     /// Unreliable datagram.
     Datagram {
@@ -303,7 +302,7 @@ pub enum AppSend {
         /// Destination mailbox.
         dst_mailbox: u16,
         /// Payload.
-        data: Arc<[u8]>,
+        data: Bytes,
     },
     /// Request-response call.
     Rpc {
@@ -314,7 +313,7 @@ pub enum AppSend {
         /// Remote service mailbox.
         service_mailbox: u16,
         /// Request payload.
-        data: Arc<[u8]>,
+        data: Bytes,
     },
     /// Hardware multicast datagram (§4.2.2/4.2.4).
     Multicast {
@@ -325,7 +324,7 @@ pub enum AppSend {
         /// Destination mailbox on every receiver.
         dst_mailbox: u16,
         /// Payload.
-        data: Arc<[u8]>,
+        data: Bytes,
     },
 }
 
@@ -1570,10 +1569,10 @@ impl World {
                         (FlowTransport::Rpc, dst, reply_mailbox, service_mailbox, data)
                     }
                     AppSend::Multicast { dsts, src_mailbox, dst_mailbox, data } => {
-                        return c.multicast(x, now, &dsts, src_mailbox, dst_mailbox, data.into());
+                        return c.multicast(x, now, &dsts, src_mailbox, dst_mailbox, data);
                     }
                 };
-                c.send(x, now, transport, dst, src_mailbox, dst_mailbox, data.into());
+                c.send(x, now, transport, dst, src_mailbox, dst_mailbox, data);
             }),
             Ev::WorkloadTick { cab, class } => self.workload_tick(now, cab, class),
             Ev::WorkloadLaunch { cab, class, count } => {
@@ -1971,7 +1970,7 @@ mod tests {
     #[test]
     fn a_datagram_reaches_the_mailbox_without_a_copy() {
         let mut w = World::new(Topology::single_hub(2, 16), SystemConfig::default());
-        let data: Arc<[u8]> = vec![9u8; 960].into();
+        let data = Bytes::from(vec![9u8; 960]);
         let send = AppSend::Datagram { dst: 1, src_mailbox: 1, dst_mailbox: 7, data: data.clone() };
         w.schedule_send(Time::ZERO, 0, send);
         w.run_to_quiescence(Time::from_millis(1));

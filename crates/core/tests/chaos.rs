@@ -219,8 +219,9 @@ fn stale_circuit_member_is_counted_and_contained() {
 /// corruption, reordering — on a 2×2 mesh of 4-CAB clusters, audited at
 /// quiescence: every transport quiescent, every byte-stream pair the
 /// workload opened coherent (first sends equal acceptances, completions
-/// equal deliveries), and no RPC executed more often than it was
-/// called. Ignored in Tier-1: `spike` alone offers 25,600 standing
+/// equal deliveries), no RPC executed more often than it was called,
+/// and every corrupted packet — `lattice`'s stream fragments sit at
+/// unaligned offsets of their buffer — failed its checksum. Ignored in Tier-1: `spike` alone offers 25,600 standing
 /// flows; run with `cargo test --release -- --ignored`.
 #[test]
 #[ignore = "seconds even in release; run with --release -- --ignored"]
@@ -252,6 +253,10 @@ fn every_preset_holds_the_invariants_under_each_fault() {
             let executed: u64 = (0..cabs).map(|c| world.rpc_server_stats(c).0).sum();
             if executed > calls {
                 violations.push(format!("{executed} RPCs executed for {calls} calls"));
+            }
+            let caught: u64 = (0..cabs).map(|c| world.cab_counters(c).corrupted_rx).sum();
+            if caught != s.corruptions {
+                violations.push(format!("{caught} of {} corruptions caught", s.corruptions));
             }
             if outcome != nectar_core::world::QuiescenceOutcome::Quiescent {
                 violations.push(format!("{outcome:?} at 400 ms"));

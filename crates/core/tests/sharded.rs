@@ -15,12 +15,12 @@ use nectar_core::invariants::{InvariantChecker, Violation};
 use nectar_core::prelude::*;
 use nectar_core::world::{Completion, QuiescenceOutcome};
 use nectar_sim::analysis::streaming::StreamConfig;
+use nectar_sim::bytes::Bytes;
 use nectar_sim::chaos::{ChaosSchedule, Clause, Fault};
 use nectar_sim::profile::{Phase, VerdictKind};
 use nectar_sim::telemetry::TelemetryEvent;
 use nectar_sim::time::{Dur, Time};
 use nectar_sim::workload::WorkloadSpec;
-use std::sync::Arc;
 
 /// Everything observable about one finished run.
 #[derive(Debug, PartialEq)]
@@ -65,7 +65,7 @@ fn workload(topo: &Topology) -> (Vec<Send>, Vec<ExpectedStream>) {
     let mut stream = |sends: &mut Vec<Send>, at: Time, src: usize, dst: usize, round: usize| {
         let mailbox = (100 + src * 4 + round) as u16;
         let payload = vec![(13 + 29 * src + 5 * round) as u8; 240 + 410 * round + 31 * src];
-        let data: Arc<[u8]> = payload.clone().into();
+        let data: Bytes = payload.clone().into();
         sends.push((at, src, AppSend::Stream { dst, src_mailbox: 1, dst_mailbox: mailbox, data }));
         expected.push((src, dst, mailbox, payload));
     };
@@ -84,7 +84,7 @@ fn workload(topo: &Topology) -> (Vec<Send>, Vec<ExpectedStream>) {
         if dst == src {
             continue;
         }
-        let data: Arc<[u8]> = vec![(src * 7) as u8; 120].into();
+        let data: Bytes = vec![(src * 7) as u8; 120].into();
         sends.push((
             Time::from_micros(150 + src as u64),
             src,
@@ -94,7 +94,7 @@ fn workload(topo: &Topology) -> (Vec<Send>, Vec<ExpectedStream>) {
     // Wave 3: one hardware multicast fanning out across the system.
     if cabs >= 4 {
         let dsts = vec![1, cabs / 2, cabs - 1];
-        let data: Arc<[u8]> = vec![0xAB; 96].into();
+        let data: Bytes = vec![0xAB; 96].into();
         sends.push((
             Time::from_micros(300),
             0,
@@ -127,7 +127,7 @@ fn crossing_workload(topo: &Topology) -> (Vec<Send>, Vec<ExpectedStream>) {
             let dst = (src + cabs / 2) % cabs;
             let mailbox = (100 + src * 4 + round) as u16;
             let payload = vec![(7 + 31 * src + 3 * round) as u8; 2600 + 97 * src];
-            let data: Arc<[u8]> = payload.clone().into();
+            let data: Bytes = payload.clone().into();
             sends.push((
                 Time::from_micros(2 + 60 * round as u64),
                 src,
@@ -492,7 +492,7 @@ fn sharded_world_is_auditable() {
     let topo = Topology::mesh2d(2, 2, 2, 16);
     let mut par = ShardedWorld::new(topo.clone(), SystemConfig::default(), 4);
     let payload = vec![9u8; 1500];
-    let data: Arc<[u8]> = payload.clone().into();
+    let data: Bytes = payload.clone().into();
     par.schedule_send(
         Time::from_micros(1),
         0,

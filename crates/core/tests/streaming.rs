@@ -18,9 +18,9 @@ use nectar_core::prelude::*;
 use nectar_sim::analysis::critical_path::Segment;
 use nectar_sim::analysis::streaming::{StreamConfig, StreamingDoctor};
 use nectar_sim::analysis::{diagnose, DoctorReport};
+use nectar_sim::bytes::Bytes;
 use nectar_sim::chaos::{ChaosSchedule, Clause, Fault};
 use nectar_sim::time::{Dur, Time};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Deadline generous enough for every topology here, chaos included.
@@ -38,7 +38,7 @@ fn workload(topo: &Topology) -> Vec<(Time, usize, AppSend)> {
         if dst == src {
             continue;
         }
-        let data: Arc<[u8]> = vec![(13 + 29 * src) as u8; 300 + 31 * src].into();
+        let data: Bytes = vec![(13 + 29 * src) as u8; 300 + 31 * src].into();
         sends.push((
             Time::from_micros(2 + src as u64),
             src,
@@ -50,7 +50,7 @@ fn workload(topo: &Topology) -> Vec<(Time, usize, AppSend)> {
         if dst == src {
             continue;
         }
-        let data: Arc<[u8]> = vec![(src * 7) as u8; 120].into();
+        let data: Bytes = vec![(src * 7) as u8; 120].into();
         sends.push((
             Time::from_micros(150 + src as u64),
             src,
@@ -62,7 +62,7 @@ fn workload(topo: &Topology) -> Vec<(Time, usize, AppSend)> {
         if dst == src {
             continue;
         }
-        let data: Arc<[u8]> = vec![(5 + 11 * src) as u8; 650].into();
+        let data: Bytes = vec![(5 + 11 * src) as u8; 650].into();
         sends.push((
             Time::from_micros(200 + 3 * src as u64),
             dst,

@@ -6,15 +6,18 @@
 //! header and payload. The encoding is byte-exact so corruption
 //! injection in tests exercises the same code a real receiver runs.
 //!
-//! There is one codec: [`Header::encode`] makes the 32 header bytes
-//! for a payload that stays in its own buffer, and
-//! [`Header::decode_parts`] checks a header against its payload. The
-//! contiguous forms, [`Header::encode_with`] and [`Header::decode`],
-//! are thin wrappers over them.
+//! There is one codec, with the payload's checksum as its parameter.
+//! [`Header::encode`] makes the 32 header bytes for a shared payload
+//! that stays in its own buffer, and [`Header::decode_parts`] checks a
+//! header against one; both sum the payload through
+//! [`fletcher16_packet`]. The contiguous forms, [`Header::encode_with`]
+//! and [`Header::decode`], lay out and read the same bytes, summed by
+//! [`fletcher16_parts`].
 
 use core::fmt;
 use nectar_cab::board::CabId;
-use nectar_cab::checksum::fletcher16_parts;
+use nectar_cab::checksum::{fletcher16_packet, fletcher16_parts};
+use nectar_sim::bytes::Bytes;
 
 /// Size of the fixed transport header on the wire.
 pub const HEADER_BYTES: usize = 32;
@@ -158,16 +161,45 @@ impl fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 impl Header {
-    /// Encodes the header for `payload`: its [`HEADER_BYTES`] bytes,
-    /// carrying the hardware checksum over the header and every payload
-    /// byte. The payload stays where it is; a packet holds the two
-    /// side by side.
+    /// Encodes the header for a shared `payload`: its [`HEADER_BYTES`]
+    /// bytes, carrying the hardware checksum over the header and the
+    /// payload ([`fletcher16_packet`], which answers a long payload from
+    /// its buffer's sidecar). The payload stays where it is; a packet
+    /// holds the two side by side.
     ///
     /// # Panics
     ///
     /// Panics if `payload.len()` disagrees with `self.payload_len`.
-    pub fn encode(&self, payload: &[u8]) -> [u8; HEADER_BYTES] {
-        assert_eq!(payload.len(), self.payload_len as usize, "payload_len must match payload");
+    pub fn encode(&self, payload: &Bytes) -> [u8; HEADER_BYTES] {
+        self.seal(payload.len(), |head| fletcher16_packet(head, payload))
+    }
+
+    /// Encodes the header and payload into one contiguous buffer: the
+    /// header [`encode`](Header::encode) makes followed by the payload,
+    /// summed byte by byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `payload.len()` disagrees with `self.payload_len`.
+    pub fn encode_with(&self, payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(HEADER_BYTES + payload.len());
+        self.encode_into(payload, &mut buf);
+        buf
+    }
+
+    /// [`encode_with`](Header::encode_with) into a caller-supplied
+    /// buffer (cleared first).
+    fn encode_into(&self, payload: &[u8], buf: &mut Vec<u8>) {
+        buf.clear();
+        buf.extend_from_slice(&self.seal(payload.len(), |head| fletcher16_parts(&[head, payload])));
+        buf.extend_from_slice(payload);
+    }
+
+    /// The header's bytes for a payload of `len` bytes, with the
+    /// checksum `sum` takes over them (checksum field zero) and the
+    /// payload.
+    fn seal(&self, len: usize, sum: impl FnOnce(&[u8]) -> u16) -> [u8; HEADER_BYTES] {
+        assert_eq!(len, self.payload_len as usize, "payload_len must match payload");
         let mut head = [0u8; HEADER_BYTES];
         head[0] = self.kind.code();
         // head[1] is reserved flags; head[30..32] the checksum, zero
@@ -183,51 +215,58 @@ impl Header {
         head[22..26].copy_from_slice(&self.ack.to_be_bytes());
         head[26..28].copy_from_slice(&self.window.to_be_bytes());
         head[28..30].copy_from_slice(&self.payload_len.to_be_bytes());
-        let sum = fletcher16_parts(&[&head, payload]);
+        let sum = sum(&head);
         head[CHECKSUM_AT..].copy_from_slice(&sum.to_be_bytes());
         head
     }
 
-    /// Encodes the header and payload into one contiguous buffer:
-    /// [`encode`](Header::encode)'s header followed by the payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `payload.len()` disagrees with `self.payload_len`.
-    pub fn encode_with(&self, payload: &[u8]) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(HEADER_BYTES + payload.len());
-        self.encode_into(payload, &mut buf);
-        buf
-    }
-
-    /// [`encode_with`](Header::encode_with) into a caller-supplied
-    /// buffer (cleared first).
-    fn encode_into(&self, payload: &[u8], buf: &mut Vec<u8>) {
-        buf.clear();
-        buf.extend_from_slice(&self.encode(payload));
-        buf.extend_from_slice(payload);
-    }
-
-    /// Decodes a header whose payload is carried separately, verifying
-    /// the length and the checksum over the header and every payload
-    /// byte — the checks a receiving CAB performs in hardware.
+    /// Decodes a header whose shared payload is carried separately,
+    /// verifying the length and the checksum over the header and the
+    /// payload ([`fletcher16_packet`]) — the checks a receiving CAB
+    /// performs in hardware.
     ///
     /// # Errors
     ///
     /// See [`DecodeError`]; never [`DecodeError::Truncated`].
-    pub fn decode_parts(head: &[u8; HEADER_BYTES], payload: &[u8]) -> Result<Header, DecodeError> {
+    pub fn decode_parts(head: &[u8; HEADER_BYTES], payload: &Bytes) -> Result<Header, DecodeError> {
+        Header::check(head, payload.len(), |blank| fletcher16_packet(blank, payload))
+    }
+
+    /// Decodes a contiguous buffer into header and payload: the checks
+    /// of [`decode_parts`](Header::decode_parts) on its first
+    /// [`HEADER_BYTES`] and the rest, summed byte by byte.
+    ///
+    /// # Errors
+    ///
+    /// See [`DecodeError`].
+    pub fn decode(bytes: &[u8]) -> Result<(Header, &[u8]), DecodeError> {
+        let Some((head, payload)) = bytes.split_first_chunk::<HEADER_BYTES>() else {
+            return Err(DecodeError::Truncated { have: bytes.len() });
+        };
+        let sum = |blank: &[u8]| fletcher16_parts(&[blank, payload]);
+        Ok((Header::check(head, payload.len(), sum)?, payload))
+    }
+
+    /// Reads `head` for a payload of `len` bytes, checking the length
+    /// and comparing the carried checksum with the one `sum` takes over
+    /// the header (checksum field zero) and the payload.
+    fn check(
+        head: &[u8; HEADER_BYTES],
+        len: usize,
+        sum: impl FnOnce(&[u8]) -> u16,
+    ) -> Result<Header, DecodeError> {
         let kind = PacketKind::from_code(head[0]).ok_or(DecodeError::BadKind { code: head[0] })?;
         let u16at = |i: usize| u16::from_be_bytes([head[i], head[i + 1]]);
         let u32at = |i: usize| u32::from_be_bytes([head[i], head[i + 1], head[i + 2], head[i + 3]]);
         let payload_len = u16at(28) as usize;
-        if payload_len != payload.len() {
-            return Err(DecodeError::LengthMismatch { claimed: payload_len, have: payload.len() });
+        if payload_len != len {
+            return Err(DecodeError::LengthMismatch { claimed: payload_len, have: len });
         }
         // The sender summed the header with its checksum field zero.
         let carried = u16at(CHECKSUM_AT);
         let mut blank = *head;
         blank[CHECKSUM_AT..].fill(0);
-        let computed = fletcher16_parts(&[&blank, payload]);
+        let computed = sum(&blank);
         if carried != computed {
             return Err(DecodeError::Checksum { carried, computed });
         }
@@ -245,20 +284,6 @@ impl Header {
             window: u16at(26),
             payload_len: payload_len as u16,
         })
-    }
-
-    /// Decodes a contiguous buffer into header and payload:
-    /// [`decode_parts`](Header::decode_parts) on its first
-    /// [`HEADER_BYTES`] and the rest.
-    ///
-    /// # Errors
-    ///
-    /// See [`DecodeError`].
-    pub fn decode(bytes: &[u8]) -> Result<(Header, &[u8]), DecodeError> {
-        let Some((head, payload)) = bytes.split_first_chunk::<HEADER_BYTES>() else {
-            return Err(DecodeError::Truncated { have: bytes.len() });
-        };
-        Ok((Header::decode_parts(head, payload)?, payload))
     }
 
     /// A minimal header template; callers fill in the rest.

@@ -5,7 +5,6 @@
 //! (header + payload + framing) fits the 1 KB HUB input queue.
 
 use nectar_sim::bytes::Bytes;
-use std::sync::Arc;
 
 /// Splits `data` into fragment payloads of at most `max_payload` bytes.
 /// Each fragment is a slice of `data`: nothing is copied.
@@ -54,7 +53,8 @@ pub fn fragment_count(len: usize, max_payload: usize) -> usize {
 ///
 /// A one-fragment message is its fragment, shared. A longer one gets
 /// one buffer, sized at its first fragment for `frag_count` fragments
-/// that long, and each fragment is written into it once.
+/// that long; each fragment is written into it once, and the finished
+/// buffer moves into the message's [`Bytes`] without a copy.
 #[derive(Clone, Debug, Default)]
 pub struct Reassembler {
     current: Option<InProgress>,
@@ -65,25 +65,10 @@ struct InProgress {
     msg_id: u32,
     frag_count: u16,
     next_index: u16,
-    /// The message's buffer, not shared until the message completes;
-    /// `buf[..len]` is filled.
-    buf: Arc<[u8]>,
-    len: usize,
-}
-
-impl InProgress {
-    fn append(&mut self, data: &[u8]) {
-        let end = self.len + data.len();
-        if end > self.buf.len() {
-            // Longer than the first fragment: no conforming sender
-            // makes one, but the message still assembles.
-            let filled = self.buf[..self.len].iter().copied();
-            self.buf = filled.chain(std::iter::repeat_n(0, data.len())).collect();
-        }
-        let buf = Arc::get_mut(&mut self.buf).expect("an incomplete message is not shared");
-        buf[self.len..end].copy_from_slice(data);
-        self.len = end;
-    }
+    /// The message so far. A fragment longer than the first grows
+    /// it: no conforming sender makes one, but the message still
+    /// assembles.
+    buf: Vec<u8>,
 }
 
 /// Outcome of feeding one fragment to the [`Reassembler`].
@@ -124,16 +109,9 @@ impl Reassembler {
                 if frag_count == 1 {
                     return ReassemblyOutcome::Complete(payload.clone());
                 }
-                let capacity = frag_count as usize * payload.len();
-                let mut ip = InProgress {
-                    msg_id,
-                    frag_count,
-                    next_index: 1,
-                    buf: std::iter::repeat_n(0, capacity).collect(),
-                    len: 0,
-                };
-                ip.append(payload);
-                self.current = Some(ip);
+                let mut buf = Vec::with_capacity(frag_count as usize * payload.len());
+                buf.extend_from_slice(payload);
+                self.current = Some(InProgress { msg_id, frag_count, next_index: 1, buf });
                 ReassemblyOutcome::Incomplete
             }
             Some(ip) => {
@@ -142,11 +120,11 @@ impl Reassembler {
                     self.current = None;
                     return ReassemblyOutcome::Mismatch;
                 }
-                ip.append(payload);
+                ip.buf.extend_from_slice(payload);
                 ip.next_index += 1;
                 if ip.next_index == ip.frag_count {
                     let done = self.current.take().expect("in progress");
-                    ReassemblyOutcome::Complete(Bytes::from(done.buf).slice(0..done.len))
+                    ReassemblyOutcome::Complete(Bytes::from(done.buf))
                 } else {
                     ReassemblyOutcome::Incomplete
                 }

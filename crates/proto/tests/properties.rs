@@ -59,18 +59,26 @@ proptest! {
         prop_assert_eq!(body, &payload[..]);
     }
 
-    /// The two-part codec is the contiguous codec: the header bytes
-    /// `encode` makes are `encode_with`'s first 32, `decode_parts` reads
-    /// back what `decode` reads, and a single bit flipped anywhere — in
-    /// the header or in the payload — is rejected by both.
+    /// The two-part codec is the contiguous codec. For a shared payload
+    /// that is a slice of a larger buffer — at any offset, on either
+    /// side of the sidecar path's length — the header bytes `encode`
+    /// makes are `encode_with`'s first 32 for the same bytes,
+    /// `decode_parts` reads back what `decode` reads, and a single bit
+    /// flipped anywhere — in the header, or in a fresh copy of the
+    /// payload — is rejected by both.
     #[test]
     fn two_part_codec_equals_contiguous_codec(
         kind in arb_kind(),
         fields in (any::<u16>(), any::<u16>(), any::<u32>(), any::<u32>(), any::<u32>()),
-        payload in prop::collection::vec(any::<u8>(), 0..990),
+        buffer in prop::collection::vec(any::<u8>(), 0..1200),
+        range in (any::<u16>(), any::<u16>()),
         flip in (any::<u16>(), 0u8..8),
     ) {
         let (src, dst, msg_id, seq, ack) = fields;
+        let start = range.0 as usize % (buffer.len() + 1);
+        let len = range.1 as usize % ((buffer.len() - start).min(990) + 1);
+        let shared = Bytes::from(buffer);
+        let payload = shared.slice(start..start + len);
         let h = Header {
             msg_id,
             seq,
@@ -80,7 +88,7 @@ proptest! {
             frag_count: 7,
             src_mailbox: dst,
             dst_mailbox: src,
-            payload_len: payload.len() as u16,
+            payload_len: len as u16,
             ..Header::new(kind, CabId::new(src), CabId::new(dst))
         };
         let head = h.encode(&payload);
@@ -95,7 +103,11 @@ proptest! {
         bad_wire[at] ^= 1 << bit;
         match at.checked_sub(HEADER_BYTES) {
             None => bad_head[at] ^= 1 << bit,
-            Some(i) => bad_payload[i] ^= 1 << bit,
+            Some(i) => {
+                let mut copy = payload.to_vec();
+                copy[i] ^= 1 << bit;
+                bad_payload = Bytes::from(copy);
+            }
         }
         let split = Header::decode_parts(&bad_head, &bad_payload);
         prop_assert!(split.is_err(), "flip at byte {} bit {} accepted", at, bit);

@@ -6,14 +6,22 @@
 //! application or the workload engine, and every layer below — the
 //! transport's retransmission queue, the packet on the fiber, the
 //! message in the mailbox — holds a slice of it. Cloning or slicing
-//! bumps a reference count; no byte is copied.
+//! bumps a reference count; no byte is copied. What the checksum unit
+//! derives from a buffer's bytes is kept beside them, once per buffer
+//! ([`Bytes::sidecar`]).
 
 use core::fmt;
 use core::ops::{Deref, Range};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// A reference-counted, immutable slice of a shared byte buffer: an
-/// `Arc<[u8]>` plus the range of it this handle covers.
+/// A reference-counted, immutable slice of a shared byte buffer: one
+/// pointer to the buffer plus the range of it this handle covers.
+///
+/// Each buffer also has one sidecar slot, filled on first use by
+/// [`Bytes::sidecar`] from the buffer's bytes. Since nothing writes a
+/// buffer after it is made, whatever is derived from its bytes once
+/// holds for every clone and slice of it for as long as it lives. The
+/// CAB's checksum unit keeps its prefix sums there.
 ///
 /// # Examples
 ///
@@ -28,20 +36,31 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone)]
 pub struct Bytes {
-    buf: Arc<[u8]>,
+    buf: Arc<Buffer>,
     start: u32,
     end: u32,
+}
+
+// A handle rides in every packet frame and every queued send: one
+// pointer and a 32-bit range.
+const _: () = assert!(size_of::<Bytes>() == 16);
+
+/// A shared buffer: its bytes, never written after construction, and
+/// the sidecar derived from them.
+struct Buffer {
+    data: Vec<u8>,
+    sidecar: OnceLock<Box<[[u8; 2]]>>,
 }
 
 impl Bytes {
     /// An empty buffer.
     pub fn new() -> Bytes {
-        Bytes::from(Arc::<[u8]>::from([]))
+        Bytes::from(Vec::new())
     }
 
-    /// `len` zero bytes in one allocation, written once.
+    /// `len` zero bytes.
     pub fn zeroed(len: usize) -> Bytes {
-        Bytes::from(std::iter::repeat_n(0u8, len).collect::<Arc<[u8]>>())
+        Bytes::from(vec![0u8; len])
     }
 
     /// The bytes in `range` (relative to this slice), sharing this
@@ -67,7 +86,7 @@ impl Bytes {
     /// The slice's bytes.
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
-        &self.buf[self.start as usize..self.end as usize]
+        &self.buf.data[self.start as usize..self.end as usize]
     }
 
     /// Length in bytes, read off the range.
@@ -80,6 +99,23 @@ impl Bytes {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.start == self.end
+    }
+
+    /// The whole buffer this slice points into, and the slice's range
+    /// within it.
+    #[inline]
+    pub fn buffer(&self) -> (&[u8], Range<usize>) {
+        (&self.buf.data, self.start as usize..self.end as usize)
+    }
+
+    /// The buffer's sidecar: `fill` over the whole buffer on the first
+    /// call for this buffer, from any clone or slice of it, and the
+    /// same entries on every call after. The slot is one per buffer,
+    /// so every caller must pass the same `fill`; the CAB's checksum
+    /// unit (`nectar_cab::checksum`) is the only one.
+    #[inline]
+    pub fn sidecar(&self, fill: fn(&[u8]) -> Box<[[u8; 2]]>) -> &[[u8; 2]] {
+        self.buf.sidecar.get_or_init(|| fill(&self.buf.data))
     }
 }
 
@@ -98,18 +134,25 @@ impl Deref for Bytes {
     }
 }
 
-/// Takes the buffer as it is: no copy.
+/// Moves the bytes into a shared buffer: no copy.
+impl From<Vec<u8>> for Bytes {
+    fn from(data: Vec<u8>) -> Bytes {
+        let end = u32::try_from(data.len()).expect("shared buffers stay below 4 GiB");
+        Bytes { buf: Arc::new(Buffer { data, sidecar: OnceLock::new() }), start: 0, end }
+    }
+}
+
+/// Copies the bytes once into a shared buffer.
 impl From<Arc<[u8]>> for Bytes {
-    fn from(buf: Arc<[u8]>) -> Bytes {
-        let end = u32::try_from(buf.len()).expect("shared buffers stay below 4 GiB");
-        Bytes { buf, start: 0, end }
+    fn from(data: Arc<[u8]>) -> Bytes {
+        Bytes::from(data.to_vec())
     }
 }
 
 /// Copies the bytes once into a shared buffer.
 impl From<&[u8]> for Bytes {
     fn from(data: &[u8]) -> Bytes {
-        Bytes::from(Arc::<[u8]>::from(data))
+        Bytes::from(data.to_vec())
     }
 }
 
@@ -127,17 +170,10 @@ impl<const N: usize> From<&[u8; N]> for Bytes {
     }
 }
 
-/// Moves the bytes into a shared buffer.
-impl From<Vec<u8>> for Bytes {
-    fn from(data: Vec<u8>) -> Bytes {
-        Bytes::from(Arc::<[u8]>::from(data))
-    }
-}
-
-/// Moves the bytes into a shared buffer.
+/// Copies the bytes once into a shared buffer.
 impl<const N: usize> From<[u8; N]> for Bytes {
     fn from(data: [u8; N]) -> Bytes {
-        Bytes::from(Arc::<[u8]>::from(data))
+        Bytes::from(data.to_vec())
     }
 }
 
@@ -184,6 +220,26 @@ mod tests {
         assert_eq!(z.slice(0..3), Bytes::from([0u8, 0, 0]));
         assert_eq!(Bytes::new(), Bytes::default());
         assert!(Bytes::new().is_empty());
+    }
+
+    #[test]
+    fn a_vec_moves_in_and_the_sidecar_fills_once_per_buffer() {
+        let data = vec![3u8; 300];
+        let at = data.as_ptr();
+        let b = Bytes::from(data);
+        assert_eq!(b.as_ptr(), at, "the vector's bytes were copied");
+        fn lengths(buf: &[u8]) -> Box<[[u8; 2]]> {
+            vec![[buf.len() as u8, 0]].into()
+        }
+        fn never(_: &[u8]) -> Box<[[u8; 2]]> {
+            unreachable!("the slot is filled")
+        }
+        let tail = b.slice(100..300);
+        assert_eq!(tail.sidecar(lengths), &[[44, 0]], "filled from the whole buffer");
+        assert_eq!(b.clone().sidecar(never).as_ptr(), tail.sidecar(never).as_ptr());
+        assert_eq!(tail.buffer(), (&b[..], 100..300));
+        let copy = Bytes::from(&tail[..]);
+        assert_eq!(copy.sidecar(lengths), &[[200, 0]], "a copy fills its own");
     }
 
     #[test]
